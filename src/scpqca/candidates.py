@@ -14,6 +14,11 @@ below the cutoff can never recover and the whole subtree is skipped. The
 level-wise walk streams rules in the final deterministic order, literal
 count ascending then lexicographic on (factor index, value), and holds only
 the current frontier of extendable prefixes, never the full lattice.
+
+Case sets are the table's bitsets over its ids (see `model`): a child's
+matched set is its prefix's bits ANDed with one literal's, counts are
+popcounts, and the consistency filter compares exact integer cross products
+(``positives * den >= num * matched``), so no `Fraction` is built per node.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .model import (
     CandidateRule,
@@ -72,39 +75,30 @@ def iter_candidates(
     max_order = params.max_order if params.max_order is not None else len(factors)
     max_order = min(max_order, len(factors))
 
-    pos_mask = table.positive_mask(params.decision_label)
-    ids = table.ids
-    level_masks = {
-        j: [table.values[:, j] == v for v in range(table.schema.factors[j].levels)] for j in factors
-    }
+    pos = table.positive_bits(params.decision_label)
+    num, den = params.consistency_threshold.numerator, params.consistency_threshold.denominator
+    literals = [
+        [(Literal(j, v), table.literal_bits(j, v)) for v in range(table.schema.factors[j].levels)]
+        for j in factors
+    ]
 
-    # Frontier entries: (literals tuple, boolean match mask), all meeting the cutoff.
-    frontier: list[tuple[tuple[Literal, ...], np.ndarray]] = [((), np.ones(len(table), dtype=bool))]
-    for _order in range(1, max_order + 1):
-        next_frontier: list[tuple[tuple[Literal, ...], np.ndarray]] = []
-        for lits, mask in frontier:
-            start = lits[-1].factor_index + 1 if lits else factors[0]
-            for j in factors:
-                if j < start:
-                    continue
-                for v in range(table.schema.factors[j].levels):
-                    child_mask = mask & level_masks[j][v]
-                    count = int(child_mask.sum())
+    # Frontier entries: (literals tuple, matched bits, position in `factors` to
+    # extend from), all meeting the cutoff.
+    frontier = [((), (1 << len(table)) - 1, 0)]
+    for _order in range(max_order):
+        next_frontier = []
+        for lits, bits, first in frontier:
+            for at in range(first, len(factors)):
+                for lit, lit_bits in literals[at]:
+                    child = bits & lit_bits
+                    count = child.bit_count()
                     if count < params.cutoff:
                         continue
-                    child_lits = lits + (Literal(j, v),)
-                    p = int((child_mask & pos_mask).sum())
-                    consistency = Fraction(p, count)
-                    if consistency >= params.consistency_threshold:
-                        matched_idx = np.nonzero(child_mask)[0]
-                        pos_idx = np.nonzero(child_mask & pos_mask)[0]
-                        yield CandidateRule(
-                            conjunction=Conjunction(child_lits),
-                            matched=frozenset(ids[i] for i in matched_idx),
-                            positives_matched=frozenset(ids[i] for i in pos_idx),
-                            consistency=consistency,
-                        )
-                    next_frontier.append((child_lits, child_mask))
+                    child_lits = lits + (lit,)
+                    child_pos = child & pos
+                    if child_pos.bit_count() * den >= num * count:
+                        yield CandidateRule(Conjunction(child_lits), child, child_pos, table.ids)
+                    next_frontier.append((child_lits, child, at + 1))
         frontier = next_frontier
         if not frontier:
             break

@@ -13,6 +13,11 @@ replacement, pure forward greedy.
 used by tests and the `--oracle` flag; a subset is admissible when some pick
 order gives every rule a marginal gain of at least `unique_cover`, which by
 construction includes every sequence the greedy loop can produce.
+
+Rules carry their case sets as bitsets over the table's ids (see `model`),
+so a gain is the popcount of ``rule.positive_bits & uncovered``. The
+`positives` arguments are ids, mapped onto the candidates' shared ids once
+per call.
 """
 
 from __future__ import annotations
@@ -30,8 +35,10 @@ from .model import (
     Solution,
     UndefinedRatioError,
     VacuousSolutionError,
-    match_mask,
+    bits_of,
+    match_bits,
     rule_from_conjunction,
+    solution_metrics,
 )
 
 ORACLE_CANDIDATE_LIMIT = 20
@@ -51,14 +58,16 @@ def greedy_cover(
     candidates: Sequence[CandidateRule], positives: Iterable[str], params: CoverParams
 ) -> list[CandidateRule]:
     """Forward greedy selection; empty result means no admissible cover."""
-    uncovered = set(positives)
+    if not candidates:
+        return []
+    uncovered = bits_of(positives, candidates[0].ids)
     remaining = list(enumerate(candidates))
     selected: list[CandidateRule] = []
     while uncovered and remaining:
         best_key: tuple | None = None
         best_at = -1
         for at, (idx, rule) in enumerate(remaining):
-            gain = len(rule.positives_matched & uncovered)
+            gain = (rule.positive_bits & uncovered).bit_count()
             if gain < params.unique_cover:
                 continue
             key = (gain, rule.consistency, -len(rule.conjunction.literals), -idx)
@@ -69,21 +78,20 @@ def greedy_cover(
             break
         _, rule = remaining.pop(best_at)
         selected.append(rule)
-        uncovered -= rule.positives_matched
+        uncovered &= ~rule.positive_bits
     return selected
 
 
 def unique_coverage(rules: Sequence[CandidateRule], positives: Iterable[str]) -> tuple[int, ...]:
     """Per rule: positives it matches that no other listed rule matches."""
-    pos = frozenset(positives)
-    out = []
-    for i, rule in enumerate(rules):
-        others: set[str] = set()
-        for j, other in enumerate(rules):
-            if j != i:
-                others |= other.positives_matched
-        out.append(len((rule.positives_matched & pos) - others))
-    return tuple(out)
+    if not rules:
+        return ()
+    once = twice = 0
+    for rule in rules:
+        twice |= once & rule.positive_bits
+        once |= rule.positive_bits
+    only = once & ~twice & bits_of(positives, rules[0].ids)
+    return tuple((rule.positive_bits & only).bit_count() for rule in rules)
 
 
 def assemble_solution(
@@ -106,46 +114,29 @@ def assemble_solution(
     table.require_unique_ids()
     base = Conjunction(necessary)
 
-    positives = table.positive_ids(params.decision_label)
+    positives = table.positive_bits(params.decision_label)
     if not positives:
         raise UndefinedRatioError(f"no cases with outcome {params.decision_label}")
 
     effective: list[CandidateRule] = []
     for rule in selected:
-        conj = base.merge(rule.conjunction)
-        mask = match_mask(conj, table)
-        if not mask.any():
+        matched = match_bits(base.merge(rule.conjunction), table)
+        if not matched:
             raise UndefinedRatioError(
                 "selected rule matches no cases once the necessary conditions are conjoined"
             )
-        eff = rule_from_conjunction(conj, table, params.decision_label)
-        # Keep the selected conjunction; sets and consistency are the effective ones.
-        effective.append(
-            CandidateRule(rule.conjunction, eff.matched, eff.positives_matched, eff.consistency)
-        )
+        # Keep the selected conjunction; case bits are the effective ones.
+        effective.append(CandidateRule(rule.conjunction, matched, matched & positives, table.ids))
 
-    if effective:
-        union: set[str] = set()
-        for r in effective:
-            union |= r.matched
-        covered = len(union & positives)
-        consistency = Fraction(covered, len(union))
-        coverage = Fraction(covered, len(positives))
-        uniq = unique_coverage(effective, positives)
-    else:
-        base_rule = rule_from_conjunction(base, table, params.decision_label)
-        covered = len(base_rule.positives_matched)
-        consistency = base_rule.consistency
-        coverage = Fraction(covered, len(positives))
-        uniq = ()
-
+    scored = effective or [rule_from_conjunction(base, table, params.decision_label)]
+    consistency, coverage = solution_metrics(scored, table, params.decision_label)
     return Solution(
         necessary=necessary,
         rules=tuple(effective),
         decision_label=params.decision_label,
         solution_consistency=consistency,
         solution_coverage=coverage,
-        per_rule_unique_coverage=uniq,
+        per_rule_unique_coverage=unique_coverage(effective, table.positive_ids(params.decision_label)),
     )
 
 
@@ -170,15 +161,11 @@ def exhaustive_cover_oracle(
             f"{n} candidate rules exceed the oracle limit of {ORACLE_CANDIDATE_LIMIT}; "
             "tighten the filters or skip --oracle"
         )
-    pos = frozenset(positives)
     cap = n if max_subset_size is None else min(max_subset_size, n)
 
-    all_matched: frozenset[str] = frozenset().union(*(r.matched for r in candidates)) if candidates else frozenset()
-    all_ids = sorted(pos | all_matched)
-    bit_of = {cid: 1 << k for k, cid in enumerate(all_ids)}
-    pos_mask = sum(bit_of[c] for c in pos)
-    pos_bits = [sum(bit_of[c] for c in rule.positives_matched & pos) for rule in candidates]
-    matched_bits = [sum(bit_of[c] for c in rule.matched) for rule in candidates]
+    pos_mask = bits_of(positives, candidates[0].ids) if candidates else 0
+    pos_bits = [rule.positive_bits & pos_mask for rule in candidates]
+    matched_bits = [rule.matched_bits for rule in candidates]
 
     total = 1 << n
     covered = [0] * total  # positives covered by the subset

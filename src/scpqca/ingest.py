@@ -80,7 +80,8 @@ class CalibrationSpec:
 
 def _parse_int(cell: str) -> int | None:
     cell = cell.strip()
-    if cell and (cell.isdigit() or (cell[0] in "+-" and cell[1:].isdigit())):
+    digits = cell[1:] if cell[:1] in ("+", "-") else cell
+    if digits.isascii() and digits.isdigit():
         return int(cell)
     return None
 
@@ -135,6 +136,9 @@ def load_csv(
 ) -> CaseTable:
     """Load a UTF-8, comma-separated, header-first CSV into a CaseTable.
 
+    A leading byte-order mark is skipped, so it never sticks to the first
+    header name.
+
     Case ids come from `id_column` when given, else from a column literally
     named "id" (any capitalization), else from the first column when its
     cells are not all integers (e.g. country codes), else from row numbers.
@@ -143,7 +147,7 @@ def load_csv(
     """
     calibration = calibration or CalibrationSpec()
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

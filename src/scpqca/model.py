@@ -19,13 +19,21 @@ Metric conventions (for a decision label ``o``):
 Ratios with an empty denominator raise `UndefinedRatioError`; silently
 returning 0 would corrupt threshold filtering downstream.
 
-All types are immutable after construction and all operations are pure, so
-values can be shared freely across threads.
+A set of cases is one Python int over a tuple of case ids: bit i stands for
+``ids[i]``, so intersection is ``&``, union is ``|`` and a count is
+``int.bit_count()`` (the vertical tid-lists of Eclat). Only this module knows
+the encoding: `CaseTable` caches one bitset per factor=value literal,
+`match_bits` and `CaseTable.positive_bits` build the rest, and `ids_of` /
+`bits_of` convert at the edges. `CandidateRule` carries the bits plus the
+shared ids and offers frozenset views of them.
+
+All types are immutable after construction (the bitset cache only memoizes)
+and all operations are pure, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -96,6 +104,8 @@ class Factor:
             raise InputError("factor name must be non-empty")
         if self.levels < 2:
             raise InputError(f"factor {self.name!r}: level count must be >= 2")
+        if self.levels > 1 << 15:
+            raise InputError(f"factor {self.name!r}: {self.levels} levels exceed the limit of 32768")
         if self.labels is not None and len(self.labels) != self.levels:
             raise InputError(f"factor {self.name!r}: {len(self.labels)} labels for {self.levels} levels")
 
@@ -155,7 +165,8 @@ class CaseTable:
     are materialized on demand. Case ids are not required to be unique at the
     type level (sampling produces fresh ids, ingestion enforces uniqueness),
     but the analysis entry points insist on unique ids before computing
-    case-set metrics.
+    case-set metrics. Case sets over the table are bitsets over `ids`, built
+    from per-literal bitsets that are packed on first use and cached.
     """
 
     schema: FactorSchema
@@ -190,6 +201,7 @@ class CaseTable:
         object.__setattr__(self, "ids", tuple(self.ids))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "_bit_cache", {})
 
     @classmethod
     def from_cases(cls, schema: FactorSchema, cases: Iterable[Case]) -> "CaseTable":
@@ -245,9 +257,22 @@ class CaseTable:
         self._check_label(decision_label)
         return self.outcomes == decision_label
 
+    def positive_bits(self, decision_label: int) -> int:
+        """Bitset of the cases with the decision label as outcome, cached."""
+        key = ("outcome", decision_label)
+        if key not in self._bit_cache:
+            self._bit_cache[key] = _pack(self.positive_mask(decision_label))
+        return self._bit_cache[key]
+
     def positive_ids(self, decision_label: int) -> frozenset[str]:
-        mask = self.positive_mask(decision_label)
-        return frozenset(self.ids[i] for i in np.nonzero(mask)[0])
+        return frozenset(ids_of(self.positive_bits(decision_label), self.ids))
+
+    def literal_bits(self, factor_index: int, value: int) -> int:
+        """Bitset of the cases carrying factor=value, packed once and cached."""
+        key = (factor_index, value)
+        if key not in self._bit_cache:
+            self._bit_cache[key] = _pack(self.values[:, factor_index] == value)
+        return self._bit_cache[key]
 
     def _check_label(self, decision_label: int) -> None:
         if not 0 <= decision_label < self.schema.outcome_levels:
@@ -255,6 +280,21 @@ class CaseTable:
                 f"decision label {decision_label} out of range "
                 f"(outcome levels 0..{self.schema.outcome_levels - 1})"
             )
+
+
+def _pack(mask: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def ids_of(bits: int, ids: Sequence[str]) -> list[str]:
+    """The ids whose bits are set, in index order."""
+    return [cid for cid, bit in zip(ids, reversed(bin(bits))) if bit == "1"]
+
+
+def bits_of(members: Iterable[str], ids: Sequence[str]) -> int:
+    """Bitset over `ids` of the given ids; ids not in the index are ignored."""
+    members = frozenset(members)
+    return int("0" + "".join("1" if cid in members else "0" for cid in reversed(ids)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +375,9 @@ def matches(conjunction: Conjunction, case: Case) -> bool:
     return conjunction.matches_values(case.values)
 
 
-def match_mask(conjunction: Conjunction, table: CaseTable) -> np.ndarray:
-    """Boolean mask of the table's cases matched by the conjunction."""
-    n = len(table)
-    mask = np.ones(n, dtype=bool)
+def match_bits(conjunction: Conjunction, table: CaseTable) -> int:
+    """Bitset of the table's cases matched by the conjunction."""
+    bits = (1 << len(table)) - 1
     nf = len(table.schema.factors)
     for lit in conjunction.literals:
         if lit.factor_index >= nf:
@@ -348,38 +387,58 @@ def match_mask(conjunction: Conjunction, table: CaseTable) -> np.ndarray:
                 f"value {lit.value} out of range for factor "
                 f"{table.schema.factors[lit.factor_index].name!r}"
             )
-        mask &= table.values[:, lit.factor_index] == lit.value
-    return mask
+        bits &= table.literal_bits(lit.factor_index, lit.value)
+    return bits
 
 
 def matched_ids(conjunction: Conjunction, table: CaseTable) -> frozenset[str]:
-    mask = match_mask(conjunction, table)
-    return frozenset(table.ids[i] for i in np.nonzero(mask)[0])
+    return frozenset(ids_of(match_bits(conjunction, table), table.ids))
 
 
 @dataclass(frozen=True)
 class CandidateRule:
-    """A conjunction with its matched cases and sufficiency consistency."""
+    """A conjunction with the bitsets of its matched and matched-positive cases.
+
+    Bit i of `matched_bits` and `positive_bits` stands for ``ids[i]``; rules
+    that are compared or combined share one `ids` tuple, the table's.
+    `matched` and `positives_matched` are frozenset views of the bits, and
+    `consistency` is the sufficiency consistency they imply.
+    """
 
     conjunction: Conjunction
-    matched: frozenset[str]
-    positives_matched: frozenset[str]
-    consistency: Fraction
+    matched_bits: int = field(repr=False)
+    positive_bits: int = field(repr=False)
+    ids: tuple[str, ...] = field(repr=False, hash=False)
 
     def __post_init__(self) -> None:
-        if not self.matched:
+        if self.matched_bits < 1:
             raise InputError("candidate rule must match at least one case")
-        if not self.positives_matched <= self.matched:
+        if self.positive_bits & ~self.matched_bits:
             raise InputError("positives_matched must be a subset of matched")
-        expected = Fraction(len(self.positives_matched), len(self.matched))
-        if self.consistency != expected:
-            raise InputError(f"consistency {self.consistency} != {expected} implied by the case sets")
+        if self.matched_bits.bit_length() > len(self.ids):
+            raise InputError("matched bits reach past the case ids")
 
     @classmethod
-    def from_sets(cls, conjunction: Conjunction, matched: Iterable[str], positives: Iterable[str]) -> "CandidateRule":
-        m = frozenset(matched)
-        p = frozenset(positives)
-        return cls(conjunction, m, p, Fraction(len(p), len(m)) if m else Fraction(0))
+    def from_sets(
+        cls, conjunction: Conjunction, matched: Iterable[str], positives: Iterable[str], ids: Sequence[str]
+    ) -> "CandidateRule":
+        ids = tuple(ids)
+        m, p = frozenset(matched), frozenset(positives)
+        if not m | p <= set(ids):
+            raise InputError("rule case ids missing from the shared ids")
+        return cls(conjunction, bits_of(m, ids), bits_of(p, ids), ids)
+
+    @cached_property
+    def consistency(self) -> Fraction:
+        return Fraction(self.positive_bits.bit_count(), self.matched_bits.bit_count())
+
+    @cached_property
+    def matched(self) -> frozenset[str]:
+        return frozenset(ids_of(self.matched_bits, self.ids))
+
+    @cached_property
+    def positives_matched(self) -> frozenset[str]:
+        return frozenset(ids_of(self.positive_bits, self.ids))
 
 
 @dataclass(frozen=True)
@@ -387,7 +446,7 @@ class Solution:
     """Necessary literals conjoined with a disjunction of selected rules.
 
     `rules` keeps the selection order. When necessary literals were excluded
-    from enumeration, each rule's matched/positives/consistency here are the
+    from enumeration, each rule's case bits and consistency here are the
     *effective* ones, recomputed with the necessary literals conjoined; the
     stored conjunction stays the selected rule itself so reports can show the
     necessary conditions separately.
@@ -423,22 +482,19 @@ class Solution:
 
 def sufficiency_consistency(conjunction: Conjunction, table: CaseTable, decision_label: int) -> Fraction:
     """Share of conjunction-matching cases whose outcome is the decision label."""
-    mask = match_mask(conjunction, table)
-    m = int(mask.sum())
-    if m == 0:
+    matched = match_bits(conjunction, table)
+    if not matched:
         raise UndefinedRatioError("conjunction matches no cases; sufficiency consistency undefined")
-    p = int((mask & table.positive_mask(decision_label)).sum())
-    return Fraction(p, m)
+    return Fraction((matched & table.positive_bits(decision_label)).bit_count(), matched.bit_count())
 
 
 def necessity_consistency(literal: Literal, table: CaseTable, decision_label: int) -> Fraction:
     """Share of decision-label cases that carry the literal."""
-    pos = table.positive_mask(decision_label)
-    total = int(pos.sum())
-    if total == 0:
+    pos = table.positive_bits(decision_label)
+    if not pos:
         raise UndefinedRatioError(f"no cases with outcome {decision_label}; necessity consistency undefined")
-    both = int((match_mask(Conjunction((literal,)), table) & pos).sum())
-    return Fraction(both, total)
+    both = match_bits(Conjunction((literal,)), table) & pos
+    return Fraction(both.bit_count(), pos.bit_count())
 
 
 def solution_metrics(
@@ -451,31 +507,24 @@ def solution_metrics(
     """
     if not rules:
         raise InputError("solution metrics need at least one rule")
-    union: set[str] = set()
+    if any(r.ids != table.ids for r in rules):
+        raise InputError("rules are indexed over different case ids than the table")
+    union = 0
     for r in rules:
-        union |= r.matched
-    if not union:
-        raise UndefinedRatioError("union of matched cases is empty")
-    positives = table.positive_ids(decision_label)
+        union |= r.matched_bits
+    positives = table.positive_bits(decision_label)
     if not positives:
         raise UndefinedRatioError(f"no cases with outcome {decision_label}")
-    covered = len(union & positives)
-    return Fraction(covered, len(union)), Fraction(covered, len(positives))
+    covered = (union & positives).bit_count()
+    return Fraction(covered, union.bit_count()), Fraction(covered, positives.bit_count())
 
 
 def rule_from_conjunction(conjunction: Conjunction, table: CaseTable, decision_label: int) -> CandidateRule:
     """Build a CandidateRule by evaluating the conjunction against the table."""
-    mask = match_mask(conjunction, table)
-    if not mask.any():
+    matched = match_bits(conjunction, table)
+    if not matched:
         raise UndefinedRatioError("conjunction matches no cases")
-    pos = mask & table.positive_mask(decision_label)
-    ids = table.ids
-    return CandidateRule(
-        conjunction=conjunction,
-        matched=frozenset(ids[i] for i in np.nonzero(mask)[0]),
-        positives_matched=frozenset(ids[i] for i in np.nonzero(pos)[0]),
-        consistency=Fraction(int(pos.sum()), int(mask.sum())),
-    )
+    return CandidateRule(conjunction, matched, matched & table.positive_bits(decision_label), table.ids)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .model import (
     InputError,
     Literal,
     dnf_shorthand,
-    match_mask,
 )
 from .pipeline import AnalysisParams, SolveResult, solve
 
@@ -175,7 +174,7 @@ def _parse_mv_term(text: str, a: int, b: int, schema: FactorSchema) -> Conjuncti
         while pos < b and text[pos].isspace():
             pos += 1
         j = pos
-        while j < b and text[j].isdigit():
+        while j < b and text[j] in "0123456789":
             j += 1
         if j == pos:
             raise InputError(f"expected level digits after factor {name!r} at position {pos}")
@@ -270,7 +269,10 @@ def plant_outcome(skeleton: CaseTable, pathway: PathwaySpec) -> CaseTable:
         raise InputError("pathway is bound to a different schema")
     mask = np.zeros(len(skeleton), dtype=bool)
     for term in pathway.terms:
-        mask |= match_mask(term, skeleton)
+        hit = np.ones(len(skeleton), dtype=bool)
+        for lit in term.literals:
+            hit &= skeleton.values[:, lit.factor_index] == lit.value
+        mask |= hit
     return CaseTable(
         schema=skeleton.schema,
         ids=skeleton.ids,

@@ -22,7 +22,7 @@ from .model import (
     UndefinedRatioError,
     as_fraction,
     conjunction_expr,
-    match_mask,
+    match_bits,
 )
 from .necessity import (
     DEFAULT_NECESSITY_THRESHOLD,
@@ -107,7 +107,7 @@ def solve(table: CaseTable, params: AnalysisParams) -> SolveResult:
         base = Conjunction(conjoined)
         kept = []
         for rule in selected:
-            if match_mask(base.merge(rule.conjunction), table).any():
+            if match_bits(base.merge(rule.conjunction), table):
                 kept.append(rule)
             else:
                 warnings.append(

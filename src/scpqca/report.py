@@ -24,6 +24,7 @@ from .model import (
     FactorSchema,
     conjunction_shorthand,
     dnf_shorthand,
+    ids_of,
 )
 from .pipeline import SolveResult
 from .robustness import ValidityClass, ValidityReport
@@ -42,10 +43,6 @@ def _mark(schema: FactorSchema, factor_index: int, value: int) -> str:
     if schema.factors[factor_index].levels == 2:
         return SOLID if value == 1 else HOLLOW
     return str(value)
-
-
-def _ids_in_table_order(ids: frozenset[str], table: CaseTable) -> list[str]:
-    return [cid for cid in table.ids if cid in ids]
 
 
 def render_json(payload: dict) -> str:
@@ -133,8 +130,8 @@ def candidates_payload(
                 },
                 "expression": conjunction_shorthand(rule.conjunction, schema),
                 "consistency": float(rule.consistency),
-                "matched_count": len(rule.matched),
-                "matched": _ids_in_table_order(rule.matched, table),
+                "matched_count": rule.matched_bits.bit_count(),
+                "matched": ids_of(rule.matched_bits, table.ids),
             }
         )
     return {
@@ -199,9 +196,9 @@ def solve_payload(result: SolveResult, oracle: Sequence[CandidateRule] | None = 
                 },
                 "expression": conjunction_shorthand(rule.conjunction, schema),
                 "consistency": float(rule.consistency),
-                "coverage": len(rule.matched),
+                "coverage": rule.matched_bits.bit_count(),
                 "unique_coverage": solution.per_rule_unique_coverage[i],
-                "covered_cases": _ids_in_table_order(rule.matched, table),
+                "covered_cases": ids_of(rule.matched_bits, table.ids),
             }
         )
     payload = {
@@ -236,13 +233,12 @@ def solve_payload(result: SolveResult, oracle: Sequence[CandidateRule] | None = 
         "warnings": list(result.warnings),
     }
     if oracle is not None:
-        pos = table.positive_ids(solution.decision_label)
-        covered: set[str] = set()
+        covered = 0
         for r in oracle:
-            covered |= r.positives_matched
+            covered |= r.positive_bits
         payload["oracle"] = {
             "selection": [conjunction_shorthand(r.conjunction, schema) for r in oracle],
-            "covered_positives": len(covered & pos),
+            "covered_positives": (covered & table.positive_bits(solution.decision_label)).bit_count(),
         }
     return payload
 

@@ -206,7 +206,8 @@ def external_validity(
     for rep in range(reps):
         rng = random.Random(derive_seed(seed, rep))
         removed = sorted(rng.sample(range(n), k))
-        keep = np.array([i for i in range(n) if i not in set(removed)], dtype=np.intp)
+        dropped = set(removed)
+        keep = np.array([i for i in range(n) if i not in dropped], dtype=np.intp)
         sub = CaseTable(
             schema=table.schema,
             ids=tuple(table.ids[i] for i in keep),

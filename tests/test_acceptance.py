@@ -221,11 +221,12 @@ def test_criterion_07_oracle_equivalence():
     for _ in range(200):
         n_pos = rng.randint(1, 30)
         universe = [f"p{i}" for i in range(n_pos)]
+        index = universe + [f"n{i}_{j}" for i in range(12) for j in range(3)]
         rules = []
         for i in range(rng.randint(1, 12)):
             ids = frozenset(rng.sample(universe, rng.randint(1, n_pos)))
             extra = frozenset(f"n{i}_{j}" for j in range(rng.randint(0, 3)))
-            rules.append(CandidateRule.from_sets(Conjunction.of((i, 0)), ids | extra, ids))
+            rules.append(CandidateRule.from_sets(Conjunction.of((i, 0)), ids | extra, ids, index))
         params = CoverParams(1, unique_cover=rng.randint(1, 3))
         greedy = greedy_cover(rules, universe, params)
         oracle = exhaustive_cover_oracle(rules, universe, params)

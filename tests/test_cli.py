@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from scpqca import load_csv
 from scpqca.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -123,6 +124,47 @@ class TestErrors:
         assert code == 1
         assert "Traceback" not in out + err
         assert "row 2" in err
+
+    def test_non_ascii_digit_cell_is_a_label(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("id,A,B,O\na,1,²,1\nb,1,0,1\nc,0,1,0\nd,1,1,1\n", encoding="utf-8")
+        code, out, err = run_cli(
+            "necessity", "--data", str(p), "--outcome", "O", "--label", "1", "--format", "json"
+        )
+        assert code == 0
+        assert "internal error" not in err
+        assert json.loads(out)["necessary"] == [{"factor": "A", "level": 1, "consistency": 1.0}]
+        assert load_csv(p, outcome_column="O").schema.factors[1].labels == ("0", "1", "²")
+
+    def test_non_ascii_digit_in_pathway_level(self):
+        code, _, err = run_cli("synth", "--factors", "3", "--pathway", "A1*B²")
+        assert code == 1
+        assert "expected level digits" in err
+        assert "internal error" not in err
+
+    def test_csv_level_past_int16_storage(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("id,A,O\na,32768,1\nb,0,0\nc,1,1\n")
+        code, _, err = run_cli("solve", "--data", str(p), "--outcome", "O", "--label", "1")
+        assert code == 1
+        assert err.startswith("error:") and "'A'" in err
+        assert "internal error" not in err
+
+    def test_synth_levels_past_int16_storage(self):
+        code, _, err = run_cli("synth", "--factors", "2", "--levels", "40000", "--pathway", "A1")
+        assert code == 1
+        assert err.startswith("error:") and "'A'" in err
+        assert "internal error" not in err
+
+    def test_utf8_bom_is_ignored(self, tmp_path):
+        text = "id,A,B,O\n1,1,1,1\n2,1,0,1\n3,0,1,0\n40,1,1,1\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        args = ["--outcome", "O", "--label", "1", "--unique-cover", "1", "--format", "json"]
+        expected = run_cli("solve", "--data", str(plain), *args)
+        assert expected[0] == 0
+        assert run_cli("solve", "--data", str(bom), *args) == expected
 
 
 class TestNecessity:

@@ -24,10 +24,14 @@ from scpqca import (
 )
 
 
+# Shared case ids of the synthetic rules below.
+INDEX = tuple("12345678abcn") + tuple(f"p{i}" for i in range(21))
+
+
 def pure_rule(idx: int, positive_ids) -> CandidateRule:
     """Synthetic rule matching exactly the given ids, all positive."""
     ids = frozenset(positive_ids)
-    return CandidateRule.from_sets(Conjunction.of((idx, 0)), ids, ids)
+    return CandidateRule.from_sets(Conjunction.of((idx, 0)), ids, ids, INDEX)
 
 
 def covered(selection, positives) -> int:
@@ -55,14 +59,14 @@ class TestGreedy:
         assert greedy_cover([], {"1"}, CoverParams(1, 1)) == []
 
     def test_gain_ties_break_by_consistency(self):
-        impure = CandidateRule.from_sets(Conjunction.of((0, 0)), {"1", "2", "n"}, {"1", "2"})
+        impure = CandidateRule.from_sets(Conjunction.of((0, 0)), {"1", "2", "n"}, {"1", "2"}, INDEX)
         pure = pure_rule(1, {"3", "4"})
         sel = greedy_cover([impure, pure], set("1234"), CoverParams(1, unique_cover=2))
         assert sel[0] == pure
 
     def test_consistency_ties_break_by_fewer_literals(self):
-        wide = CandidateRule.from_sets(Conjunction.of((0, 0)), {"1", "2"}, {"1", "2"})
-        narrow = CandidateRule.from_sets(Conjunction.of((1, 0), (2, 0)), {"3", "4"}, {"3", "4"})
+        wide = CandidateRule.from_sets(Conjunction.of((0, 0)), {"1", "2"}, {"1", "2"}, INDEX)
+        narrow = CandidateRule.from_sets(Conjunction.of((1, 0), (2, 0)), {"3", "4"}, {"3", "4"}, INDEX)
         sel = greedy_cover([narrow, wide], set("1234"), CoverParams(1, unique_cover=2))
         assert sel[0] == wide
 
@@ -145,11 +149,12 @@ class TestOracle:
         rng = random.Random(seed)
         n_pos = rng.randint(1, 16)
         universe = [f"p{i}" for i in range(n_pos)]
+        index = universe + [f"n{i}{j}" for i in range(10) for j in range(2)]
         rules = []
         for i in range(rng.randint(1, 10)):
             ids = set(rng.sample(universe, rng.randint(1, n_pos)))
             extra = {f"n{i}{j}" for j in range(rng.randint(0, 2))}
-            rules.append(CandidateRule.from_sets(Conjunction.of((i, 0)), ids | extra, ids))
+            rules.append(CandidateRule.from_sets(Conjunction.of((i, 0)), ids | extra, ids, index))
         params = CoverParams(1, unique_cover=rng.randint(1, 3))
         greedy = greedy_cover(rules, universe, params)
         oracle = exhaustive_cover_oracle(rules, universe, params)

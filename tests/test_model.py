@@ -213,12 +213,10 @@ class TestTypes:
     def test_candidate_rule_invariants(self):
         conj = Conjunction.of((0, 1))
         with pytest.raises(InputError):
-            CandidateRule(conj, frozenset(), frozenset(), Fraction(0))
+            CandidateRule.from_sets(conj, frozenset(), frozenset(), ("a", "b"))
         with pytest.raises(InputError):
-            CandidateRule(conj, frozenset({"a"}), frozenset({"a", "b"}), Fraction(1))
-        with pytest.raises(InputError):
-            CandidateRule(conj, frozenset({"a", "b"}), frozenset({"a"}), Fraction(1))
-        rule = CandidateRule.from_sets(conj, {"a", "b"}, {"a"})
+            CandidateRule.from_sets(conj, frozenset({"a"}), frozenset({"a", "b"}), ("a", "b"))
+        rule = CandidateRule.from_sets(conj, {"a", "b"}, {"a"}, ("a", "b"))
         assert rule.consistency == Fraction(1, 2)
 
     def test_schema_validation(self):

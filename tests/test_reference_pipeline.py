@@ -112,11 +112,21 @@ def reference_solve(table: CaseTable, params: AnalysisParams):
     else:
         raise ValueError("vacuous")
 
+    unique = []
+    for i, (_, m) in enumerate(effective):
+        others = set()
+        for j, (_, other) in enumerate(effective):
+            if j != i:
+                others |= other & positives
+        unique.append(len((m & positives) - others))
+
     return {
         "necessary": conjoined,
         "rules": [tuple(sorted(lits)) for _, lits, _, _, _ in chosen],
         "consistency": sol_cons,
         "coverage": sol_cov,
+        "matched": [m for _, m in effective],
+        "unique": unique,
     }
 
 
@@ -148,3 +158,5 @@ def test_solve_agrees_with_reference(seed):
     assert got_rules == expected["rules"]
     assert solution.solution_consistency == expected["consistency"]
     assert solution.solution_coverage == expected["coverage"]
+    assert [r.matched for r in solution.rules] == expected["matched"]
+    assert list(solution.per_rule_unique_coverage) == expected["unique"]
