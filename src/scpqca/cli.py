@@ -19,7 +19,15 @@ from statistics import median
 from . import report
 from .candidates import CandidateParams, candidate_count_bound, enumerate_candidates
 from .cover import exhaustive_cover_oracle
-from .ingest import CalibrationSpec, Cutpoints, deduplicate, load_csv, to_csv_string, write_schema_json
+from .ingest import (
+    CalibrationSpec,
+    Cutpoints,
+    deduplicate,
+    load_csv,
+    numeric_label_columns,
+    to_csv_string,
+    write_schema_json,
+)
 from .model import (
     CaseTable,
     InputError,
@@ -122,6 +130,12 @@ def _load(args: argparse.Namespace) -> CaseTable:
         calibration=_parse_cutpoints(getattr(args, "cutpoints", None)),
         id_column=getattr(args, "id_column", None),
     )
+    for f in numeric_label_columns(table):
+        print(
+            f"warning: column {f.name!r} has {f.levels} levels, one per distinct number; "
+            f"calibrate it with --cutpoints {f.name}:p1,p2,...",
+            file=sys.stderr,
+        )
     if getattr(args, "dedup", False):
         table, removed = deduplicate(table)
         if removed:

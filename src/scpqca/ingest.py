@@ -10,7 +10,14 @@ Raw columns become dense integer levels in one of two ways:
   cutpoints it reaches (boundary values go to the higher level).
 
 Only explicit threshold calibration is offered; picking the thresholds is
-the analyst's job, not this module's.
+the analyst's job, not this module's. `numeric_label_columns` lists the
+label columns whose labels are all numbers, so that a front end can warn
+that such a column probably wanted cutpoints.
+
+Columns are dictionary-encoded: each distinct raw cell of a column is parsed
+and checked once, and every cell then maps to its level by one lookup. Only
+when a distinct cell is bad is the column scanned, to name the first row
+holding it in the error.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -82,50 +89,65 @@ def _parse_int(cell: str) -> int | None:
     cell = cell.strip()
     digits = cell[1:] if cell[:1] in ("+", "-") else cell
     if digits.isascii() and digits.isdigit():
-        return int(cell)
+        try:
+            return int(cell)
+        except ValueError:  # past the interpreter's limit on digits per integer
+            raise InputError(
+                f"integer cell {cell[:12]}... has {len(digits)} digits, too many for a level"
+            ) from None
     return None
 
 
-def _calibrate_column(
-    name: str, cells: list[str], rows: list[int], calib: Passthrough | Cutpoints
-) -> tuple[list[int], Factor]:
+def _first_row_with(cells: Sequence[str], bad: set[str]) -> tuple[int, str]:
+    """Row number (the header is row 1) and cell of the first cell in `bad`."""
+    return next((rowno, cell) for rowno, cell in enumerate(cells, start=2) if cell in bad)
+
+
+def _calibrate_column(name: str, cells: Sequence[str], calib: Passthrough | Cutpoints) -> tuple[list[int], Factor]:
     """Returns the dense level per cell plus the resulting Factor metadata."""
+    distinct = set(cells)
     if isinstance(calib, Cutpoints):
-        levels = []
-        for cell, rowno in zip(cells, rows):
+        code: dict[str, int] = {}
+        bad: set[str] = set()
+        for cell in distinct:
             try:
                 x = float(cell)
             except ValueError:
                 x = math.nan
-            if not math.isfinite(x):
-                raise InputError(
-                    f"row {rowno}, column {name!r}: non-numeric value {cell!r} under cutpoint calibration"
-                )
-            levels.append(calib.level(x))
-        return levels, Factor(name, calib.levels, cutpoints=calib.points)
+            if math.isfinite(x):
+                code[cell] = calib.level(x)
+            else:
+                bad.add(cell)
+        if bad:
+            rowno, cell = _first_row_with(cells, bad)
+            raise InputError(
+                f"row {rowno}, column {name!r}: non-numeric value {cell!r} under cutpoint calibration"
+            )
+        return list(map(code.__getitem__, cells)), Factor(name, calib.levels, cutpoints=calib.points)
 
-    ints = [_parse_int(c) for c in cells]
-    if all(v is not None for v in ints):
-        for v, rowno in zip(ints, rows):
-            assert v is not None
+    ints = {cell: _parse_int(cell) for cell in distinct}
+    if None not in ints.values():
+        bad = {c for c, v in ints.items() if v < 0 or (calib.levels is not None and v >= calib.levels)}
+        if bad:
+            rowno, cell = _first_row_with(cells, bad)
+            v = ints[cell]
             if v < 0:
                 raise InputError(f"row {rowno}, column {name!r}: negative level {v}")
-            if calib.levels is not None and v >= calib.levels:
-                raise InputError(
-                    f"row {rowno}, column {name!r}: value {v} outside declared levels 0..{calib.levels - 1}"
-                )
-        values = [int(v) for v in ints]  # type: ignore[arg-type]
-        levels = calib.levels if calib.levels is not None else max(2, max(values, default=1) + 1)
-        return values, Factor(name, levels)
+            raise InputError(
+                f"row {rowno}, column {name!r}: value {v} outside declared levels 0..{calib.levels - 1}"
+            )
+        levels = calib.levels if calib.levels is not None else max(2, max(ints.values(), default=1) + 1)
+        return list(map(ints.__getitem__, cells)), Factor(name, levels)
 
     # Label column: enumerate distinct labels in sorted order.
-    distinct = sorted({c.strip() for c in cells})
-    if calib.levels is not None and len(distinct) > calib.levels:
-        raise InputError(f"column {name!r}: {len(distinct)} distinct labels exceed declared {calib.levels} levels")
-    mapping = {label: i for i, label in enumerate(distinct)}
-    level_count = calib.levels if calib.levels is not None else max(2, len(distinct))
-    labels = tuple(distinct) + tuple(f"<unused-{i}>" for i in range(len(distinct), level_count))
-    return [mapping[c.strip()] for c in cells], Factor(name, level_count, labels=labels)
+    labels = sorted({c.strip() for c in distinct})
+    if calib.levels is not None and len(labels) > calib.levels:
+        raise InputError(f"column {name!r}: {len(labels)} distinct labels exceed declared {calib.levels} levels")
+    mapping = {label: i for i, label in enumerate(labels)}
+    code = {cell: mapping[cell.strip()] for cell in distinct}
+    level_count = calib.levels if calib.levels is not None else max(2, len(labels))
+    padded = tuple(labels) + tuple(f"<unused-{i}>" for i in range(len(labels), level_count))
+    return list(map(code.__getitem__, cells)), Factor(name, level_count, labels=padded)
 
 
 def load_csv(
@@ -151,20 +173,25 @@ def load_csv(
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            data = [row for row in reader if "".join(row).strip()]
         except StopIteration:
             raise InputError(f"{path}: empty file, header row required") from None
-        header = [h.strip() for h in header]
-        data = [[c for c in row] for row in reader if row and any(c.strip() for c in row)]
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            raise InputError(f"{path}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})") from None
+        except csv.Error as exc:
+            raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+    header = [h.strip() for h in header]
 
-    for rowno, row in enumerate(data, start=2):
-        if len(row) != len(header):
-            raise InputError(f"{path}: row {rowno} has {len(row)} cells, header has {len(header)}")
+    if set(map(len, data)) - {len(header)}:
+        for rowno, row in enumerate(data, start=2):
+            if len(row) != len(header):
+                raise InputError(f"{path}: row {rowno} has {len(row)} cells, header has {len(header)}")
 
     if outcome_column not in header:
         raise InputError(f"{path}: outcome column {outcome_column!r} not found (columns: {', '.join(header)})")
 
-    columns = {name: [row[j] for row in data] for j, name in enumerate(header)}
-    rownos = list(range(2, len(data) + 2))
+    columns = dict(zip(header, zip(*data))) if data else {name: () for name in header}
 
     if id_column is not None:
         if id_column not in header:
@@ -174,27 +201,28 @@ def load_csv(
         lowered = [h.lower() for h in header]
         if "id" in lowered:
             id_name = header[lowered.index("id")]
-        elif header and header[0] != outcome_column and any(_parse_int(c) is None for c in columns[header[0]]):
+        elif header and header[0] != outcome_column and None in map(_parse_int, set(columns[header[0]])):
             id_name = header[0]
         else:
             id_name = None
 
-    ids = [c.strip() for c in columns[id_name]] if id_name is not None else [str(i) for i in range(len(data))]
-    seen: dict[str, int] = {}
-    for cid, rowno in zip(ids, rownos):
-        if cid in seen:
-            raise InputError(f"{path}: duplicate case id {cid!r} at rows {seen[cid]} and {rowno}")
-        seen[cid] = rowno
+    ids = list(map(str.strip, columns[id_name])) if id_name is not None else list(map(str, range(len(data))))
+    if len(set(ids)) != len(ids):
+        seen: dict[str, int] = {}
+        for rowno, cid in enumerate(ids, start=2):
+            if cid in seen:
+                raise InputError(f"{path}: duplicate case id {cid!r} at rows {seen[cid]} and {rowno}")
+            seen[cid] = rowno
 
     factor_names = [h for h in header if h != outcome_column and h != id_name]
     factors: list[Factor] = []
     value_cols: list[list[int]] = []
     for name in factor_names:
-        vals, fac = _calibrate_column(name, columns[name], rownos, calibration.for_column(name))
+        vals, fac = _calibrate_column(name, columns[name], calibration.for_column(name))
         factors.append(fac)
         value_cols.append(vals)
     outcome_vals, outcome_factor = _calibrate_column(
-        outcome_column, columns[outcome_column], rownos, calibration.for_column(outcome_column)
+        outcome_column, columns[outcome_column], calibration.for_column(outcome_column)
     )
 
     schema = FactorSchema(factors=tuple(factors), outcome=outcome_factor)
@@ -203,11 +231,31 @@ def load_csv(
     return CaseTable(schema=schema, ids=tuple(ids), values=values, outcomes=np.array(outcome_vals, dtype=np.int16))
 
 
+def _is_finite_number(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+def numeric_label_columns(table: CaseTable) -> list[Factor]:
+    """Label columns (factors or outcome) whose labels all read as finite numbers.
+
+    Such a column was numeric but not integer levels, so passthrough made
+    each distinct value a level of its own; it most likely wanted cutpoints.
+    Integer and cutpoint columns carry no labels and are never listed.
+    """
+    return [
+        f
+        for f in (*table.schema.factors, table.schema.outcome)
+        if f.labels is not None and all(map(_is_finite_number, f.labels))
+    ]
+
+
 def _write_rows(table: CaseTable, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["id", *(f.name for f in table.schema.factors), table.schema.outcome_name])
-    for i in range(len(table)):
-        writer.writerow([table.ids[i], *(int(v) for v in table.values[i]), int(table.outcomes[i])])
+    writer.writerows(zip(table.ids, *table.values.T.tolist(), table.outcomes.tolist()))
 
 
 def write_csv(table: CaseTable, path: str | Path) -> None:
@@ -252,14 +300,10 @@ def deduplicate(table: CaseTable) -> tuple[CaseTable, int]:
     retained; the consistency thresholds downstream are the mechanism for
     dealing with them.
     """
-    seen: set[tuple] = set()
-    keep: list[int] = []
-    for i in range(len(table)):
-        key = (tuple(int(v) for v in table.values[i]), int(table.outcomes[i]))
-        if key in seen:
-            continue
-        seen.add(key)
-        keep.append(i)
+    first: dict[tuple, int] = {}
+    for i, key in enumerate(zip(map(tuple, table.values.tolist()), table.outcomes.tolist())):
+        first.setdefault(key, i)
+    keep = list(first.values())
     removed = len(table) - len(keep)
     if removed == 0:
         return table, 0

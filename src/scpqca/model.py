@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -242,8 +243,12 @@ class CaseTable:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def has_unique_ids(self) -> bool:
+    @cached_property
+    def _unique_ids(self) -> bool:
         return len(set(self.ids)) == len(self.ids)
+
+    def has_unique_ids(self) -> bool:
+        return self._unique_ids
 
     def require_unique_ids(self) -> None:
         if not self.has_unique_ids():
@@ -286,15 +291,21 @@ def _pack(mask: np.ndarray) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
+# Both edges run at C speed: a bitset's binary digits become 0/1 bytes that
+# select ids (`compress`), and membership flags become the digits of an int.
+_DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\x00\x01")
+_FLAG_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def ids_of(bits: int, ids: Sequence[str]) -> list[str]:
     """The ids whose bits are set, in index order."""
-    return [cid for cid, bit in zip(ids, reversed(bin(bits))) if bit == "1"]
+    return list(compress(ids, bin(bits)[:1:-1].encode().translate(_DIGIT_TO_FLAG)))
 
 
 def bits_of(members: Iterable[str], ids: Sequence[str]) -> int:
     """Bitset over `ids` of the given ids; ids not in the index are ignored."""
     members = frozenset(members)
-    return int("0" + "".join("1" if cid in members else "0" for cid in reversed(ids)), 2)
+    return int(b"0" + bytes(map(members.__contains__, reversed(ids))).translate(_FLAG_TO_DIGIT), 2)
 
 
 # ---------------------------------------------------------------------------

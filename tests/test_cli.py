@@ -1,11 +1,15 @@
 import io
 import json
+import random
+import tempfile
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scpqca import load_csv
 from scpqca.cli import main
@@ -165,6 +169,62 @@ class TestErrors:
         expected = run_cli("solve", "--data", str(plain), *args)
         assert expected[0] == 0
         assert run_cli("solve", "--data", str(bom), *args) == expected
+
+
+    def test_invalid_utf8_is_an_input_error(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"id,A,O\na,1,1\nb,\xff,0\n")
+        code, _, err = run_cli("necessity", "--data", str(p), "--outcome", "O")
+        assert code == 1
+        assert err == f"error: {p}: not UTF-8 text (byte 0xff: invalid start byte)\n"
+
+    def test_oversized_field_is_an_input_error(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("id,A,O\na,1,1\nb," + "x" * 200_000 + ",0\n")
+        code, _, err = run_cli("necessity", "--data", str(p), "--outcome", "O")
+        assert code == 1
+        assert err.startswith(f"error: {p}: line 3: field larger than field limit")
+
+    def test_integer_cell_past_the_digit_limit(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("id,A,O\na," + "1" * 5000 + ",1\nb,0,0\n")
+        code, _, err = run_cli("necessity", "--data", str(p), "--outcome", "O")
+        assert code == 1
+        assert err == "error: integer cell 111111111111... has 5000 digits, too many for a level\n"
+
+
+class TestFloatColumnWarning:
+    @staticmethod
+    def float_csv(tmp_path):
+        rng = random.Random(3)
+        rows = [f"c{i},{rng.random():.4f},{rng.randrange(2)},{rng.randrange(2)}" for i in range(300)]
+        p = tmp_path / "floats.csv"
+        p.write_text("\n".join(["id,X,B,O", *rows]) + "\n")
+        return p
+
+    def test_uncalibrated_float_column_warns_once(self, tmp_path):
+        p = self.float_csv(tmp_path)
+        code, out, err = run_cli(
+            "solve", "--data", str(p), "--outcome", "O", "--cutoff", "1", "--unique-cover", "1"
+        )
+        assert code == 0
+        assert out.startswith("scpQCA solution for O=1")
+        levels = len(load_csv(p, outcome_column="O").schema.factors[0].labels)
+        assert err == (
+            f"warning: column 'X' has {levels} levels, one per distinct number; "
+            "calibrate it with --cutpoints X:p1,p2,...\n"
+        )
+
+    def test_cutpoint_columns_do_not_warn(self, tmp_path):
+        p = self.float_csv(tmp_path)
+        code, _, err = run_cli("necessity", "--data", str(p), "--outcome", "O", "--cutpoints", "X:0.5")
+        assert (code, err) == (0, "")
+
+    def test_integer_and_label_columns_do_not_warn(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("id,A,K,O\na,1,low,yes\nb,0,high,no\nc,3,1.5,yes\n")
+        code, _, err = run_cli("necessity", "--data", str(p), "--outcome", "O", "--label", "yes")
+        assert (code, err) == (0, "")
 
 
 class TestNecessity:
@@ -361,3 +421,67 @@ class TestDeterminism:
         b = subprocess.run(cmd, capture_output=True, text=True)
         assert a.returncode == 0
         assert (a.returncode, a.stdout) == (b.returncode, b.stdout)
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: small CSV files and flag combinations for necessity and solve. The
+# CLI promises exit codes 0/1/2 and an error line, never an internal error.
+
+FUZZ_CELLS = ["0", "1", "1", "2", "3", "-1", " 1 ", "a", "b", "0.5", "2.75", "nan", "", " ", "40000", "²", "x,y"]
+# Mostly valid values, so that most runs reach the analysis, plus bad ones.
+FUZZ_FLAGS = {
+    "--label": ["1", "1", "0", "2", "-1", "a"],
+    "--consistency": ["0.8", "0.5", "1", "0", "2/3", "1.5", "-1", "abc", "1/0", "nan"],
+    "--cutoff": ["1", "2", "0", "-1", "100"],
+    "--unique-cover": ["1", "2", "0", "-3"],
+    "--necessity-threshold": ["0.9", "0.5", "0", "1", "2", "x"],
+    "--max-order": ["1", "2", "3", "0", "-1"],
+    "--assume-necessary": ["A=1", "A=0", "A=9", "Q=1", "A", "A=x", "A=1,A=0", ","],
+    "--format": ["text", "json", "csv"],
+}
+RARELY = st.sampled_from([False] * 9 + [True])
+SOMETIMES = st.sampled_from([False, False, True])
+BIT = st.sampled_from(["0", "1"])
+FUZZ_CELL = st.one_of(BIT, st.sampled_from(FUZZ_CELLS), st.text(max_size=3))
+
+
+@st.composite
+def cli_inputs(draw):
+    header = draw(st.lists(st.sampled_from(["id", "A", "B", "C", "x y"]), min_size=0, max_size=4, unique=True))
+    header.insert(draw(st.integers(0, len(header))), "O")
+    numbered_ids = draw(st.booleans())
+    cell_strategy = draw(st.sampled_from([BIT, FUZZ_CELL]))  # a clean 0/1 file or a messy one
+    rows = []
+    for i in range(draw(st.integers(0, 8))):
+        cells = draw(st.tuples(*(cell_strategy for _ in header)))
+        rows.append([f"c{i}" if name == "id" and numbered_ids else cell for name, cell in zip(header, cells)])
+    data = "\n".join(",".join(row) for row in [header, *rows]).encode() + b"\n"
+    if draw(RARELY):  # now and then a byte that is not UTF-8 text
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=2)) + data[at:]
+    args = [draw(st.sampled_from(["necessity", "solve"]))]
+    args += ["--outcome", draw(st.sampled_from(["O", "O", *header, "Z"]))]
+    if draw(SOMETIMES):
+        points = draw(st.sampled_from(["0.5", "0,1", "0.5,2", "1,0", "", "a", "1e400"]))
+        args += ["--cutpoints", f"{draw(st.sampled_from([*header, 'Z']))}:{points}"]
+    if draw(st.booleans()):
+        args.append("--dedup")
+    if draw(SOMETIMES):
+        args += ["--id-column", draw(st.sampled_from([*header, "Z"]))]
+    for flag, values in FUZZ_FLAGS.items():
+        if draw(SOMETIMES):
+            args += [flag, draw(st.sampled_from(values))]
+    return data, args
+
+
+class TestFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(cli_inputs())
+    def test_exit_code_and_no_internal_error(self, case):
+        data, args = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.csv"
+            path.write_bytes(data)
+            code, _, err = run_cli(args[0], "--data", str(path), *args[1:])
+        assert code in (0, 1, 2)
+        assert "internal error" not in err

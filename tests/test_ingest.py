@@ -1,15 +1,24 @@
+import csv
 import json
+import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scpqca import (
     CalibrationSpec,
+    CaseTable,
     Cutpoints,
+    Factor,
+    FactorSchema,
     InputError,
     Passthrough,
     deduplicate,
+    ingest,
     load_csv,
     schema_metadata,
     to_csv_string,
@@ -192,3 +201,178 @@ class TestCalibrationMonotone:
         levels = [cal.level(x) for x in sorted(raws)]
         assert levels == sorted(levels)
         assert all(0 <= lv <= len(points) for lv in levels)
+
+
+# ---------------------------------------------------------------------------
+# Per-cell reference for load_csv: every cell parsed and checked on its own,
+# row by row. The package decodes each distinct cell once instead and must
+# give the same table or the same error for every input.
+
+
+def _ref_parse_int(cell):
+    cell = cell.strip()
+    digits = cell[1:] if cell[:1] in ("+", "-") else cell
+    if digits.isascii() and digits.isdigit():
+        return int(cell)
+    return None
+
+
+def _ref_calibrate_column(name, cells, rows, calib):
+    if isinstance(calib, Cutpoints):
+        levels = []
+        for cell, rowno in zip(cells, rows):
+            try:
+                x = float(cell)
+            except ValueError:
+                x = math.nan
+            if not math.isfinite(x):
+                raise InputError(
+                    f"row {rowno}, column {name!r}: non-numeric value {cell!r} under cutpoint calibration"
+                )
+            levels.append(calib.level(x))
+        return levels, Factor(name, calib.levels, cutpoints=calib.points)
+    ints = [_ref_parse_int(c) for c in cells]
+    if all(v is not None for v in ints):
+        for v, rowno in zip(ints, rows):
+            if v < 0:
+                raise InputError(f"row {rowno}, column {name!r}: negative level {v}")
+            if calib.levels is not None and v >= calib.levels:
+                raise InputError(
+                    f"row {rowno}, column {name!r}: value {v} outside declared levels 0..{calib.levels - 1}"
+                )
+        levels = calib.levels if calib.levels is not None else max(2, max(ints, default=1) + 1)
+        return ints, Factor(name, levels)
+    distinct = sorted({c.strip() for c in cells})
+    if calib.levels is not None and len(distinct) > calib.levels:
+        raise InputError(f"column {name!r}: {len(distinct)} distinct labels exceed declared {calib.levels} levels")
+    mapping = {label: i for i, label in enumerate(distinct)}
+    level_count = calib.levels if calib.levels is not None else max(2, len(distinct))
+    labels = tuple(distinct) + tuple(f"<unused-{i}>" for i in range(len(distinct), level_count))
+    return [mapping[c.strip()] for c in cells], Factor(name, level_count, labels=labels)
+
+
+def reference_load_csv(path, outcome_column, calibration=None, id_column=None):
+    calibration = calibration or CalibrationSpec()
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InputError(f"{path}: empty file, header row required") from None
+        header = [h.strip() for h in header]
+        data = [[c for c in row] for row in reader if row and any(c.strip() for c in row)]
+    for rowno, row in enumerate(data, start=2):
+        if len(row) != len(header):
+            raise InputError(f"{path}: row {rowno} has {len(row)} cells, header has {len(header)}")
+    if outcome_column not in header:
+        raise InputError(f"{path}: outcome column {outcome_column!r} not found (columns: {', '.join(header)})")
+    columns = {name: [row[j] for row in data] for j, name in enumerate(header)}
+    rownos = list(range(2, len(data) + 2))
+    if id_column is not None:
+        if id_column not in header:
+            raise InputError(f"{path}: id column {id_column!r} not found")
+        id_name = id_column
+    else:
+        lowered = [h.lower() for h in header]
+        if "id" in lowered:
+            id_name = header[lowered.index("id")]
+        elif header and header[0] != outcome_column and any(_ref_parse_int(c) is None for c in columns[header[0]]):
+            id_name = header[0]
+        else:
+            id_name = None
+    ids = [c.strip() for c in columns[id_name]] if id_name is not None else [str(i) for i in range(len(data))]
+    seen = {}
+    for cid, rowno in zip(ids, rownos):
+        if cid in seen:
+            raise InputError(f"{path}: duplicate case id {cid!r} at rows {seen[cid]} and {rowno}")
+        seen[cid] = rowno
+    factors, value_cols = [], []
+    for name in [h for h in header if h != outcome_column and h != id_name]:
+        vals, fac = _ref_calibrate_column(name, columns[name], rownos, calibration.for_column(name))
+        factors.append(fac)
+        value_cols.append(vals)
+    outcome_vals, outcome_factor = _ref_calibrate_column(
+        outcome_column, columns[outcome_column], rownos, calibration.for_column(outcome_column)
+    )
+    schema = FactorSchema(factors=tuple(factors), outcome=outcome_factor)
+    values = np.array(value_cols, dtype=np.int16).T.reshape(len(data), len(factors))
+    return CaseTable(schema=schema, ids=tuple(ids), values=values, outcomes=np.array(outcome_vals, dtype=np.int16))
+
+
+def _outcome_of(fn, *args, **kwargs):
+    try:
+        return ("table", fn(*args, **kwargs))
+    except Exception as exc:  # the error type and text must match too
+        return (type(exc).__name__, str(exc))
+
+
+NAMES = ["id", "ID", "A", "B", "C", "O", "code", " A "]
+CELLS = (
+    ["0", "1", "2", "3", "-1", "+1", " 2 ", "7", "40000", "²", "01", "-0"]
+    + ["a", "b", "low", " high", "x y", "FR"]
+    + ["0.5", "-2.5", "1e3", "nan", "inf", "1_0", " .25 "]
+    + ["", "  "]
+)
+CALIBRATIONS = st.one_of(
+    st.none(),
+    st.builds(Passthrough),
+    st.builds(Passthrough, levels=st.integers(2, 5)),
+    st.builds(Cutpoints, st.sampled_from([(0.5,), (0.0, 2.5), (-1.0, 1.0, 3.0)])),
+)
+
+
+LINE_KINDS = st.sampled_from(["row"] * 8 + ["blank", "spaces", "ragged"])
+# A small pool of cells per column keeps distinct cells few, as in real
+# data; a column of row-numbered cells ("c3" or "3") can serve as ids.
+COLUMN_CELLS = st.one_of(
+    st.lists(st.sampled_from(CELLS), min_size=1, max_size=4).map(st.sampled_from),
+    st.sampled_from(["c{}", "{}"]).map(st.just),
+)
+
+
+@st.composite
+def csv_inputs(draw):
+    header = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=5, unique=draw(st.booleans())))
+    row_cells = st.tuples(*(draw(COLUMN_CELLS) for _ in header))
+    lines = []
+    for i in range(draw(st.integers(0, 8))):
+        kind = draw(LINE_KINDS)
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(",".join(" " * draw(st.integers(0, 2)) for _ in header))
+        else:
+            row = [cell.format(i) for cell in draw(row_cells)]
+            if kind == "ragged":
+                row = row[: draw(st.integers(0, len(row) - 1))] or row + ["1"]
+            lines.append(",".join(row))
+    names = [h.strip() for h in header]
+    outcome = draw(st.sampled_from([*names, "missing"]))
+    id_column = draw(st.sampled_from([None, None, None, *names, " A ", "missing"]))
+    calib = {name: c for name in names if (c := draw(CALIBRATIONS)) is not None}
+    return "\n".join([",".join(header), *lines]) + "\n", outcome, id_column, CalibrationSpec(calib)
+
+
+class TestAgainstPerCellReference:
+    @settings(max_examples=120, deadline=None)
+    @given(csv_inputs())
+    def test_same_table_or_same_error(self, case):
+        text, outcome, id_column, calibration = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.csv"
+            path.write_text(text, encoding="utf-8")
+            expected = _outcome_of(reference_load_csv, path, outcome, calibration, id_column)
+            got = _outcome_of(load_csv, path, outcome, calibration, id_column)
+        assert got == expected
+
+    def test_parse_int_runs_once_per_distinct_cell(self, tmp_path, monkeypatch):
+        rows = [f"r{i},{i % 3},{'yes' if i % 2 else 'no'},{i % 4},{i % 5 % 2}" for i in range(2000)]
+        p = write(tmp_path, "t.csv", "\n".join(["id,A,B,C,O", *rows]) + "\n")
+        calls = []
+        real = ingest._parse_int
+        monkeypatch.setattr(ingest, "_parse_int", lambda cell: calls.append(cell) or real(cell))
+        table = load_csv(p, outcome_column="O")
+        assert len(table) == 2000
+        # distinct cells: A 3, B 2, C 4, O 2; the id column is named, so never parsed
+        assert len(calls) <= 3 + 2 + 4 + 2

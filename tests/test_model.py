@@ -26,6 +26,7 @@ from scpqca import (
     solution_metrics,
     sufficiency_consistency,
 )
+from scpqca.model import bits_of, ids_of
 from conftest import random_table
 
 
@@ -191,6 +192,48 @@ class TestMetricProperties:
             cur = matched_ids(Conjunction(tuple(base_lits)), table)
             assert cur <= prev
             prev = cur
+
+
+class TestIdsAndBits:
+    @staticmethod
+    def reference(bits, ids):
+        return [cid for cid, bit in zip(ids, reversed(bin(bits))) if bit == "1"]
+
+    @staticmethod
+    def reference_bits(members, ids):
+        members = frozenset(members)
+        return int("0" + "".join("1" if cid in members else "0" for cid in reversed(ids)), 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 70).flatmap(lambda n: st.tuples(st.integers(0, (1 << n) - 1), st.just(n))))
+    def test_matches_the_per_bit_comprehension(self, case):
+        bits, n = case
+        ids = tuple(f"c{i}" for i in range(n))
+        assert ids_of(bits, ids) == self.reference(bits, ids)
+        members = ids_of(bits, ids) + ["stranger"]
+        assert bits_of(members, ids) == self.reference_bits(members, ids) == bits
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 200])
+    def test_empty_and_full_masks(self, n):
+        ids = tuple(f"c{i}" for i in range(n))
+        assert ids_of(0, ids) == self.reference(0, ids) == []
+        assert ids_of((1 << n) - 1, ids) == self.reference((1 << n) - 1, ids) == list(ids)
+        assert bits_of((), ids) == self.reference_bits((), ids) == 0
+        assert bits_of(ids, ids) == self.reference_bits(ids, ids) == (1 << n) - 1
+
+    def test_bits_past_the_ids_are_ignored(self):
+        ids = ("a", "b", "c")
+        assert ids_of(0b11010, ids) == self.reference(0b11010, ids) == ["b"]
+
+
+class TestUniqueIds:
+    def test_answer_is_cached_on_the_table(self, m1_table):
+        assert m1_table.has_unique_ids() is True
+        assert m1_table.__dict__["_unique_ids"] is True
+        dup = CaseTable(m1_table.schema, ("a", "a", "b", "c", "d", "e"), m1_table.values, m1_table.outcomes)
+        assert dup.has_unique_ids() is False
+        with pytest.raises(InputError, match="duplicate case id 'a'"):
+            dup.require_unique_ids()
 
 
 class TestTypes:
