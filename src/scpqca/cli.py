@@ -309,9 +309,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     )
     confounds = _int_list(args.confounds, "--confounds")
     rows = []
-    t0 = time.perf_counter()
     for c in confounds:
-        per_rep: list[tuple[Fraction, Fraction]] = []
+        per_rep: list[tuple[Fraction, Fraction, int]] = []
         for rep in range(args.reps):
             seed = base_seed if args.reps == 1 else derive_seed(base_seed, rep)
             rep_report = run_experiment(
@@ -328,22 +327,19 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                     "candidates": rep_report.candidate_count,
                 }
             )
-            per_rep.append((rep_report.consistency, rep_report.coverage))
+            per_rep.append((rep_report.consistency, rep_report.coverage, rep_report.candidate_count))
         if args.reps > 1:
-            rep_counts = [r["candidates"] for r in rows if r["confounds"] == c and r["rep"] != "median"]
             rows.append(
                 {
                     "confounds": c,
                     "rep": "median",
                     "seed": base_seed,
                     "expression": "-",
-                    "consistency": float(median(x for x, _ in per_rep)),
-                    "coverage": float(median(y for _, y in per_rep)),
-                    "candidates": int(median(rep_counts)),
+                    "consistency": float(median(x for x, _, _ in per_rep)),
+                    "coverage": float(median(y for _, y, _ in per_rep)),
+                    "candidates": int(median(n for _, _, n in per_rep)),
                 }
             )
-    if args.timing:
-        print(f"total runtime: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     payload = report.experiment_payload(
         rows,
         {
@@ -397,8 +393,6 @@ def build_parser() -> _Parser:
 
     out_parent = argparse.ArgumentParser(add_help=False)
     out_parent.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    out_parent.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                            help="cap internal parallelism (results are thread-count independent)")
     out_parent.add_argument("--timing", action="store_true", help="print runtime to stderr")
 
     data_parent = argparse.ArgumentParser(add_help=False)
@@ -488,10 +482,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        threads = getattr(args, "threads", 1)
-        if threads is not None and threads < 1:
-            raise InputError("--threads must be >= 1")
-        return args.func(args)
+        t0 = time.perf_counter()
+        code = args.func(args)
+        if getattr(args, "timing", False):
+            print(f"total runtime: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
+        return code
     except _ArgumentError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -178,7 +178,13 @@ def _parse_mv_term(text: str, a: int, b: int, schema: FactorSchema) -> Conjuncti
             j += 1
         if j == pos:
             raise InputError(f"expected level digits after factor {name!r} at position {pos}")
-        level = int(text[pos:j])
+        try:
+            level = int(text[pos:j])
+        except ValueError:  # past the interpreter's limit on digits per integer
+            raise InputError(
+                f"level {text[pos:pos + 12]}... has {j - pos} digits, too many for factor "
+                f"{name!r} at position {pos}"
+            ) from None
         if level >= schema.factors[idx].levels:
             raise InputError(
                 f"level {level} out of range for factor {name!r} "

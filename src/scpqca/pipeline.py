@@ -9,7 +9,7 @@ harness, and the robustness protocols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from .candidates import CandidateParams, enumerate_candidates
 from .cover import CoverParams, assemble_solution, greedy_cover
@@ -134,20 +134,3 @@ def solve(table: CaseTable, params: AnalysisParams) -> SolveResult:
         solution=solution,
         warnings=tuple(warnings),
     )
-
-
-def with_thresholds(
-    params: AnalysisParams,
-    consistency_threshold: Fraction | float | str | None = None,
-    cutoff: int | None = None,
-    unique_cover: int | None = None,
-) -> AnalysisParams:
-    """Copy of params with selected thresholds replaced (for sweeps)."""
-    kwargs: dict = {}
-    if consistency_threshold is not None:
-        kwargs["consistency_threshold"] = as_fraction(consistency_threshold)
-    if cutoff is not None:
-        kwargs["cutoff"] = cutoff
-    if unique_cover is not None:
-        kwargs["unique_cover"] = unique_cover
-    return replace(params, **kwargs)

@@ -2,8 +2,9 @@
 
 Every subcommand first builds a plain-dict payload (the JSON output), then
 the text and CSV renderers derive their views from it, so the three formats
-always agree on the numbers. Ratios are formatted with four decimals,
-trailing zeros trimmed ("1.0", "0.8333", "0.94").
+always agree on the numbers; where the text and CSV views show the same
+rows, one row builder makes them for both. Ratios are formatted with four
+decimals, trailing zeros trimmed ("1.0", "0.8333", "0.94").
 
 Configuration charts mark a binary level 1 with a solid circle, level 0
 with a hollow circle, multi-value levels with the integer itself, and
@@ -39,21 +40,13 @@ def fmt_ratio(x: Fraction | float) -> str:
     return s + "0" if s.endswith(".") else s
 
 
-def _mark(schema: FactorSchema, factor_index: int, value: int) -> str:
-    if schema.factors[factor_index].levels == 2:
-        return SOLID if value == 1 else HOLLOW
-    return str(value)
-
-
 def render_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
 def _csv_string(rows: Sequence[Sequence[object]]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
@@ -68,8 +61,22 @@ def _grid(rows: Sequence[Sequence[str]], indent: str = "") -> str:
     return "\n".join(out)
 
 
+def _conditions(rule: CandidateRule, schema: FactorSchema) -> dict:
+    """Level per factor name, None where the rule leaves the factor free."""
+    values = {l.factor_index: l.value for l in rule.conjunction.literals}
+    return {f.name: values.get(i) for i, f in enumerate(schema.factors)}
+
+
 # ---------------------------------------------------------------------------
 # necessity
+
+
+def _necessity_entry(lit, consistency: Fraction, schema: FactorSchema) -> dict:
+    return {
+        "factor": schema.factors[lit.factor_index].name,
+        "level": lit.value,
+        "consistency": float(consistency),
+    }
 
 
 def necessity_payload(result_rows, table: CaseTable, decision_label: int, threshold) -> dict:
@@ -78,21 +85,19 @@ def necessity_payload(result_rows, table: CaseTable, decision_label: int, thresh
         "outcome": table.schema.outcome_name,
         "decision_label": decision_label,
         "threshold": float(threshold),
-        "necessary": [
-            {
-                "factor": table.schema.factors[lit.factor_index].name,
-                "level": lit.value,
-                "consistency": float(cons),
-            }
-            for lit, cons in result_rows
-        ],
+        "necessary": [_necessity_entry(lit, cons, table.schema) for lit, cons in result_rows],
     }
 
 
-def necessity_text(payload: dict) -> str:
+def _necessity_rows(payload: dict) -> list[list[str]]:
     rows = [["factor", "level", "consistency"]]
     for item in payload["necessary"]:
         rows.append([item["factor"], str(item["level"]), fmt_ratio(item["consistency"])])
+    return rows
+
+
+def necessity_text(payload: dict) -> str:
+    rows = _necessity_rows(payload)
     if len(rows) == 1:
         return (
             f"No necessary conditions above threshold {fmt_ratio(payload['threshold'])} "
@@ -106,10 +111,7 @@ def necessity_text(payload: dict) -> str:
 
 
 def necessity_csv(payload: dict) -> str:
-    rows: list[list[object]] = [["factor", "level", "consistency"]]
-    for item in payload["necessary"]:
-        rows.append([item["factor"], item["level"], fmt_ratio(item["consistency"])])
-    return _csv_string(rows)
+    return _csv_string(_necessity_rows(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -120,20 +122,16 @@ def candidates_payload(
     rules: Sequence[CandidateRule], table: CaseTable, params, bound: int
 ) -> dict:
     schema = table.schema
-    entries = []
-    for rule in rules:
-        values = {l.factor_index: l.value for l in rule.conjunction.literals}
-        entries.append(
-            {
-                "conditions": {
-                    f.name: (values[i] if i in values else None) for i, f in enumerate(schema.factors)
-                },
-                "expression": conjunction_shorthand(rule.conjunction, schema),
-                "consistency": float(rule.consistency),
-                "matched_count": rule.matched_bits.bit_count(),
-                "matched": ids_of(rule.matched_bits, table.ids),
-            }
-        )
+    entries = [
+        {
+            "conditions": _conditions(rule, schema),
+            "expression": conjunction_shorthand(rule.conjunction, schema),
+            "consistency": float(rule.consistency),
+            "matched_count": rule.matched_bits.bit_count(),
+            "matched": ids_of(rule.matched_bits, table.ids),
+        }
+        for rule in rules
+    ]
     return {
         "command": "candidates",
         "outcome": schema.outcome_name,
@@ -185,22 +183,18 @@ def solve_payload(result: SolveResult, oracle: Sequence[CandidateRule] | None = 
     schema = table.schema
     solution = result.solution
     necessary_factors = {l.factor_index for l in solution.necessary}
-    configs = []
-    for i, rule in enumerate(solution.rules):
-        values = {l.factor_index: l.value for l in rule.conjunction.literals}
-        configs.append(
-            {
-                "index": i + 1,
-                "conditions": {
-                    f.name: (values[j] if j in values else None) for j, f in enumerate(schema.factors)
-                },
-                "expression": conjunction_shorthand(rule.conjunction, schema),
-                "consistency": float(rule.consistency),
-                "coverage": rule.matched_bits.bit_count(),
-                "unique_coverage": solution.per_rule_unique_coverage[i],
-                "covered_cases": ids_of(rule.matched_bits, table.ids),
-            }
-        )
+    configs = [
+        {
+            "index": i + 1,
+            "conditions": _conditions(rule, schema),
+            "expression": conjunction_shorthand(rule.conjunction, schema),
+            "consistency": float(rule.consistency),
+            "coverage": rule.matched_bits.bit_count(),
+            "unique_coverage": solution.per_rule_unique_coverage[i],
+            "covered_cases": ids_of(rule.matched_bits, table.ids),
+        }
+        for i, rule in enumerate(solution.rules)
+    ]
     payload = {
         "command": "solve",
         "outcome": schema.outcome_name,
@@ -214,12 +208,7 @@ def solve_payload(result: SolveResult, oracle: Sequence[CandidateRule] | None = 
             "max_order": result.params.max_order,
         },
         "necessity": [
-            {
-                "factor": schema.factors[lit.factor_index].name,
-                "level": lit.value,
-                "consistency": float(cons),
-                "conjoined": lit in solution.necessary,
-            }
+            {**_necessity_entry(lit, cons, schema), "conjoined": lit in solution.necessary}
             for lit, cons in result.necessity
         ],
         "necessary_factors": sorted(schema.factors[i].name for i in necessary_factors),
@@ -301,6 +290,7 @@ def solve_text(payload: dict) -> str:
 def solve_csv(payload: dict) -> str:
     configs = payload["configurations"]
     factor_names = list(payload["factor_levels"].keys())
+    ratios = [fmt_ratio(payload["solution"]["coverage"]), fmt_ratio(payload["solution"]["consistency"])]
     rows: list[list[object]] = [
         [
             "configuration",
@@ -321,8 +311,7 @@ def solve_csv(payload: dict) -> str:
                 fmt_ratio(c["consistency"]),
                 c["coverage"],
                 c["unique_coverage"],
-                fmt_ratio(payload["solution"]["coverage"]),
-                fmt_ratio(payload["solution"]["consistency"]),
+                *ratios,
             ]
         )
     if not configs:
@@ -336,8 +325,7 @@ def solve_csv(payload: dict) -> str:
                 fmt_ratio(payload["solution"]["consistency"]),
                 "",
                 "",
-                fmt_ratio(payload["solution"]["coverage"]),
-                fmt_ratio(payload["solution"]["consistency"]),
+                *ratios,
             ]
         )
     return _csv_string(rows)
@@ -351,39 +339,32 @@ def experiment_payload(rows: list[dict], spec_info: dict) -> dict:
     return {"command": "experiment", **spec_info, "rows": rows}
 
 
-def experiment_text(payload: dict) -> str:
+def _experiment_rows(payload: dict, blank: str) -> list[list[str]]:
+    """`blank` marks a row of a single run, which has no rep."""
     rows = [["confounds", "rep", "expression", "consistency", "coverage", "candidates"]]
     for r in payload["rows"]:
         rows.append(
             [
                 str(r["confounds"]),
-                str(r["rep"]) if r.get("rep") is not None else "-",
+                blank if r.get("rep") is None else str(r["rep"]),
                 r["expression"],
                 fmt_ratio(r["consistency"]),
                 fmt_ratio(r["coverage"]),
                 str(r["candidates"]),
             ]
         )
+    return rows
+
+
+def experiment_text(payload: dict) -> str:
     head = (
         f"Pathway {payload['pathway']!r}, {payload['samples']} samples, seed {payload['seed']}\n"
     )
-    return head + _grid(rows) + "\n"
+    return head + _grid(_experiment_rows(payload, "-")) + "\n"
 
 
 def experiment_csv(payload: dict) -> str:
-    rows: list[list[object]] = [["confounds", "rep", "expression", "consistency", "coverage", "candidates"]]
-    for r in payload["rows"]:
-        rows.append(
-            [
-                r["confounds"],
-                r.get("rep") if r.get("rep") is not None else "",
-                r["expression"],
-                fmt_ratio(r["consistency"]),
-                fmt_ratio(r["coverage"]),
-                r["candidates"],
-            ]
-        )
-    return _csv_string(rows)
+    return _csv_string(_experiment_rows(payload, ""))
 
 
 # ---------------------------------------------------------------------------
@@ -413,54 +394,36 @@ def sweep_payload(cells, schema: FactorSchema) -> dict:
     return {"command": "sweep", "cells": rows}
 
 
+def _sweep_cells(cell: dict, blank: str) -> list[str]:
+    """The columns both views share; `blank` stands for the ratios of a failed cell."""
+    ratios = [
+        blank if cell[key] is None else fmt_ratio(cell[key])
+        for key in ("solution_coverage", "solution_consistency")
+    ]
+    return [
+        fmt_ratio(cell["consistency_threshold"]),
+        str(cell["cutoff"]),
+        str(cell["unique_cover"]),
+        str(cell["candidates"]),
+        *ratios,
+    ]
+
+
 def sweep_text(payload: dict) -> str:
     rows = [["consistency", "cutoff", "unique", "rules", "sol.cov", "sol.con", "expression"]]
     for c in payload["cells"]:
-        if c["error"] is None:
-            rows.append(
-                [
-                    fmt_ratio(c["consistency_threshold"]),
-                    str(c["cutoff"]),
-                    str(c["unique_cover"]),
-                    str(c["candidates"]),
-                    fmt_ratio(c["solution_coverage"]),
-                    fmt_ratio(c["solution_consistency"]),
-                    c["expression"],
-                ]
-            )
-        else:
-            rows.append(
-                [
-                    fmt_ratio(c["consistency_threshold"]),
-                    str(c["cutoff"]),
-                    str(c["unique_cover"]),
-                    str(c["candidates"]),
-                    "-",
-                    "-",
-                    f"failed: {c['error']}",
-                ]
-            )
+        last = c["expression"] if c["error"] is None else f"failed: {c['error']}"
+        rows.append([*_sweep_cells(c, "-"), last])
     return _grid(rows) + "\n"
 
 
 def sweep_csv(payload: dict) -> str:
-    rows: list[list[object]] = [
+    rows = [
         ["consistency_threshold", "cutoff", "unique_cover", "candidates",
          "solution_coverage", "solution_consistency", "expression", "error"]
     ]
     for c in payload["cells"]:
-        rows.append(
-            [
-                fmt_ratio(c["consistency_threshold"]),
-                c["cutoff"],
-                c["unique_cover"],
-                c["candidates"],
-                fmt_ratio(c["solution_coverage"]) if c["solution_coverage"] is not None else "",
-                fmt_ratio(c["solution_consistency"]) if c["solution_consistency"] is not None else "",
-                c["expression"] or "",
-                c["error"] or "",
-            ]
-        )
+        rows.append([*_sweep_cells(c, ""), c["expression"] or "", c["error"] or ""])
     return _csv_string(rows)
 
 
@@ -511,13 +474,9 @@ def xval_payload(report: ValidityReport, schema: FactorSchema) -> dict:
 def xval_text(payload: dict) -> str:
     k = len(payload["per_original"])
     rows = [["", *[str(i + 1) for i in range(k)], "Number"]]
-    for cls, key in (
-        ("Replicated", "replicated"),
-        ("Superset", "superset"),
-        ("Subset", "subset"),
-    ):
+    for key in ("replicated", "superset", "subset"):
         rows.append(
-            [cls, *[str(o[key]) if o[key] else "-" for o in payload["per_original"]],
+            [key.capitalize(), *[str(o[key]) if o[key] else "-" for o in payload["per_original"]],
              str(payload["totals"][key])]
         )
     rows.append(["not Identified", *["-"] * k, str(payload["totals"]["not_identified"])])
@@ -543,12 +502,8 @@ def xval_text(payload: dict) -> str:
 def xval_csv(payload: dict) -> str:
     k = len(payload["per_original"])
     rows: list[list[object]] = [["metric", *[f"config_{i + 1}" for i in range(k)], "number"]]
-    for cls, key in (
-        ("replicated", "replicated"),
-        ("superset", "superset"),
-        ("subset", "subset"),
-    ):
-        rows.append([cls, *[o[key] for o in payload["per_original"]], payload["totals"][key]])
+    for key in ("replicated", "superset", "subset"):
+        rows.append([key, *[o[key] for o in payload["per_original"]], payload["totals"][key]])
     rows.append(["not_identified", *[""] * k, payload["totals"]["not_identified"]])
     rows.append(
         ["accuracy", *[fmt_ratio(o["accuracy"]) for o in payload["per_original"]],

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import CaseTable, Conjunction, InputError, ScpqcaError
-from .pipeline import AnalysisParams, SolveResult, solve, with_thresholds
+from .pipeline import AnalysisParams, SolveResult, solve
 
 
 class ValidityClass(Enum):
@@ -88,7 +88,7 @@ def internal_sweep(
         raise InputError("sweep grid must not be empty")
     cells: list[SweepCell] = []
     for consistency, cutoff, unique in grid:
-        params = with_thresholds(
+        params = replace(
             base_params, consistency_threshold=consistency, cutoff=cutoff, unique_cover=unique
         )
         try:
@@ -170,10 +170,6 @@ class ValidityReport:
         return Fraction(all_configs - totals[ValidityClass.NOT_IDENTIFIED], all_configs)
 
 
-def _configurations(result: SolveResult) -> tuple[Conjunction, ...]:
-    return result.solution.configurations()
-
-
 def external_validity(
     table: CaseTable,
     params: AnalysisParams,
@@ -195,7 +191,7 @@ def external_validity(
     table.require_unique_ids()
 
     full = solve(table, params)
-    originals = _configurations(full)
+    originals = full.solution.configurations()
 
     n = len(table)
     k = math.ceil(fraction * n)
@@ -222,7 +218,7 @@ def external_validity(
                 Repetition(removed_ids, (), (), degenerate=True, error=str(exc))
             )
             continue
-        configs = _configurations(result)
+        configs = result.solution.configurations()
         classes = tuple(classify_with_match(c, originals) for c in configs)
         repetitions.append(Repetition(removed_ids, configs, classes))
 

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 import tempfile
 import subprocess
 import sys
@@ -12,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scpqca import load_csv
-from scpqca.cli import main
+from scpqca.cli import build_parser, main
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 
 
 def run_cli(*args: str) -> tuple[int, str, str]:
@@ -191,6 +193,21 @@ class TestErrors:
         code, _, err = run_cli("necessity", "--data", str(p), "--outcome", "O")
         assert code == 1
         assert err == "error: integer cell 111111111111... has 5000 digits, too many for a level\n"
+
+    @pytest.mark.parametrize("command", ["synth", "experiment"])
+    def test_pathway_level_past_the_digit_limit(self, command):
+        code, out, err = run_cli(command, "--factors", "3", "--pathway", "A" + "1" * 5000)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(
+            "error: level 111111111111... has 5000 digits, too many for factor 'A' at position 1"
+        )
+
+    def test_threads_flag_is_gone(self):
+        code, out, err = run_cli("solve", *REMOTE, "--cutoff", "4", "--threads", "2")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --threads 2" in err
 
 
 class TestFloatColumnWarning:
@@ -408,12 +425,14 @@ class TestDeterminism:
         args = self.SUBCOMMANDS[name]
         assert run_cli(*args) == run_cli(*args)
 
-    @pytest.mark.parametrize("name", ["candidates", "solve", "xval"])
-    def test_thread_count_does_not_change_output(self, name):
+    @pytest.mark.parametrize("name", sorted(set(SUBCOMMANDS) - {"synth"}))
+    def test_timing_adds_one_stderr_line(self, name):
         args = self.SUBCOMMANDS[name]
-        one = run_cli(*args, "--threads", "1")
-        many = run_cli(*args, "--threads", "8")
-        assert one == many
+        code, out, err = run_cli(*args)
+        timed = run_cli(*args, "--timing")
+        assert timed[:2] == (code, out)
+        assert timed[2].startswith(err)
+        assert re.fullmatch(r"total runtime: \d+\.\d\ds\n", timed[2][len(err):])
 
     def test_real_process_solve(self):
         cmd = [sys.executable, "-m", "scpqca.cli", "solve", *REMOTE, "--cutoff", "4"]
@@ -485,3 +504,31 @@ class TestFuzz:
             code, _, err = run_cli(args[0], "--data", str(path), *args[1:])
         assert code in (0, 1, 2)
         assert "internal error" not in err
+
+
+# ---------------------------------------------------------------------------
+# The README's command-line section documents exactly the parser's flags.
+
+
+def parser_flags() -> set[str]:
+    parser = build_parser()
+    flags = set()
+    for action in parser._subparsers._group_actions:
+        for sub in action.choices.values():
+            flags.update(o for a in sub._actions for o in a.option_strings if o.startswith("--"))
+    return flags - {"--help"}
+
+
+def readme_cli_flags() -> set[str]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in section.splitlines() if "scripts/fetch_pban.py" not in line]
+    return set(re.findall(r"--[a-z][a-z-]*[a-z]", "\n".join(lines)))
+
+
+class TestReadmeFlags:
+    def test_every_parser_flag_is_documented(self):
+        assert parser_flags() - readme_cli_flags() == set()
+
+    def test_readme_names_no_unknown_flag(self):
+        assert readme_cli_flags() - parser_flags() == set()

@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scpqca import (
     Conjunction,
@@ -9,6 +11,7 @@ from scpqca import (
     Factor,
     FactorSchema,
     InputError,
+    PathwaySpec,
     generate_experiment_table,
     full_truth_table,
     parse_pathway,
@@ -110,6 +113,40 @@ class TestParse:
     def test_multivalue_requires_star_between_atoms(self):
         with pytest.raises(InputError, match="expected '\\*'"):
             parse_pathway("A0B1", synth_schema(3, 3))
+
+
+# Binary, 3-level and mixed schemas. A pathway text is atoms (a schema
+# letter in either case, then maybe level digits) between separators; the
+# digits may be non-ASCII or run past the interpreter's 4300-digit limit.
+FUZZ_SCHEMAS = [synth_schema(3), synth_schema(3, 3), synth_schema(4, [2, 3, 2, 5])]
+LEVEL_DIGITS = st.one_of(
+    st.just(""),
+    st.text("0123456789", min_size=1, max_size=3),
+    st.sampled_from(["²", "٣", "０"]),
+    st.builds(lambda d, n: d * n, st.sampled_from("019"), st.integers(4290, 4400)),
+)
+ATOM = st.builds(lambda letter, digits: letter + digits, st.sampled_from("ABCDabcd"), LEVEL_DIGITS)
+SEPARATOR = st.sampled_from(["*", "*", "+", "+", " * ", " + ", "", "\t", "**", "++"])
+EDGE = st.sampled_from(["", "", "", " ", "\t", "*", "+"])
+
+
+@st.composite
+def pathway_texts(draw) -> str:
+    atoms = draw(st.lists(ATOM, min_size=1, max_size=6))
+    seps = draw(st.lists(SEPARATOR, min_size=len(atoms) - 1, max_size=len(atoms) - 1))
+    body = atoms[0] + "".join(sep + atom for sep, atom in zip(seps, atoms[1:]))
+    return draw(EDGE) + body + draw(EDGE)
+
+
+class TestParseFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FUZZ_SCHEMAS), pathway_texts())
+    def test_spec_or_input_error(self, schema, text):
+        try:
+            spec = parse_pathway(text, schema)
+        except InputError:
+            return
+        assert isinstance(spec, PathwaySpec)
 
 
 class TestTruthTable:
