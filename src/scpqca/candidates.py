@@ -13,12 +13,19 @@ anti-monotone (adding a literal never enlarges the matched set), so a prefix
 below the cutoff can never recover and the whole subtree is skipped. The
 level-wise walk streams rules in the final deterministic order, literal
 count ascending then lexicographic on (factor index, value), and holds only
-the current frontier of extendable prefixes, never the full lattice.
+the current frontier of extendable prefixes, never the full lattice. The
+last level (`max_order` literals) is never extended, so it adds no frontier.
 
 Case sets are the table's bitsets over its ids (see `model`): a child's
 matched set is its prefix's bits ANDed with one literal's, counts are
 popcounts, and the consistency filter compares exact integer cross products
 (``positives * den >= num * matched``), so no `Fraction` is built per node.
+
+The walk appends literals in ascending factor order and derives each rule's
+bits from the table, so an emitted rule is valid by construction. It is
+built with the unchecked `CandidateRule._walked`, which skips the re-sort
+and the per-field checks of the public constructors; those checks cost more
+per rule than the walk itself.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from typing import Iterator, Sequence
 from .model import (
     CandidateRule,
     CaseTable,
-    Conjunction,
     FactorSchema,
     InputError,
     Literal,
@@ -77,28 +83,32 @@ def iter_candidates(
 
     pos = table.positive_bits(params.decision_label)
     num, den = params.consistency_threshold.numerator, params.consistency_threshold.denominator
+    cutoff, ids, walked = params.cutoff, table.ids, CandidateRule._walked
     literals = [
         [(Literal(j, v), table.literal_bits(j, v)) for v in range(table.schema.factors[j].levels)]
         for j in factors
     ]
 
     # Frontier entries: (literals tuple, matched bits, position in `factors` to
-    # extend from), all meeting the cutoff.
+    # extend from), all meeting the cutoff. Literals are appended in ascending
+    # factor order, so every tuple is already a valid conjunction.
     frontier = [((), (1 << len(table)) - 1, 0)]
-    for _order in range(max_order):
+    for order in range(1, max_order + 1):
+        extend = order < max_order
         next_frontier = []
         for lits, bits, first in frontier:
             for at in range(first, len(factors)):
                 for lit, lit_bits in literals[at]:
                     child = bits & lit_bits
                     count = child.bit_count()
-                    if count < params.cutoff:
+                    if count < cutoff:
                         continue
                     child_lits = lits + (lit,)
                     child_pos = child & pos
                     if child_pos.bit_count() * den >= num * count:
-                        yield CandidateRule(Conjunction(child_lits), child, child_pos, table.ids)
-                    next_frontier.append((child_lits, child, at + 1))
+                        yield walked(child_lits, child, child_pos, ids)
+                    if extend:
+                        next_frontier.append((child_lits, child, at + 1))
         frontier = next_frontier
         if not frontier:
             break

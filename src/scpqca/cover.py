@@ -18,6 +18,17 @@ Rules carry their case sets as bitsets over the table's ids (see `model`),
 so a gain is the popcount of ``rule.positive_bits & uncovered``. The
 `positives` arguments are ids, mapped onto the candidates' shared ids once
 per call.
+
+Each greedy pass takes gains first and ties second: it computes every
+rule's gain and their maximum, and builds the full tie-break key
+(consistency, fewer literals, candidate order) only for the rules that tie
+on that gain, so most passes build no `Fraction`. A picked rule's gain drops
+to 0, below any `unique_cover`, so it is never picked again and no list of
+remaining rules is kept. Lazy greedy (Minoux 1978), a heap keyed by gain
+and a precomputed tie-break rank, picks the same rules but measured slower
+than this scan on the small, repeated solves of a sweep or jackknife: ranking
+the rules by their `Fraction` consistencies costs more than the passes it
+saves.
 """
 
 from __future__ import annotations
@@ -61,24 +72,21 @@ def greedy_cover(
     if not candidates:
         return []
     uncovered = bits_of(positives, candidates[0].ids)
-    remaining = list(enumerate(candidates))
+    pbits = [rule.positive_bits for rule in candidates]
     selected: list[CandidateRule] = []
-    while uncovered and remaining:
-        best_key: tuple | None = None
-        best_at = -1
-        for at, (idx, rule) in enumerate(remaining):
-            gain = (rule.positive_bits & uncovered).bit_count()
-            if gain < params.unique_cover:
-                continue
-            key = (gain, rule.consistency, -len(rule.conjunction.literals), -idx)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_at = at
-        if best_key is None:
+    while uncovered:
+        gains = [(p & uncovered).bit_count() for p in pbits]
+        best = max(gains)
+        if best < params.unique_cover:
             break
-        _, rule = remaining.pop(best_at)
-        selected.append(rule)
-        uncovered &= ~rule.positive_bits
+        at = gains.index(best)
+        if gains.count(best) > 1:
+            at = max(
+                (i for i, gain in enumerate(gains) if gain == best),
+                key=lambda i: (candidates[i].consistency, -len(candidates[i].conjunction.literals), -i),
+            )
+        selected.append(candidates[at])
+        uncovered &= ~pbits[at]
     return selected
 
 

@@ -439,6 +439,30 @@ class CandidateRule:
             raise InputError("rule case ids missing from the shared ids")
         return cls(conjunction, bits_of(m, ids), bits_of(p, ids), ids)
 
+    @classmethod
+    def _walked(
+        cls, literals: tuple[Literal, ...], matched_bits: int, positive_bits: int, ids: tuple[str, ...]
+    ) -> "CandidateRule":
+        """Unchecked constructor for the rules `candidates.iter_candidates` emits.
+
+        The lattice walk already guarantees every check the public
+        constructors make: `literals` ascend by factor index with one literal
+        per factor, `matched_bits` is a non-empty subset of the table's
+        `ids`, and `positive_bits` is `matched_bits` ANDed with the outcome
+        bits. Re-checking cost more than walking the node (`Conjunction`
+        re-sorts through `Literal.__lt__`), so this fills the frozen fields
+        directly. Any other caller must use `CandidateRule(...)` or
+        `from_sets`.
+        """
+        conjunction = object.__new__(Conjunction)
+        object.__setattr__(conjunction, "literals", literals)
+        rule = object.__new__(cls)
+        object.__setattr__(rule, "conjunction", conjunction)
+        object.__setattr__(rule, "matched_bits", matched_bits)
+        object.__setattr__(rule, "positive_bits", positive_bits)
+        object.__setattr__(rule, "ids", ids)
+        return rule
+
     @cached_property
     def consistency(self) -> Fraction:
         return Fraction(self.positive_bits.bit_count(), self.matched_bits.bit_count())

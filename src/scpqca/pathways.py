@@ -95,6 +95,15 @@ class ExperimentSpec:
 # Parsing
 
 
+# Terms and levels longer than this are echoed in errors cut to 12
+# characters and "...", as ingest cuts a long cell.
+_ECHO_LIMIT = 40
+
+
+def _echo(text: str) -> str:
+    return text if len(text) <= _ECHO_LIMIT else text[:12] + "..."
+
+
 def _term_spans(text: str) -> list[tuple[int, int]]:
     spans = []
     start = 0
@@ -187,7 +196,7 @@ def _parse_mv_term(text: str, a: int, b: int, schema: FactorSchema) -> Conjuncti
             ) from None
         if level >= schema.factors[idx].levels:
             raise InputError(
-                f"level {level} out of range for factor {name!r} "
+                f"level {_echo(str(level))} out of range for factor {name!r} "
                 f"(levels 0..{schema.factors[idx].levels - 1}) at position {pos}"
             )
         lits.append(Literal(idx, level))
@@ -217,7 +226,7 @@ def parse_pathway(text: str, schema: FactorSchema) -> PathwaySpec:
             else:
                 terms.append(_parse_bool_term(text, a, b, schema))
         except InputError as exc:
-            raise InputError(f"{exc} (term {seg.strip()!r})") from None
+            raise InputError(f"{exc} (term {_echo(seg.strip())!r})") from None
     return PathwaySpec(terms=tuple(terms), schema=schema)
 
 

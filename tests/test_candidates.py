@@ -14,9 +14,13 @@ from scpqca import (
     binary_schema,
     candidate_count_bound,
     conjunction_shorthand,
+    CandidateRule,
     enumerate_candidates,
+    exclude_necessary,
     iter_candidates,
+    match_bits,
     matched_ids,
+    necessary_conditions,
     sufficiency_consistency,
 )
 from conftest import random_table
@@ -109,6 +113,39 @@ class TestOracleEquivalence:
         factor_set = range(len(table.schema.factors))
         got = [r.conjunction for r in enumerate_candidates(table, factor_set, params)]
         assert got == brute_force_candidates(table, factor_set, params)
+
+
+class TestUncheckedRulesAreValid:
+    """Emitted rules skip the public constructors' checks; they must still pass them."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_rules_rebuild_through_the_public_constructors(self, seed):
+        rng = random.Random(3000 + seed)
+        table = random_table(rng, max_factors=5, max_levels=4, max_cases=30)
+        label = int(table.outcomes[rng.randrange(len(table))])
+        params = CandidateParams(
+            label,
+            Fraction(rng.randint(3, 10), 10),
+            cutoff=rng.randint(1, 3),
+            max_order=rng.choice([None, 1, 2, 3]),
+        )
+        nf = len(table.schema.factors)
+        necessary = [lit for lit, _ in necessary_conditions(table, label, Fraction(rng.randint(5, 9), 10))]
+        factor_sets = [
+            range(nf),
+            rng.sample(range(nf), rng.randint(0, nf)),
+            exclude_necessary(table.schema, necessary),
+        ]
+        positives = table.positive_bits(label)
+        for factor_set in factor_sets:
+            for r in iter_candidates(table, factor_set, params):
+                rebuilt = CandidateRule(r.conjunction, r.matched_bits, r.positive_bits, r.ids)
+                assert rebuilt == r and hash(rebuilt) == hash(r)
+                assert Conjunction(r.conjunction.literals).literals == r.conjunction.literals
+                assert {lit.factor_index for lit in r.conjunction.literals} <= set(factor_set)
+                assert r.ids is table.ids
+                assert r.matched_bits == match_bits(r.conjunction, table)
+                assert r.positive_bits == r.matched_bits & positives
 
 
 class TestDeterminismAndOrdering:

@@ -203,6 +203,35 @@ class TestErrors:
             "error: level 111111111111... has 5000 digits, too many for factor 'A' at position 1"
         )
 
+    @pytest.mark.parametrize("command", ["synth", "experiment"])
+    def test_long_pathway_term_is_cut_in_the_error(self, command):
+        code, out, err = run_cli(command, "--factors", "3", "--pathway", "A" + "1" * 5000)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: level 111111111111... has 5000 digits, too many for factor 'A' at position 1 "
+            "(term 'A11111111111...')\n"
+        )
+
+    @pytest.mark.parametrize("command", ["synth", "experiment"])
+    def test_long_out_of_range_level_is_cut_in_the_error(self, command):
+        code, out, err = run_cli(command, "--factors", "3", "--pathway", "B" + "1" * 4290)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: level 111111111111... out of range for factor 'B' (levels 0..1) at position 1 "
+            "(term 'B11111111111...')\n"
+        )
+
+    @pytest.mark.parametrize("command", ["synth", "experiment"])
+    def test_short_pathway_term_is_echoed_whole(self, command):
+        code, out, err = run_cli(command, "--factors", "3", "--pathway", "A1 * B0 * C1 + A1*B9*C0")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: level 9 out of range for factor 'B' (levels 0..1) at position 19 (term 'A1*B9*C0')\n"
+        )
+
     def test_threads_flag_is_gone(self):
         code, out, err = run_cli("solve", *REMOTE, "--cutoff", "4", "--threads", "2")
         assert code == 1

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scpqca import (
     AnalysisParams,
@@ -101,6 +103,66 @@ class TestGreedy:
             sel = greedy_cover(rules, universe, CoverParams(1, unique_cover=1))
             best_single = max(len(r.positives_matched) for r in rules)
             assert covered(sel, universe) >= best_single
+
+
+def full_key_greedy(candidates, positives, params):
+    """The greedy scan as it was before gains-then-ties: one full key per rule per pass."""
+    if not candidates:
+        return []
+    positives = set(positives)
+    uncovered = {i for i, case in enumerate(candidates[0].ids) if case in positives}
+    remaining = list(enumerate(candidates))
+    selected = []
+    while uncovered and remaining:
+        best_key, best_at = None, -1
+        for at, (idx, rule) in enumerate(remaining):
+            gain = sum(1 for i in uncovered if rule.positive_bits >> i & 1)
+            if gain < params.unique_cover:
+                continue
+            key = (gain, rule.consistency, -len(rule.conjunction.literals), -idx)
+            if best_key is None or key > best_key:
+                best_key, best_at = key, at
+        if best_key is None:
+            break
+        _, rule = remaining.pop(best_at)
+        selected.append(rule)
+        uncovered = {i for i in uncovered if not rule.positive_bits >> i & 1}
+    return selected
+
+
+# Eight positive and four negative case ids. Rules draw their positive bits
+# from a small pool and their negative bits from a few patterns, so gains,
+# consistencies (2/3 against 4/6 too) and literal counts tie often, and
+# whole rules repeat.
+TIE_IDS = tuple(f"p{i}" for i in range(8)) + tuple(f"n{i}" for i in range(4))
+NEGATIVE_PATTERNS = (0, 0b0001, 0b0011, 0b0001, 0b1111)
+
+
+@st.composite
+def tied_rule_lists(draw):
+    pool = draw(st.lists(st.integers(1, 255), min_size=1, max_size=4))
+    rules = []
+    for _ in range(draw(st.integers(0, 12))):
+        positive = draw(st.sampled_from(pool))
+        negative = draw(st.sampled_from(NEGATIVE_PATTERNS)) << 8
+        order = draw(st.integers(1, 3))
+        value = draw(st.integers(0, 1))
+        conjunction = Conjunction.of(*((j, value) for j in range(order)))
+        rules.append(CandidateRule(conjunction, positive | negative, positive, TIE_IDS))
+    mask = draw(st.integers(0, 255)) | 0b11
+    positives = [TIE_IDS[i] for i in range(8) if mask >> i & 1]
+    return rules, positives
+
+
+class TestGreedyAgainstFullKeyScan:
+    @settings(max_examples=400, deadline=None)
+    @given(tied_rule_lists(), st.integers(1, 3))
+    def test_same_picks_in_the_same_order(self, drawn, unique_cover):
+        rules, positives = drawn
+        params = CoverParams(1, unique_cover=unique_cover)
+        got = greedy_cover(rules, positives, params)
+        want = full_key_greedy(rules, positives, params)
+        assert [id(r) for r in got] == [id(r) for r in want]
 
 
 class TestOracle:

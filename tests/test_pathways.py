@@ -21,6 +21,7 @@ from scpqca import (
     synth_schema,
     AnalysisParams,
 )
+from scpqca.pathways import _ECHO_LIMIT
 
 
 def brute_dnf_eval(terms, row) -> bool:
@@ -114,6 +115,16 @@ class TestParse:
         with pytest.raises(InputError, match="expected '\\*'"):
             parse_pathway("A0B1", synth_schema(3, 3))
 
+    def test_error_echoes_a_term_up_to_the_limit_whole(self):
+        term = "A1*" * 13 + "B9"
+        assert len(term) == _ECHO_LIMIT + 1
+        with pytest.raises(InputError) as short:
+            parse_pathway(term[3:], synth_schema(3))
+        assert str(short.value).endswith(f"(term {term[3:]!r})")
+        with pytest.raises(InputError) as long:
+            parse_pathway("c+" + term, synth_schema(3))
+        assert str(long.value).endswith("(term 'A1*A1*A1*A1*...')")
+
 
 # Binary, 3-level and mixed schemas. A pathway text is atoms (a schema
 # letter in either case, then maybe level digits) between separators; the
@@ -147,6 +158,14 @@ class TestParseFuzz:
         except InputError:
             return
         assert isinstance(spec, PathwaySpec)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(FUZZ_SCHEMAS), pathway_texts())
+    def test_error_line_stays_short(self, schema, text):
+        try:
+            parse_pathway(text, schema)
+        except InputError as exc:
+            assert len(str(exc)) < 200
 
 
 class TestTruthTable:
