@@ -276,12 +276,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             "seed": spec.seed,
             "confounds": spec.confound_count,
             "cases": [
-                {
-                    "id": table.ids[i],
-                    "values": [int(v) for v in table.values[i]],
-                    "outcome": int(table.outcomes[i]),
-                }
-                for i in range(len(table))
+                {"id": cid, "values": list(row), "outcome": outcome}
+                for cid, row, outcome in zip(table.ids, table.values, table.outcomes)
             ],
         }
         out = report.render_json(payload)

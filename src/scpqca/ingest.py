@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .model import CaseTable, Factor, FactorSchema, InputError
 
 
@@ -226,9 +224,7 @@ def load_csv(
     )
 
     schema = FactorSchema(factors=tuple(factors), outcome=outcome_factor)
-    n = len(data)
-    values = np.array(value_cols, dtype=np.int16).T.reshape(n, len(factors))
-    return CaseTable(schema=schema, ids=tuple(ids), values=values, outcomes=np.array(outcome_vals, dtype=np.int16))
+    return CaseTable.from_columns(schema, ids, value_cols, outcome_vals)
 
 
 def _is_finite_number(text: str) -> bool:
@@ -255,7 +251,8 @@ def numeric_label_columns(table: CaseTable) -> list[Factor]:
 def _write_rows(table: CaseTable, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["id", *(f.name for f in table.schema.factors), table.schema.outcome_name])
-    writer.writerows(zip(table.ids, *table.values.T.tolist(), table.outcomes.tolist()))
+    columns = map(table.values.column, range(len(table.schema.factors)))
+    writer.writerows(zip(table.ids, *columns, table.outcomes))
 
 
 def write_csv(table: CaseTable, path: str | Path) -> None:
@@ -301,19 +298,9 @@ def deduplicate(table: CaseTable) -> tuple[CaseTable, int]:
     dealing with them.
     """
     first: dict[tuple, int] = {}
-    for i, key in enumerate(zip(map(tuple, table.values.tolist()), table.outcomes.tolist())):
+    for i, key in enumerate(zip(table.values, table.outcomes)):
         first.setdefault(key, i)
-    keep = list(first.values())
-    removed = len(table) - len(keep)
+    removed = len(table) - len(first)
     if removed == 0:
         return table, 0
-    idx = np.array(keep, dtype=np.intp)
-    return (
-        CaseTable(
-            schema=table.schema,
-            ids=tuple(table.ids[i] for i in keep),
-            values=table.values[idx],
-            outcomes=table.outcomes[idx],
-        ),
-        removed,
-    )
+    return table.take(list(first.values())), removed

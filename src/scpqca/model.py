@@ -19,13 +19,19 @@ Metric conventions (for a decision label ``o``):
 Ratios with an empty denominator raise `UndefinedRatioError`; silently
 returning 0 would corrupt threshold filtering downstream.
 
+A `CaseTable` is stored as one read-only column per factor plus an outcome
+column: `bytes` (one byte per case) for at most 256 levels, ``array('h')``
+above. Only this module knows that format; other code reads rows through
+`CaseTable.values`, levels through `Rows.column` and `CaseTable.outcomes`,
+and takes row subsets with `CaseTable.take`.
+
 A set of cases is one Python int over a tuple of case ids: bit i stands for
 ``ids[i]``, so intersection is ``&``, union is ``|`` and a count is
 ``int.bit_count()`` (the vertical tid-lists of Eclat). Only this module knows
-the encoding: `CaseTable` caches one bitset per factor=value literal,
-`match_bits` and `CaseTable.positive_bits` build the rest, and `ids_of` /
-`bits_of` convert at the edges. `CandidateRule` carries the bits plus the
-shared ids and offers frozenset views of them.
+the encoding: `CaseTable` caches one bitset per factor=value literal, packed
+from its column at C speed, `match_bits` and `CaseTable.positive_bits` build
+the rest, and `ids_of` / `bits_of` convert at the edges. `CandidateRule`
+carries the bits plus the shared ids and offers frozenset views of them.
 
 All types are immutable after construction (the bitset cache only memoizes)
 and all operations are pure, so values can be shared freely across threads.
@@ -33,13 +39,13 @@ and all operations are pure, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
+from operator import index
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 
 class ScpqcaError(Exception):
@@ -158,51 +164,159 @@ class Case:
     outcome: int
 
 
+class Rows:
+    """Read-only rows view over a table's factor columns.
+
+    Supports `len`, ``rows[i]`` (a tuple of levels), iteration over row
+    tuples, `tolist()`, `column(j)` (a read-only sequence of levels) and
+    ``==``. Every row read builds a tuple per case, so code on the analysis
+    path reads bitsets (`CaseTable.literal_bits`) instead.
+    """
+
+    __slots__ = ("_columns", "_n")
+
+    def __init__(self, columns: tuple, n: int) -> None:
+        self._columns = columns
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        i = range(self._n)[i]
+        return tuple(col[i] for col in self._columns)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return zip(*self._columns) if self._columns else iter([()] * self._n)
+
+    def tolist(self) -> list[list[int]]:
+        return list(map(list, self))
+
+    def column(self, j: int) -> memoryview:
+        return memoryview(self._columns[j]).toreadonly()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Rows):
+            return NotImplemented
+        return self._n == other._n and [*map(memoryview, self._columns)] == [*map(memoryview, other._columns)]
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+def _seq(cells) -> Sequence:
+    """`cells` as bytes, a list or a tuple, which `_column` reads and `_bad_cell` scans."""
+    if isinstance(cells, (bytes, list, tuple)):
+        return cells
+    return cells.tolist() if hasattr(cells, "tolist") else list(cells)
+
+
+def _column(cells: Sequence, levels: int) -> bytes | array | None:
+    """The stored column of `cells`, or None when a cell is not a level below `levels`.
+
+    Up to 256 levels a column is `bytes`, one byte per case, range-checked
+    by deleting every valid byte; wider columns are ``array('h')``.
+    """
+    try:
+        if levels <= 256:
+            col = bytes(cells)
+            if not col.translate(None, bytes(range(levels))):
+                return col
+        else:
+            col = array("h", list(cells) if isinstance(cells, bytes) else cells)
+            if not col or (min(col) >= 0 and max(col) < levels):
+                return col
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return None
+
+
+def _bad_cell(cells: Sequence, levels: int, ids: Sequence[str], what: str, where: str) -> str:
+    """Error text naming the first cell that is not an integer level below `levels`."""
+    for cid, v in zip(ids, cells):
+        if not hasattr(type(v), "__index__"):
+            return f"case {cid!r}: {what} {v!r}{where} is not an integer level"
+        if not 0 <= index(v) < levels:
+            return f"case {cid!r}: {what} {index(v)} out of range{where} (levels 0..{levels - 1})"
+    raise AssertionError("a rejected column holds no bad cell")
+
+
+def _bits_where(col: bytes | array, value: int) -> int:
+    """Bitset of the cells of a stored column equal to `value` (bit i = cell i)."""
+    if isinstance(col, bytes):
+        if not 0 <= value < 256:
+            return 0
+        return int(b"0" + col[::-1].translate(b"0" * value + b"1" + b"0" * (255 - value)), 2)
+    return int(b"0" + bytes(map(value.__eq__, reversed(col))).translate(_FLAG_TO_DIGIT), 2)
+
+
 @dataclass(frozen=True, eq=False)
 class CaseTable:
     """A calibrated dataset: cases x factors with dense integer levels.
 
-    Values and outcomes are stored as read-only numpy arrays; `Case` objects
-    are materialized on demand. Case ids are not required to be unique at the
-    type level (sampling produces fresh ids, ingestion enforces uniqueness),
-    but the analysis entry points insist on unique ids before computing
-    case-set metrics. Case sets over the table are bitsets over `ids`, built
-    from per-literal bitsets that are packed on first use and cached.
+    Stored as one read-only column per factor plus an outcome column (see
+    the module docstring). `values` is a `Rows` view over the factor columns,
+    `outcomes` a read-only sequence of levels, and `Case` objects are
+    materialized on demand. The constructor takes `values` as any nested
+    sequence of rows (lists, tuples, a numpy array, another table's
+    `values`); `from_columns` takes one sequence per factor instead. Every
+    cell must be an integer (anything with ``__index__``) in its column's
+    level range.
+
+    Case ids are not required to be unique at the type level (sampling
+    produces fresh ids, ingestion enforces uniqueness), but the analysis
+    entry points insist on unique ids before computing case-set metrics.
+    Case sets over the table are bitsets over `ids`, built from per-literal
+    bitsets that are packed from the columns on first use and cached.
     """
 
     schema: FactorSchema
     ids: tuple[str, ...]
-    values: np.ndarray
-    outcomes: np.ndarray
+    values: Rows
+    outcomes: Sequence[int]
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.int16)
-        outcomes = np.asarray(self.outcomes, dtype=np.int16)
-        n = len(self.ids)
-        nf = len(self.schema.factors)
-        if values.shape != (n, nf):
-            raise InputError(f"values shape {values.shape} does not match {n} cases x {nf} factors")
-        if outcomes.shape != (n,):
-            raise InputError(f"outcomes shape {outcomes.shape} does not match {n} cases")
-        for j, f in enumerate(self.schema.factors):
-            if n and (values[:, j].min() < 0 or values[:, j].max() >= f.levels):
-                bad = int(np.argmax((values[:, j] < 0) | (values[:, j] >= f.levels)))
-                raise InputError(
-                    f"case {self.ids[bad]!r}: value {int(values[bad, j])} out of range "
-                    f"for factor {f.name!r} (levels 0..{f.levels - 1})"
-                )
-        if n and (outcomes.min() < 0 or outcomes.max() >= self.schema.outcome_levels):
-            bad = int(np.argmax((outcomes < 0) | (outcomes >= self.schema.outcome_levels)))
-            raise InputError(
-                f"case {self.ids[bad]!r}: outcome {int(outcomes[bad])} out of range "
-                f"(levels 0..{self.schema.outcome_levels - 1})"
-            )
-        values.setflags(write=False)
-        outcomes.setflags(write=False)
-        object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "outcomes", outcomes)
+        ids = tuple(self.ids)
+        n = len(ids)
+        factors = self.schema.factors
+        if isinstance(self.values, Rows):
+            columns = tuple(map(_seq, self.values._columns))
+            shaped = len(self.values) == n and len(columns) == len(factors) and all(len(c) == n for c in columns)
+        else:
+            rows = _seq(self.values)
+            try:
+                shaped = len(rows) == n and set(map(len, rows)) <= {len(factors)}
+            except TypeError:
+                shaped = False
+            columns = tuple(zip(*rows)) if rows and shaped else ((),) * len(factors)
+        if not shaped:
+            raise InputError(f"values do not have the shape of {n} cases x {len(factors)} factors")
+        outcomes = _seq(self.outcomes)
+        if len(outcomes) != n:
+            raise InputError(f"{len(outcomes)} outcomes do not match {n} cases")
+        stored = []
+        for cells, levels, what, where in [
+            *((cells, f.levels, "value", f" for factor {f.name!r}") for cells, f in zip(columns, factors)),
+            (outcomes, self.schema.outcome_levels, "outcome", ""),
+        ]:
+            col = _column(cells, levels)
+            if col is None:
+                raise InputError(_bad_cell(cells, levels, ids, what, where))
+            stored.append(col)
+        *stored, outcome_column = stored
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "_columns", tuple(stored))
+        object.__setattr__(self, "_outcome_column", outcome_column)
+        object.__setattr__(self, "values", Rows(self._columns, n))
+        object.__setattr__(self, "outcomes", memoryview(outcome_column).toreadonly())
         object.__setattr__(self, "_bit_cache", {})
+
+    @classmethod
+    def from_columns(
+        cls, schema: FactorSchema, ids: Sequence[str], columns: Iterable[Sequence[int]], outcomes: Sequence[int]
+    ) -> "CaseTable":
+        """Table from one sequence of levels per factor, without building rows."""
+        ids = tuple(ids)
+        return cls(schema, ids, Rows(tuple(columns), len(ids)), outcomes)
 
     @classmethod
     def from_cases(cls, schema: FactorSchema, cases: Iterable[Case]) -> "CaseTable":
@@ -211,18 +325,24 @@ class CaseTable:
         for c in cases:
             if len(c.values) != nf:
                 raise InputError(f"case {c.id!r}: {len(c.values)} values for {nf} factors")
-        return cls(
-            schema=schema,
-            ids=tuple(c.id for c in cases),
-            values=np.array([c.values for c in cases], dtype=np.int16).reshape(len(cases), nf),
-            outcomes=np.array([c.outcome for c in cases], dtype=np.int16),
+        return cls(schema, tuple(c.id for c in cases), [c.values for c in cases], [c.outcome for c in cases])
+
+    def take(self, indices: Sequence[int]) -> "CaseTable":
+        """The cases at `indices`, in that order; an index may repeat."""
+
+        def pick(col: bytes | array) -> bytes | array:
+            cells = map(col.__getitem__, indices)
+            return bytes(cells) if isinstance(col, bytes) else array("h", cells)
+
+        return CaseTable.from_columns(
+            self.schema, [self.ids[i] for i in indices], map(pick, self._columns), pick(self._outcome_column)
         )
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def case(self, i: int) -> Case:
-        return Case(self.ids[i], tuple(int(v) for v in self.values[i]), int(self.outcomes[i]))
+        return Case(self.ids[i], self.values[i], self.outcomes[i])
 
     def __iter__(self) -> Iterator[Case]:
         return (self.case(i) for i in range(len(self)))
@@ -237,8 +357,8 @@ class CaseTable:
         return (
             self.schema == other.schema
             and self.ids == other.ids
-            and np.array_equal(self.values, other.values)
-            and np.array_equal(self.outcomes, other.outcomes)
+            and self.values == other.values
+            and self.outcomes == other.outcomes
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -258,26 +378,32 @@ class CaseTable:
                     raise InputError(f"duplicate case id {i!r}; deduplicate or relabel before analysis")
                 seen.add(i)
 
-    def positive_mask(self, decision_label: int) -> np.ndarray:
-        self._check_label(decision_label)
-        return self.outcomes == decision_label
-
     def positive_bits(self, decision_label: int) -> int:
         """Bitset of the cases with the decision label as outcome, cached."""
         key = ("outcome", decision_label)
         if key not in self._bit_cache:
-            self._bit_cache[key] = _pack(self.positive_mask(decision_label))
+            self._check_label(decision_label)
+            self._bit_cache[key] = _bits_where(self._outcome_column, decision_label)
         return self._bit_cache[key]
 
     def positive_ids(self, decision_label: int) -> frozenset[str]:
         return frozenset(ids_of(self.positive_bits(decision_label), self.ids))
 
     def literal_bits(self, factor_index: int, value: int) -> int:
-        """Bitset of the cases carrying factor=value, packed once and cached."""
+        """Bitset of the cases carrying factor=value, packed once and cached.
+
+        A wide column is read once for the levels it holds (cached under the
+        bare factor index), so that its absent levels cost no pack.
+        """
+        cache = self._bit_cache
         key = (factor_index, value)
-        if key not in self._bit_cache:
-            self._bit_cache[key] = _pack(self.values[:, factor_index] == value)
-        return self._bit_cache[key]
+        if key not in cache:
+            col = self._columns[factor_index]
+            if isinstance(col, array) and factor_index not in cache:
+                cache[factor_index] = frozenset(col)
+            absent = isinstance(col, array) and value not in cache[factor_index]
+            cache[key] = 0 if absent else _bits_where(col, value)
+        return cache[key]
 
     def _check_label(self, decision_label: int) -> None:
         if not 0 <= decision_label < self.schema.outcome_levels:
@@ -285,10 +411,6 @@ class CaseTable:
                 f"decision label {decision_label} out of range "
                 f"(outcome levels 0..{self.schema.outcome_levels - 1})"
             )
-
-
-def _pack(mask: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 # Both edges run at C speed: a bitset's binary digits become 0/1 bytes that

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .model import (
     CaseTable,
     Conjunction,
@@ -270,30 +268,17 @@ def full_truth_table(schema: FactorSchema, max_rows: int = MAX_TRUTH_TABLE_ROWS)
     if n > max_rows:
         raise InputError(f"truth table would have {n} rows, above the {max_rows}-row bound")
     after = _suffix_products(counts)
-    values = np.empty((n, len(counts)), dtype=np.int16)
-    for j, lv in enumerate(counts):
-        block = np.repeat(np.arange(lv, dtype=np.int16), after[j])
-        values[:, j] = np.tile(block, n // (lv * after[j]))
+    columns = ([v for v in range(lv) for _ in range(af)] * (n // (lv * af)) for lv, af in zip(counts, after))
     ids = tuple(f"r{i}" for i in range(n))
-    return CaseTable(schema=schema, ids=ids, values=values, outcomes=np.zeros(n, dtype=np.int16))
+    return CaseTable.from_columns(schema, ids, columns, [0] * n)
 
 
 def plant_outcome(skeleton: CaseTable, pathway: PathwaySpec) -> CaseTable:
     """Outcome 1 where any pathway term matches the row, else 0."""
     if pathway.schema != skeleton.schema:
         raise InputError("pathway is bound to a different schema")
-    mask = np.zeros(len(skeleton), dtype=bool)
-    for term in pathway.terms:
-        hit = np.ones(len(skeleton), dtype=bool)
-        for lit in term.literals:
-            hit &= skeleton.values[:, lit.factor_index] == lit.value
-        mask |= hit
-    return CaseTable(
-        schema=skeleton.schema,
-        ids=skeleton.ids,
-        values=skeleton.values,
-        outcomes=mask.astype(np.int16),
-    )
+    outcomes = [1 if pathway.evaluate(row) else 0 for row in skeleton.values]
+    return CaseTable(schema=skeleton.schema, ids=skeleton.ids, values=skeleton.values, outcomes=outcomes)
 
 
 def _confounded_level(rng: random.Random, current: int, levels: int) -> int:
@@ -314,13 +299,12 @@ def sample_and_confound(table: CaseTable, spec: ExperimentSpec) -> CaseTable:
     if len(table) == 0:
         raise InputError("cannot sample from an empty table")
     rng = random.Random(spec.seed)
-    idx = [rng.randrange(len(table)) for _ in range(spec.sample_size)]
-    values = table.values[np.array(idx, dtype=np.intp)]
-    outcomes = np.array([int(table.outcomes[i]) for i in idx], dtype=np.int16)
+    sample = table.take([rng.randrange(len(table)) for _ in range(spec.sample_size)])
+    outcomes = sample.outcomes.tolist()
     for p in sorted(rng.sample(range(spec.sample_size), spec.confound_count)):
-        outcomes[p] = _confounded_level(rng, int(outcomes[p]), spec.schema.outcome_levels)
+        outcomes[p] = _confounded_level(rng, outcomes[p], spec.schema.outcome_levels)
     ids = tuple(f"s{i}" for i in range(spec.sample_size))
-    return CaseTable(schema=spec.schema, ids=ids, values=values, outcomes=outcomes)
+    return CaseTable(schema=spec.schema, ids=ids, values=sample.values, outcomes=outcomes)
 
 
 def generate_experiment_table(spec: ExperimentSpec) -> CaseTable:
@@ -336,17 +320,12 @@ def generate_experiment_table(spec: ExperimentSpec) -> CaseTable:
     after = _suffix_products(counts)
     rng = random.Random(spec.seed)
     idx = [rng.randrange(n_rows) for _ in range(spec.sample_size)]
-    values = np.empty((spec.sample_size, len(counts)), dtype=np.int16)
-    for col, (lv, af) in enumerate(zip(counts, after)):
-        values[:, col] = np.array([(i // af) % lv for i in idx], dtype=np.int16)
-    outcomes = np.array(
-        [1 if spec.pathway.evaluate(tuple(int(v) for v in row)) else 0 for row in values],
-        dtype=np.int16,
-    )
+    columns = [[(i // af) % lv for i in idx] for lv, af in zip(counts, after)]
+    outcomes = [1 if spec.pathway.evaluate(row) else 0 for row in zip(*columns)]
     for p in sorted(rng.sample(range(spec.sample_size), spec.confound_count)):
-        outcomes[p] = _confounded_level(rng, int(outcomes[p]), spec.schema.outcome_levels)
+        outcomes[p] = _confounded_level(rng, outcomes[p], spec.schema.outcome_levels)
     ids = tuple(f"s{i}" for i in range(spec.sample_size))
-    return CaseTable(schema=spec.schema, ids=ids, values=values, outcomes=outcomes)
+    return CaseTable.from_columns(spec.schema, ids, columns, outcomes)
 
 
 # ---------------------------------------------------------------------------

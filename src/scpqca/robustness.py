@@ -27,8 +27,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .model import CaseTable, Conjunction, InputError, ScpqcaError
 from .pipeline import AnalysisParams, SolveResult, solve
 
@@ -203,13 +201,7 @@ def external_validity(
         rng = random.Random(derive_seed(seed, rep))
         removed = sorted(rng.sample(range(n), k))
         dropped = set(removed)
-        keep = np.array([i for i in range(n) if i not in dropped], dtype=np.intp)
-        sub = CaseTable(
-            schema=table.schema,
-            ids=tuple(table.ids[i] for i in keep),
-            values=table.values[keep],
-            outcomes=table.outcomes[keep],
-        )
+        sub = table.take([i for i in range(n) if i not in dropped])
         removed_ids = tuple(table.ids[i] for i in removed)
         try:
             result = solve(sub, params)

@@ -1,7 +1,6 @@
 import random
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from scpqca import Case, CaseTable, Factor, FactorSchema, binary_schema, load_csv
@@ -43,7 +42,7 @@ def random_table(rng: random.Random, max_factors: int = 4, max_levels: int = 3, 
         outcome=Factor("O", out_levels),
     )
     n = rng.randint(1, max_cases)
-    values = np.array([[rng.randrange(lv) for lv in levels] for _ in range(n)], dtype=np.int16)
-    outcomes = np.array([rng.randrange(out_levels) for _ in range(n)], dtype=np.int16)
+    values = [[rng.randrange(lv) for lv in levels] for _ in range(n)]
+    outcomes = [rng.randrange(out_levels) for _ in range(n)]
     ids = tuple(f"x{i}" for i in range(n))
     return CaseTable(schema=schema, ids=ids, values=values, outcomes=outcomes)

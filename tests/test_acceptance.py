@@ -265,7 +265,7 @@ def test_criterion_08_metric_property_suite(remote_table, m1_table):
                 assert 0 <= suf <= 1
             except UndefinedRatioError:
                 pass
-            if table.positive_mask(label).any():
+            if table.positive_bits(label):
                 lit = Literal(idxs[0], rng.randrange(table.schema.factors[idxs[0]].levels))
                 nec = necessity_consistency(lit, table, label)
                 assert 0 <= nec <= 1

@@ -92,7 +92,7 @@ class TestOracleEquivalence:
         rng = random.Random(seed)
         table = random_table(rng, max_factors=4, max_levels=2, max_cases=20)
         label = rng.randrange(table.schema.outcome_levels)
-        if not table.positive_mask(label).any():
+        if not table.positive_bits(label):
             label = int(table.outcomes[0])
         params = CandidateParams(
             label,

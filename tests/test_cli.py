@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import random
 import re
 import tempfile
@@ -472,8 +473,9 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# Fuzz: small CSV files and flag combinations for necessity and solve. The
-# CLI promises exit codes 0/1/2 and an error line, never an internal error.
+# Fuzz: small CSV files and flag combinations for the subcommands that read
+# data, and generator flags for synth and experiment. The CLI promises exit
+# codes 0/1/2 and an error line, never an internal error.
 
 FUZZ_CELLS = ["0", "1", "1", "2", "3", "-1", " 1 ", "a", "b", "0.5", "2.75", "nan", "", " ", "40000", "²", "x,y"]
 # Mostly valid values, so that most runs reach the analysis, plus bad ones.
@@ -487,6 +489,12 @@ FUZZ_FLAGS = {
     "--assume-necessary": ["A=1", "A=0", "A=9", "Q=1", "A", "A=x", "A=1,A=0", ","],
     "--format": ["text", "json", "csv"],
 }
+SWEEP_LISTS = {
+    "--consistency-list": ["0.8", "0.8", "0.5", "1", "2/3", "0", "1.5", "x", "", " "],
+    "--cutoff-list": ["1", "2", "2", "3", "0", "-1", "a", ""],
+    "--unique-cover-list": ["1", "1", "2", "0", "x", ""],
+}
+XVAL_FRACTIONS = ["1e-9", "0.01", "0.1", "0.5", "0.9", "0.99", "0.999999", "0", "1", "-0.1", "nan", "inf", "x"]
 RARELY = st.sampled_from([False] * 9 + [True])
 SOMETIMES = st.sampled_from([False, False, True])
 BIT = st.sampled_from(["0", "1"])
@@ -494,45 +502,117 @@ FUZZ_CELL = st.one_of(BIT, st.sampled_from(FUZZ_CELLS), st.text(max_size=3))
 
 
 @st.composite
-def cli_inputs(draw):
+def cli_inputs(draw, commands):
     header = draw(st.lists(st.sampled_from(["id", "A", "B", "C", "x y"]), min_size=0, max_size=4, unique=True))
     header.insert(draw(st.integers(0, len(header))), "O")
     numbered_ids = draw(st.booleans())
-    cell_strategy = draw(st.sampled_from([BIT, FUZZ_CELL]))  # a clean 0/1 file or a messy one
+    tame = draw(SOMETIMES)  # clean bits and no bad flags, so that most runs reach the analysis
+    cell_strategy = BIT if tame else draw(st.sampled_from([BIT, FUZZ_CELL]))  # a clean 0/1 file or a messy one
+    follow_a = "A" in header and draw(st.booleans())  # the outcome copies A, so solve often finds a cover
     rows = []
-    for i in range(draw(st.integers(0, 8))):
+    for i in range(draw(st.integers(0, 12))):
         cells = draw(st.tuples(*(cell_strategy for _ in header)))
-        rows.append([f"c{i}" if name == "id" and numbered_ids else cell for name, cell in zip(header, cells)])
+        row = [f"c{i}" if name == "id" and numbered_ids else cell for name, cell in zip(header, cells)]
+        if follow_a:
+            row[header.index("O")] = row[header.index("A")]
+        rows.append(row)
     data = "\n".join(",".join(row) for row in [header, *rows]).encode() + b"\n"
     if draw(RARELY):  # now and then a byte that is not UTF-8 text
         at = draw(st.integers(0, len(data)))
         data = data[:at] + draw(st.binary(min_size=1, max_size=2)) + data[at:]
-    args = [draw(st.sampled_from(["necessity", "solve"]))]
-    args += ["--outcome", draw(st.sampled_from(["O", "O", *header, "Z"]))]
-    if draw(SOMETIMES):
+    command = draw(st.sampled_from(commands))
+    args = [command, "--outcome", "O" if tame else draw(st.sampled_from(["O", "O", *header, "Z"]))]
+    for flag, entries in (SWEEP_LISTS if command == "sweep" else {}).items():
+        if draw(st.booleans()):  # empty, blank and repeated entries included
+            args += [flag, ",".join(draw(st.lists(st.sampled_from(entries), max_size=4)))]
+    if command == "xval":
+        args += ["--fraction", draw(st.sampled_from(XVAL_FRACTIONS)), "--reps", draw(st.sampled_from("123"))]
+    if not tame and draw(SOMETIMES):
         points = draw(st.sampled_from(["0.5", "0,1", "0.5,2", "1,0", "", "a", "1e400"]))
         args += ["--cutpoints", f"{draw(st.sampled_from([*header, 'Z']))}:{points}"]
     if draw(st.booleans()):
         args.append("--dedup")
-    if draw(SOMETIMES):
+    if not tame and draw(SOMETIMES):
         args += ["--id-column", draw(st.sampled_from([*header, "Z"]))]
     for flag, values in FUZZ_FLAGS.items():
-        if draw(SOMETIMES):
+        if (flag == "--format" or not tame) and draw(SOMETIMES):
             args += [flag, draw(st.sampled_from(values))]
     return data, args
 
 
+# Level counts on both sides of the 1-byte column limit and of the factor limit.
+SYNTH_LEVELS = ["2", "2", "256", "257", "32768", "32769"]
+
+
+@st.composite
+def synth_inputs(draw):
+    """Mostly valid generator runs, sometimes with one bad level, term or count."""
+    command = draw(st.sampled_from(["synth", "experiment"]))
+    factors = draw(st.integers(1, 3))
+    levels = draw(st.lists(st.sampled_from(SYNTH_LEVELS), min_size=factors, max_size=factors))
+    if draw(RARELY):
+        levels.append("2")  # one count too many
+    args = [command, "--factors", str(factors)]
+    args += ["--levels", levels[0] if len(set(levels)) == 1 else ",".join(levels)]
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        picked = sorted(draw(st.sets(st.integers(0, factors - 1), min_size=1)))
+        atoms = []
+        for j in picked:
+            top = int(levels[j]) - 1
+            level = draw(st.sampled_from([0, 1, top, top] + [top + 1] * draw(RARELY)))
+            atoms.append(f"{'ABC'[j]}{level}{'x' * draw(RARELY)}")
+        terms.append("*".join(atoms))
+    args += ["--pathway", "+".join(terms)]
+    samples = draw(st.sampled_from([1, 5, 20, 20] + [0] * draw(RARELY)))
+    confounds = draw(st.sampled_from([0, 0, 1, samples, samples + 1]))
+    args += ["--samples", str(samples), "--seed", draw(st.sampled_from("0123"))]
+    if command == "synth":
+        args += ["--confound", str(confounds), "--emit", draw(st.sampled_from(["csv", "json"]))]
+    else:
+        args += ["--confounds", draw(st.sampled_from(["0", f"0,{confounds}", str(confounds), ""]))]
+        args += ["--reps", draw(st.sampled_from("12")), "--format", draw(st.sampled_from(["text", "json", "csv"]))]
+        args += ["--cutoff", draw(st.sampled_from("12")), "--unique-cover", "1", "--consistency", "0.5"]
+    return args
+
+
+def check_data_run(case) -> None:
+    data, args = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_bytes(data)
+        code, _, err = run_cli(args[0], "--data", str(path), *args[1:])
+    assert code in (0, 1, 2)
+    assert "internal error" not in err
+
+
 class TestFuzz:
-    @settings(max_examples=100, deadline=None)
-    @given(cli_inputs())
+    @settings(max_examples=150, deadline=None)
+    @given(cli_inputs(["necessity", "solve"]))
     def test_exit_code_and_no_internal_error(self, case):
-        data, args = case
+        check_data_run(case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cli_inputs(["candidates", "sweep", "xval"]))
+    def test_candidates_sweep_xval_exit_code_and_no_internal_error(self, case):
+        check_data_run(case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(synth_inputs(), st.booleans())
+    def test_generators_exit_code_and_no_internal_error(self, args, to_file):
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "in.csv"
-            path.write_bytes(data)
-            code, _, err = run_cli(args[0], "--data", str(path), *args[1:])
+            out = ["--out", str(Path(tmp) / "out.txt")] if to_file and args[0] == "synth" else []
+            code, _, err = run_cli(*args, *out)
         assert code in (0, 1, 2)
         assert "internal error" not in err
+
+
+class TestStartup:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        code = "import sys, scpqca.cli; print('numpy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert (run.returncode, run.stdout) == (0, "False\n")
 
 
 # ---------------------------------------------------------------------------

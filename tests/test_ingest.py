@@ -4,7 +4,6 @@ import math
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,14 +45,14 @@ class TestLoadCsv:
         p = write(tmp_path, "t.csv", "id,X,O\na,0.4,0\nb,0.5,0\nc,0.6,1\n")
         spec = CalibrationSpec({"X": Cutpoints((0.5,))})
         t = load_csv(p, outcome_column="O", calibration=spec)
-        assert [int(v) for v in t.values[:, 0]] == [0, 1, 1]
+        assert [int(v) for v in t.values.column(0)] == [0, 1, 1]
         assert t.schema.factors[0].cutpoints == (0.5,)
 
     def test_two_cutpoints_three_levels(self, tmp_path):
         p = write(tmp_path, "t.csv", "id,X,O\na,0.2,0\nb,0.5,0\nc,0.9,1\n")
         spec = CalibrationSpec({"X": Cutpoints((0.33, 0.66))})
         t = load_csv(p, outcome_column="O", calibration=spec)
-        assert [int(v) for v in t.values[:, 0]] == [0, 1, 2]
+        assert [int(v) for v in t.values.column(0)] == [0, 1, 2]
         assert t.schema.factors[0].levels == 3
 
     def test_cutpoints_must_increase(self):
@@ -74,7 +73,7 @@ class TestLoadCsv:
         t = load_csv(p, outcome_column="O")
         # sorted labels: high < low < mid
         assert t.schema.factors[0].labels == ("high", "low", "mid")
-        assert [int(v) for v in t.values[:, 0]] == [1, 0, 2]
+        assert [int(v) for v in t.values.column(0)] == [1, 0, 2]
 
     def test_outcome_label_mapping(self, tmp_path):
         p = write(tmp_path, "t.csv", "id,A,O\na,1,yes\nb,0,no\n")
@@ -296,8 +295,8 @@ def reference_load_csv(path, outcome_column, calibration=None, id_column=None):
         outcome_column, columns[outcome_column], rownos, calibration.for_column(outcome_column)
     )
     schema = FactorSchema(factors=tuple(factors), outcome=outcome_factor)
-    values = np.array(value_cols, dtype=np.int16).T.reshape(len(data), len(factors))
-    return CaseTable(schema=schema, ids=tuple(ids), values=values, outcomes=np.array(outcome_vals, dtype=np.int16))
+    values = [list(row) for row in zip(*value_cols)] if value_cols else [[] for _ in data]
+    return CaseTable(schema=schema, ids=tuple(ids), values=values, outcomes=outcome_vals)
 
 
 def _outcome_of(fn, *args, **kwargs):

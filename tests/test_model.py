@@ -163,7 +163,7 @@ class TestMetricProperties:
         label = rng.randrange(table.schema.outcome_levels)
         nf = len(table.schema.factors)
         lit = Literal(rng.randrange(nf), rng.randrange(table.schema.factors[0].levels))
-        if table.positive_mask(label).any():
+        if table.positive_bits(label):
             nec = necessity_consistency(Literal(0, lit.value % table.schema.factors[0].levels), table, label)
             assert 0 <= nec <= 1
             conj = Conjunction((Literal(0, lit.value % table.schema.factors[0].levels),))
@@ -276,6 +276,155 @@ class TestTypes:
             CaseTable.from_cases(schema, [Case("x", (2,), 0)])
         with pytest.raises(InputError):
             CaseTable.from_cases(schema, [Case("x", (1,), 3)])
+
+
+class TestCellChecks:
+    """Every cell is an integer level of its column, or an InputError names it."""
+
+    def test_value_past_16_bits_is_an_input_error(self):
+        cases = [Case("x", (40000,), 0), Case("y", (0,), 1)]
+        with pytest.raises(InputError, match=r"^case 'x': value 40000 out of range for factor 'A' \(levels 0\.\.1\)$"):
+            CaseTable.from_cases(binary_schema(["A"]), cases)
+
+    def test_outcome_past_16_bits_is_an_input_error(self):
+        cases = [Case("x", (0,), 70000), Case("y", (0,), 1)]
+        with pytest.raises(InputError, match=r"^case 'x': outcome 70000 out of range \(levels 0\.\.1\)$"):
+            CaseTable.from_cases(binary_schema(["A"]), cases)
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, "1", None])
+    def test_value_without_index_is_rejected(self, value):
+        with pytest.raises(InputError) as err:
+            CaseTable.from_cases(binary_schema(["A"]), [Case("y", (0,), 1), Case("x", (value,), 0)])
+        assert str(err.value) == f"case 'x': value {value!r} for factor 'A' is not an integer level"
+
+    def test_outcome_without_index_is_rejected(self):
+        with pytest.raises(InputError, match=r"^case 'x': outcome 0\.5 is not an integer level$"):
+            CaseTable.from_cases(binary_schema(["A"]), [Case("x", (0,), 0.5)])
+
+    def test_bools_are_levels(self):
+        table = CaseTable.from_cases(binary_schema(["A"]), [Case("x", (True,), False), Case("y", (False,), True)])
+        assert table.values.tolist() == [[1], [0]]
+        assert table.outcomes.tolist() == [0, 1]
+
+    def test_numpy_rows_and_integers_are_accepted(self):
+        np = pytest.importorskip("numpy")
+        schema = FactorSchema((Factor("A", 2), Factor("B", 300)), Factor("O", 3))
+        values = np.array([[1, 299], [0, 7]], dtype=np.int16)
+        table = CaseTable(schema, ("x", "y"), values, np.array([2, 0], dtype=np.int64))
+        assert table == CaseTable(schema, ("x", "y"), [[1, 299], [0, 7]], [2, 0])
+        assert CaseTable.from_cases(schema, [Case("x", (np.int64(1), np.uint8(5)), np.int32(2))]).case(0) == Case(
+            "x", (1, 5), 2
+        )
+        with pytest.raises(InputError, match="value 0.5 for factor 'A' is not an integer level"):
+            CaseTable(schema, ("x",), np.array([[0.5, 1.0]]), [0])
+
+    def test_columns_move_between_one_and_two_bytes(self):
+        wide = FactorSchema((Factor("A", 300),), Factor("O", 300))
+        narrow = FactorSchema((Factor("A", 256),), Factor("O", 2))
+        rows, outcomes = [[1], [0], [255]], [1, 0, 1]
+        for source, target in [(wide, narrow), (narrow, wide)]:
+            table = CaseTable(source, ("x", "y", "z"), rows, outcomes)
+            moved = CaseTable(target, table.ids, table.values, table.outcomes)
+            assert moved.values.tolist() == rows and moved.outcomes.tolist() == outcomes
+            assert moved.literal_bits(0, 255) == 0b100
+        with pytest.raises(InputError, match="case 'x': value 299 out of range for factor 'A'"):
+            CaseTable(narrow, ("x",), CaseTable(wide, ("x",), [[299]], [0]).values, [0])
+
+    def test_shape_is_checked(self):
+        schema = binary_schema(["A", "B"])
+        for values, outcomes in [([[0, 1]], [0, 1]), ([[0]], [0]), ([[0, 1, 1]], [0]), ([0], [0]), ([], [0])]:
+            with pytest.raises(InputError):
+                CaseTable(schema, ("x",), values, outcomes)
+
+
+LEVEL_CHOICES = st.sampled_from([2, 3, 255, 256, 257, 300])
+
+
+@st.composite
+def stored_tables(draw, max_cases=24):
+    """Schema, ids, rows and outcomes of a valid table; levels straddle the 1-byte limit."""
+    levels = draw(st.lists(LEVEL_CHOICES, max_size=4))
+    out_levels = draw(LEVEL_CHOICES)
+    schema = FactorSchema(tuple(Factor(f"F{j}", lv) for j, lv in enumerate(levels)), Factor("O", out_levels))
+    n = draw(st.integers(0, max_cases))
+    # Mostly the ends of each range, where a 1- or 2-byte column would break.
+    def cell(lv):
+        return st.one_of(st.sampled_from([0, 1, lv - 2, lv - 1]), st.integers(0, lv - 1))
+
+    rows = [draw(st.tuples(*map(cell, levels))) for _ in range(n)]
+    outcomes = [draw(cell(out_levels)) for _ in range(n)]
+    return schema, tuple(f"c{i}" for i in range(n)), rows, outcomes
+
+
+def first_bad_cell(schema, rows, outcomes):
+    """Reference scan: factors in order, then the outcome, each in row order."""
+    for j, f in enumerate(schema.factors):
+        for i, row in enumerate(rows):
+            if not 0 <= row[j] < f.levels:
+                return i
+    for i, o in enumerate(outcomes):
+        if not 0 <= o < schema.outcome_levels:
+            return i
+    return None
+
+
+class TestColumnStorage:
+    """The byte/short columns behind `CaseTable` against per-case comprehensions."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(stored_tables(), st.data())
+    def test_matches_per_case_reference(self, drawn, data):
+        schema, ids, rows, outcomes = drawn
+        table = CaseTable(schema, ids, rows, outcomes)
+        assert len(table) == len(table.values) == len(ids)
+        assert table.values.tolist() == [list(r) for r in rows]
+        assert list(table.values) == rows
+        assert [table.values[i] for i in range(len(rows))] == rows
+        assert table.outcomes.tolist() == list(outcomes)
+        if rows:
+            assert table.case(-1) == Case(ids[-1], rows[-1], outcomes[-1])
+        for j, f in enumerate(schema.factors):
+            column = [r[j] for r in rows]
+            assert table.values.column(j).tolist() == column
+            for v in {0, f.levels - 1, *column, data.draw(st.integers(0, f.levels - 1))}:
+                expected = sum(1 << i for i, c in enumerate(column) if c == v)
+                assert table.literal_bits(j, v) == expected
+        for label in {0, schema.outcome_levels - 1, *outcomes}:
+            assert table.positive_bits(label) == sum(1 << i for i, o in enumerate(outcomes) if o == label)
+
+        picks = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=30)) if rows else []
+        sub = table.take(picks)
+        expected = CaseTable(schema, [ids[i] for i in picks], [rows[i] for i in picks], [outcomes[i] for i in picks])
+        assert sub == expected
+        assert sub.values.tolist() == expected.values.tolist()
+        assert sub.outcomes.tolist() == expected.outcomes.tolist()
+        assert CaseTable(schema, ids, table.values, table.outcomes) == table
+        columns = [[r[j] for r in rows] for j in range(len(schema.factors))]
+        assert CaseTable.from_columns(schema, ids, columns, outcomes) == table
+
+    @settings(max_examples=100, deadline=None)
+    @given(stored_tables(), st.data())
+    def test_bad_cell_names_the_first_case(self, drawn, data):
+        schema, ids, rows, outcomes = drawn
+        if not rows:
+            return
+        rows = [list(r) for r in rows]
+        outcomes = list(outcomes)
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(rows) - 1))
+            j = data.draw(st.integers(0, len(schema.factors)))
+            levels = (*schema.level_counts(), schema.outcome_levels)[j]
+            bad = data.draw(st.sampled_from([-1, levels, levels + 1, 256, 40000, 70000]) | st.integers(-5, 400))
+            if j == len(schema.factors):
+                outcomes[i] = bad
+            else:
+                rows[i][j] = bad
+        bad = first_bad_cell(schema, rows, outcomes)
+        if bad is None:
+            assert CaseTable(schema, ids, rows, outcomes).values.tolist() == rows
+            return
+        with pytest.raises(InputError, match=f"^case {ids[bad]!r}: "):
+            CaseTable(schema, ids, rows, outcomes)
 
 
 class TestAsFraction:
