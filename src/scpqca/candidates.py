@@ -15,6 +15,8 @@ level-wise walk streams rules in the final deterministic order, literal
 count ascending then lexicographic on (factor index, value), and holds only
 the current frontier of extendable prefixes, never the full lattice. The
 last level (`max_order` literals) is never extended, so it adds no frontier.
+A literal that matches fewer cases than the cutoff (a level no case holds
+matches none) is dropped before the walk, since every node under it fails.
 
 Case sets are the table's bitsets over its ids (see `model`): a child's
 matched set is its prefix's bits ANDed with one literal's, counts are
@@ -26,6 +28,12 @@ bits from the table, so an emitted rule is valid by construction. It is
 built with the unchecked `CandidateRule._walked`, which skips the re-sort
 and the per-field checks of the public constructors; those checks cost more
 per rule than the walk itself.
+
+A `CandidatePool` serves the many solves of one sweep or jackknife from a
+single walk: it keeps every node that meets the loosest cutoff (and, for a
+sweep, the loosest consistency), and each call filters those nodes by its
+own cutoff, consistency, factor set and case subset. Rules it selects for a subset of its table index the pool
+table's ids, not the subset's; `iter_candidates` and the pool share the walk.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from .model import (
     InputError,
     Literal,
     as_fraction,
+    bits_of,
 )
 
 
@@ -70,22 +79,26 @@ def _check_factor_set(table: CaseTable, factor_set: Sequence[int]) -> tuple[int,
     return factors
 
 
-def iter_candidates(
-    table: CaseTable, factor_set: Sequence[int], params: CandidateParams
-) -> Iterator[CandidateRule]:
-    """Stream passing rules in deterministic order; see module docstring."""
-    table.require_unique_ids()
-    factors = _check_factor_set(table, factor_set)
+def _walk(
+    table: CaseTable,
+    factors: tuple[int, ...],
+    max_order: int | None,
+    cutoff: int,
+    decision_label: int,
+    threshold: Fraction,
+) -> Iterator[tuple[tuple[Literal, ...], int, int]]:
+    """Yield (literals, matched bits, positive bits) of every node that meets
+    `cutoff` and whose consistency is at least `threshold`, in emit order."""
     if not factors:
         return
-    max_order = params.max_order if params.max_order is not None else len(factors)
-    max_order = min(max_order, len(factors))
-
-    pos = table.positive_bits(params.decision_label)
-    num, den = params.consistency_threshold.numerator, params.consistency_threshold.denominator
-    cutoff, ids, walked = params.cutoff, table.ids, CandidateRule._walked
+    max_order = min(max_order if max_order is not None else len(factors), len(factors))
+    positives = table.positive_bits(decision_label)
+    num, den = threshold.numerator, threshold.denominator
+    # A literal below the cutoff heads only subtrees below it (levels no case
+    # holds have no bits at all), so it is dropped before the walk.
     literals = [
-        [(Literal(j, v), table.literal_bits(j, v)) for v in range(table.schema.factors[j].levels)]
+        [(Literal(j, v), bits) for v in range(table.schema.factors[j].levels)
+         if (bits := table.literal_bits(j, v)).bit_count() >= cutoff]
         for j in factors
     ]
 
@@ -104,9 +117,9 @@ def iter_candidates(
                     if count < cutoff:
                         continue
                     child_lits = lits + (lit,)
-                    child_pos = child & pos
+                    child_pos = child & positives
                     if child_pos.bit_count() * den >= num * count:
-                        yield walked(child_lits, child, child_pos, ids)
+                        yield child_lits, child, child_pos
                     if extend:
                         next_frontier.append((child_lits, child, at + 1))
         frontier = next_frontier
@@ -114,10 +127,144 @@ def iter_candidates(
             break
 
 
-def enumerate_candidates(
+def iter_candidates(
     table: CaseTable, factor_set: Sequence[int], params: CandidateParams
+) -> Iterator[CandidateRule]:
+    """Stream passing rules in deterministic order; see module docstring."""
+    table.require_unique_ids()
+    factors = _check_factor_set(table, factor_set)
+    nodes = _walk(
+        table, factors, params.max_order, params.cutoff, params.decision_label, params.consistency_threshold
+    )
+    walked, ids = CandidateRule._walked, table.ids
+    for lits, matched, positive in nodes:
+        yield walked(lits, matched, positive, ids)
+
+
+class CandidatePool:
+    """Every lattice node that meets one cutoff, walked once and filtered per call.
+
+    The owner of a run that solves one table many times (a sweep over its
+    cells, a jackknife over its reps) creates the pool at the loosest cutoff
+    it will ask for and passes it to every `enumerate_candidates` call. The
+    first call walks its table and factor set at that cutoff, with no
+    consistency filter unless the owner gives one (see below), and keeps
+    every node as parallel lists in emit order: literal tuples, matched bits
+    and positive bits. A later call
+    selects from those lists. Both filters are anti-monotone and a subset of
+    cases can only lower a node's counts, so every rule of the later call is
+    a pool node, and filtering keeps the order.
+
+    On the pool's own table each rule object is built once and shared by
+    every call. On a subset of that table (the same cases, fewer of them,
+    as `CaseTable.take` makes) a rule keeps the pool table's `ids`, and its
+    bits are the pool node's masked to the subset's cases. A call the pool
+    cannot answer walks the lattice as `iter_candidates` does.
+
+    An owner that solves only the pool's own table (a sweep) may also give
+    the loosest `consistency` it will ask for; the pool then keeps only the
+    nodes that meet it, which on a wide table is a small share of those that
+    meet the cutoff. Such a pool answers no subset, because dropping cases
+    can raise a node's consistency.
+    """
+
+    def __init__(self, cutoff: int, consistency: Fraction | float | str | None = None) -> None:
+        if cutoff < 1:
+            raise InputError(f"cutoff must be >= 1, got {cutoff}")
+        self.cutoff = cutoff
+        self.consistency = None if consistency is None else as_fraction(consistency)
+        self._table: CaseTable | None = None
+
+    def _build(self, table: CaseTable, factors: tuple[int, ...], params: CandidateParams) -> None:
+        self._table, self._factors = table, factors
+        self._label, self._max_order = params.decision_label, params.max_order
+        floor = self.consistency if self.consistency is not None else Fraction(0)
+        self._literals: list[tuple[Literal, ...]] = []
+        self._matched: list[int] = []
+        self._positive: list[int] = []
+        for lits, matched, positive in _walk(
+            table, factors, params.max_order, self.cutoff, params.decision_label, floor
+        ):
+            self._literals.append(lits)
+            self._matched.append(matched)
+            self._positive.append(positive)
+        self._rules: list[CandidateRule | None] = [None] * len(self._literals)
+        self._index = {case_id: i for i, case_id in enumerate(table.ids)}
+
+    def _keep(self, table: CaseTable) -> int | None:
+        """Bits of `table`'s cases over the pool's ids, or None when `table`
+        is not a subset of the pool's table."""
+        pool_table = self._table
+        if table is pool_table:
+            return (1 << len(table)) - 1
+        if self.consistency is not None:
+            return None
+        at = [self._index.get(case_id) for case_id in table.ids]
+        if None in at or pool_table.take(at) != table:
+            return None
+        return bits_of(table.ids, pool_table.ids)
+
+    def _select(
+        self, table: CaseTable, factors: tuple[int, ...], params: CandidateParams
+    ) -> list[CandidateRule] | None:
+        """The rules `iter_candidates` would emit, or None when the pool cannot
+        answer: another label or `max_order`, a factor outside the pool's, a
+        cutoff or consistency below the pool's, or a table that is not a
+        subset of its own."""
+        if self._table is None:
+            self._build(table, factors, params)
+        if (
+            params.decision_label != self._label
+            or params.max_order != self._max_order
+            or params.cutoff < self.cutoff
+            or (self.consistency is not None and params.consistency_threshold < self.consistency)
+            or not set(factors) <= set(self._factors)
+        ):
+            return None
+        keep = self._keep(table)
+        if keep is None:
+            return None
+        cutoff = params.cutoff
+        num, den = params.consistency_threshold.numerator, params.consistency_threshold.denominator
+        excluded = set(self._factors) - set(factors)
+        own = table is self._table
+        ids, rules, walked = self._table.ids, self._rules, CandidateRule._walked
+        out = []
+        for i, (matched, positive) in enumerate(zip(self._matched, self._positive)):
+            matched &= keep
+            positive &= keep
+            count = matched.bit_count()
+            if count < cutoff or positive.bit_count() * den < num * count:
+                continue
+            lits = self._literals[i]
+            if excluded and any(lit.factor_index in excluded for lit in lits):
+                continue
+            if own:
+                if rules[i] is None:
+                    rules[i] = walked(lits, matched, positive, ids)
+                out.append(rules[i])
+            else:
+                out.append(walked(lits, matched, positive, ids))
+        return out
+
+
+def enumerate_candidates(
+    table: CaseTable,
+    factor_set: Sequence[int],
+    params: CandidateParams,
+    *,
+    pool: CandidatePool | None = None,
 ) -> list[CandidateRule]:
-    """All rules passing both filters, deterministically ordered."""
+    """All rules passing both filters, deterministically ordered.
+
+    With a `pool`, the rules are selected from it (see `CandidatePool`);
+    on a subset of the pool's table they index the pool table's ids.
+    """
+    if pool is not None:
+        table.require_unique_ids()
+        rules = pool._select(table, _check_factor_set(table, factor_set), params)
+        if rules is not None:
+            return rules
     return list(iter_candidates(table, factor_set, params))
 
 

@@ -22,19 +22,21 @@ per call.
 Each greedy pass takes gains first and ties second: it computes every
 rule's gain and their maximum, and builds the full tie-break key
 (consistency, fewer literals, candidate order) only for the rules that tie
-on that gain, so most passes build no `Fraction`. A picked rule's gain drops
-to 0, below any `unique_cover`, so it is never picked again and no list of
-remaining rules is kept. Lazy greedy (Minoux 1978), a heap keyed by gain
-and a precomputed tie-break rank, picks the same rules but measured slower
-than this scan on the small, repeated solves of a sweep or jackknife: ranking
-the rules by their `Fraction` consistencies costs more than the passes it
-saves.
+on that gain, so most passes build no `Fraction`. Gains only fall as cases
+get covered, so after each pass the rules whose gain is below
+`unique_cover`, the picked one included, leave the scan for good; the
+tie-break still sees each rule's original candidate index. Lazy greedy
+(Minoux 1978), a heap keyed by gain and a precomputed tie-break rank, picks
+the same rules but measured slower than this scan on the small, repeated
+solves of a sweep or jackknife: ranking the rules by their `Fraction`
+consistencies costs more than the passes it saves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .model import (
@@ -72,21 +74,32 @@ def greedy_cover(
     if not candidates:
         return []
     uncovered = bits_of(positives, candidates[0].ids)
+    floor = params.unique_cover
+    # Live rules: their positive bits and their index in `candidates`.
     pbits = [rule.positive_bits for rule in candidates]
+    index = list(range(len(candidates)))
     selected: list[CandidateRule] = []
-    while uncovered:
+    while uncovered and pbits:
         gains = [(p & uncovered).bit_count() for p in pbits]
         best = max(gains)
-        if best < params.unique_cover:
+        if best < floor:
             break
         at = gains.index(best)
         if gains.count(best) > 1:
             at = max(
                 (i for i, gain in enumerate(gains) if gain == best),
-                key=lambda i: (candidates[i].consistency, -len(candidates[i].conjunction.literals), -i),
+                key=lambda i: (
+                    candidates[index[i]].consistency,
+                    -len(candidates[index[i]].conjunction.literals),
+                    -index[i],
+                ),
             )
-        selected.append(candidates[at])
+        selected.append(candidates[index[at]])
         uncovered &= ~pbits[at]
+        gains[at] = 0
+        live = [gain >= floor for gain in gains]
+        pbits = list(compress(pbits, live))
+        index = list(compress(index, live))
     return selected
 
 

@@ -41,6 +41,10 @@ def necessary_conditions(
     out: list[tuple[Literal, Fraction]] = []
     for i, factor in enumerate(table.schema.factors):
         for v in range(factor.levels):
+            # A level no case holds has consistency 0 once there are positives
+            # (without any, necessity_consistency raises), so it never qualifies.
+            if not table.literal_bits(i, v) and table.positive_bits(decision_label):
+                continue
             lit = Literal(i, v)
             cons = necessity_consistency(lit, table, decision_label)
             if cons > thr:

@@ -4,14 +4,16 @@ Step 1 finds the necessary conditions and removes their factors from the
 search space. Step 2 enumerates candidate rules over the remaining factors,
 covers the positive cases greedily, and conjoins the necessary literals back
 into the final solution. Shared by the CLI, the synthetic-experiment
-harness, and the robustness protocols.
+harness, and the robustness protocols; only the robustness protocols pass a
+candidate pool, so that their many solves of one table share one lattice
+walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .candidates import CandidateParams, enumerate_candidates
+from .candidates import CandidateParams, CandidatePool, enumerate_candidates
 from .cover import CoverParams, assemble_solution, greedy_cover
 from .model import (
     CandidateRule,
@@ -72,8 +74,13 @@ class SolveResult:
     warnings: tuple[str, ...]
 
 
-def solve(table: CaseTable, params: AnalysisParams) -> SolveResult:
-    """Run the full pipeline; raises VacuousSolutionError when nothing remains."""
+def solve(table: CaseTable, params: AnalysisParams, *, pool: CandidatePool | None = None) -> SolveResult:
+    """Run the full pipeline; raises VacuousSolutionError when nothing remains.
+
+    A `pool` (see `candidates.CandidatePool`) is shared by the solves of one
+    sweep or jackknife; on a subset of the pool's table, `candidates` then
+    index the pool table's ids, while the solution is scored on `table`.
+    """
     table.require_unique_ids()
     warnings: list[str] = []
 
@@ -93,7 +100,7 @@ def solve(table: CaseTable, params: AnalysisParams) -> SolveResult:
         conjoined = tuple(sorted(lit for lit, _ in necessity if lit.factor_index not in conflicts))
 
     factor_set = exclude_necessary(table.schema, conjoined)
-    candidates = tuple(enumerate_candidates(table, factor_set, params.candidate_params()))
+    candidates = tuple(enumerate_candidates(table, factor_set, params.candidate_params(), pool=pool))
 
     positives = table.positive_ids(params.decision_label)
     if not positives:

@@ -4,7 +4,10 @@ Internal validity reruns the pipeline over a grid of (consistency threshold,
 cutoff, unique cover) settings and reports candidate counts and solutions per
 cell. External validity is a jackknife: repeatedly drop a fraction of the
 cases, rerun, and classify each resulting configuration against the full-data
-solution.
+solution. Both protocols walk the candidate lattice once and filter it per
+cell or repetition (see `candidates.CandidatePool`); a repetition's
+candidates index the full table's ids, its solution is scored on its own
+cases.
 
 Classification compares literal sets structurally. A test configuration is
 Replicated when its literal set equals an original's; a Superset when its
@@ -27,6 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
+from .candidates import CandidatePool
 from .model import CaseTable, Conjunction, InputError, ScpqcaError
 from .pipeline import AnalysisParams, SolveResult, solve
 
@@ -80,21 +84,38 @@ def internal_sweep(
 ) -> list[SweepCell]:
     """One pipeline run per (consistency_threshold, cutoff, unique_cover) point.
 
-    A failing cell is recorded with its error and the sweep continues.
+    A failing cell is recorded with its error and the sweep continues. The
+    cells share one candidate pool at the smallest cutoff and consistency of
+    the cells whose candidate parameters are valid, so the lattice is walked
+    once.
     """
     if not grid:
         raise InputError("sweep grid must not be empty")
+    grid_params = [
+        replace(base_params, consistency_threshold=consistency, cutoff=cutoff, unique_cover=unique)
+        for consistency, cutoff, unique in grid
+    ]
+    valid = [p for p in grid_params if _valid_candidates(p)]
+    pool = CandidatePool(
+        min((p.cutoff for p in valid), default=1),
+        min((p.consistency_threshold for p in valid), default=None),
+    )
     cells: list[SweepCell] = []
-    for consistency, cutoff, unique in grid:
-        params = replace(
-            base_params, consistency_threshold=consistency, cutoff=cutoff, unique_cover=unique
-        )
+    for params in grid_params:
         try:
-            result = solve(table, params)
+            result = solve(table, params, pool=pool)
             cells.append(SweepCell(params, result, len(result.candidates)))
         except ScpqcaError as exc:
             cells.append(SweepCell(params, None, 0, error=str(exc)))
     return cells
+
+
+def _valid_candidates(params: AnalysisParams) -> bool:
+    try:
+        params.candidate_params()
+    except InputError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +201,8 @@ def external_validity(
     Each repetition removes ceil(fraction * n) distinct cases, drawn from its
     own (seed, repetition)-derived stream so repetitions are order independent.
     A repetition whose subsample cannot be solved (for instance no positive
-    cases survive) is recorded as degenerate with no configurations.
+    cases survive) is recorded as degenerate with no configurations. The full
+    solve and every repetition share one candidate pool at `params.cutoff`.
     """
     if not 0 < fraction < 1:
         raise InputError(f"fraction must be in (0,1), got {fraction}")
@@ -188,7 +210,10 @@ def external_validity(
         raise InputError(f"reps must be >= 1, got {reps}")
     table.require_unique_ids()
 
-    full = solve(table, params)
+    # A cutoff below 1 fails the full solve with its own error before the
+    # pool is used.
+    pool = CandidatePool(max(params.cutoff, 1))
+    full = solve(table, params, pool=pool)
     originals = full.solution.configurations()
 
     n = len(table)
@@ -204,7 +229,7 @@ def external_validity(
         sub = table.take([i for i in range(n) if i not in dropped])
         removed_ids = tuple(table.ids[i] for i in removed)
         try:
-            result = solve(sub, params)
+            result = solve(sub, params, pool=pool)
         except ScpqcaError as exc:
             repetitions.append(
                 Repetition(removed_ids, (), (), degenerate=True, error=str(exc))

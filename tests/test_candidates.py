@@ -1,4 +1,7 @@
+import io
 import random
+import time
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -9,6 +12,8 @@ from scpqca import (
     Case,
     CaseTable,
     Conjunction,
+    Factor,
+    FactorSchema,
     InputError,
     Literal,
     binary_schema,
@@ -23,6 +28,7 @@ from scpqca import (
     necessary_conditions,
     sufficiency_consistency,
 )
+from scpqca.cli import main
 from conftest import random_table
 
 
@@ -113,6 +119,51 @@ class TestOracleEquivalence:
         factor_set = range(len(table.schema.factors))
         got = [r.conjunction for r in enumerate_candidates(table, factor_set, params)]
         assert got == brute_force_candidates(table, factor_set, params)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_brute_force_with_absent_levels(self, seed):
+        # Levels no case holds, and rare levels below the cutoff, are dropped
+        # before the walk; the oracle still visits them all.
+        rng = random.Random(4000 + seed)
+        nf = rng.randint(1, 4)
+        levels = [rng.randint(2, 6) for _ in range(nf)]
+        schema = FactorSchema(
+            factors=tuple(Factor(chr(ord("A") + j), lv) for j, lv in enumerate(levels)),
+            outcome=Factor("O", 2),
+        )
+        held = [rng.sample(range(lv), rng.randint(1, lv)) for lv in levels]
+        n = rng.randint(1, 25)
+        table = CaseTable(
+            schema,
+            tuple(f"x{i}" for i in range(n)),
+            [[rng.choice(h) for h in held] for _ in range(n)],
+            [rng.randrange(2) for _ in range(n)],
+        )
+        params = CandidateParams(
+            int(table.outcomes[0]),
+            Fraction(rng.randint(3, 10), 10),
+            cutoff=rng.randint(1, 4),
+            max_order=rng.choice([None, 1, 2]),
+        )
+        factor_set = range(nf)
+        got = [r.conjunction for r in enumerate_candidates(table, factor_set, params)]
+        assert got == brute_force_candidates(table, factor_set, params)
+
+
+class TestAbsentLevels:
+    def test_many_unheld_levels_stay_fast(self):
+        # 3 factors of 32 768 levels and 200 cases: all but a few hundred
+        # levels are held by no case, and the walk and the necessity scan
+        # must not visit them one by one for every frontier node.
+        args = ["experiment", "--factors", "3", "--levels", "32768", "--pathway", "A1*B2+C3",
+                "--samples", "200", "--confounds", "50", "--max-order", "2", "--consistency", "0.3",
+                "--cutoff", "1", "--unique-cover", "1"]
+        start = time.perf_counter()
+        with redirect_stdout(io.StringIO()) as out:
+            code = main(args)
+        elapsed = time.perf_counter() - start
+        assert code == 0 and out.getvalue()
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
 class TestUncheckedRulesAreValid:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from scpqca import (
     Case,
     CaseTable,
+    Factor,
+    FactorSchema,
     InputError,
     Literal,
     UndefinedRatioError,
@@ -53,6 +56,31 @@ class TestNecessaryConditions:
         sub = CaseTable.from_cases(m1_table.schema, [m1_table.case(4)])
         with pytest.raises(UndefinedRatioError):
             necessary_conditions(sub, 1)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_unheld_levels_match_the_scan_of_every_level(self, seed):
+        # The scan skips levels no case holds; checking every level must agree.
+        rng = random.Random(5000 + seed)
+        levels = [rng.randint(2, 300) for _ in range(rng.randint(1, 3))]
+        schema = FactorSchema(tuple(Factor(f"F{j}", lv) for j, lv in enumerate(levels)), Factor("O", 2))
+        n = rng.randint(1, 12)
+        cases = [Case(f"c{i}", tuple(rng.randrange(min(lv, 4)) for lv in levels), rng.randrange(2)) for i in range(n)]
+        t = CaseTable.from_cases(schema, cases)
+        threshold = Fraction(rng.randint(1, 10), 10)
+        if not t.positive_bits(1):
+            with pytest.raises(UndefinedRatioError):
+                necessary_conditions(t, 1, threshold)
+            return
+        every = [
+            (Literal(j, v), necessity_consistency(Literal(j, v), t, 1))
+            for j, lv in enumerate(levels)
+            for v in range(lv)
+        ]
+        want = sorted(
+            ((lit, c) for lit, c in every if c > threshold),
+            key=lambda item: (-item[1], item[0].factor_index, item[0].value),
+        )
+        assert necessary_conditions(t, 1, threshold) == want
 
     def test_threshold_validation(self, m1_table):
         with pytest.raises(InputError):

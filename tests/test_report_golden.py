@@ -38,6 +38,10 @@ CASES = {
     "experiment_reps": [*EXPERIMENT, "--reps", "3"],
     "sweep": ["sweep", *REMOTE, "--cutoff", "4", "--consistency-list", "0.8,0.7"],
     "sweep_failed_cell": ["sweep", *M1, "--necessity-threshold", "1", "--cutoff-list", "1,40"],
+    # Invalid cells fail with their own error and leave the valid ones, which
+    # share one candidate pool, unchanged.
+    "sweep_invalid_cells": ["sweep", *REMOTE, "--cutoff-list", "0,4,2", "--consistency-list", "0,0.8,1.5",
+                            "--unique-cover-list", "0,2"],
     "xval": ["xval", *REMOTE, "--cutoff", "4", "--reps", "3", "--seed", "11"],
 }
 
