@@ -11,36 +11,33 @@ Enumeration walks the conjunction lattice level by level (order 1, then 2,
 ...), extending only prefixes that still meet the cutoff. Matching is
 anti-monotone (adding a literal never enlarges the matched set), so a prefix
 below the cutoff can never recover and the whole subtree is skipped. The
-level-wise walk streams rules in the final deterministic order, literal
-count ascending then lexicographic on (factor index, value), and holds only
-the current frontier of extendable prefixes, never the full lattice. The
-last level (`max_order` literals) is never extended, so it adds no frontier.
-A literal that matches fewer cases than the cutoff (a level no case holds
-matches none) is dropped before the walk, since every node under it fails.
+level-wise walk visits nodes in the final deterministic order, literal
+count ascending then lexicographic on (factor index, value). The last level
+(`max_order` literals) is never extended. A literal that matches fewer cases
+than the cutoff (a level no case holds matches none) is dropped before the
+walk, since every node under it fails.
 
 Case sets are the table's bitsets over its ids (see `model`): a child's
 matched set is its prefix's bits ANDed with one literal's, counts are
 popcounts, and the consistency filter compares exact integer cross products
 (``positives * den >= num * matched``), so no `Fraction` is built per node.
 
-The walk appends literals in ascending factor order and derives each rule's
-bits from the table, so an emitted rule is valid by construction. It is
-built with the unchecked `CandidateRule._walked`, which skips the re-sort
-and the per-field checks of the public constructors; those checks cost more
-per rule than the walk itself.
-
-A `CandidatePool` serves the many solves of one sweep or jackknife from a
-single walk: it keeps every node that meets the loosest cutoff (and, for a
-sweep, the loosest consistency), and each call filters those nodes by its
-own cutoff, consistency, factor set and case subset. Rules it selects for a subset of its table index the pool
-table's ids, not the subset's; `iter_candidates` and the pool share the walk.
+Every rule list is a selection from a `CandidatePool`, which keeps the
+passing nodes of one walk. A sweep or jackknife shares one pool between its
+solves; any other call, and any call a shared pool cannot answer, selects
+from a fresh pool walked over its own table at its own filters. The walk
+appends literals in ascending factor order and derives each node's bits
+from the table, so a selected rule is valid by construction. It is built
+with the unchecked `CandidateRule._walked`, which skips the re-sort and the
+per-field checks of the public constructors; those checks cost more per
+rule than the walk itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .model import (
     CandidateRule,
@@ -86,11 +83,10 @@ def _walk(
     cutoff: int,
     decision_label: int,
     threshold: Fraction,
-) -> Iterator[tuple[tuple[Literal, ...], int, int]]:
-    """Yield (literals, matched bits, positive bits) of every node that meets
-    `cutoff` and whose consistency is at least `threshold`, in emit order."""
-    if not factors:
-        return
+) -> tuple[list[tuple[Literal, ...]], list[int], list[int]]:
+    """The literal tuples, matched bits and positive bits, as parallel lists
+    in emit order, of every node that meets `cutoff` and whose consistency
+    is at least `threshold`."""
     max_order = min(max_order if max_order is not None else len(factors), len(factors))
     positives = table.positive_bits(decision_label)
     num, den = threshold.numerator, threshold.denominator
@@ -101,6 +97,9 @@ def _walk(
          if (bits := table.literal_bits(j, v)).bit_count() >= cutoff]
         for j in factors
     ]
+    out_literals: list[tuple[Literal, ...]] = []
+    out_matched: list[int] = []
+    out_positive: list[int] = []
 
     # Frontier entries: (literals tuple, matched bits, position in `factors` to
     # extend from), all meeting the cutoff. Literals are appended in ascending
@@ -119,26 +118,15 @@ def _walk(
                     child_lits = lits + (lit,)
                     child_pos = child & positives
                     if child_pos.bit_count() * den >= num * count:
-                        yield child_lits, child, child_pos
+                        out_literals.append(child_lits)
+                        out_matched.append(child)
+                        out_positive.append(child_pos)
                     if extend:
                         next_frontier.append((child_lits, child, at + 1))
         frontier = next_frontier
         if not frontier:
             break
-
-
-def iter_candidates(
-    table: CaseTable, factor_set: Sequence[int], params: CandidateParams
-) -> Iterator[CandidateRule]:
-    """Stream passing rules in deterministic order; see module docstring."""
-    table.require_unique_ids()
-    factors = _check_factor_set(table, factor_set)
-    nodes = _walk(
-        table, factors, params.max_order, params.cutoff, params.decision_label, params.consistency_threshold
-    )
-    walked, ids = CandidateRule._walked, table.ids
-    for lits, matched, positive in nodes:
-        yield walked(lits, matched, positive, ids)
+    return out_literals, out_matched, out_positive
 
 
 class CandidatePool:
@@ -150,16 +138,16 @@ class CandidatePool:
     first call walks its table and factor set at that cutoff, with no
     consistency filter unless the owner gives one (see below), and keeps
     every node as parallel lists in emit order: literal tuples, matched bits
-    and positive bits. A later call
-    selects from those lists. Both filters are anti-monotone and a subset of
-    cases can only lower a node's counts, so every rule of the later call is
-    a pool node, and filtering keeps the order.
+    and positive bits. A later call selects from those lists. Both filters
+    are anti-monotone and a subset of cases can only lower a node's counts,
+    so every rule of the later call is a pool node, and filtering keeps the
+    order.
 
     On the pool's own table each rule object is built once and shared by
     every call. On a subset of that table (the same cases, fewer of them,
     as `CaseTable.take` makes) a rule keeps the pool table's `ids`, and its
     bits are the pool node's masked to the subset's cases. A call the pool
-    cannot answer walks the lattice as `iter_candidates` does.
+    cannot answer selects from a fresh pool of its own instead.
 
     An owner that solves only the pool's own table (a sweep) may also give
     the loosest `consistency` it will ask for; the pool then keeps only the
@@ -179,17 +167,11 @@ class CandidatePool:
         self._table, self._factors = table, factors
         self._label, self._max_order = params.decision_label, params.max_order
         floor = self.consistency if self.consistency is not None else Fraction(0)
-        self._literals: list[tuple[Literal, ...]] = []
-        self._matched: list[int] = []
-        self._positive: list[int] = []
-        for lits, matched, positive in _walk(
+        self._literals, self._matched, self._positive = _walk(
             table, factors, params.max_order, self.cutoff, params.decision_label, floor
-        ):
-            self._literals.append(lits)
-            self._matched.append(matched)
-            self._positive.append(positive)
+        )
         self._rules: list[CandidateRule | None] = [None] * len(self._literals)
-        self._index = {case_id: i for i, case_id in enumerate(table.ids)}
+        self._index: dict[str, int] | None = None
 
     def _keep(self, table: CaseTable) -> int | None:
         """Bits of `table`'s cases over the pool's ids, or None when `table`
@@ -199,6 +181,8 @@ class CandidatePool:
             return (1 << len(table)) - 1
         if self.consistency is not None:
             return None
+        if self._index is None:
+            self._index = {case_id: i for i, case_id in enumerate(pool_table.ids)}
         at = [self._index.get(case_id) for case_id in table.ids]
         if None in at or pool_table.take(at) != table:
             return None
@@ -207,10 +191,10 @@ class CandidatePool:
     def _select(
         self, table: CaseTable, factors: tuple[int, ...], params: CandidateParams
     ) -> list[CandidateRule] | None:
-        """The rules `iter_candidates` would emit, or None when the pool cannot
-        answer: another label or `max_order`, a factor outside the pool's, a
-        cutoff or consistency below the pool's, or a table that is not a
-        subset of its own."""
+        """The rules passing `params` on `table` and `factors`, in emit order,
+        or None when the pool cannot answer: another label or `max_order`, a
+        factor outside the pool's, a cutoff or consistency below the pool's,
+        or a table that is not a subset of its own."""
         if self._table is None:
             self._build(table, factors, params)
         if (
@@ -258,14 +242,16 @@ def enumerate_candidates(
     """All rules passing both filters, deterministically ordered.
 
     With a `pool`, the rules are selected from it (see `CandidatePool`);
-    on a subset of the pool's table they index the pool table's ids.
+    on a subset of the pool's table they index the pool table's ids. With
+    no pool, or one that cannot answer, they are selected from a fresh pool
+    over `table` at `params`' own cutoff and consistency.
     """
-    if pool is not None:
-        table.require_unique_ids()
-        rules = pool._select(table, _check_factor_set(table, factor_set), params)
-        if rules is not None:
-            return rules
-    return list(iter_candidates(table, factor_set, params))
+    table.require_unique_ids()
+    factors = _check_factor_set(table, factor_set)
+    rules = None if pool is None else pool._select(table, factors, params)
+    if rules is None:
+        rules = CandidatePool(params.cutoff, params.consistency_threshold)._select(table, factors, params)
+    return rules
 
 
 def candidate_count_bound(

@@ -565,7 +565,7 @@ class CandidateRule:
     def _walked(
         cls, literals: tuple[Literal, ...], matched_bits: int, positive_bits: int, ids: tuple[str, ...]
     ) -> "CandidateRule":
-        """Unchecked constructor for the rules `candidates.iter_candidates` emits.
+        """Unchecked constructor for the rules `candidates.CandidatePool` selects.
 
         The lattice walk already guarantees every check the public
         constructors make: `literals` ascend by factor index with one literal

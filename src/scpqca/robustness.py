@@ -7,7 +7,8 @@ cases, rerun, and classify each resulting configuration against the full-data
 solution. Both protocols walk the candidate lattice once and filter it per
 cell or repetition (see `candidates.CandidatePool`); a repetition's
 candidates index the full table's ids, its solution is scored on its own
-cases.
+cases. A repetition whose necessity step keeps a factor the full table
+excluded selects from a pool of its own, over its own ids.
 
 Classification compares literal sets structurally. A test configuration is
 Replicated when its literal set equals an original's; a Superset when its
@@ -31,7 +32,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .candidates import CandidatePool
-from .model import CaseTable, Conjunction, InputError, ScpqcaError
+from .model import CaseTable, Conjunction, InputError, ScpqcaError, as_fraction
 from .pipeline import AnalysisParams, SolveResult, solve
 
 
@@ -200,6 +201,8 @@ def external_validity(
 
     Each repetition removes ceil(fraction * n) distinct cases, drawn from its
     own (seed, repetition)-derived stream so repetitions are order independent.
+    `fraction` is read as its exact decimal (`model.as_fraction`), so 0.07 of
+    100 cases is 7, not the 8 that the float product would round up to.
     A repetition whose subsample cannot be solved (for instance no positive
     cases survive) is recorded as degenerate with no configurations. The full
     solve and every repetition share one candidate pool at `params.cutoff`.
@@ -217,7 +220,7 @@ def external_validity(
     originals = full.solution.configurations()
 
     n = len(table)
-    k = math.ceil(fraction * n)
+    k = math.ceil(as_fraction(fraction) * n)
     if k >= n:
         raise InputError(f"removing {k} of {n} cases leaves nothing to analyse")
 

@@ -1,9 +1,22 @@
 import random
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
-from scpqca import Case, CaseTable, Factor, FactorSchema, binary_schema, load_csv
+from scpqca import (
+    CandidateParams,
+    Case,
+    CaseTable,
+    Conjunction,
+    Factor,
+    FactorSchema,
+    Literal,
+    binary_schema,
+    load_csv,
+    matched_ids,
+    sufficiency_consistency,
+)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -46,3 +59,23 @@ def random_table(rng: random.Random, max_factors: int = 4, max_levels: int = 3, 
     outcomes = [rng.randrange(out_levels) for _ in range(n)]
     ids = tuple(f"x{i}" for i in range(n))
     return CaseTable(schema=schema, ids=ids, values=values, outcomes=outcomes)
+
+
+def brute_force_candidates(table: CaseTable, factor_set, params: CandidateParams):
+    """Independent oracle: materialize every conjunction via itertools and
+    filter with the model-level metric operations."""
+    factor_set = sorted(factor_set)
+    max_order = params.max_order or len(factor_set)
+    out = []
+    for k in range(1, min(max_order, len(factor_set)) + 1):
+        for idxs in combinations(factor_set, k):
+            for values in product(*[range(table.schema.factors[i].levels) for i in idxs]):
+                conj = Conjunction(tuple(Literal(i, v) for i, v in zip(idxs, values)))
+                matched = matched_ids(conj, table)
+                if len(matched) < params.cutoff:
+                    continue
+                if sufficiency_consistency(conj, table, params.decision_label) < params.consistency_threshold:
+                    continue
+                out.append(conj)
+    out.sort(key=lambda c: c.sort_key())
+    return out

@@ -1,11 +1,14 @@
-"""The candidate pool against the plain walk, and the harnesses that share one.
+"""The candidate pool against a pool-free call and the itertools oracle, and
+the harnesses that share one pool.
 
 A pool is walked once at a loose cutoff and filtered per call. Every call
 below must return what a pool-free `enumerate_candidates` returns on the same
 table and factor set: the same conjunctions in the same order, over the same
-matched and positive cases. Pooled rules index the pool table's ids, also on
-a subset of that table, which is how these tests see that the pool (not the
-fallback walk) answered.
+matched and positive cases. A pool-free call selects from a fresh pool that
+shares the walk, so the conjunctions are also checked against
+`brute_force_candidates`, which shares no code with it. Pooled rules index
+the pool table's ids, also on a subset of that table, which is how these
+tests see that the shared pool (not a fresh one) answered.
 """
 
 import math
@@ -22,11 +25,14 @@ from scpqca import (
     AnalysisParams,
     CandidateParams,
     CandidatePool,
+    Case,
     CaseTable,
     Factor,
     FactorSchema,
     InputError,
     ScpqcaError,
+    as_fraction,
+    binary_schema,
     derive_seed,
     enumerate_candidates,
     external_validity,
@@ -37,7 +43,7 @@ from scpqca import (
 from scpqca.model import ids_of
 from scpqca.robustness import Repetition, SweepCell, ValidityReport, classify_with_match
 
-from conftest import random_table
+from conftest import brute_force_candidates, random_table
 
 
 @st.composite
@@ -94,6 +100,7 @@ class TestPoolAgainstWalk:
                     pooled = enumerate_candidates(sub, factors, params, pool=pool)
                     plain = enumerate_candidates(sub, factors, params)
                     assert case_sets(pooled) == case_sets(plain)
+                    assert [r.conjunction for r in plain] == brute_force_candidates(sub, factors, params)
                     assert all(r.ids is table.ids for r in pooled)
                     if sub is table:
                         assert pooled == plain
@@ -114,6 +121,7 @@ class TestPoolAgainstWalk:
                     pooled = enumerate_candidates(sub, factors, params, pool=pool)
                     plain = enumerate_candidates(sub, factors, params)
                     assert case_sets(pooled) == case_sets(plain)
+                    assert [r.conjunction for r in plain] == brute_force_candidates(sub, factors, params)
                     assert all(r.ids is sub.ids for r in pooled)
 
     def test_own_table_rules_are_built_once(self, remote_table):
@@ -166,7 +174,7 @@ def plain_sweep(table, grid, base):
 def plain_external_validity(table, params, fraction, reps, seed):
     originals = solve(table, params).solution.configurations()
     n = len(table)
-    k = math.ceil(fraction * n)
+    k = math.ceil(as_fraction(fraction) * n)
     repetitions = []
     for rep in range(reps):
         removed = sorted(random.Random(derive_seed(seed, rep)).sample(range(n), k))
@@ -216,6 +224,40 @@ class TestHarnessesAgainstPlainSolves:
                 external_validity(table, params, fraction=fraction, reps=6, seed=seed)
             return
         assert external_validity(table, params, fraction=fraction, reps=6, seed=seed) == want
+
+    def test_jackknife_rep_that_loses_a_necessary_literal(self, monkeypatch):
+        # A=1 holds for 4 of the 5 positives: 4/5 > 0.75 makes it necessary on
+        # the full table, so the pool is walked over B and C only. A rep that
+        # drops one of those four leaves 3/4, not above 0.75, so its factor
+        # set takes A back and it selects from a pool of its own.
+        rows = [
+            (1, 1, 0, 1), (1, 1, 1, 1), (1, 0, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1),
+            (0, 0, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0), (1, 0, 1, 0), (0, 0, 1, 0),
+            (0, 0, 0, 0), (1, 0, 1, 0), (0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 0, 0),
+            (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 1, 0), (0, 0, 0, 0),
+        ]
+        table = CaseTable.from_cases(
+            binary_schema(["A", "B", "C"]), [Case(f"c{i}", row[:3], row[3]) for i, row in enumerate(rows)]
+        )
+        params = AnalysisParams(decision_label=1, necessity_threshold="0.75", unique_cover=1)
+        solved = []
+
+        def recorded(sub, sub_params, *, pool=None):
+            solved.append(solve(sub, sub_params, pool=pool))
+            return solved[-1]
+
+        monkeypatch.setattr(robustness, "solve", recorded)
+        report = external_validity(table, params, fraction=0.1, reps=6, seed=1)
+        monkeypatch.undo()
+        assert report == plain_external_validity(table, params, 0.1, 6, 1)
+
+        full, reps = solved[0], solved[1:]
+        assert full.factor_set == (1, 2)
+        shifted = [r for r in reps if r.factor_set == (0, 1, 2)]
+        assert len(shifted) == 1 and len(reps) == 6
+        for result in reps:
+            ids = result.table.ids if 0 in result.factor_set else table.ids
+            assert result.candidates and all(r.ids is ids for r in result.candidates)
 
 
 class TestSweepPoolCutoff:

@@ -3,7 +3,7 @@ import random
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -15,41 +15,18 @@ from scpqca import (
     Factor,
     FactorSchema,
     InputError,
-    Literal,
     binary_schema,
     candidate_count_bound,
     conjunction_shorthand,
     CandidateRule,
     enumerate_candidates,
     exclude_necessary,
-    iter_candidates,
     match_bits,
-    matched_ids,
     necessary_conditions,
     sufficiency_consistency,
 )
 from scpqca.cli import main
-from conftest import random_table
-
-
-def brute_force_candidates(table: CaseTable, factor_set, params: CandidateParams):
-    """Independent oracle: materialize every conjunction via itertools and
-    filter with the model-level metric operations."""
-    factor_set = sorted(factor_set)
-    max_order = params.max_order or len(factor_set)
-    out = []
-    for k in range(1, min(max_order, len(factor_set)) + 1):
-        for idxs in combinations(factor_set, k):
-            for values in product(*[range(table.schema.factors[i].levels) for i in idxs]):
-                conj = Conjunction(tuple(Literal(i, v) for i, v in zip(idxs, values)))
-                matched = matched_ids(conj, table)
-                if len(matched) < params.cutoff:
-                    continue
-                if sufficiency_consistency(conj, table, params.decision_label) < params.consistency_threshold:
-                    continue
-                out.append(conj)
-    out.sort(key=lambda c: c.sort_key())
-    return out
+from conftest import brute_force_candidates, random_table
 
 
 class TestM1Enumeration:
@@ -189,7 +166,7 @@ class TestUncheckedRulesAreValid:
         ]
         positives = table.positive_bits(label)
         for factor_set in factor_sets:
-            for r in iter_candidates(table, factor_set, params):
+            for r in enumerate_candidates(table, factor_set, params):
                 rebuilt = CandidateRule(r.conjunction, r.matched_bits, r.positive_bits, r.ids)
                 assert rebuilt == r and hash(rebuilt) == hash(r)
                 assert Conjunction(r.conjunction.literals).literals == r.conjunction.literals
@@ -210,12 +187,6 @@ class TestDeterminismAndOrdering:
         a = enumerate_candidates(remote_table, range(7), params)
         b = enumerate_candidates(remote_table, range(7), params)
         assert a == b
-
-    def test_streaming_equals_list(self, m1_table):
-        params = CandidateParams(1, "0.5", cutoff=1)
-        assert list(iter_candidates(m1_table, [0, 1], params)) == enumerate_candidates(
-            m1_table, [0, 1], params
-        )
 
     def test_rule_and_specialization_coexist(self, remote_table):
         rules = enumerate_candidates(remote_table, range(7), CandidateParams(1, "0.8", cutoff=4))

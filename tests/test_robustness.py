@@ -125,6 +125,16 @@ class TestExternalValidity:
         totals = report.class_totals()
         assert sum(totals.values()) == sum(len(r.classes) for r in report.repetitions)
 
+    @pytest.mark.parametrize("fraction, removed", [(0.07, 7), (0.28, 28)])
+    def test_removed_count_uses_the_exact_fraction(self, fraction, removed):
+        # 0.07 * 100 and 0.28 * 100 are just above 7 and 28 in floats, so
+        # rounding the float product up would remove one case too many.
+        table = generate_experiment_table(
+            ExperimentSpec(synth_schema(6), parse_pathway("ab+CD+ace+BDF", synth_schema(6)), 100, 0, seed=20)
+        )
+        report = external_validity(table, AnalysisParams(decision_label=1), fraction=fraction, reps=2, seed=5)
+        assert [len(rep.removed_ids) for rep in report.repetitions] == [removed, removed]
+
     def test_fraction_validated(self, m1_table):
         params = AnalysisParams(decision_label=1)
         with pytest.raises(InputError):
