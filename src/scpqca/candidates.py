@@ -12,10 +12,21 @@ Enumeration walks the conjunction lattice level by level (order 1, then 2,
 anti-monotone (adding a literal never enlarges the matched set), so a prefix
 below the cutoff can never recover and the whole subtree is skipped. The
 level-wise walk visits nodes in the final deterministic order, literal
-count ascending then lexicographic on (factor index, value). The last level
-(`max_order` literals) is never extended. A literal that matches fewer cases
-than the cutoff (a level no case holds matches none) is dropped before the
-walk, since every node under it fails.
+count ascending then lexicographic on (factor index, value). A literal that
+matches fewer cases than the cutoff (a level no case holds matches none) is
+dropped before the walk, since every node under it fails; each factor
+position then has one flat list of the literals that may follow it. The
+last level (`max_order` literals) is counted, never extended: it has its
+own loop that builds a node's literal tuple only when the node passes both
+filters and keeps no frontier. On a wide table that level holds most of the
+nodes and few of them pass: with 20 binary factors, 200 cases and
+`max_order` 4, about 77 500 of the 87 440 nodes, of which about 10 000 pass.
+
+The walk and the selection below are plain loops on purpose. On CPython
+3.11.7 (2-vCPU Xeon VM), a walk written as a per-node `map`/`compress`
+pipeline took 0.16 s on that table against 0.034 s for this loop, and
+even greedy's gains over its 10 500 rules took 1.9 ms with `map` against
+1.4 ms with a list comprehension.
 
 Case sets are the table's bitsets over its ids (see `model`): a child's
 matched set is its prefix's bits ANDed with one literal's, counts are
@@ -25,12 +36,15 @@ popcounts, and the consistency filter compares exact integer cross products
 Every rule list is a selection from a `CandidatePool`, which keeps the
 passing nodes of one walk. A sweep or jackknife shares one pool between its
 solves; any other call, and any call a shared pool cannot answer, selects
-from a fresh pool walked over its own table at its own filters. The walk
-appends literals in ascending factor order and derives each node's bits
-from the table, so a selected rule is valid by construction. It is built
-with the unchecked `CandidateRule._walked`, which skips the re-sort and the
-per-field checks of the public constructors; those checks cost more per
-rule than the walk itself.
+from a fresh pool walked over its own table at its own filters. A
+selection on the pool's own table at the pool's own cutoff and consistency,
+with no factor excluded, re-tests nothing, since every node passed in the
+walk; every pool-free call is such a selection. The walk appends literals
+in ascending factor order and derives each node's bits from the table, so
+a selected rule is valid by construction. It is built with the unchecked
+`CandidateRule._walked`, which skips the re-sort and the per-field checks
+of the public constructors; those checks cost more per rule than the walk
+itself.
 """
 
 from __future__ import annotations
@@ -46,6 +60,7 @@ from .model import (
     InputError,
     Literal,
     as_fraction,
+    as_index,
     bits_of,
 )
 
@@ -61,15 +76,18 @@ class CandidateParams:
         object.__setattr__(self, "consistency_threshold", as_fraction(self.consistency_threshold))
         if not 0 < self.consistency_threshold <= 1:
             raise InputError(f"consistency threshold must be in (0,1], got {self.consistency_threshold}")
+        object.__setattr__(self, "cutoff", as_index(self.cutoff, "cutoff"))
         if self.cutoff < 1:
             raise InputError(f"cutoff must be >= 1, got {self.cutoff}")
-        if self.max_order is not None and self.max_order < 1:
-            raise InputError(f"max_order must be >= 1, got {self.max_order}")
+        if self.max_order is not None:
+            object.__setattr__(self, "max_order", as_index(self.max_order, "max_order"))
+            if self.max_order < 1:
+                raise InputError(f"max_order must be >= 1, got {self.max_order}")
 
 
-def _check_factor_set(table: CaseTable, factor_set: Sequence[int]) -> tuple[int, ...]:
-    nf = len(table.schema.factors)
-    factors = tuple(sorted(set(int(i) for i in factor_set)))
+def _check_factor_set(schema: FactorSchema, factor_set: Sequence[int]) -> tuple[int, ...]:
+    nf = len(schema.factors)
+    factors = tuple(sorted({as_index(i, "factor index") for i in factor_set}))
     for i in factors:
         if not 0 <= i < nf:
             raise InputError(f"factor index {i} out of range (table has {nf} factors)")
@@ -87,16 +105,21 @@ def _walk(
     """The literal tuples, matched bits and positive bits, as parallel lists
     in emit order, of every node that meets `cutoff` and whose consistency
     is at least `threshold`."""
-    max_order = min(max_order if max_order is not None else len(factors), len(factors))
+    nf = len(factors)
+    max_order = min(max_order if max_order is not None else nf, nf)
     positives = table.positive_bits(decision_label)
     num, den = threshold.numerator, threshold.denominator
     # A literal below the cutoff heads only subtrees below it (levels no case
     # holds have no bits at all), so it is dropped before the walk.
-    literals = [
-        [(Literal(j, v), bits) for v in range(table.schema.factors[j].levels)
-         if (bits := table.literal_bits(j, v)).bit_count() >= cutoff]
-        for j in factors
-    ]
+    # tails[at] lists every literal of factors[at:] in emit order, each with
+    # the position a child ending in it extends from.
+    tails: list[list[tuple[Literal, int, int]]] = [[] for _ in range(nf + 1)]
+    for at in reversed(range(nf)):
+        j = factors[at]
+        tails[at] = [
+            (Literal(j, v), bits, at + 1) for v in range(table.schema.factors[j].levels)
+            if (bits := table.literal_bits(j, v)).bit_count() >= cutoff
+        ] + tails[at + 1]
     out_literals: list[tuple[Literal, ...]] = []
     out_matched: list[int] = []
     out_positive: list[int] = []
@@ -105,27 +128,34 @@ def _walk(
     # extend from), all meeting the cutoff. Literals are appended in ascending
     # factor order, so every tuple is already a valid conjunction.
     frontier = [((), (1 << len(table)) - 1, 0)]
-    for order in range(1, max_order + 1):
-        extend = order < max_order
+    for _ in range(1, max_order):
         next_frontier = []
         for lits, bits, first in frontier:
-            for at in range(first, len(factors)):
-                for lit, lit_bits in literals[at]:
-                    child = bits & lit_bits
-                    count = child.bit_count()
-                    if count < cutoff:
-                        continue
-                    child_lits = lits + (lit,)
-                    child_pos = child & positives
-                    if child_pos.bit_count() * den >= num * count:
-                        out_literals.append(child_lits)
-                        out_matched.append(child)
-                        out_positive.append(child_pos)
-                    if extend:
-                        next_frontier.append((child_lits, child, at + 1))
+            for lit, lit_bits, after in tails[first]:
+                child = bits & lit_bits
+                count = child.bit_count()
+                if count < cutoff:
+                    continue
+                child_lits = lits + (lit,)
+                child_pos = child & positives
+                if child_pos.bit_count() * den >= num * count:
+                    out_literals.append(child_lits)
+                    out_matched.append(child)
+                    out_positive.append(child_pos)
+                next_frontier.append((child_lits, child, after))
         frontier = next_frontier
-        if not frontier:
-            break
+    # The last level is counted, never extended: a node's literal tuple is
+    # built only when it passes both filters.
+    for lits, bits, first in frontier:
+        for lit, lit_bits, _ in tails[first]:
+            child = bits & lit_bits
+            count = child.bit_count()
+            if count >= cutoff:
+                child_pos = child & positives
+                if child_pos.bit_count() * den >= num * count:
+                    out_literals.append(lits + (lit,))
+                    out_matched.append(child)
+                    out_positive.append(child_pos)
     return out_literals, out_matched, out_positive
 
 
@@ -157,6 +187,7 @@ class CandidatePool:
     """
 
     def __init__(self, cutoff: int, consistency: Fraction | float | str | None = None) -> None:
+        cutoff = as_index(cutoff, "cutoff")
         if cutoff < 1:
             raise InputError(f"cutoff must be >= 1, got {cutoff}")
         self.cutoff = cutoff
@@ -177,8 +208,6 @@ class CandidatePool:
         """Bits of `table`'s cases over the pool's ids, or None when `table`
         is not a subset of the pool's table."""
         pool_table = self._table
-        if table is pool_table:
-            return (1 << len(table)) - 1
         if self.consistency is not None:
             return None
         if self._index is None:
@@ -205,18 +234,30 @@ class CandidatePool:
             or not set(factors) <= set(self._factors)
         ):
             return None
-        keep = self._keep(table)
-        if keep is None:
-            return None
-        cutoff = params.cutoff
-        num, den = params.consistency_threshold.numerator, params.consistency_threshold.denominator
-        excluded = set(self._factors) - set(factors)
+        # Rules on the pool's own table take its bits as they are; on a
+        # subset, masked to the subset's cases.
         own = table is self._table
+        keep = None
+        if not own:
+            keep = self._keep(table)
+            if keep is None:
+                return None
+        threshold = params.consistency_threshold
+        excluded = set(self._factors) - set(factors)
         ids, rules, walked = self._table.ids, self._rules, CandidateRule._walked
+        if own and params.cutoff == self.cutoff and threshold == self.consistency and not excluded:
+            # The pool was walked at exactly these filters: every node passes.
+            for i, rule in enumerate(rules):
+                if rule is None:
+                    rules[i] = walked(self._literals[i], self._matched[i], self._positive[i], ids)
+            return rules[:]
+        cutoff = params.cutoff
+        num, den = threshold.numerator, threshold.denominator
         out = []
         for i, (matched, positive) in enumerate(zip(self._matched, self._positive)):
-            matched &= keep
-            positive &= keep
+            if keep is not None:
+                matched &= keep
+                positive &= keep
             count = matched.bit_count()
             if count < cutoff or positive.bit_count() * den < num * count:
                 continue
@@ -247,7 +288,7 @@ def enumerate_candidates(
     over `table` at `params`' own cutoff and consistency.
     """
     table.require_unique_ids()
-    factors = _check_factor_set(table, factor_set)
+    factors = _check_factor_set(table.schema, factor_set)
     rules = None if pool is None else pool._select(table, factors, params)
     if rules is None:
         rules = CandidatePool(params.cutoff, params.consistency_threshold)._select(table, factors, params)
@@ -264,10 +305,10 @@ def candidate_count_bound(
     (elementary symmetric sums of the level counts). Used as a pre-flight
     cost estimate; the CLI warns when it exceeds 2**63.
     """
-    indices = range(len(schema.factors)) if factor_set is None else sorted(set(factor_set))
+    indices = range(len(schema.factors)) if factor_set is None else _check_factor_set(schema, factor_set)
     levels = [schema.factors[i].levels for i in indices]
     m = len(levels)
-    order = m if max_order is None else min(max_order, m)
+    order = m if max_order is None else min(as_index(max_order, "max_order"), m)
     if order < 0:
         raise InputError("max_order must be non-negative")
     # coeffs[k] = sum over k-subsets of the product of their level counts

@@ -48,6 +48,7 @@ from .model import (
     Solution,
     UndefinedRatioError,
     VacuousSolutionError,
+    as_index,
     bits_of,
     match_bits,
     rule_from_conjunction,
@@ -63,6 +64,7 @@ class CoverParams:
     unique_cover: int = 2
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "unique_cover", as_index(self.unique_cover, "unique_cover"))
         if self.unique_cover < 1:
             raise InputError(f"unique_cover must be >= 1, got {self.unique_cover}")
 

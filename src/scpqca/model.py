@@ -64,6 +64,18 @@ class VacuousSolutionError(ScpqcaError):
     """No admissible cover and no necessary conditions: nothing to report."""
 
 
+def as_index(x: object, what: str) -> int:
+    """`x` as an int through `operator.index`, as table level values are read.
+
+    A value without ``__index__`` (a float, a numeric string) raises
+    `InputError` naming `what`, never a silent truncation or coercion.
+    """
+    try:
+        return index(x)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {x!r}") from None
+
+
 def as_fraction(x: int | float | str | Fraction) -> Fraction:
     """Exact rational from a threshold-like value.
 
@@ -575,6 +587,13 @@ class CandidateRule:
         re-sorts through `Literal.__lt__`), so this fills the frozen fields
         directly. Any other caller must use `CandidateRule(...)` or
         `from_sets`.
+
+        The fields are set one `object.__setattr__` at a time. Filling
+        ``rule.__dict__`` in one update looks cheaper, but reading
+        ``__dict__`` materializes an instance dict per rule where CPython
+        3.11 would otherwise keep the attributes inline: on the `wide`
+        benchmark that raised peak traced memory from 4.59 MB to 5.95 MB,
+        and a call measured no faster (1.2-1.6 us either way).
         """
         conjunction = object.__new__(Conjunction)
         object.__setattr__(conjunction, "literals", literals)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .candidates import CandidatePool
-from .model import CaseTable, Conjunction, InputError, ScpqcaError, as_fraction
+from .model import CaseTable, Conjunction, InputError, ScpqcaError, as_fraction, as_index
 from .pipeline import AnalysisParams, SolveResult, solve
 
 
@@ -215,7 +215,7 @@ def external_validity(
 
     # A cutoff below 1 fails the full solve with its own error before the
     # pool is used.
-    pool = CandidatePool(max(params.cutoff, 1))
+    pool = CandidatePool(max(as_index(params.cutoff, "cutoff"), 1))
     full = solve(table, params, pool=pool)
     originals = full.solution.configurations()
 

@@ -150,6 +150,8 @@ class TestPoolAgainstWalk:
     def test_pool_cutoff_validated(self):
         with pytest.raises(InputError, match="cutoff must be >= 1, got 0"):
             CandidatePool(0)
+        with pytest.raises(InputError, match="cutoff must be an integer, got 1.5"):
+            CandidatePool(1.5)
 
 
 def load_other(table: CaseTable) -> CaseTable:
@@ -277,13 +279,14 @@ class TestSweepPoolCutoff:
     def test_invalid_cells_do_not_set_the_pool_cutoff(self, monkeypatch, remote_table):
         made = self.record_pools(monkeypatch)
         base = AnalysisParams(decision_label=1)
-        grid = [("0.8", 0, 2), ("0", 1, 2), ("1.5", 2, 2), ("0.8", 4, 2), ("0.7", 3, 1)]
+        grid = [("0.8", 0, 2), ("0", 1, 2), ("1.5", 2, 2), ("0.8", 2.5, 2), ("0.8", 4, 2), ("0.7", 3, 1)]
         cells = internal_sweep(remote_table, grid, base)
         assert made == [(3, Fraction(7, 10))]
-        assert [c.error for c in cells[:3]] == [
+        assert [c.error for c in cells[:4]] == [
             "cutoff must be >= 1, got 0",
             "consistency threshold must be in (0,1], got 0",
             "consistency threshold must be in (0,1], got 3/2",
+            "cutoff must be an integer, got 2.5",
         ]
         assert cells == plain_sweep(remote_table, grid, base)
 

@@ -29,6 +29,16 @@ from scpqca.cli import main
 from conftest import brute_force_candidates, random_table
 
 
+class Index:
+    """An integer-like value that is not an int: usable only through __index__."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
 class TestM1Enumeration:
     def test_consistency_08_cutoff_2(self, m1_table):
         params = CandidateParams(1, "0.8", cutoff=2)
@@ -125,6 +135,46 @@ class TestOracleEquivalence:
         factor_set = range(nf)
         got = [r.conjunction for r in enumerate_candidates(table, factor_set, params)]
         assert got == brute_force_candidates(table, factor_set, params)
+
+    # Edges of the walk's last level, which is counted and never extended.
+    # Columns: factor values then the outcome; i runs over the cases.
+    @pytest.mark.parametrize(
+        "levels, rows, cutoff, consistency, max_order",
+        [
+            # The first level is the last: no frontier is built.
+            ([2, 3, 2], [(i % 2, i % 3, i // 2 % 2, int(i % 5 < 3)) for i in range(12)], 2, "0.5", 1),
+            # max_order above the factor count.
+            ([2, 3, 2], [(i % 2, i % 3, i // 2 % 2, int(i % 5 < 3)) for i in range(12)], 1, "0.5", 5),
+            # Every level of B (middle) or of C (last) is below the cutoff, so
+            # that factor adds nothing to any tail; with C, a node ending in B
+            # has an empty tail.
+            ([2, 6, 2], [(i % 2, i % 6, i // 6 % 2, int(i % 3 > 0)) for i in range(12)], 3, "0.6", 3),
+            ([2, 2, 6], [(i % 2, i // 6 % 2, i % 6, int(i % 3 > 0)) for i in range(12)], 3, "0.6", 3),
+            # No last-level node meets the cutoff, then none is consistent enough.
+            ([2, 2], [(int(i < 4), int(i < 2 or i > 3), int(i < 3)) for i in range(6)], 3, "0.5", 2),
+            ([2, 2], [(1, 1, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 1, 0), (0, 0, 0), (0, 0, 0)], 2, "0.6", 2),
+        ],
+        ids=[
+            "max_order_1",
+            "max_order_above_factor_count",
+            "middle_factor_below_cutoff",
+            "last_factor_below_cutoff",
+            "no_last_level_node_meets_cutoff",
+            "no_last_level_node_consistent",
+        ],
+    )
+    def test_matches_brute_force_at_the_last_level(self, levels, rows, cutoff, consistency, max_order):
+        schema = FactorSchema(
+            factors=tuple(Factor(chr(ord("A") + j), lv) for j, lv in enumerate(levels)),
+            outcome=Factor("O", 2),
+        )
+        table = CaseTable(
+            schema, tuple(f"x{i}" for i in range(len(rows))), [r[:-1] for r in rows], [r[-1] for r in rows]
+        )
+        params = CandidateParams(1, consistency, cutoff=cutoff, max_order=max_order)
+        factor_set = range(len(levels))
+        got = [r.conjunction for r in enumerate_candidates(table, factor_set, params)]
+        assert got and got == brute_force_candidates(table, factor_set, params)
 
 
 class TestAbsentLevels:
@@ -258,6 +308,33 @@ class TestValidation:
             CandidateParams(1, "0.8", cutoff=0)
         with pytest.raises(InputError):
             CandidateParams(1, "0.8", max_order=0)
+
+    def test_integer_params_are_never_truncated(self):
+        with pytest.raises(InputError, match="cutoff must be an integer, got 2.5"):
+            CandidateParams(1, "0.8", cutoff=2.5)
+        with pytest.raises(InputError, match="cutoff must be an integer, got '2'"):
+            CandidateParams(1, "0.8", cutoff="2")
+        with pytest.raises(InputError, match="max_order must be an integer, got 2.0"):
+            CandidateParams(1, "0.8", max_order=2.0)
+        # Anything with __index__ is read through it, as table levels are.
+        params = CandidateParams(1, "0.8", cutoff=Index(3), max_order=Index(2))
+        assert (params.cutoff, params.max_order) == (3, 2)
+        assert type(params.cutoff) is int and type(params.max_order) is int
+
+    @pytest.mark.parametrize("factor_set", [[0, 1.7], [1.7, 2.2], ["0", "1"]])
+    def test_non_integer_factor_indices_rejected(self, m1_table, factor_set):
+        with pytest.raises(InputError, match="factor index must be an integer"):
+            enumerate_candidates(m1_table, factor_set, CandidateParams(1))
+
+    def test_count_bound_validates_factor_indices_and_order(self, m1_table):
+        with pytest.raises(InputError, match="factor index must be an integer, got 1.7"):
+            candidate_count_bound(m1_table.schema, [1.7])
+        with pytest.raises(InputError, match="max_order must be an integer, got 1.5"):
+            candidate_count_bound(m1_table.schema, [0, 1], 1.5)
+        for out_of_range in (-1, 2):
+            with pytest.raises(InputError, match=f"factor index {out_of_range} out of range"):
+                candidate_count_bound(m1_table.schema, [out_of_range])
+        assert candidate_count_bound(m1_table.schema, [Index(0), Index(1)], Index(1)) == 4
 
     def test_duplicate_ids_rejected(self, m1_table):
         t = CaseTable(

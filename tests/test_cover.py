@@ -44,6 +44,13 @@ def covered(selection, positives) -> int:
 
 
 class TestGreedy:
+    def test_unique_cover_must_be_an_integer(self):
+        for bad in (1.5, "2"):
+            with pytest.raises(InputError, match="unique_cover must be an integer"):
+                CoverParams(1, unique_cover=bad)
+        with pytest.raises(InputError, match="unique_cover must be >= 1, got 0"):
+            CoverParams(1, unique_cover=0)
+
     def test_chain_example_unique_cover_1(self):
         r1, r2, r3 = pure_rule(0, "123"), pure_rule(1, "34"), pure_rule(2, "45")
         sel = greedy_cover([r1, r2, r3], set("12345"), CoverParams(1, unique_cover=1))

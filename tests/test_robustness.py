@@ -142,6 +142,12 @@ class TestExternalValidity:
         with pytest.raises(InputError):
             external_validity(m1_table, params, fraction=1.0)
 
+    @pytest.mark.parametrize("cutoff", [2.5, "2"])
+    def test_non_integer_cutoff_rejected(self, m1_table, cutoff):
+        params = AnalysisParams(decision_label=1, cutoff=cutoff)
+        with pytest.raises(InputError, match=f"cutoff must be an integer, got {cutoff!r}"):
+            external_validity(m1_table, params)
+
     def test_degenerate_repetition_counted(self):
         # tiny table where dropping cases can erase all positives
         schema = binary_schema(["A", "B"])
