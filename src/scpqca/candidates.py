@@ -33,24 +33,22 @@ matched set is its prefix's bits ANDed with one literal's, counts are
 popcounts, and the consistency filter compares exact integer cross products
 (``positives * den >= num * matched``), so no `Fraction` is built per node.
 
-Every rule list is a selection from a `CandidatePool`, which keeps the
-passing nodes of one walk. A sweep or jackknife shares one pool between its
-solves; any other call, and any call a shared pool cannot answer, selects
-from a fresh pool walked over its own table at its own filters. A
-selection on the pool's own table at the pool's own cutoff and consistency,
-with no factor excluded, re-tests nothing, since every node passed in the
-walk; every pool-free call is such a selection. The walk appends literals
-in ascending factor order and derives each node's bits from the table, so
-a selected rule is valid by construction. It is built with the unchecked
-`CandidateRule._walked`, which skips the re-sort and the per-field checks
-of the public constructors; those checks cost more per rule than the walk
-itself.
+A call with no pool walks the lattice over its own table at its own
+cutoff and consistency, and every node of that walk is a rule. Only a
+sweep or jackknife shares a `CandidatePool`, which keeps the nodes of one
+walk and filters them per cell or rep; a call its pool cannot answer walks
+directly as well. The walk appends literals in ascending factor order and
+derives each node's bits from the table, so every rule is valid by
+construction. It is built with the unchecked `CandidateRule._walked`,
+which skips the re-sort and the per-field checks of the public
+constructors; those checks cost more per rule than the walk itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence
 
 from .model import (
@@ -73,6 +71,7 @@ class CandidateParams:
     max_order: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "decision_label", as_index(self.decision_label, "decision_label"))
         object.__setattr__(self, "consistency_threshold", as_fraction(self.consistency_threshold))
         if not 0 < self.consistency_threshold <= 1:
             raise InputError(f"consistency threshold must be in (0,1], got {self.consistency_threshold}")
@@ -162,9 +161,9 @@ def _walk(
 class CandidatePool:
     """Every lattice node that meets one cutoff, walked once and filtered per call.
 
-    The owner of a run that solves one table many times (a sweep over its
-    cells, a jackknife over its reps) creates the pool at the loosest cutoff
-    it will ask for and passes it to every `enumerate_candidates` call. The
+    Only the owner of a run that solves one table many times (a sweep over
+    its cells, a jackknife over its reps) creates a pool: at the loosest
+    cutoff it will ask for, passed to every `enumerate_candidates` call. The
     first call walks its table and factor set at that cutoff, with no
     consistency filter unless the owner gives one (see below), and keeps
     every node as parallel lists in emit order: literal tuples, matched bits
@@ -177,7 +176,7 @@ class CandidatePool:
     every call. On a subset of that table (the same cases, fewer of them,
     as `CaseTable.take` makes) a rule keeps the pool table's `ids`, and its
     bits are the pool node's masked to the subset's cases. A call the pool
-    cannot answer selects from a fresh pool of its own instead.
+    cannot answer walks its own table instead.
 
     An owner that solves only the pool's own table (a sweep) may also give
     the loosest `consistency` it will ask for; the pool then keeps only the
@@ -237,21 +236,12 @@ class CandidatePool:
         # Rules on the pool's own table take its bits as they are; on a
         # subset, masked to the subset's cases.
         own = table is self._table
-        keep = None
-        if not own:
-            keep = self._keep(table)
-            if keep is None:
-                return None
-        threshold = params.consistency_threshold
+        keep = None if own else self._keep(table)
+        if not own and keep is None:
+            return None
         excluded = set(self._factors) - set(factors)
         ids, rules, walked = self._table.ids, self._rules, CandidateRule._walked
-        if own and params.cutoff == self.cutoff and threshold == self.consistency and not excluded:
-            # The pool was walked at exactly these filters: every node passes.
-            for i, rule in enumerate(rules):
-                if rule is None:
-                    rules[i] = walked(self._literals[i], self._matched[i], self._positive[i], ids)
-            return rules[:]
-        cutoff = params.cutoff
+        cutoff, threshold = params.cutoff, params.consistency_threshold
         num, den = threshold.numerator, threshold.denominator
         out = []
         for i, (matched, positive) in enumerate(zip(self._matched, self._positive)):
@@ -282,16 +272,19 @@ def enumerate_candidates(
 ) -> list[CandidateRule]:
     """All rules passing both filters, deterministically ordered.
 
-    With a `pool`, the rules are selected from it (see `CandidatePool`);
-    on a subset of the pool's table they index the pool table's ids. With
-    no pool, or one that cannot answer, they are selected from a fresh pool
-    over `table` at `params`' own cutoff and consistency.
+    With no pool, or one that cannot answer, they are the nodes of one walk
+    over `table` at `params`' own cutoff and consistency. With a `pool`,
+    they are selected from it (see `CandidatePool`); on a subset of the
+    pool's table they index the pool table's ids.
     """
     table.require_unique_ids()
     factors = _check_factor_set(table.schema, factor_set)
     rules = None if pool is None else pool._select(table, factors, params)
     if rules is None:
-        rules = CandidatePool(params.cutoff, params.consistency_threshold)._select(table, factors, params)
+        walk = _walk(
+            table, factors, params.max_order, params.cutoff, params.decision_label, params.consistency_threshold
+        )
+        rules = list(map(CandidateRule._walked, *walk, repeat(table.ids)))
     return rules
 
 

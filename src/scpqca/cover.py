@@ -64,6 +64,7 @@ class CoverParams:
     unique_cover: int = 2
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "decision_label", as_index(self.decision_label, "decision_label"))
         object.__setattr__(self, "unique_cover", as_index(self.unique_cover, "unique_cover"))
         if self.unique_cover < 1:
             raise InputError(f"unique_cover must be >= 1, got {self.unique_cover}")
@@ -167,7 +168,6 @@ def exhaustive_cover_oracle(
     candidates: Sequence[CandidateRule],
     positives: Iterable[str],
     params: CoverParams,
-    max_subset_size: int | None = None,
 ) -> list[CandidateRule]:
     """Exact best admissible selection, for cross-checking the greedy loop.
 
@@ -184,7 +184,6 @@ def exhaustive_cover_oracle(
             f"{n} candidate rules exceed the oracle limit of {ORACLE_CANDIDATE_LIMIT}; "
             "tighten the filters or skip --oracle"
         )
-    cap = n if max_subset_size is None else min(max_subset_size, n)
 
     pos_mask = bits_of(positives, candidates[0].ids) if candidates else 0
     pos_bits = [rule.positive_bits & pos_mask for rule in candidates]
@@ -200,8 +199,6 @@ def exhaustive_cover_oracle(
         prev = sub ^ low
         covered[sub] = covered[prev] | pos_bits[low.bit_length() - 1]
         union[sub] = union[prev] | matched_bits[low.bit_length() - 1]
-        if sub.bit_count() > cap:
-            continue
         s = sub
         while s:
             b = s & -s
@@ -216,7 +213,7 @@ def exhaustive_cover_oracle(
     best_sub = 0
     best_key: tuple = (0, 0, Fraction(0), ())
     for sub in range(total):
-        if not reachable[sub] or sub.bit_count() > cap:
+        if not reachable[sub]:
             continue
         cov = covered[sub].bit_count()
         u = union[sub]

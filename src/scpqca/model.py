@@ -392,6 +392,7 @@ class CaseTable:
 
     def positive_bits(self, decision_label: int) -> int:
         """Bitset of the cases with the decision label as outcome, cached."""
+        decision_label = as_index(decision_label, "decision_label")
         key = ("outcome", decision_label)
         if key not in self._bit_cache:
             self._check_label(decision_label)
@@ -577,7 +578,7 @@ class CandidateRule:
     def _walked(
         cls, literals: tuple[Literal, ...], matched_bits: int, positive_bits: int, ids: tuple[str, ...]
     ) -> "CandidateRule":
-        """Unchecked constructor for the rules `candidates.CandidatePool` selects.
+        """Unchecked constructor for the rules of the `candidates` lattice walk.
 
         The lattice walk already guarantees every check the public
         constructors make: `literals` ascend by factor index with one literal

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -258,15 +257,15 @@ def _suffix_products(counts: Sequence[int]) -> list[int]:
     return after
 
 
-def full_truth_table(schema: FactorSchema, max_rows: int = MAX_TRUTH_TABLE_ROWS) -> CaseTable:
+def full_truth_table(schema: FactorSchema) -> CaseTable:
     """One row per value combination, ids r0.., rightmost factor cycling fastest.
 
     Outcomes are a zero placeholder; `plant_outcome` fills them in.
     """
     counts = schema.level_counts()
     n = math.prod(counts)
-    if n > max_rows:
-        raise InputError(f"truth table would have {n} rows, above the {max_rows}-row bound")
+    if n > MAX_TRUTH_TABLE_ROWS:
+        raise InputError(f"truth table would have {n} rows, above the {MAX_TRUTH_TABLE_ROWS}-row bound")
     after = _suffix_products(counts)
     columns = ([v for v in range(lv) for _ in range(af)] * (n // (lv * af)) for lv, af in zip(counts, after))
     ids = tuple(f"r{i}" for i in range(n))
@@ -341,15 +340,12 @@ class ExperimentReport:
     consistency: Fraction
     coverage: Fraction
     candidate_count: int
-    runtime_s: float
 
 
 def run_experiment(spec: ExperimentSpec, params: AnalysisParams) -> ExperimentReport:
     """Generate the table, run the full pipeline, report the solution row."""
-    t0 = time.perf_counter()
     table = generate_experiment_table(spec)
     result = solve(table, params)
-    runtime = time.perf_counter() - t0
     return ExperimentReport(
         spec=spec,
         params=params,
@@ -358,5 +354,4 @@ def run_experiment(spec: ExperimentSpec, params: AnalysisParams) -> ExperimentRe
         consistency=result.solution.solution_consistency,
         coverage=result.solution.solution_coverage,
         candidate_count=len(result.candidates),
-        runtime_s=runtime,
     )

@@ -8,7 +8,7 @@ solution. Both protocols walk the candidate lattice once and filter it per
 cell or repetition (see `candidates.CandidatePool`); a repetition's
 candidates index the full table's ids, its solution is scored on its own
 cases. A repetition whose necessity step keeps a factor the full table
-excluded selects from a pool of its own, over its own ids.
+excluded walks its own table instead, over its own ids.
 
 Classification compares literal sets structurally. A test configuration is
 Replicated when its literal set equals an original's; a Superset when its
@@ -92,6 +92,9 @@ def internal_sweep(
     """
     if not grid:
         raise InputError("sweep grid must not be empty")
+    bad = [p for p in grid if isinstance(p, str) or not isinstance(p, Sequence) or len(p) != 3]
+    if bad:
+        raise InputError(f"sweep grid entry must be a (consistency, cutoff, unique_cover) triple, got {bad[0]!r}")
     grid_params = [
         replace(base_params, consistency_threshold=consistency, cutoff=cutoff, unique_cover=unique)
         for consistency, cutoff, unique in grid
@@ -207,8 +210,10 @@ def external_validity(
     cases survive) is recorded as degenerate with no configurations. The full
     solve and every repetition share one candidate pool at `params.cutoff`.
     """
-    if not 0 < fraction < 1:
+    exact = as_fraction(fraction)
+    if not 0 < exact < 1:
         raise InputError(f"fraction must be in (0,1), got {fraction}")
+    reps = as_index(reps, "reps")
     if reps < 1:
         raise InputError(f"reps must be >= 1, got {reps}")
     table.require_unique_ids()
@@ -220,7 +225,7 @@ def external_validity(
     originals = full.solution.configurations()
 
     n = len(table)
-    k = math.ceil(as_fraction(fraction) * n)
+    k = math.ceil(exact * n)
     if k >= n:
         raise InputError(f"removing {k} of {n} cases leaves nothing to analyse")
 
@@ -243,5 +248,5 @@ def external_validity(
         repetitions.append(Repetition(removed_ids, configs, classes))
 
     return ValidityReport(
-        originals=originals, repetitions=tuple(repetitions), fraction=fraction, seed=seed
+        originals=originals, repetitions=tuple(repetitions), fraction=float(exact), seed=seed
     )

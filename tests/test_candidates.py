@@ -316,10 +316,13 @@ class TestValidation:
             CandidateParams(1, "0.8", cutoff="2")
         with pytest.raises(InputError, match="max_order must be an integer, got 2.0"):
             CandidateParams(1, "0.8", max_order=2.0)
+        for label in (1.0, "1"):
+            with pytest.raises(InputError, match=f"decision_label must be an integer, got {label!r}"):
+                CandidateParams(label)
         # Anything with __index__ is read through it, as table levels are.
-        params = CandidateParams(1, "0.8", cutoff=Index(3), max_order=Index(2))
-        assert (params.cutoff, params.max_order) == (3, 2)
-        assert type(params.cutoff) is int and type(params.max_order) is int
+        params = CandidateParams(Index(1), "0.8", cutoff=Index(3), max_order=Index(2))
+        assert (params.decision_label, params.cutoff, params.max_order) == (1, 3, 2)
+        assert all(type(v) is int for v in (params.decision_label, params.cutoff, params.max_order))
 
     @pytest.mark.parametrize("factor_set", [[0, 1.7], [1.7, 2.2], ["0", "1"]])
     def test_non_integer_factor_indices_rejected(self, m1_table, factor_set):

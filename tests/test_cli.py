@@ -233,11 +233,60 @@ class TestErrors:
             "error: level 9 out of range for factor 'B' (levels 0..1) at position 19 (term 'A1*B9*C0')\n"
         )
 
+    @pytest.mark.parametrize(
+        "args, env, flag",
+        [
+            (["synth", "--factors", "3", "--pathway", "A1"], "x", "SCPQCA_SEED"),
+            (["solve", *M1, "--cutpoints", "A"], None, "--cutpoints"),
+            (["solve", *REMOTE, "--assume-necessary", "MS"], None, "--assume-necessary"),
+            (["solve", *REMOTE, "--assume-necessary", "MS=x"], None, "--assume-necessary"),
+            (["solve", *M1[:-2], "--label", "xyz"], None, "--label"),
+            (["synth", "--factors", "3", "--levels", "x", "--pathway", "A1"], None, "--levels"),
+        ],
+    )
+    def test_malformed_value_names_the_flag(self, monkeypatch, args, env, flag):
+        if env is None:
+            monkeypatch.delenv("SCPQCA_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SCPQCA_SEED", env)
+        code, out, err = run_cli(*args)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and flag in err
+        assert "Traceback" not in err
+
     def test_threads_flag_is_gone(self):
         code, out, err = run_cli("solve", *REMOTE, "--cutoff", "4", "--threads", "2")
         assert code == 1
         assert out == ""
         assert "unrecognized arguments: --threads 2" in err
+
+
+class TestEnumerationBoundWarning:
+    # Four cases and a cutoff of 5: no literal meets the cutoff, so the walk
+    # is empty however large the bound.
+    @pytest.mark.parametrize(
+        "factors, warning",
+        [
+            (26, "warning: enumeration will visit up to 2541865828328 conjunctions; "
+                 "consider --max-order to bound the run\n"),
+            (40, "warning: enumeration bound > 2^63 conjunctions; set --max-order\n"),
+        ],
+    )
+    def test_warns_above_the_bound(self, tmp_path, factors, warning):
+        names = [f"F{j}" for j in range(factors)]
+        rows = [[str((r + j) % 2) for j in range(factors)] for r in range(4)]
+        p = tmp_path / "wide.csv"
+        p.write_text(
+            "id," + ",".join(names) + ",O\n"
+            + "".join(f"c{r},{','.join(row)},{r % 2}\n" for r, row in enumerate(rows))
+        )
+        code, out, err = run_cli(
+            "candidates", "--data", str(p), "--outcome", "O", "--cutoff", "5", "--format", "json"
+        )
+        assert code == 0
+        assert err == warning
+        assert json.loads(out)["count"] == 0
 
 
 class TestFloatColumnWarning:

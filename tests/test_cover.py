@@ -50,6 +50,8 @@ class TestGreedy:
                 CoverParams(1, unique_cover=bad)
         with pytest.raises(InputError, match="unique_cover must be >= 1, got 0"):
             CoverParams(1, unique_cover=0)
+        with pytest.raises(InputError, match="decision_label must be an integer, got 1.0"):
+            CoverParams(1.0)
 
     def test_chain_example_unique_cover_1(self):
         r1, r2, r3 = pure_rule(0, "123"), pure_rule(1, "34"), pure_rule(2, "45")
@@ -207,11 +209,6 @@ class TestOracle:
         rules = [pure_rule(i, {f"p{i}"}) for i in range(21)]
         with pytest.raises(InputError, match="oracle limit"):
             exhaustive_cover_oracle(rules, {"p0"}, CoverParams(1, 1))
-
-    def test_max_subset_size(self):
-        r1, r2 = pure_rule(0, "12"), pure_rule(1, "34")
-        sel = exhaustive_cover_oracle([r1, r2], set("1234"), CoverParams(1, 1), max_subset_size=1)
-        assert len(sel) == 1
 
     @pytest.mark.parametrize("seed", range(20))
     def test_oracle_never_below_greedy(self, seed):

@@ -27,6 +27,15 @@ class TestNecessaryConditions:
         got = necessary_conditions(m1_table, 1, "0.6")
         assert got == [(Literal(0, 1), Fraction(1)), (Literal(1, 1), Fraction(2, 3))]
 
+    def test_decision_label_must_be_an_integer(self, m1_table):
+        # 1.0 == 1 and hashes alike, so a cached label-1 bitset must not
+        # let the float through either.
+        with pytest.raises(InputError, match="decision_label must be an integer, got 1.0"):
+            necessary_conditions(m1_table, 1.0)
+        necessary_conditions(m1_table, 1)
+        with pytest.raises(InputError, match="decision_label must be an integer, got 1.0"):
+            necessary_conditions(m1_table, 1.0)
+
     def test_split_positives_yield_nothing(self):
         schema = binary_schema(["A"])
         t = CaseTable.from_cases(

@@ -182,7 +182,7 @@ class TestTruthTable:
 
     def test_bound_refused(self):
         with pytest.raises(InputError, match="bound"):
-            full_truth_table(synth_schema(6), max_rows=10)
+            full_truth_table(synth_schema(25))
 
 
 class TestPlantOutcome:
@@ -299,7 +299,6 @@ class TestRunExperiment:
         assert report.coverage == 1
         assert report.consistency <= 1
         assert report.candidate_count > 0
-        assert report.runtime_s >= 0
 
     def test_planted_terms_pass_filter_at_full_consistency(self):
         schema = synth_schema(6)

@@ -6,6 +6,7 @@ from scpqca import (
     AnalysisParams,
     Case,
     CaseTable,
+    InputError,
     Literal,
     VacuousSolutionError,
     binary_schema,
@@ -35,6 +36,10 @@ class TestTwoStepPipeline:
         assert all(i not in necessary_factors for i in result.factor_set)
         for rule in result.solution.rules:
             assert not any(l.factor_index in necessary_factors for l in rule.conjunction.literals)
+
+    def test_decision_label_must_be_an_integer(self, remote_table):
+        with pytest.raises(InputError, match="decision_label must be an integer, got 1.0"):
+            solve(remote_table, AnalysisParams(decision_label=1.0, cutoff=4))
 
     def test_configurations_fold_necessary_literals(self, remote_table):
         params = AnalysisParams(decision_label=1, cutoff=4)

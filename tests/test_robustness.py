@@ -88,6 +88,11 @@ class TestInternalSweep:
         with pytest.raises(InputError):
             internal_sweep(m1_table, [], AnalysisParams(decision_label=1))
 
+    @pytest.mark.parametrize("point", [(0.8, 4), (0.8, 4, 2, 1), "0.8", 0.8])
+    def test_grid_entry_must_be_a_triple(self, m1_table, point):
+        with pytest.raises(InputError, match="must be a \\(consistency, cutoff, unique_cover\\) triple"):
+            internal_sweep(m1_table, [("0.8", 2, 1), point], AnalysisParams(decision_label=1))
+
 
 class TestDeriveSeed:
     def test_stable_values(self):
@@ -137,16 +142,26 @@ class TestExternalValidity:
 
     def test_fraction_validated(self, m1_table):
         params = AnalysisParams(decision_label=1)
-        with pytest.raises(InputError):
-            external_validity(m1_table, params, fraction=0.0)
-        with pytest.raises(InputError):
-            external_validity(m1_table, params, fraction=1.0)
+        for bad in (0.0, 1.0, "1.5", "0", "x"):
+            with pytest.raises(InputError):
+                external_validity(m1_table, params, fraction=bad)
 
     @pytest.mark.parametrize("cutoff", [2.5, "2"])
     def test_non_integer_cutoff_rejected(self, m1_table, cutoff):
         params = AnalysisParams(decision_label=1, cutoff=cutoff)
         with pytest.raises(InputError, match=f"cutoff must be an integer, got {cutoff!r}"):
             external_validity(m1_table, params)
+
+    def test_non_integer_reps_rejected(self, m1_table):
+        with pytest.raises(InputError, match="reps must be an integer, got 2.5"):
+            external_validity(m1_table, AnalysisParams(decision_label=1), reps=2.5)
+
+    def test_string_fraction_read_as_its_decimal(self):
+        table = _clean_table()
+        params = AnalysisParams(decision_label=1)
+        as_text = external_validity(table, params, fraction="0.1", reps=2, seed=5)
+        assert as_text == external_validity(table, params, fraction=0.1, reps=2, seed=5)
+        assert type(as_text.fraction) is float
 
     def test_degenerate_repetition_counted(self):
         # tiny table where dropping cases can erase all positives
