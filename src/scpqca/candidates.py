@@ -37,22 +37,21 @@ A call with no pool walks the lattice over its own table at its own
 cutoff and consistency, and every node of that walk is a rule. Only a
 sweep or jackknife shares a `CandidatePool`, which keeps the nodes of one
 walk and filters them per cell or rep; a call its pool cannot answer walks
-directly as well. The walk appends literals in ascending factor order and
+directly as well. Either way the rules come back as one `CandidateRules`
+(see `model`), the nodes' literal tuples and bits as columns, with no rule
+object per node. The walk appends literals in ascending factor order and
 derives each node's bits from the table, so every rule is valid by
-construction. It is built with the unchecked `CandidateRule._walked`,
-which skips the re-sort and the per-field checks of the public
-constructors; those checks cost more per rule than the walk itself.
+construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Sequence
 
 from .model import (
-    CandidateRule,
+    CandidateRules,
     CaseTable,
     FactorSchema,
     InputError,
@@ -94,19 +93,14 @@ def _check_factor_set(schema: FactorSchema, factor_set: Sequence[int]) -> tuple[
 
 
 def _walk(
-    table: CaseTable,
-    factors: tuple[int, ...],
-    max_order: int | None,
-    cutoff: int,
-    decision_label: int,
-    threshold: Fraction,
-) -> tuple[list[tuple[Literal, ...]], list[int], list[int]]:
-    """The literal tuples, matched bits and positive bits, as parallel lists
-    in emit order, of every node that meets `cutoff` and whose consistency
-    is at least `threshold`."""
+    table: CaseTable, factors: tuple[int, ...], params: CandidateParams, cutoff: int, threshold: Fraction
+) -> CandidateRules:
+    """Every node up to `params.max_order` literals that meets `cutoff` and
+    whose consistency for `params.decision_label` is at least `threshold`,
+    in emit order, as a `CandidateRules` over `table.ids`."""
     nf = len(factors)
-    max_order = min(max_order if max_order is not None else nf, nf)
-    positives = table.positive_bits(decision_label)
+    max_order = min(params.max_order if params.max_order is not None else nf, nf)
+    positives = table.positive_bits(params.decision_label)
     num, den = threshold.numerator, threshold.denominator
     # A literal below the cutoff heads only subtrees below it (levels no case
     # holds have no bits at all), so it is dropped before the walk.
@@ -119,9 +113,7 @@ def _walk(
             (Literal(j, v), bits, at + 1) for v in range(table.schema.factors[j].levels)
             if (bits := table.literal_bits(j, v)).bit_count() >= cutoff
         ] + tails[at + 1]
-    out_literals: list[tuple[Literal, ...]] = []
-    out_matched: list[int] = []
-    out_positive: list[int] = []
+    out_literals, out_matched, out_positive = [], [], []
 
     # Frontier entries: (literals tuple, matched bits, position in `factors` to
     # extend from), all meeting the cutoff. Literals are appended in ascending
@@ -155,7 +147,7 @@ def _walk(
                     out_literals.append(lits + (lit,))
                     out_matched.append(child)
                     out_positive.append(child_pos)
-    return out_literals, out_matched, out_positive
+    return CandidateRules(out_literals, out_matched, out_positive, table.ids)
 
 
 class CandidatePool:
@@ -166,17 +158,15 @@ class CandidatePool:
     cutoff it will ask for, passed to every `enumerate_candidates` call. The
     first call walks its table and factor set at that cutoff, with no
     consistency filter unless the owner gives one (see below), and keeps
-    every node as parallel lists in emit order: literal tuples, matched bits
-    and positive bits. A later call selects from those lists. Both filters
-    are anti-monotone and a subset of cases can only lower a node's counts,
-    so every rule of the later call is a pool node, and filtering keeps the
-    order.
+    every node in emit order as one `CandidateRules`. A later call selects
+    from its columns into new ones. Both filters are anti-monotone and a
+    subset of cases can only lower a node's counts, so every rule of the
+    later call is a pool node, and filtering keeps the order.
 
-    On the pool's own table each rule object is built once and shared by
-    every call. On a subset of that table (the same cases, fewer of them,
-    as `CaseTable.take` makes) a rule keeps the pool table's `ids`, and its
-    bits are the pool node's masked to the subset's cases. A call the pool
-    cannot answer walks its own table instead.
+    A selection indexes the pool table's `ids`; on a subset of that table
+    (the same cases, fewer of them, as `CaseTable.take` makes) its bits are
+    the nodes' masked to the subset's cases. A call the pool cannot answer
+    walks its own table instead.
 
     An owner that solves only the pool's own table (a sweep) may also give
     the loosest `consistency` it will ask for; the pool then keeps only the
@@ -196,11 +186,7 @@ class CandidatePool:
     def _build(self, table: CaseTable, factors: tuple[int, ...], params: CandidateParams) -> None:
         self._table, self._factors = table, factors
         self._label, self._max_order = params.decision_label, params.max_order
-        floor = self.consistency if self.consistency is not None else Fraction(0)
-        self._literals, self._matched, self._positive = _walk(
-            table, factors, params.max_order, self.cutoff, params.decision_label, floor
-        )
-        self._rules: list[CandidateRule | None] = [None] * len(self._literals)
+        self._nodes = _walk(table, factors, params, self.cutoff, self.consistency or Fraction(0))
         self._index: dict[str, int] | None = None
 
     def _keep(self, table: CaseTable) -> int | None:
@@ -216,51 +202,43 @@ class CandidatePool:
             return None
         return bits_of(table.ids, pool_table.ids)
 
-    def _select(
-        self, table: CaseTable, factors: tuple[int, ...], params: CandidateParams
-    ) -> list[CandidateRule] | None:
+    def _select(self, table: CaseTable, factors: tuple[int, ...], params: CandidateParams) -> CandidateRules | None:
         """The rules passing `params` on `table` and `factors`, in emit order,
         or None when the pool cannot answer: another label or `max_order`, a
         factor outside the pool's, a cutoff or consistency below the pool's,
         or a table that is not a subset of its own."""
         if self._table is None:
             self._build(table, factors, params)
+        # On the pool's own table the nodes' bits pass as they are; on a
+        # subset, masked to the subset's cases.
+        keep = None if table is self._table else self._keep(table)
         if (
             params.decision_label != self._label
             or params.max_order != self._max_order
             or params.cutoff < self.cutoff
             or (self.consistency is not None and params.consistency_threshold < self.consistency)
             or not set(factors) <= set(self._factors)
+            or (keep is None and table is not self._table)
         ):
             return None
-        # Rules on the pool's own table take its bits as they are; on a
-        # subset, masked to the subset's cases.
-        own = table is self._table
-        keep = None if own else self._keep(table)
-        if not own and keep is None:
-            return None
         excluded = set(self._factors) - set(factors)
-        ids, rules, walked = self._table.ids, self._rules, CandidateRule._walked
+        nodes = self._nodes
         cutoff, threshold = params.cutoff, params.consistency_threshold
         num, den = threshold.numerator, threshold.denominator
-        out = []
-        for i, (matched, positive) in enumerate(zip(self._matched, self._positive)):
+        out_literals, out_matched, out_positive = [], [], []
+        for lits, matched, positive in zip(nodes.literals, nodes.matched_bits, nodes.positive_bits):
             if keep is not None:
                 matched &= keep
                 positive &= keep
             count = matched.bit_count()
             if count < cutoff or positive.bit_count() * den < num * count:
                 continue
-            lits = self._literals[i]
             if excluded and any(lit.factor_index in excluded for lit in lits):
                 continue
-            if own:
-                if rules[i] is None:
-                    rules[i] = walked(lits, matched, positive, ids)
-                out.append(rules[i])
-            else:
-                out.append(walked(lits, matched, positive, ids))
-        return out
+            out_literals.append(lits)
+            out_matched.append(matched)
+            out_positive.append(positive)
+        return CandidateRules(out_literals, out_matched, out_positive, nodes.ids)
 
 
 def enumerate_candidates(
@@ -269,7 +247,7 @@ def enumerate_candidates(
     params: CandidateParams,
     *,
     pool: CandidatePool | None = None,
-) -> list[CandidateRule]:
+) -> CandidateRules:
     """All rules passing both filters, deterministically ordered.
 
     With no pool, or one that cannot answer, they are the nodes of one walk
@@ -280,12 +258,7 @@ def enumerate_candidates(
     table.require_unique_ids()
     factors = _check_factor_set(table.schema, factor_set)
     rules = None if pool is None else pool._select(table, factors, params)
-    if rules is None:
-        walk = _walk(
-            table, factors, params.max_order, params.cutoff, params.decision_label, params.consistency_threshold
-        )
-        rules = list(map(CandidateRule._walked, *walk, repeat(table.ids)))
-    return rules
+    return _walk(table, factors, params, params.cutoff, params.consistency_threshold) if rules is None else rules
 
 
 def candidate_count_bound(

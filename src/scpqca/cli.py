@@ -246,11 +246,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     result = solve(table, params)
     oracle = None
     if args.oracle:
-        oracle = exhaustive_cover_oracle(
-            list(result.candidates),
-            table.positive_ids(params.decision_label),
-            params.cover_params(),
-        )
+        positives = table.positive_ids(params.decision_label)
+        oracle = exhaustive_cover_oracle(result.candidates, positives, params.cover_params())
     payload = report.solve_payload(result, oracle)
     _emit(payload, args.format, report.solve_text, report.solve_csv)
     return 0

@@ -14,17 +14,18 @@ used by tests and the `--oracle` flag; a subset is admissible when some pick
 order gives every rule a marginal gain of at least `unique_cover`, which by
 construction includes every sequence the greedy loop can produce.
 
-Rules carry their case sets as bitsets over the table's ids (see `model`),
-so a gain is the popcount of ``rule.positive_bits & uncovered``. The
-`positives` arguments are ids, mapped onto the candidates' shared ids once
-per call.
+Greedy reads its candidates as the columns of a `model.CandidateRules` (a
+plain list of rules is put into columns once), bitsets over the table's ids,
+and builds rule objects only for its picks. A gain is the popcount of
+``positive_bits & uncovered``; `positives` are ids, mapped onto the
+candidates' ids once per call.
 
 Each greedy pass takes gains first and ties second: it computes every
 rule's gain and their maximum, and builds the full tie-break key
-(consistency, fewer literals, candidate order) only for the rules that tie
-on that gain, so most passes build no `Fraction`. Gains only fall as cases
-get covered, so after each pass the rules whose gain is below
-`unique_cover`, the picked one included, leave the scan for good; the
+(consistency from the popcounts, fewer literals, candidate order) only for
+the rules that tie on that gain, so most passes build no `Fraction`. Gains
+only fall as cases get covered, so after each pass the rules whose gain is
+below `unique_cover`, the picked one included, leave the scan for good; the
 tie-break still sees each rule's original candidate index. Lazy greedy
 (Minoux 1978), a heap keyed by gain and a precomputed tie-break rank, picks
 the same rules but measured slower than this scan on the small, repeated
@@ -41,6 +42,7 @@ from typing import Iterable, Sequence
 
 from .model import (
     CandidateRule,
+    CandidateRules,
     CaseTable,
     Conjunction,
     InputError,
@@ -74,14 +76,13 @@ def greedy_cover(
     candidates: Sequence[CandidateRule], positives: Iterable[str], params: CoverParams
 ) -> list[CandidateRule]:
     """Forward greedy selection; empty result means no admissible cover."""
-    if not candidates:
-        return []
-    uncovered = bits_of(positives, candidates[0].ids)
+    columns = CandidateRules.of(candidates)
+    uncovered = bits_of(positives, columns.ids)
     floor = params.unique_cover
     # Live rules: their positive bits and their index in `candidates`.
-    pbits = [rule.positive_bits for rule in candidates]
+    pbits = columns.positive_bits
     index = list(range(len(candidates)))
-    selected: list[CandidateRule] = []
+    picks: list[int] = []
     while uncovered and pbits:
         gains = [(p & uncovered).bit_count() for p in pbits]
         best = max(gains)
@@ -92,18 +93,18 @@ def greedy_cover(
             at = max(
                 (i for i, gain in enumerate(gains) if gain == best),
                 key=lambda i: (
-                    candidates[index[i]].consistency,
-                    -len(candidates[index[i]].conjunction.literals),
+                    Fraction(pbits[i].bit_count(), columns.matched_bits[index[i]].bit_count()),
+                    -len(columns.literals[index[i]]),
                     -index[i],
                 ),
             )
-        selected.append(candidates[index[at]])
+        picks.append(index[at])
         uncovered &= ~pbits[at]
         gains[at] = 0
         live = [gain >= floor for gain in gains]
         pbits = list(compress(pbits, live))
         index = list(compress(index, live))
-    return selected
+    return [candidates[i] for i in picks]
 
 
 def unique_coverage(rules: Sequence[CandidateRule], positives: Iterable[str]) -> tuple[int, ...]:

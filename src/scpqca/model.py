@@ -31,7 +31,9 @@ A set of cases is one Python int over a tuple of case ids: bit i stands for
 the encoding: `CaseTable` caches one bitset per factor=value literal, packed
 from its column at C speed, `match_bits` and `CaseTable.positive_bits` build
 the rest, and `ids_of` / `bits_of` convert at the edges. `CandidateRule`
-carries the bits plus the shared ids and offers frozenset views of them.
+carries the bits plus the shared ids and offers frozenset views of them;
+`CandidateRules`, enumeration's output and greedy's input, holds many rules
+as columns and builds a rule object only for a rule that is read.
 
 All types are immutable after construction (the bitset cache only memoizes)
 and all operations are pure, so values can be shared freely across threads.
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from operator import index
+from operator import eq, index
 from typing import Iterable, Iterator, Sequence
 
 
@@ -574,37 +576,6 @@ class CandidateRule:
             raise InputError("rule case ids missing from the shared ids")
         return cls(conjunction, bits_of(m, ids), bits_of(p, ids), ids)
 
-    @classmethod
-    def _walked(
-        cls, literals: tuple[Literal, ...], matched_bits: int, positive_bits: int, ids: tuple[str, ...]
-    ) -> "CandidateRule":
-        """Unchecked constructor for the rules of the `candidates` lattice walk.
-
-        The lattice walk already guarantees every check the public
-        constructors make: `literals` ascend by factor index with one literal
-        per factor, `matched_bits` is a non-empty subset of the table's
-        `ids`, and `positive_bits` is `matched_bits` ANDed with the outcome
-        bits. Re-checking cost more than walking the node (`Conjunction`
-        re-sorts through `Literal.__lt__`), so this fills the frozen fields
-        directly. Any other caller must use `CandidateRule(...)` or
-        `from_sets`.
-
-        The fields are set one `object.__setattr__` at a time. Filling
-        ``rule.__dict__`` in one update looks cheaper, but reading
-        ``__dict__`` materializes an instance dict per rule where CPython
-        3.11 would otherwise keep the attributes inline: on the `wide`
-        benchmark that raised peak traced memory from 4.59 MB to 5.95 MB,
-        and a call measured no faster (1.2-1.6 us either way).
-        """
-        conjunction = object.__new__(Conjunction)
-        object.__setattr__(conjunction, "literals", literals)
-        rule = object.__new__(cls)
-        object.__setattr__(rule, "conjunction", conjunction)
-        object.__setattr__(rule, "matched_bits", matched_bits)
-        object.__setattr__(rule, "positive_bits", positive_bits)
-        object.__setattr__(rule, "ids", ids)
-        return rule
-
     @cached_property
     def consistency(self) -> Fraction:
         return Fraction(self.positive_bits.bit_count(), self.matched_bits.bit_count())
@@ -616,6 +587,61 @@ class CandidateRule:
     @cached_property
     def positives_matched(self) -> frozenset[str]:
         return frozenset(ids_of(self.positive_bits, self.ids))
+
+
+class CandidateRules(Sequence[CandidateRule]):
+    """A read-only list of rules as parallel columns over one `ids` tuple.
+
+    `len` builds nothing; an index or an iteration builds one `CandidateRule`
+    per rule read, and a slice is another `CandidateRules`. It equals a list
+    or tuple of the same rules. The columns are taken unchecked: the lattice
+    walk builds them valid, and `of` takes them from checked rules.
+    """
+
+    __slots__ = ("literals", "matched_bits", "positive_bits", "ids")
+
+    def __init__(self, literals: list, matched_bits: list[int], positive_bits: list[int], ids: tuple[str, ...]):
+        self.literals, self.matched_bits, self.positive_bits, self.ids = literals, matched_bits, positive_bits, ids
+
+    @classmethod
+    def of(cls, rules: Sequence[CandidateRule]) -> "CandidateRules":
+        """`rules` as columns over the first rule's ids; a `CandidateRules` as it is."""
+        if isinstance(rules, cls):
+            return rules
+        literals = [rule.conjunction.literals for rule in rules]
+        bits = [rule.matched_bits for rule in rules], [rule.positive_bits for rule in rules]
+        return cls(literals, *bits, rules[0].ids if rules else ())
+
+    def _rule(self, literals: tuple[Literal, ...], matched_bits: int, positive_bits: int) -> CandidateRule:
+        # Checking costs more than walking the node, so the frozen fields are
+        # set directly, one at a time: that keeps no instance dict per rule.
+        conjunction = object.__new__(Conjunction)
+        object.__setattr__(conjunction, "literals", literals)
+        rule = object.__new__(CandidateRule)
+        object.__setattr__(rule, "conjunction", conjunction)
+        object.__setattr__(rule, "matched_bits", matched_bits)
+        object.__setattr__(rule, "positive_bits", positive_bits)
+        object.__setattr__(rule, "ids", self.ids)
+        return rule
+
+    def __len__(self) -> int:
+        return len(self.literals)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return CandidateRules(self.literals[i], self.matched_bits[i], self.positive_bits[i], self.ids)
+        return self._rule(self.literals[i], self.matched_bits[i], self.positive_bits[i])
+
+    def __iter__(self) -> Iterator[CandidateRule]:
+        return map(self._rule, self.literals, self.matched_bits, self.positive_bits)
+
+    def __eq__(self, other: object) -> bool:  # also makes the sequence unhashable
+        if not isinstance(other, (CandidateRules, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"CandidateRules({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -684,7 +710,7 @@ def solution_metrics(
     """
     if not rules:
         raise InputError("solution metrics need at least one rule")
-    if any(r.ids != table.ids for r in rules):
+    if any(r.ids is not table.ids and r.ids != table.ids for r in rules):
         raise InputError("rules are indexed over different case ids than the table")
     union = 0
     for r in rules:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .candidates import CandidateParams, CandidatePool, enumerate_candidates
 from .cover import CoverParams, assemble_solution, greedy_cover
 from .model import (
-    CandidateRule,
+    CandidateRules,
     CaseTable,
     Conjunction,
     Literal,
@@ -69,7 +69,7 @@ class SolveResult:
     necessity: tuple[tuple[Literal, Fraction], ...]
     conjoined_necessary: tuple[Literal, ...]
     factor_set: tuple[int, ...]
-    candidates: tuple[CandidateRule, ...]
+    candidates: CandidateRules
     solution: Solution
     warnings: tuple[str, ...]
 
@@ -100,7 +100,7 @@ def solve(table: CaseTable, params: AnalysisParams, *, pool: CandidatePool | Non
         conjoined = tuple(sorted(lit for lit, _ in necessity if lit.factor_index not in conflicts))
 
     factor_set = exclude_necessary(table.schema, conjoined)
-    candidates = tuple(enumerate_candidates(table, factor_set, params.candidate_params(), pool=pool))
+    candidates = enumerate_candidates(table, factor_set, params.candidate_params(), pool=pool)
 
     positives = table.positive_ids(params.decision_label)
     if not positives:

@@ -33,6 +33,7 @@ from scpqca import (
     ScpqcaError,
     as_fraction,
     binary_schema,
+    candidates,
     derive_seed,
     enumerate_candidates,
     external_validity,
@@ -124,12 +125,20 @@ class TestPoolAgainstWalk:
                     assert [r.conjunction for r in plain] == brute_force_candidates(sub, factors, params)
                     assert all(r.ids is sub.ids for r in pooled)
 
-    def test_own_table_rules_are_built_once(self, remote_table):
+    def test_own_table_calls_share_one_walk(self, monkeypatch, remote_table):
+        walks, walk = [], candidates._walk
+
+        def counted(*args):
+            walks.append(args[3])  # the walk's cutoff
+            return walk(*args)
+
+        monkeypatch.setattr(candidates, "_walk", counted)
         pool = CandidatePool(2)
         loose = enumerate_candidates(remote_table, range(7), CandidateParams(1, "0.7", cutoff=2), pool=pool)
         tight = enumerate_candidates(remote_table, range(7), CandidateParams(1, "0.8", cutoff=4), pool=pool)
-        shared = {id(r) for r in loose}
-        assert tight and all(id(r) in shared for r in tight)
+        assert walks == [2]
+        assert tight and set(tight.literals) <= set(loose.literals)
+        assert tight.ids is loose.ids is remote_table.ids
 
     def test_unanswerable_calls_walk(self, remote_table):
         pool = CandidatePool(3)

@@ -19,6 +19,7 @@ from scpqca import (
     candidate_count_bound,
     conjunction_shorthand,
     CandidateRule,
+    CandidateRules,
     enumerate_candidates,
     exclude_necessary,
     match_bits,
@@ -348,3 +349,73 @@ class TestValidation:
         )
         with pytest.raises(InputError, match="duplicate case id"):
             enumerate_candidates(t, [0, 1], CandidateParams(1))
+
+
+class TestCandidateRules:
+    """The rules come back as a read-only list that builds each rule on access."""
+
+    @pytest.fixture()
+    def rules(self, remote_table):
+        rules = enumerate_candidates(remote_table, range(7), CandidateParams(1, "0.8", cutoff=3))
+        assert isinstance(rules, CandidateRules) and len(rules) >= 6
+        return rules
+
+    def test_iteration_equals_indexing(self, rules):
+        listed = list(rules)
+        assert listed == [rules[i] for i in range(len(rules))]
+        assert [r.conjunction.literals for r in listed] == rules.literals
+        assert [r.matched_bits for r in listed] == rules.matched_bits
+        assert [r.positive_bits for r in listed] == rules.positive_bits
+        assert all(r.ids is rules.ids for r in listed)
+
+    def test_built_rules_equal_checked_ones(self, rules):
+        for r in rules:
+            checked = CandidateRule(Conjunction(r.conjunction.literals), r.matched_bits, r.positive_bits, r.ids)
+            assert r == checked and hash(r) == hash(checked)
+            assert r.consistency == checked.consistency and r.matched == checked.matched
+
+    def test_negative_indices(self, rules):
+        listed = list(rules)
+        assert [rules[-i] for i in range(1, len(rules) + 1)] == [listed[-i] for i in range(1, len(listed) + 1)]
+
+    def test_index_past_the_end(self, rules):
+        for i in (len(rules), -len(rules) - 1):
+            with pytest.raises(IndexError):
+                rules[i]
+
+    @pytest.mark.parametrize(
+        "cut", [slice(None), slice(1, 3), slice(None, None, -1), slice(0, None, 2), slice(-2, None), slice(4, 1), slice(99, None)]
+    )
+    def test_slices_are_rule_lists(self, rules, cut):
+        part = rules[cut]
+        assert isinstance(part, CandidateRules) and part.ids is rules.ids
+        assert len(part) == len(list(rules)[cut])
+        assert list(part) == list(rules)[cut]
+
+    def test_equality_with_lists_and_tuples(self, rules):
+        listed = list(rules)
+        assert rules == listed and listed == rules
+        assert rules == tuple(listed) and tuple(listed) == rules
+        assert rules == rules[:] and rules[:0] == [] and rules[:0] == ()
+        assert rules != listed[:-1] and rules != listed[::-1] and rules != []
+        assert rules != set(listed)
+
+    def test_read_only_and_unhashable(self, rules):
+        with pytest.raises(TypeError):
+            rules[0] = rules[1]
+        with pytest.raises(TypeError):
+            del rules[0]
+        with pytest.raises(TypeError):
+            hash(rules)
+
+    def test_sequence_methods(self, rules):
+        listed = list(rules)
+        assert listed[2] in rules and rules.index(listed[2]) == 2 and rules.count(listed[0]) == 1
+        assert list(reversed(rules)) == listed[::-1]
+
+    def test_of_plain_rules(self, rules):
+        listed = list(rules)
+        assert CandidateRules.of(rules) is rules
+        columns = CandidateRules.of(listed)
+        assert columns == rules and columns.ids is rules.ids
+        assert CandidateRules.of([]) == []

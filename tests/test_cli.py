@@ -94,6 +94,12 @@ class TestSolve:
 
 
 class TestErrors:
+    def test_oracle_limit_exits_1(self):
+        code, out, err = run_cli("solve", *REMOTE, "--cutoff", "1", "--consistency", "0.5", "--oracle")
+        assert code == 1
+        assert "49 candidate rules exceed the oracle limit of 20" in err
+        assert "Traceback" not in out + err
+
     def test_unknown_flag_exits_1_with_usage(self):
         code, _, err = run_cli("solve", "--no-such-flag")
         assert code == 1

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from scpqca import (
     AnalysisParams,
+    CandidateParams,
     CandidateRule,
+    CandidateRules,
     Case,
     CaseTable,
     Conjunction,
@@ -18,12 +20,14 @@ from scpqca import (
     VacuousSolutionError,
     assemble_solution,
     binary_schema,
+    enumerate_candidates,
     exhaustive_cover_oracle,
     greedy_cover,
     rule_from_conjunction,
     solve,
     unique_coverage,
 )
+from conftest import random_table
 
 
 # Shared case ids of the synthetic rules below.
@@ -295,3 +299,28 @@ class TestPipelineGainInvariant:
             gain = len((original.positives_matched & positives) - seen)
             assert gain >= params.unique_cover
             seen |= original.positives_matched
+
+
+
+class TestGreedyOnColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["1/3", "1/2", "2/3", "1"]),
+        st.integers(1, 3),
+        st.integers(1, 3),
+    )
+    def test_plain_list_and_columns_pick_the_same_rules(self, seed, consistency, cutoff, unique):
+        table = random_table(random.Random(seed), max_factors=5, max_cases=30)
+        label = seed % table.schema.outcome_levels
+        factors = range(len(table.schema.factors))
+        columns = enumerate_candidates(table, factors, CandidateParams(label, consistency, cutoff=cutoff))
+        assert isinstance(columns, CandidateRules)
+        listed = list(columns)
+        positives = table.positive_ids(label)
+        params = CoverParams(label, unique)
+        from_columns = greedy_cover(columns, positives, params)
+        from_list = greedy_cover(listed, positives, params)
+        assert from_columns == from_list
+        # A plain list's picks are its own rule objects.
+        assert all(any(pick is rule for rule in listed) for pick in from_list)

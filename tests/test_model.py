@@ -136,6 +136,19 @@ class TestSolutionMetrics:
         with pytest.raises(InputError):
             solution_metrics([], m1_table, 1)
 
+    def test_rules_over_other_ids_are_an_error(self, m1_table):
+        rule = rule_from_conjunction(Conjunction.of((0, 1)), m1_table, 1)
+        other = CandidateRule(rule.conjunction, rule.matched_bits, rule.positive_bits, ("z",) + m1_table.ids[1:])
+        with pytest.raises(InputError, match="indexed over different case ids"):
+            solution_metrics([rule, other], m1_table, 1)
+
+    def test_rules_over_equal_ids_pass(self, m1_table):
+        rule = rule_from_conjunction(Conjunction.of((0, 1)), m1_table, 1)
+        copied = tuple(list(m1_table.ids))
+        assert copied == m1_table.ids and copied is not m1_table.ids
+        other = CandidateRule(rule.conjunction, rule.matched_bits, rule.positive_bits, copied)
+        assert solution_metrics([other], m1_table, 1) == solution_metrics([rule], m1_table, 1)
+
 
 class TestDuplicateWeighting:
     def test_duplicating_a_case_shifts_metrics_as_weighted_counts(self, m1_table):
