@@ -11,7 +11,6 @@ from pathlib import Path
 
 from scpqca import (
     AnalysisParams,
-    CandidateParams,
     Conjunction,
     conjunction_expr,
     enumerate_candidates,
@@ -31,10 +30,11 @@ for lit, cons in necessary_conditions(table, decision_label=1):
     print(f"  {conjunction_expr(Conjunction((lit,)), table.schema)}  ->  {float(cons):.4f}")
 
 # Step 2: sufficiency over the non-necessary factors. With the default 0.8
-# threshold nothing passes; at 0.6 the B=1 rule appears.
+# threshold nothing passes; at 0.6 the B=1 rule appears. Enumeration reads
+# the same parameter object as the full pipeline; building it checks it.
 for threshold in ("0.8", "0.6"):
     rules = enumerate_candidates(
-        table, [1], CandidateParams(decision_label=1, consistency_threshold=threshold, cutoff=2)
+        table, [1], AnalysisParams(decision_label=1, consistency_threshold=threshold, cutoff=2)
     )
     names = [conjunction_expr(r.conjunction, table.schema) for r in rules]
     print(f"\nCandidate rules at consistency >= {threshold}: {names or 'none'}")

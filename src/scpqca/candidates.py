@@ -41,16 +41,18 @@ directly as well. Either way the rules come back as one `CandidateRules`
 (see `model`), the nodes' literal tuples and bits as columns, with no rule
 object per node. The walk appends literals in ascending factor order and
 derives each node's bits from the table, so every rule is valid by
-construction.
+construction. The filters, the decision label and `max_order` are read from
+the run's one `model.AnalysisParams`, which checked them when it was built;
+only the pool checks its own cutoff.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .model import (
+    AnalysisParams,
     CandidateRules,
     CaseTable,
     FactorSchema,
@@ -60,27 +62,6 @@ from .model import (
     as_index,
     bits_of,
 )
-
-
-@dataclass(frozen=True)
-class CandidateParams:
-    decision_label: int
-    consistency_threshold: Fraction = Fraction(4, 5)
-    cutoff: int = 2
-    max_order: int | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "decision_label", as_index(self.decision_label, "decision_label"))
-        object.__setattr__(self, "consistency_threshold", as_fraction(self.consistency_threshold))
-        if not 0 < self.consistency_threshold <= 1:
-            raise InputError(f"consistency threshold must be in (0,1], got {self.consistency_threshold}")
-        object.__setattr__(self, "cutoff", as_index(self.cutoff, "cutoff"))
-        if self.cutoff < 1:
-            raise InputError(f"cutoff must be >= 1, got {self.cutoff}")
-        if self.max_order is not None:
-            object.__setattr__(self, "max_order", as_index(self.max_order, "max_order"))
-            if self.max_order < 1:
-                raise InputError(f"max_order must be >= 1, got {self.max_order}")
 
 
 def _check_factor_set(schema: FactorSchema, factor_set: Sequence[int]) -> tuple[int, ...]:
@@ -93,7 +74,7 @@ def _check_factor_set(schema: FactorSchema, factor_set: Sequence[int]) -> tuple[
 
 
 def _walk(
-    table: CaseTable, factors: tuple[int, ...], params: CandidateParams, cutoff: int, threshold: Fraction
+    table: CaseTable, factors: tuple[int, ...], params: AnalysisParams, cutoff: int, threshold: Fraction
 ) -> CandidateRules:
     """Every node up to `params.max_order` literals that meets `cutoff` and
     whose consistency for `params.decision_label` is at least `threshold`,
@@ -183,7 +164,7 @@ class CandidatePool:
         self.consistency = None if consistency is None else as_fraction(consistency)
         self._table: CaseTable | None = None
 
-    def _build(self, table: CaseTable, factors: tuple[int, ...], params: CandidateParams) -> None:
+    def _build(self, table: CaseTable, factors: tuple[int, ...], params: AnalysisParams) -> None:
         self._table, self._factors = table, factors
         self._label, self._max_order = params.decision_label, params.max_order
         self._nodes = _walk(table, factors, params, self.cutoff, self.consistency or Fraction(0))
@@ -202,7 +183,7 @@ class CandidatePool:
             return None
         return bits_of(table.ids, pool_table.ids)
 
-    def _select(self, table: CaseTable, factors: tuple[int, ...], params: CandidateParams) -> CandidateRules | None:
+    def _select(self, table: CaseTable, factors: tuple[int, ...], params: AnalysisParams) -> CandidateRules | None:
         """The rules passing `params` on `table` and `factors`, in emit order,
         or None when the pool cannot answer: another label or `max_order`, a
         factor outside the pool's, a cutoff or consistency below the pool's,
@@ -244,7 +225,7 @@ class CandidatePool:
 def enumerate_candidates(
     table: CaseTable,
     factor_set: Sequence[int],
-    params: CandidateParams,
+    params: AnalysisParams,
     *,
     pool: CandidatePool | None = None,
 ) -> CandidateRules:
@@ -269,7 +250,8 @@ def candidate_count_bound(
     With full order this is prod(levels_j + 1) - 1 over the factor set; a
     truncated order sums the products over all subsets of size <= max_order
     (elementary symmetric sums of the level counts). Used as a pre-flight
-    cost estimate; the CLI warns when it exceeds 2**63.
+    cost estimate: the CLI warns when it exceeds `cli.ENUMERATION_WARN_BOUND`
+    (5 000 000) and prints a separate message above 2**63.
     """
     indices = range(len(schema.factors)) if factor_set is None else _check_factor_set(schema, factor_set)
     levels = [schema.factors[i].levels for i in indices]

@@ -17,7 +17,7 @@ from fractions import Fraction
 from statistics import median
 
 from . import report
-from .candidates import CandidateParams, candidate_count_bound, enumerate_candidates
+from .candidates import candidate_count_bound, enumerate_candidates
 from .cover import exhaustive_cover_oracle
 from .ingest import (
     CalibrationSpec,
@@ -29,6 +29,7 @@ from .ingest import (
     write_schema_json,
 )
 from .model import (
+    AnalysisParams,
     CaseTable,
     InputError,
     Literal,
@@ -44,7 +45,7 @@ from .pathways import (
     run_experiment,
     synth_schema,
 )
-from .pipeline import AnalysisParams, solve
+from .pipeline import solve
 from .robustness import derive_seed, external_validity, internal_sweep
 
 ENUMERATION_WARN_BOUND = 5_000_000
@@ -145,18 +146,21 @@ def _load(args: argparse.Namespace) -> CaseTable:
     return table
 
 
+def _fixed_params(args: argparse.Namespace, table: CaseTable) -> dict:
+    """The `AnalysisParams` fields that `sweep` holds fixed, as keywords."""
+    assume = _parse_literals(args.assume_necessary, table) if getattr(args, "assume_necessary", None) else None
+    return {
+        "decision_label": _resolve_label(table, args.label),
+        "necessity_threshold": args.necessity_threshold,
+        "max_order": args.max_order,
+        "assume_necessary": assume,
+    }
+
+
 def _analysis_params(args: argparse.Namespace, table: CaseTable) -> AnalysisParams:
-    assume = None
-    if getattr(args, "assume_necessary", None):
-        assume = _parse_literals(args.assume_necessary, table)
     return AnalysisParams(
-        decision_label=_resolve_label(table, args.label),
-        consistency_threshold=as_fraction(args.consistency),
-        cutoff=args.cutoff,
-        unique_cover=args.unique_cover,
-        necessity_threshold=as_fraction(args.necessity_threshold),
-        max_order=args.max_order,
-        assume_necessary=assume,
+        consistency_threshold=args.consistency, cutoff=args.cutoff, unique_cover=args.unique_cover,
+        **_fixed_params(args, table),
     )
 
 
@@ -189,7 +193,7 @@ def _int_list(text: str, flag: str) -> list[int]:
         raise InputError(f"{flag} expects a comma-separated integer list, got {text!r}") from None
 
 
-def _warn_enumeration_bound(table: CaseTable, params: CandidateParams) -> int:
+def _warn_enumeration_bound(table: CaseTable, params: AnalysisParams) -> int:
     bound = candidate_count_bound(table.schema, None, params.max_order)
     if bound > 2**63:
         print("warning: enumeration bound > 2^63 conjunctions; set --max-order", file=sys.stderr)
@@ -226,9 +230,10 @@ def _cmd_necessity(args: argparse.Namespace) -> int:
 
 def _cmd_candidates(args: argparse.Namespace) -> int:
     table = _load(args)
-    params = CandidateParams(
+    # Only the candidate filters: `candidates --unique-cover 0` still runs.
+    params = AnalysisParams(
         decision_label=_resolve_label(table, args.label),
-        consistency_threshold=as_fraction(args.consistency),
+        consistency_threshold=args.consistency,
         cutoff=args.cutoff,
         max_order=args.max_order,
     )
@@ -242,12 +247,12 @@ def _cmd_candidates(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     table = _load(args)
     params = _analysis_params(args, table)
-    _warn_enumeration_bound(table, params.candidate_params())
+    _warn_enumeration_bound(table, params)
     result = solve(table, params)
     oracle = None
     if args.oracle:
         positives = table.positive_ids(params.decision_label)
-        oracle = exhaustive_cover_oracle(result.candidates, positives, params.cover_params())
+        oracle = exhaustive_cover_oracle(result.candidates, positives, params)
     payload = report.solve_payload(result, oracle)
     _emit(payload, args.format, report.solve_text, report.solve_csv)
     return 0
@@ -294,13 +299,17 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     base_seed = _seed_default(args.seed)
     params = AnalysisParams(
         decision_label=1,
-        consistency_threshold=as_fraction(args.consistency),
+        consistency_threshold=args.consistency,
         cutoff=args.cutoff,
         unique_cover=args.unique_cover,
-        necessity_threshold=as_fraction(args.necessity_threshold),
+        necessity_threshold=args.necessity_threshold,
         max_order=args.max_order,
     )
     confounds = _int_list(args.confounds, "--confounds")
+    if not confounds:
+        raise InputError("--confounds must list at least one count")
+    if args.reps < 1:
+        raise InputError(f"reps must be >= 1, got {args.reps}")
     rows = []
     for c in confounds:
         per_rep: list[tuple[Fraction, Fraction, int]] = []
@@ -349,15 +358,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     table = _load(args)
-    params = _analysis_params(args, table)
-    cons_list = [as_fraction(x) for x in args.consistency_list.split(",")] if args.consistency_list else [
-        params.consistency_threshold
-    ]
-    cutoff_list = _int_list(args.cutoff_list, "--cutoff-list") if args.cutoff_list else [params.cutoff]
+    # The swept values go into the grid, so `sweep --cutoff 0` fails one cell.
+    fixed = _fixed_params(args, table)
+    consistency = as_fraction(args.consistency)
+    params = AnalysisParams(**fixed)
+    cons_list = [as_fraction(x) for x in args.consistency_list.split(",")] if args.consistency_list else [consistency]
+    cutoff_list = _int_list(args.cutoff_list, "--cutoff-list") if args.cutoff_list else [args.cutoff]
     unique_list = (
         _int_list(args.unique_cover_list, "--unique-cover-list")
         if args.unique_cover_list
-        else [params.unique_cover]
+        else [args.unique_cover]
     )
     grid = [(c, k, u) for c in cons_list for k in cutoff_list for u in unique_list]
     cells = internal_sweep(table, grid, params)

@@ -18,7 +18,9 @@ Greedy reads its candidates as the columns of a `model.CandidateRules` (a
 plain list of rules is put into columns once), bitsets over the table's ids,
 and builds rule objects only for its picks. A gain is the popcount of
 ``positive_bits & uncovered``; `positives` are ids, mapped onto the
-candidates' ids once per call.
+candidates' ids once per call. Greedy, assembly and the oracle read the
+decision label and `unique_cover` of the run's one `model.AnalysisParams`,
+which checked them when it was built.
 
 Each greedy pass takes gains first and ties second: it computes every
 rule's gain and their maximum, and builds the full tie-break key
@@ -35,12 +37,12 @@ consistencies costs more than the passes it saves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Sequence
 
 from .model import (
+    AnalysisParams,
     CandidateRule,
     CandidateRules,
     CaseTable,
@@ -50,7 +52,6 @@ from .model import (
     Solution,
     UndefinedRatioError,
     VacuousSolutionError,
-    as_index,
     bits_of,
     match_bits,
     rule_from_conjunction,
@@ -60,20 +61,8 @@ from .model import (
 ORACLE_CANDIDATE_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class CoverParams:
-    decision_label: int
-    unique_cover: int = 2
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "decision_label", as_index(self.decision_label, "decision_label"))
-        object.__setattr__(self, "unique_cover", as_index(self.unique_cover, "unique_cover"))
-        if self.unique_cover < 1:
-            raise InputError(f"unique_cover must be >= 1, got {self.unique_cover}")
-
-
 def greedy_cover(
-    candidates: Sequence[CandidateRule], positives: Iterable[str], params: CoverParams
+    candidates: Sequence[CandidateRule], positives: Iterable[str], params: AnalysisParams
 ) -> list[CandidateRule]:
     """Forward greedy selection; empty result means no admissible cover."""
     columns = CandidateRules.of(candidates)
@@ -123,7 +112,7 @@ def assemble_solution(
     necessary: Sequence[Literal],
     selected: Sequence[CandidateRule],
     table: CaseTable,
-    params: CoverParams,
+    params: AnalysisParams,
 ) -> Solution:
     """Conjoin the necessary literals with the selected rules and score the result.
 
@@ -168,7 +157,7 @@ def assemble_solution(
 def exhaustive_cover_oracle(
     candidates: Sequence[CandidateRule],
     positives: Iterable[str],
-    params: CoverParams,
+    params: AnalysisParams,
 ) -> list[CandidateRule]:
     """Exact best admissible selection, for cross-checking the greedy loop.
 

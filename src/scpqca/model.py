@@ -35,6 +35,10 @@ carries the bits plus the shared ids and offers frozenset views of them;
 `CandidateRules`, enumeration's output and greedy's input, holds many rules
 as columns and builds a rule object only for a rule that is read.
 
+`AnalysisParams` holds the analysis parameters (the consistency threshold,
+the frequency cutoff, the unique-cover floor and the rest) and checks them
+when it is built, so every stage reads them as they are.
+
 All types are immutable after construction (the bitset cache only memoizes)
 and all operations are pure, so values can be shared freely across threads.
 """
@@ -100,6 +104,45 @@ def as_fraction(x: int | float | str | Fraction) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a valid ratio: {x!r}") from exc
     raise InputError(f"cannot interpret {type(x).__name__} as a ratio")
+
+
+# ---------------------------------------------------------------------------
+# Analysis parameters
+
+DEFAULT_NECESSITY_THRESHOLD = Fraction(9, 10)
+
+
+@dataclass(frozen=True)
+class AnalysisParams:
+    """Everything a pipeline run needs besides the table, checked when built.
+
+    Ratios are read with `as_fraction` and integers with `as_index`; a
+    consistency threshold outside (0, 1], then a `cutoff`, `max_order` or
+    `unique_cover` below 1, raises `InputError`. The necessity threshold's
+    range and `assume_necessary` are checked by `pipeline.solve`.
+    """
+
+    decision_label: int
+    consistency_threshold: Fraction = Fraction(4, 5)
+    cutoff: int = 2
+    unique_cover: int = 2
+    necessity_threshold: Fraction = DEFAULT_NECESSITY_THRESHOLD
+    max_order: int | None = None
+    assume_necessary: tuple[Literal, ...] | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "consistency_threshold", as_fraction(self.consistency_threshold))
+        object.__setattr__(self, "necessity_threshold", as_fraction(self.necessity_threshold))
+        object.__setattr__(self, "decision_label", as_index(self.decision_label, "decision_label"))
+        if not 0 < self.consistency_threshold <= 1:
+            raise InputError(f"consistency threshold must be in (0,1], got {self.consistency_threshold}")
+        for name in ("cutoff", "max_order", "unique_cover"):
+            if name == "max_order" and self.max_order is None:
+                continue  # no bound on the literals per rule
+            value = as_index(getattr(self, name), name)
+            if value < 1:
+                raise InputError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, value)
 
 
 # ---------------------------------------------------------------------------

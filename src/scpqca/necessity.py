@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .model import (
+    DEFAULT_NECESSITY_THRESHOLD,
     CaseTable,
     FactorSchema,
     InputError,
@@ -19,8 +20,6 @@ from .model import (
     as_fraction,
     necessity_consistency,
 )
-
-DEFAULT_NECESSITY_THRESHOLD = Fraction(9, 10)
 
 
 def necessary_conditions(

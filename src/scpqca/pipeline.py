@@ -6,60 +6,29 @@ covers the positive cases greedily, and conjoins the necessary literals back
 into the final solution. Shared by the CLI, the synthetic-experiment
 harness, and the robustness protocols; only the robustness protocols pass a
 candidate pool, so that their many solves of one table share one lattice
-walk.
+walk. Every stage reads the one `AnalysisParams` it is given (defined in
+`model`, and checked when it was built); `solve` checks only what needs the
+table, the necessity threshold's range and `assume_necessary`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .candidates import CandidateParams, CandidatePool, enumerate_candidates
-from .cover import CoverParams, assemble_solution, greedy_cover
+from .candidates import CandidatePool, enumerate_candidates
+from .cover import assemble_solution, greedy_cover
 from .model import (
+    AnalysisParams,
     CandidateRules,
     CaseTable,
     Conjunction,
     Literal,
     Solution,
     UndefinedRatioError,
-    as_fraction,
     conjunction_expr,
     match_bits,
 )
-from .necessity import (
-    DEFAULT_NECESSITY_THRESHOLD,
-    conflicting_factors,
-    exclude_necessary,
-    necessary_conditions,
-)
-
-
-@dataclass(frozen=True)
-class AnalysisParams:
-    """Everything a full pipeline run needs besides the table."""
-
-    decision_label: int
-    consistency_threshold: Fraction = Fraction(4, 5)
-    cutoff: int = 2
-    unique_cover: int = 2
-    necessity_threshold: Fraction = DEFAULT_NECESSITY_THRESHOLD
-    max_order: int | None = None
-    assume_necessary: tuple[Literal, ...] | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "consistency_threshold", as_fraction(self.consistency_threshold))
-        object.__setattr__(self, "necessity_threshold", as_fraction(self.necessity_threshold))
-
-    def candidate_params(self) -> CandidateParams:
-        return CandidateParams(
-            decision_label=self.decision_label,
-            consistency_threshold=self.consistency_threshold,
-            cutoff=self.cutoff,
-            max_order=self.max_order,
-        )
-
-    def cover_params(self) -> CoverParams:
-        return CoverParams(decision_label=self.decision_label, unique_cover=self.unique_cover)
+from .necessity import conflicting_factors, exclude_necessary, necessary_conditions
 
 
 @dataclass(frozen=True)
@@ -100,13 +69,13 @@ def solve(table: CaseTable, params: AnalysisParams, *, pool: CandidatePool | Non
         conjoined = tuple(sorted(lit for lit, _ in necessity if lit.factor_index not in conflicts))
 
     factor_set = exclude_necessary(table.schema, conjoined)
-    candidates = enumerate_candidates(table, factor_set, params.candidate_params(), pool=pool)
+    candidates = enumerate_candidates(table, factor_set, params, pool=pool)
 
     positives = table.positive_ids(params.decision_label)
     if not positives:
         raise UndefinedRatioError(f"no cases with outcome {params.decision_label}")
 
-    selected = greedy_cover(candidates, positives, params.cover_params())
+    selected = greedy_cover(candidates, positives, params)
 
     # Rules that lose every matched case once the necessary literals are
     # conjoined cannot be scored; drop them with a warning instead of failing.
@@ -123,7 +92,7 @@ def solve(table: CaseTable, params: AnalysisParams, *, pool: CandidatePool | Non
                 )
         selected = kept
 
-    solution = assemble_solution(conjoined, selected, table, params.cover_params())
+    solution = assemble_solution(conjoined, selected, table, params)
 
     if solution.solution_consistency < params.consistency_threshold:
         warnings.append(

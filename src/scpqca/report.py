@@ -375,9 +375,9 @@ def sweep_payload(cells, schema: FactorSchema) -> dict:
     rows = []
     for cell in cells:
         row: dict = {
-            "consistency_threshold": float(cell.params.consistency_threshold),
-            "cutoff": cell.params.cutoff,
-            "unique_cover": cell.params.unique_cover,
+            "consistency_threshold": float(cell.consistency_threshold),
+            "cutoff": cell.cutoff,
+            "unique_cover": cell.unique_cover,
             "candidates": cell.candidate_count,
         }
         if cell.result is not None:

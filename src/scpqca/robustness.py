@@ -32,8 +32,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .candidates import CandidatePool
-from .model import CaseTable, Conjunction, InputError, ScpqcaError, as_fraction, as_index
-from .pipeline import AnalysisParams, SolveResult, solve
+from .model import AnalysisParams, CaseTable, Conjunction, InputError, ScpqcaError, as_fraction, as_index
+from .pipeline import SolveResult, solve
 
 
 class ValidityClass(Enum):
@@ -72,7 +72,11 @@ def classify_with_match(
 
 @dataclass(frozen=True)
 class SweepCell:
-    params: AnalysisParams
+    """A grid point as given (its consistency parsed) and its solve, if any."""
+
+    consistency_threshold: Fraction
+    cutoff: int
+    unique_cover: int
     result: SolveResult | None
     candidate_count: int
     error: str | None = None
@@ -85,41 +89,43 @@ def internal_sweep(
 ) -> list[SweepCell]:
     """One pipeline run per (consistency_threshold, cutoff, unique_cover) point.
 
-    A failing cell is recorded with its error and the sweep continues. The
-    cells share one candidate pool at the smallest cutoff and consistency of
-    the cells whose candidate parameters are valid, so the lattice is walked
-    once.
+    A cell's row shows its consistency, so one that is not a ratio ("abc")
+    raises `InputError` before any cell is solved, like an entry that is not
+    a triple. An out-of-range or non-integer value (cutoff 0 or 2.5) fails
+    only its own cell, recorded with its error like a failed solve. The
+    cells share one candidate pool at the smallest cutoff and consistency
+    of the cells whose parameters are valid, so the lattice is walked once.
     """
     if not grid:
         raise InputError("sweep grid must not be empty")
     bad = [p for p in grid if isinstance(p, str) or not isinstance(p, Sequence) or len(p) != 3]
     if bad:
         raise InputError(f"sweep grid entry must be a (consistency, cutoff, unique_cover) triple, got {bad[0]!r}")
-    grid_params = [
-        replace(base_params, consistency_threshold=consistency, cutoff=cutoff, unique_cover=unique)
-        for consistency, cutoff, unique in grid
-    ]
-    valid = [p for p in grid_params if _valid_candidates(p)]
+    points = [(as_fraction(consistency), cutoff, unique) for consistency, cutoff, unique in grid]
+    grid_params: list[AnalysisParams | str] = []  # or the error building them raised
+    for consistency, cutoff, unique in points:
+        try:
+            grid_params.append(
+                replace(base_params, consistency_threshold=consistency, cutoff=cutoff, unique_cover=unique)
+            )
+        except InputError as exc:
+            grid_params.append(str(exc))
+    valid = [p for p in grid_params if isinstance(p, AnalysisParams)]
     pool = CandidatePool(
         min((p.cutoff for p in valid), default=1),
         min((p.consistency_threshold for p in valid), default=None),
     )
     cells: list[SweepCell] = []
-    for params in grid_params:
+    for point, params in zip(points, grid_params):
+        if isinstance(params, str):
+            cells.append(SweepCell(*point, None, 0, error=params))
+            continue
         try:
             result = solve(table, params, pool=pool)
-            cells.append(SweepCell(params, result, len(result.candidates)))
+            cells.append(SweepCell(*point, result, len(result.candidates)))
         except ScpqcaError as exc:
-            cells.append(SweepCell(params, None, 0, error=str(exc)))
+            cells.append(SweepCell(*point, None, 0, error=str(exc)))
     return cells
-
-
-def _valid_candidates(params: AnalysisParams) -> bool:
-    try:
-        params.candidate_params()
-    except InputError:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +224,7 @@ def external_validity(
         raise InputError(f"reps must be >= 1, got {reps}")
     table.require_unique_ids()
 
-    # A cutoff below 1 fails the full solve with its own error before the
-    # pool is used.
-    pool = CandidatePool(max(as_index(params.cutoff, "cutoff"), 1))
+    pool = CandidatePool(params.cutoff)
     full = solve(table, params, pool=pool)
     originals = full.solution.configurations()
 

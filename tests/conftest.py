@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from scpqca import (
-    CandidateParams,
+    AnalysisParams,
     Case,
     CaseTable,
     Conjunction,
@@ -61,7 +61,7 @@ def random_table(rng: random.Random, max_factors: int = 4, max_levels: int = 3, 
     return CaseTable(schema=schema, ids=ids, values=values, outcomes=outcomes)
 
 
-def brute_force_candidates(table: CaseTable, factor_set, params: CandidateParams):
+def brute_force_candidates(table: CaseTable, factor_set, params: AnalysisParams):
     """Independent oracle: materialize every conjunction via itertools and
     filter with the model-level metric operations."""
     factor_set = sorted(factor_set)

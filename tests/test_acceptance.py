@@ -20,10 +20,8 @@ import pytest
 
 from scpqca import (
     AnalysisParams,
-    CandidateParams,
     CandidateRule,
     Conjunction,
-    CoverParams,
     ExperimentSpec,
     ValidityClass,
     classify_configuration,
@@ -190,7 +188,7 @@ def test_criterion_05_pban_reproduction():
 
 
 def test_criterion_06_candidate_list_reproduction(remote_table):
-    params = CandidateParams(1, "0.8", cutoff=4)
+    params = AnalysisParams(1, "0.8", cutoff=4)
     rules = enumerate_candidates(remote_table, range(7), params)
     from scpqca import conjunction_shorthand
 
@@ -227,7 +225,7 @@ def test_criterion_07_oracle_equivalence():
             ids = frozenset(rng.sample(universe, rng.randint(1, n_pos)))
             extra = frozenset(f"n{i}_{j}" for j in range(rng.randint(0, 3)))
             rules.append(CandidateRule.from_sets(Conjunction.of((i, 0)), ids | extra, ids, index))
-        params = CoverParams(1, unique_cover=rng.randint(1, 3))
+        params = AnalysisParams(1, unique_cover=rng.randint(1, 3))
         greedy = greedy_cover(rules, universe, params)
         oracle = exhaustive_cover_oracle(rules, universe, params)
 
@@ -276,15 +274,15 @@ def test_criterion_08_metric_property_suite(remote_table, m1_table):
 
     # threshold directions on the repo fixtures
     counts_cons = [
-        len(enumerate_candidates(remote_table, range(7), CandidateParams(1, c, cutoff=4)))
+        len(enumerate_candidates(remote_table, range(7), AnalysisParams(1, c, cutoff=4)))
         for c in ("0.8", "0.75", "0.7")
     ]
     counts_cut = [
-        len(enumerate_candidates(remote_table, range(7), CandidateParams(1, "0.8", cutoff=k)))
+        len(enumerate_candidates(remote_table, range(7), AnalysisParams(1, "0.8", cutoff=k)))
         for k in (2, 3, 4, 5)
     ]
     m1_counts = [
-        len(enumerate_candidates(m1_table, [0, 1], CandidateParams(1, c, cutoff=1)))
+        len(enumerate_candidates(m1_table, [0, 1], AnalysisParams(1, c, cutoff=1)))
         for c in ("0.9", "0.7", "0.5")
     ]
     directions_ok = (

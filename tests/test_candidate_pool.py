@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from scpqca import (
     AnalysisParams,
-    CandidateParams,
     CandidatePool,
     Case,
     CaseTable,
@@ -90,12 +89,12 @@ class TestPoolAgainstWalk:
         everything = tuple(range(len(table.schema.factors)))
         pool = CandidatePool(base_cutoff)
         # The first call builds the pool over the full table and factor set.
-        first = CandidateParams(label, grid[0][0], cutoff=grid[0][1], max_order=max_order)
+        first = AnalysisParams(label, grid[0][0], cutoff=grid[0][1], max_order=max_order)
         enumerate_candidates(table, everything, first, pool=pool)
 
         tables = [table] + [table.take([i for i, kept in enumerate(mask) if kept]) for mask in subsets]
         for consistency, cutoff in grid:
-            params = CandidateParams(label, consistency, cutoff=cutoff, max_order=max_order)
+            params = AnalysisParams(label, consistency, cutoff=cutoff, max_order=max_order)
             for sub in tables:
                 for factors in [everything, *factor_sets]:
                     pooled = enumerate_candidates(sub, factors, params, pool=pool)
@@ -116,7 +115,7 @@ class TestPoolAgainstWalk:
         pool = CandidatePool(base_cutoff, floor)
         tables = [table] + [table.take([i for i, kept in enumerate(mask) if kept]) for mask in subsets]
         for consistency, cutoff in grid:
-            params = CandidateParams(label, consistency, cutoff=cutoff, max_order=max_order)
+            params = AnalysisParams(label, consistency, cutoff=cutoff, max_order=max_order)
             for sub in tables:
                 for factors in [everything, *factor_sets]:
                     pooled = enumerate_candidates(sub, factors, params, pool=pool)
@@ -134,15 +133,15 @@ class TestPoolAgainstWalk:
 
         monkeypatch.setattr(candidates, "_walk", counted)
         pool = CandidatePool(2)
-        loose = enumerate_candidates(remote_table, range(7), CandidateParams(1, "0.7", cutoff=2), pool=pool)
-        tight = enumerate_candidates(remote_table, range(7), CandidateParams(1, "0.8", cutoff=4), pool=pool)
+        loose = enumerate_candidates(remote_table, range(7), AnalysisParams(1, "0.7", cutoff=2), pool=pool)
+        tight = enumerate_candidates(remote_table, range(7), AnalysisParams(1, "0.8", cutoff=4), pool=pool)
         assert walks == [2]
         assert tight and set(tight.literals) <= set(loose.literals)
         assert tight.ids is loose.ids is remote_table.ids
 
     def test_unanswerable_calls_walk(self, remote_table):
         pool = CandidatePool(3)
-        params = CandidateParams(1, "0.8", cutoff=3, max_order=3)
+        params = AnalysisParams(1, "0.8", cutoff=3, max_order=3)
         enumerate_candidates(remote_table, range(1, 7), params, pool=pool)
         other = load_other(remote_table)
         for table, factors, call in [
@@ -173,12 +172,13 @@ def load_other(table: CaseTable) -> CaseTable:
 def plain_sweep(table, grid, base):
     cells = []
     for consistency, cutoff, unique in grid:
-        params = replace(base, consistency_threshold=consistency, cutoff=cutoff, unique_cover=unique)
+        point = (as_fraction(consistency), cutoff, unique)
         try:
+            params = replace(base, consistency_threshold=consistency, cutoff=cutoff, unique_cover=unique)
             result = solve(table, params)
-            cells.append(SweepCell(params, result, len(result.candidates)))
+            cells.append(SweepCell(*point, result, len(result.candidates)))
         except ScpqcaError as exc:
-            cells.append(SweepCell(params, None, 0, error=str(exc)))
+            cells.append(SweepCell(*point, None, 0, error=str(exc)))
     return cells
 
 

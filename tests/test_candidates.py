@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from scpqca import (
-    CandidateParams,
+    AnalysisParams,
     Case,
     CaseTable,
     Conjunction,
@@ -42,14 +42,14 @@ class Index:
 
 class TestM1Enumeration:
     def test_consistency_08_cutoff_2(self, m1_table):
-        params = CandidateParams(1, "0.8", cutoff=2)
+        params = AnalysisParams(1, "0.8", cutoff=2)
         rules = enumerate_candidates(m1_table, [0, 1], params)
         assert [r.conjunction for r in rules] == [Conjunction.of((0, 1), (1, 1))]
         assert rules[0].consistency == 1
         assert rules[0].matched == {"c1", "c3"}
 
     def test_consistency_07_adds_single_literal(self, m1_table):
-        params = CandidateParams(1, "0.7", cutoff=2)
+        params = AnalysisParams(1, "0.7", cutoff=2)
         rules = enumerate_candidates(m1_table, [0, 1], params)
         assert [r.conjunction for r in rules] == [
             Conjunction.of((0, 1)),
@@ -59,7 +59,7 @@ class TestM1Enumeration:
         assert len(rules[0].matched) == 4
 
     def test_cutoff_above_table_size(self, m1_table):
-        params = CandidateParams(1, "0.5", cutoff=10)
+        params = AnalysisParams(1, "0.5", cutoff=10)
         assert enumerate_candidates(m1_table, [0, 1], params) == []
 
 
@@ -69,11 +69,11 @@ class TestThresholdSemantics:
         schema = binary_schema(["A"])
         cases = [Case(f"c{i}", (1,), 1) for i in range(4)] + [Case("c4", (1,), 0)]
         t = CaseTable.from_cases(schema, cases)
-        rules = enumerate_candidates(t, [0], CandidateParams(1, "0.8", cutoff=1))
+        rules = enumerate_candidates(t, [0], AnalysisParams(1, "0.8", cutoff=1))
         assert any(r.conjunction == Conjunction.of((0, 1)) and r.consistency == Fraction(4, 5) for r in rules)
 
     def test_emitted_rules_recheck_both_filters(self, remote_table):
-        params = CandidateParams(1, "0.8", cutoff=4)
+        params = AnalysisParams(1, "0.8", cutoff=4)
         for rule in enumerate_candidates(remote_table, range(7), params):
             assert len(rule.matched) >= 4
             assert sufficiency_consistency(rule.conjunction, remote_table, 1) == rule.consistency
@@ -88,7 +88,7 @@ class TestOracleEquivalence:
         label = rng.randrange(table.schema.outcome_levels)
         if not table.positive_bits(label):
             label = int(table.outcomes[0])
-        params = CandidateParams(
+        params = AnalysisParams(
             label,
             Fraction(rng.randint(5, 10), 10),
             cutoff=rng.randint(1, 3),
@@ -103,7 +103,7 @@ class TestOracleEquivalence:
         rng = random.Random(1000 + seed)
         table = random_table(rng, max_factors=3, max_levels=4, max_cases=30)
         label = int(table.outcomes[0])
-        params = CandidateParams(label, "0.6", cutoff=2)
+        params = AnalysisParams(label, "0.6", cutoff=2)
         factor_set = range(len(table.schema.factors))
         got = [r.conjunction for r in enumerate_candidates(table, factor_set, params)]
         assert got == brute_force_candidates(table, factor_set, params)
@@ -127,7 +127,7 @@ class TestOracleEquivalence:
             [[rng.choice(h) for h in held] for _ in range(n)],
             [rng.randrange(2) for _ in range(n)],
         )
-        params = CandidateParams(
+        params = AnalysisParams(
             int(table.outcomes[0]),
             Fraction(rng.randint(3, 10), 10),
             cutoff=rng.randint(1, 4),
@@ -172,7 +172,7 @@ class TestOracleEquivalence:
         table = CaseTable(
             schema, tuple(f"x{i}" for i in range(len(rows))), [r[:-1] for r in rows], [r[-1] for r in rows]
         )
-        params = CandidateParams(1, consistency, cutoff=cutoff, max_order=max_order)
+        params = AnalysisParams(1, consistency, cutoff=cutoff, max_order=max_order)
         factor_set = range(len(levels))
         got = [r.conjunction for r in enumerate_candidates(table, factor_set, params)]
         assert got and got == brute_force_candidates(table, factor_set, params)
@@ -202,7 +202,7 @@ class TestUncheckedRulesAreValid:
         rng = random.Random(3000 + seed)
         table = random_table(rng, max_factors=5, max_levels=4, max_cases=30)
         label = int(table.outcomes[rng.randrange(len(table))])
-        params = CandidateParams(
+        params = AnalysisParams(
             label,
             Fraction(rng.randint(3, 10), 10),
             cutoff=rng.randint(1, 3),
@@ -229,18 +229,18 @@ class TestUncheckedRulesAreValid:
 
 class TestDeterminismAndOrdering:
     def test_order_is_size_then_lexicographic(self, remote_table):
-        rules = enumerate_candidates(remote_table, range(7), CandidateParams(1, "0.8", cutoff=4))
+        rules = enumerate_candidates(remote_table, range(7), AnalysisParams(1, "0.8", cutoff=4))
         keys = [r.conjunction.sort_key() for r in rules]
         assert keys == sorted(keys)
 
     def test_byte_identical_across_runs(self, remote_table):
-        params = CandidateParams(1, "0.8", cutoff=4)
+        params = AnalysisParams(1, "0.8", cutoff=4)
         a = enumerate_candidates(remote_table, range(7), params)
         b = enumerate_candidates(remote_table, range(7), params)
         assert a == b
 
     def test_rule_and_specialization_coexist(self, remote_table):
-        rules = enumerate_candidates(remote_table, range(7), CandidateParams(1, "0.8", cutoff=4))
+        rules = enumerate_candidates(remote_table, range(7), AnalysisParams(1, "0.8", cutoff=4))
         exprs = {conjunction_shorthand(r.conjunction, remote_table.schema) for r in rules}
         assert "ms*PI" in exprs and "ms*PI*LP" in exprs
 
@@ -251,9 +251,9 @@ class TestAntiMonotoneFiltering:
         rng = random.Random(2000 + seed)
         table = random_table(rng, max_factors=4, max_levels=3, max_cases=25)
         label = int(table.outcomes[0])
-        tight = CandidateParams(label, "0.8", cutoff=3)
-        loose_consistency = CandidateParams(label, "0.6", cutoff=3)
-        loose_cutoff = CandidateParams(label, "0.8", cutoff=1)
+        tight = AnalysisParams(label, "0.8", cutoff=3)
+        loose_consistency = AnalysisParams(label, "0.6", cutoff=3)
+        loose_cutoff = AnalysisParams(label, "0.8", cutoff=1)
         factor_set = range(len(table.schema.factors))
         base = {r.conjunction for r in enumerate_candidates(table, factor_set, tight)}
         assert base <= {r.conjunction for r in enumerate_candidates(table, factor_set, loose_consistency)}
@@ -288,7 +288,7 @@ class TestCountBound:
             assert candidate_count_bound(schema, None, max_order) == expected
 
     def test_bound_caps_enumeration(self, remote_table):
-        params = CandidateParams(1, "0.8", cutoff=1, max_order=2)
+        params = AnalysisParams(1, "0.8", cutoff=1, max_order=2)
         rules = enumerate_candidates(remote_table, range(7), params)
         assert all(len(r.conjunction) <= 2 for r in rules)
         assert len(rules) <= candidate_count_bound(remote_table.schema, range(7), 2)
@@ -297,38 +297,38 @@ class TestCountBound:
 class TestValidation:
     def test_factor_set_out_of_range(self, m1_table):
         with pytest.raises(InputError):
-            enumerate_candidates(m1_table, [7], CandidateParams(1))
+            enumerate_candidates(m1_table, [7], AnalysisParams(1))
 
     def test_empty_factor_set_yields_nothing(self, m1_table):
-        assert enumerate_candidates(m1_table, [], CandidateParams(1)) == []
+        assert enumerate_candidates(m1_table, [], AnalysisParams(1)) == []
 
     def test_param_validation(self):
         with pytest.raises(InputError):
-            CandidateParams(1, "0.0")
+            AnalysisParams(1, "0.0")
         with pytest.raises(InputError):
-            CandidateParams(1, "0.8", cutoff=0)
+            AnalysisParams(1, "0.8", cutoff=0)
         with pytest.raises(InputError):
-            CandidateParams(1, "0.8", max_order=0)
+            AnalysisParams(1, "0.8", max_order=0)
 
     def test_integer_params_are_never_truncated(self):
         with pytest.raises(InputError, match="cutoff must be an integer, got 2.5"):
-            CandidateParams(1, "0.8", cutoff=2.5)
+            AnalysisParams(1, "0.8", cutoff=2.5)
         with pytest.raises(InputError, match="cutoff must be an integer, got '2'"):
-            CandidateParams(1, "0.8", cutoff="2")
+            AnalysisParams(1, "0.8", cutoff="2")
         with pytest.raises(InputError, match="max_order must be an integer, got 2.0"):
-            CandidateParams(1, "0.8", max_order=2.0)
+            AnalysisParams(1, "0.8", max_order=2.0)
         for label in (1.0, "1"):
             with pytest.raises(InputError, match=f"decision_label must be an integer, got {label!r}"):
-                CandidateParams(label)
+                AnalysisParams(label)
         # Anything with __index__ is read through it, as table levels are.
-        params = CandidateParams(Index(1), "0.8", cutoff=Index(3), max_order=Index(2))
+        params = AnalysisParams(Index(1), "0.8", cutoff=Index(3), max_order=Index(2))
         assert (params.decision_label, params.cutoff, params.max_order) == (1, 3, 2)
         assert all(type(v) is int for v in (params.decision_label, params.cutoff, params.max_order))
 
     @pytest.mark.parametrize("factor_set", [[0, 1.7], [1.7, 2.2], ["0", "1"]])
     def test_non_integer_factor_indices_rejected(self, m1_table, factor_set):
         with pytest.raises(InputError, match="factor index must be an integer"):
-            enumerate_candidates(m1_table, factor_set, CandidateParams(1))
+            enumerate_candidates(m1_table, factor_set, AnalysisParams(1))
 
     def test_count_bound_validates_factor_indices_and_order(self, m1_table):
         with pytest.raises(InputError, match="factor index must be an integer, got 1.7"):
@@ -348,7 +348,7 @@ class TestValidation:
             outcomes=m1_table.outcomes,
         )
         with pytest.raises(InputError, match="duplicate case id"):
-            enumerate_candidates(t, [0, 1], CandidateParams(1))
+            enumerate_candidates(t, [0, 1], AnalysisParams(1))
 
 
 class TestCandidateRules:
@@ -356,7 +356,7 @@ class TestCandidateRules:
 
     @pytest.fixture()
     def rules(self, remote_table):
-        rules = enumerate_candidates(remote_table, range(7), CandidateParams(1, "0.8", cutoff=3))
+        rules = enumerate_candidates(remote_table, range(7), AnalysisParams(1, "0.8", cutoff=3))
         assert isinstance(rules, CandidateRules) and len(rules) >= 6
         return rules
 

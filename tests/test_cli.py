@@ -261,11 +261,53 @@ class TestErrors:
         assert err.startswith("error:") and flag in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_experiment_reps_below_one(self, reps):
+        code, out, err = run_cli("experiment", "--factors", "3", "--pathway", "ab", "--reps", reps, "--format", "json")
+        assert (code, out, err) == (1, "", f"error: reps must be >= 1, got {reps}\n")
+
+    @pytest.mark.parametrize("confounds", ["", ","])
+    def test_experiment_empty_confounds(self, confounds):
+        code, out, err = run_cli("experiment", "--factors", "3", "--pathway", "ab", "--confounds", confounds)
+        assert (code, out, err) == (1, "", "error: --confounds must list at least one count\n")
+
     def test_threads_flag_is_gone(self):
         code, out, err = run_cli("solve", *REMOTE, "--cutoff", "4", "--threads", "2")
         assert code == 1
         assert out == ""
         assert "unrecognized arguments: --threads 2" in err
+
+
+class TestParameterChecks:
+    """Each subcommand builds one checked `AnalysisParams` from the flags it uses."""
+
+    def test_candidates_ignores_unique_cover(self):
+        plain = run_cli("candidates", *REMOTE, "--cutoff", "4")
+        assert plain[0] == 0
+        assert run_cli("candidates", *REMOTE, "--cutoff", "4", "--unique-cover", "0") == plain
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--cutoff", "cutoff must be >= 1, got 0"), ("--unique-cover", "unique_cover must be >= 1, got 0")],
+    )
+    def test_sweep_fails_one_cell_for_a_swept_value(self, flag, message):
+        code, out, err = run_cli("sweep", *REMOTE, flag, "0", "--format", "json")
+        assert (code, err) == (0, "")
+        [cell] = json.loads(out)["cells"]
+        assert cell["error"] == message
+
+    def test_sweep_checks_an_unswept_value_up_front(self):
+        assert run_cli("sweep", *REMOTE, "--max-order", "0") == (1, "", "error: max_order must be >= 1, got 0\n")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["solve", *REMOTE, "--unique-cover", "0", "--necessity-threshold", "2"], "unique_cover must be >= 1, got 0"),
+            (["xval", *REMOTE, "--cutoff", "0", "--fraction", "2"], "cutoff must be >= 1, got 0"),
+        ],
+    )
+    def test_params_are_checked_before_the_run(self, args, message):
+        assert run_cli(*args) == (1, "", f"error: {message}\n")
 
 
 class TestEnumerationBoundWarning:
@@ -696,3 +738,15 @@ class TestReadmeFlags:
 
     def test_readme_names_no_unknown_flag(self):
         assert readme_cli_flags() - parser_flags() == set()
+
+
+class TestReadmeLibraryUse:
+    def test_library_use_block_runs(self, monkeypatch):
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(ROOT)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            exec(compile(block, "README.md", "exec"), {})
+        assert "cutoff must be >= 1, got 0" in out.getvalue()

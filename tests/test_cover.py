@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from scpqca import (
     AnalysisParams,
-    CandidateParams,
     CandidateRule,
     CandidateRules,
     Case,
     CaseTable,
     Conjunction,
-    CoverParams,
     InputError,
     Literal,
     UndefinedRatioError,
@@ -51,44 +49,44 @@ class TestGreedy:
     def test_unique_cover_must_be_an_integer(self):
         for bad in (1.5, "2"):
             with pytest.raises(InputError, match="unique_cover must be an integer"):
-                CoverParams(1, unique_cover=bad)
+                AnalysisParams(1, unique_cover=bad)
         with pytest.raises(InputError, match="unique_cover must be >= 1, got 0"):
-            CoverParams(1, unique_cover=0)
+            AnalysisParams(1, unique_cover=0)
         with pytest.raises(InputError, match="decision_label must be an integer, got 1.0"):
-            CoverParams(1.0)
+            AnalysisParams(1.0)
 
     def test_chain_example_unique_cover_1(self):
         r1, r2, r3 = pure_rule(0, "123"), pure_rule(1, "34"), pure_rule(2, "45")
-        sel = greedy_cover([r1, r2, r3], set("12345"), CoverParams(1, unique_cover=1))
+        sel = greedy_cover([r1, r2, r3], set("12345"), AnalysisParams(1, unique_cover=1))
         assert sel == [r1, r3]
 
     def test_chain_example_unique_cover_3(self):
         r1, r2, r3 = pure_rule(0, "123"), pure_rule(1, "34"), pure_rule(2, "45")
-        sel = greedy_cover([r1, r2, r3], set("12345"), CoverParams(1, unique_cover=3))
+        sel = greedy_cover([r1, r2, r3], set("12345"), AnalysisParams(1, unique_cover=3))
         assert sel == [r1]
 
     def test_empty_positives(self):
-        assert greedy_cover([pure_rule(0, "12")], set(), CoverParams(1, 1)) == []
+        assert greedy_cover([pure_rule(0, "12")], set(), AnalysisParams(1, unique_cover=1)) == []
 
     def test_empty_candidates(self):
-        assert greedy_cover([], {"1"}, CoverParams(1, 1)) == []
+        assert greedy_cover([], {"1"}, AnalysisParams(1, unique_cover=1)) == []
 
     def test_gain_ties_break_by_consistency(self):
         impure = CandidateRule.from_sets(Conjunction.of((0, 0)), {"1", "2", "n"}, {"1", "2"}, INDEX)
         pure = pure_rule(1, {"3", "4"})
-        sel = greedy_cover([impure, pure], set("1234"), CoverParams(1, unique_cover=2))
+        sel = greedy_cover([impure, pure], set("1234"), AnalysisParams(1, unique_cover=2))
         assert sel[0] == pure
 
     def test_consistency_ties_break_by_fewer_literals(self):
         wide = CandidateRule.from_sets(Conjunction.of((0, 0)), {"1", "2"}, {"1", "2"}, INDEX)
         narrow = CandidateRule.from_sets(Conjunction.of((1, 0), (2, 0)), {"3", "4"}, {"3", "4"}, INDEX)
-        sel = greedy_cover([narrow, wide], set("1234"), CoverParams(1, unique_cover=2))
+        sel = greedy_cover([narrow, wide], set("1234"), AnalysisParams(1, unique_cover=2))
         assert sel[0] == wide
 
     def test_final_tie_breaks_by_candidate_order(self):
         a = pure_rule(0, {"1", "2"})
         b = pure_rule(1, {"3", "4"})
-        sel = greedy_cover([a, b], set("1234"), CoverParams(1, unique_cover=2))
+        sel = greedy_cover([a, b], set("1234"), AnalysisParams(1, unique_cover=2))
         assert sel[0] == a
 
     def test_selection_time_gain_always_at_least_unique_cover(self):
@@ -99,7 +97,7 @@ class TestGreedy:
                 pure_rule(i, rng.sample(universe, rng.randint(1, 10))) for i in range(rng.randint(1, 8))
             ]
             u = rng.randint(1, 3)
-            sel = greedy_cover(rules, universe, CoverParams(1, unique_cover=u))
+            sel = greedy_cover(rules, universe, AnalysisParams(1, unique_cover=u))
             seen: set[str] = set()
             for rule in sel:
                 gain = len(rule.positives_matched - seen)
@@ -113,7 +111,7 @@ class TestGreedy:
             rules = [
                 pure_rule(i, rng.sample(universe, rng.randint(1, 12))) for i in range(rng.randint(1, 6))
             ]
-            sel = greedy_cover(rules, universe, CoverParams(1, unique_cover=1))
+            sel = greedy_cover(rules, universe, AnalysisParams(1, unique_cover=1))
             best_single = max(len(r.positives_matched) for r in rules)
             assert covered(sel, universe) >= best_single
 
@@ -172,7 +170,7 @@ class TestGreedyAgainstFullKeyScan:
     @given(tied_rule_lists(), st.integers(1, 3))
     def test_same_picks_in_the_same_order(self, drawn, unique_cover):
         rules, positives = drawn
-        params = CoverParams(1, unique_cover=unique_cover)
+        params = AnalysisParams(1, unique_cover=unique_cover)
         got = greedy_cover(rules, positives, params)
         want = full_key_greedy(rules, positives, params)
         assert [id(r) for r in got] == [id(r) for r in want]
@@ -181,7 +179,7 @@ class TestGreedyAgainstFullKeyScan:
 class TestOracle:
     def test_chain_instance_matches_greedy(self):
         r1, r2, r3 = pure_rule(0, "123"), pure_rule(1, "34"), pure_rule(2, "45")
-        params = CoverParams(1, unique_cover=1)
+        params = AnalysisParams(1, unique_cover=1)
         oracle = exhaustive_cover_oracle([r1, r2, r3], set("12345"), params)
         assert covered(oracle, set("12345")) == 5
         greedy = greedy_cover([r1, r2, r3], set("12345"), params)
@@ -190,7 +188,7 @@ class TestOracle:
     def test_overlap_instance_prefers_fewer_rules(self):
         # R1 overlaps both others; the oracle finds the two-rule cover of all 8
         r1, r2, r3 = pure_rule(0, "1234"), pure_rule(1, "1256"), pure_rule(2, "3478")
-        params = CoverParams(1, unique_cover=2)
+        params = AnalysisParams(1, unique_cover=2)
         positives = set("12345678")
         oracle = exhaustive_cover_oracle([r1, r2, r3], positives, params)
         assert oracle == [r2, r3]
@@ -199,20 +197,20 @@ class TestOracle:
         assert covered(greedy, positives) <= covered(oracle, positives)
 
     def test_empty_positives(self):
-        assert exhaustive_cover_oracle([pure_rule(0, "12")], set(), CoverParams(1, 1)) == []
+        assert exhaustive_cover_oracle([pure_rule(0, "12")], set(), AnalysisParams(1, unique_cover=1)) == []
 
     def test_order_infeasible_pair_rejected(self):
         # {ab} and {bc} under unique_cover=2: whichever goes second gains
         # only one new positive, so the pair is inadmissible in any order
         r1, r2 = pure_rule(0, {"a", "b"}), pure_rule(1, {"b", "c"})
-        sel = exhaustive_cover_oracle([r1, r2], {"a", "b", "c"}, CoverParams(1, unique_cover=2))
+        sel = exhaustive_cover_oracle([r1, r2], {"a", "b", "c"}, AnalysisParams(1, unique_cover=2))
         assert len(sel) == 1
         assert covered(sel, {"a", "b", "c"}) == 2
 
     def test_candidate_limit_enforced(self):
         rules = [pure_rule(i, {f"p{i}"}) for i in range(21)]
         with pytest.raises(InputError, match="oracle limit"):
-            exhaustive_cover_oracle(rules, {"p0"}, CoverParams(1, 1))
+            exhaustive_cover_oracle(rules, {"p0"}, AnalysisParams(1, unique_cover=1))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_oracle_never_below_greedy(self, seed):
@@ -225,7 +223,7 @@ class TestOracle:
             ids = set(rng.sample(universe, rng.randint(1, n_pos)))
             extra = {f"n{i}{j}" for j in range(rng.randint(0, 2))}
             rules.append(CandidateRule.from_sets(Conjunction.of((i, 0)), ids | extra, ids, index))
-        params = CoverParams(1, unique_cover=rng.randint(1, 3))
+        params = AnalysisParams(1, unique_cover=rng.randint(1, 3))
         greedy = greedy_cover(rules, universe, params)
         oracle = exhaustive_cover_oracle(rules, universe, params)
         assert covered(oracle, universe) >= covered(greedy, universe)
@@ -244,10 +242,10 @@ class TestUniqueCoverage:
 class TestAssembleSolution:
     def test_requires_something(self, m1_table):
         with pytest.raises(VacuousSolutionError):
-            assemble_solution([], [], m1_table, CoverParams(1, 1))
+            assemble_solution([], [], m1_table, AnalysisParams(1, unique_cover=1))
 
     def test_necessary_only_solution(self, m1_table):
-        sol = assemble_solution([Literal(0, 1)], [], m1_table, CoverParams(1, 1))
+        sol = assemble_solution([Literal(0, 1)], [], m1_table, AnalysisParams(1, unique_cover=1))
         assert sol.rules == ()
         assert sol.solution_consistency == Fraction(3, 4)
         assert sol.solution_coverage == 1
@@ -255,7 +253,7 @@ class TestAssembleSolution:
 
     def test_single_rule_metrics_on_m1(self, m1_table):
         rule = rule_from_conjunction(Conjunction.of((0, 1), (1, 1)), m1_table, 1)
-        sol = assemble_solution([], [rule], m1_table, CoverParams(1, 1))
+        sol = assemble_solution([], [rule], m1_table, AnalysisParams(1, unique_cover=1))
         assert sol.solution_consistency == 1
         assert sol.solution_coverage == Fraction(2, 3)
         assert sol.per_rule_unique_coverage == (2,)
@@ -264,7 +262,7 @@ class TestAssembleSolution:
         # rule {B=1} alone matches c1,c3,c4; conjoined with A=1 it loses c4
         rule = rule_from_conjunction(Conjunction.of((1, 1)), m1_table, 1)
         assert rule.consistency == Fraction(2, 3)
-        sol = assemble_solution([Literal(0, 1)], [rule], m1_table, CoverParams(1, 1))
+        sol = assemble_solution([Literal(0, 1)], [rule], m1_table, AnalysisParams(1, unique_cover=1))
         assert sol.rules[0].matched == {"c1", "c3"}
         assert sol.rules[0].consistency == 1
         assert sol.solution_consistency == 1
@@ -273,7 +271,7 @@ class TestAssembleSolution:
     def test_conflicting_rule_and_necessary(self, m1_table):
         rule = rule_from_conjunction(Conjunction.of((0, 0)), m1_table, 1)
         with pytest.raises(InputError):
-            assemble_solution([Literal(0, 1)], [rule], m1_table, CoverParams(1, 1))
+            assemble_solution([Literal(0, 1)], [rule], m1_table, AnalysisParams(1, unique_cover=1))
 
     def test_rule_with_no_effective_matches(self):
         schema = binary_schema(["A", "B"])
@@ -283,7 +281,7 @@ class TestAssembleSolution:
         )
         rule = rule_from_conjunction(Conjunction.of((1, 1)), t, 1)  # matches only b
         with pytest.raises(UndefinedRatioError):
-            assemble_solution([Literal(0, 1)], [rule], t, CoverParams(1, 1))
+            assemble_solution([Literal(0, 1)], [rule], t, AnalysisParams(1, unique_cover=1))
 
 
 class TestPipelineGainInvariant:
@@ -314,11 +312,11 @@ class TestGreedyOnColumns:
         table = random_table(random.Random(seed), max_factors=5, max_cases=30)
         label = seed % table.schema.outcome_levels
         factors = range(len(table.schema.factors))
-        columns = enumerate_candidates(table, factors, CandidateParams(label, consistency, cutoff=cutoff))
+        columns = enumerate_candidates(table, factors, AnalysisParams(label, consistency, cutoff=cutoff))
         assert isinstance(columns, CandidateRules)
         listed = list(columns)
         positives = table.positive_ids(label)
-        params = CoverParams(label, unique)
+        params = AnalysisParams(label, unique_cover=unique)
         from_columns = greedy_cover(columns, positives, params)
         from_list = greedy_cover(listed, positives, params)
         assert from_columns == from_list

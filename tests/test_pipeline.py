@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -110,3 +111,49 @@ class TestTwoStepPipeline:
         reported = {lit for lit, _ in result.necessity}
         assert Literal(0, 1) in reported and Literal(0, 0) in reported
         assert Literal(1, 1) in {l for l in result.conjoined_necessary}
+
+
+class TestAnalysisParams:
+    def test_one_class_under_every_name(self):
+        import scpqca
+        from scpqca import model, pipeline
+
+        assert scpqca.AnalysisParams is pipeline.AnalysisParams is model.AnalysisParams
+        for gone in ("CandidateParams", "CoverParams"):
+            assert not hasattr(scpqca, gone) and gone not in scpqca.__all__
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"consistency_threshold": "0", "cutoff": 0, "max_order": 0, "unique_cover": 0},
+             "consistency threshold must be in (0,1], got 0"),
+            ({"cutoff": 0, "max_order": 0, "unique_cover": 0}, "cutoff must be >= 1, got 0"),
+            ({"max_order": 0, "unique_cover": 0}, "max_order must be >= 1, got 0"),
+            ({"unique_cover": 0}, "unique_cover must be >= 1, got 0"),
+        ],
+    )
+    def test_checks_run_in_order(self, fields, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            AnalysisParams(1, **fields)
+
+    def test_solve_checks_what_needs_the_table(self, m1_table):
+        params = AnalysisParams(1, necessity_threshold="2")
+        assert params.necessity_threshold == 2
+        with pytest.raises(InputError, match=re.escape("necessity threshold must be in (0,1], got 2")):
+            solve(m1_table, params)
+        with pytest.raises(InputError):
+            solve(m1_table, AnalysisParams(1, assume_necessary=(Literal(0, 0), Literal(0, 1))))
+
+    def test_solve_passes_the_object_through_unchecked(self, monkeypatch, remote_table):
+        from scpqca import pipeline
+
+        params = AnalysisParams(decision_label=1, cutoff=4)
+        seen, built = [], []
+        for name in ("enumerate_candidates", "greedy_cover", "assemble_solution"):
+            real = getattr(pipeline, name)
+            monkeypatch.setattr(pipeline, name, lambda *a, _real=real, **k: seen.append(a[-1]) or _real(*a, **k))
+        real_check = AnalysisParams.__post_init__
+        monkeypatch.setattr(AnalysisParams, "__post_init__", lambda self: built.append(self) or real_check(self))
+        solve(remote_table, params)
+        assert len(seen) == 3 and all(p is params for p in seen)
+        assert built == []

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from scpqca import (
@@ -94,6 +96,34 @@ class TestInternalSweep:
             internal_sweep(m1_table, [("0.8", 2, 1), point], AnalysisParams(decision_label=1))
 
 
+    def test_grid_rule(self, monkeypatch, remote_table):
+        # A consistency that is not a ratio stops the sweep before any solve;
+        # an out-of-range or non-integer value fails only its own cell.
+        from scpqca import robustness
+
+        solves = []
+        real_solve = robustness.solve
+        monkeypatch.setattr(robustness, "solve", lambda *a, **k: solves.append(a) or real_solve(*a, **k))
+        base = AnalysisParams(decision_label=1)
+        with pytest.raises(InputError, match="not a valid ratio: 'abc'"):
+            internal_sweep(remote_table, [("0.8", 4, 2), ("abc", 4, 2)], base)
+        assert solves == []
+        grid = [("1.5", 4, 2), ("0.8", 2.5, 2), ("0.8", 4, 0), ("0.8", 4, "2"), (0.8, 4, 2)]
+        cells = internal_sweep(remote_table, grid, base)
+        assert [c.error for c in cells] == [
+            "consistency threshold must be in (0,1], got 3/2",
+            "cutoff must be an integer, got 2.5",
+            "unique_cover must be >= 1, got 0",
+            "unique_cover must be an integer, got '2'",
+            None,
+        ]
+        assert [(c.consistency_threshold, c.cutoff, c.unique_cover) for c in cells] == [
+            (Fraction(3, 2), 4, 2), (Fraction(4, 5), 2.5, 2), (Fraction(4, 5), 4, 0),
+            (Fraction(4, 5), 4, "2"), (Fraction(4, 5), 4, 2),
+        ]
+        assert len(solves) == 1 and cells[-1].result.params.cutoff == 4
+
+
 class TestDeriveSeed:
     def test_stable_values(self):
         assert derive_seed(0, 0) != derive_seed(0, 1)
@@ -148,9 +178,8 @@ class TestExternalValidity:
 
     @pytest.mark.parametrize("cutoff", [2.5, "2"])
     def test_non_integer_cutoff_rejected(self, m1_table, cutoff):
-        params = AnalysisParams(decision_label=1, cutoff=cutoff)
         with pytest.raises(InputError, match=f"cutoff must be an integer, got {cutoff!r}"):
-            external_validity(m1_table, params)
+            external_validity(m1_table, AnalysisParams(decision_label=1, cutoff=cutoff))
 
     def test_non_integer_reps_rejected(self, m1_table):
         with pytest.raises(InputError, match="reps must be an integer, got 2.5"):
