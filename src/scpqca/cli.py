@@ -5,6 +5,11 @@ Exit codes: 0 success, 1 input error, 2 no admissible cover / vacuous
 solution. Output goes to stdout in text, JSON, or CSV form and is
 byte-identical for identical arguments and seed; timing information is
 only ever printed to stderr, and only with --timing.
+
+Each analysis flag is declared once, in `ANALYSIS_FLAGS`, and a subcommand
+takes only the flags it reads; any other is a usage error. `_params` builds
+the run's one `AnalysisParams` from the flags given, so the defaults live in
+`AnalysisParams` alone.
 """
 
 from __future__ import annotations
@@ -49,6 +54,22 @@ from .pipeline import solve
 from .robustness import derive_seed, external_validity, internal_sweep
 
 ENUMERATION_WARN_BOUND = 5_000_000
+
+# Each analysis flag: the `AnalysisParams` field it sets and its other
+# `add_argument` keywords. A flag left off the command line is not passed on,
+# so `AnalysisParams` holds every default.
+ANALYSIS_FLAGS = {
+    "--consistency": ("consistency_threshold", {
+        "metavar": "CONSISTENCY", "help": "sufficiency consistency threshold (default 0.8)"}),
+    "--cutoff": ("cutoff", {"type": int, "help": "minimum matched-case count per rule (default 2)"}),
+    "--unique-cover": ("unique_cover", {"type": int, "help": "minimum new positives per selected rule (default 2)"}),
+    "--necessity-threshold": ("necessity_threshold", {"help": "necessity consistency threshold (default 0.9)"}),
+    "--max-order": ("max_order", {"type": int, "help": "maximum literals per rule (default: all factors)"}),
+    "--assume-necessary": ("assume_necessary", {
+        "metavar": "F=V,...", "help": "conjoin exactly these literals as necessary conditions"}),
+}
+# The fields `sweep` takes from its grid, not from its base params.
+SWEPT = ("consistency_threshold", "cutoff", "unique_cover")
 
 
 class _ArgumentError(Exception):
@@ -146,22 +167,19 @@ def _load(args: argparse.Namespace) -> CaseTable:
     return table
 
 
-def _fixed_params(args: argparse.Namespace, table: CaseTable) -> dict:
-    """The `AnalysisParams` fields that `sweep` holds fixed, as keywords."""
-    assume = _parse_literals(args.assume_necessary, table) if getattr(args, "assume_necessary", None) else None
-    return {
-        "decision_label": _resolve_label(table, args.label),
-        "necessity_threshold": args.necessity_threshold,
-        "max_order": args.max_order,
-        "assume_necessary": assume,
-    }
+def _params(args: argparse.Namespace, table: CaseTable | None, omit: tuple[str, ...] = ()) -> AnalysisParams:
+    """The run's `AnalysisParams`, from the analysis flags given on the command line.
 
-
-def _analysis_params(args: argparse.Namespace, table: CaseTable) -> AnalysisParams:
-    return AnalysisParams(
-        consistency_threshold=args.consistency, cutoff=args.cutoff, unique_cover=args.unique_cover,
-        **_fixed_params(args, table),
-    )
+    `--assume-necessary` is parsed against `table` first, then `--label` is
+    resolved in it; a run without a table decides for level 1. A field left
+    out, or named in `omit`, keeps its `AnalysisParams` default.
+    """
+    given = {field: getattr(args, field) for field, _ in ANALYSIS_FLAGS.values()
+             if field not in omit and hasattr(args, field)}
+    assume = given.pop("assume_necessary", None)
+    if assume:
+        given["assume_necessary"] = _parse_literals(assume, table)
+    return AnalysisParams(1 if table is None else _resolve_label(table, args.label), **given)
 
 
 def _emit(payload: dict, fmt: str, text_fn, csv_fn) -> None:
@@ -212,8 +230,8 @@ def _warn_enumeration_bound(table: CaseTable, params: AnalysisParams) -> int:
 
 def _cmd_necessity(args: argparse.Namespace) -> int:
     table = _load(args)
-    label = _resolve_label(table, args.label)
-    threshold = as_fraction(args.necessity_threshold)
+    params = _params(args, table)
+    label, threshold = params.decision_label, params.necessity_threshold
     rows = necessary_conditions(table, label, threshold)
     conflicted = conflicting_factors(rows)
     if conflicted:
@@ -230,13 +248,7 @@ def _cmd_necessity(args: argparse.Namespace) -> int:
 
 def _cmd_candidates(args: argparse.Namespace) -> int:
     table = _load(args)
-    # Only the candidate filters: `candidates --unique-cover 0` still runs.
-    params = AnalysisParams(
-        decision_label=_resolve_label(table, args.label),
-        consistency_threshold=args.consistency,
-        cutoff=args.cutoff,
-        max_order=args.max_order,
-    )
+    params = _params(args, table)
     bound = _warn_enumeration_bound(table, params)
     rules = enumerate_candidates(table, range(len(table.schema.factors)), params)
     payload = report.candidates_payload(rules, table, params, bound)
@@ -246,7 +258,7 @@ def _cmd_candidates(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     table = _load(args)
-    params = _analysis_params(args, table)
+    params = _params(args, table)
     _warn_enumeration_bound(table, params)
     result = solve(table, params)
     oracle = None
@@ -297,14 +309,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     schema = synth_schema(args.factors, _levels_arg(args.levels, args.factors))
     pathway = parse_pathway(args.pathway, schema)
     base_seed = _seed_default(args.seed)
-    params = AnalysisParams(
-        decision_label=1,
-        consistency_threshold=args.consistency,
-        cutoff=args.cutoff,
-        unique_cover=args.unique_cover,
-        necessity_threshold=args.necessity_threshold,
-        max_order=args.max_order,
-    )
+    params = _params(args, None)
     confounds = _int_list(args.confounds, "--confounds")
     if not confounds:
         raise InputError("--confounds must list at least one count")
@@ -359,16 +364,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     table = _load(args)
     # The swept values go into the grid, so `sweep --cutoff 0` fails one cell.
-    fixed = _fixed_params(args, table)
-    consistency = as_fraction(args.consistency)
-    params = AnalysisParams(**fixed)
+    params = _params(args, table, omit=SWEPT)
+    consistency, cutoff, unique = (getattr(args, field, getattr(params, field)) for field in SWEPT)
+    consistency = as_fraction(consistency)
     cons_list = [as_fraction(x) for x in args.consistency_list.split(",")] if args.consistency_list else [consistency]
-    cutoff_list = _int_list(args.cutoff_list, "--cutoff-list") if args.cutoff_list else [args.cutoff]
-    unique_list = (
-        _int_list(args.unique_cover_list, "--unique-cover-list")
-        if args.unique_cover_list
-        else [args.unique_cover]
-    )
+    cutoff_list = _int_list(args.cutoff_list, "--cutoff-list") if args.cutoff_list else [cutoff]
+    unique_list = _int_list(args.unique_cover_list, "--unique-cover-list") if args.unique_cover_list else [unique]
     grid = [(c, k, u) for c in cons_list for k in cutoff_list for u in unique_list]
     cells = internal_sweep(table, grid, params)
     payload = report.sweep_payload(cells, table.schema)
@@ -378,7 +379,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_xval(args: argparse.Namespace) -> int:
     table = _load(args)
-    params = _analysis_params(args, table)
+    params = _params(args, table)
     validity = external_validity(
         table, params, fraction=args.fraction, reps=args.reps, seed=_seed_default(args.seed)
     )
@@ -410,19 +411,13 @@ def build_parser() -> _Parser:
     data_parent.add_argument("--emit-schema", metavar="PATH",
                              help="write the schema metadata sidecar as JSON")
 
-    analysis_parent = argparse.ArgumentParser(add_help=False)
-    analysis_parent.add_argument("--consistency", default="0.8",
-                                 help="sufficiency consistency threshold (default 0.8)")
-    analysis_parent.add_argument("--cutoff", type=int, default=2,
-                                 help="minimum matched-case count per rule (default 2)")
-    analysis_parent.add_argument("--unique-cover", type=int, default=2,
-                                 help="minimum new positives per selected rule (default 2)")
-    analysis_parent.add_argument("--necessity-threshold", default="0.9",
-                                 help="necessity consistency threshold (default 0.9)")
-    analysis_parent.add_argument("--max-order", type=int, default=None,
-                                 help="maximum literals per rule (default: all factors)")
-    analysis_parent.add_argument("--assume-necessary", metavar="F=V,...",
-                                 help="conjoin exactly these literals as necessary conditions")
+    # One parent per analysis flag, so that each subcommand lists the flags it reads.
+    analysis = {}
+    for flag, (field, keywords) in ANALYSIS_FLAGS.items():
+        analysis[flag] = argparse.ArgumentParser(add_help=False)
+        analysis[flag].add_argument(flag, dest=field, default=argparse.SUPPRESS, **keywords)
+    every_flag = list(analysis.values())
+    experiment_flags = [parent for flag, parent in analysis.items() if flag != "--assume-necessary"]
 
     seed_parent = argparse.ArgumentParser(add_help=False)
     seed_parent.add_argument("--seed", type=int, default=None,
@@ -430,15 +425,16 @@ def build_parser() -> _Parser:
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("necessity", parents=[data_parent, analysis_parent, out_parent],
+    p = sub.add_parser("necessity", parents=[data_parent, analysis["--necessity-threshold"], out_parent],
                        help="report necessary conditions")
     p.set_defaults(func=_cmd_necessity)
 
-    p = sub.add_parser("candidates", parents=[data_parent, analysis_parent, out_parent],
+    candidate_flags = [analysis[flag] for flag in ("--consistency", "--cutoff", "--max-order")]
+    p = sub.add_parser("candidates", parents=[data_parent, *candidate_flags, out_parent],
                        help="enumerate the candidate rule list")
     p.set_defaults(func=_cmd_candidates)
 
-    p = sub.add_parser("solve", parents=[data_parent, analysis_parent, out_parent],
+    p = sub.add_parser("solve", parents=[data_parent, *every_flag, out_parent],
                        help="run the full two-step pipeline")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check the greedy cover with the exact oracle (small instances)")
@@ -455,7 +451,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("experiment", parents=[analysis_parent, seed_parent, out_parent],
+    p = sub.add_parser("experiment", parents=[*experiment_flags, seed_parent, out_parent],
                        help="planted-pathway recovery sweep over confound counts")
     p.add_argument("--factors", type=int, required=True)
     p.add_argument("--levels", default="2")
@@ -465,14 +461,14 @@ def build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=1, help="repetitions per confound count")
     p.set_defaults(func=_cmd_experiment)
 
-    p = sub.add_parser("sweep", parents=[data_parent, analysis_parent, out_parent],
+    p = sub.add_parser("sweep", parents=[data_parent, *every_flag, out_parent],
                        help="internal validity: rerun over a parameter grid")
     p.add_argument("--consistency-list", default=None, metavar="0.8,0.75")
     p.add_argument("--cutoff-list", default=None, metavar="2,3,4")
     p.add_argument("--unique-cover-list", default=None, metavar="1,2")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("xval", parents=[data_parent, analysis_parent, seed_parent, out_parent],
+    p = sub.add_parser("xval", parents=[data_parent, *every_flag, seed_parent, out_parent],
                        help="external validity: jackknife resampling")
     p.add_argument("--fraction", type=float, default=0.10, help="share of cases to remove")
     p.add_argument("--reps", type=int, default=10)

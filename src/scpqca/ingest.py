@@ -35,21 +35,6 @@ from .model import CaseTable, Factor, FactorSchema, InputError
 
 
 @dataclass(frozen=True)
-class Passthrough:
-    """Column already holds integer levels (or labels to be enumerated).
-
-    `levels` optionally declares the admissible level count; integer cells
-    at or above it are rejected.
-    """
-
-    levels: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.levels is not None and self.levels < 2:
-            raise InputError("declared level count must be >= 2")
-
-
-@dataclass(frozen=True)
 class Cutpoints:
     """Strictly increasing thresholds mapping a numeric column to levels 0..k."""
 
@@ -77,10 +62,10 @@ class Cutpoints:
 class CalibrationSpec:
     """Per-column calibration; columns not listed are passthrough."""
 
-    columns: Mapping[str, Passthrough | Cutpoints] = field(default_factory=dict)
+    columns: Mapping[str, Cutpoints] = field(default_factory=dict)
 
-    def for_column(self, name: str) -> Passthrough | Cutpoints:
-        return self.columns.get(name, Passthrough())
+    def for_column(self, name: str) -> Cutpoints | None:
+        return self.columns.get(name)
 
 
 def _parse_int(cell: str) -> int | None:
@@ -101,7 +86,7 @@ def _first_row_with(cells: Sequence[str], bad: set[str]) -> tuple[int, str]:
     return next((rowno, cell) for rowno, cell in enumerate(cells, start=2) if cell in bad)
 
 
-def _calibrate_column(name: str, cells: Sequence[str], calib: Passthrough | Cutpoints) -> tuple[list[int], Factor]:
+def _calibrate_column(name: str, cells: Sequence[str], calib: Cutpoints | None) -> tuple[list[int], Factor]:
     """Returns the dense level per cell plus the resulting Factor metadata."""
     distinct = set(cells)
     if isinstance(calib, Cutpoints):
@@ -125,25 +110,18 @@ def _calibrate_column(name: str, cells: Sequence[str], calib: Passthrough | Cutp
 
     ints = {cell: _parse_int(cell) for cell in distinct}
     if None not in ints.values():
-        bad = {c for c, v in ints.items() if v < 0 or (calib.levels is not None and v >= calib.levels)}
+        bad = {c for c, v in ints.items() if v < 0}
         if bad:
             rowno, cell = _first_row_with(cells, bad)
-            v = ints[cell]
-            if v < 0:
-                raise InputError(f"row {rowno}, column {name!r}: negative level {v}")
-            raise InputError(
-                f"row {rowno}, column {name!r}: value {v} outside declared levels 0..{calib.levels - 1}"
-            )
-        levels = calib.levels if calib.levels is not None else max(2, max(ints.values(), default=1) + 1)
+            raise InputError(f"row {rowno}, column {name!r}: negative level {ints[cell]}")
+        levels = max(2, max(ints.values(), default=1) + 1)
         return list(map(ints.__getitem__, cells)), Factor(name, levels)
 
     # Label column: enumerate distinct labels in sorted order.
     labels = sorted({c.strip() for c in distinct})
-    if calib.levels is not None and len(labels) > calib.levels:
-        raise InputError(f"column {name!r}: {len(labels)} distinct labels exceed declared {calib.levels} levels")
     mapping = {label: i for i, label in enumerate(labels)}
     code = {cell: mapping[cell.strip()] for cell in distinct}
-    level_count = calib.levels if calib.levels is not None else max(2, len(labels))
+    level_count = max(2, len(labels))
     padded = tuple(labels) + tuple(f"<unused-{i}>" for i in range(len(labels), level_count))
     return list(map(code.__getitem__, cells)), Factor(name, level_count, labels=padded)
 

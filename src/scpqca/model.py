@@ -118,8 +118,10 @@ class AnalysisParams:
 
     Ratios are read with `as_fraction` and integers with `as_index`; a
     consistency threshold outside (0, 1], then a `cutoff`, `max_order` or
-    `unique_cover` below 1, raises `InputError`. The necessity threshold's
-    range and `assume_necessary` are checked by `pipeline.solve`.
+    `unique_cover` below 1, then a necessity threshold outside (0, 1], then
+    an `assume_necessary` with two literals of one factor, raises
+    `InputError`. `pipeline.solve` checks the literals' factor indices
+    against its table.
     """
 
     decision_label: int
@@ -143,6 +145,10 @@ class AnalysisParams:
             if value < 1:
                 raise InputError(f"{name} must be >= 1, got {value}")
             object.__setattr__(self, name, value)
+        if not 0 < self.necessity_threshold <= 1:
+            raise InputError(f"necessity threshold must be in (0,1], got {self.necessity_threshold}")
+        if self.assume_necessary is not None:
+            Conjunction(self.assume_necessary)  # one literal per factor
 
 
 # ---------------------------------------------------------------------------

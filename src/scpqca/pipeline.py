@@ -7,8 +7,8 @@ into the final solution. Shared by the CLI, the synthetic-experiment
 harness, and the robustness protocols; only the robustness protocols pass a
 candidate pool, so that their many solves of one table share one lattice
 walk. Every stage reads the one `AnalysisParams` it is given (defined in
-`model`, and checked when it was built); `solve` checks only what needs the
-table, the necessity threshold's range and `assume_necessary`.
+`model`, and checked in full when it was built); `solve` adds no check of
+its own.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ def solve(table: CaseTable, params: AnalysisParams, *, pool: CandidatePool | Non
 
     if params.assume_necessary is not None:
         conjoined = tuple(sorted(params.assume_necessary))
-        Conjunction(conjoined)  # validates one literal per factor
     else:
         conflicts = set(conflicting_factors(necessity))
         if conflicts:

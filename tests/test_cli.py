@@ -278,13 +278,56 @@ class TestErrors:
         assert "unrecognized arguments: --threads 2" in err
 
 
-class TestParameterChecks:
-    """Each subcommand builds one checked `AnalysisParams` from the flags it uses."""
+# An invalid value for each analysis flag, and the flags each subcommand reads.
+INVALID_ANALYSIS_VALUES = {
+    "--consistency": "2",
+    "--cutoff": "0",
+    "--unique-cover": "0",
+    "--necessity-threshold": "2",
+    "--max-order": "0",
+    "--assume-necessary": "Q=1",
+}
+ALL_ANALYSIS_FLAGS = set(INVALID_ANALYSIS_VALUES)
+READS = {
+    "necessity": {"--necessity-threshold"},
+    "candidates": {"--consistency", "--cutoff", "--max-order"},
+    "solve": ALL_ANALYSIS_FLAGS,
+    "experiment": ALL_ANALYSIS_FLAGS - {"--assume-necessary"},
+    "sweep": ALL_ANALYSIS_FLAGS,
+    "xval": ALL_ANALYSIS_FLAGS,
+}
+PLAIN_RUNS = {
+    **{command: [command, *REMOTE] for command in READS},
+    "experiment": ["experiment", "--factors", "3", "--pathway", "ab", "--samples", "20"],
+}
 
-    def test_candidates_ignores_unique_cover(self):
-        plain = run_cli("candidates", *REMOTE, "--cutoff", "4")
-        assert plain[0] == 0
-        assert run_cli("candidates", *REMOTE, "--cutoff", "4", "--unique-cover", "0") == plain
+
+class TestParameterChecks:
+    """Each subcommand builds one checked `AnalysisParams` from the flags it reads."""
+
+    @pytest.mark.parametrize("command", list(READS))
+    @pytest.mark.parametrize("flag, value", list(INVALID_ANALYSIS_VALUES.items()))
+    def test_no_analysis_flag_is_ignored(self, command, flag, value):
+        plain = run_cli(*PLAIN_RUNS[command])
+        code, out, err = run_cli(*PLAIN_RUNS[command], flag, value)
+        if flag in READS[command]:
+            assert plain[0] == 0
+            assert (code, out) != plain[:2]
+        else:
+            assert (code, out) == (1, "")
+            assert f"unrecognized arguments: {flag} {value}" in err
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "xval"])
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--label", "x", "--assume-necessary", "Q=1"], "unknown factor 'Q'"),
+            (["--max-order", "0", "--assume-necessary", "Q=1"], "unknown factor 'Q'"),
+            (["--max-order", "0", "--label", "x"], "--label 'x' is neither an outcome label nor an integer level"),
+        ],
+    )
+    def test_table_faults_come_first(self, command, args, message):
+        assert run_cli(command, *REMOTE, *args) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "flag, message",
@@ -296,8 +339,16 @@ class TestParameterChecks:
         [cell] = json.loads(out)["cells"]
         assert cell["error"] == message
 
-    def test_sweep_checks_an_unswept_value_up_front(self):
-        assert run_cli("sweep", *REMOTE, "--max-order", "0") == (1, "", "error: max_order must be >= 1, got 0\n")
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-order", "0", "max_order must be >= 1, got 0"),
+            ("--necessity-threshold", "2", "necessity threshold must be in (0,1], got 2"),
+            ("--assume-necessary", "MS=0,MS=1", "conjunction assigns factor index 0 twice"),
+        ],
+    )
+    def test_sweep_checks_an_unswept_value_up_front(self, flag, value, message):
+        assert run_cli("sweep", *REMOTE, flag, value) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "args, message",
@@ -593,6 +644,18 @@ SWEEP_LISTS = {
 }
 XVAL_FRACTIONS = ["1e-9", "0.01", "0.1", "0.5", "0.9", "0.99", "0.999999", "0", "1", "-0.1", "nan", "inf", "x"]
 RARELY = st.sampled_from([False] * 9 + [True])
+
+
+def declared_flags() -> dict[str, set[str]]:
+    """Each subcommand's long flags, as the parser declares them."""
+    [subparsers] = build_parser()._subparsers._group_actions
+    return {
+        name: {o for a in sub._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        for name, sub in subparsers.choices.items()
+    }
+
+
+DECLARED_FLAGS = declared_flags()
 SOMETIMES = st.sampled_from([False, False, True])
 BIT = st.sampled_from(["0", "1"])
 FUZZ_CELL = st.one_of(BIT, st.sampled_from(FUZZ_CELLS), st.text(max_size=3))
@@ -631,9 +694,14 @@ def cli_inputs(draw, commands):
         args.append("--dedup")
     if not tame and draw(SOMETIMES):
         args += ["--id-column", draw(st.sampled_from([*header, "Z"]))]
+    declared = DECLARED_FLAGS[command]
     for flag, values in FUZZ_FLAGS.items():
-        if (flag == "--format" or not tame) and draw(SOMETIMES):
+        if flag in declared and (flag == "--format" or not tame) and draw(SOMETIMES):
             args += [flag, draw(st.sampled_from(values))]
+    undeclared = sorted(set(FUZZ_FLAGS) - declared)
+    if undeclared and not tame and draw(RARELY):  # a usage error, exit 1
+        flag = draw(st.sampled_from(undeclared))
+        args += [flag, draw(st.sampled_from(FUZZ_FLAGS[flag]))]
     return data, args
 
 
@@ -717,12 +785,7 @@ class TestStartup:
 
 
 def parser_flags() -> set[str]:
-    parser = build_parser()
-    flags = set()
-    for action in parser._subparsers._group_actions:
-        for sub in action.choices.values():
-            flags.update(o for a in sub._actions for o in a.option_strings if o.startswith("--"))
-    return flags - {"--help"}
+    return set().union(*declared_flags().values())
 
 
 def readme_cli_flags() -> set[str]:

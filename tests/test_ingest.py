@@ -15,7 +15,6 @@ from scpqca import (
     Factor,
     FactorSchema,
     InputError,
-    Passthrough,
     deduplicate,
     ingest,
     load_csv,
@@ -80,11 +79,6 @@ class TestLoadCsv:
         t = load_csv(p, outcome_column="O")
         assert t.schema.outcome.labels == ("no", "yes")
         assert [int(v) for v in t.outcomes] == [1, 0]
-
-    def test_declared_levels_violation(self, tmp_path):
-        p = write(tmp_path, "t.csv", "id,A,O\na,3,1\nb,0,0\n")
-        with pytest.raises(InputError, match="outside declared levels"):
-            load_csv(p, outcome_column="O", calibration=CalibrationSpec({"A": Passthrough(levels=2)}))
 
     def test_non_numeric_under_cutpoints(self, tmp_path):
         p = write(tmp_path, "t.csv", "id,X,O\na,oops,1\n")
@@ -235,17 +229,10 @@ def _ref_calibrate_column(name, cells, rows, calib):
         for v, rowno in zip(ints, rows):
             if v < 0:
                 raise InputError(f"row {rowno}, column {name!r}: negative level {v}")
-            if calib.levels is not None and v >= calib.levels:
-                raise InputError(
-                    f"row {rowno}, column {name!r}: value {v} outside declared levels 0..{calib.levels - 1}"
-                )
-        levels = calib.levels if calib.levels is not None else max(2, max(ints, default=1) + 1)
-        return ints, Factor(name, levels)
+        return ints, Factor(name, max(2, max(ints, default=1) + 1))
     distinct = sorted({c.strip() for c in cells})
-    if calib.levels is not None and len(distinct) > calib.levels:
-        raise InputError(f"column {name!r}: {len(distinct)} distinct labels exceed declared {calib.levels} levels")
     mapping = {label: i for i, label in enumerate(distinct)}
-    level_count = calib.levels if calib.levels is not None else max(2, len(distinct))
+    level_count = max(2, len(distinct))
     labels = tuple(distinct) + tuple(f"<unused-{i}>" for i in range(len(distinct), level_count))
     return [mapping[c.strip()] for c in cells], Factor(name, level_count, labels=labels)
 
@@ -315,8 +302,6 @@ CELLS = (
 )
 CALIBRATIONS = st.one_of(
     st.none(),
-    st.builds(Passthrough),
-    st.builds(Passthrough, levels=st.integers(2, 5)),
     st.builds(Cutpoints, st.sampled_from([(0.5,), (0.0, 2.5), (-1.0, 1.0, 3.0)])),
 )
 

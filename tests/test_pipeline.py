@@ -130,6 +130,10 @@ class TestAnalysisParams:
             ({"cutoff": 0, "max_order": 0, "unique_cover": 0}, "cutoff must be >= 1, got 0"),
             ({"max_order": 0, "unique_cover": 0}, "max_order must be >= 1, got 0"),
             ({"unique_cover": 0}, "unique_cover must be >= 1, got 0"),
+            ({"unique_cover": 0, "necessity_threshold": "2"}, "unique_cover must be >= 1, got 0"),
+            ({"necessity_threshold": "2", "assume_necessary": (Literal(0, 0), Literal(0, 1))},
+             "necessity threshold must be in (0,1], got 2"),
+            ({"assume_necessary": (Literal(0, 0), Literal(0, 1))}, "conjunction assigns factor index 0 twice"),
         ],
     )
     def test_checks_run_in_order(self, fields, message):
@@ -137,12 +141,13 @@ class TestAnalysisParams:
             AnalysisParams(1, **fields)
 
     def test_solve_checks_what_needs_the_table(self, m1_table):
-        params = AnalysisParams(1, necessity_threshold="2")
-        assert params.necessity_threshold == 2
         with pytest.raises(InputError, match=re.escape("necessity threshold must be in (0,1], got 2")):
+            AnalysisParams(1, necessity_threshold="2")
+        with pytest.raises(InputError, match=re.escape("conjunction assigns factor index 0 twice")):
+            AnalysisParams(1, assume_necessary=(Literal(0, 0), Literal(0, 1)))
+        params = AnalysisParams(1, assume_necessary=(Literal(9, 0),))  # m1 has two factors
+        with pytest.raises(InputError, match=re.escape("factor index 9 out of range")):
             solve(m1_table, params)
-        with pytest.raises(InputError):
-            solve(m1_table, AnalysisParams(1, assume_necessary=(Literal(0, 0), Literal(0, 1))))
 
     def test_solve_passes_the_object_through_unchecked(self, monkeypatch, remote_table):
         from scpqca import pipeline
