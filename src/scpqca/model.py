@@ -23,7 +23,8 @@ A `CaseTable` is stored as one read-only column per factor plus an outcome
 column: `bytes` (one byte per case) for at most 256 levels, ``array('h')``
 above. Only this module knows that format; other code reads rows through
 `CaseTable.values`, levels through `Rows.column` and `CaseTable.outcomes`,
-and takes row subsets with `CaseTable.take`.
+and takes row subsets with `CaseTable.take`, which records (weakly) the
+table a subset was taken from.
 
 A set of cases is one Python int over a tuple of case ids: bit i stands for
 ``ids[i]``, so intersection is ``&``, union is ``|`` and a count is
@@ -45,6 +46,7 @@ and all operations are pure, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -372,6 +374,7 @@ class CaseTable:
         object.__setattr__(self, "values", Rows(self._columns, n))
         object.__setattr__(self, "outcomes", memoryview(outcome_column).toreadonly())
         object.__setattr__(self, "_bit_cache", {})
+        object.__setattr__(self, "_taken_from", None)
 
     @classmethod
     def from_columns(
@@ -391,15 +394,21 @@ class CaseTable:
         return cls(schema, tuple(c.id for c in cases), [c.values for c in cases], [c.outcome for c in cases])
 
     def take(self, indices: Sequence[int]) -> "CaseTable":
-        """The cases at `indices`, in that order; an index may repeat."""
+        """The cases at `indices`, in that order; an index may repeat.
+
+        The result records this table, weakly, for `candidates.CandidatePool`,
+        which answers a table taken from its own.
+        """
 
         def pick(col: bytes | array) -> bytes | array:
             cells = map(col.__getitem__, indices)
             return bytes(cells) if isinstance(col, bytes) else array("h", cells)
 
-        return CaseTable.from_columns(
+        taken = CaseTable.from_columns(
             self.schema, [self.ids[i] for i in indices], map(pick, self._columns), pick(self._outcome_column)
         )
+        object.__setattr__(taken, "_taken_from", weakref.ref(self))
+        return taken
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -451,7 +460,12 @@ class CaseTable:
         return self._bit_cache[key]
 
     def positive_ids(self, decision_label: int) -> frozenset[str]:
-        return frozenset(ids_of(self.positive_bits(decision_label), self.ids))
+        """Ids of the cases with the decision label as outcome, cached."""
+        decision_label = as_index(decision_label, "decision_label")
+        key = ("outcome ids", decision_label)
+        if key not in self._bit_cache:
+            self._bit_cache[key] = frozenset(ids_of(self.positive_bits(decision_label), self.ids))
+        return self._bit_cache[key]
 
     def literal_bits(self, factor_index: int, value: int) -> int:
         """Bitset of the cases carrying factor=value, packed once and cached.

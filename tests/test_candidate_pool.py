@@ -7,10 +7,11 @@ table and factor set: the same conjunctions in the same order, over the same
 matched and positive cases. A pool-free call selects from a fresh pool that
 shares the walk, so the conjunctions are also checked against
 `brute_force_candidates`, which shares no code with it. Pooled rules index
-the pool table's ids, also on a subset of that table, which is how these
-tests see that the shared pool (not a fresh one) answered.
+the pool table's ids, also on a subset taken from that table, which is how
+these tests see that the shared pool (not a fresh one) answered.
 """
 
+import gc
 import math
 import random
 import re
@@ -154,6 +155,29 @@ class TestPoolAgainstWalk:
             got = enumerate_candidates(table, factors, call, pool=pool)
             assert case_sets(got) == case_sets(enumerate_candidates(table, factors, call))
             assert all(r.ids is table.ids for r in got)
+
+    def test_only_a_take_of_the_pool_table_is_answered(self, remote_table):
+        pool = CandidatePool(3)
+        params = AnalysisParams(1, "0.8", cutoff=3, max_order=3)
+        enumerate_candidates(remote_table, range(1, 7), params, pool=pool)
+        kept = [i for i in range(len(remote_table)) if i % 4]
+        taken = remote_table.take(kept)
+        equal = CaseTable(taken.schema, taken.ids, taken.values, taken.outcomes)  # the same cases, built anew
+        again = taken.take(range(len(taken)))  # taken from a take, not from the pool's table
+        assert equal == taken == again
+        plain = case_sets(enumerate_candidates(taken, range(1, 7), params))
+        for table, ids in [(taken, remote_table.ids), (equal, equal.ids), (again, again.ids)]:
+            got = enumerate_candidates(table, range(1, 7), params, pool=pool)
+            assert case_sets(got) == plain
+            assert all(r.ids is ids for r in got)
+
+    def test_a_take_keeps_no_table_alive(self, remote_table):
+        source = CaseTable(remote_table.schema, remote_table.ids, remote_table.values, remote_table.outcomes)
+        taken = source.take([0, 1, 2])
+        assert taken._taken_from() is source
+        del source
+        gc.collect()
+        assert taken._taken_from() is None
 
     def test_pool_cutoff_validated(self):
         with pytest.raises(InputError, match="cutoff must be >= 1, got 0"):

@@ -3,9 +3,11 @@ import random
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scpqca import (
     AnalysisParams,
@@ -15,8 +17,10 @@ from scpqca import (
     Factor,
     FactorSchema,
     InputError,
+    Literal,
     binary_schema,
     candidate_count_bound,
+    candidates,
     conjunction_shorthand,
     CandidateRule,
     CandidateRules,
@@ -176,6 +180,73 @@ class TestOracleEquivalence:
         factor_set = range(len(levels))
         got = [r.conjunction for r in enumerate_candidates(table, factor_set, params)]
         assert got and got == brute_force_candidates(table, factor_set, params)
+
+
+@st.composite
+def mixed_level_tables(draw):
+    """A table whose factors are complete (every level meets the cutoff), or
+    have one level below the cutoff, or one level no case holds; a cutoff."""
+    nf = draw(st.integers(1, 4))
+    cutoff = draw(st.integers(1, 3))
+    n = draw(st.integers(4 * cutoff, 30))
+    levels, columns = [], []
+    for _ in range(nf):
+        lv = draw(st.integers(2, 4))
+        kind = draw(st.sampled_from(["complete", "rare", "absent"]))
+        odd = draw(st.integers(0, lv - 1))
+        common = [v for v in range(lv) if v != odd] if kind != "complete" else list(range(lv))
+        # Every common level meets the cutoff; a rare one falls short of it.
+        column = [v for v in common for _ in range(cutoff)]
+        if kind == "rare":
+            column += [odd] * draw(st.integers(0, cutoff - 1))
+        column += draw(st.lists(st.sampled_from(common), min_size=n - len(column), max_size=n - len(column)))
+        levels.append(lv)
+        columns.append(draw(st.permutations(column)))
+    schema = FactorSchema(
+        factors=tuple(Factor(chr(ord("A") + j), lv) for j, lv in enumerate(levels)),
+        outcome=Factor("O", 2),
+    )
+    outcomes = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    table = CaseTable.from_columns(schema, tuple(f"x{i}" for i in range(n)), columns, outcomes)
+    return table, cutoff
+
+
+def itertools_columns(table, factors, label, cutoff, threshold, max_order):
+    """Literals, matched bits and positive bits of every passing conjunction,
+    from every conjunction itertools lists, in emit order."""
+    positives = table.positive_bits(label)
+    rows = []
+    for k in range(1, min(max_order, len(factors)) + 1):
+        for idxs in combinations(factors, k):
+            for values in product(*(range(table.schema.factors[i].levels) for i in idxs)):
+                conj = Conjunction(tuple(Literal(i, v) for i, v in zip(idxs, values)))
+                matched = match_bits(conj, table)
+                count, pos = matched.bit_count(), (matched & positives).bit_count()
+                if count >= cutoff and pos >= threshold * count:
+                    rows.append((conj.sort_key(), conj.literals, matched, matched & positives))
+    rows.sort(key=lambda row: row[0])
+    return [row[1] for row in rows], [row[2] for row in rows], [row[3] for row in rows]
+
+
+class TestWalkAgainstItertools:
+    # The last level counts a complete factor's last level as the node minus
+    # its siblings; a factor with a dropped level is walked level by level.
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_level_tables(), st.data())
+    def test_columns_equal_the_reference(self, drawn, data):
+        table, cutoff = drawn
+        nf = len(table.schema.factors)
+        factors = tuple(sorted(data.draw(st.sets(st.integers(0, nf - 1), min_size=1))))
+        label = data.draw(st.integers(0, 1))
+        max_order = data.draw(st.integers(1, nf + 1))
+        threshold = data.draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(4, 5), Fraction(1)]))
+        want = itertools_columns(table, factors, label, cutoff, threshold, max_order)
+        params = AnalysisParams(label, threshold or 1, cutoff=cutoff, max_order=max_order)
+        if threshold:
+            got = enumerate_candidates(table, factors, params)
+        else:  # no `AnalysisParams` holds 0; a candidate pool walks at it
+            got = candidates._walk(table, factors, params, cutoff, threshold)
+        assert (got.literals, got.matched_bits, got.positive_bits) == want
 
 
 class TestAbsentLevels:

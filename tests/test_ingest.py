@@ -97,6 +97,10 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="duplicate case id"):
             load_csv(p, outcome_column="O")
 
+    def test_checked_ids_are_handed_to_the_table(self, tmp_path):
+        p = write(tmp_path, "t.csv", "id,A,O\nx,1,1\ny,0,0\n")
+        assert load_csv(p, outcome_column="O").__dict__["_unique_ids"] is True
+
     def test_first_column_of_codes_becomes_ids(self, tmp_path):
         p = write(tmp_path, "t.csv", "country,A,O\nFR,1,1\nDE,0,0\n")
         t = load_csv(p, outcome_column="O")
@@ -362,6 +366,68 @@ class TestAgainstPerCellReference:
         assert len(table) == 2000
         # distinct cells: A 3, B 2, C 4, O 2; the id column is named, so never parsed
         assert len(calls) <= 3 + 2 + 4 + 2
+
+
+# ---------------------------------------------------------------------------
+# Two ways to decode a column: one `bytes.translate` when every distinct cell
+# is one ASCII character (and every level is below 256), else one lookup per
+# cell. Both must give the per-cell reference's levels.
+
+DECODE_CELLS = st.one_of(st.characters(max_codepoint=127), st.sampled_from(["", "ab", "é", " ", "01", "\u3000"]))
+
+
+def one_ascii_char_each(cells):
+    return all(len(c) == 1 and c.isascii() for c in set(cells))
+
+
+class TestDecode:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(DECODE_CELLS, max_size=30), st.data())
+    def test_decode_equals_the_per_cell_map(self, cells, data):
+        distinct = sorted(set(cells))
+        levels = data.draw(st.lists(st.integers(0, 300), min_size=len(distinct), max_size=len(distinct)))
+        code = dict(zip(distinct, levels))
+        got = ingest._decode(cells, code)
+        assert list(got) == [code[c] for c in cells]
+        assert isinstance(got, bytes) == (one_ascii_char_each(cells) and max(levels, default=0) < 256)
+
+    @pytest.mark.parametrize(
+        "cells, fast",
+        [(["a", " ", "b", "a"], True), (["", "ab"], False), (["é", "e"], False), (["", ""], False), ([], True)],
+    )
+    def test_which_cells_take_the_translate(self, cells, fast):
+        code = {c: i for i, c in enumerate(sorted(set(cells)))}
+        got = ingest._decode(cells, code)
+        assert isinstance(got, bytes) == fast
+        assert list(got) == [code[c] for c in cells]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(
+            [
+                (["0", "1", "2", "3", "7"], None),
+                (["0", "1", "01", "10", " 2"], None),
+                (["a", "b", " ", "z", "B"], None),
+                (["a", "b", "ab", "é", ""], None),
+                (["0", "5", "9", "3"], Cutpoints((0.5, 4.0))),
+                (["0", "5", "0.5", "-1", "12"], Cutpoints((0.5, 4.0))),
+                (["0", "5", "9"], Cutpoints(tuple(range(-299, 1)))),
+            ]
+        ).flatmap(lambda pool: st.tuples(st.lists(st.sampled_from(pool[0]), min_size=1, max_size=20), st.just(pool[1])))
+    )
+    def test_columns_decode_as_the_per_cell_reference(self, case):
+        cells, calib = case
+        want_levels, want_factor = _ref_calibrate_column("X", cells, range(2, len(cells) + 2), calib)
+        levels, factor = ingest._calibrate_column("X", cells, calib)
+        assert (list(levels), factor) == (want_levels, want_factor)
+        assert isinstance(levels, bytes) == (one_ascii_char_each(cells) and max(want_levels) < 256)
+
+    def test_padded_cells_load_as_the_plain_file(self, tmp_path, data_dir):
+        plain = (data_dir / "m1.csv").read_text(encoding="utf-8")
+        header, *rows = plain.splitlines()
+        padded = [",".join([r.split(",")[0], *("0" + c for c in r.split(",")[1:])]) for r in rows]
+        p = write(tmp_path, "padded.csv", "\n".join([header, *padded]) + "\n")
+        assert load_csv(p, outcome_column="O") == load_csv(data_dir / "m1.csv", outcome_column="O")
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,16 @@ class TestUniqueIds:
             dup.require_unique_ids()
 
 
+class TestPositiveIds:
+    def test_built_once_per_label(self, m1_table):
+        positives = m1_table.positive_ids(1)
+        assert positives == {"c1", "c2", "c3"}
+        assert m1_table.positive_ids(1) is positives
+        assert m1_table.positive_ids(0) == {"c4", "c5", "c6"}
+        with pytest.raises(InputError, match="decision label 2 out of range"):
+            m1_table.positive_ids(2)
+
+
 class TestTypes:
     def test_conjunction_rejects_duplicate_factor(self):
         with pytest.raises(InputError):
