@@ -6,15 +6,20 @@ solution. Output goes to stdout in text, JSON, or CSV form and is
 byte-identical for identical arguments and seed; timing information is
 only ever printed to stderr, and only with --timing.
 
-Each analysis flag is declared once, in `ANALYSIS_FLAGS`, and a subcommand
-takes only the flags it reads; any other is a usage error. `_params` builds
-the run's one `AnalysisParams` from the flags given, so the defaults live in
-`AnalysisParams` alone.
+The command line is declared once, as data. `ANALYSIS_FLAGS` holds each
+analysis flag, `_SHARED_FLAGS` each other flag that subcommands declare
+alike, and `_COMMANDS` each subcommand's handler, help line and flags in
+help order. A subcommand takes only the flags it reads; any other is a usage
+error. `_params` builds the run's one `AnalysisParams` from the flags given,
+so the defaults live in `AnalysisParams` alone. `build_parser` builds the
+parser from these tables once per process, since in-process callers, such
+as the `resample` benchmark, call `main` twice per operation.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -40,7 +45,6 @@ from .model import (
     Literal,
     ScpqcaError,
     VacuousSolutionError,
-    as_fraction,
 )
 from .necessity import conflicting_factors, necessary_conditions
 from .pathways import (
@@ -68,8 +72,15 @@ ANALYSIS_FLAGS = {
     "--assume-necessary": ("assume_necessary", {
         "metavar": "F=V,...", "help": "conjoin exactly these literals as necessary conditions"}),
 }
+# `sweep` takes each swept value from its single flag or from its list (with
+# the list's metavar), never both.
+_SWEEP_LISTS = {
+    "--consistency": ("--consistency-list", "0.8,0.75"),
+    "--cutoff": ("--cutoff-list", "2,3,4"),
+    "--unique-cover": ("--unique-cover-list", "1,2"),
+}
 # The fields `sweep` takes from its grid, not from its base params.
-SWEPT = ("consistency_threshold", "cutoff", "unique_cover")
+SWEPT = tuple(ANALYSIS_FLAGS[flag][0] for flag in _SWEEP_LISTS)
 
 
 class _ArgumentError(Exception):
@@ -149,8 +160,8 @@ def _load(args: argparse.Namespace) -> CaseTable:
     table = load_csv(
         args.data,
         outcome_column=args.outcome,
-        calibration=_parse_cutpoints(getattr(args, "cutpoints", None)),
-        id_column=getattr(args, "id_column", None),
+        calibration=_parse_cutpoints(args.cutpoints),
+        id_column=args.id_column,
     )
     for f in numeric_label_columns(table):
         print(
@@ -158,11 +169,11 @@ def _load(args: argparse.Namespace) -> CaseTable:
             f"calibrate it with --cutpoints {f.name}:p1,p2,...",
             file=sys.stderr,
         )
-    if getattr(args, "dedup", False):
+    if args.dedup:
         table, removed = deduplicate(table)
         if removed:
             print(f"note: removed {removed} duplicate case(s)", file=sys.stderr)
-    if getattr(args, "emit_schema", None):
+    if args.emit_schema:
         write_schema_json(table, args.emit_schema)
     return table
 
@@ -366,8 +377,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # The swept values go into the grid, so `sweep --cutoff 0` fails one cell.
     params = _params(args, table, omit=SWEPT)
     consistency, cutoff, unique = (getattr(args, field, getattr(params, field)) for field in SWEPT)
-    consistency = as_fraction(consistency)
-    cons_list = [as_fraction(x) for x in args.consistency_list.split(",")] if args.consistency_list else [consistency]
+    # `internal_sweep` parses each consistency, so that an error echoes it as given.
+    cons_list = args.consistency_list.split(",") if args.consistency_list else [consistency]
     cutoff_list = _int_list(args.cutoff_list, "--cutoff-list") if args.cutoff_list else [cutoff]
     unique_list = _int_list(args.unique_cover_list, "--unique-cover-list") if args.unique_cover_list else [unique]
     grid = [(c, k, u) for c in cons_list for k in cutoff_list for u in unique_list]
@@ -392,100 +403,88 @@ def _cmd_xval(args: argparse.Namespace) -> int:
 # Parser assembly
 
 
+# The flags, other than the analysis flags, that subcommands declare alike:
+# each one's `add_argument` keywords.
+_SHARED_FLAGS = {
+    "--data": {"required": True, "help": "CSV dataset (UTF-8, header row)"},
+    "--outcome": {"required": True, "help": "outcome column name"},
+    "--label": {"default": "1", "help": "decision label (outcome level or raw label)"},
+    "--id-column": {"help": "column holding case ids"},
+    "--cutpoints": {"action": "append", "metavar": "COL:p1,p2",
+                    "help": "threshold calibration for a column (repeatable)"},
+    "--dedup": {"action": "store_true", "help": "drop cases identical in all values and outcome"},
+    "--emit-schema": {"metavar": "PATH", "help": "write the schema metadata sidecar as JSON"},
+    "--seed": {"type": int, "help": "PRNG seed (fallback: SCPQCA_SEED, then 0)"},
+    "--format": {"choices": ["text", "json", "csv"], "default": "text"},
+    "--timing": {"action": "store_true", "help": "print runtime to stderr"},
+    "--factors": {"type": int, "required": True},
+    "--samples": {"type": int, "default": 200},
+}
+_DATA = ("--data", "--outcome", "--label", "--id-column", "--cutpoints", "--dedup", "--emit-schema")
+_OUT = ("--format", "--timing")
+
+# Each subcommand: its handler, its help line and its flags in help order. A
+# flag is a `_SHARED_FLAGS` or `ANALYSIS_FLAGS` name, or a `(flag, keywords)`
+# pair that only this subcommand declares.
+_COMMANDS = {
+    "necessity": (_cmd_necessity, "report necessary conditions", (*_DATA, "--necessity-threshold", *_OUT)),
+    "candidates": (_cmd_candidates, "enumerate the candidate rule list",
+                   (*_DATA, "--consistency", "--cutoff", "--max-order", *_OUT)),
+    "solve": (_cmd_solve, "run the full two-step pipeline", (
+        *_DATA, *ANALYSIS_FLAGS, *_OUT,
+        ("--oracle", {"action": "store_true",
+                      "help": "cross-check the greedy cover with the exact oracle (small instances)"}),
+    )),
+    "synth": (_cmd_synth, "generate a synthetic planted-pathway dataset", (
+        "--seed", "--factors",
+        ("--levels", {"default": "2", "help": "level count, or comma list per factor"}),
+        ("--pathway", {"required": True, "help": "DNF pathway, e.g. 'ab+CD' or 'A0*B0+B1*C1'"}),
+        "--samples",
+        ("--confound", {"type": int, "default": 0, "help": "outcomes to corrupt"}),
+        ("--emit", {"choices": ["csv", "json"], "default": "csv"}),
+        ("--out", {"help": "output path (default stdout)"}),
+    )),
+    "experiment": (_cmd_experiment, "planted-pathway recovery sweep over confound counts", (
+        *(flag for flag in ANALYSIS_FLAGS if flag != "--assume-necessary"), "--seed", *_OUT,
+        "--factors", ("--levels", {"default": "2"}), ("--pathway", {"required": True}), "--samples",
+        ("--confounds", {"default": "0", "help": "comma list of confound counts"}),
+        ("--reps", {"type": int, "default": 1, "help": "repetitions per confound count"}),
+    )),
+    "sweep": (_cmd_sweep, "internal validity: rerun over a parameter grid", (*_DATA, *ANALYSIS_FLAGS, *_OUT)),
+    "xval": (_cmd_xval, "external validity: jackknife resampling", (
+        *_DATA, *ANALYSIS_FLAGS, "--seed", *_OUT,
+        ("--fraction", {"type": float, "default": 0.10, "help": "share of cases to remove"}),
+        ("--reps", {"type": int, "default": 10}),
+    )),
+}
+
+
+def _add_flag(container, flag: str | tuple[str, dict]) -> None:
+    if isinstance(flag, tuple):
+        flag, keywords = flag
+    elif flag in ANALYSIS_FLAGS:
+        field, keywords = ANALYSIS_FLAGS[flag]
+        keywords = {"dest": field, "default": argparse.SUPPRESS, **keywords}
+    else:
+        keywords = _SHARED_FLAGS[flag]
+    container.add_argument(flag, **keywords)
+
+
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="scpqca", description=__doc__.splitlines()[0])
-
-    out_parent = argparse.ArgumentParser(add_help=False)
-    out_parent.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    out_parent.add_argument("--timing", action="store_true", help="print runtime to stderr")
-
-    data_parent = argparse.ArgumentParser(add_help=False)
-    data_parent.add_argument("--data", required=True, help="CSV dataset (UTF-8, header row)")
-    data_parent.add_argument("--outcome", required=True, help="outcome column name")
-    data_parent.add_argument("--label", default="1", help="decision label (outcome level or raw label)")
-    data_parent.add_argument("--id-column", default=None, help="column holding case ids")
-    data_parent.add_argument("--cutpoints", action="append", metavar="COL:p1,p2",
-                             help="threshold calibration for a column (repeatable)")
-    data_parent.add_argument("--dedup", action="store_true",
-                             help="drop cases identical in all values and outcome")
-    data_parent.add_argument("--emit-schema", metavar="PATH",
-                             help="write the schema metadata sidecar as JSON")
-
-    def analysis_parent(flag: str, list_flag: str | None = None, metavar: str | None = None):
-        """The parent parser of one analysis flag; a `list_flag` given with it excludes it."""
-        parent = argparse.ArgumentParser(add_help=False)
-        group = parent.add_mutually_exclusive_group() if list_flag else parent
-        field, keywords = ANALYSIS_FLAGS[flag]
-        group.add_argument(flag, dest=field, default=argparse.SUPPRESS, **keywords)
-        if list_flag:
-            group.add_argument(list_flag, default=None, metavar=metavar)
-        return parent
-
-    # One parent per analysis flag, so that each subcommand lists the flags it reads.
-    analysis = {flag: analysis_parent(flag) for flag in ANALYSIS_FLAGS}
-    every_flag = list(analysis.values())
-    # `sweep` takes a swept value from its single flag or from its list, never both.
-    sweep_lists = {
-        "--consistency": ("--consistency-list", "0.8,0.75"),
-        "--cutoff": ("--cutoff-list", "2,3,4"),
-        "--unique-cover": ("--unique-cover-list", "1,2"),
-    }
-    sweep_flags = [analysis_parent(flag, *sweep_lists[flag]) if flag in sweep_lists else parent
-                   for flag, parent in analysis.items()]
-    experiment_flags = [parent for flag, parent in analysis.items() if flag != "--assume-necessary"]
-
-    seed_parent = argparse.ArgumentParser(add_help=False)
-    seed_parent.add_argument("--seed", type=int, default=None,
-                             help="PRNG seed (fallback: SCPQCA_SEED, then 0)")
-
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("necessity", parents=[data_parent, analysis["--necessity-threshold"], out_parent],
-                       help="report necessary conditions")
-    p.set_defaults(func=_cmd_necessity)
-
-    candidate_flags = [analysis[flag] for flag in ("--consistency", "--cutoff", "--max-order")]
-    p = sub.add_parser("candidates", parents=[data_parent, *candidate_flags, out_parent],
-                       help="enumerate the candidate rule list")
-    p.set_defaults(func=_cmd_candidates)
-
-    p = sub.add_parser("solve", parents=[data_parent, *every_flag, out_parent],
-                       help="run the full two-step pipeline")
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check the greedy cover with the exact oracle (small instances)")
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("synth", parents=[seed_parent],
-                       help="generate a synthetic planted-pathway dataset")
-    p.add_argument("--factors", type=int, required=True)
-    p.add_argument("--levels", default="2", help="level count, or comma list per factor")
-    p.add_argument("--pathway", required=True, help="DNF pathway, e.g. 'ab+CD' or 'A0*B0+B1*C1'")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--confound", type=int, default=0, help="outcomes to corrupt")
-    p.add_argument("--emit", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("experiment", parents=[*experiment_flags, seed_parent, out_parent],
-                       help="planted-pathway recovery sweep over confound counts")
-    p.add_argument("--factors", type=int, required=True)
-    p.add_argument("--levels", default="2")
-    p.add_argument("--pathway", required=True)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--confounds", default="0", help="comma list of confound counts")
-    p.add_argument("--reps", type=int, default=1, help="repetitions per confound count")
-    p.set_defaults(func=_cmd_experiment)
-
-    p = sub.add_parser("sweep", parents=[data_parent, *sweep_flags, out_parent],
-                       help="internal validity: rerun over a parameter grid")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("xval", parents=[data_parent, *every_flag, seed_parent, out_parent],
-                       help="external validity: jackknife resampling")
-    p.add_argument("--fraction", type=float, default=0.10, help="share of cases to remove")
-    p.add_argument("--reps", type=int, default=10)
-    p.set_defaults(func=_cmd_xval)
-
+    for name, (handler, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        p.set_defaults(func=handler)
+        for flag in flags:
+            if name == "sweep" and flag in _SWEEP_LISTS:
+                group = p.add_mutually_exclusive_group()
+                _add_flag(group, flag)
+                list_flag, metavar = _SWEEP_LISTS[flag]
+                group.add_argument(list_flag, metavar=metavar)
+            else:
+                _add_flag(p, flag)
     return parser
 
 

@@ -72,6 +72,15 @@ class VacuousSolutionError(ScpqcaError):
     """No admissible cover and no necessary conditions: nothing to report."""
 
 
+# Pathway terms, levels and sweep consistencies longer than this are echoed
+# in errors cut to 12 characters and "...", as ingest cuts a long cell.
+_ECHO_LIMIT = 40
+
+
+def _echo(text: str) -> str:
+    return text if len(text) <= _ECHO_LIMIT else text[:12] + "..."
+
+
 def as_index(x: object, what: str) -> int:
     """`x` as an int through `operator.index`, as table level values are read.
 

@@ -33,6 +33,7 @@ from .model import (
     FactorSchema,
     InputError,
     Literal,
+    _echo,
     dnf_shorthand,
 )
 from .pipeline import AnalysisParams, SolveResult, solve
@@ -90,15 +91,6 @@ class ExperimentSpec:
 
 # ---------------------------------------------------------------------------
 # Parsing
-
-
-# Terms and levels longer than this are echoed in errors cut to 12
-# characters and "...", as ingest cuts a long cell.
-_ECHO_LIMIT = 40
-
-
-def _echo(text: str) -> str:
-    return text if len(text) <= _ECHO_LIMIT else text[:12] + "..."
 
 
 def _term_spans(text: str) -> list[tuple[int, int]]:

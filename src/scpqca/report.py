@@ -111,14 +111,14 @@ def _csv_string(rows: Sequence[Sequence[object]]) -> str:
     return buf.getvalue()
 
 
-def _grid(rows: Sequence[Sequence[str]], indent: str = "") -> str:
+def _grid(rows: Sequence[Sequence[str]]) -> str:
     """Left-aligned fixed-width text table."""
     if not rows:
         return ""
     widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
     out = []
     for r in rows:
-        out.append(indent + "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
+        out.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
     return "\n".join(out)
 
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .candidates import CandidatePool
-from .model import AnalysisParams, CaseTable, Conjunction, InputError, ScpqcaError, as_fraction, as_index
+from .model import AnalysisParams, CaseTable, Conjunction, InputError, ScpqcaError, _echo, as_fraction, as_index
 from .pipeline import SolveResult, solve
 
 
@@ -82,6 +82,15 @@ class SweepCell:
     error: str | None = None
 
 
+def _grid_consistency(value: Fraction | float | str) -> Fraction:
+    ratio = as_fraction(value)
+    try:
+        float(ratio)
+    except OverflowError:
+        raise InputError(f"consistency too large for a float: {_echo(str(value))!r}") from None
+    return ratio
+
+
 def internal_sweep(
     table: CaseTable,
     grid: Sequence[tuple[Fraction | float | str, int, int]],
@@ -90,18 +99,19 @@ def internal_sweep(
     """One pipeline run per (consistency_threshold, cutoff, unique_cover) point.
 
     A cell's row shows its consistency, so one that is not a ratio ("abc")
-    raises `InputError` before any cell is solved, like an entry that is not
-    a triple. An out-of-range or non-integer value (cutoff 0 or 2.5) fails
-    only its own cell, recorded with its error like a failed solve. The
-    cells share one candidate pool at the smallest cutoff and consistency
-    of the cells whose parameters are valid, so the lattice is walked once.
+    or too large for a float ("1e999") raises `InputError` before any cell
+    is solved, like an entry that is not a triple. An out-of-range or
+    non-integer value (cutoff 0 or 2.5) fails only its own cell, recorded
+    with its error like a failed solve. The cells share one candidate pool
+    at the smallest cutoff and consistency of the cells whose parameters
+    are valid, so the lattice is walked once.
     """
     if not grid:
         raise InputError("sweep grid must not be empty")
     bad = [p for p in grid if isinstance(p, str) or not isinstance(p, Sequence) or len(p) != 3]
     if bad:
         raise InputError(f"sweep grid entry must be a (consistency, cutoff, unique_cover) triple, got {bad[0]!r}")
-    points = [(as_fraction(consistency), cutoff, unique) for consistency, cutoff, unique in grid]
+    points = [(_grid_consistency(consistency), cutoff, unique) for consistency, cutoff, unique in grid]
     grid_params: list[AnalysisParams | str] = []  # or the error building them raised
     for consistency, cutoff, unique in points:
         try:

@@ -353,6 +353,12 @@ class TestParameterChecks:
         second, first = (flag, list_flag) if list_first else (list_flag, flag)
         assert line == f"scpqca sweep: error: argument {second}: not allowed with argument {first}"
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("flag", ["--consistency", "--consistency-list"])
+    def test_sweep_rejects_a_consistency_beyond_the_float_range(self, flag, fmt):
+        code, out, err = run_cli("sweep", *M1, flag, "1e999", "--format", fmt)
+        assert (code, out, err) == (1, "", "error: consistency too large for a float: '1e999'\n")
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [
@@ -643,7 +649,7 @@ FUZZ_CELLS = ["0", "1", "1", "2", "3", "-1", " 1 ", "a", "b", "0.5", "2.75", "na
 # Mostly valid values, so that most runs reach the analysis, plus bad ones.
 FUZZ_FLAGS = {
     "--label": ["1", "1", "0", "2", "-1", "a"],
-    "--consistency": ["0.8", "0.5", "1", "0", "2/3", "1.5", "-1", "abc", "1/0", "nan"],
+    "--consistency": ["0.8", "0.5", "1", "0", "2/3", "1.5", "-1", "abc", "1/0", "nan", "1e999"],
     "--cutoff": ["1", "2", "0", "-1", "100"],
     "--unique-cover": ["1", "2", "0", "-3"],
     "--necessity-threshold": ["0.9", "0.5", "0", "1", "2", "x"],
@@ -652,7 +658,7 @@ FUZZ_FLAGS = {
     "--format": ["text", "json", "csv"],
 }
 SWEEP_LISTS = {
-    "--consistency-list": ["0.8", "0.8", "0.5", "1", "2/3", "0", "1.5", "x", "", " "],
+    "--consistency-list": ["0.8", "0.8", "0.5", "1", "2/3", "0", "1.5", "x", "", " ", "1e999"],
     "--cutoff-list": ["1", "2", "2", "3", "0", "-1", "a", ""],
     "--unique-cover-list": ["1", "1", "2", "0", "x", ""],
 }
@@ -784,6 +790,90 @@ class TestFuzz:
             code, _, err = run_cli(*args, *out)
         assert code in (0, 1, 2)
         assert "internal error" not in err
+
+
+def parser_record() -> list[dict]:
+    """Each subcommand's help line and actions, in order, as plain data.
+
+    `--help` wording differs across Python releases ("optional arguments:"
+    before 3.10's successors), so the parser's structure is pinned instead.
+    """
+    [subparsers] = build_parser()._subparsers._group_actions
+    helps = {action.dest: action.help for action in subparsers._choices_actions}
+    record = []
+    for name, sub in subparsers.choices.items():
+        groups = sub._mutually_exclusive_groups
+        actions = [
+            {
+                "option_strings": action.option_strings,
+                "dest": action.dest,
+                "default": action.default,
+                "type": None if action.type is None else action.type.__name__,
+                "choices": action.choices,
+                "required": action.required,
+                "help": action.help,
+                "metavar": action.metavar,
+                "nargs": action.nargs,
+                "action": type(action).__name__,
+                "group": next((i for i, g in enumerate(groups) if action in g._group_actions), None),
+            }
+            for action in sub._actions
+        ]
+        record.append({"command": name, "help": helps[name], "actions": actions})
+    return json.loads(json.dumps(record))
+
+
+# One process: a usage error, a help screen and two runs, twice over.
+PARSER_CALLS = [
+    ["solve", "--cutoff"],
+    ["solve", "--help"],
+    ["sweep", *M1, "--cutoff-list", "1,2"],
+    ["solve", *M1],
+] * 2
+PARSER_SCRIPT = """
+import argparse, io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+
+built = 0
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+
+from scpqca.cli import main
+
+runs = []
+for args in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(args)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"built": built, "runs": runs}))
+"""
+
+
+class TestParser:
+    def test_structure_matches_the_golden_record(self):
+        golden = json.loads((ROOT / "tests" / "golden" / "parser.json").read_text(encoding="utf-8"))
+        assert parser_record() == golden
+
+    def test_one_parser_per_process_and_no_state_between_calls(self):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "COLUMNS": "80"}
+        env.pop("SCPQCA_SEED", None)
+
+        def run(cmd):
+            return subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=ROOT)
+
+        one = run([sys.executable, "-c", PARSER_SCRIPT, json.dumps(PARSER_CALLS)])
+        assert one.returncode == 0, one.stderr
+        result = json.loads(one.stdout)
+        assert result["built"] == 8  # the root parser and one per subcommand
+        calls = len(PARSER_CALLS) // 2
+        for args, first, second in zip(PARSER_CALLS, result["runs"][:calls], result["runs"][calls:]):
+            fresh = run([sys.executable, "-m", "scpqca.cli", *args])
+            assert first == second == [fresh.returncode, fresh.stdout, fresh.stderr]
 
 
 class TestStartup:

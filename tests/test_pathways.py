@@ -21,7 +21,7 @@ from scpqca import (
     synth_schema,
     AnalysisParams,
 )
-from scpqca.pathways import _ECHO_LIMIT
+from scpqca.model import _ECHO_LIMIT
 
 
 def brute_dnf_eval(terms, row) -> bool:

@@ -123,6 +123,23 @@ class TestInternalSweep:
         ]
         assert len(solves) == 1 and cells[-1].result.params.cutoff == 4
 
+    @pytest.mark.parametrize(
+        "consistency, echo",
+        [("1e999", "'1e999'"), ("-1e999", "'-1e999'"), ("0" * 35 + "1e999", f"'{'0' * 35}1e999'"),
+         ("0" * 36 + "1e999", "'000000000000...'"), (Fraction(10**400), "'100000000000...'")],
+    )
+    def test_consistency_beyond_the_float_range_stops_the_sweep(self, monkeypatch, remote_table, consistency, echo):
+        # A cell's row shows its consistency as a float, so one too large for
+        # a float is refused before any solve, named as given, cut when long.
+        from scpqca import robustness
+
+        solves = []
+        monkeypatch.setattr(robustness, "solve", lambda *a, **k: solves.append(a))
+        with pytest.raises(InputError) as exc:
+            internal_sweep(remote_table, [("0.8", 4, 2), (consistency, 4, 2)], AnalysisParams(decision_label=1))
+        assert str(exc.value) == f"consistency too large for a float: {echo}"
+        assert solves == []
+
 
 class TestDeriveSeed:
     def test_stable_values(self):
