@@ -26,7 +26,7 @@ print(f"Loaded {len(table)} cases, factors: {[f.name for f in table.schema.facto
 
 # Step 1: necessity. A=1 holds in all three positive cases.
 print("\nNecessity consistencies above 0.9:")
-for lit, cons in necessary_conditions(table, decision_label=1):
+for lit, cons in necessary_conditions(table, AnalysisParams(decision_label=1)):
     print(f"  {conjunction_expr(Conjunction((lit,)), table.schema)}  ->  {float(cons):.4f}")
 
 # Step 2: sufficiency over the non-necessary factors. With the default 0.8

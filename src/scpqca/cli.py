@@ -242,8 +242,7 @@ def _warn_enumeration_bound(table: CaseTable, params: AnalysisParams) -> int:
 def _cmd_necessity(args: argparse.Namespace) -> int:
     table = _load(args)
     params = _params(args, table)
-    label, threshold = params.decision_label, params.necessity_threshold
-    rows = necessary_conditions(table, label, threshold)
+    rows = necessary_conditions(table, params)
     conflicted = conflicting_factors(rows)
     if conflicted:
         names = ", ".join(table.schema.factors[i].name for i in conflicted)
@@ -252,7 +251,7 @@ def _cmd_necessity(args: argparse.Namespace) -> int:
             "solve conjoins none of them unless --assume-necessary picks one",
             file=sys.stderr,
         )
-    payload = report.necessity_payload(rows, table, label, threshold)
+    payload = report.necessity_payload(rows, table, params)
     _emit(payload, args.format, report.necessity_text, report.necessity_csv)
     return 0
 

@@ -96,15 +96,13 @@ def greedy_cover(
     return [candidates[i] for i in picks]
 
 
-def unique_coverage(rules: Sequence[CandidateRule], positives: Iterable[str]) -> tuple[int, ...]:
+def unique_coverage(rules: Sequence[CandidateRule]) -> tuple[int, ...]:
     """Per rule: positives it matches that no other listed rule matches."""
-    if not rules:
-        return ()
     once = twice = 0
     for rule in rules:
         twice |= once & rule.positive_bits
         once |= rule.positive_bits
-    only = once & ~twice & bits_of(positives, rules[0].ids)
+    only = once & ~twice
     return tuple((rule.positive_bits & only).bit_count() for rule in rules)
 
 
@@ -150,7 +148,7 @@ def assemble_solution(
         decision_label=params.decision_label,
         solution_consistency=consistency,
         solution_coverage=coverage,
-        per_rule_unique_coverage=unique_coverage(effective, table.positive_ids(params.decision_label)),
+        per_rule_unique_coverage=unique_coverage(effective),
     )
 
 

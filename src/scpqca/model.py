@@ -81,6 +81,15 @@ def _echo(text: str) -> str:
     return text if len(text) <= _ECHO_LIMIT else text[:12] + "..."
 
 
+def _echo_ratio(x: Fraction) -> str:
+    """`_echo(str(x))`, without converting every digit of a huge numerator or denominator."""
+    # m >= 10**k for k = (m.bit_length() - 1) * 30102 // 100000, so dropping
+    # its last k - _ECHO_LIMIT digits leaves its leading ones, over _ECHO_LIMIT.
+    terms = [abs(x.numerator)] + ([x.denominator] if x.denominator != 1 else [])
+    cut = [m // 10 ** max(0, (m.bit_length() - 1) * 30102 // 100000 - _ECHO_LIMIT) for m in terms]
+    return _echo(("-" if x < 0 else "") + "/".join(map(str, cut)))
+
+
 def as_index(x: object, what: str) -> int:
     """`x` as an int through `operator.index`, as table level values are read.
 
@@ -120,9 +129,6 @@ def as_fraction(x: int | float | str | Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 # Analysis parameters
 
-DEFAULT_NECESSITY_THRESHOLD = Fraction(9, 10)
-
-
 @dataclass(frozen=True)
 class AnalysisParams:
     """Everything a pipeline run needs besides the table, checked when built.
@@ -139,7 +145,7 @@ class AnalysisParams:
     consistency_threshold: Fraction = Fraction(4, 5)
     cutoff: int = 2
     unique_cover: int = 2
-    necessity_threshold: Fraction = DEFAULT_NECESSITY_THRESHOLD
+    necessity_threshold: Fraction = Fraction(9, 10)
     max_order: int | None = None
     assume_necessary: tuple[Literal, ...] | None = None
 
@@ -148,7 +154,7 @@ class AnalysisParams:
         object.__setattr__(self, "necessity_threshold", as_fraction(self.necessity_threshold))
         object.__setattr__(self, "decision_label", as_index(self.decision_label, "decision_label"))
         if not 0 < self.consistency_threshold <= 1:
-            raise InputError(f"consistency threshold must be in (0,1], got {self.consistency_threshold}")
+            raise InputError(f"consistency threshold must be in (0,1], got {_echo_ratio(self.consistency_threshold)}")
         for name in ("cutoff", "max_order", "unique_cover"):
             if name == "max_order" and self.max_order is None:
                 continue  # no bound on the literals per rule
@@ -157,7 +163,7 @@ class AnalysisParams:
                 raise InputError(f"{name} must be >= 1, got {value}")
             object.__setattr__(self, name, value)
         if not 0 < self.necessity_threshold <= 1:
-            raise InputError(f"necessity threshold must be in (0,1], got {self.necessity_threshold}")
+            raise InputError(f"necessity threshold must be in (0,1], got {_echo_ratio(self.necessity_threshold)}")
         if self.assume_necessary is not None:
             Conjunction(self.assume_necessary)  # one literal per factor
 

@@ -8,46 +8,43 @@ final solution.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .model import (
-    DEFAULT_NECESSITY_THRESHOLD,
+    AnalysisParams,
     CaseTable,
     FactorSchema,
     InputError,
     Literal,
-    as_fraction,
-    necessity_consistency,
+    UndefinedRatioError,
 )
 
 
-def necessary_conditions(
-    table: CaseTable,
-    decision_label: int,
-    threshold: float | str | Fraction = DEFAULT_NECESSITY_THRESHOLD,
-) -> list[tuple[Literal, Fraction]]:
-    """All factor=value literals with necessity consistency > threshold.
+def necessary_conditions(table: CaseTable, params: AnalysisParams) -> list[tuple[Literal, Fraction]]:
+    """All factor=value literals with necessity consistency > `params.necessity_threshold`.
 
-    Sorted by consistency descending (ties by factor index, then value).
-    More than one level of the same factor can only qualify when the
-    threshold is at or below 0.5; no cap is imposed here, callers decide
-    how to handle the conflict.
+    Consistency is ``both / total``, popcounts of the literal's cached bitset
+    and the positives and of the positives alone. A literal qualifies when
+    ``both * den > num * total`` for the threshold num/den, an exact test;
+    only then is its `Fraction` built. Sorted by consistency descending (ties
+    by factor index, then value). Several levels of one factor can qualify
+    at a threshold of 0.5 or below; callers decide how to handle that.
     """
-    thr = as_fraction(threshold)
-    if not 0 < thr <= 1:
-        raise InputError(f"necessity threshold must be in (0,1], got {thr}")
+    if not table.schema.factors:
+        return []
+    positives = table.positive_bits(params.decision_label)
+    total = positives.bit_count()
+    if not total:
+        raise UndefinedRatioError(f"no cases with outcome {params.decision_label}; necessity consistency undefined")
+    num, den = params.necessity_threshold.as_integer_ratio()
     out: list[tuple[Literal, Fraction]] = []
     for i, factor in enumerate(table.schema.factors):
         for v in range(factor.levels):
-            # A level no case holds has consistency 0 once there are positives
-            # (without any, necessity_consistency raises), so it never qualifies.
-            if not table.literal_bits(i, v) and table.positive_bits(decision_label):
-                continue
-            lit = Literal(i, v)
-            cons = necessity_consistency(lit, table, decision_label)
-            if cons > thr:
-                out.append((lit, cons))
+            both = (table.literal_bits(i, v) & positives).bit_count()
+            if both * den > num * total:
+                out.append((Literal(i, v), Fraction(both, total)))
     out.sort(key=lambda item: (-item[1], item[0].factor_index, item[0].value))
     return out
 
@@ -63,7 +60,5 @@ def exclude_necessary(schema: FactorSchema, necessary: Iterable[Literal]) -> tup
 
 def conflicting_factors(necessary: Sequence[tuple[Literal, Fraction]]) -> tuple[int, ...]:
     """Factor indices for which more than one level qualified as necessary."""
-    counts: dict[int, int] = {}
-    for lit, _ in necessary:
-        counts[lit.factor_index] = counts.get(lit.factor_index, 0) + 1
+    counts = Counter(lit.factor_index for lit, _ in necessary)
     return tuple(sorted(i for i, c in counts.items() if c > 1))

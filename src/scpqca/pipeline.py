@@ -53,7 +53,7 @@ def solve(table: CaseTable, params: AnalysisParams, *, pool: CandidatePool | Non
     table.require_unique_ids()
     warnings: list[str] = []
 
-    necessity = tuple(necessary_conditions(table, params.decision_label, params.necessity_threshold))
+    necessity = tuple(necessary_conditions(table, params))
 
     if params.assume_necessary is not None:
         conjoined = tuple(sorted(params.assume_necessary))

@@ -35,6 +35,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .model import (
+    AnalysisParams,
     CandidateRule,
     CaseTable,
     FactorSchema,
@@ -140,12 +141,12 @@ def _necessity_entry(lit, consistency: Fraction, schema: FactorSchema) -> dict:
     }
 
 
-def necessity_payload(result_rows, table: CaseTable, decision_label: int, threshold) -> dict:
+def necessity_payload(result_rows, table: CaseTable, params: AnalysisParams) -> dict:
     return {
         "command": "necessity",
         "outcome": table.schema.outcome_name,
-        "decision_label": decision_label,
-        "threshold": float(threshold),
+        "decision_label": params.decision_label,
+        "threshold": float(params.necessity_threshold),
         "necessary": [_necessity_entry(lit, cons, table.schema) for lit, cons in result_rows],
     }
 

@@ -280,7 +280,8 @@ class TestUncheckedRulesAreValid:
             max_order=rng.choice([None, 1, 2, 3]),
         )
         nf = len(table.schema.factors)
-        necessary = [lit for lit, _ in necessary_conditions(table, label, Fraction(rng.randint(5, 9), 10))]
+        nec_params = AnalysisParams(label, necessity_threshold=Fraction(rng.randint(5, 9), 10))
+        necessary = [lit for lit, _ in necessary_conditions(table, nec_params)]
         factor_sets = [
             range(nf),
             rng.sample(range(nf), rng.randint(0, nf)),

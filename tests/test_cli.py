@@ -70,6 +70,19 @@ class TestSolve:
         assert lines[1].startswith("necessary,1,")  # A=1 conjoined, B blank
         assert lines[1].endswith("1.0,0.75")
 
+    def test_dropped_rule_is_printed_as_a_warning(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("id,A,B,O\na1,1,0,1\na2,1,0,1\nb1,0,1,1\nb2,0,1,1\nc,1,0,0\n")
+        code, out, _ = run_cli(
+            "solve", "--data", str(p), "--outcome", "O", "--label", "1",
+            "--cutoff", "2", "--unique-cover", "2", "--assume-necessary", "A=1",
+        )
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("warning:")] == [
+            "warning: rule B=1 matches no cases under the necessary conditions and was dropped",
+            "warning: solution consistency 0.6667 fell below the candidate threshold 0.8000",
+        ]
+
     def test_oracle_flag(self):
         code, out, _ = run_cli("solve", *REMOTE, "--cutoff", "7", "--oracle")
         assert code == 0
@@ -375,6 +388,13 @@ class TestParameterChecks:
         [
             (["solve", *REMOTE, "--unique-cover", "0", "--necessity-threshold", "2"], "unique_cover must be >= 1, got 0"),
             (["xval", *REMOTE, "--cutoff", "0", "--fraction", "2"], "cutoff must be >= 1, got 0"),
+            (["solve", *M1, "--consistency", "1e5000"], "consistency threshold must be in (0,1], got 100000000000..."),
+            (["xval", *M1, "--consistency", "1e5000"], "consistency threshold must be in (0,1], got 100000000000..."),
+            (["necessity", *M1, "--necessity-threshold", "1e5000"],
+             "necessity threshold must be in (0,1], got 100000000000..."),
+            (["sweep", *M1, "--necessity-threshold", "1e5000"],
+             "necessity threshold must be in (0,1], got 100000000000..."),
+            (["solve", *M1, "--consistency", "1e999"], "consistency threshold must be in (0,1], got 100000000000..."),
         ],
     )
     def test_params_are_checked_before_the_run(self, args, message):

@@ -232,11 +232,11 @@ class TestOracle:
 class TestUniqueCoverage:
     def test_counts(self):
         r1, r2 = pure_rule(0, "123"), pure_rule(1, "34")
-        assert unique_coverage([r1, r2], set("1234")) == (2, 1)
+        assert unique_coverage([r1, r2]) == (2, 1)
 
     def test_single_rule_owns_everything(self):
         r = pure_rule(0, "12")
-        assert unique_coverage([r], set("12")) == (2,)
+        assert unique_coverage([r]) == (2,)
 
 
 class TestAssembleSolution:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from scpqca import (
+    AnalysisParams,
     Case,
     CaseTable,
     Factor,
@@ -19,29 +20,24 @@ from scpqca import (
 from scpqca.necessity import conflicting_factors
 
 
+def nec(table, threshold="0.9"):
+    return necessary_conditions(table, AnalysisParams(1, necessity_threshold=threshold))
+
+
 class TestNecessaryConditions:
     def test_m1_default_threshold(self, m1_table):
-        assert necessary_conditions(m1_table, 1) == [(Literal(0, 1), Fraction(1))]
+        assert necessary_conditions(m1_table, AnalysisParams(1)) == [(Literal(0, 1), Fraction(1))]
 
     def test_m1_threshold_06(self, m1_table):
-        got = necessary_conditions(m1_table, 1, "0.6")
+        got = nec(m1_table, "0.6")
         assert got == [(Literal(0, 1), Fraction(1)), (Literal(1, 1), Fraction(2, 3))]
-
-    def test_decision_label_must_be_an_integer(self, m1_table):
-        # 1.0 == 1 and hashes alike, so a cached label-1 bitset must not
-        # let the float through either.
-        with pytest.raises(InputError, match="decision_label must be an integer, got 1.0"):
-            necessary_conditions(m1_table, 1.0)
-        necessary_conditions(m1_table, 1)
-        with pytest.raises(InputError, match="decision_label must be an integer, got 1.0"):
-            necessary_conditions(m1_table, 1.0)
 
     def test_split_positives_yield_nothing(self):
         schema = binary_schema(["A"])
         t = CaseTable.from_cases(
             schema, [Case("a", (0,), 1), Case("b", (1,), 1), Case("c", (0,), 0)]
         )
-        assert necessary_conditions(t, 1) == []
+        assert nec(t) == []
 
     def test_strictly_greater_comparison(self):
         # 9 of 10 positives carry A=1: consistency exactly 0.9 is NOT above 0.9
@@ -49,22 +45,26 @@ class TestNecessaryConditions:
         cases = [Case(f"p{i}", (1,), 1) for i in range(9)] + [Case("p9", (0,), 1)]
         t = CaseTable.from_cases(schema, cases)
         assert necessity_consistency(Literal(0, 1), t, 1) == Fraction(9, 10)
-        assert necessary_conditions(t, 1, "0.9") == []
+        assert nec(t, "0.9") == []
 
     def test_every_returned_literal_rechecks(self, remote_table):
-        for lit, cons in necessary_conditions(remote_table, 1):
+        for lit, cons in nec(remote_table):
             assert necessity_consistency(lit, remote_table, 1) == cons
             assert cons > Fraction(9, 10)
 
     def test_raising_threshold_never_adds(self, m1_table):
-        lo = {lit for lit, _ in necessary_conditions(m1_table, 1, "0.5")}
-        hi = {lit for lit, _ in necessary_conditions(m1_table, 1, "0.9")}
+        lo = {lit for lit, _ in nec(m1_table, "0.5")}
+        hi = {lit for lit, _ in nec(m1_table, "0.9")}
         assert hi <= lo
 
     def test_no_positives_is_an_error(self, m1_table):
         sub = CaseTable.from_cases(m1_table.schema, [m1_table.case(4)])
-        with pytest.raises(UndefinedRatioError):
-            necessary_conditions(sub, 1)
+        with pytest.raises(UndefinedRatioError, match="^no cases with outcome 1; necessity consistency undefined$"):
+            nec(sub)
+
+    def test_no_factors_is_empty_even_without_positives(self):
+        t = CaseTable.from_cases(FactorSchema((), Factor("O", 2)), [Case("a", (), 0)])
+        assert nec(t) == []
 
     @pytest.mark.parametrize("seed", range(8))
     def test_unheld_levels_match_the_scan_of_every_level(self, seed):
@@ -78,7 +78,7 @@ class TestNecessaryConditions:
         threshold = Fraction(rng.randint(1, 10), 10)
         if not t.positive_bits(1):
             with pytest.raises(UndefinedRatioError):
-                necessary_conditions(t, 1, threshold)
+                nec(t, threshold)
             return
         every = [
             (Literal(j, v), necessity_consistency(Literal(j, v), t, 1))
@@ -89,13 +89,7 @@ class TestNecessaryConditions:
             ((lit, c) for lit, c in every if c > threshold),
             key=lambda item: (-item[1], item[0].factor_index, item[0].value),
         )
-        assert necessary_conditions(t, 1, threshold) == want
-
-    def test_threshold_validation(self, m1_table):
-        with pytest.raises(InputError):
-            necessary_conditions(m1_table, 1, "0")
-        with pytest.raises(InputError):
-            necessary_conditions(m1_table, 1, "1.5")
+        assert nec(t, threshold) == want
 
 
 class TestExcludeNecessary:

@@ -42,6 +42,21 @@ class TestTwoStepPipeline:
         with pytest.raises(InputError, match="decision_label must be an integer, got 1.0"):
             solve(remote_table, AnalysisParams(decision_label=1.0, cutoff=4))
 
+    def test_rule_matching_nothing_under_the_necessary_conditions_is_dropped(self):
+        # B=1 covers b1 and b2, which the assumed A=1 excludes.
+        schema = binary_schema(["A", "B"])
+        t = CaseTable.from_cases(
+            schema,
+            [Case("a1", (1, 0), 1), Case("a2", (1, 0), 1), Case("b1", (0, 1), 1), Case("b2", (0, 1), 1),
+             Case("c", (1, 0), 0)],
+        )
+        result = solve(t, AnalysisParams(1, cutoff=2, unique_cover=2, assume_necessary=(Literal(0, 1),)))
+        assert result.warnings == (
+            "rule B=1 matches no cases under the necessary conditions and was dropped",
+            "solution consistency 0.6667 fell below the candidate threshold 0.8000",
+        )
+        assert result.solution.necessary == (Literal(0, 1),) and result.solution.rules == ()
+
     def test_configurations_fold_necessary_literals(self, remote_table):
         params = AnalysisParams(decision_label=1, cutoff=4)
         result = solve(remote_table, params)
@@ -140,6 +155,35 @@ class TestAnalysisParams:
         with pytest.raises(InputError, match=re.escape(message)):
             AnalysisParams(1, **fields)
 
+    @pytest.mark.parametrize(
+        "name, value, shown",
+        [
+            ("necessity", "0", "0"),
+            ("necessity", "1.5", "3/2"),
+            ("necessity", "1e39", "1" + "0" * 39),  # 40 characters: shown whole
+            ("necessity", "1e40", "100000000000..."),
+            ("necessity", "1e5000", "100000000000..."),
+            ("consistency", "1e999", "100000000000..."),
+            ("consistency", "-1e-5000", "-1/100000000..."),
+            ("consistency", "-7/1" + "0" * 50, "-7/100000000..."),
+        ],
+    )
+    def test_an_out_of_range_threshold_is_echoed_cut(self, name, value, shown):
+        # The parsed fraction is shown whole up to 40 characters; past that,
+        # its first 12 and "...", never converting all of a huge integer.
+        with pytest.raises(InputError) as err:
+            AnalysisParams(1, **{f"{name}_threshold": value})
+        assert str(err.value) == f"{name} threshold must be in (0,1], got {shown}"
+
+    def test_decision_label_is_read_as_an_index(self, m1_table):
+        # 1.0 == 1 and hashes alike, so a cached label-1 bitset must not let
+        # the float through either.
+        with pytest.raises(InputError, match="decision_label must be an integer, got 1.0"):
+            AnalysisParams(1.0)
+        m1_table.positive_bits(1)
+        with pytest.raises(InputError, match="decision_label must be an integer, got 1.0"):
+            m1_table.positive_bits(1.0)
+
     def test_solve_checks_what_needs_the_table(self, m1_table):
         with pytest.raises(InputError, match=re.escape("necessity threshold must be in (0,1], got 2")):
             AnalysisParams(1, necessity_threshold="2")
@@ -154,11 +198,11 @@ class TestAnalysisParams:
 
         params = AnalysisParams(decision_label=1, cutoff=4)
         seen, built = [], []
-        for name in ("enumerate_candidates", "greedy_cover", "assemble_solution"):
+        for name in ("necessary_conditions", "enumerate_candidates", "greedy_cover", "assemble_solution"):
             real = getattr(pipeline, name)
             monkeypatch.setattr(pipeline, name, lambda *a, _real=real, **k: seen.append(a[-1]) or _real(*a, **k))
         real_check = AnalysisParams.__post_init__
         monkeypatch.setattr(AnalysisParams, "__post_init__", lambda self: built.append(self) or real_check(self))
         solve(remote_table, params)
-        assert len(seen) == 3 and all(p is params for p in seen)
+        assert len(seen) == 4 and all(p is params for p in seen)
         assert built == []
