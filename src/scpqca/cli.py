@@ -45,6 +45,7 @@ from .model import (
     Literal,
     ScpqcaError,
     VacuousSolutionError,
+    _echo,
 )
 from .necessity import conflicting_factors, necessary_conditions
 from .pathways import (
@@ -100,7 +101,7 @@ def _seed_default(value: int | None) -> int:
         try:
             return int(env)
         except ValueError:
-            raise InputError(f"SCPQCA_SEED must be an integer, got {env!r}") from None
+            raise InputError(f"SCPQCA_SEED must be an integer, got {_echo(env)!r}") from None
     return 0
 
 
@@ -108,12 +109,12 @@ def _parse_cutpoints(items: list[str] | None) -> CalibrationSpec:
     columns: dict = {}
     for item in items or []:
         if ":" not in item:
-            raise InputError(f"--cutpoints expects COLUMN:p1,p2,..., got {item!r}")
+            raise InputError(f"--cutpoints expects COLUMN:p1,p2,..., got {_echo(item)!r}")
         name, _, rest = item.partition(":")
         try:
             points = tuple(float(p) for p in rest.split(",") if p.strip())
         except ValueError:
-            raise InputError(f"--cutpoints {item!r}: thresholds must be numeric") from None
+            raise InputError(f"--cutpoints {_echo(item)!r}: thresholds must be numeric") from None
         columns[name.strip()] = Cutpoints(points)
     return CalibrationSpec(columns)
 
@@ -125,16 +126,16 @@ def _parse_literals(text: str, table: CaseTable) -> tuple[Literal, ...]:
         if not part:
             continue
         if "=" not in part:
-            raise InputError(f"--assume-necessary expects FACTOR=LEVEL, got {part!r}")
+            raise InputError(f"--assume-necessary expects FACTOR=LEVEL, got {_echo(part)!r}")
         name, _, level = part.partition("=")
         idx = table.schema.factor_index(name.strip())
         try:
             v = int(level)
         except ValueError:
-            raise InputError(f"--assume-necessary {part!r}: level must be an integer") from None
+            raise InputError(f"--assume-necessary {_echo(part)!r}: level must be an integer") from None
         if not 0 <= v < table.schema.factors[idx].levels:
             raise InputError(
-                f"--assume-necessary {part!r}: level {v} out of range "
+                f"--assume-necessary {_echo(part)!r}: level {_echo(str(v))} out of range "
                 f"(0..{table.schema.factors[idx].levels - 1})"
             )
         lits.append(Literal(idx, v))
@@ -149,10 +150,10 @@ def _resolve_label(table: CaseTable, label: str) -> int:
         value = int(label)
     except ValueError:
         raise InputError(
-            f"--label {label!r} is neither an outcome label nor an integer level"
+            f"--label {_echo(label)!r} is neither an outcome label nor an integer level"
         ) from None
     if not 0 <= value < outcome.levels:
-        raise InputError(f"--label {value} out of range (outcome levels 0..{outcome.levels - 1})")
+        raise InputError(f"--label {_echo(str(value))} out of range (outcome levels 0..{outcome.levels - 1})")
     return value
 
 
@@ -207,7 +208,7 @@ def _levels_arg(text: str, n_factors: int) -> int | list[int]:
     try:
         values = [int(p) for p in parts]
     except ValueError:
-        raise InputError(f"--levels must be an integer or comma list, got {text!r}") from None
+        raise InputError(f"--levels must be an integer or comma list, got {_echo(text)!r}") from None
     if len(values) == 1:
         return values[0]
     if len(values) != n_factors:
@@ -219,7 +220,7 @@ def _int_list(text: str, flag: str) -> list[int]:
     try:
         return [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
-        raise InputError(f"{flag} expects a comma-separated integer list, got {text!r}") from None
+        raise InputError(f"{flag} expects a comma-separated integer list, got {_echo(text)!r}") from None
 
 
 def _warn_enumeration_bound(table: CaseTable, params: AnalysisParams) -> int:

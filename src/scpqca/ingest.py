@@ -59,7 +59,7 @@ from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .model import CaseTable, Factor, FactorSchema, InputError
+from .model import CaseTable, Factor, FactorSchema, InputError, _echo
 
 
 @dataclass(frozen=True)
@@ -258,13 +258,13 @@ def load_csv(
     header = [h.strip() for h in header]
 
     if outcome_column not in header:
-        raise InputError(f"{path}: outcome column {outcome_column!r} not found (columns: {', '.join(header)})")
+        raise InputError(f"{path}: outcome column {_echo(outcome_column)!r} not found (columns: {', '.join(header)})")
 
     columns = dict(zip(header, raw_columns))
 
     if id_column is not None:
         if id_column not in header:
-            raise InputError(f"{path}: id column {id_column!r} not found")
+            raise InputError(f"{path}: id column {_echo(id_column)!r} not found")
         id_name: str | None = id_column
     else:
         lowered = [h.lower() for h in header]

@@ -81,7 +81,7 @@ def _echo(text: str) -> str:
     return text if len(text) <= _ECHO_LIMIT else text[:12] + "..."
 
 
-def _echo_ratio(x: Fraction) -> str:
+def _echo_ratio(x: Fraction | int) -> str:
     """`_echo(str(x))`, without converting every digit of a huge numerator or denominator."""
     # m >= 10**k for k = (m.bit_length() - 1) * 30102 // 100000, so dropping
     # its last k - _ECHO_LIMIT digits leaves its leading ones, over _ECHO_LIMIT.
@@ -122,7 +122,7 @@ def as_fraction(x: int | float | str | Fraction) -> Fraction:
         try:
             return Fraction(x.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a valid ratio: {x!r}") from exc
+            raise InputError(f"not a valid ratio: {_echo(x)!r}") from exc
     raise InputError(f"cannot interpret {type(x).__name__} as a ratio")
 
 
@@ -192,7 +192,7 @@ class Factor:
         if self.levels < 2:
             raise InputError(f"factor {self.name!r}: level count must be >= 2")
         if self.levels > 1 << 15:
-            raise InputError(f"factor {self.name!r}: {self.levels} levels exceed the limit of 32768")
+            raise InputError(f"factor {self.name!r}: {_echo_ratio(self.levels)} levels exceed the limit of 32768")
         if self.labels is not None and len(self.labels) != self.levels:
             raise InputError(f"factor {self.name!r}: {len(self.labels)} labels for {self.levels} levels")
 
@@ -223,7 +223,7 @@ class FactorSchema:
         for i, f in enumerate(self.factors):
             if f.name == name:
                 return i
-        raise InputError(f"unknown factor {name!r}")
+        raise InputError(f"unknown factor {_echo(name)!r}")
 
     def level_counts(self) -> tuple[int, ...]:
         return tuple(f.levels for f in self.factors)

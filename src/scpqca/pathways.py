@@ -2,12 +2,12 @@
 
 Pathway grammar (whitespace ignored, terms separated by '+'):
 
-* boolean shorthand, only when every factor name is a single letter:
-  an uppercase letter is that factor at level 1, lowercase at level 0,
-  conjoined by juxtaposition or '*' ("ab+CD+ace+BDF");
-* multi-value form: a factor name immediately followed by an integer
-  level, conjoined by '*' ("A0*B0+B1*C1"). Used for any term containing
-  a digit.
+* boolean shorthand, only when the factor names are single letters that
+  differ beyond case: an uppercase letter is that factor at level 1,
+  lowercase at level 0, conjoined by juxtaposition or '*' ("ab+CD+ace+BDF");
+* multi-value form: the longest factor name that fits, then its level as
+  a run of ASCII digits, maybe after whitespace ("B 2"); atoms conjoined
+  by '*' ("A0*B0+B1*C1"). Used for any term containing a digit.
 
 Randomness comes from `random.Random`, CPython's Mersenne Twister
 (MT19937). Its core generator is guaranteed reproducible across Python
@@ -24,7 +24,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from .model import (
     CaseTable,
@@ -93,106 +94,70 @@ class ExperimentSpec:
 # Parsing
 
 
-def _term_spans(text: str) -> list[tuple[int, int]]:
-    spans = []
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == "+":
-            spans.append((start, i))
-            start = i + 1
-    spans.append((start, len(text)))
-    return spans
+def _read_letter(by_letter: dict[str, int], text: str, pos: int, b: int) -> tuple[Literal, int]:
+    ch = text[pos]
+    if not ch.isalpha():
+        raise InputError(f"unexpected character {ch!r} at position {pos}")
+    idx = by_letter.get(ch.upper())
+    if idx is None:
+        raise InputError(f"unknown factor {ch!r} at position {pos}")
+    return Literal(idx, 1 if ch.isupper() else 0), pos + 1
 
 
-def _parse_bool_term(text: str, a: int, b: int, schema: FactorSchema) -> Conjunction:
-    by_letter = {
-        f.name.upper(): i for i, f in enumerate(schema.factors) if len(f.name) == 1 and f.name.isalpha()
-    }
-    if len(by_letter) != len(schema.factors):
-        raise InputError(
-            f"term at position {a} has no level digits, but boolean shorthand "
-            "requires every factor name to be a single letter"
-        )
-    lits: list[Literal] = []
-    pos = a
-    atom_seen = False
-    pending_star = False
-    while pos < b:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == "*":
-            if not atom_seen or pending_star:
-                raise InputError(f"dangling '*' at position {pos}")
-            pending_star = True
-            pos += 1
-            continue
-        if not ch.isalpha():
-            raise InputError(f"unexpected character {ch!r} at position {pos}")
-        idx = by_letter.get(ch.upper())
-        if idx is None:
-            raise InputError(f"unknown factor {ch!r} at position {pos}")
-        lits.append(Literal(idx, 1 if ch.isupper() else 0))
-        atom_seen = True
-        pending_star = False
+def _read_level(names: list[tuple[str, int]], schema: FactorSchema, text: str, pos: int, b: int) -> tuple[Literal, int]:
+    hit = next(((name, idx) for name, idx in names if text.startswith(name, pos)), None)
+    if hit is None:
+        raise InputError(f"unknown factor at position {pos}")
+    name, idx = hit
+    pos += len(name)
+    while pos < b and text[pos].isspace():
         pos += 1
-    if not atom_seen or pending_star:
-        raise InputError(f"dangling operator at position {b}")
-    return Conjunction(tuple(lits))
+    j = pos
+    while j < b and text[j] in "0123456789":
+        j += 1
+    if j == pos:
+        raise InputError(f"expected level digits after factor {name!r} at position {pos}")
+    try:
+        level = int(text[pos:j])
+    except ValueError:  # past the interpreter's limit on digits per integer
+        raise InputError(
+            f"level {text[pos:pos + 12]}... has {j - pos} digits, too many for factor "
+            f"{name!r} at position {pos}"
+        ) from None
+    if level >= schema.factors[idx].levels:
+        raise InputError(
+            f"level {_echo(str(level))} out of range for factor {name!r} "
+            f"(levels 0..{schema.factors[idx].levels - 1}) at position {pos}"
+        )
+    return Literal(idx, level), j
 
 
-def _parse_mv_term(text: str, a: int, b: int, schema: FactorSchema) -> Conjunction:
-    names = sorted(((f.name, i) for i, f in enumerate(schema.factors)), key=lambda t: -len(t[0]))
+def _parse_term(
+    text: str, a: int, b: int, read_atom: Callable[[str, int, int], tuple[Literal, int]], star_optional: bool
+) -> Conjunction:
+    """The atoms of ``text[a:b]``, joined by '*', or also by juxtaposition if `star_optional`.
+
+    ``read_atom(text, pos, b)`` reads the atom at `pos` and returns its literal
+    and the position after it.
+    """
     lits: list[Literal] = []
-    pos = a
-    atom_seen = False
     pending_star = False
+    pos = a
     while pos < b:
         if text[pos].isspace():
             pos += 1
-            continue
-        if text[pos] == "*":
-            if not atom_seen or pending_star:
+        elif text[pos] == "*":
+            if not lits or pending_star:
                 raise InputError(f"dangling '*' at position {pos}")
             pending_star = True
             pos += 1
-            continue
-        if atom_seen and not pending_star:
+        elif lits and not pending_star and not star_optional:
             raise InputError(f"expected '*' between atoms at position {pos}")
-        hit = None
-        for name, idx in names:
-            if text.startswith(name, pos):
-                hit = (name, idx)
-                break
-        if hit is None:
-            raise InputError(f"unknown factor at position {pos}")
-        name, idx = hit
-        pos += len(name)
-        while pos < b and text[pos].isspace():
-            pos += 1
-        j = pos
-        while j < b and text[j] in "0123456789":
-            j += 1
-        if j == pos:
-            raise InputError(f"expected level digits after factor {name!r} at position {pos}")
-        try:
-            level = int(text[pos:j])
-        except ValueError:  # past the interpreter's limit on digits per integer
-            raise InputError(
-                f"level {text[pos:pos + 12]}... has {j - pos} digits, too many for factor "
-                f"{name!r} at position {pos}"
-            ) from None
-        if level >= schema.factors[idx].levels:
-            raise InputError(
-                f"level {_echo(str(level))} out of range for factor {name!r} "
-                f"(levels 0..{schema.factors[idx].levels - 1}) at position {pos}"
-            )
-        lits.append(Literal(idx, level))
-        pos = j
-        atom_seen = True
-        pending_star = False
-    if not atom_seen or pending_star:
+        else:
+            lit, pos = read_atom(text, pos, b)
+            lits.append(lit)
+            pending_star = False
+    if not lits or pending_star:
         raise InputError(f"dangling operator at position {b}")
     return Conjunction(tuple(lits))
 
@@ -201,21 +166,27 @@ def parse_pathway(text: str, schema: FactorSchema) -> PathwaySpec:
     """Parse a DNF pathway expression against the schema."""
     if not text or not text.strip():
         raise InputError("empty pathway expression")
+    by_letter = {f.name.upper(): i for i, f in enumerate(schema.factors) if len(f.name) == 1 and f.name.isalpha()}
+    longest_first = sorted(((f.name, i) for i, f in enumerate(schema.factors)), key=lambda t: -len(t[0]))
     terms: list[Conjunction] = []
-    spans = _term_spans(text)
-    for a, b in spans:
-        if not text[a:b].strip():
-            if (a, b) == spans[-1]:
-                raise InputError(f"dangling '+' at position {a}")
-            raise InputError(f"empty term at position {a}")
-        seg = text[a:b]
+    a = 0
+    for seg in text.split("+"):
+        b = a + len(seg)
+        if not seg.strip():
+            raise InputError(f"dangling '+' at position {a}" if b == len(text) else f"empty term at position {a}")
         try:
             if any(c.isdigit() for c in seg):
-                terms.append(_parse_mv_term(text, a, b, schema))
+                terms.append(_parse_term(text, a, b, partial(_read_level, longest_first, schema), star_optional=False))
+            elif len(by_letter) != len(schema.factors):
+                raise InputError(
+                    f"term at position {a} has no level digits, but boolean shorthand "
+                    "requires every factor name to be a single letter"
+                )
             else:
-                terms.append(_parse_bool_term(text, a, b, schema))
+                terms.append(_parse_term(text, a, b, partial(_read_letter, by_letter), star_optional=True))
         except InputError as exc:
             raise InputError(f"{exc} (term {_echo(seg.strip())!r})") from None
+        a = b + 1
     return PathwaySpec(terms=tuple(terms), schema=schema)
 
 
@@ -272,11 +243,13 @@ def plant_outcome(skeleton: CaseTable, pathway: PathwaySpec) -> CaseTable:
     return CaseTable(schema=skeleton.schema, ids=skeleton.ids, values=skeleton.values, outcomes=outcomes)
 
 
-def _confounded_level(rng: random.Random, current: int, levels: int) -> int:
-    if levels == 2:
-        return 1 - current
-    r = rng.randrange(levels - 1)
-    return r if r < current else r + 1
+def _confound(rng: random.Random, spec: ExperimentSpec, outcomes: list[int]) -> tuple[str, ...]:
+    """Give `spec.confound_count` distinct rows a different outcome; return the fresh ids s0..."""
+    levels = spec.schema.outcome_levels
+    for p in sorted(rng.sample(range(spec.sample_size), spec.confound_count)):
+        r = rng.randrange(levels - 1) if levels > 2 else 0  # a binary outcome flips without a draw
+        outcomes[p] = r if r < outcomes[p] else r + 1
+    return tuple(f"s{i}" for i in range(spec.sample_size))
 
 
 def sample_and_confound(table: CaseTable, spec: ExperimentSpec) -> CaseTable:
@@ -292,9 +265,7 @@ def sample_and_confound(table: CaseTable, spec: ExperimentSpec) -> CaseTable:
     rng = random.Random(spec.seed)
     sample = table.take([rng.randrange(len(table)) for _ in range(spec.sample_size)])
     outcomes = sample.outcomes.tolist()
-    for p in sorted(rng.sample(range(spec.sample_size), spec.confound_count)):
-        outcomes[p] = _confounded_level(rng, outcomes[p], spec.schema.outcome_levels)
-    ids = tuple(f"s{i}" for i in range(spec.sample_size))
+    ids = _confound(rng, spec, outcomes)
     return CaseTable(schema=spec.schema, ids=ids, values=sample.values, outcomes=outcomes)
 
 
@@ -313,9 +284,7 @@ def generate_experiment_table(spec: ExperimentSpec) -> CaseTable:
     idx = [rng.randrange(n_rows) for _ in range(spec.sample_size)]
     columns = [[(i // af) % lv for i in idx] for lv, af in zip(counts, after)]
     outcomes = [1 if spec.pathway.evaluate(row) else 0 for row in zip(*columns)]
-    for p in sorted(rng.sample(range(spec.sample_size), spec.confound_count)):
-        outcomes[p] = _confounded_level(rng, outcomes[p], spec.schema.outcome_levels)
-    ids = tuple(f"s{i}" for i in range(spec.sample_size))
+    ids = _confound(rng, spec, outcomes)
     return CaseTable.from_columns(spec.schema, ids, columns, outcomes)
 
 

@@ -32,7 +32,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from .candidates import CandidatePool
-from .model import AnalysisParams, CaseTable, Conjunction, InputError, ScpqcaError, _echo, as_fraction, as_index
+from .model import (
+    AnalysisParams,
+    CaseTable,
+    Conjunction,
+    InputError,
+    ScpqcaError,
+    _echo,
+    _echo_ratio,
+    as_fraction,
+    as_index,
+)
 from .pipeline import SolveResult, solve
 
 
@@ -87,7 +97,8 @@ def _grid_consistency(value: Fraction | float | str) -> Fraction:
     try:
         float(ratio)
     except OverflowError:
-        raise InputError(f"consistency too large for a float: {_echo(str(value))!r}") from None
+        shown = _echo(value) if isinstance(value, str) else _echo_ratio(ratio)
+        raise InputError(f"consistency too large for a float: {shown!r}") from None
     return ratio
 
 

@@ -128,6 +128,32 @@ class TestErrors:
         assert code == 1
         assert "error" in err.lower()
 
+    # "#" stands for 5 000 nines, past the interpreter's digit limit, and "@"
+    # for 4 000 nines, an integer that converts but is out of range.
+    @pytest.mark.parametrize(
+        "args",
+        [["solve", *M1, flag, value] for flag, value in [
+            ("--assume-necessary", "A=#"), ("--assume-necessary", "A=@"), ("--assume-necessary", "A#"),
+            ("--assume-necessary", "X#=1"), ("--label", "#"), ("--label", "@"), ("--label", "x#"),
+            ("--cutpoints", "A:#,x"), ("--cutpoints", "A#"), ("--consistency", "x#"), ("--outcome", "O#"),
+            ("--id-column", "O#")]]
+        + [["synth", "--factors", "3", "--pathway", "ab", "--levels", "#x"],
+           ["synth", "--factors", "3", "--pathway", "ab", "--levels", "@"],
+           ["experiment", "--factors", "3", "--pathway", "ab", "--confounds", "#"],
+           ["sweep", *M1, "--cutoff-list", "#"]],
+        ids=lambda args: "-".join(args[:1] + args[-2:]),
+    )
+    def test_a_long_value_is_echoed_cut(self, args):
+        code, out, err = run_cli(*[a.replace("#", "9" * 5000).replace("@", "9" * 4000) for a in args])
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and len(err) < 200
+
+    def test_a_long_seed_variable_is_echoed_cut(self, monkeypatch):
+        monkeypatch.setenv("SCPQCA_SEED", "9" * 5000 + "x")
+        code, _, err = run_cli("synth", "--factors", "3", "--pathway", "ab")
+        assert code == 1
+        assert err == "error: SCPQCA_SEED must be an integer, got '999999999999...'\n"
+
     def test_bad_label_names_the_flag(self):
         code, _, err = run_cli("solve", *M1[:-2], "--label", "7")
         assert code == 1
@@ -497,6 +523,49 @@ class TestAssumeNecessary:
         payload = json.loads(out)
         conjoined = [n for n in payload["necessity"] if n["conjoined"]]
         assert [(n["factor"], n["level"]) for n in conjoined] == [("B", 1)]
+
+    # Table 1: the scan finds nothing, A=1 is assumed. Table 2: the scan finds
+    # A=1, which is not conjoined, and B=1 is assumed.
+    TABLES = {
+        "assumed_unscanned": ("id,A,B,O\na1,1,0,1\na2,1,0,1\nb1,0,1,1\nb2,0,1,1\nc,1,0,0\n",
+                              ["--cutoff", "2", "--unique-cover", "2", "--assume-necessary", "A=1"]),
+        "scanned_not_assumed": ("id,A,B,O\n1,1,1,1\n2,1,1,1\n3,1,0,1\n4,0,0,0\n5,0,1,0\n",
+                                ["--cutoff", "5", "--assume-necessary", "B=1"]),
+    }
+    EXPECTED = {
+        "assumed_unscanned": ("A=1 (0.5)", "necessary,1,,0.6667,,,0.5,0.6667", ("A", 1, 0.5), "A"),
+        "scanned_not_assumed": ("B=1 (0.6667)", "necessary,,1,0.6667,,,0.6667,0.6667", ("B", 1, 2 / 3), "B"),
+    }
+
+    def _solve(self, tmp_path, table, fmt):
+        text, flags = self.TABLES[table]
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        code, out, err = run_cli("solve", "--data", str(p), "--outcome", "O", "--label", "1", *flags, "--format", fmt)
+        assert code == 0, err
+        return out
+
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    def test_report_lists_the_assumed_literals_in_every_format(self, tmp_path, table):
+        necessary, csv_row, (factor, level, consistency), expression = self.EXPECTED[table]
+        lines = self._solve(tmp_path, table, "text").splitlines()
+        assert lines[1] == f"Necessary conditions: {necessary}"
+        assert f"Expression: {expression}" in lines
+        assert self._solve(tmp_path, table, "csv").splitlines()[1] == csv_row
+        payload = json.loads(self._solve(tmp_path, table, "json"))
+        assert payload["necessity"] == [
+            {"factor": factor, "level": level, "consistency": consistency, "conjoined": True}
+        ]
+        assert payload["necessary_factors"] == [factor]
+
+    def test_chart_marks_an_assumed_literal(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text(self.TABLES["assumed_unscanned"][0])
+        code, out, _ = run_cli("solve", "--data", str(p), "--outcome", "O", "--label", "1", "--cutoff", "1",
+                               "--unique-cover", "1", "--consistency", "0.5", "--assume-necessary", "A=1")
+        assert code == 0
+        rows = {line.split()[0]: line.split()[1:] for line in out.splitlines() if line[:2] in ("A ", "B ")}
+        assert rows == {"A": ["*"], "B": ["○"]}
 
     def test_out_of_range_level_names_the_flag(self, tmp_path):
         p = tmp_path / "t.csv"

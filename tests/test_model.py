@@ -293,6 +293,20 @@ class TestTypes:
         with pytest.raises(InputError):
             FactorSchema(factors=(Factor("O", 2),), outcome=Factor("O", 2))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [(lambda: Factor("A", 40000), "factor 'A': 40000 levels exceed the limit of 32768"),
+         (lambda: Factor("A", 10**5000), "factor 'A': 100000000000... levels exceed the limit of 32768"),
+         (lambda: binary_schema(["A"]).factor_index("B" * 40), f"unknown factor {'B' * 40!r}"),
+         (lambda: binary_schema(["A"]).factor_index("B" * 41), "unknown factor 'BBBBBBBBBBBB...'"),
+         (lambda: as_fraction("x" * 40), f"not a valid ratio: {'x' * 40!r}"),
+         (lambda: as_fraction("x" * 41), "not a valid ratio: 'xxxxxxxxxxxx...'")],
+    )
+    def test_a_long_value_is_echoed_cut(self, build, message):
+        with pytest.raises(InputError) as err:
+            build()
+        assert str(err.value) == message
+
     def test_table_value_range_checked(self):
         schema = binary_schema(["A"])
         with pytest.raises(InputError):

@@ -1,5 +1,7 @@
+import json
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -308,3 +310,83 @@ class TestRunExperiment:
         cands = {r.conjunction: r.consistency for r in report.result.candidates}
         for term in pathway.terms:
             assert cands.get(term) == 1
+
+
+# ---------------------------------------------------------------------------
+# Golden parses: `tests/golden/pathways.json` holds, for a seeded corpus of
+# texts over the fuzz alphabet and a few more schemas, the parsed terms as
+# (factor, level) lists or the exact error text. Rewrite it after an intended
+# change with `PYTHONPATH=src python tests/test_pathways.py`.
+
+GOLDEN_PATHWAYS = Path(__file__).resolve().parent / "golden" / "pathways.json"
+GOLDEN_SCHEMAS = {
+    "binary": FUZZ_SCHEMAS[0],
+    "three_level": FUZZ_SCHEMAS[1],
+    "mixed": FUZZ_SCHEMAS[2],
+    # single-letter names that collide by case: no boolean shorthand
+    "case_pair": FactorSchema(factors=(Factor("a", 2), Factor("A", 3)), outcome=Factor("O", 2)),
+    # a name that is the other two run together: the longest name wins
+    "prefixes": FactorSchema(factors=(Factor("MS", 3), Factor("M", 2), Factor("S", 2)), outcome=Factor("O", 2)),
+}
+GOLDEN_HAND_TEXTS = ["B 2* C 2", "aA", "A0B1", "ms+MC", "MS0*MC1", "MS2", "M S1", "a1A2", "  ", ""]
+# one digit past the interpreter's 4300-digit limit, leading zeros, and a
+# level at the limit, which parses and is out of range
+GOLDEN_LONG_TEXTS = ["A" + "1" * 4301, "B1*C" + "0" * 4400 + "*D1", "c+A1*B" + "9" * 4300]
+RAW_ALPHABET = "ABCDMSabcdms0129²٣０+* \t-("
+
+
+def _golden_text(rng: random.Random, schema: FactorSchema) -> str:
+    if rng.random() < 0.15:
+        return "".join(rng.choice(RAW_ALPHABET) for _ in range(rng.randrange(13)))
+    boolean = rng.random() < 0.4
+    names = [f.name for f in schema.factors]
+    if boolean:
+        names += [name.swapcase() for name in names]
+    atoms = []
+    for _ in range(rng.randint(1, 4)):
+        name = rng.choice("ABCDabcd") if rng.random() < 0.1 else rng.choice(names)
+        r = rng.random()
+        if boolean or r < 0.1:
+            digits = ""
+        elif r < 0.7:
+            digits = rng.choice("012")
+        elif r < 0.9:
+            digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 3)))
+        elif r < 0.997:
+            digits = rng.choice(["²", "٣", "０"])
+        else:
+            digits = rng.choice("019") * rng.randint(4290, 4400)
+        atoms.append(name + digits)
+    seps = ["*", "*", "+", "+", " * ", " + ", "", "\t", "**", "++"]
+    edges = ["", "", "", " ", "\t", "*", "+"]
+    body = atoms[0] + "".join(rng.choice(seps) + atom for atom in atoms[1:])
+    return rng.choice(edges) + body + rng.choice(edges)
+
+
+def golden_pathway_cases() -> list[dict]:
+    rng = random.Random(20241018)
+    cases = []
+    for key, schema in GOLDEN_SCHEMAS.items():
+        texts = GOLDEN_HAND_TEXTS + (GOLDEN_LONG_TEXTS if key == "mixed" else [])
+        texts += [_golden_text(rng, schema) for _ in range(240)]
+        for text in texts:
+            try:
+                spec = parse_pathway(text, schema)
+            except InputError as exc:
+                cases.append({"schema": key, "text": text, "error": str(exc)})
+                continue
+            terms = [[[schema.factors[lit.factor_index].name, lit.value] for lit in t.literals] for t in spec.terms]
+            cases.append({"schema": key, "text": text, "terms": terms})
+    return cases
+
+
+def render_golden_pathways() -> str:
+    return "[\n" + ",\n".join(json.dumps(case) for case in golden_pathway_cases()) + "\n]\n"
+
+
+def test_parses_match_golden():
+    assert render_golden_pathways() == GOLDEN_PATHWAYS.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    GOLDEN_PATHWAYS.write_text(render_golden_pathways(), encoding="utf-8")

@@ -126,7 +126,11 @@ class TestInternalSweep:
     @pytest.mark.parametrize(
         "consistency, echo",
         [("1e999", "'1e999'"), ("-1e999", "'-1e999'"), ("0" * 35 + "1e999", f"'{'0' * 35}1e999'"),
-         ("0" * 36 + "1e999", "'000000000000...'"), (Fraction(10**400), "'100000000000...'")],
+         ("0" * 36 + "1e999", "'000000000000...'"), (Fraction(10**400), "'100000000000...'"),
+         # past the interpreter's 4300-digit limit on int-to-str conversion
+         pytest.param(10**5000, "'100000000000...'", id="int-5001-digits"),
+         pytest.param(Fraction(10**5000), "'100000000000...'", id="fraction-5001-digits"),
+         pytest.param(Fraction(-(10**5000), 3), "'-10000000000...'", id="negative-fraction-5001-digits")],
     )
     def test_consistency_beyond_the_float_range_stops_the_sweep(self, monkeypatch, remote_table, consistency, echo):
         # A cell's row shows its consistency as a float, so one too large for
