@@ -7,131 +7,89 @@ floor. Synthetic planted-pathway experiments and internal/external validity
 protocols are included.
 """
 
-from .candidates import CandidatePool, candidate_count_bound, enumerate_candidates
-from .cover import assemble_solution, exhaustive_cover_oracle, greedy_cover, unique_coverage
-from .ingest import (
-    CalibrationSpec,
-    Cutpoints,
-    deduplicate,
-    load_csv,
-    schema_metadata,
-    to_csv_string,
-    write_csv,
-    write_schema_json,
-)
-from .model import (
-    AnalysisParams,
-    CandidateRule,
-    CandidateRules,
-    Case,
-    CaseTable,
-    Conjunction,
-    Factor,
-    FactorSchema,
-    InputError,
-    Literal,
-    ScpqcaError,
-    Solution,
-    UndefinedRatioError,
-    VacuousSolutionError,
-    as_fraction,
-    binary_schema,
-    conjunction_expr,
-    conjunction_shorthand,
-    dnf_shorthand,
-    matches,
-    match_bits,
-    matched_ids,
-    necessity_consistency,
-    rule_from_conjunction,
-    solution_metrics,
-    sufficiency_consistency,
-)
-from .necessity import exclude_necessary, necessary_conditions
-from .pathways import (
-    ExperimentReport,
-    ExperimentSpec,
-    PathwaySpec,
-    full_truth_table,
-    generate_experiment_table,
-    parse_pathway,
-    plant_outcome,
-    run_experiment,
-    sample_and_confound,
-    synth_schema,
-)
-from .pipeline import SolveResult, solve
-from .robustness import (
-    ValidityClass,
-    ValidityReport,
-    classify_configuration,
-    derive_seed,
-    external_validity,
-    internal_sweep,
-)
+import importlib
+
+# Each public name, by the module it lives in. A name is imported on first
+# use (PEP 562), so that `import scpqca.cli` loads only what a run needs.
+_EXPORTS = {
+    "candidates": ("CandidatePool", "candidate_count_bound", "enumerate_candidates"),
+    "cover": ("assemble_solution", "exhaustive_cover_oracle", "greedy_cover", "unique_coverage"),
+    "ingest": (
+        "CalibrationSpec",
+        "Cutpoints",
+        "deduplicate",
+        "load_csv",
+        "schema_metadata",
+        "to_csv_string",
+        "write_csv",
+        "write_schema_json",
+    ),
+    "model": (
+        "AnalysisParams",
+        "CandidateRule",
+        "CandidateRules",
+        "Case",
+        "CaseTable",
+        "Conjunction",
+        "Factor",
+        "FactorSchema",
+        "InputError",
+        "Literal",
+        "ScpqcaError",
+        "Solution",
+        "UndefinedRatioError",
+        "VacuousSolutionError",
+        "as_fraction",
+        "binary_schema",
+        "conjunction_expr",
+        "conjunction_shorthand",
+        "dnf_shorthand",
+        "matches",
+        "match_bits",
+        "matched_ids",
+        "necessity_consistency",
+        "rule_from_conjunction",
+        "solution_metrics",
+        "sufficiency_consistency",
+    ),
+    "necessity": ("exclude_necessary", "necessary_conditions"),
+    "pathways": (
+        "ExperimentReport",
+        "ExperimentSpec",
+        "PathwaySpec",
+        "full_truth_table",
+        "generate_experiment_table",
+        "parse_pathway",
+        "plant_outcome",
+        "run_experiment",
+        "sample_and_confound",
+        "synth_schema",
+    ),
+    "pipeline": ("SolveResult", "solve"),
+    "robustness": (
+        "ValidityClass",
+        "ValidityReport",
+        "classify_configuration",
+        "derive_seed",
+        "external_validity",
+        "internal_sweep",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisParams",
-    "CalibrationSpec",
-    "CandidatePool",
-    "CandidateRule",
-    "CandidateRules",
-    "Case",
-    "CaseTable",
-    "Conjunction",
-    "Cutpoints",
-    "ExperimentReport",
-    "ExperimentSpec",
-    "Factor",
-    "FactorSchema",
-    "InputError",
-    "Literal",
-    "PathwaySpec",
-    "ScpqcaError",
-    "Solution",
-    "SolveResult",
-    "UndefinedRatioError",
-    "VacuousSolutionError",
-    "ValidityClass",
-    "ValidityReport",
-    "as_fraction",
-    "assemble_solution",
-    "binary_schema",
-    "candidate_count_bound",
-    "classify_configuration",
-    "conjunction_expr",
-    "conjunction_shorthand",
-    "deduplicate",
-    "derive_seed",
-    "dnf_shorthand",
-    "enumerate_candidates",
-    "exclude_necessary",
-    "exhaustive_cover_oracle",
-    "external_validity",
-    "full_truth_table",
-    "generate_experiment_table",
-    "greedy_cover",
-    "internal_sweep",
-    "load_csv",
-    "match_bits",
-    "matched_ids",
-    "matches",
-    "necessary_conditions",
-    "necessity_consistency",
-    "parse_pathway",
-    "plant_outcome",
-    "rule_from_conjunction",
-    "run_experiment",
-    "sample_and_confound",
-    "schema_metadata",
-    "solution_metrics",
-    "solve",
-    "sufficiency_consistency",
-    "synth_schema",
-    "to_csv_string",
-    "unique_coverage",
-    "write_csv",
-    "write_schema_json",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -24,7 +24,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-from statistics import median
 
 from . import report
 from .candidates import candidate_count_bound, enumerate_candidates
@@ -48,13 +47,6 @@ from .model import (
     _echo,
 )
 from .necessity import conflicting_factors, necessary_conditions
-from .pathways import (
-    ExperimentSpec,
-    generate_experiment_table,
-    parse_pathway,
-    run_experiment,
-    synth_schema,
-)
 from .pipeline import solve
 from .robustness import derive_seed, external_validity, internal_sweep
 
@@ -282,6 +274,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .pathways import ExperimentSpec, generate_experiment_table, parse_pathway, synth_schema
+
     schema = synth_schema(args.factors, _levels_arg(args.levels, args.factors))
     pathway = parse_pathway(args.pathway, schema)
     spec = ExperimentSpec(
@@ -317,6 +311,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from statistics import median
+
+    from .pathways import ExperimentSpec, parse_pathway, run_experiment, synth_schema
+
     schema = synth_schema(args.factors, _levels_arg(args.levels, args.factors))
     pathway = parse_pathway(args.pathway, schema)
     base_seed = _seed_default(args.seed)
@@ -504,6 +502,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ScpqcaError, OSError) as exc:
+        if isinstance(exc, OSError) and isinstance(exc.filename, str):
+            exc.filename = _echo(exc.filename)  # a long path is echoed cut, like any other value
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help

@@ -14,22 +14,31 @@ the analyst's job, not this module's. `numeric_label_columns` lists the
 label columns whose labels are all numbers, so that a front end can warn
 that such a column probably wanted cutpoints.
 
-The file is read once, as one string, and split one of two ways. Text with
-no double quote, no CR and no NUL, and no line longer than
-`csv.field_size_limit()`, is split on "\n" and then "," by str methods:
-`csv.reader` reads exactly those cells from such text, and an empty line is
-a row of no cells there too. The blank-row skip and the width check work on
-whole lines, and each column is a slice (`cells[j::n]`) of one flat list of
-cells, so no list per row and no transpose is built. Any other text (a
-quoted cell, CRLF line ends, a NUL, which the csv module rejects on Python
-3.10 and keeps in the cell on 3.11 and later, or a line whose cell may pass
-the field limit) is read by `csv.reader` over the same string, as before.
-Both ways give the same rows, row numbers and errors. On the `tall`
-benchmark file (20 000 rows x 12 columns, 580 KB; CPython 3.11.7, 2-vCPU
-Xeon VM, best of 21 in each of three interleaved runs) `load_csv` took
-28-43 ms against 44-58 ms when every row went through `csv.reader` and
-`zip(*rows)`, and its tracemalloc peak fell from 9.68 to 6.37 MB. Most of
-what is left is the calibration below.
+The file is read as one string and split one of two ways. Text with no
+double quote, no CR and no NUL, and no line longer than
+`csv.field_size_limit()`, is split by str methods, a line-aligned slice of
+about 64 KB at a time (`_split_plain`): `csv.reader` reads exactly those
+cells from such text, and an empty line is a row of no cells there too. The
+blank-row skip and the width check work on a slice's whole lines, and each
+column takes a stride (`cells[j::n]`) of the slice's flat cell list. Any
+other text (a quoted cell, CRLF line ends, a NUL, which the csv module
+rejects on Python 3.10 and keeps in the cell on 3.11 and later, or a line
+whose cell may pass the field limit) is read by `csv.reader` over the same
+string, as before. Both ways give the same rows, row numbers and errors:
+the plain split carries the row number across slices, and raises a ragged
+row only once every line is known to fit the field limit.
+
+Each column is gathered compactly as it goes (`_gather`): while every cell
+is one character, as a str of one character per cell; else as a list of
+cells; with the set of its distinct cells beside it. The id column that the
+header or `id_column` names is a list and collects no such set. So no list
+of all lines, rows or cells is ever built. On the `tall` benchmark file
+(20 000 rows x 12 columns, 580 KB; CPython 3.11.7, 2-vCPU Xeon VM) the
+tracemalloc peak of `load_csv` fell from 6.07 to 2.58 MB and its time from
+24.3-29.9 to 17.7-21.5 ms (medians of 31 calls in each of three
+alternating runs); part of both is the duplicate-id check, which now
+counts dict keys (0.6 MB) instead of a set (2.5 MB). 16 KB slices were
+4-6 % slower, and 256 KB ones peaked at 4.45 MB.
 
 Columns are dictionary-encoded: each distinct raw cell of a column is parsed
 and checked once, into a dict from cell to level. Only when a distinct cell
@@ -57,7 +66,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .model import CaseTable, Factor, FactorSchema, InputError, _echo
 
@@ -114,24 +123,30 @@ def _first_row_with(cells: Sequence[str], bad: set[str]) -> tuple[int, str]:
     return next((rowno, cell) for rowno, cell in enumerate(cells, start=2) if cell in bad)
 
 
-def _decode(cells: Sequence[str], code: dict[str, int]) -> bytes | list[int]:
+def _decode(cells: str | Sequence[str], code: dict[str, int]) -> bytes | list[int]:
     """The level of every cell, `code` giving the level of each distinct cell.
 
-    When every distinct cell is one ASCII character and every level is below
-    256, the column is one `bytes.translate` of the joined cells; else each
-    cell is looked up.
+    `cells` is a list of cells or a str of one-character cells. When every
+    distinct cell is one ASCII character and every level is below 256, the
+    column is one `bytes.translate` of the joined cells; else each cell is
+    looked up.
     """
     if all(len(cell) == 1 and cell.isascii() for cell in code) and max(code.values(), default=0) < 256:
         table = bytearray(256)
         for cell, level in code.items():
             table[ord(cell)] = level
-        return "".join(cells).encode().translate(table)
+        return (cells if isinstance(cells, str) else "".join(cells)).encode().translate(table)
     return list(map(code.__getitem__, cells))
 
 
-def _calibrate_column(name: str, cells: Sequence[str], calib: Cutpoints | None) -> tuple[bytes | list[int], Factor]:
-    """Returns the dense level per cell plus the resulting Factor metadata."""
-    distinct = set(cells)
+def _calibrate_column(
+    name: str, cells: str | Sequence[str], calib: Cutpoints | None, distinct: set[str] | None = None
+) -> tuple[bytes | list[int], Factor]:
+    """Returns the dense level per cell plus the resulting Factor metadata.
+
+    `distinct` is the set of `cells`, when the caller has it.
+    """
+    distinct = set(cells) if distinct is None else distinct
     if isinstance(calib, Cutpoints):
         code: dict[str, int] = {}
         bad: set[str] = set()
@@ -175,42 +190,106 @@ def _calibrate_column(name: str, cells: Sequence[str], calib: Cutpoints | None) 
 _BLANK = ",\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
 
 
-def _raise_ragged(path: Path, widths: Sequence[int], header_len: int) -> None:
-    for rowno, width in enumerate(widths, start=2):
-        if width != header_len:
-            raise InputError(f"{path}: row {rowno} has {width} cells, header has {header_len}")
+# A line-aligned slice of the text is split at once on the plain route: about
+# this many characters, cut at the next "\n".
+_SLICE = 1 << 16
 
 
-def _split_plain(path: Path, lines: list[str]) -> tuple[list[str], list[str], int]:
-    """Header, data cells in row order and row count of lines with no quote, CR or NUL.
+def _ragged(path: Path, widths: Sequence[int], header_len: int, first: int = 2) -> InputError:
+    """The error for the first width unlike the header's, `first` being the row number of `widths[0]`."""
+    rowno, width = next((rowno, w) for rowno, w in enumerate(widths, start=first) if w != header_len)
+    return InputError(f"{path}: row {rowno} has {width} cells, header has {header_len}")
 
-    Such lines read exactly as `csv.reader` reads them: cells are the pieces
-    between commas, and an empty line is a row of no cells.
+
+def _split_plain(path: Path, text: str) -> Iterator[list[str] | None]:
+    """The header, then each slice's data cells in row order, of text with no quote, CR or NUL.
+
+    Such text reads exactly as `csv.reader` reads it: cells are the pieces
+    between commas, and an empty line is a row of no cells. A line longer
+    than `csv.field_size_limit()` may hold a cell past the limit, so the
+    split yields None there and stops, and `csv.reader` reads the text
+    instead; that is why a ragged row is raised only after the last line.
     """
-    header = lines[0].split(",") if lines[0] else []
-    body = lines[1:]
-    rows = list(compress(body, map(str.strip, body, repeat(_BLANK))))
-    if set(map(str.count, rows, repeat(","))) - {len(header) - 1}:
-        _raise_ragged(path, [row.count(",") + 1 for row in rows], len(header))
-    return header, ",".join(rows).split(",") if rows else [], len(rows)
+    limit = csv.field_size_limit()
+    header, rowno, error, start = None, 2, None, 0
+    while start < len(text):
+        stop = text.find("\n", start + _SLICE - 1)
+        stop = len(text) if stop < 0 else stop
+        lines = text[start:stop].split("\n")
+        start = stop + 1
+        if max(map(len, lines)) > limit:
+            yield None
+            return
+        if header is None:
+            header = lines[0].split(",") if lines[0] else []
+            yield header
+            del lines[0]
+        rows = list(compress(lines, map(str.strip, lines, repeat(_BLANK))))
+        if error or not rows:
+            continue
+        if set(map(str.count, rows, repeat(","))) - {len(header) - 1}:
+            error = _ragged(path, [row.count(",") + 1 for row in rows], len(header), rowno)
+            continue
+        rowno += len(rows)
+        yield ",".join(rows).split(",")
+    if error:
+        raise error
 
 
-def _split_csv(path: Path, text: str) -> tuple[list[str], list[str], int]:
-    """Header, data cells in row order and row count of any text, read by `csv.reader`."""
+def _split_csv(path: Path, text: str) -> Iterator[list[str]]:
+    """The header, then the data cells in row order, of any text, read by `csv.reader`."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
+        yield header
         data = [row for row in reader if "".join(row).strip()]
     except csv.Error as exc:
         raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
     widths = list(map(len, data))
     if set(widths) - {len(header)}:
-        _raise_ragged(path, widths, len(header))
-    return header, list(chain.from_iterable(data)), len(data)
+        raise _ragged(path, widths, len(header))
+    if data:
+        yield list(chain.from_iterable(data))
 
 
-def _read_cells(path: Path) -> tuple[list[str], list[str], int]:
-    """The file's text, split by `_split_plain` where it may be, else by `_split_csv`."""
+def _gather(columns: list, distinct: list[set[str] | None], cells: list[str]) -> None:
+    """Add the data cells of some rows, in row order, to their columns.
+
+    A column stays one str, a character per cell, while each of its cells
+    is one character, and is a list of cells from its first longer or empty
+    cell on. A column whose `distinct` is None (the id column) is a list and
+    collects no distinct cells.
+    """
+    for j, seen in enumerate(distinct):
+        col = cells[j :: len(distinct)]
+        if seen is not None:
+            new = set(col)
+            seen |= new
+            if isinstance(columns[j], str):
+                if all(len(cell) == 1 for cell in new):
+                    columns[j] += "".join(col)
+                    continue
+                columns[j] = list(columns[j])
+        columns[j] += col
+
+
+def _named_id(header: list[str], id_column: str | None) -> str | None:
+    """The id column that `id_column` or a header cell "id" (any capitalization) names, else None."""
+    if id_column is not None:
+        return id_column
+    lowered = [h.lower() for h in header]
+    return header[lowered.index("id")] if "id" in lowered else None
+
+
+def _read_columns(
+    path: Path, outcome_column: str, id_column: str | None
+) -> tuple[list[str], list[str | list[str]], list[set[str] | None], int]:
+    """Stripped header names, each column's cells (see `_gather`) and distinct cells, and the row count.
+
+    The text goes through `_split_plain` where it may, else `_split_csv`.
+    The column that `_named_id` names, unless it is the outcome, collects no
+    distinct cells: they would be as many as its rows.
+    """
     with path.open(newline="", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
@@ -219,20 +298,24 @@ def _read_cells(path: Path) -> tuple[list[str], list[str], int]:
             raise InputError(f"{path}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})") from None
     if not text:
         raise InputError(f"{path}: empty file, header row required")
-    if '"' not in text and "\r" not in text and "\0" not in text:
-        lines = text.split("\n")
-        if max(map(len, lines)) <= csv.field_size_limit():
-            return _split_plain(path, lines)
-    return _split_csv(path, text)
-
-
-def _read_columns(path: Path) -> tuple[list[str], list[list[str]], int]:
-    """Header cells, one column of raw cells per header cell, and the row count.
-
-    The flat cell list lives only here, so it is freed before calibration.
-    """
-    header, cells, n_rows = _read_cells(path)
-    return header, [cells[j :: len(header)] for j in range(len(header))], n_rows
+    plain = '"' not in text and "\r" not in text and "\0" not in text
+    for split in (_split_plain, _split_csv)[not plain :]:
+        parts = split(path, text)
+        header = next(parts)
+        if header is None:
+            continue
+        header = [h.strip() for h in header]
+        id_name = _named_id(header, id_column)
+        distinct: list[set[str] | None] = [None if h == id_name != outcome_column else set() for h in header]
+        columns: list = [[] if seen is None else "" for seen in distinct]
+        n_rows = 0
+        for cells in parts:
+            if cells is None:
+                break
+            _gather(columns, distinct, cells)
+            n_rows += len(cells) // len(header)
+        else:
+            return header, columns, distinct, n_rows
 
 
 def load_csv(
@@ -254,29 +337,28 @@ def load_csv(
     """
     calibration = calibration or CalibrationSpec()
     path = Path(path)
-    header, raw_columns, n_rows = _read_columns(path)
-    header = [h.strip() for h in header]
+    header, cells, cell_sets, n_rows = _read_columns(path, outcome_column, id_column)
 
     if outcome_column not in header:
-        raise InputError(f"{path}: outcome column {_echo(outcome_column)!r} not found (columns: {', '.join(header)})")
+        raise InputError(
+            f"{path}: outcome column {_echo(outcome_column)!r} not found (columns: {_echo(', '.join(header))})"
+        )
 
-    columns = dict(zip(header, raw_columns))
+    columns = dict(zip(header, cells))
+    distinct = dict(zip(header, cell_sets))
 
-    if id_column is not None:
-        if id_column not in header:
-            raise InputError(f"{path}: id column {_echo(id_column)!r} not found")
-        id_name: str | None = id_column
-    else:
-        lowered = [h.lower() for h in header]
-        if "id" in lowered:
-            id_name = header[lowered.index("id")]
-        elif header and header[0] != outcome_column and None in map(_parse_int, set(columns[header[0]])):
+    if id_column is not None and id_column not in header:
+        raise InputError(f"{path}: id column {_echo(id_column)!r} not found")
+    id_name = _named_id(header, id_column)
+    if id_name is None and header and header[0] != outcome_column:
+        # Every distinct cell is parsed, so that a cell past the digit limit
+        # raises whatever the set's order, as it does in a factor column.
+        if None in [_parse_int(cell) for cell in distinct[header[0]]]:
             id_name = header[0]
-        else:
-            id_name = None
 
     ids = list(map(str.strip, columns[id_name])) if id_name is not None else list(map(str, range(n_rows)))
-    if len(set(ids)) != len(ids):
+    # A set would do, but for 20 000 ids its peak is 2.5 MB, and dict keys' 0.6 MB.
+    if len(dict.fromkeys(ids)) != len(ids):
         seen: dict[str, int] = {}
         for rowno, cid in enumerate(ids, start=2):
             if cid in seen:
@@ -287,11 +369,11 @@ def load_csv(
     factors: list[Factor] = []
     value_cols: list[bytes | list[int]] = []
     for name in factor_names:
-        vals, fac = _calibrate_column(name, columns[name], calibration.for_column(name))
+        vals, fac = _calibrate_column(name, columns[name], calibration.for_column(name), distinct[name])
         factors.append(fac)
         value_cols.append(vals)
     outcome_vals, outcome_factor = _calibrate_column(
-        outcome_column, columns[outcome_column], calibration.for_column(outcome_column)
+        outcome_column, columns[outcome_column], calibration.for_column(outcome_column), distinct[outcome_column]
     )
 
     schema = FactorSchema(factors=tuple(factors), outcome=outcome_factor)

@@ -35,11 +35,14 @@ from .model import (
     InputError,
     Literal,
     _echo,
+    _echo_ratio,
     dnf_shorthand,
 )
 from .pipeline import AnalysisParams, SolveResult, solve
 
 MAX_TRUTH_TABLE_ROWS = 1 << 24
+# A sample is drawn as one list of row indices, so its size is bounded.
+MAX_SAMPLE_SIZE = 10**7
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,8 @@ class ExperimentSpec:
             raise InputError("pathway is bound to a different schema")
         if self.sample_size < 1:
             raise InputError("sample_size must be >= 1")
+        if self.sample_size > MAX_SAMPLE_SIZE:
+            raise InputError(f"sample_size must be <= {MAX_SAMPLE_SIZE}, got {_echo_ratio(self.sample_size)}")
         if not 0 <= self.confound_count <= self.sample_size:
             raise InputError("confound_count must lie in [0, sample_size]")
 

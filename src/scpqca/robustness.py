@@ -23,7 +23,6 @@ as Superset/Subset instead of silently matching.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass, replace
@@ -155,6 +154,8 @@ def internal_sweep(
 
 def derive_seed(seed: int, repetition: int) -> int:
     """Deterministic, platform-independent child seed per repetition."""
+    import hashlib  # here, not at the top: OpenSSL's _hashlib is most of its import time
+
     digest = hashlib.sha256(f"{seed}:{repetition}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

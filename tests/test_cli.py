@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -153,6 +154,38 @@ class TestErrors:
         code, _, err = run_cli("synth", "--factors", "3", "--pathway", "ab")
         assert code == 1
         assert err == "error: SCPQCA_SEED must be an integer, got '999999999999...'\n"
+
+    def test_a_long_data_path_is_echoed_cut(self):
+        code, out, err = run_cli("solve", "--data", "d" * 5000, "--outcome", "O")
+        assert (code, out) == (1, "")
+        too_long = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}"
+        assert err == f"error: {too_long}: 'dddddddddddd...'\n"
+
+    @pytest.mark.parametrize("length, shown", [(40, "m" * 40), (41, "mmmmmmmmmmmm...")])
+    def test_a_missing_data_path_is_echoed_whole_up_to_40_characters(self, tmp_path, monkeypatch, length, shown):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli("solve", "--data", "m" * length, "--outcome", "O")
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{shown}'\n"
+
+    def test_a_long_header_list_is_echoed_cut(self, tmp_path):
+        p = tmp_path / "t.csv"
+        names = [f"factor_{i}" for i in range(1000)]
+        p.write_text(",".join(["id", *names]) + "\n" + ",".join(["a", *"1" * 1000]) + "\n")
+        code, out, err = run_cli("solve", "--data", str(p), "--outcome", "O")
+        assert (code, out) == (1, "")
+        assert err == f"error: {p}: outcome column 'O' not found (columns: id, factor_0...)\n"
+
+    def test_a_short_header_list_is_echoed_whole(self, tmp_path):
+        code, out, err = run_cli("solve", "--data", str(DATA / "m1.csv"), "--outcome", "Y")
+        assert (code, out) == (1, "")
+        assert err == f"error: {DATA / 'm1.csv'}: outcome column 'Y' not found (columns: id, A, B, O)\n"
+
+    @pytest.mark.parametrize("command", ["synth", "experiment"])
+    def test_a_huge_sample_size_is_refused_before_any_draw(self, command):
+        code, out, err = run_cli(command, "--factors", "3", "--pathway", "ab", "--samples", "9" * 4000)
+        assert (code, out) == (1, "")
+        assert err == "error: sample_size must be <= 10000000, got 999999999999...\n"
 
     def test_bad_label_names_the_flag(self):
         code, _, err = run_cli("solve", *M1[:-2], "--label", "7")
@@ -971,6 +1004,31 @@ class TestStartup:
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert (run.returncode, run.stdout) == (0, "False\n")
+
+    def test_cli_import_leaves_the_synthetic_and_hashing_modules_unloaded(self):
+        # `synth`/`experiment` import `pathways` and `statistics` in their
+        # handlers, and `derive_seed` imports `hashlib`, so a `solve` run pays
+        # for none of them.
+        code = "import sys, scpqca.cli; print(sorted({'scpqca.pathways', 'hashlib', 'statistics'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert (run.returncode, run.stdout) == (0, "[]\n")
+
+    def test_package_names_load_on_first_use(self):
+        code = (
+            "import sys, scpqca; before = 'scpqca.pathways' in sys.modules; "
+            "spec = scpqca.ExperimentSpec; "
+            "print(before, 'scpqca.pathways' in sys.modules, spec.__module__, 'ExperimentSpec' in dir(scpqca))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert (run.returncode, run.stdout) == (0, "False True scpqca.pathways True\n")
+
+    def test_unknown_package_name_is_an_attribute_error(self):
+        import scpqca
+
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            scpqca.no_such_name
 
 
 # ---------------------------------------------------------------------------

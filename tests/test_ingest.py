@@ -2,9 +2,12 @@ import csv
 import io
 import json
 import math
+import random
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +130,15 @@ class TestLoadCsv:
         p = write(tmp_path, "t.csv", "")
         with pytest.raises(InputError, match="header"):
             load_csv(p, outcome_column="O")
+
+    def test_first_column_past_the_digit_limit_raises_in_any_order(self, tmp_path):
+        # A first column of one such cell and labels used to be ids or an
+        # error by the order of its distinct cells, that is by the hash seed.
+        for labels in (["x"], ["x", "y", "z"], ["b", "a"]):
+            rows = ["1" * 5000, *labels]
+            p = write(tmp_path, "t.csv", "A,B,O\n" + "".join(f"{c},1,1\n" for c in rows))
+            with pytest.raises(InputError, match=r"^integer cell 111111111111\.\.\. has 5000 digits"):
+                load_csv(p, outcome_column="O")
 
     def test_ragged_row(self, tmp_path):
         p = write(tmp_path, "t.csv", "id,A,O\na,1\n")
@@ -537,3 +549,92 @@ class TestPlainSplitMatchesCsvReader:
         crlf = load_text(tmp_path / "t.csv", text.replace("\n", "\r\n"), "O")
         assert plain[0] == "InputError"
         assert plain == crlf
+
+
+# ---------------------------------------------------------------------------
+# The plain split reads the text a line-aligned slice at a time. With tiny
+# slices every row, error and row number must stay what one slice (and the
+# csv path) gives.
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 64])
+@settings(max_examples=60, deadline=None)
+@given(case=quote_free_inputs())
+def test_any_slice_size_reads_as_csv_does(size, case):
+    bom, text, outcome, id_column, calibration = case
+    with mock.patch.object(ingest, "_SLICE", size), tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        sliced = load_text(path, bom + text, outcome, calibration, id_column)
+        quoted = load_text(path, bom + quote_first_cell(text), outcome, calibration, id_column)
+    assert sliced == quoted
+
+
+# Rows 2 to 5, with a blank line and a line of commas and spaces between them.
+EARLY_ROWS = "a,1,0,1\nb,0,1,0\n\nc,1,1,1\n , ,,\nd,0,0,0\n"
+
+
+class TestErrorsInALaterSlice:
+    @pytest.fixture(autouse=True)
+    def tiny_slices(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_SLICE", 3)
+
+    @pytest.mark.parametrize(
+        "last, calibration, message",
+        [
+            ("e,1,1", None, "{path}: row 6 has 3 cells, header has 4"),
+            ("e,1,1,0,1", None, "{path}: row 6 has 5 cells, header has 4"),
+            ("e,-1,0,1", None, "row 6, column 'A': negative level -1"),
+            ("e,x,0,1", Cutpoints((0.5,)), "row 6, column 'A': non-numeric value 'x' under cutpoint calibration"),
+            ("e," + "1" * 5000 + ",0,1", None, "integer cell 111111111111... has 5000 digits, too many for a level"),
+            ("b,1,0,1", None, "{path}: duplicate case id 'b' at rows 3 and 6"),
+        ],
+    )
+    def test_same_error_as_one_slice_and_as_csv(self, tmp_path, monkeypatch, last, calibration, message):
+        text = "id,A,B,O\n" + EARLY_ROWS + last + "\nf,1,1,1\n"
+        path = tmp_path / "t.csv"
+        spec = CalibrationSpec({"A": calibration} if calibration else {})
+        sliced = load_text(path, text, "O", spec)
+        quoted = load_text(path, quote_first_cell(text), "O", spec)
+        monkeypatch.setattr(ingest, "_SLICE", 1 << 16)
+        whole = load_text(path, text, "O", spec)
+        assert sliced == quoted == whole == ("InputError", message.format(path=path))
+
+    def test_a_long_line_after_a_ragged_row_reads_as_csv(self, tmp_path):
+        limit = csv.field_size_limit(8)
+        try:
+            got = load_text(tmp_path / "t.csv", "id,A,O\na,1,1\nb,1\nc,0,0\nabcdefghi,1,1\n", "O")
+        finally:
+            csv.field_size_limit(limit)
+        assert got == ("InputError", f"{tmp_path / 't.csv'}: line 5: field larger than field limit (8)")
+
+    def test_a_ragged_row_is_raised_after_the_last_line(self, tmp_path):
+        # The ragged row is the first; a blank line and a good row follow.
+        got = load_text(tmp_path / "t.csv", "id,A,O\na,1,1\n\nb,1\nc,1,1,1\nd,0,0\n", "O")
+        assert got == ("InputError", f"{tmp_path / 't.csv'}: row 3 has 2 cells, header has 3")
+
+    def test_a_column_of_one_character_cells_turns_into_a_list(self, tmp_path):
+        text = "id,A,B,O\n" + EARLY_ROWS + "e,10,b,1\nf,,0,0\n"
+        sliced = load_text(tmp_path / "t.csv", text, "O")
+        assert sliced == load_text(tmp_path / "t.csv", quote_first_cell(text), "O")
+        table = sliced[1]
+        assert [table.values.column(j).tolist() for j in range(2)] == [[2, 1, 2, 1, 3, 0], [0, 1, 1, 0, 2, 0]]
+
+
+def test_peak_memory_of_a_tall_one_character_file(tmp_path):
+    # 20 000 rows x 12 columns of one-character cells: the text is read a
+    # slice at a time, and such columns are kept as one str, so the peak
+    # stays near the table itself.
+    rng = random.Random(0)
+    lines = ["ABCDEFGHIJKL"[i] for i in range(12)]
+    rows = [",".join(str(rng.randrange(3)) for _ in range(12)) for _ in range(20_000)]
+    path = tmp_path / "tall.csv"
+    path.write_text(",".join(lines) + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    load_csv(path, outcome_column="L")  # imports and first-call caches stay out of the figures
+    tracemalloc.start()
+    try:
+        table = load_csv(path, outcome_column="L")
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 20_000
+    assert peak < 3.5 * retained

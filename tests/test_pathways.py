@@ -253,6 +253,16 @@ class TestSampling:
         with pytest.raises(InputError):
             ExperimentSpec(schema, pathway, 10, 11, seed=0)
 
+    def test_sample_size_is_bounded_before_any_draw(self):
+        schema, pathway, _ = self._planted()
+        assert ExperimentSpec(schema, pathway, 10**7).sample_size == 10**7  # builds no draw
+        with pytest.raises(InputError) as err:
+            ExperimentSpec(schema, pathway, 10**7 + 1)
+        assert str(err.value) == "sample_size must be <= 10000000, got 10000001"
+        with pytest.raises(InputError) as err:
+            ExperimentSpec(schema, pathway, int("9" * 4000))
+        assert str(err.value) == "sample_size must be <= 10000000, got 999999999999..."
+
     def test_direct_generation_equals_composed_route(self):
         schema, pathway, table = self._planted()
         for seed, k in [(0, 0), (5, 3), (123, 10)]:
