@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -82,6 +83,8 @@ class _ArgumentError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
+        # Each value argparse quotes, as `repr` does in '' or "", is echoed cut.
+        message = re.sub(r"""(['"])((?:\\.|(?!\1).)*)\1""", lambda m: m[1] + _echo(m[2]) + m[1], message)
         raise _ArgumentError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
@@ -376,9 +379,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     params = _params(args, table, omit=SWEPT)
     consistency, cutoff, unique = (getattr(args, field, getattr(params, field)) for field in SWEPT)
     # `internal_sweep` parses each consistency, so that an error echoes it as given.
-    cons_list = args.consistency_list.split(",") if args.consistency_list else [consistency]
-    cutoff_list = _int_list(args.cutoff_list, "--cutoff-list") if args.cutoff_list else [cutoff]
-    unique_list = _int_list(args.unique_cover_list, "--unique-cover-list") if args.unique_cover_list else [unique]
+    # A list flag given empty (`--cutoff-list=`) is an input error, not the single value.
+    cons_list = [consistency] if args.consistency_list is None else args.consistency_list.split(",")
+    cutoff_list = [cutoff] if args.cutoff_list is None else _int_list(args.cutoff_list, "--cutoff-list")
+    unique_list = (
+        [unique] if args.unique_cover_list is None else _int_list(args.unique_cover_list, "--unique-cover-list")
+    )
     grid = [(c, k, u) for c in cons_list for k in cutoff_list for u in unique_list]
     cells = internal_sweep(table, grid, params)
     payload = report.sweep_payload(cells, table.schema)

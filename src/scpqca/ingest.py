@@ -14,19 +14,18 @@ the analyst's job, not this module's. `numeric_label_columns` lists the
 label columns whose labels are all numbers, so that a front end can warn
 that such a column probably wanted cutpoints.
 
-The file is read as one string and split one of two ways. Text with no
-double quote, no CR and no NUL, and no line longer than
-`csv.field_size_limit()`, is split by str methods, a line-aligned slice of
-about 64 KB at a time (`_split_plain`): `csv.reader` reads exactly those
-cells from such text, and an empty line is a row of no cells there too. The
-blank-row skip and the width check work on a slice's whole lines, and each
-column takes a stride (`cells[j::n]`) of the slice's flat cell list. Any
-other text (a quoted cell, CRLF line ends, a NUL, which the csv module
-rejects on Python 3.10 and keeps in the cell on 3.11 and later, or a line
-whose cell may pass the field limit) is read by `csv.reader` over the same
-string, as before. Both ways give the same rows, row numbers and errors:
-the plain split carries the row number across slices, and raises a ragged
-row only once every line is known to fit the field limit.
+The file is read as one string, and one of two splitters is picked for
+it before any cell is read (`_is_plain`). Text with no double quote, no CR,
+no NUL and no line longer than `csv.field_size_limit()` is split by str
+methods, a line-aligned slice of about 64 KB at a time (`_split_plain`):
+`csv.reader` reads exactly those cells from such text, and an empty line is
+a row of no cells there too. The blank-row skip and the width check work on
+a slice's whole lines, and each column takes a stride (`cells[j::n]`) of the
+slice's flat cell list. Any other text (a quoted cell, CRLF line ends, a
+NUL, which the csv module rejects on Python 3.10 and keeps in the cell on
+3.11 and later, or a line whose cell may pass the field limit) is read by
+`csv.reader` over the same string. Both ways give the same rows, row
+numbers and errors; the plain split carries the row number across slices.
 
 Each column is gathered compactly as it goes (`_gather`): while every cell
 is one character, as a str of one character per cell; else as a list of
@@ -201,39 +200,30 @@ def _ragged(path: Path, widths: Sequence[int], header_len: int, first: int = 2) 
     return InputError(f"{path}: row {rowno} has {width} cells, header has {header_len}")
 
 
-def _split_plain(path: Path, text: str) -> Iterator[list[str] | None]:
-    """The header, then each slice's data cells in row order, of text with no quote, CR or NUL.
+def _split_plain(path: Path, text: str) -> Iterator[list[str]]:
+    """The header, then each slice's data cells in row order, of plain text (see `_is_plain`).
 
     Such text reads exactly as `csv.reader` reads it: cells are the pieces
-    between commas, and an empty line is a row of no cells. A line longer
-    than `csv.field_size_limit()` may hold a cell past the limit, so the
-    split yields None there and stops, and `csv.reader` reads the text
-    instead; that is why a ragged row is raised only after the last line.
+    between commas, and an empty line is a row of no cells. The route is
+    settled before the first slice, so a ragged row is raised at its slice.
     """
-    limit = csv.field_size_limit()
-    header, rowno, error, start = None, 2, None, 0
+    header, rowno, start = None, 2, 0
     while start < len(text):
         stop = text.find("\n", start + _SLICE - 1)
         stop = len(text) if stop < 0 else stop
         lines = text[start:stop].split("\n")
         start = stop + 1
-        if max(map(len, lines)) > limit:
-            yield None
-            return
         if header is None:
             header = lines[0].split(",") if lines[0] else []
             yield header
             del lines[0]
         rows = list(compress(lines, map(str.strip, lines, repeat(_BLANK))))
-        if error or not rows:
+        if not rows:
             continue
         if set(map(str.count, rows, repeat(","))) - {len(header) - 1}:
-            error = _ragged(path, [row.count(",") + 1 for row in rows], len(header), rowno)
-            continue
+            raise _ragged(path, [row.count(",") + 1 for row in rows], len(header), rowno)
         rowno += len(rows)
         yield ",".join(rows).split(",")
-    if error:
-        raise error
 
 
 def _split_csv(path: Path, text: str) -> Iterator[list[str]]:
@@ -281,14 +271,28 @@ def _named_id(header: list[str], id_column: str | None) -> str | None:
     return header[lowered.index("id")] if "id" in lowered else None
 
 
+def _is_plain(text: str) -> bool:
+    """Whether the text holds no double quote, CR or NUL, and no line longer than `csv.field_size_limit()`.
+
+    From a line's start, the last "\\n" within the limit ends lines that fit.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return False
+    limit, start = csv.field_size_limit(), 0
+    while len(text) - start > limit:
+        start = text.rfind("\n", start, start + limit + 1) + 1
+        if not start:
+            return False
+    return True
+
+
 def _read_columns(
     path: Path, outcome_column: str, id_column: str | None
-) -> tuple[list[str], list[str | list[str]], list[set[str] | None], int]:
-    """Stripped header names, each column's cells (see `_gather`) and distinct cells, and the row count.
+) -> tuple[list[str], list[str | list[str]], list[set[str] | None], str | None, int]:
+    """Stripped header names, each column's cells (see `_gather`) and distinct cells, the id column, the row count.
 
-    The text goes through `_split_plain` where it may, else `_split_csv`.
-    The column that `_named_id` names, unless it is the outcome, collects no
-    distinct cells: they would be as many as its rows.
+    The id column is the one `_named_id` names; unless it is the outcome,
+    it collects no distinct cells: they would be as many as its rows.
     """
     with path.open(newline="", encoding="utf-8-sig") as fh:
         try:
@@ -298,24 +302,16 @@ def _read_columns(
             raise InputError(f"{path}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})") from None
     if not text:
         raise InputError(f"{path}: empty file, header row required")
-    plain = '"' not in text and "\r" not in text and "\0" not in text
-    for split in (_split_plain, _split_csv)[not plain :]:
-        parts = split(path, text)
-        header = next(parts)
-        if header is None:
-            continue
-        header = [h.strip() for h in header]
-        id_name = _named_id(header, id_column)
-        distinct: list[set[str] | None] = [None if h == id_name != outcome_column else set() for h in header]
-        columns: list = [[] if seen is None else "" for seen in distinct]
-        n_rows = 0
-        for cells in parts:
-            if cells is None:
-                break
-            _gather(columns, distinct, cells)
-            n_rows += len(cells) // len(header)
-        else:
-            return header, columns, distinct, n_rows
+    parts = (_split_plain if _is_plain(text) else _split_csv)(path, text)
+    header = [h.strip() for h in next(parts)]
+    id_name = _named_id(header, id_column)
+    distinct: list[set[str] | None] = [None if h == id_name != outcome_column else set() for h in header]
+    columns: list = [[] if seen is None else "" for seen in distinct]
+    n_rows = 0
+    for cells in parts:
+        _gather(columns, distinct, cells)
+        n_rows += len(cells) // len(header)
+    return header, columns, distinct, id_name, n_rows
 
 
 def load_csv(
@@ -333,11 +329,12 @@ def load_csv(
     named "id" (any capitalization), else from the first column when its
     cells are not all integers (e.g. country codes), else from row numbers.
     Every remaining column except the outcome becomes a factor, in header
-    order. Duplicate ids are rejected.
+    order. Duplicate ids, and a calibration of a column not in the header,
+    are rejected.
     """
     calibration = calibration or CalibrationSpec()
     path = Path(path)
-    header, cells, cell_sets, n_rows = _read_columns(path, outcome_column, id_column)
+    header, cells, cell_sets, id_name, n_rows = _read_columns(path, outcome_column, id_column)
 
     if outcome_column not in header:
         raise InputError(
@@ -349,7 +346,9 @@ def load_csv(
 
     if id_column is not None and id_column not in header:
         raise InputError(f"{path}: id column {_echo(id_column)!r} not found")
-    id_name = _named_id(header, id_column)
+    for name in calibration.columns:
+        if name not in header:
+            raise InputError(f"{path}: calibration column {_echo(name)!r} not found")
     if id_name is None and header and header[0] != outcome_column:
         # Every distinct cell is parsed, so that a cell past the digit limit
         # raises whatever the set's order, as it does in a factor column.

@@ -181,6 +181,29 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert err == f"error: {DATA / 'm1.csv'}: outcome column 'Y' not found (columns: id, A, B, O)\n"
 
+    def test_a_calibration_column_not_in_the_header(self):
+        code, out, err = run_cli("solve", *M1, "--cutpoints", "NOPE:0.5")
+        assert (code, out, err) == (1, "", f"error: {DATA / 'm1.csv'}: calibration column 'NOPE' not found\n")
+
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            (["solve", "--cutoff", "9" * 5000], "--cutoff: invalid int value: '999999999999...'"),
+            (["solve", "--format", "x" * 5000], "--format: invalid choice: 'xxxxxxxxxxxx...' ("),
+            (["xval", "--fraction", "x" * 5000], "--fraction: invalid float value: 'xxxxxxxxxxxx...'"),
+            (["solve", "--format", "x" * 41], "--format: invalid choice: 'xxxxxxxxxxxx...' ("),
+            (["solve", "--format", "x" * 40], f"--format: invalid choice: '{'x' * 40}' ("),
+            (["solve", "--cutoff", "1.5"], "--cutoff: invalid int value: '1.5'"),
+        ],
+        ids=["long-int", "long-choice", "long-float", "41-characters", "40-characters", "short"],
+    )
+    def test_a_usage_error_echoes_a_long_value_cut(self, args, line):
+        code, out, err = run_cli(*args)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: scpqca ") and len(err) < 1000
+        # The choices' own quoting varies across Python releases, so they are left out.
+        assert err.splitlines()[-1].startswith(f"scpqca {args[0]}: error: argument {line}")
+
     @pytest.mark.parametrize("command", ["synth", "experiment"])
     def test_a_huge_sample_size_is_refused_before_any_draw(self, command):
         code, out, err = run_cli(command, "--factors", "3", "--pathway", "ab", "--samples", "9" * 4000)
@@ -424,6 +447,17 @@ class TestParameterChecks:
         [line] = [line for line in err.splitlines() if "error:" in line]
         second, first = (flag, list_flag) if list_first else (list_flag, flag)
         assert line == f"scpqca sweep: error: argument {second}: not allowed with argument {first}"
+
+    @pytest.mark.parametrize(
+        "list_flag, message",
+        [
+            ("--consistency-list", "not a valid ratio: ''"),
+            ("--cutoff-list", "sweep grid must not be empty"),
+            ("--unique-cover-list", "sweep grid must not be empty"),
+        ],
+    )
+    def test_sweep_rejects_a_list_given_empty(self, list_flag, message):
+        assert run_cli("sweep", *REMOTE, f"{list_flag}=") == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize("flag", ["--consistency", "--consistency-list"])

@@ -145,6 +145,17 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="row 2"):
             load_csv(p, outcome_column="O")
 
+    @pytest.mark.parametrize("name, shown", [("Nope", "Nope"), ("N" * 5000, "NNNNNNNNNNNN...")], ids=["short", "long"])
+    def test_calibration_of_a_column_not_in_the_header(self, data_dir, name, shown):
+        with pytest.raises(InputError) as err:
+            load_csv(data_dir / "m1.csv", "O", CalibrationSpec({name: Cutpoints((0.5,))}))
+        assert str(err.value) == f"{data_dir / 'm1.csv'}: calibration column {shown!r} not found"
+
+    def test_an_absent_id_column_is_named_before_an_absent_calibration_column(self, data_dir):
+        with pytest.raises(InputError) as err:
+            load_csv(data_dir / "m1.csv", "O", CalibrationSpec({"Nope": Cutpoints((0.5,))}), id_column="Z")
+        assert str(err.value) == f"{data_dir / 'm1.csv'}: id column 'Z' not found"
+
 
 class TestRoundTrip:
     def test_load_write_load_is_idempotent(self, tmp_path, m1_table):
@@ -619,6 +630,55 @@ class TestErrorsInALaterSlice:
         table = sliced[1]
         assert [table.values.column(j).tolist() for j in range(2)] == [[2, 1, 2, 1, 3, 0], [0, 1, 1, 0, 2, 0]]
 
+
+
+# ---------------------------------------------------------------------------
+# The splitter is picked once, from the whole text, before any cell is read:
+# the plain split only when no line is longer than the field limit, else
+# `csv.reader` alone, whatever the slice size.
+
+
+@pytest.fixture
+def taken(monkeypatch):
+    """The names of the splitters that `load_csv` calls, in order."""
+    calls = []
+    for name in ("_split_plain", "_split_csv"):
+        real = getattr(ingest, name)
+        monkeypatch.setattr(ingest, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    return calls
+
+
+@pytest.fixture
+def limit_10():
+    limit = csv.field_size_limit(10)
+    yield
+    csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("size", [3, 1 << 16])
+@pytest.mark.parametrize(
+    "text, split",
+    [
+        ("a,O\nb,1\n", "_split_plain"),  # the whole text is shorter than the limit
+        ("id,A,O\nabcdef,1,1\n", "_split_plain"),  # a line of exactly the limit
+        ("id,A,O\nabcdef,1,1", "_split_plain"),  # ... with no newline after it
+        ("identit,A,O\na,1,1\n", "_split_csv"),  # one character more, in the first line
+        ("id,A,O\na,1,1\nabcdefg,1,1\n", "_split_csv"),  # ... in the last line
+        ("id,A,O\na,1,1\nabcdefg,1,1", "_split_csv"),  # ... in the last line, with no newline
+    ],
+)
+def test_the_route_is_chosen_once_from_the_longest_line(tmp_path, monkeypatch, taken, limit_10, size, text, split):
+    monkeypatch.setattr(ingest, "_SLICE", size)
+    got = load_text(tmp_path / "t.csv", text, "O")
+    assert taken == [split]
+    assert got[0] == "table"
+    assert got == load_text(tmp_path / "t.csv", quote_first_cell(text), "O")
+
+
+def test_a_long_line_before_a_ragged_row_reads_as_csv(tmp_path, taken, limit_10):
+    got = load_text(tmp_path / "t.csv", "id,A,O\nabcdefghijk,1,1\nb,1\nc,0,0\n", "O")
+    assert taken == ["_split_csv"]
+    assert got == ("InputError", f"{tmp_path / 't.csv'}: line 2: field larger than field limit (10)")
 
 def test_peak_memory_of_a_tall_one_character_file(tmp_path):
     # 20 000 rows x 12 columns of one-character cells: the text is read a
