@@ -81,9 +81,18 @@ class _ArgumentError(Exception):
     pass
 
 
+# The two messages in which argparse echoes what was given unquoted: the
+# stray arguments, and an option that abbreviates several flags.
+_UNQUOTED = (r"(unrecognized arguments: )(.*)()", r"(ambiguous option: )(.*)( could match [^ ]*(?:, [^ ]*)*)")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        # Each value argparse quotes, as `repr` does in '' or "", is echoed cut.
+        # What argparse echoes unquoted, and each value it quotes, as `repr`
+        # does in '' or "", is echoed cut.
+        for pattern in _UNQUOTED:
+            if m := re.fullmatch(pattern, message, re.S):
+                message = m[1] + _echo(m[2]) + m[3]
         message = re.sub(r"""(['"])((?:\\.|(?!\1).)*)\1""", lambda m: m[1] + _echo(m[2]) + m[1], message)
         raise _ArgumentError(f"{self.format_usage()}{self.prog}: error: {message}")
 
@@ -100,6 +109,11 @@ def _seed_default(value: int | None) -> int:
     return 0
 
 
+def _entries(text: str) -> list[str]:
+    """The entries of a comma list as typed, blank ones skipped."""
+    return [part for part in text.split(",") if part.strip()]
+
+
 def _parse_cutpoints(items: list[str] | None) -> CalibrationSpec:
     columns: dict = {}
     for item in items or []:
@@ -107,7 +121,7 @@ def _parse_cutpoints(items: list[str] | None) -> CalibrationSpec:
             raise InputError(f"--cutpoints expects COLUMN:p1,p2,..., got {_echo(item)!r}")
         name, _, rest = item.partition(":")
         try:
-            points = tuple(float(p) for p in rest.split(",") if p.strip())
+            points = tuple(map(float, _entries(rest)))
         except ValueError:
             raise InputError(f"--cutpoints {_echo(item)!r}: thresholds must be numeric") from None
         columns[name.strip()] = Cutpoints(points)
@@ -116,10 +130,7 @@ def _parse_cutpoints(items: list[str] | None) -> CalibrationSpec:
 
 def _parse_literals(text: str, table: CaseTable) -> tuple[Literal, ...]:
     lits = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in map(str.strip, _entries(text)):
         if "=" not in part:
             raise InputError(f"--assume-necessary expects FACTOR=LEVEL, got {_echo(part)!r}")
         name, _, level = part.partition("=")
@@ -199,9 +210,8 @@ def _emit(payload: dict, fmt: str, text_fn, csv_fn) -> None:
 
 
 def _levels_arg(text: str, n_factors: int) -> int | list[int]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
     try:
-        values = [int(p) for p in parts]
+        values = list(map(int, _entries(text)))
     except ValueError:
         raise InputError(f"--levels must be an integer or comma list, got {_echo(text)!r}") from None
     if len(values) == 1:
@@ -213,7 +223,7 @@ def _levels_arg(text: str, n_factors: int) -> int | list[int]:
 
 def _int_list(text: str, flag: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",") if p.strip()]
+        return list(map(int, _entries(text)))
     except ValueError:
         raise InputError(f"{flag} expects a comma-separated integer list, got {_echo(text)!r}") from None
 
@@ -380,7 +390,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     consistency, cutoff, unique = (getattr(args, field, getattr(params, field)) for field in SWEPT)
     # `internal_sweep` parses each consistency, so that an error echoes it as given.
     # A list flag given empty (`--cutoff-list=`) is an input error, not the single value.
-    cons_list = [consistency] if args.consistency_list is None else args.consistency_list.split(",")
+    cons_list = [consistency] if args.consistency_list is None else _entries(args.consistency_list)
     cutoff_list = [cutoff] if args.cutoff_list is None else _int_list(args.cutoff_list, "--cutoff-list")
     unique_list = (
         [unique] if args.unique_cover_list is None else _int_list(args.unique_cover_list, "--unique-cover-list")

@@ -67,7 +67,7 @@ from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from .model import CaseTable, Factor, FactorSchema, InputError, _echo
+from .model import CaseTable, Factor, FactorSchema, InputError, _echo, _echo_ratio
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,9 @@ class Cutpoints:
         if not pts:
             raise InputError("cutpoint calibration needs at least one threshold")
         if not all(math.isfinite(p) for p in pts):
-            raise InputError(f"cutpoints must be finite, got {pts}")
+            raise InputError(f"cutpoints must be finite, got {_echo(str(pts))}")
         if any(b <= a for a, b in zip(pts, pts[1:])):
-            raise InputError(f"cutpoints must be strictly increasing, got {pts}")
+            raise InputError(f"cutpoints must be strictly increasing, got {_echo(str(pts))}")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -161,7 +161,7 @@ def _calibrate_column(
         if bad:
             rowno, cell = _first_row_with(cells, bad)
             raise InputError(
-                f"row {rowno}, column {name!r}: non-numeric value {cell!r} under cutpoint calibration"
+                f"row {rowno}, column {name!r}: non-numeric value {_echo(cell)!r} under cutpoint calibration"
             )
         return _decode(cells, code), Factor(name, calib.levels, cutpoints=calib.points)
 
@@ -170,7 +170,7 @@ def _calibrate_column(
         bad = {c for c, v in ints.items() if v < 0}
         if bad:
             rowno, cell = _first_row_with(cells, bad)
-            raise InputError(f"row {rowno}, column {name!r}: negative level {ints[cell]}")
+            raise InputError(f"row {rowno}, column {name!r}: negative level {_echo_ratio(ints[cell])}")
         levels = max(2, max(ints.values(), default=1) + 1)
         return _decode(cells, ints), Factor(name, levels)
 
@@ -361,7 +361,7 @@ def load_csv(
         seen: dict[str, int] = {}
         for rowno, cid in enumerate(ids, start=2):
             if cid in seen:
-                raise InputError(f"{path}: duplicate case id {cid!r} at rows {seen[cid]} and {rowno}")
+                raise InputError(f"{path}: duplicate case id {_echo(cid)!r} at rows {seen[cid]} and {rowno}")
             seen[cid] = rowno
 
     factor_names = [h for h in header if h != outcome_column and h != id_name]

@@ -31,7 +31,8 @@ A set of cases is one Python int over a tuple of case ids: bit i stands for
 ``int.bit_count()`` (the vertical tid-lists of Eclat). Only this module knows
 the encoding: `CaseTable` caches one bitset per factor=value literal, packed
 from its column at C speed, `match_bits` and `CaseTable.positive_bits` build
-the rest, and `ids_of` / `bits_of` convert at the edges. `CandidateRule`
+the rest, and `ids_of` / `bits_of` convert at the edges. A table never caches
+an id set: `positive_ids` builds one where it is read. `CandidateRule`
 carries the bits plus the shared ids and offers frozenset views of them;
 `CandidateRules`, enumeration's output and greedy's input, holds many rules
 as columns and builds a rule object only for a rule that is read.
@@ -475,12 +476,8 @@ class CaseTable:
         return self._bit_cache[key]
 
     def positive_ids(self, decision_label: int) -> frozenset[str]:
-        """Ids of the cases with the decision label as outcome, cached."""
-        decision_label = as_index(decision_label, "decision_label")
-        key = ("outcome ids", decision_label)
-        if key not in self._bit_cache:
-            self._bit_cache[key] = frozenset(ids_of(self.positive_bits(decision_label), self.ids))
-        return self._bit_cache[key]
+        """Ids of the cases with the decision label as outcome, built on each call, never cached."""
+        return frozenset(ids_of(self.positive_bits(decision_label), self.ids))
 
     def literal_bits(self, factor_index: int, value: int) -> int:
         """Bitset of the cases carrying factor=value, packed once and cached.

@@ -204,6 +204,25 @@ class TestErrors:
         # The choices' own quoting varies across Python releases, so they are left out.
         assert err.splitlines()[-1].startswith(f"scpqca {args[0]}: error: argument {line}")
 
+    @pytest.mark.parametrize(
+        "stray, shown",
+        [(["x" * 5000], "xxxxxxxxxxxx..."), (["x y" * 2000], "x yx yx yx y..."),
+         (["x" * 20, "y" * 20], "xxxxxxxxxxxx..."), (["x" * 40], "x" * 40), (["ab", "'cd'"], "ab 'cd'")],
+        ids=["long", "long-with-spaces", "two-of-41-characters", "40-characters", "short"],
+    )
+    def test_stray_arguments_are_echoed_cut(self, stray, shown):
+        code, out, err = run_cli("solve", *M1, *stray)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: scpqca ") and len(err) < 1024
+        assert err.splitlines()[-1] == f"scpqca: error: unrecognized arguments: {shown}"
+
+    @pytest.mark.parametrize("value, shown", [("x" * 5000, "--cu=xxxxxxx..."), ("1", "--cu=1")], ids=["long", "short"])
+    def test_an_ambiguous_option_is_echoed_cut(self, value, shown):
+        code, out, err = run_cli("solve", *M1, f"--cu={value}")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: scpqca ") and len(err) < 1024
+        assert err.splitlines()[-1].startswith(f"scpqca solve: error: ambiguous option: {shown} could match --")
+
     @pytest.mark.parametrize("command", ["synth", "experiment"])
     def test_a_huge_sample_size_is_refused_before_any_draw(self, command):
         code, out, err = run_cli(command, "--factors", "3", "--pathway", "ab", "--samples", "9" * 4000)
@@ -451,13 +470,20 @@ class TestParameterChecks:
     @pytest.mark.parametrize(
         "list_flag, message",
         [
-            ("--consistency-list", "not a valid ratio: ''"),
+            ("--consistency-list", "sweep grid must not be empty"),
             ("--cutoff-list", "sweep grid must not be empty"),
             ("--unique-cover-list", "sweep grid must not be empty"),
         ],
     )
     def test_sweep_rejects_a_list_given_empty(self, list_flag, message):
         assert run_cli("sweep", *REMOTE, f"{list_flag}=") == (1, "", f"error: {message}\n")
+
+    def test_sweep_skips_a_blank_entry_in_every_list(self):
+        lists = {"--consistency-list": "0.8,,0.75", "--cutoff-list": "2, ,3", "--unique-cover-list": ",1,"}
+        blank = run_cli("sweep", *REMOTE, *[a for pair in lists.items() for a in pair], "--format", "json")
+        plain = run_cli("sweep", *REMOTE, "--consistency-list", "0.8,0.75", "--cutoff-list", "2,3",
+                        "--unique-cover-list", "1", "--format", "json")
+        assert blank == plain and blank[0] == 0 and len(json.loads(blank[1])["cells"]) == 4
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize("flag", ["--consistency", "--consistency-list"])
@@ -835,6 +861,12 @@ DECLARED_FLAGS = declared_flags()
 SOMETIMES = st.sampled_from([False, False, True])
 BIT = st.sampled_from(["0", "1"])
 FUZZ_CELL = st.one_of(BIT, st.sampled_from(FUZZ_CELLS), st.text(max_size=3))
+# Values of 41 to 5 000 characters: a run of digits, letters, words or
+# comma-separated ones, after an optional sign or a column or factor name.
+LONG_VALUE = st.builds(
+    lambda prefix, unit, n: prefix + (unit * n)[:n],
+    st.sampled_from(["", "-", "A:", "A="]), st.sampled_from(["9", "x", "x ", "1,"]), st.integers(41, 5000),
+)
 
 
 @st.composite
@@ -844,6 +876,8 @@ def cli_inputs(draw, commands):
     numbered_ids = draw(st.booleans())
     tame = draw(SOMETIMES)  # clean bits and no bad flags, so that most runs reach the analysis
     cell_strategy = BIT if tame else draw(st.sampled_from([BIT, FUZZ_CELL]))  # a clean 0/1 file or a messy one
+    if not tame and draw(SOMETIMES):  # one long value, in any number of cells
+        cell_strategy = st.one_of(cell_strategy, st.just(draw(LONG_VALUE)))
     follow_a = "A" in header and draw(st.booleans())  # the outcome copies A, so solve often finds a cover
     rows = []
     for i in range(draw(st.integers(0, 12))):
@@ -858,8 +892,15 @@ def cli_inputs(draw, commands):
         data = data[:at] + draw(st.binary(min_size=1, max_size=2)) + data[at:]
     command = draw(st.sampled_from(commands))
     args = [command, "--outcome", "O" if tame else draw(st.sampled_from(["O", "O", *header, "Z"]))]
+    declared = DECLARED_FLAGS[command]
+    # One declared flag may get a long value, put last so that it wins over a
+    # short one. `--emit-schema` is left out, since it writes where its value
+    # names, and a run of digits as `--reps` would ask for more reps than a
+    # run can make (no upper bound is checked).
+    long_flag = draw(st.sampled_from(sorted(declared - {"--emit-schema"}))) if not tame and draw(SOMETIMES) else None
     for flag, entries in (SWEEP_LISTS if command == "sweep" else {}).items():
-        if draw(st.booleans()):  # empty, blank and repeated entries included
+        # With a long list, the grid would be its product with the others.
+        if long_flag not in SWEEP_LISTS and draw(st.booleans()):  # empty, blank and repeated entries included
             args += [flag, ",".join(draw(st.lists(st.sampled_from(entries), max_size=4)))]
     if command == "xval":
         args += ["--fraction", draw(st.sampled_from(XVAL_FRACTIONS)), "--reps", draw(st.sampled_from("123"))]
@@ -870,7 +911,6 @@ def cli_inputs(draw, commands):
         args.append("--dedup")
     if not tame and draw(SOMETIMES):
         args += ["--id-column", draw(st.sampled_from([*header, "Z"]))]
-    declared = DECLARED_FLAGS[command]
     for flag, values in FUZZ_FLAGS.items():
         if flag in declared and (flag == "--format" or not tame) and draw(SOMETIMES):
             args += [flag, draw(st.sampled_from(values))]
@@ -878,6 +918,11 @@ def cli_inputs(draw, commands):
     if undeclared and not tame and draw(RARELY):  # a usage error, exit 1
         flag = draw(st.sampled_from(undeclared))
         args += [flag, draw(st.sampled_from(FUZZ_FLAGS[flag]))]
+    if long_flag:  # after a store-true flag, the value is a stray argument
+        args += [long_flag, draw(LONG_VALUE.filter(lambda v: long_flag != "--reps" or not v.isdigit()))]
+    if not tame and draw(RARELY):  # stray arguments anywhere after the subcommand
+        for stray in draw(st.lists(st.one_of(st.sampled_from(["x", "1", "-"]), LONG_VALUE), min_size=1, max_size=2)):
+            args.insert(draw(st.integers(1, len(args))), stray)
     return data, args
 
 
@@ -925,6 +970,9 @@ def check_data_run(case) -> None:
         code, _, err = run_cli(args[0], "--data", str(path), *args[1:])
     assert code in (0, 1, 2)
     assert "internal error" not in err
+    # Every echoed value is cut, so stderr stays short whatever the input;
+    # the longest usage text, `sweep`'s, is 599 bytes.
+    assert len(err.encode()) <= 1024, err[:300]
 
 
 class TestFuzz:

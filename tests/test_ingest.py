@@ -63,6 +63,12 @@ class TestLoadCsv:
         with pytest.raises(InputError):
             Cutpoints((0.5, 0.5))
 
+    @pytest.mark.parametrize("points, shown", [((1.0,) * 2500, "(1.0, 1.0, 1..."), ((2.0, 1.0), "(2.0, 1.0)")])
+    def test_a_long_list_of_cutpoints_is_echoed_cut(self, points, shown):
+        with pytest.raises(InputError) as err:
+            Cutpoints(points)
+        assert str(err.value) == f"cutpoints must be strictly increasing, got {shown}"
+
     def test_cutpoints_must_be_finite(self):
         with pytest.raises(InputError):
             Cutpoints((float("inf"),))
@@ -629,6 +635,28 @@ class TestErrorsInALaterSlice:
         assert sliced == load_text(tmp_path / "t.csv", quote_first_cell(text), "O")
         table = sliced[1]
         assert [table.values.column(j).tolist() for j in range(2)] == [[2, 1, 2, 1, 3, 0], [0, 1, 1, 0, 2, 0]]
+
+
+class TestLongDataValuesInErrors:
+    # A value from the file longer than 40 characters is echoed as its first
+    # 12 and "..."; one of 40 or fewer is echoed whole.
+    @pytest.mark.parametrize("cell, shown", [("x" * 5000, "xxxxxxxxxxxx..."), ("x" * 40, "x" * 40)], ids=["long", "40"])
+    def test_a_non_numeric_cell_under_cutpoints(self, tmp_path, cell, shown):
+        spec = CalibrationSpec({"A": Cutpoints((0.5,))})
+        got = load_text(tmp_path / "t.csv", f"id,A,O\na,1,1\nb,{cell},0\n", "O", spec)
+        assert got == ("InputError", f"row 3, column 'A': non-numeric value {shown!r} under cutpoint calibration")
+
+    @pytest.mark.parametrize(
+        "cell, shown", [("-" + "9" * 4000, "-99999999999..."), ("-" + "9" * 39, "-" + "9" * 39)], ids=["long", "40"]
+    )
+    def test_a_negative_level(self, tmp_path, cell, shown):
+        got = load_text(tmp_path / "t.csv", f"id,A,O\na,1,1\nb,{cell},0\n", "O")
+        assert got == ("InputError", f"row 3, column 'A': negative level {shown}")
+
+    @pytest.mark.parametrize("cid, shown", [("d" * 5000, "dddddddddddd..."), ("d" * 40, "d" * 40)], ids=["long", "40"])
+    def test_a_duplicate_case_id(self, tmp_path, cid, shown):
+        got = load_text(tmp_path / "t.csv", f"id,A,O\n{cid},1,1\nb,0,0\n{cid},1,0\n", "O")
+        assert got == ("InputError", f"{tmp_path / 't.csv'}: duplicate case id {shown!r} at rows 2 and 4")
 
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -250,13 +251,32 @@ class TestUniqueIds:
 
 
 class TestPositiveIds:
-    def test_built_once_per_label(self, m1_table):
+    def test_ids_per_label(self, m1_table):
         positives = m1_table.positive_ids(1)
         assert positives == {"c1", "c2", "c3"}
-        assert m1_table.positive_ids(1) is positives
+        assert m1_table.positive_ids(1) == positives
         assert m1_table.positive_ids(0) == {"c4", "c5", "c6"}
         with pytest.raises(InputError, match="decision label 2 out of range"):
             m1_table.positive_ids(2)
+
+    def test_the_table_holds_no_id_set(self):
+        # On 20 000 cases, about half of them positive, a held frozenset of
+        # their ids would be about 0.5 MB.
+        rng = random.Random(0)
+        n = 20_000
+        table = CaseTable.from_columns(
+            binary_schema(["A", "B"]), [f"case{i}" for i in range(n)],
+            [bytes(rng.randrange(2) for _ in range(n)) for _ in range(2)], bytes(rng.randrange(2) for _ in range(n)),
+        )
+        table.positive_bits(1)  # the bitset is the table's to cache
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            assert len(table.positive_ids(1)) > n // 3
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 32 * 1024
 
 
 class TestTypes:
