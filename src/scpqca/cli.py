@@ -2,9 +2,12 @@
 
 Subcommands: necessity, candidates, solve, synth, experiment, sweep, xval.
 Exit codes: 0 success, 1 input error, 2 no admissible cover / vacuous
-solution. Output goes to stdout in text, JSON, or CSV form and is
-byte-identical for identical arguments and seed; timing information is
-only ever printed to stderr, and only with --timing.
+solution. A subcommand's handler returns its `report.*_payload` dict, and
+`main` alone writes it to stdout: `report.render_json` for `--format json`,
+else the `report.<command>_text` or `_csv` view its "command" names (`synth`
+writes its own output and returns None). Output is byte-identical for
+identical arguments and seed; timing information is only ever printed to
+stderr, and only with --timing.
 
 The command line is declared once, as data. `ANALYSIS_FLAGS` holds each
 analysis flag, `_SHARED_FLAGS` each other flag that subcommands declare
@@ -49,7 +52,7 @@ from .model import (
 )
 from .necessity import conflicting_factors, necessary_conditions
 from .pipeline import solve
-from .robustness import derive_seed, external_validity, internal_sweep
+from .robustness import check_reps, derive_seed, external_validity, internal_sweep
 
 ENUMERATION_WARN_BOUND = 5_000_000
 
@@ -172,8 +175,8 @@ def _load(args: argparse.Namespace) -> CaseTable:
     )
     for f in numeric_label_columns(table):
         print(
-            f"warning: column {f.name!r} has {f.levels} levels, one per distinct number; "
-            f"calibrate it with --cutpoints {f.name}:p1,p2,...",
+            f"warning: column {_echo(f.name)!r} has {f.levels} levels, one per distinct number; "
+            f"calibrate it with --cutpoints {_echo(f.name)}:p1,p2,...",
             file=sys.stderr,
         )
     if args.dedup:
@@ -198,15 +201,6 @@ def _params(args: argparse.Namespace, table: CaseTable | None, omit: tuple[str, 
     if assume:
         given["assume_necessary"] = _parse_literals(assume, table)
     return AnalysisParams(1 if table is None else _resolve_label(table, args.label), **given)
-
-
-def _emit(payload: dict, fmt: str, text_fn, csv_fn) -> None:
-    if fmt == "json":
-        sys.stdout.write(report.render_json(payload))
-    elif fmt == "csv":
-        sys.stdout.write(csv_fn(payload))
-    else:
-        sys.stdout.write(text_fn(payload))
 
 
 def _levels_arg(text: str, n_factors: int) -> int | list[int]:
@@ -245,34 +239,30 @@ def _warn_enumeration_bound(table: CaseTable, params: AnalysisParams) -> int:
 # Subcommand handlers
 
 
-def _cmd_necessity(args: argparse.Namespace) -> int:
+def _cmd_necessity(args: argparse.Namespace) -> dict:
     table = _load(args)
     params = _params(args, table)
     rows = necessary_conditions(table, params)
     conflicted = conflicting_factors(rows)
     if conflicted:
-        names = ", ".join(table.schema.factors[i].name for i in conflicted)
+        names = ", ".join(_echo(table.schema.factors[i].name) for i in conflicted)
         print(
             f"warning: multiple levels of factor(s) {names} qualify as necessary; "
             "solve conjoins none of them unless --assume-necessary picks one",
             file=sys.stderr,
         )
-    payload = report.necessity_payload(rows, table, params)
-    _emit(payload, args.format, report.necessity_text, report.necessity_csv)
-    return 0
+    return report.necessity_payload(rows, table, params)
 
 
-def _cmd_candidates(args: argparse.Namespace) -> int:
+def _cmd_candidates(args: argparse.Namespace) -> dict:
     table = _load(args)
     params = _params(args, table)
     bound = _warn_enumeration_bound(table, params)
     rules = enumerate_candidates(table, range(len(table.schema.factors)), params)
-    payload = report.candidates_payload(rules, table, params, bound)
-    _emit(payload, args.format, report.candidates_text, report.candidates_csv)
-    return 0
+    return report.candidates_payload(rules, table, params, bound)
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> dict:
     table = _load(args)
     params = _params(args, table)
     _warn_enumeration_bound(table, params)
@@ -281,12 +271,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.oracle:
         positives = table.positive_ids(params.decision_label)
         oracle = exhaustive_cover_oracle(result.candidates, positives, params)
-    payload = report.solve_payload(result, oracle)
-    _emit(payload, args.format, report.solve_text, report.solve_csv)
-    return 0
+    return report.solve_payload(result, oracle)
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
+def _cmd_synth(args: argparse.Namespace) -> None:
     from .pathways import ExperimentSpec, generate_experiment_table, parse_pathway, synth_schema
 
     schema = synth_schema(args.factors, _levels_arg(args.levels, args.factors))
@@ -320,10 +308,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             fh.write(out)
     else:
         sys.stdout.write(out)
-    return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
+def _cmd_experiment(args: argparse.Namespace) -> dict:
     from statistics import median
 
     from .pathways import ExperimentSpec, parse_pathway, run_experiment, synth_schema
@@ -335,8 +322,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     confounds = _int_list(args.confounds, "--confounds")
     if not confounds:
         raise InputError("--confounds must list at least one count")
-    if args.reps < 1:
-        raise InputError(f"reps must be >= 1, got {args.reps}")
+    check_reps(args.reps)
     rows = []
     for c in confounds:
         per_rep: list[tuple[Fraction, Fraction, int]] = []
@@ -369,7 +355,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                     "candidates": int(median(n for _, _, n in per_rep)),
                 }
             )
-    payload = report.experiment_payload(
+    return report.experiment_payload(
         rows,
         {
             "pathway": pathway.expression(),
@@ -379,11 +365,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             "reps": args.reps,
         },
     )
-    _emit(payload, args.format, report.experiment_text, report.experiment_csv)
-    return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> dict:
     table = _load(args)
     # The swept values go into the grid, so `sweep --cutoff 0` fails one cell.
     params = _params(args, table, omit=SWEPT)
@@ -397,20 +381,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     grid = [(c, k, u) for c in cons_list for k in cutoff_list for u in unique_list]
     cells = internal_sweep(table, grid, params)
-    payload = report.sweep_payload(cells, table.schema)
-    _emit(payload, args.format, report.sweep_text, report.sweep_csv)
-    return 0
+    return report.sweep_payload(cells, table.schema)
 
 
-def _cmd_xval(args: argparse.Namespace) -> int:
+def _cmd_xval(args: argparse.Namespace) -> dict:
     table = _load(args)
     params = _params(args, table)
     validity = external_validity(
         table, params, fraction=args.fraction, reps=args.reps, seed=_seed_default(args.seed)
     )
-    payload = report.xval_payload(validity, table.schema)
-    _emit(payload, args.format, report.xval_text, report.xval_csv)
-    return 0
+    return report.xval_payload(validity, table.schema)
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +487,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         t0 = time.perf_counter()
-        code = args.func(args)
+        payload = args.func(args)
+        if payload is not None:  # `synth` writes its own output
+            fmt = args.format
+            view = report.render_json if fmt == "json" else getattr(report, f"{payload['command']}_{fmt}")
+            sys.stdout.write(view(payload))
         if getattr(args, "timing", False):
             print(f"total runtime: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-        return code
+        return 0
     except _ArgumentError as exc:
         print(str(exc), file=sys.stderr)
         return 1

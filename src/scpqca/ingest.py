@@ -161,7 +161,7 @@ def _calibrate_column(
         if bad:
             rowno, cell = _first_row_with(cells, bad)
             raise InputError(
-                f"row {rowno}, column {name!r}: non-numeric value {_echo(cell)!r} under cutpoint calibration"
+                f"row {rowno}, column {_echo(name)!r}: non-numeric value {_echo(cell)!r} under cutpoint calibration"
             )
         return _decode(cells, code), Factor(name, calib.levels, cutpoints=calib.points)
 
@@ -170,7 +170,7 @@ def _calibrate_column(
         bad = {c for c, v in ints.items() if v < 0}
         if bad:
             rowno, cell = _first_row_with(cells, bad)
-            raise InputError(f"row {rowno}, column {name!r}: negative level {_echo_ratio(ints[cell])}")
+            raise InputError(f"row {rowno}, column {_echo(name)!r}: negative level {_echo_ratio(ints[cell])}")
         levels = max(2, max(ints.values(), default=1) + 1)
         return _decode(cells, ints), Factor(name, levels)
 

@@ -73,8 +73,9 @@ class VacuousSolutionError(ScpqcaError):
     """No admissible cover and no necessary conditions: nothing to report."""
 
 
-# Pathway terms, levels and sweep consistencies longer than this are echoed
-# in errors cut to 12 characters and "...", as ingest cuts a long cell.
+# Pathway terms, levels, sweep consistencies and header names longer than
+# this are echoed in errors cut to 12 characters and "...", as ingest cuts a
+# long cell.
 _ECHO_LIMIT = 40
 
 
@@ -191,11 +192,11 @@ class Factor:
         if not self.name:
             raise InputError("factor name must be non-empty")
         if self.levels < 2:
-            raise InputError(f"factor {self.name!r}: level count must be >= 2")
+            raise InputError(f"factor {_echo(self.name)!r}: level count must be >= 2")
         if self.levels > 1 << 15:
-            raise InputError(f"factor {self.name!r}: {_echo_ratio(self.levels)} levels exceed the limit of 32768")
+            raise InputError(f"factor {_echo(self.name)!r}: {_echo_ratio(self.levels)} levels exceed the limit of 32768")
         if self.labels is not None and len(self.labels) != self.levels:
-            raise InputError(f"factor {self.name!r}: {len(self.labels)} labels for {self.levels} levels")
+            raise InputError(f"factor {_echo(self.name)!r}: {len(self.labels)} labels for {self.levels} levels")
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,19 @@ from .model import (
 )
 from .pipeline import SolveResult, solve
 
+# Each repetition is one solve and one row of the report, so a count past
+# this is a typing slip, not a run: it is refused before any repetition runs.
+MAX_REPS = 10**5
+
+
+def check_reps(reps: int) -> int:
+    """`reps` if it lies in [1, MAX_REPS], else an InputError that echoes it cut."""
+    if reps < 1:
+        raise InputError(f"reps must be >= 1, got {_echo_ratio(reps)}")
+    if reps > MAX_REPS:
+        raise InputError(f"reps must be <= {MAX_REPS}, got {_echo_ratio(reps)}")
+    return reps
+
 
 class ValidityClass(Enum):
     REPLICATED = "replicated"
@@ -237,13 +250,12 @@ def external_validity(
     A repetition whose subsample cannot be solved (for instance no positive
     cases survive) is recorded as degenerate with no configurations. The full
     solve and every repetition share one candidate pool at `params.cutoff`.
+    `reps` outside [1, MAX_REPS] is an InputError, raised before any solve.
     """
     exact = as_fraction(fraction)
     if not 0 < exact < 1:
         raise InputError(f"fraction must be in (0,1), got {fraction}")
-    reps = as_index(reps, "reps")
-    if reps < 1:
-        raise InputError(f"reps must be >= 1, got {reps}")
+    reps = check_reps(as_index(reps, "reps"))
     table.require_unique_ids()
 
     pool = CandidatePool(params.cutoff)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scpqca import load_csv
+from scpqca import load_csv, pathways, robustness
 from scpqca.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -380,6 +380,24 @@ class TestErrors:
         code, out, err = run_cli("experiment", "--factors", "3", "--pathway", "ab", "--reps", reps, "--format", "json")
         assert (code, out, err) == (1, "", f"error: reps must be >= 1, got {reps}\n")
 
+    @pytest.mark.parametrize("command", ["xval", "experiment"])
+    @pytest.mark.parametrize(
+        "reps, message",
+        [("9" * 60, "reps must be <= 100000, got 999999999999..."),
+         ("100001", "reps must be <= 100000, got 100001"),
+         ("-" + "9" * 3000, "reps must be >= 1, got -99999999999...")],
+        ids=["60-nines", "one-past", "minus-3000-nines"],
+    )
+    def test_reps_out_of_bounds_is_refused_before_any_rep(self, monkeypatch, command, reps, message):
+        def no_rep(*args, **kwargs):
+            raise AssertionError("a rep ran")
+
+        monkeypatch.setattr(robustness, "solve", no_rep)
+        monkeypatch.setattr(pathways, "run_experiment", no_rep)
+        args = M1 if command == "xval" else ["--factors", "3", "--pathway", "ab"]
+        code, out, err = run_cli(command, *args, "--reps", reps)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("confounds", ["", ","])
     def test_experiment_empty_confounds(self, confounds):
         code, out, err = run_cli("experiment", "--factors", "3", "--pathway", "ab", "--confounds", confounds)
@@ -390,6 +408,35 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert "unrecognized arguments: --threads 2" in err
+
+
+# A header name longer than 40 characters is echoed as its first 12 and "...";
+# one of 40 or fewer is echoed whole.
+@pytest.mark.parametrize(
+    "name, shown", [("N" * 5000, "NNNNNNNNNNNN..."), ("N" * 41, "NNNNNNNNNNNN..."), ("N" * 40, "N" * 40)],
+    ids=["5000", "41", "40"],
+)
+class TestLongHeaderNames:
+    def test_the_float_column_warning_echoes_both_names_cut(self, tmp_path, name, shown):
+        p = tmp_path / "t.csv"
+        p.write_text(f"id,{name},O\na,0.25,1\nb,0.5,0\nc,0.75,1\n")
+        code, out, err = run_cli("solve", "--data", str(p), "--outcome", "O")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"warning: column {shown!r} has 3 levels, one per distinct number; "
+            f"calibrate it with --cutpoints {shown}:p1,p2,...\n"
+            "error: no admissible cover and no necessary conditions\n"
+        )
+
+    def test_the_necessity_conflict_warning_echoes_the_name_cut(self, tmp_path, name, shown):
+        p = tmp_path / "t.csv"
+        p.write_text(f"id,{name},O\na,1,1\nb,0,1\nc,1,1\nd,0,1\ne,0,0\n")
+        code, _, err = run_cli("necessity", "--data", str(p), "--outcome", "O", "--necessity-threshold", "0.4")
+        assert code == 0
+        assert err == (
+            f"warning: multiple levels of factor(s) {shown} qualify as necessary; "
+            "solve conjoins none of them unless --assume-necessary picks one\n"
+        )
 
 
 # An invalid value for each analysis flag, and the flags each subcommand reads.
@@ -867,21 +914,31 @@ LONG_VALUE = st.builds(
     lambda prefix, unit, n: prefix + (unit * n)[:n],
     st.sampled_from(["", "-", "A:", "A="]), st.sampled_from(["9", "x", "x ", "1,"]), st.integers(41, 5000),
 )
+# A header name of 41 to 5 000 characters, the longest drawn most often, so
+# that an error which echoes it whole passes the stderr bound.
+LONG_NAME = st.builds(lambda n: "N" * n, st.one_of(st.just(5000), st.integers(41, 5000)))
 
 
 @st.composite
 def cli_inputs(draw, commands):
     header = draw(st.lists(st.sampled_from(["id", "A", "B", "C", "x y"]), min_size=0, max_size=4, unique=True))
+    long_name = draw(LONG_NAME) if draw(SOMETIMES) else None  # one header name of 41 to 5 000 characters
+    if long_name:
+        header.insert(draw(st.integers(0, len(header))), long_name)
     header.insert(draw(st.integers(0, len(header))), "O")
     numbered_ids = draw(st.booleans())
     tame = draw(SOMETIMES)  # clean bits and no bad flags, so that most runs reach the analysis
     cell_strategy = BIT if tame else draw(st.sampled_from([BIT, FUZZ_CELL]))  # a clean 0/1 file or a messy one
     if not tame and draw(SOMETIMES):  # one long value, in any number of cells
         cell_strategy = st.one_of(cell_strategy, st.just(draw(LONG_VALUE)))
+    # Out of the tame runs, the long-named column holds bits and one kind of
+    # cell whose error or warning echoes the name: a negative level, a
+    # fraction (a numeric label column) or a letter (under `--cutpoints`).
+    named_cell = cell_strategy if tame else st.one_of(BIT, st.just(draw(st.sampled_from(["-1", "0.5", "x"]))))
     follow_a = "A" in header and draw(st.booleans())  # the outcome copies A, so solve often finds a cover
     rows = []
     for i in range(draw(st.integers(0, 12))):
-        cells = draw(st.tuples(*(cell_strategy for _ in header)))
+        cells = draw(st.tuples(*(named_cell if name == long_name else cell_strategy for name in header)))
         row = [f"c{i}" if name == "id" and numbered_ids else cell for name, cell in zip(header, cells)]
         if follow_a:
             row[header.index("O")] = row[header.index("A")]
@@ -895,8 +952,7 @@ def cli_inputs(draw, commands):
     declared = DECLARED_FLAGS[command]
     # One declared flag may get a long value, put last so that it wins over a
     # short one. `--emit-schema` is left out, since it writes where its value
-    # names, and a run of digits as `--reps` would ask for more reps than a
-    # run can make (no upper bound is checked).
+    # names.
     long_flag = draw(st.sampled_from(sorted(declared - {"--emit-schema"}))) if not tame and draw(SOMETIMES) else None
     for flag, entries in (SWEEP_LISTS if command == "sweep" else {}).items():
         # With a long list, the grid would be its product with the others.
@@ -919,7 +975,7 @@ def cli_inputs(draw, commands):
         flag = draw(st.sampled_from(undeclared))
         args += [flag, draw(st.sampled_from(FUZZ_FLAGS[flag]))]
     if long_flag:  # after a store-true flag, the value is a stray argument
-        args += [long_flag, draw(LONG_VALUE.filter(lambda v: long_flag != "--reps" or not v.isdigit()))]
+        args += [long_flag, draw(LONG_VALUE)]
     if not tame and draw(RARELY):  # stray arguments anywhere after the subcommand
         for stray in draw(st.lists(st.one_of(st.sampled_from(["x", "1", "-"]), LONG_VALUE), min_size=1, max_size=2)):
             args.insert(draw(st.integers(1, len(args))), stray)

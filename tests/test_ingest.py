@@ -659,6 +659,30 @@ class TestLongDataValuesInErrors:
         assert got == ("InputError", f"{tmp_path / 't.csv'}: duplicate case id {shown!r} at rows 2 and 4")
 
 
+# A header name longer than 40 characters is echoed as its first 12 and "...";
+# one of 40 or fewer is echoed whole.
+LONG_NAMES = pytest.mark.parametrize(
+    "name, shown", [("N" * 5000, "NNNNNNNNNNNN..."), ("N" * 41, "NNNNNNNNNNNN..."), ("N" * 40, "N" * 40)],
+    ids=["5000", "41", "40"],
+)
+
+
+@LONG_NAMES
+class TestLongHeaderNamesInErrors:
+    def test_a_non_numeric_cell_under_cutpoints(self, tmp_path, name, shown):
+        spec = CalibrationSpec({name: Cutpoints((0.5,))})
+        got = load_text(tmp_path / "t.csv", f"id,{name},O\na,1,1\nb,x,0\n", "O", spec)
+        assert got == ("InputError", f"row 3, column {shown!r}: non-numeric value 'x' under cutpoint calibration")
+
+    def test_a_negative_level(self, tmp_path, name, shown):
+        got = load_text(tmp_path / "t.csv", f"id,{name},O\na,1,1\nb,-1,0\n", "O")
+        assert got == ("InputError", f"row 3, column {shown!r}: negative level -1")
+
+    def test_an_integer_column_of_more_than_32768_levels(self, tmp_path, name, shown):
+        got = load_text(tmp_path / "t.csv", f"id,{name},O\na,40000,1\nb,0,0\n", "O")
+        assert got == ("InputError", f"factor {shown!r}: 40001 levels exceed the limit of 32768")
+
+
 
 # ---------------------------------------------------------------------------
 # The splitter is picked once, from the whole text, before any cell is read:

@@ -327,6 +327,22 @@ class TestTypes:
             build()
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "name, shown", [("F" * 5000, "FFFFFFFFFFFF..."), ("F" * 41, "FFFFFFFFFFFF..."), ("F" * 40, "F" * 40)],
+        ids=["5000", "41", "40"],
+    )
+    @pytest.mark.parametrize(
+        "levels, labels, message",
+        [(1, None, "level count must be >= 2"),
+         (40000, None, "40000 levels exceed the limit of 32768"),
+         (2, ("a",), "1 labels for 2 levels")],
+        ids=["one-level", "too-many-levels", "labels"],
+    )
+    def test_a_long_factor_name_is_echoed_cut(self, name, shown, levels, labels, message):
+        with pytest.raises(InputError) as err:
+            Factor(name, levels, labels)
+        assert str(err.value) == f"factor {shown!r}: {message}"
+
     def test_table_value_range_checked(self):
         schema = binary_schema(["A"])
         with pytest.raises(InputError):

@@ -19,7 +19,8 @@ from scpqca import (
     parse_pathway,
     synth_schema,
 )
-from scpqca.robustness import classify_with_match
+from scpqca import robustness
+from scpqca.robustness import MAX_REPS, check_reps, classify_with_match
 
 
 class TestClassify:
@@ -205,6 +206,22 @@ class TestExternalValidity:
     def test_non_integer_reps_rejected(self, m1_table):
         with pytest.raises(InputError, match="reps must be an integer, got 2.5"):
             external_validity(m1_table, AnalysisParams(decision_label=1), reps=2.5)
+
+    @pytest.mark.parametrize(
+        "reps, message",
+        [(0, "reps must be >= 1, got 0"),
+         (-(10**3000), "reps must be >= 1, got -10000000000..."),
+         (MAX_REPS + 1, "reps must be <= 100000, got 100001"),
+         (10**60, "reps must be <= 100000, got 100000000000...")],
+    )
+    def test_reps_out_of_bounds_rejected_before_any_solve(self, m1_table, monkeypatch, reps, message):
+        monkeypatch.setattr(robustness, "solve", None)  # a solve would raise TypeError
+        with pytest.raises(InputError) as err:
+            external_validity(m1_table, AnalysisParams(decision_label=1), reps=reps)
+        assert str(err.value) == message
+
+    def test_the_reps_bound_is_inclusive(self):
+        assert check_reps(1) == 1 and check_reps(MAX_REPS) == MAX_REPS
 
     def test_string_fraction_read_as_its_decimal(self):
         table = _clean_table()
