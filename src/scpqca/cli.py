@@ -510,8 +510,6 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return int(code) if isinstance(code, int) else 0
     except Exception as exc:  # pragma: no cover - safety net, no bare traces
-        if os.environ.get("SCPQCA_DEBUG"):
-            raise
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -211,7 +211,7 @@ class FactorSchema:
         if len(set(names)) != len(names):
             raise InputError("factor names must be unique")
         if self.outcome.name in names:
-            raise InputError(f"outcome name {self.outcome.name!r} collides with a factor")
+            raise InputError(f"outcome name {_echo(self.outcome.name)!r} collides with a factor")
 
     @property
     def outcome_name(self) -> str:
@@ -312,13 +312,16 @@ def _column(cells: Sequence, levels: int) -> bytes | array | None:
     return None
 
 
-def _bad_cell(cells: Sequence, levels: int, ids: Sequence[str], what: str, where: str) -> str:
-    """Error text naming the first cell that is not an integer level below `levels`."""
+def _bad_cell(cells: Sequence, levels: int, ids: Sequence[str], factor: Factor | None) -> str:
+    """Error text naming the first cell that is not an integer level below
+    `levels`, in the column of `factor` (None for the outcome column)."""
+    what, where = ("outcome", "") if factor is None else ("value", f" for factor {_echo(factor.name)!r}")
     for cid, v in zip(ids, cells):
         if not hasattr(type(v), "__index__"):
-            return f"case {cid!r}: {what} {v!r}{where} is not an integer level"
+            shown = repr(_echo(v)) if isinstance(v, str) else _echo(repr(v))
+            return f"case {_echo(cid)!r}: {what} {shown}{where} is not an integer level"
         if not 0 <= index(v) < levels:
-            return f"case {cid!r}: {what} {index(v)} out of range{where} (levels 0..{levels - 1})"
+            return f"case {_echo(cid)!r}: {what} {_echo_ratio(index(v))} out of range{where} (levels 0..{levels - 1})"
     raise AssertionError("a rejected column holds no bad cell")
 
 
@@ -376,13 +379,13 @@ class CaseTable:
         if len(outcomes) != n:
             raise InputError(f"{len(outcomes)} outcomes do not match {n} cases")
         stored = []
-        for cells, levels, what, where in [
-            *((cells, f.levels, "value", f" for factor {f.name!r}") for cells, f in zip(columns, factors)),
-            (outcomes, self.schema.outcome_levels, "outcome", ""),
+        for cells, levels, factor in [
+            *((cells, f.levels, f) for cells, f in zip(columns, factors)),
+            (outcomes, self.schema.outcome_levels, None),
         ]:
             col = _column(cells, levels)
             if col is None:
-                raise InputError(_bad_cell(cells, levels, ids, what, where))
+                raise InputError(_bad_cell(cells, levels, ids, factor))
             stored.append(col)
         *stored, outcome_column = stored
         object.__setattr__(self, "ids", ids)
@@ -608,8 +611,8 @@ def match_bits(conjunction: Conjunction, table: CaseTable) -> int:
             raise InputError(f"factor index {lit.factor_index} out of range for {nf} factors")
         if lit.value >= table.schema.factors[lit.factor_index].levels:
             raise InputError(
-                f"value {lit.value} out of range for factor "
-                f"{table.schema.factors[lit.factor_index].name!r}"
+                f"value {_echo_ratio(lit.value)} out of range for factor "
+                f"{_echo(table.schema.factors[lit.factor_index].name)!r}"
             )
         bits &= table.literal_bits(lit.factor_index, lit.value)
     return bits

@@ -2,9 +2,9 @@
 
 Every subcommand first builds a plain-dict payload (the JSON output), then
 the text and CSV renderers derive their views from it, so the three formats
-always agree on the numbers; where the text and CSV views show the same
-rows, one row builder makes them for both. Ratios are formatted with four
-decimals, trailing zeros trimmed ("1.0", "0.8333", "0.94").
+always agree on the numbers; each command's text and CSV views take their
+rows from one row builder. Ratios are formatted with four decimals,
+trailing zeros trimmed ("1.0", "0.8333", "0.94").
 
 Configuration charts mark a binary level 1 with a solid circle, level 0
 with a hollow circle, multi-value levels with the integer itself, and
@@ -217,33 +217,33 @@ def candidates_payload(
     }
 
 
+def _candidate_rows(payload: dict, free: str, tail_head: list[str], tail) -> list[list[str]]:
+    """Rule number, levels (`free` where the rule leaves a factor free), expression,
+    consistency, then the columns `tail(entry)` names under `tail_head`."""
+    rules = payload["rules"]
+    names = list(rules[0]["conditions"]) if rules else []
+    rows = [["rule", *names, "expression", "consistency", *tail_head]]
+    for i, entry in enumerate(rules, start=1):
+        levels = [free if v is None else str(v) for v in entry["conditions"].values()]
+        rows.append([str(i), *levels, entry["expression"], fmt_ratio(entry["consistency"]), *tail(entry)])
+    return rows
+
+
 def candidates_text(payload: dict) -> str:
-    factor_names = list(payload["rules"][0]["conditions"].keys()) if payload["rules"] else []
-    rows = [["rule", *factor_names, "expression", "consistency", "cases"]]
-    for i, entry in enumerate(payload["rules"], start=1):
-        marks = ["-" if entry["conditions"][n] is None else str(entry["conditions"][n]) for n in factor_names]
-        rows.append(
-            [str(i), *marks, entry["expression"], fmt_ratio(entry["consistency"]), ", ".join(entry["matched"])]
-        )
     head = (
         f"{payload['count']} candidate rule(s) for {payload['outcome']}={payload['decision_label']} "
         f"(consistency >= {fmt_ratio(payload['consistency_threshold'])}, cutoff {payload['cutoff']})\n"
     )
     if not payload["rules"]:
         return head
+    rows = _candidate_rows(payload, "-", ["cases"], lambda entry: [", ".join(entry["matched"])])
     return head + _grid(rows) + "\n"
 
 
 def candidates_csv(payload: dict) -> str:
-    factor_names = list(payload["rules"][0]["conditions"].keys()) if payload["rules"] else []
-    rows: list[list[object]] = [["rule", *factor_names, "expression", "consistency", "matched_count", "matched"]]
-    for i, entry in enumerate(payload["rules"], start=1):
-        marks = ["" if entry["conditions"][n] is None else entry["conditions"][n] for n in factor_names]
-        rows.append(
-            [i, *marks, entry["expression"], fmt_ratio(entry["consistency"]), entry["matched_count"],
-             ";".join(entry["matched"])]
-        )
-    return _csv_string(rows)
+    return _csv_string(_candidate_rows(
+        payload, "", ["matched_count", "matched"], lambda entry: [str(entry["matched_count"]), ";".join(entry["matched"])]
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +307,18 @@ def solve_payload(result: SolveResult, oracle: Sequence[CandidateRule] | None = 
     return payload
 
 
+def _solve_columns(payload: dict, mark) -> list[list[str]]:
+    """One column per configuration: index, `mark(factor, level)` per factor
+    (level None where the configuration leaves the factor free), consistency,
+    coverage and unique coverage."""
+    names = list(payload["factor_levels"])
+    return [
+        [str(c["index"]), *[mark(n, c["conditions"][n]) for n in names],
+         fmt_ratio(c["consistency"]), str(c["coverage"]), str(c["unique_coverage"])]
+        for c in payload["configurations"]
+    ]
+
+
 def solve_text(payload: dict) -> str:
     out = []
     label = f"{payload['outcome']}={payload['decision_label']}"
@@ -320,28 +332,22 @@ def solve_text(payload: dict) -> str:
     out.append(f"Candidate rules: {payload['candidate_count']}")
     configs = payload["configurations"]
     if configs:
-        factor_names = list(configs[0]["conditions"].keys())
         levels = payload["factor_levels"]
         conjoined = {n["factor"] for n in nec if n["conjoined"]}
-        rows = [["Configuration", *[str(c["index"]) for c in configs]]]
-        for name in factor_names:
-            marks = []
-            for c in configs:
-                v = c["conditions"][name]
-                if name in conjoined:
-                    marks.append(NECESSARY_MARK)
-                elif v is None:
-                    marks.append("")
-                elif levels[name] == 2:
-                    marks.append(SOLID if v == 1 else HOLLOW)
-                else:
-                    marks.append(str(v))
-            rows.append([name, *marks])
-        rows.append(["Consistency", *[fmt_ratio(c["consistency"]) for c in configs]])
-        rows.append(["Coverage", *[str(c["coverage"]) for c in configs]])
-        rows.append(["Unique coverage", *[str(c["unique_coverage"]) for c in configs]])
+
+        def mark(name: str, v: int | None) -> str:
+            if name in conjoined:
+                return NECESSARY_MARK
+            if v is None:
+                return ""
+            if levels[name] == 2:
+                return SOLID if v == 1 else HOLLOW
+            return str(v)
+
+        labels = ["Configuration", *levels, "Consistency", "Coverage", "Unique coverage"]
+        columns = _solve_columns(payload, mark)
         out.append("")
-        out.append(_grid(rows))
+        out.append(_grid([[label, *cells] for label, cells in zip(labels, zip(*columns))]))
         if all(len(c["covered_cases"]) <= 12 for c in configs):
             out.append("")
             for c in configs:
@@ -363,8 +369,7 @@ def solve_text(payload: dict) -> str:
 
 
 def solve_csv(payload: dict) -> str:
-    configs = payload["configurations"]
-    factor_names = list(payload["factor_levels"].keys())
+    factor_names = list(payload["factor_levels"])
     ratios = [fmt_ratio(payload["solution"]["coverage"]), fmt_ratio(payload["solution"]["consistency"])]
     rows: list[list[object]] = [
         [
@@ -377,19 +382,9 @@ def solve_csv(payload: dict) -> str:
             "solution_consistency",
         ]
     ]
-    for c in configs:
-        marks = ["" if c["conditions"][n] is None else c["conditions"][n] for n in factor_names]
-        rows.append(
-            [
-                c["index"],
-                *marks,
-                fmt_ratio(c["consistency"]),
-                c["coverage"],
-                c["unique_coverage"],
-                *ratios,
-            ]
-        )
-    if not configs:
+    for column in _solve_columns(payload, lambda _, v: "" if v is None else str(v)):
+        rows.append([*column, *ratios])
+    if not payload["configurations"]:
         # necessary-only solution: one row carrying the conjoined literals
         nec = {n["factor"]: n["level"] for n in payload["necessity"] if n["conjoined"]}
         marks = [nec.get(n, "") for n in factor_names]
@@ -534,22 +529,24 @@ def xval_payload(report: ValidityReport, schema: FactorSchema) -> dict:
     }
 
 
+def _xval_rows(payload: dict, labels: Sequence[str], zero: str, blank: str) -> list[list[str]]:
+    """The three class rows, the not-identified row and the accuracy row under
+    `labels`; `zero` marks a class no repetition gave, `blank` the per-configuration
+    cells of the not-identified row."""
+    per, totals = payload["per_original"], payload["totals"]
+    rows = [
+        [label, *[str(o[key]) if o[key] else zero for o in per], str(totals[key])]
+        for label, key in zip(labels, ("replicated", "superset", "subset"))
+    ]
+    rows.append([labels[3], *[blank] * len(per), str(totals["not_identified"])])
+    rows.append([labels[4], *[fmt_ratio(o["accuracy"]) for o in per], fmt_ratio(payload["overall_accuracy"])])
+    return rows
+
+
 def xval_text(payload: dict) -> str:
     k = len(payload["per_original"])
-    rows = [["", *[str(i + 1) for i in range(k)], "Number"]]
-    for key in ("replicated", "superset", "subset"):
-        rows.append(
-            [key.capitalize(), *[str(o[key]) if o[key] else "-" for o in payload["per_original"]],
-             str(payload["totals"][key])]
-        )
-    rows.append(["not Identified", *["-"] * k, str(payload["totals"]["not_identified"])])
-    rows.append(
-        [
-            "Accuracy",
-            *[fmt_ratio(o["accuracy"]) for o in payload["per_original"]],
-            fmt_ratio(payload["overall_accuracy"]),
-        ]
-    )
+    labels = ("Replicated", "Superset", "Subset", "not Identified", "Accuracy")
+    rows = [["", *[str(i + 1) for i in range(k)], "Number"], *_xval_rows(payload, labels, "-", "-")]
     head_items = [f"{i + 1}: {o['expression']}" for i, o in enumerate(payload["per_original"])]
     head = (
         f"External validity, {payload['reps']} repetitions removing "
@@ -564,12 +561,6 @@ def xval_text(payload: dict) -> str:
 
 def xval_csv(payload: dict) -> str:
     k = len(payload["per_original"])
-    rows: list[list[object]] = [["metric", *[f"config_{i + 1}" for i in range(k)], "number"]]
-    for key in ("replicated", "superset", "subset"):
-        rows.append([key, *[o[key] for o in payload["per_original"]], payload["totals"][key]])
-    rows.append(["not_identified", *[""] * k, payload["totals"]["not_identified"]])
-    rows.append(
-        ["accuracy", *[fmt_ratio(o["accuracy"]) for o in payload["per_original"]],
-         fmt_ratio(payload["overall_accuracy"])]
-    )
+    labels = ("replicated", "superset", "subset", "not_identified", "accuracy")
+    rows = [["metric", *[f"config_{i + 1}" for i in range(k)], "number"], *_xval_rows(payload, labels, "0", "")]
     return _csv_string(rows)

@@ -410,6 +410,49 @@ class TestCellChecks:
                 CaseTable(schema, ("x",), values, outcomes)
 
 
+def cut(text: str) -> str:
+    """`text` as errors echo it: whole up to 40 characters, else its first 12 and '...'."""
+    return text if len(text) <= 40 else text[:12] + "..."
+
+
+@pytest.mark.parametrize("n", [5000, 41, 40], ids=["5000", "41", "40"])
+class TestLongValuesInModelErrors:
+    """A long factor name, outcome name, case id or cell is echoed cut."""
+
+    def test_factor_name_in_a_cell_error(self, n):
+        schema = FactorSchema((Factor("F" * n, 2),), Factor("O", 2))
+        with pytest.raises(InputError) as err:
+            CaseTable(schema, ("a", "b"), ((0,), (5,)), (1, 0))
+        assert str(err.value) == f"case 'b': value 5 out of range for factor {cut('F' * n)!r} (levels 0..1)"
+        with pytest.raises(InputError) as err:
+            CaseTable(schema, ("a", "b"), ((0,), (0.5,)), (1, 0))
+        assert str(err.value) == f"case 'b': value 0.5 for factor {cut('F' * n)!r} is not an integer level"
+
+    def test_case_id_and_cell(self, n):
+        schema = binary_schema(["A"])
+        with pytest.raises(InputError) as err:
+            CaseTable(schema, ("a", "i" * n), ((0,), (1,)), (1, 7))
+        assert str(err.value) == f"case {cut('i' * n)!r}: outcome 7 out of range (levels 0..1)"
+        with pytest.raises(InputError) as err:
+            CaseTable(schema, ("a", "b"), ((0,), ("x" * n,)), (1, 0))
+        assert str(err.value) == f"case 'b': value {cut('x' * n)!r} for factor 'A' is not an integer level"
+        with pytest.raises(InputError) as err:
+            CaseTable(schema, ("a", "b"), ((0,), (10**5000,)), (1, 0))
+        assert str(err.value) == "case 'b': value 100000000000... out of range for factor 'A' (levels 0..1)"
+
+    def test_outcome_name_collision(self, n):
+        with pytest.raises(InputError) as err:
+            FactorSchema((Factor("A", 2), Factor("N" * n, 2)), Factor("N" * n, 2))
+        assert str(err.value) == f"outcome name {cut('N' * n)!r} collides with a factor"
+
+    def test_factor_name_in_match_bits(self, n):
+        table = CaseTable(FactorSchema((Factor("F" * n, 2),), Factor("O", 2)), ("a", "b"), ((0,), (1,)), (1, 0))
+        for value, shown in [(2, "2"), (10**5000, "100000000000...")]:
+            with pytest.raises(InputError) as err:
+                matched_ids(Conjunction((Literal(0, value),)), table)
+            assert str(err.value) == f"value {shown} out of range for factor {cut('F' * n)!r}"
+
+
 LEVEL_CHOICES = st.sampled_from([2, 3, 255, 256, 257, 300])
 
 

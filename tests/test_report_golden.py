@@ -30,6 +30,8 @@ CASES = {
     "necessity": ["necessity", *REMOTE],
     "necessity_none": ["necessity", *REMOTE, "--necessity-threshold", "1"],
     "candidates": ["candidates", *REMOTE, "--cutoff", "4"],
+    # No rule passes the cutoff, so the CSV header has no factor columns.
+    "candidates_none": ["candidates", *REMOTE, "--cutoff", "9"],
     "solve": ["solve", *REMOTE, "--cutoff", "4"],
     "solve_oracle": ["solve", *REMOTE, "--cutoff", "4", "--oracle"],
     "solve_necessary_only": ["solve", *M1, "--unique-cover", "1"],
@@ -43,6 +45,9 @@ CASES = {
     "sweep_invalid_cells": ["sweep", *REMOTE, "--cutoff-list", "0,4,2", "--consistency-list", "0,0.8,1.5",
                             "--unique-cover-list", "0,2"],
     "xval": ["xval", *REMOTE, "--cutoff", "4", "--reps", "3", "--seed", "11"],
+    # Some repetitions find no solution, so the text ends with their count.
+    "xval_degenerate": ["xval", "--data", str(ROOT / "data" / "m1.csv"), "--outcome", "O", "--reps", "6",
+                        "--fraction", "0.6", "--seed", "1"],
 }
 
 
