@@ -73,6 +73,7 @@ from .model import (
     FactorSchema,
     InputError,
     Literal,
+    _echo,
     as_fraction,
     as_index,
     bits_of,
@@ -84,7 +85,7 @@ def _check_factor_set(schema: FactorSchema, factor_set: Sequence[int]) -> tuple[
     factors = tuple(sorted({as_index(i, "factor index") for i in factor_set}))
     for i in factors:
         if not 0 <= i < nf:
-            raise InputError(f"factor index {i} out of range (table has {nf} factors)")
+            raise InputError(f"factor index {_echo(i)} out of range (table has {nf} factors)")
     return factors
 
 
@@ -198,7 +199,7 @@ class CandidatePool:
     def __init__(self, cutoff: int, consistency: Fraction | float | str | None = None) -> None:
         cutoff = as_index(cutoff, "cutoff")
         if cutoff < 1:
-            raise InputError(f"cutoff must be >= 1, got {cutoff}")
+            raise InputError(f"cutoff must be >= 1, got {_echo(cutoff)}")
         self.cutoff = cutoff
         self.consistency = None if consistency is None else as_fraction(consistency)
         self._table: CaseTable | None = None

@@ -144,7 +144,7 @@ def _parse_literals(text: str, table: CaseTable) -> tuple[Literal, ...]:
             raise InputError(f"--assume-necessary {_echo(part)!r}: level must be an integer") from None
         if not 0 <= v < table.schema.factors[idx].levels:
             raise InputError(
-                f"--assume-necessary {_echo(part)!r}: level {_echo(str(v))} out of range "
+                f"--assume-necessary {_echo(part)!r}: level {_echo(v)} out of range "
                 f"(0..{table.schema.factors[idx].levels - 1})"
             )
         lits.append(Literal(idx, v))
@@ -162,7 +162,7 @@ def _resolve_label(table: CaseTable, label: str) -> int:
             f"--label {_echo(label)!r} is neither an outcome label nor an integer level"
         ) from None
     if not 0 <= value < outcome.levels:
-        raise InputError(f"--label {_echo(str(value))} out of range (outcome levels 0..{outcome.levels - 1})")
+        raise InputError(f"--label {_echo(value)} out of range (outcome levels 0..{outcome.levels - 1})")
     return value
 
 
@@ -323,38 +323,23 @@ def _cmd_experiment(args: argparse.Namespace) -> dict:
     if not confounds:
         raise InputError("--confounds must list at least one count")
     check_reps(args.reps)
+
+    def row(c, rep, seed, expression, consistency, coverage, candidates) -> dict:
+        return {"confounds": c, "rep": rep, "seed": seed, "expression": expression,
+                "consistency": float(consistency), "coverage": float(coverage), "candidates": candidates}
+
     rows = []
     for c in confounds:
+        # Only each repetition's three exact figures are kept: --reps goes up to 100 000.
         per_rep: list[tuple[Fraction, Fraction, int]] = []
         for rep in range(args.reps):
             seed = base_seed if args.reps == 1 else derive_seed(base_seed, rep)
-            rep_report = run_experiment(
-                ExperimentSpec(schema, pathway, args.samples, c, seed), params
-            )
-            rows.append(
-                {
-                    "confounds": c,
-                    "rep": rep if args.reps > 1 else None,
-                    "seed": seed,
-                    "expression": rep_report.expression,
-                    "consistency": float(rep_report.consistency),
-                    "coverage": float(rep_report.coverage),
-                    "candidates": rep_report.candidate_count,
-                }
-            )
-            per_rep.append((rep_report.consistency, rep_report.coverage, rep_report.candidate_count))
+            got = run_experiment(ExperimentSpec(schema, pathway, args.samples, c, seed), params)
+            per_rep.append((got.consistency, got.coverage, got.candidate_count))
+            rows.append(row(c, rep if args.reps > 1 else None, seed, got.expression, *per_rep[-1]))
         if args.reps > 1:
-            rows.append(
-                {
-                    "confounds": c,
-                    "rep": "median",
-                    "seed": base_seed,
-                    "expression": "-",
-                    "consistency": float(median(x for x, _, _ in per_rep)),
-                    "coverage": float(median(y for _, y, _ in per_rep)),
-                    "candidates": int(median(n for _, _, n in per_rep)),
-                }
-            )
+            consistency, coverage, candidates = map(median, zip(*per_rep))
+            rows.append(row(c, "median", base_seed, "-", consistency, coverage, int(candidates)))
     return report.experiment_payload(
         rows,
         {

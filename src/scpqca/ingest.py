@@ -67,7 +67,7 @@ from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from .model import CaseTable, Factor, FactorSchema, InputError, _echo, _echo_ratio
+from .model import CaseTable, Factor, FactorSchema, InputError, _echo
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def _parse_int(cell: str) -> int | None:
             return int(cell)
         except ValueError:  # past the interpreter's limit on digits per integer
             raise InputError(
-                f"integer cell {cell[:12]}... has {len(digits)} digits, too many for a level"
+                f"integer cell {_echo(cell)} has {len(digits)} digits, too many for a level"
             ) from None
     return None
 
@@ -170,7 +170,7 @@ def _calibrate_column(
         bad = {c for c, v in ints.items() if v < 0}
         if bad:
             rowno, cell = _first_row_with(cells, bad)
-            raise InputError(f"row {rowno}, column {_echo(name)!r}: negative level {_echo_ratio(ints[cell])}")
+            raise InputError(f"row {rowno}, column {_echo(name)!r}: negative level {_echo(ints[cell])}")
         levels = max(2, max(ints.values(), default=1) + 1)
         return _decode(cells, ints), Factor(name, levels)
 

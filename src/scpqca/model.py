@@ -41,6 +41,13 @@ as columns and builds a rule object only for a rule that is read.
 the frequency cutoff, the unique-cover floor and the rest) and checks them
 when it is built, so every stage reads them as they are.
 
+Every value an error names, from any module, goes through `_echo`: whole up
+to 40 characters, else its first 12 and "...". An int or `Fraction` is cut
+from its leading digits, so one past the interpreter's int-to-text limit is
+echoed too. Whether a literal fits a schema is checked once, by
+`_check_literal`, for `match_bits`, `necessity.exclude_necessary` and
+`pathways.PathwaySpec`.
+
 All types are immutable after construction (the bitset cache only memoizes)
 and all operations are pure, so values can be shared freely across threads.
 """
@@ -73,23 +80,20 @@ class VacuousSolutionError(ScpqcaError):
     """No admissible cover and no necessary conditions: nothing to report."""
 
 
-# Pathway terms, levels, sweep consistencies and header names longer than
-# this are echoed in errors cut to 12 characters and "...", as ingest cuts a
-# long cell.
+# Past this many characters an echoed value is cut to its first 12 and "...".
 _ECHO_LIMIT = 40
 
 
-def _echo(text: str) -> str:
+def _echo(x: object) -> str:
+    """``str(x)`` cut; an int or `Fraction` is cut from its leading digits, never converted whole."""
+    if isinstance(x, (int, Fraction)):
+        # m >= 10**k for k = (m.bit_length() - 1) * 30102 // 100000, so dropping
+        # its last k - _ECHO_LIMIT digits leaves its leading ones, over _ECHO_LIMIT.
+        terms = [abs(x.numerator)] + ([x.denominator] if x.denominator != 1 else [])
+        cut = [m // 10 ** max(0, (m.bit_length() - 1) * 30102 // 100000 - _ECHO_LIMIT) for m in terms]
+        x = ("-" if x < 0 else "") + "/".join(map(str, cut))
+    text = str(x)
     return text if len(text) <= _ECHO_LIMIT else text[:12] + "..."
-
-
-def _echo_ratio(x: Fraction | int) -> str:
-    """`_echo(str(x))`, without converting every digit of a huge numerator or denominator."""
-    # m >= 10**k for k = (m.bit_length() - 1) * 30102 // 100000, so dropping
-    # its last k - _ECHO_LIMIT digits leaves its leading ones, over _ECHO_LIMIT.
-    terms = [abs(x.numerator)] + ([x.denominator] if x.denominator != 1 else [])
-    cut = [m // 10 ** max(0, (m.bit_length() - 1) * 30102 // 100000 - _ECHO_LIMIT) for m in terms]
-    return _echo(("-" if x < 0 else "") + "/".join(map(str, cut)))
 
 
 def as_index(x: object, what: str) -> int:
@@ -101,7 +105,8 @@ def as_index(x: object, what: str) -> int:
     try:
         return index(x)
     except TypeError:
-        raise InputError(f"{what} must be an integer, got {x!r}") from None
+        shown = repr(_echo(x)) if isinstance(x, str) else _echo(repr(x))
+        raise InputError(f"{what} must be an integer, got {shown}") from None
 
 
 def as_fraction(x: int | float | str | Fraction) -> Fraction:
@@ -156,16 +161,16 @@ class AnalysisParams:
         object.__setattr__(self, "necessity_threshold", as_fraction(self.necessity_threshold))
         object.__setattr__(self, "decision_label", as_index(self.decision_label, "decision_label"))
         if not 0 < self.consistency_threshold <= 1:
-            raise InputError(f"consistency threshold must be in (0,1], got {_echo_ratio(self.consistency_threshold)}")
+            raise InputError(f"consistency threshold must be in (0,1], got {_echo(self.consistency_threshold)}")
         for name in ("cutoff", "max_order", "unique_cover"):
             if name == "max_order" and self.max_order is None:
                 continue  # no bound on the literals per rule
             value = as_index(getattr(self, name), name)
             if value < 1:
-                raise InputError(f"{name} must be >= 1, got {value}")
+                raise InputError(f"{name} must be >= 1, got {_echo(value)}")
             object.__setattr__(self, name, value)
         if not 0 < self.necessity_threshold <= 1:
-            raise InputError(f"necessity threshold must be in (0,1], got {_echo_ratio(self.necessity_threshold)}")
+            raise InputError(f"necessity threshold must be in (0,1], got {_echo(self.necessity_threshold)}")
         if self.assume_necessary is not None:
             Conjunction(self.assume_necessary)  # one literal per factor
 
@@ -194,7 +199,7 @@ class Factor:
         if self.levels < 2:
             raise InputError(f"factor {_echo(self.name)!r}: level count must be >= 2")
         if self.levels > 1 << 15:
-            raise InputError(f"factor {_echo(self.name)!r}: {_echo_ratio(self.levels)} levels exceed the limit of 32768")
+            raise InputError(f"factor {_echo(self.name)!r}: {_echo(self.levels)} levels exceed the limit of 32768")
         if self.labels is not None and len(self.labels) != self.levels:
             raise InputError(f"factor {_echo(self.name)!r}: {len(self.labels)} labels for {self.levels} levels")
 
@@ -321,7 +326,7 @@ def _bad_cell(cells: Sequence, levels: int, ids: Sequence[str], factor: Factor |
             shown = repr(_echo(v)) if isinstance(v, str) else _echo(repr(v))
             return f"case {_echo(cid)!r}: {what} {shown}{where} is not an integer level"
         if not 0 <= index(v) < levels:
-            return f"case {_echo(cid)!r}: {what} {_echo_ratio(index(v))} out of range{where} (levels 0..{levels - 1})"
+            return f"case {_echo(cid)!r}: {what} {_echo(index(v))} out of range{where} (levels 0..{levels - 1})"
     raise AssertionError("a rejected column holds no bad cell")
 
 
@@ -410,7 +415,7 @@ class CaseTable:
         nf = len(schema.factors)
         for c in cases:
             if len(c.values) != nf:
-                raise InputError(f"case {c.id!r}: {len(c.values)} values for {nf} factors")
+                raise InputError(f"case {_echo(c.id)!r}: {len(c.values)} values for {nf} factors")
         return cls(schema, tuple(c.id for c in cases), [c.values for c in cases], [c.outcome for c in cases])
 
     def take(self, indices: Sequence[int]) -> "CaseTable":
@@ -467,7 +472,7 @@ class CaseTable:
             seen: set[str] = set()
             for i in self.ids:
                 if i in seen:
-                    raise InputError(f"duplicate case id {i!r}; deduplicate or relabel before analysis")
+                    raise InputError(f"duplicate case id {_echo(i)!r}; deduplicate or relabel before analysis")
                 seen.add(i)
 
     def positive_bits(self, decision_label: int) -> int:
@@ -502,7 +507,7 @@ class CaseTable:
     def _check_label(self, decision_label: int) -> None:
         if not 0 <= decision_label < self.schema.outcome_levels:
             raise InputError(
-                f"decision label {decision_label} out of range "
+                f"decision label {_echo(decision_label)} out of range "
                 f"(outcome levels 0..{self.schema.outcome_levels - 1})"
             )
 
@@ -537,7 +542,7 @@ class Literal:
 
     def __post_init__(self) -> None:
         if self.factor_index < 0 or self.value < 0:
-            raise InputError(f"literal ({self.factor_index},{self.value}) must be non-negative")
+            raise InputError(f"literal ({_echo(self.factor_index)},{_echo(self.value)}) must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -555,7 +560,7 @@ class Conjunction:
         seen: set[int] = set()
         for lit in lits:
             if lit.factor_index in seen:
-                raise InputError(f"conjunction assigns factor index {lit.factor_index} twice")
+                raise InputError(f"conjunction assigns factor index {_echo(lit.factor_index)} twice")
             seen.add(lit.factor_index)
         object.__setattr__(self, "literals", lits)
 
@@ -582,8 +587,8 @@ class Conjunction:
         for lit in other.literals:
             if mine.get(lit.factor_index, lit.value) != lit.value:
                 raise InputError(
-                    f"conflicting values for factor index {lit.factor_index}: "
-                    f"{mine[lit.factor_index]} vs {lit.value}"
+                    f"conflicting values for factor index {_echo(lit.factor_index)}: "
+                    f"{_echo(mine[lit.factor_index])} vs {_echo(lit.value)}"
                 )
             mine[lit.factor_index] = lit.value
         return Conjunction(tuple(Literal(i, v) for i, v in mine.items()))
@@ -591,7 +596,7 @@ class Conjunction:
     def matches_values(self, values: Sequence[int]) -> bool:
         for lit in self.literals:
             if lit.factor_index >= len(values):
-                raise InputError(f"factor index {lit.factor_index} out of range for {len(values)} factors")
+                raise InputError(f"factor index {_echo(lit.factor_index)} out of range for {len(values)} factors")
             if values[lit.factor_index] != lit.value:
                 return False
         return True
@@ -602,18 +607,20 @@ def matches(conjunction: Conjunction, case: Case) -> bool:
     return conjunction.matches_values(case.values)
 
 
+def _check_literal(schema: FactorSchema, lit: Literal) -> None:
+    """InputError unless `lit` names a factor of `schema` and one of its levels."""
+    if lit.factor_index >= len(schema.factors):
+        raise InputError(f"factor index {_echo(lit.factor_index)} out of range for {len(schema.factors)} factors")
+    factor = schema.factors[lit.factor_index]
+    if lit.value >= factor.levels:
+        raise InputError(f"value {_echo(lit.value)} out of range for factor {_echo(factor.name)!r}")
+
+
 def match_bits(conjunction: Conjunction, table: CaseTable) -> int:
     """Bitset of the table's cases matched by the conjunction."""
     bits = (1 << len(table)) - 1
-    nf = len(table.schema.factors)
     for lit in conjunction.literals:
-        if lit.factor_index >= nf:
-            raise InputError(f"factor index {lit.factor_index} out of range for {nf} factors")
-        if lit.value >= table.schema.factors[lit.factor_index].levels:
-            raise InputError(
-                f"value {_echo_ratio(lit.value)} out of range for factor "
-                f"{_echo(table.schema.factors[lit.factor_index].name)!r}"
-            )
+        _check_literal(table.schema, lit)
         bits &= table.literal_bits(lit.factor_index, lit.value)
     return bits
 

@@ -16,9 +16,9 @@ from .model import (
     AnalysisParams,
     CaseTable,
     FactorSchema,
-    InputError,
     Literal,
     UndefinedRatioError,
+    _check_literal,
 )
 
 
@@ -51,10 +51,10 @@ def necessary_conditions(table: CaseTable, params: AnalysisParams) -> list[tuple
 
 def exclude_necessary(schema: FactorSchema, necessary: Iterable[Literal]) -> tuple[int, ...]:
     """Factor indices NOT constrained by any necessary literal, ascending."""
-    fixed = {lit.factor_index for lit in necessary}
-    for i in fixed:
-        if not 0 <= i < len(schema.factors):
-            raise InputError(f"factor index {i} out of range for schema with {len(schema.factors)} factors")
+    fixed = set()
+    for lit in necessary:
+        _check_literal(schema, lit)
+        fixed.add(lit.factor_index)
     return tuple(i for i in range(len(schema.factors)) if i not in fixed)
 
 

@@ -34,8 +34,9 @@ from .model import (
     FactorSchema,
     InputError,
     Literal,
+    _check_literal,
     _echo,
-    _echo_ratio,
+    as_index,
     dnf_shorthand,
 )
 from .pipeline import AnalysisParams, SolveResult, solve
@@ -59,13 +60,7 @@ class PathwaySpec:
             if not t.literals:
                 raise InputError("pathway terms must not be empty")
             for lit in t.literals:
-                if lit.factor_index >= len(self.schema.factors):
-                    raise InputError(f"literal factor index {lit.factor_index} not in schema")
-                if lit.value >= self.schema.factors[lit.factor_index].levels:
-                    raise InputError(
-                        f"level {lit.value} out of range for factor "
-                        f"{self.schema.factors[lit.factor_index].name!r}"
-                    )
+                _check_literal(self.schema, lit)
 
     def evaluate(self, values: Sequence[int]) -> bool:
         return any(t.matches_values(values) for t in self.terms)
@@ -87,10 +82,12 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.pathway.schema != self.schema:
             raise InputError("pathway is bound to a different schema")
+        for name in ("sample_size", "confound_count"):
+            object.__setattr__(self, name, as_index(getattr(self, name), name))
         if self.sample_size < 1:
             raise InputError("sample_size must be >= 1")
         if self.sample_size > MAX_SAMPLE_SIZE:
-            raise InputError(f"sample_size must be <= {MAX_SAMPLE_SIZE}, got {_echo_ratio(self.sample_size)}")
+            raise InputError(f"sample_size must be <= {MAX_SAMPLE_SIZE}, got {_echo(self.sample_size)}")
         if not 0 <= self.confound_count <= self.sample_size:
             raise InputError("confound_count must lie in [0, sample_size]")
 
@@ -121,17 +118,17 @@ def _read_level(names: list[tuple[str, int]], schema: FactorSchema, text: str, p
     while j < b and text[j] in "0123456789":
         j += 1
     if j == pos:
-        raise InputError(f"expected level digits after factor {name!r} at position {pos}")
+        raise InputError(f"expected level digits after factor {_echo(name)!r} at position {pos}")
     try:
         level = int(text[pos:j])
     except ValueError:  # past the interpreter's limit on digits per integer
         raise InputError(
-            f"level {text[pos:pos + 12]}... has {j - pos} digits, too many for factor "
-            f"{name!r} at position {pos}"
+            f"level {_echo(text[pos:j])} has {j - pos} digits, too many for factor "
+            f"{_echo(name)!r} at position {pos}"
         ) from None
     if level >= schema.factors[idx].levels:
         raise InputError(
-            f"level {_echo(str(level))} out of range for factor {name!r} "
+            f"level {_echo(level)} out of range for factor {_echo(name)!r} "
             f"(levels 0..{schema.factors[idx].levels - 1}) at position {pos}"
         )
     return Literal(idx, level), j

@@ -35,7 +35,7 @@ import csv
 import io
 import json
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .model import (
     AnalysisParams,
@@ -47,8 +47,10 @@ from .model import (
     ids_of,
     necessity_consistency,
 )
-from .pipeline import SolveResult
-from .robustness import ValidityReport
+
+if TYPE_CHECKING:  # annotations only: rendering imports no pipeline stage
+    from .pipeline import SolveResult
+    from .robustness import ValidityReport
 
 SOLID = "●"  # binary level 1
 HOLLOW = "○"  # binary level 0

@@ -38,7 +38,6 @@ from .model import (
     InputError,
     ScpqcaError,
     _echo,
-    _echo_ratio,
     as_fraction,
     as_index,
 )
@@ -52,9 +51,9 @@ MAX_REPS = 10**5
 def check_reps(reps: int) -> int:
     """`reps` if it lies in [1, MAX_REPS], else an InputError that echoes it cut."""
     if reps < 1:
-        raise InputError(f"reps must be >= 1, got {_echo_ratio(reps)}")
+        raise InputError(f"reps must be >= 1, got {_echo(reps)}")
     if reps > MAX_REPS:
-        raise InputError(f"reps must be <= {MAX_REPS}, got {_echo_ratio(reps)}")
+        raise InputError(f"reps must be <= {MAX_REPS}, got {_echo(reps)}")
     return reps
 
 
@@ -109,8 +108,7 @@ def _grid_consistency(value: Fraction | float | str) -> Fraction:
     try:
         float(ratio)
     except OverflowError:
-        shown = _echo(value) if isinstance(value, str) else _echo_ratio(ratio)
-        raise InputError(f"consistency too large for a float: {shown!r}") from None
+        raise InputError(f"consistency too large for a float: {_echo(value)!r}") from None
     return ratio
 
 
@@ -254,7 +252,7 @@ def external_validity(
     """
     exact = as_fraction(fraction)
     if not 0 < exact < 1:
-        raise InputError(f"fraction must be in (0,1), got {fraction}")
+        raise InputError(f"fraction must be in (0,1), got {_echo(fraction)}")
     reps = check_reps(as_index(reps, "reps"))
     table.require_unique_ids()
 

@@ -359,6 +359,10 @@ class TestCountBound:
                     expected += p
             assert candidate_count_bound(schema, None, max_order) == expected
 
+    def test_negative_max_order_is_refused(self):
+        with pytest.raises(InputError, match="max_order must be non-negative"):
+            candidate_count_bound(binary_schema(["A", "B"]), None, -1)
+
     def test_bound_caps_enumeration(self, remote_table):
         params = AnalysisParams(1, "0.8", cutoff=1, max_order=2)
         rules = enumerate_candidates(remote_table, range(7), params)

@@ -53,7 +53,7 @@ class TestSolve:
 
     def test_csv_format(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text("id,A,B,O\na,1,1,1\nb,1,0,1\nc,0,1,0\nd,1,1,1\n")
+        p.write_text("id,A,B,O\na,1,1,1\nb,1,0,1\nc,0,1,0\nd,1,1,1\n", encoding="utf-8")
         code, out, _ = run_cli(
             "solve", "--data", str(p), "--outcome", "O", "--label", "1",
             "--necessity-threshold", "1.0", "--cutoff", "2", "--unique-cover", "1",
@@ -73,7 +73,7 @@ class TestSolve:
 
     def test_dropped_rule_is_printed_as_a_warning(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text("id,A,B,O\na1,1,0,1\na2,1,0,1\nb1,0,1,1\nb2,0,1,1\nc,1,0,0\n")
+        p.write_text("id,A,B,O\na1,1,0,1\na2,1,0,1\nb1,0,1,1\nb2,0,1,1\nc,1,0,0\n", encoding="utf-8")
         code, out, _ = run_cli(
             "solve", "--data", str(p), "--outcome", "O", "--label", "1",
             "--cutoff", "2", "--unique-cover", "2", "--assume-necessary", "A=1",
@@ -92,7 +92,7 @@ class TestSolve:
     def test_vacuous_solution_exits_2(self, tmp_path):
         p = tmp_path / "t.csv"
         # half/half outcomes, nothing necessary, nothing passes cutoff 5
-        p.write_text("id,A,O\na,1,1\nb,0,1\nc,1,0\nd,0,0\n")
+        p.write_text("id,A,O\na,1,1\nb,0,1\nc,1,0\nd,0,0\n", encoding="utf-8")
         code, _, err = run_cli(
             "solve", "--data", str(p), "--outcome", "O", "--label", "1", "--cutoff", "5"
         )
@@ -103,8 +103,24 @@ class TestSolve:
         sidecar = tmp_path / "schema.json"
         code, _, _ = run_cli("solve", *M1, "--unique-cover", "1", "--emit-schema", str(sidecar))
         assert code == 0
-        meta = json.loads(sidecar.read_text())
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
         assert [f["name"] for f in meta["factors"]] == ["A", "B"]
+
+    def test_emit_schema_records_labels_and_cutpoints(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("id,K,X,O\na,low,0.2,yes\nb,high,0.7,no\nc,low,0.9,yes\nd,high,0.1,no\n", encoding="utf-8")
+        sidecar = tmp_path / "schema.json"
+        code, _, _ = run_cli(
+            "solve", "--data", str(p), "--outcome", "O", "--label", "yes", "--cutpoints", "X:0.5",
+            "--unique-cover", "1", "--emit-schema", str(sidecar),
+        )
+        assert code == 0
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+        assert meta["factors"] == [
+            {"name": "K", "levels": 2, "labels": {"high": 0, "low": 1}},
+            {"name": "X", "levels": 2, "cutpoints": [0.5]},
+        ]
+        assert meta["outcome"] == {"name": "O", "levels": 2, "labels": {"no": 0, "yes": 1}}
 
 
 class TestErrors:
@@ -171,7 +187,7 @@ class TestErrors:
     def test_a_long_header_list_is_echoed_cut(self, tmp_path):
         p = tmp_path / "t.csv"
         names = [f"factor_{i}" for i in range(1000)]
-        p.write_text(",".join(["id", *names]) + "\n" + ",".join(["a", *"1" * 1000]) + "\n")
+        p.write_text(",".join(["id", *names]) + "\n" + ",".join(["a", *"1" * 1000]) + "\n", encoding="utf-8")
         code, out, err = run_cli("solve", "--data", str(p), "--outcome", "O")
         assert (code, out) == (1, "")
         assert err == f"error: {p}: outcome column 'O' not found (columns: id, factor_0...)\n"
@@ -236,14 +252,14 @@ class TestErrors:
 
     def test_no_positive_cases_exits_1(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text("id,A,O\na,1,0\nb,0,0\n")
+        p.write_text("id,A,O\na,1,0\nb,0,0\n", encoding="utf-8")
         code, _, err = run_cli("solve", "--data", str(p), "--outcome", "O", "--label", "1")
         assert code == 1
         assert "no cases with outcome" in err
 
     def test_no_stack_traces_on_bad_input(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text("id,A,O\na,oops,1\n")
+        p.write_text("id,A,O\na,oops,1\n", encoding="utf-8")
         code, out, err = run_cli(
             "solve", "--data", str(p), "--outcome", "O",
             "--cutpoints", "A:0.5",
@@ -271,7 +287,7 @@ class TestErrors:
 
     def test_csv_level_past_int16_storage(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text("id,A,O\na,32768,1\nb,0,0\nc,1,1\n")
+        p.write_text("id,A,O\na,32768,1\nb,0,0\nc,1,1\n", encoding="utf-8")
         code, _, err = run_cli("solve", "--data", str(p), "--outcome", "O", "--label", "1")
         assert code == 1
         assert err.startswith("error:") and "'A'" in err
@@ -303,14 +319,14 @@ class TestErrors:
 
     def test_oversized_field_is_an_input_error(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text("id,A,O\na,1,1\nb," + "x" * 200_000 + ",0\n")
+        p.write_text("id,A,O\na,1,1\nb," + "x" * 200_000 + ",0\n", encoding="utf-8")
         code, _, err = run_cli("necessity", "--data", str(p), "--outcome", "O")
         assert code == 1
         assert err.startswith(f"error: {p}: line 3: field larger than field limit")
 
     def test_integer_cell_past_the_digit_limit(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text("id,A,O\na," + "1" * 5000 + ",1\nb,0,0\n")
+        p.write_text("id,A,O\na," + "1" * 5000 + ",1\nb,0,0\n", encoding="utf-8")
         code, _, err = run_cli("necessity", "--data", str(p), "--outcome", "O")
         assert code == 1
         assert err == "error: integer cell 111111111111... has 5000 digits, too many for a level\n"
@@ -419,7 +435,7 @@ class TestErrors:
 class TestLongHeaderNames:
     def test_the_float_column_warning_echoes_both_names_cut(self, tmp_path, name, shown):
         p = tmp_path / "t.csv"
-        p.write_text(f"id,{name},O\na,0.25,1\nb,0.5,0\nc,0.75,1\n")
+        p.write_text(f"id,{name},O\na,0.25,1\nb,0.5,0\nc,0.75,1\n", encoding="utf-8")
         code, out, err = run_cli("solve", "--data", str(p), "--outcome", "O")
         assert (code, out) == (2, "")
         assert err == (
@@ -430,7 +446,7 @@ class TestLongHeaderNames:
 
     def test_the_necessity_conflict_warning_echoes_the_name_cut(self, tmp_path, name, shown):
         p = tmp_path / "t.csv"
-        p.write_text(f"id,{name},O\na,1,1\nb,0,1\nc,1,1\nd,0,1\ne,0,0\n")
+        p.write_text(f"id,{name},O\na,1,1\nb,0,1\nc,1,1\nd,0,1\ne,0,0\n", encoding="utf-8")
         code, _, err = run_cli("necessity", "--data", str(p), "--outcome", "O", "--necessity-threshold", "0.4")
         assert code == 0
         assert err == (
@@ -584,7 +600,8 @@ class TestEnumerationBoundWarning:
         p = tmp_path / "wide.csv"
         p.write_text(
             "id," + ",".join(names) + ",O\n"
-            + "".join(f"c{r},{','.join(row)},{r % 2}\n" for r, row in enumerate(rows))
+            + "".join(f"c{r},{','.join(row)},{r % 2}\n" for r, row in enumerate(rows)),
+            encoding="utf-8",
         )
         code, out, err = run_cli(
             "candidates", "--data", str(p), "--outcome", "O", "--cutoff", "5", "--format", "json"
@@ -600,7 +617,7 @@ class TestFloatColumnWarning:
         rng = random.Random(3)
         rows = [f"c{i},{rng.random():.4f},{rng.randrange(2)},{rng.randrange(2)}" for i in range(300)]
         p = tmp_path / "floats.csv"
-        p.write_text("\n".join(["id,X,B,O", *rows]) + "\n")
+        p.write_text("\n".join(["id,X,B,O", *rows]) + "\n", encoding="utf-8")
         return p
 
     def test_uncalibrated_float_column_warns_once(self, tmp_path):
@@ -623,7 +640,7 @@ class TestFloatColumnWarning:
 
     def test_integer_and_label_columns_do_not_warn(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text("id,A,K,O\na,1,low,yes\nb,0,high,no\nc,3,1.5,yes\n")
+        p.write_text("id,A,K,O\na,1,low,yes\nb,0,high,no\nc,3,1.5,yes\n", encoding="utf-8")
         code, _, err = run_cli("necessity", "--data", str(p), "--outcome", "O", "--label", "yes")
         assert (code, err) == (0, "")
 
@@ -643,7 +660,7 @@ class TestNecessity:
     def test_warns_when_multiple_levels_qualify(self, tmp_path):
         p = tmp_path / "t.csv"
         # positives split across both levels of A: both exceed threshold 0.4
-        p.write_text("id,A,B,O\na,1,1,1\nb,0,1,1\nc,1,1,1\nd,0,1,1\ne,0,0,0\n")
+        p.write_text("id,A,B,O\na,1,1,1\nb,0,1,1\nc,1,1,1\nd,0,1,1\ne,0,0,0\n", encoding="utf-8")
         code, out, err = run_cli(
             "necessity", "--data", str(p), "--outcome", "O", "--label", "1",
             "--necessity-threshold", "0.4",
@@ -655,7 +672,7 @@ class TestNecessity:
 class TestAssumeNecessary:
     def test_override_is_conjoined(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text("id,A,B,O\na,1,1,1\nb,0,1,1\nc,1,1,1\nd,0,1,1\ne,0,0,0\n")
+        p.write_text("id,A,B,O\na,1,1,1\nb,0,1,1\nc,1,1,1\nd,0,1,1\ne,0,0,0\n", encoding="utf-8")
         args = ["solve", "--data", str(p), "--outcome", "O", "--label", "1",
                 "--necessity-threshold", "0.4", "--cutoff", "1", "--unique-cover", "1"]
         code, out, _ = run_cli(*args, "--assume-necessary", "B=1", "--format", "json")
@@ -680,7 +697,7 @@ class TestAssumeNecessary:
     def _solve(self, tmp_path, table, fmt):
         text, flags = self.TABLES[table]
         p = tmp_path / "t.csv"
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         code, out, err = run_cli("solve", "--data", str(p), "--outcome", "O", "--label", "1", *flags, "--format", fmt)
         assert code == 0, err
         return out
@@ -700,7 +717,7 @@ class TestAssumeNecessary:
 
     def test_chart_marks_an_assumed_literal(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text(self.TABLES["assumed_unscanned"][0])
+        p.write_text(self.TABLES["assumed_unscanned"][0], encoding="utf-8")
         code, out, _ = run_cli("solve", "--data", str(p), "--outcome", "O", "--label", "1", "--cutoff", "1",
                                "--unique-cover", "1", "--consistency", "0.5", "--assume-necessary", "A=1")
         assert code == 0
@@ -709,7 +726,7 @@ class TestAssumeNecessary:
 
     def test_out_of_range_level_names_the_flag(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text("id,A,O\na,1,1\nb,0,0\n")
+        p.write_text("id,A,O\na,1,1\nb,0,0\n", encoding="utf-8")
         code, _, err = run_cli(
             "solve", "--data", str(p), "--outcome", "O", "--assume-necessary", "A=5"
         )
@@ -765,7 +782,7 @@ class TestSynth:
         )
         assert code == 0
         assert out == ""
-        assert dest.read_text().startswith("id,A,B,OUTCOME")
+        assert dest.read_text(encoding="utf-8").startswith("id,A,B,OUTCOME")
 
     def test_env_seed_fallback(self, monkeypatch):
         args = ["synth", "--factors", "2", "--pathway", "ab", "--samples", "5"]
@@ -863,8 +880,8 @@ class TestDeterminism:
 
     def test_real_process_solve(self):
         cmd = [sys.executable, "-m", "scpqca.cli", "solve", *REMOTE, "--cutoff", "4"]
-        a = subprocess.run(cmd, capture_output=True, text=True)
-        b = subprocess.run(cmd, capture_output=True, text=True)
+        a = subprocess.run(cmd, capture_output=True, text=True, encoding="utf-8")
+        b = subprocess.run(cmd, capture_output=True, text=True, encoding="utf-8")
         assert a.returncode == 0
         assert (a.returncode, a.stdout) == (b.returncode, b.stdout)
 
@@ -1124,7 +1141,7 @@ class TestParser:
         env.pop("SCPQCA_SEED", None)
 
         def run(cmd):
-            return subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=ROOT)
+            return subprocess.run(cmd, capture_output=True, text=True, encoding="utf-8", env=env, cwd=ROOT)
 
         one = run([sys.executable, "-c", PARSER_SCRIPT, json.dumps(PARSER_CALLS)])
         assert one.returncode == 0, one.stderr
@@ -1140,7 +1157,7 @@ class TestStartup:
     def test_cli_import_leaves_numpy_unloaded(self):
         code = "import sys, scpqca.cli; print('numpy' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, encoding="utf-8", env=env)
         assert (run.returncode, run.stdout) == (0, "False\n")
 
     def test_cli_import_leaves_the_synthetic_and_hashing_modules_unloaded(self):
@@ -1149,8 +1166,15 @@ class TestStartup:
         # for none of them.
         code = "import sys, scpqca.cli; print(sorted({'scpqca.pathways', 'hashlib', 'statistics'} & set(sys.modules)))"
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, encoding="utf-8", env=env)
         assert (run.returncode, run.stdout) == (0, "[]\n")
+
+    def test_report_import_loads_no_pipeline_stage(self):
+        # `report` names `SolveResult` and `ValidityReport` in annotations only.
+        code = "import sys, scpqca.report; print(sorted(m for m in sys.modules if m.startswith('scpqca.')))"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, encoding="utf-8", env=env)
+        assert (run.returncode, run.stdout) == (0, "['scpqca.model', 'scpqca.report']\n")
 
     def test_package_names_load_on_first_use(self):
         code = (
@@ -1159,7 +1183,7 @@ class TestStartup:
             "print(before, 'scpqca.pathways' in sys.modules, spec.__module__, 'ExperimentSpec' in dir(scpqca))"
         )
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, encoding="utf-8", env=env)
         assert (run.returncode, run.stdout) == (0, "False True scpqca.pathways True\n")
 
     def test_unknown_package_name_is_an_attribute_error(self):

@@ -171,17 +171,17 @@ class TestRoundTrip:
         assert again == m1_table
         p2 = tmp_path / "out2.csv"
         write_csv(again, p2)
-        assert p.read_text() == p2.read_text()
+        assert p.read_text(encoding="utf-8") == p2.read_text(encoding="utf-8")
 
     def test_to_csv_string_matches_file(self, tmp_path, m1_table):
         p = tmp_path / "out.csv"
         write_csv(m1_table, p)
-        assert p.read_text() == to_csv_string(m1_table)
+        assert p.read_text(encoding="utf-8") == to_csv_string(m1_table)
 
     def test_schema_sidecar(self, tmp_path, m1_table):
         p = tmp_path / "schema.json"
         write_schema_json(m1_table, p)
-        meta = json.loads(p.read_text())
+        meta = json.loads(p.read_text(encoding="utf-8"))
         assert meta == schema_metadata(m1_table)
         assert meta["cases"] == 6
         assert [f["name"] for f in meta["factors"]] == ["A", "B"]

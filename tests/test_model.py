@@ -15,6 +15,7 @@ from scpqca import (
     FactorSchema,
     InputError,
     Literal,
+    Solution,
     UndefinedRatioError,
     as_fraction,
     binary_schema,
@@ -349,6 +350,37 @@ class TestTypes:
             CaseTable.from_cases(schema, [Case("x", (2,), 0)])
         with pytest.raises(InputError):
             CaseTable.from_cases(schema, [Case("x", (1,), 3)])
+
+
+class TestConstructorChecks:
+    """Each check that a construction runs, with the text it raises."""
+
+    RULE = CandidateRule.from_sets(Conjunction.of((0, 1)), {"a"}, {"a"}, ("a", "b"))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [(lambda: CandidateRule(Conjunction.of((0, 1)), 0b100, 0, ("a", "b")), "matched bits reach past the case ids"),
+         (lambda: CandidateRule.from_sets(Conjunction.of((0, 1)), {"a", "z"}, {"a"}, ("a", "b")),
+          "rule case ids missing from the shared ids"),
+         (lambda: Solution((), (TestConstructorChecks.RULE,), 1, Fraction(3, 2), Fraction(1), (1,)),
+          "solution metrics must lie in [0,1]"),
+         (lambda: Solution((), (TestConstructorChecks.RULE,), 1, Fraction(1), Fraction(-1), (1,)),
+          "solution metrics must lie in [0,1]"),
+         (lambda: Solution((), (TestConstructorChecks.RULE,), 1, Fraction(1), Fraction(1), ()),
+          "one unique-coverage count per rule required"),
+         (lambda: Solution((), (TestConstructorChecks.RULE,) * 2, 1, Fraction(1), Fraction(1), (1, 0)),
+          "selected rules must be pairwise distinct"),
+         (lambda: as_fraction(object()), "cannot interpret object as a ratio"),
+         (lambda: Factor("", 2), "factor name must be non-empty"),
+         (lambda: CaseTable.from_cases(binary_schema(["A", "B"]), [Case("x", (1,), 0)]),
+          "case 'x': 1 values for 2 factors")],
+        ids=["bits-past-ids", "unknown-ids", "consistency", "coverage", "unique-coverage", "distinct-rules",
+             "ratio-type", "factor-name", "short-row"],
+    )
+    def test_check(self, build, message):
+        with pytest.raises(InputError) as err:
+            build()
+        assert str(err.value) == message
 
 
 class TestCellChecks:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scpqca import (
+    CaseTable,
     Conjunction,
     ExperimentSpec,
     Factor,
@@ -211,6 +212,61 @@ class TestPlantOutcome:
         pathway = parse_pathway("ab", synth_schema(2))
         with pytest.raises(InputError):
             plant_outcome(full_truth_table(synth_schema(3)), pathway)
+
+
+class TestSpecChecks:
+    """Each check that a spec, a synthetic schema or a sample runs, with its text."""
+
+    SCHEMA = synth_schema(2)
+    PATHWAY = PathwaySpec((Conjunction.of((0, 1)),), SCHEMA)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [(lambda: PathwaySpec((), TestSpecChecks.SCHEMA), "pathway needs at least one term"),
+         (lambda: PathwaySpec((Conjunction(()),), TestSpecChecks.SCHEMA), "pathway terms must not be empty"),
+         (lambda: PathwaySpec((Conjunction.of((2, 0)),), TestSpecChecks.SCHEMA),
+          "factor index 2 out of range for 2 factors"),
+         (lambda: PathwaySpec((Conjunction.of((1, 2)),), TestSpecChecks.SCHEMA),
+          "value 2 out of range for factor 'B'"),
+         (lambda: ExperimentSpec(synth_schema(3), TestSpecChecks.PATHWAY), "pathway is bound to a different schema"),
+         (lambda: synth_schema(0), "synthetic schemas support 1..26 factors (single-letter names)"),
+         (lambda: synth_schema(27), "synthetic schemas support 1..26 factors (single-letter names)"),
+         (lambda: synth_schema(2, [2, 3, 2]), "3 level counts for 2 factors"),
+         (lambda: sample_and_confound(full_truth_table(synth_schema(3)), ExperimentSpec(
+             TestSpecChecks.SCHEMA, TestSpecChecks.PATHWAY)), "experiment spec is bound to a different schema"),
+         (lambda: sample_and_confound(CaseTable(TestSpecChecks.SCHEMA, (), [], []), ExperimentSpec(
+             TestSpecChecks.SCHEMA, TestSpecChecks.PATHWAY)), "cannot sample from an empty table")],
+        ids=["no-term", "empty-term", "factor-index", "level", "spec-schema", "0-factors", "27-factors",
+             "level-list", "sample-schema", "empty-table"],
+    )
+    def test_check(self, build, message):
+        with pytest.raises(InputError) as err:
+            build()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [({"sample_size": 2.5}, "sample_size must be an integer, got 2.5"),
+         ({"sample_size": "5"}, "sample_size must be an integer, got '5'"),
+         ({"confound_count": 1.5}, "confound_count must be an integer, got 1.5"),
+         ({"sample_size": 0}, "sample_size must be >= 1"),
+         ({"sample_size": 3, "confound_count": 4}, "confound_count must lie in [0, sample_size]")],
+    )
+    def test_sizes_are_read_as_indices(self, fields, message):
+        # A float or numeric string is refused when the spec is built, not
+        # as a bare TypeError when its table is generated.
+        with pytest.raises(InputError) as err:
+            ExperimentSpec(self.SCHEMA, self.PATHWAY, **fields)
+        assert str(err.value) == message
+
+    def test_an_index_size_is_stored_as_an_int(self):
+        class Count:
+            def __index__(self):
+                return 4
+
+        spec = ExperimentSpec(self.SCHEMA, self.PATHWAY, sample_size=Count(), confound_count=Count())
+        assert (type(spec.sample_size), spec.sample_size, spec.confound_count) == (int, 4, 4)
+        assert len(generate_experiment_table(spec)) == 4
 
 
 class TestSampling:

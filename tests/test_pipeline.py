@@ -193,6 +193,18 @@ class TestAnalysisParams:
         with pytest.raises(InputError, match=re.escape("factor index 9 out of range")):
             solve(m1_table, params)
 
+    def test_an_assumed_level_out_of_range_is_refused_before_enumeration(self, monkeypatch, m1_table):
+        from scpqca import pipeline
+
+        def enumerate_candidates(*args, **kwargs):
+            raise AssertionError("enumeration ran")
+
+        monkeypatch.setattr(pipeline, "enumerate_candidates", enumerate_candidates)
+        params = AnalysisParams(1, assume_necessary=(Literal(0, 5),))
+        with pytest.raises(InputError) as err:
+            solve(m1_table, params)
+        assert str(err.value) == "value 5 out of range for factor 'A'"
+
     def test_solve_passes_the_object_through_unchecked(self, monkeypatch, remote_table):
         from scpqca import pipeline
 

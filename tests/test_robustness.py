@@ -10,6 +10,7 @@ from scpqca import (
     ExperimentSpec,
     InputError,
     ValidityClass,
+    ValidityReport,
     binary_schema,
     classify_configuration,
     derive_seed,
@@ -20,7 +21,7 @@ from scpqca import (
     synth_schema,
 )
 from scpqca import robustness
-from scpqca.robustness import MAX_REPS, check_reps, classify_with_match
+from scpqca.robustness import MAX_REPS, Repetition, check_reps, classify_with_match
 
 
 class TestClassify:
@@ -158,6 +159,28 @@ def _clean_table() -> CaseTable:
     schema = synth_schema(6)
     pathway = parse_pathway("ab+CD+ace+BDF", schema)
     return generate_experiment_table(ExperimentSpec(schema, pathway, 200, 0, seed=20))
+
+
+class TestValidityReport:
+    ORIGINALS = (Conjunction.of((0, 1)), Conjunction.of((1, 1)))
+
+    def test_a_not_identified_configuration_counts_for_no_original(self):
+        test = Conjunction.of((2, 1))
+        classes = tuple(classify_with_match(c, self.ORIGINALS) for c in (test, self.ORIGINALS[1]))
+        assert classes == ((ValidityClass.NOT_IDENTIFIED, None), (ValidityClass.REPLICATED, 1))
+        rep = Repetition(("a",), (test, self.ORIGINALS[1]), classes)
+        report = ValidityReport(self.ORIGINALS, (rep, rep), 0.1, 0)
+        tallies = report.per_original_tallies()
+        assert [sum(t.values()) for t in tallies] == [0, 2]
+        assert tallies[1][ValidityClass.REPLICATED] == 2
+        assert report.overall_accuracy() == Fraction(1, 2)
+
+    def test_no_configuration_gives_zero_accuracy(self):
+        degenerate = Repetition(("a",), (), (), degenerate=True, error="no cases with outcome 1")
+        for repetitions in ((), (degenerate,)):
+            report = ValidityReport(self.ORIGINALS, repetitions, 0.1, 0)
+            assert report.overall_accuracy() == Fraction(0)
+            assert report.per_original_accuracy() == [Fraction(0), Fraction(0)]
 
 
 class TestExternalValidity:
