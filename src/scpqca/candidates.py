@@ -197,10 +197,7 @@ class CandidatePool:
     """
 
     def __init__(self, cutoff: int, consistency: Fraction | float | str | None = None) -> None:
-        cutoff = as_index(cutoff, "cutoff")
-        if cutoff < 1:
-            raise InputError(f"cutoff must be >= 1, got {_echo(cutoff)}")
-        self.cutoff = cutoff
+        self.cutoff = as_index(cutoff, "cutoff", 1)
         self.consistency = None if consistency is None else as_fraction(consistency)
         self._table: CaseTable | None = None
 
@@ -290,9 +287,7 @@ def candidate_count_bound(
     indices = range(len(schema.factors)) if factor_set is None else _check_factor_set(schema, factor_set)
     levels = [schema.factors[i].levels for i in indices]
     m = len(levels)
-    order = m if max_order is None else min(as_index(max_order, "max_order"), m)
-    if order < 0:
-        raise InputError("max_order must be non-negative")
+    order = m if max_order is None else min(as_index(max_order, "max_order", 0), m)
     # coeffs[k] = sum over k-subsets of the product of their level counts
     coeffs = [1] + [0] * order
     for lv in levels:

@@ -147,6 +147,8 @@ def _parse_literals(text: str, table: CaseTable) -> tuple[Literal, ...]:
                 f"--assume-necessary {_echo(part)!r}: level {_echo(v)} out of range "
                 f"(0..{table.schema.factors[idx].levels - 1})"
             )
+        if any(lit.factor_index == idx for lit in lits):
+            raise InputError(f"--assume-necessary names factor {_echo(name.strip())!r} twice")
         lits.append(Literal(idx, v))
     return tuple(lits)
 

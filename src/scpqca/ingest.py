@@ -100,6 +100,11 @@ class CalibrationSpec:
 
     columns: Mapping[str, Cutpoints] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for name, calib in self.columns.items():
+            if not isinstance(calib, Cutpoints):
+                raise InputError(f"calibration of column {_echo(name)!r} is a {_echo(type(calib).__name__)}, not Cutpoints")
+
     def for_column(self, name: str) -> Cutpoints | None:
         return self.columns.get(name)
 
@@ -146,7 +151,7 @@ def _calibrate_column(
     `distinct` is the set of `cells`, when the caller has it.
     """
     distinct = set(cells) if distinct is None else distinct
-    if isinstance(calib, Cutpoints):
+    if calib is not None:
         code: dict[str, int] = {}
         bad: set[str] = set()
         for cell in distinct:

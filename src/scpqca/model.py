@@ -44,9 +44,11 @@ when it is built, so every stage reads them as they are.
 Every value an error names, from any module, goes through `_echo`: whole up
 to 40 characters, else its first 12 and "...". An int or `Fraction` is cut
 from its leading digits, so one past the interpreter's int-to-text limit is
-echoed too. Whether a literal fits a schema is checked once, by
-`_check_literal`, for `match_bits`, `necessity.exclude_necessary` and
-`pathways.PathwaySpec`.
+echoed too. Every integer the library is given, from any module, is read
+by `as_index`: through `operator.index`, and refused outside its optional
+bounds as "{what} must be >= {low}, got {x}" (or "<="). Whether a literal
+fits a schema is checked once, by `_check_literal`, for `match_bits`,
+`necessity.exclude_necessary` and `pathways.PathwaySpec`.
 
 All types are immutable after construction (the bitset cache only memoizes)
 and all operations are pure, so values can be shared freely across threads.
@@ -96,17 +98,23 @@ def _echo(x: object) -> str:
     return text if len(text) <= _ECHO_LIMIT else text[:12] + "..."
 
 
-def as_index(x: object, what: str) -> int:
+def as_index(x: object, what: str, low: int | None = None, high: int | None = None) -> int:
     """`x` as an int through `operator.index`, as table level values are read.
 
     A value without ``__index__`` (a float, a numeric string) raises
-    `InputError` naming `what`, never a silent truncation or coercion.
+    `InputError` naming `what`, never a silent truncation or coercion; so
+    does one below `low` or above `high`, when given.
     """
     try:
-        return index(x)
+        value = index(x)
     except TypeError:
         shown = repr(_echo(x)) if isinstance(x, str) else _echo(repr(x))
         raise InputError(f"{what} must be an integer, got {shown}") from None
+    if low is not None and value < low:
+        raise InputError(f"{what} must be >= {low}, got {_echo(value)}")
+    if high is not None and value > high:
+        raise InputError(f"{what} must be <= {high}, got {_echo(value)}")
+    return value
 
 
 def as_fraction(x: int | float | str | Fraction) -> Fraction:
@@ -124,7 +132,7 @@ def as_fraction(x: int | float | str | Fraction) -> Fraction:
         try:
             return Fraction(repr(x))
         except ValueError:
-            raise InputError(f"not a valid ratio: {x!r}") from None
+            raise InputError(f"not a valid ratio: {_echo(x)!r}") from None
     if isinstance(x, str):
         try:
             return Fraction(x.strip())
@@ -163,12 +171,8 @@ class AnalysisParams:
         if not 0 < self.consistency_threshold <= 1:
             raise InputError(f"consistency threshold must be in (0,1], got {_echo(self.consistency_threshold)}")
         for name in ("cutoff", "max_order", "unique_cover"):
-            if name == "max_order" and self.max_order is None:
-                continue  # no bound on the literals per rule
-            value = as_index(getattr(self, name), name)
-            if value < 1:
-                raise InputError(f"{name} must be >= 1, got {_echo(value)}")
-            object.__setattr__(self, name, value)
+            if name != "max_order" or self.max_order is not None:  # None: no bound on the literals per rule
+                object.__setattr__(self, name, as_index(getattr(self, name), name, 1))
         if not 0 < self.necessity_threshold <= 1:
             raise InputError(f"necessity threshold must be in (0,1], got {_echo(self.necessity_threshold)}")
         if self.assume_necessary is not None:
@@ -196,10 +200,8 @@ class Factor:
     def __post_init__(self) -> None:
         if not self.name:
             raise InputError("factor name must be non-empty")
-        if self.levels < 2:
-            raise InputError(f"factor {_echo(self.name)!r}: level count must be >= 2")
-        if self.levels > 1 << 15:
-            raise InputError(f"factor {_echo(self.name)!r}: {_echo(self.levels)} levels exceed the limit of 32768")
+        levels = as_index(self.levels, f"factor {_echo(self.name)!r}: level count", 2, 1 << 15)
+        object.__setattr__(self, "levels", levels)
         if self.labels is not None and len(self.labels) != self.levels:
             raise InputError(f"factor {_echo(self.name)!r}: {len(self.labels)} labels for {self.levels} levels")
 
@@ -541,8 +543,8 @@ class Literal:
     value: int
 
     def __post_init__(self) -> None:
-        if self.factor_index < 0 or self.value < 0:
-            raise InputError(f"literal ({_echo(self.factor_index)},{_echo(self.value)}) must be non-negative")
+        object.__setattr__(self, "factor_index", as_index(self.factor_index, "literal factor_index", 0))
+        object.__setattr__(self, "value", as_index(self.value, "literal value", 0))
 
 
 @dataclass(frozen=True)

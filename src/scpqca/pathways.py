@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -82,14 +83,10 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.pathway.schema != self.schema:
             raise InputError("pathway is bound to a different schema")
-        for name in ("sample_size", "confound_count"):
-            object.__setattr__(self, name, as_index(getattr(self, name), name))
-        if self.sample_size < 1:
-            raise InputError("sample_size must be >= 1")
-        if self.sample_size > MAX_SAMPLE_SIZE:
-            raise InputError(f"sample_size must be <= {MAX_SAMPLE_SIZE}, got {_echo(self.sample_size)}")
-        if not 0 <= self.confound_count <= self.sample_size:
-            raise InputError("confound_count must lie in [0, sample_size]")
+        n = as_index(self.sample_size, "sample_size", 1, MAX_SAMPLE_SIZE)
+        object.__setattr__(self, "sample_size", n)
+        object.__setattr__(self, "confound_count", as_index(self.confound_count, "confound_count", 0, n))
+        object.__setattr__(self, "seed", as_index(self.seed, "seed"))
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +196,14 @@ def parse_pathway(text: str, schema: FactorSchema) -> PathwaySpec:
 def synth_schema(
     n_factors: int, levels: int | Sequence[int] = 2, outcome_name: str = "OUTCOME"
 ) -> FactorSchema:
-    """Factors named A, B, C, ... with the given level count(s), binary outcome."""
+    """Factors named A, B, C, ... with the given level count(s), each read by `Factor`, binary outcome."""
+    n_factors = as_index(n_factors, "n_factors")
     if not 1 <= n_factors <= 26:
         raise InputError("synthetic schemas support 1..26 factors (single-letter names)")
-    if isinstance(levels, int):
-        per = [levels] * n_factors
-    else:
-        per = [int(x) for x in levels]
-        if len(per) != n_factors:
-            raise InputError(f"{len(per)} level counts for {n_factors} factors")
+    scalar = isinstance(levels, str) or not isinstance(levels, Iterable)
+    per = [levels] * n_factors if scalar else list(levels)
+    if len(per) != n_factors:
+        raise InputError(f"{len(per)} level counts for {n_factors} factors")
     names = [chr(ord("A") + i) for i in range(n_factors)]
     return FactorSchema(
         factors=tuple(Factor(n, lv) for n, lv in zip(names, per)),

@@ -49,12 +49,8 @@ MAX_REPS = 10**5
 
 
 def check_reps(reps: int) -> int:
-    """`reps` if it lies in [1, MAX_REPS], else an InputError that echoes it cut."""
-    if reps < 1:
-        raise InputError(f"reps must be >= 1, got {_echo(reps)}")
-    if reps > MAX_REPS:
-        raise InputError(f"reps must be <= {MAX_REPS}, got {_echo(reps)}")
-    return reps
+    """`reps` as an int if it lies in [1, MAX_REPS], else an InputError that echoes it cut."""
+    return as_index(reps, "reps", 1, MAX_REPS)
 
 
 class ValidityClass(Enum):
@@ -167,6 +163,7 @@ def derive_seed(seed: int, repetition: int) -> int:
     """Deterministic, platform-independent child seed per repetition."""
     import hashlib  # here, not at the top: OpenSSL's _hashlib is most of its import time
 
+    seed, repetition = as_index(seed, "seed"), as_index(repetition, "repetition")
     digest = hashlib.sha256(f"{seed}:{repetition}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -248,12 +245,12 @@ def external_validity(
     A repetition whose subsample cannot be solved (for instance no positive
     cases survive) is recorded as degenerate with no configurations. The full
     solve and every repetition share one candidate pool at `params.cutoff`.
-    `reps` outside [1, MAX_REPS] is an InputError, raised before any solve.
+    `reps` outside [1, MAX_REPS] or a non-integer `seed` is an InputError, before any solve.
     """
     exact = as_fraction(fraction)
     if not 0 < exact < 1:
         raise InputError(f"fraction must be in (0,1), got {_echo(fraction)}")
-    reps = check_reps(as_index(reps, "reps"))
+    reps, seed = check_reps(reps), as_index(seed, "seed")
     table.require_unique_ids()
 
     pool = CandidatePool(params.cutoff)

@@ -360,7 +360,7 @@ class TestCountBound:
             assert candidate_count_bound(schema, None, max_order) == expected
 
     def test_negative_max_order_is_refused(self):
-        with pytest.raises(InputError, match="max_order must be non-negative"):
+        with pytest.raises(InputError, match="max_order must be >= 0, got -1"):
             candidate_count_bound(binary_schema(["A", "B"]), None, -1)
 
     def test_bound_caps_enumeration(self, remote_table):

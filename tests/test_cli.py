@@ -454,6 +454,12 @@ class TestLongHeaderNames:
             "solve conjoins none of them unless --assume-necessary picks one\n"
         )
 
+    def test_a_factor_assumed_twice_is_echoed_cut(self, tmp_path, name, shown):
+        p = tmp_path / "t.csv"
+        p.write_text(f"id,{name},O\na,1,1\nb,0,0\n", encoding="utf-8")
+        code, out, err = run_cli("solve", "--data", str(p), "--outcome", "O", "--assume-necessary", f"{name}=1,{name}=0")
+        assert (code, out, err) == (1, "", f"error: --assume-necessary names factor {shown!r} twice\n")
+
 
 # An invalid value for each analysis flag, and the flags each subcommand reads.
 INVALID_ANALYSIS_VALUES = {
@@ -559,7 +565,7 @@ class TestParameterChecks:
         [
             ("--max-order", "0", "max_order must be >= 1, got 0"),
             ("--necessity-threshold", "2", "necessity threshold must be in (0,1], got 2"),
-            ("--assume-necessary", "MS=0,MS=1", "conjunction assigns factor index 0 twice"),
+            ("--assume-necessary", "MS=0,MS=1", "--assume-necessary names factor 'MS' twice"),
         ],
     )
     def test_sweep_checks_an_unswept_value_up_front(self, flag, value, message):
@@ -581,6 +587,13 @@ class TestParameterChecks:
     )
     def test_params_are_checked_before_the_run(self, args, message):
         assert run_cli(*args) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--fraction", "--consistency"])
+    def test_a_ratio_that_is_not_finite_is_echoed_quoted(self, flag, value):
+        # argparse reads --fraction as a float and --consistency as text;
+        # both echo the value the same way.
+        assert run_cli("xval", *REMOTE, flag, value) == (1, "", f"error: not a valid ratio: {value!r}\n")
 
 
 class TestEnumerationBoundWarning:
@@ -732,6 +745,14 @@ class TestAssumeNecessary:
         )
         assert code == 1
         assert "--assume-necessary" in err and "out of range" in err
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "xval"])
+    @pytest.mark.parametrize("value", ["MS=1,MS=0", "MS=1, MS=1", " MS =0,MS=0"])
+    def test_a_factor_given_twice_is_named_as_typed(self, command, value):
+        # The user typed a factor name, never an index.
+        assert run_cli(command, *REMOTE, "--assume-necessary", value) == (
+            1, "", "error: --assume-necessary names factor 'MS' twice\n"
+        )
 
 
 class TestCandidates:

@@ -5,6 +5,10 @@ a string of 41 to 5 000 characters where it expects an integer, raises
 `InputError` (never a bare `ValueError` from int-to-text conversion, nor a
 `TypeError`) with a message short enough to read, because each value the
 message names is echoed cut.
+
+Every integer intake reads its value through `model.as_index`: a float, a
+numeric string or a list raises `InputError`, a numpy integer is stored as
+an `int`, and a value just outside a range raises the one range wording.
 """
 
 import pytest
@@ -18,11 +22,13 @@ from scpqca import (
     CaseTable,
     Conjunction,
     ExperimentSpec,
+    Factor,
     InputError,
     Literal,
     PathwaySpec,
     binary_schema,
     candidate_count_bound,
+    derive_seed,
     enumerate_candidates,
     exclude_necessary,
     external_validity,
@@ -31,13 +37,22 @@ from scpqca import (
     solve,
     synth_schema,
 )
+from scpqca.pathways import MAX_SAMPLE_SIZE
+from scpqca.robustness import MAX_REPS, check_reps
 
 MAX_MESSAGE = 200
+# Filters under which the 8-case table below has a solution.
+SOLVABLE = AnalysisParams(1, "0.5", cutoff=1, unique_cover=1)
 
 
 def one(i: int, v: int) -> Conjunction:
     """The conjunction of the single literal `i`=`v`."""
     return Conjunction((Literal(i, v),))
+
+
+def spec(**fields) -> ExperimentSpec:
+    """An experiment on two binary factors with the pathway A=1, and `fields`."""
+    return ExperimentSpec(synth_schema(2), PathwaySpec((one(0, 1),), synth_schema(2)), **fields)
 
 
 # Each probe takes the table and a huge int; `n` is its absolute value.
@@ -61,9 +76,14 @@ INT_PROBES = {
     "external_validity fraction": lambda t, big, n: external_validity(t, AnalysisParams(1), fraction=big),
     "CandidatePool": lambda t, big, n: CandidatePool(-n),
     "PathwaySpec level": lambda t, big, n: PathwaySpec((one(0, n),), t.schema),
-    "ExperimentSpec sample_size": lambda t, big, n: ExperimentSpec(
-        synth_schema(2), PathwaySpec((one(0, 1),), synth_schema(2)), sample_size=big
-    ),
+    "ExperimentSpec sample_size": lambda t, big, n: spec(sample_size=big),
+    "Factor levels": lambda t, big, n: Factor("A", big),
+    "Literal factor_index": lambda t, big, n: Literal(-n, 0),
+    "ExperimentSpec confound_count": lambda t, big, n: spec(confound_count=big),
+    "external_validity reps": lambda t, big, n: external_validity(t, SOLVABLE, reps=big),
+    "synth_schema n_factors": lambda t, big, n: synth_schema(big),
+    "synth_schema levels": lambda t, big, n: synth_schema(2, big),
+    "candidate_count_bound max_order": lambda t, big, n: candidate_count_bound(t.schema, None, -n),
 }
 
 # Each probe takes the table and a long string given where an integer belongs.
@@ -75,9 +95,65 @@ TEXT_PROBES = {
     "positive_bits": lambda t, s: t.positive_bits(s),
     "CandidatePool": lambda t, s: CandidatePool(s),
     "enumerate_candidates": lambda t, s: enumerate_candidates(t, [s], AnalysisParams(1)),
-    "ExperimentSpec sample_size": lambda t, s: ExperimentSpec(
-        synth_schema(2), PathwaySpec((one(0, 1),), synth_schema(2)), sample_size=s
+    "ExperimentSpec sample_size": lambda t, s: spec(sample_size=s),
+    "Factor levels": lambda t, s: Factor("A", s),
+    "Literal factor_index": lambda t, s: Literal(s, 0),
+    "Literal value": lambda t, s: Literal(0, s),
+    "ExperimentSpec confound_count": lambda t, s: spec(confound_count=s),
+    "ExperimentSpec seed": lambda t, s: spec(seed=s),
+    "external_validity reps": lambda t, s: external_validity(t, SOLVABLE, reps=s),
+    "external_validity seed": lambda t, s: external_validity(t, SOLVABLE, seed=s),
+    "derive_seed seed": lambda t, s: derive_seed(s, 0),
+    "derive_seed repetition": lambda t, s: derive_seed(0, s),
+    "synth_schema n_factors": lambda t, s: synth_schema(s),
+    "synth_schema levels": lambda t, s: synth_schema(2, s),
+    "candidate_count_bound max_order": lambda t, s: candidate_count_bound(t.schema, None, s),
+}
+
+# Every integer intake: a call on the table that returns the integer as
+# stored (or the result it gives), and an integer it accepts.
+INTAKES = {
+    "params decision_label": (lambda t, x: AnalysisParams(x).decision_label, 1),
+    "params cutoff": (lambda t, x: AnalysisParams(1, cutoff=x).cutoff, 2),
+    "params max_order": (lambda t, x: AnalysisParams(1, max_order=x).max_order, 2),
+    "params unique_cover": (lambda t, x: AnalysisParams(1, unique_cover=x).unique_cover, 2),
+    "positive_bits": (lambda t, x: t.positive_bits(x), 1),
+    "CandidatePool cutoff": (lambda t, x: CandidatePool(x).cutoff, 2),
+    "enumerate_candidates factor index": (lambda t, x: enumerate_candidates(t, [x], SOLVABLE), 1),
+    "candidate_count_bound factor index": (lambda t, x: candidate_count_bound(t.schema, [x]), 1),
+    "candidate_count_bound max_order": (lambda t, x: candidate_count_bound(t.schema, None, x), 1),
+    "Factor levels": (lambda t, x: Factor("A", x).levels, 3),
+    "Literal factor_index": (lambda t, x: Literal(x, 0).factor_index, 1),
+    "Literal value": (lambda t, x: Literal(0, x).value, 1),
+    "ExperimentSpec sample_size": (lambda t, x: spec(sample_size=x).sample_size, 5),
+    "ExperimentSpec confound_count": (lambda t, x: spec(confound_count=x).confound_count, 5),
+    "ExperimentSpec seed": (lambda t, x: spec(seed=x).seed, 7),
+    "external_validity reps": (lambda t, x: len(external_validity(t, SOLVABLE, reps=x).repetitions), 2),
+    "external_validity seed": (lambda t, x: external_validity(t, SOLVABLE, reps=1, seed=x).seed, 7),
+    "check_reps": (lambda t, x: check_reps(x), 2),
+    "derive_seed seed": (lambda t, x: derive_seed(x, 0), 7),
+    "derive_seed repetition": (lambda t, x: derive_seed(0, x), 3),
+    "synth_schema n_factors": (lambda t, x: synth_schema(x).level_counts(), 3),
+    "synth_schema levels": (lambda t, x: synth_schema(2, x).factors[0].levels, 3),
+    "synth_schema level list": (lambda t, x: synth_schema(2, [x, 2]).factors[0].levels, 3),
+}
+
+# Every folded range: a call taking the integer, its bounds (None: open)
+# and the `what` its error names.
+RANGES = {
+    "Factor levels": (lambda x: Factor("A", x), 2, 32768, "factor 'A': level count"),
+    "Literal factor_index": (lambda x: Literal(x, 0), 0, None, "literal factor_index"),
+    "Literal value": (lambda x: Literal(0, x), 0, None, "literal value"),
+    "params cutoff": (lambda x: AnalysisParams(1, cutoff=x), 1, None, "cutoff"),
+    "params max_order": (lambda x: AnalysisParams(1, max_order=x), 1, None, "max_order"),
+    "params unique_cover": (lambda x: AnalysisParams(1, unique_cover=x), 1, None, "unique_cover"),
+    "CandidatePool cutoff": (lambda x: CandidatePool(x), 1, None, "cutoff"),
+    "candidate_count_bound max_order": (
+        lambda x: candidate_count_bound(binary_schema(["A"]), None, x), 0, None, "max_order"
     ),
+    "ExperimentSpec sample_size": (lambda x: spec(sample_size=x), 1, MAX_SAMPLE_SIZE, "sample_size"),
+    "ExperimentSpec confound_count": (lambda x: spec(sample_size=3, confound_count=x), 0, 3, "confound_count"),
+    "reps": (check_reps, 1, MAX_REPS, "reps"),
 }
 
 
@@ -112,3 +188,32 @@ def test_cutoff_text_is_echoed_cut():
     with pytest.raises(InputError) as err:
         AnalysisParams(1, cutoff="9" * 5000)
     assert str(err.value) == "cutoff must be an integer, got '999999999999...'"
+
+
+@pytest.mark.parametrize("value", [2.5, "3", [1]], ids=["float", "str", "list"])
+@pytest.mark.parametrize("intake", INTAKES, ids=list(INTAKES))
+def test_a_non_integer_raises_short_input_error(table, intake, value):
+    assert_input_error(lambda: INTAKES[intake][0](table, value))
+
+
+@pytest.mark.parametrize("intake", RANGES, ids=list(RANGES))
+def test_both_edges_of_a_range(intake):
+    build, low, high, what = RANGES[intake]
+    outside = {low - 1: f"{what} must be >= {low}, got {low - 1}"}
+    build(low)
+    if high is not None:
+        build(high)
+        outside[high + 1] = f"{what} must be <= {high}, got {high + 1}"
+    for x, message in outside.items():
+        with pytest.raises(InputError) as err:
+            build(x)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("intake", INTAKES, ids=list(INTAKES))
+def test_a_numpy_integer_is_read_as_an_int_and_a_numpy_float_refused(table, intake):
+    np = pytest.importorskip("numpy")
+    call, valid = INTAKES[intake]
+    got, want = call(table, np.int64(valid)), call(table, valid)
+    assert type(got) is type(want) and got == want
+    assert_input_error(lambda: call(table, np.float64(valid)))

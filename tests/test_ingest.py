@@ -157,6 +157,17 @@ class TestLoadCsv:
             load_csv(data_dir / "m1.csv", "O", CalibrationSpec({name: Cutpoints((0.5,))}))
         assert str(err.value) == f"{data_dir / 'm1.csv'}: calibration column {shown!r} not found"
 
+    @pytest.mark.parametrize(
+        "calibration, name, shown, kind",
+        [([0.5], "A", "A", "list"), ((0.5,), "N" * 5000, "NNNNNNNNNNNN...", "tuple"),
+         (None, "A", "A", "NoneType"), (0.5, "N" * 41, "NNNNNNNNNNNN...", "float")],
+    )
+    def test_a_calibration_that_is_not_cutpoints_is_refused(self, data_dir, calibration, name, shown, kind):
+        # Column A of m1.csv would otherwise be read as labels, the calibration ignored.
+        with pytest.raises(InputError) as err:
+            load_csv(data_dir / "m1.csv", "O", CalibrationSpec({name: calibration}))
+        assert str(err.value) == f"calibration of column {shown!r} is a {kind}, not Cutpoints"
+
     def test_an_absent_id_column_is_named_before_an_absent_calibration_column(self, data_dir):
         with pytest.raises(InputError) as err:
             load_csv(data_dir / "m1.csv", "O", CalibrationSpec({"Nope": Cutpoints((0.5,))}), id_column="Z")
@@ -680,7 +691,7 @@ class TestLongHeaderNamesInErrors:
 
     def test_an_integer_column_of_more_than_32768_levels(self, tmp_path, name, shown):
         got = load_text(tmp_path / "t.csv", f"id,{name},O\na,40000,1\nb,0,0\n", "O")
-        assert got == ("InputError", f"factor {shown!r}: 40001 levels exceed the limit of 32768")
+        assert got == ("InputError", f"factor {shown!r}: level count must be <= 32768, got 40001")
 
 
 

@@ -316,8 +316,8 @@ class TestTypes:
 
     @pytest.mark.parametrize(
         "build, message",
-        [(lambda: Factor("A", 40000), "factor 'A': 40000 levels exceed the limit of 32768"),
-         (lambda: Factor("A", 10**5000), "factor 'A': 100000000000... levels exceed the limit of 32768"),
+        [(lambda: Factor("A", 40000), "factor 'A': level count must be <= 32768, got 40000"),
+         (lambda: Factor("A", 10**5000), "factor 'A': level count must be <= 32768, got 100000000000..."),
          (lambda: binary_schema(["A"]).factor_index("B" * 40), f"unknown factor {'B' * 40!r}"),
          (lambda: binary_schema(["A"]).factor_index("B" * 41), "unknown factor 'BBBBBBBBBBBB...'"),
          (lambda: as_fraction("x" * 40), f"not a valid ratio: {'x' * 40!r}"),
@@ -334,8 +334,8 @@ class TestTypes:
     )
     @pytest.mark.parametrize(
         "levels, labels, message",
-        [(1, None, "level count must be >= 2"),
-         (40000, None, "40000 levels exceed the limit of 32768"),
+        [(1, None, "level count must be >= 2, got 1"),
+         (40000, None, "level count must be <= 32768, got 40000"),
          (2, ("a",), "1 labels for 2 levels")],
         ids=["one-level", "too-many-levels", "labels"],
     )
@@ -585,6 +585,14 @@ class TestAsFraction:
             as_fraction("eighty percent")
         with pytest.raises(InputError):
             as_fraction(float("nan"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_a_float_and_its_text_are_echoed_alike(self, value):
+        # Both branches echo through `_echo` and quote the result.
+        for x in (float(value), value):
+            with pytest.raises(InputError) as err:
+                as_fraction(x)
+            assert str(err.value) == f"not a valid ratio: {value!r}"
 
 
 class TestRendering:

@@ -249,8 +249,8 @@ class TestSpecChecks:
         [({"sample_size": 2.5}, "sample_size must be an integer, got 2.5"),
          ({"sample_size": "5"}, "sample_size must be an integer, got '5'"),
          ({"confound_count": 1.5}, "confound_count must be an integer, got 1.5"),
-         ({"sample_size": 0}, "sample_size must be >= 1"),
-         ({"sample_size": 3, "confound_count": 4}, "confound_count must lie in [0, sample_size]")],
+         ({"sample_size": 0}, "sample_size must be >= 1, got 0"),
+         ({"sample_size": 3, "confound_count": 4}, "confound_count must be <= 3, got 4")],
     )
     def test_sizes_are_read_as_indices(self, fields, message):
         # A float or numeric string is refused when the spec is built, not
