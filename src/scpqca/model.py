@@ -42,9 +42,11 @@ the frequency cutoff, the unique-cover floor and the rest) and checks them
 when it is built, so every stage reads them as they are.
 
 Every value an error names, from any module, goes through `_echo`: whole up
-to 40 characters, else its first 12 and "...". An int or `Fraction` is cut
-from its leading digits, so one past the interpreter's int-to-text limit is
-echoed too. Every integer the library is given, from any module, is read
+to 40 characters, else its first 12 and "...". No value is converted whole:
+an int or `Fraction` is cut from its leading digits, so one past the
+interpreter's int-to-text limit is echoed too, and a list, tuple, set,
+frozenset or dict is shown item by item up to the cut, each int in it cut
+the same way. Every integer the library is given, from any module, is read
 by `as_index`: through `operator.index`, and refused outside its optional
 bounds as "{what} must be >= {low}, got {x}" (or "<="). Whether a literal
 fits a schema is checked once, by `_check_literal`, for `match_bits`,
@@ -85,17 +87,62 @@ class VacuousSolutionError(ScpqcaError):
 # Past this many characters an echoed value is cut to its first 12 and "...".
 _ECHO_LIMIT = 40
 
+# The containers `_head` shows item by item, with the brackets `repr` puts around their items.
+_BRACKETS = {list: ("[", "]"), tuple: ("(", ")"), set: ("{", "}"), frozenset: ("frozenset({", "})"), dict: ("{", "}")}
 
-def _echo(x: object) -> str:
-    """``str(x)`` cut; an int or `Fraction` is cut from its leading digits, never converted whole."""
-    if isinstance(x, (int, Fraction)):
-        # m >= 10**k for k = (m.bit_length() - 1) * 30102 // 100000, so dropping
-        # its last k - _ECHO_LIMIT digits leaves its leading ones, over _ECHO_LIMIT.
-        terms = [abs(x.numerator)] + ([x.denominator] if x.denominator != 1 else [])
-        cut = [m // 10 ** max(0, (m.bit_length() - 1) * 30102 // 100000 - _ECHO_LIMIT) for m in terms]
-        x = ("-" if x < 0 else "") + "/".join(map(str, cut))
-    text = str(x)
+
+def _echo(x: object, show=str) -> str:
+    """`show(x)`, with `show` `str` or `repr`, cut; no value is converted whole.
+
+    An int or `Fraction` is cut from its leading digits, and a list, tuple,
+    set, frozenset or dict is shown item by item as `repr` shows it, up to
+    the cut (see `_head`). Shown by `repr`, a str is quoted around its cut.
+    """
+    if isinstance(x, str):
+        if show is repr:
+            return repr(_echo(x))
+        text = x
+    elif show is repr or isinstance(x, int) or type(x) in _BRACKETS:
+        text = _head(x)
+    elif isinstance(x, Fraction):
+        text = _head(x.numerator) + (f"/{_head(x.denominator)}" if x.denominator != 1 else "")
+    else:
+        text = str(x)
     return text if len(text) <= _ECHO_LIMIT else text[:12] + "..."
+
+
+def _head(x: object, room: int = _ECHO_LIMIT) -> str:
+    """``repr(x)`` exact in its first `room` + 1 characters, and built no further.
+
+    An int is cut from its leading digits: m >= 10**k for k =
+    (m.bit_length() - 1) * 30102 // 100000, so dropping its last k - room
+    digits leaves its leading ones, over `room`. A container stops at the
+    first item that starts past `room`; any other value whose `repr` fails
+    (a deque of such an int) is shown by its type name.
+    """
+    if room < 0:
+        return ""
+    if isinstance(x, int) and not isinstance(x, bool):
+        m = abs(x)
+        return ("-" if x < 0 else "") + str(m // 10 ** max(0, (m.bit_length() - 1) * 30102 // 100000 - room))
+    if isinstance(x, Fraction):
+        return f"Fraction({_head(x.numerator, room)}, {_head(x.denominator, room)})"
+    if type(x) not in _BRACKETS or not x:
+        try:
+            return repr(x)
+        except ValueError:  # another container, holding an int past the int-to-text limit
+            return f"<{type(x).__name__}>"
+    opening, closing = _BRACKETS[type(x)]
+    text = opening
+    for item in (x.items() if isinstance(x, dict) else x):
+        if len(text) > room:
+            return text
+        text += ", " if text != opening else ""
+        if isinstance(x, dict):
+            text += _head(item[0], room - len(text)) + ": "
+            item = item[1]
+        text += _head(item, room - len(text))
+    return text + ("," if type(x) is tuple and len(x) == 1 else "") + closing
 
 
 def as_index(x: object, what: str, low: int | None = None, high: int | None = None) -> int:
@@ -108,8 +155,7 @@ def as_index(x: object, what: str, low: int | None = None, high: int | None = No
     try:
         value = index(x)
     except TypeError:
-        shown = repr(_echo(x)) if isinstance(x, str) else _echo(repr(x))
-        raise InputError(f"{what} must be an integer, got {shown}") from None
+        raise InputError(f"{what} must be an integer, got {_echo(x, repr)}") from None
     if low is not None and value < low:
         raise InputError(f"{what} must be >= {low}, got {_echo(value)}")
     if high is not None and value > high:
@@ -325,8 +371,7 @@ def _bad_cell(cells: Sequence, levels: int, ids: Sequence[str], factor: Factor |
     what, where = ("outcome", "") if factor is None else ("value", f" for factor {_echo(factor.name)!r}")
     for cid, v in zip(ids, cells):
         if not hasattr(type(v), "__index__"):
-            shown = repr(_echo(v)) if isinstance(v, str) else _echo(repr(v))
-            return f"case {_echo(cid)!r}: {what} {shown}{where} is not an integer level"
+            return f"case {_echo(cid)!r}: {what} {_echo(v, repr)}{where} is not an integer level"
         if not 0 <= index(v) < levels:
             return f"case {_echo(cid)!r}: {what} {_echo(index(v))} out of range{where} (levels 0..{levels - 1})"
     raise AssertionError("a rejected column holds no bad cell")
@@ -585,15 +630,15 @@ class Conjunction:
 
     def merge(self, other: "Conjunction") -> "Conjunction":
         """Union of two partial assignments; conflicting values are an error."""
-        mine = {l.factor_index: l.value for l in self.literals}
+        mine = {l.factor_index: l for l in self.literals}
         for lit in other.literals:
-            if mine.get(lit.factor_index, lit.value) != lit.value:
+            held = mine.setdefault(lit.factor_index, lit)
+            if held != lit:
                 raise InputError(
                     f"conflicting values for factor index {_echo(lit.factor_index)}: "
-                    f"{_echo(mine[lit.factor_index])} vs {_echo(lit.value)}"
+                    f"{_echo(held.value)} vs {_echo(lit.value)}"
                 )
-            mine[lit.factor_index] = lit.value
-        return Conjunction(tuple(Literal(i, v) for i, v in mine.items()))
+        return Conjunction(tuple(mine.values()))
 
     def matches_values(self, values: Sequence[int]) -> bool:
         for lit in self.literals:

@@ -27,6 +27,7 @@ from .model import (
     UndefinedRatioError,
     conjunction_expr,
     match_bits,
+    necessity_consistency,
 )
 from .necessity import conflicting_factors, exclude_necessary, necessary_conditions
 
@@ -53,11 +54,11 @@ def solve(table: CaseTable, params: AnalysisParams, *, pool: CandidatePool | Non
     table.require_unique_ids()
     warnings: list[str] = []
 
-    necessity = tuple(necessary_conditions(table, params))
-
-    if params.assume_necessary is not None:
+    if params.assume_necessary is not None:  # no scan: list what is conjoined, with its consistency
         conjoined = tuple(sorted(params.assume_necessary))
+        necessity = tuple((lit, necessity_consistency(lit, table, params.decision_label)) for lit in conjoined)
     else:
+        necessity = tuple(necessary_conditions(table, params))
         conflicts = set(conflicting_factors(necessity))
         if conflicts:
             names = ", ".join(table.schema.factors[i].name for i in sorted(conflicts))
@@ -78,11 +79,12 @@ def solve(table: CaseTable, params: AnalysisParams, *, pool: CandidatePool | Non
 
     # Rules that lose every matched case once the necessary literals are
     # conjoined cannot be scored; drop them with a warning instead of failing.
+    # The walk left the conjoined factors out, so a rule shares none with them.
     if conjoined:
-        base = Conjunction(conjoined)
+        base = match_bits(Conjunction(conjoined), table)
         kept = []
         for rule in selected:
-            if match_bits(base.merge(rule.conjunction), table):
+            if base & match_bits(rule.conjunction, table):
                 kept.append(rule)
             else:
                 warnings.append(

@@ -45,7 +45,6 @@ from .model import (
     conjunction_shorthand,
     dnf_shorthand,
     ids_of,
-    necessity_consistency,
 )
 
 if TYPE_CHECKING:  # annotations only: rendering imports no pipeline stage
@@ -257,9 +256,6 @@ def solve_payload(result: SolveResult, oracle: Sequence[CandidateRule] | None = 
     schema = table.schema
     solution = result.solution
     necessary_factors = {l.factor_index for l in solution.necessary}
-    necessity = result.necessity
-    if result.params.assume_necessary is not None:  # the scan decided nothing; list what was conjoined
-        necessity = [(lit, necessity_consistency(lit, table, solution.decision_label)) for lit in solution.necessary]
     configs = [
         {
             "index": i + 1,
@@ -286,7 +282,7 @@ def solve_payload(result: SolveResult, oracle: Sequence[CandidateRule] | None = 
         },
         "necessity": [
             {**_necessity_entry(lit, cons, schema), "conjoined": lit in solution.necessary}
-            for lit, cons in necessity
+            for lit, cons in result.necessity
         ],
         "necessary_factors": sorted(schema.factors[i].name for i in necessary_factors),
         "candidate_count": len(result.candidates),

@@ -127,7 +127,9 @@ def internal_sweep(
         raise InputError("sweep grid must not be empty")
     bad = [p for p in grid if isinstance(p, str) or not isinstance(p, Sequence) or len(p) != 3]
     if bad:
-        raise InputError(f"sweep grid entry must be a (consistency, cutoff, unique_cover) triple, got {bad[0]!r}")
+        raise InputError(
+            f"sweep grid entry must be a (consistency, cutoff, unique_cover) triple, got {_echo(bad[0], repr)}"
+        )
     points = [(_grid_consistency(consistency), cutoff, unique) for consistency, cutoff, unique in grid]
     grid_params: list[AnalysisParams | str] = []  # or the error building them raised
     for consistency, cutoff, unique in points:
@@ -160,11 +162,19 @@ def internal_sweep(
 
 
 def derive_seed(seed: int, repetition: int) -> int:
-    """Deterministic, platform-independent child seed per repetition."""
+    """Deterministic, platform-independent child seed per repetition.
+
+    Hashes the decimal text of both, so one past the interpreter's
+    int-to-text limit raises `InputError`.
+    """
     import hashlib  # here, not at the top: OpenSSL's _hashlib is most of its import time
 
     seed, repetition = as_index(seed, "seed"), as_index(repetition, "repetition")
-    digest = hashlib.sha256(f"{seed}:{repetition}".encode()).digest()
+    try:
+        key = f"{seed}:{repetition}"
+    except ValueError:
+        raise InputError(f"seed {_echo(seed)} or repetition {_echo(repetition)} has too many digits to hash") from None
+    digest = hashlib.sha256(key.encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -245,12 +255,14 @@ def external_validity(
     A repetition whose subsample cannot be solved (for instance no positive
     cases survive) is recorded as degenerate with no configurations. The full
     solve and every repetition share one candidate pool at `params.cutoff`.
-    `reps` outside [1, MAX_REPS] or a non-integer `seed` is an InputError, before any solve.
+    `reps` outside [1, MAX_REPS] or a `seed` that `derive_seed` refuses is
+    an InputError, before any solve.
     """
     exact = as_fraction(fraction)
     if not 0 < exact < 1:
         raise InputError(f"fraction must be in (0,1), got {_echo(fraction)}")
     reps, seed = check_reps(reps), as_index(seed, "seed")
+    rep_seeds = [derive_seed(seed, rep) for rep in range(reps)]
     table.require_unique_ids()
 
     pool = CandidatePool(params.cutoff)
@@ -263,8 +275,8 @@ def external_validity(
         raise InputError(f"removing {k} of {n} cases leaves nothing to analyse")
 
     repetitions: list[Repetition] = []
-    for rep in range(reps):
-        rng = random.Random(derive_seed(seed, rep))
+    for rep_seed in rep_seeds:
+        rng = random.Random(rep_seed)
         removed = sorted(rng.sample(range(n), k))
         dropped = set(removed)
         sub = table.take([i for i in range(n) if i not in dropped])

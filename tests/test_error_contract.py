@@ -9,7 +9,18 @@ message names is echoed cut.
 Every integer intake reads its value through `model.as_index`: a float, a
 numeric string or a list raises `InputError`, a numpy integer is stored as
 an `int`, and a value just outside a range raises the one range wording.
+
+A container that holds an int past any int-to-text limit is echoed item by
+item up to the cut, never converted whole (a container of another type, by
+its type name), and a seed past the current limit
+is refused by `derive_seed` before any solve. Run this file under
+``python -X int_max_str_digits=640`` (the lowest limit) to check that no
+echo converts a large int whole.
 """
+
+import sys
+from collections import deque
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +49,7 @@ from scpqca import (
     synth_schema,
 )
 from scpqca.pathways import MAX_SAMPLE_SIZE
-from scpqca.robustness import MAX_REPS, check_reps
+from scpqca.robustness import MAX_REPS, check_reps, internal_sweep
 
 MAX_MESSAGE = 200
 # Filters under which the 8-case table below has a solution.
@@ -217,3 +228,68 @@ def test_a_numpy_integer_is_read_as_an_int_and_a_numpy_float_refused(table, inta
     got, want = call(table, np.int64(valid)), call(table, valid)
     assert type(got) is type(want) and got == want
     assert_input_error(lambda: call(table, np.float64(valid)))
+
+
+# Past every int-to-text limit: the highest default is 4300 digits.
+HUGE = 10**5000
+
+# Each probe takes the table and gives a container, or a Fraction, that
+# holds HUGE where an integer or a sweep grid entry belongs.
+CONTAINER_PROBES = {
+    "params cutoff list": lambda t: AnalysisParams(1, cutoff=[HUGE]),
+    "params cutoff dict": lambda t: AnalysisParams(1, cutoff={HUGE: [HUGE]}),
+    "Literal factor_index": lambda t: Literal([HUGE], 0),
+    "Literal value Fraction": lambda t: Literal(0, Fraction(HUGE, 3)),
+    "Factor levels": lambda t: Factor("A", (HUGE,)),
+    "CandidatePool": lambda t: CandidatePool({HUGE}),
+    "Literal value deque": lambda t: Literal(0, deque([HUGE])),
+    "params cutoff range": lambda t: AnalysisParams(1, cutoff=range(HUGE)),
+    "CaseTable cell": lambda t: CaseTable(binary_schema(["A"]), ("a",), [[[HUGE]]], [0]),
+    "sweep grid long tuple": lambda t: internal_sweep(t, [tuple(range(3000))], SOLVABLE),
+    "sweep grid long text": lambda t: internal_sweep(t, ["x" * 5000], SOLVABLE),
+    "sweep grid huge int": lambda t: internal_sweep(t, [(1, HUGE)], SOLVABLE),
+}
+
+
+@pytest.mark.parametrize("probe", CONTAINER_PROBES, ids=list(CONTAINER_PROBES))
+def test_a_container_holding_a_huge_int_raises_short_input_error(table, probe):
+    assert_input_error(lambda: CONTAINER_PROBES[probe](table))
+
+
+@pytest.mark.parametrize(
+    "value", [[1], ["x"], (1,), (), {2}, frozenset({3}), {1: "a"}, [True, None, 1.5], [Fraction(1, 3)],
+              [1] * 13, [1] * 14, [10**39], {"k": (10**60, "v")}, [[[[[[[[1]]]]]]]]],
+)
+def test_a_container_is_echoed_as_repr_shows_it(value):
+    text = repr(value)
+    with pytest.raises(InputError) as err:
+        AnalysisParams(1, cutoff=value)
+    assert str(err.value) == f"cutoff must be an integer, got {text if len(text) <= 40 else text[:12] + '...'}"
+
+
+def test_a_huge_int_in_a_container_is_echoed_from_its_leading_digits():
+    with pytest.raises(InputError) as err:
+        AnalysisParams(1, cutoff=[-HUGE])
+    assert str(err.value) == "cutoff must be an integer, got [-1000000000..."
+
+
+# The interpreter's int-to-text limit in digits; 0 (or an interpreter
+# without one) converts any int.
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+SEED_PROBES = {
+    "derive_seed seed": lambda t, big: derive_seed(big, 0),
+    "derive_seed repetition": lambda t, big: derive_seed(0, -big),
+    "external_validity seed": lambda t, big: external_validity(t, SOLVABLE, reps=1, seed=big),
+}
+
+
+@pytest.mark.skipif(not LIMIT, reason="no int-to-text limit")
+@pytest.mark.parametrize("probe", SEED_PROBES, ids=list(SEED_PROBES))
+def test_a_seed_past_the_int_to_text_limit_raises_short_input_error_before_any_solve(table, probe, monkeypatch):
+    import scpqca.robustness
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the seed was checked")
+
+    monkeypatch.setattr(scpqca.robustness, "solve", no_solve)
+    assert_input_error(lambda: SEED_PROBES[probe](table, 10**LIMIT))

@@ -292,6 +292,17 @@ class TestTypes:
         with pytest.raises(InputError):
             a.merge(Conjunction.of((0, 0)))
 
+    def test_conjunction_merge_builds_no_literal(self, monkeypatch):
+        a, b, conflict = Conjunction.of((2, 0), (0, 1)), Conjunction.of((1, 3), (0, 1)), Conjunction.of((0, 0))
+        expected = Conjunction.of((0, 1), (1, 3), (2, 0))
+        built = []
+        post_init = Literal.__post_init__
+        monkeypatch.setattr(Literal, "__post_init__", lambda lit: (built.append(lit), post_init(lit))[1])
+        assert a.merge(b) == expected
+        with pytest.raises(InputError, match="^conflicting values for factor index 0: 1 vs 0$"):
+            a.merge(conflict)
+        assert built == []
+
     def test_literals_sorted_and_hashable(self):
         c = Conjunction.of((2, 0), (0, 1))
         assert c.factor_indices() == (0, 2)

@@ -218,3 +218,46 @@ class TestAnalysisParams:
         solve(remote_table, params)
         assert len(seen) == 4 and all(p is params for p in seen)
         assert built == []
+
+
+class TestSolveReusesWhatItHolds:
+    """Work counts: `solve` builds no value it already holds."""
+
+    def test_an_assumed_necessity_runs_no_scan(self, remote_table, monkeypatch):
+        from scpqca import pipeline
+        from scpqca.report import render_json, solve_payload
+
+        params = AnalysisParams(1, cutoff=4, assume_necessary=(Literal(remote_table.schema.factor_index("PI"), 1),))
+        expected = solve(remote_table, params)
+
+        def scan(*args):
+            raise AssertionError("necessary_conditions called under assume_necessary")
+
+        monkeypatch.setattr(pipeline, "necessary_conditions", scan)
+        result = solve(remote_table, params)
+        assert result == expected
+        assert render_json(solve_payload(result)) == render_json(solve_payload(expected))
+        assert result.necessity == ((Literal(2, 1), Fraction(1, 2)),)
+
+    @pytest.mark.parametrize(
+        "factors, cases",
+        [
+            # B=1 covers b1 and b2, which the assumed A=1 excludes: one pick, dropped.
+            (["A", "B"], [("a1", (1, 0), 1), ("a2", (1, 0), 1), ("b1", (0, 1), 1), ("b2", (0, 1), 1),
+                          ("c", (1, 0), 0)]),
+            # A pick over p1 and p2 is kept, one over q1 and q2 dropped.
+            (["A", "B", "C"], [("p1", (1, 1, 0), 1), ("p2", (1, 1, 0), 1), ("q1", (0, 0, 1), 1),
+                               ("q2", (0, 0, 1), 1), ("n1", (1, 0, 0), 0), ("n2", (0, 0, 0), 0)]),
+        ],
+        ids=["dropped", "kept-and-dropped"],
+    )
+    def test_merge_runs_once_per_kept_pick(self, factors, cases, monkeypatch):
+        from scpqca.model import Conjunction
+
+        t = CaseTable.from_cases(binary_schema(factors), [Case(*c) for c in cases])
+        merges = []
+        merge = Conjunction.merge
+        monkeypatch.setattr(Conjunction, "merge", lambda self, other: (merges.append(other), merge(self, other))[1])
+        result = solve(t, AnalysisParams(1, cutoff=2, unique_cover=2, assume_necessary=(Literal(0, 1),)))
+        assert any(w.endswith("was dropped") for w in result.warnings)
+        assert merges == [rule.conjunction for rule in result.solution.rules]

@@ -34,6 +34,8 @@ CASES = {
     "candidates_none": ["candidates", *REMOTE, "--cutoff", "9"],
     "solve": ["solve", *REMOTE, "--cutoff", "4"],
     "solve_oracle": ["solve", *REMOTE, "--cutoff", "4", "--oracle"],
+    # The scan would find MS=0, LE=1 and ED=1; the report lists only PI=1.
+    "solve_assume_necessary": ["solve", *REMOTE, "--cutoff", "4", "--assume-necessary", "PI=1"],
     "solve_necessary_only": ["solve", *M1, "--unique-cover", "1"],
     "solve_multi_value": ["solve", "--data", MULTI_VALUE, "--outcome", "OUTCOME", "--unique-cover", "1"],
     "experiment": EXPERIMENT,
