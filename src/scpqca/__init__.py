@@ -48,6 +48,7 @@ _EXPORTS = {
         "match_bits",
         "matched_ids",
         "necessity_consistency",
+        "replace",
         "rule_from_conjunction",
         "solution_metrics",
         "sufficiency_consistency",

@@ -62,15 +62,14 @@ import math
 import io
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from .model import CaseTable, Factor, FactorSchema, InputError, _echo
+from .model import CaseTable, Factor, FactorSchema, InputError, _echo, frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class Cutpoints:
     """Strictly increasing thresholds mapping a numeric column to levels 0..k."""
 
@@ -94,13 +93,15 @@ class Cutpoints:
         return bisect_right(self.points, x)
 
 
-@dataclass(frozen=True)
+@frozen
 class CalibrationSpec:
     """Per-column calibration; columns not listed are passthrough."""
 
-    columns: Mapping[str, Cutpoints] = field(default_factory=dict)
+    columns: Mapping[str, Cutpoints] | None = None  # None: a new empty dict
 
     def __post_init__(self) -> None:
+        if self.columns is None:
+            object.__setattr__(self, "columns", {})
         for name, calib in self.columns.items():
             if not isinstance(calib, Cutpoints):
                 raise InputError(f"calibration of column {_echo(name)!r} is a {_echo(type(calib).__name__)}, not Cutpoints")

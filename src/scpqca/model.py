@@ -41,156 +41,47 @@ as columns and builds a rule object only for a rule that is read.
 the frequency cutoff, the unique-cover floor and the rest) and checks them
 when it is built, so every stage reads them as they are.
 
-Every value an error names, from any module, goes through `_echo`: whole up
-to 40 characters, else its first 12 and "...". No value is converted whole:
-an int or `Fraction` is cut from its leading digits, so one past the
-interpreter's int-to-text limit is echoed too, and a list, tuple, set,
-frozenset or dict is shown item by item up to the cut, each int in it cut
-the same way. Every integer the library is given, from any module, is read
-by `as_index`: through `operator.index`, and refused outside its optional
-bounds as "{what} must be >= {low}, got {x}" (or "<="). Whether a literal
+The errors, the one echo `_echo` and the readers `as_index` and
+`as_fraction` live in `_base` and are re-exported here. Whether a literal
 fits a schema is checked once, by `_check_literal`, for `match_bits`,
 `necessity.exclude_necessary` and `pathways.PathwaySpec`.
 
 All types are immutable after construction (the bitset cache only memoizes)
 and all operations are pure, so values can be shared freely across threads.
+The value classes are `_base.frozen` classes, and `replace` gives a changed
+copy, checked as a new one is.
 """
 
 from __future__ import annotations
 
 import weakref
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from itertools import compress
 from operator import eq, index
 from typing import Iterable, Iterator, Sequence
 
+from ._base import (  # re-exported: every module reads these from here
+    _ECHO_LIMIT,
+    InputError,
+    ScpqcaError,
+    UndefinedRatioError,
+    VacuousSolutionError,
+    _echo,
+    _head,
+    as_fraction,
+    as_index,
+    frozen,
+    replace,
+)
 
-class ScpqcaError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class InputError(ScpqcaError, ValueError):
-    """Invalid data, parameters, or schema mismatch."""
-
-
-class UndefinedRatioError(ScpqcaError, ArithmeticError):
-    """A consistency/coverage ratio was requested with an empty denominator."""
-
-
-class VacuousSolutionError(ScpqcaError):
-    """No admissible cover and no necessary conditions: nothing to report."""
-
-
-# Past this many characters an echoed value is cut to its first 12 and "...".
-_ECHO_LIMIT = 40
-
-# The containers `_head` shows item by item, with the brackets `repr` puts around their items.
-_BRACKETS = {list: ("[", "]"), tuple: ("(", ")"), set: ("{", "}"), frozenset: ("frozenset({", "})"), dict: ("{", "}")}
-
-
-def _echo(x: object, show=str) -> str:
-    """`show(x)`, with `show` `str` or `repr`, cut; no value is converted whole.
-
-    An int or `Fraction` is cut from its leading digits, and a list, tuple,
-    set, frozenset or dict is shown item by item as `repr` shows it, up to
-    the cut (see `_head`). Shown by `repr`, a str is quoted around its cut.
-    """
-    if isinstance(x, str):
-        if show is repr:
-            return repr(_echo(x))
-        text = x
-    elif show is repr or isinstance(x, int) or type(x) in _BRACKETS:
-        text = _head(x)
-    elif isinstance(x, Fraction):
-        text = _head(x.numerator) + (f"/{_head(x.denominator)}" if x.denominator != 1 else "")
-    else:
-        text = str(x)
-    return text if len(text) <= _ECHO_LIMIT else text[:12] + "..."
-
-
-def _head(x: object, room: int = _ECHO_LIMIT) -> str:
-    """``repr(x)`` exact in its first `room` + 1 characters, and built no further.
-
-    An int is cut from its leading digits: m >= 10**k for k =
-    (m.bit_length() - 1) * 30102 // 100000, so dropping its last k - room
-    digits leaves its leading ones, over `room`. A container stops at the
-    first item that starts past `room`; any other value whose `repr` fails
-    (a deque of such an int) is shown by its type name.
-    """
-    if room < 0:
-        return ""
-    if isinstance(x, int) and not isinstance(x, bool):
-        m = abs(x)
-        return ("-" if x < 0 else "") + str(m // 10 ** max(0, (m.bit_length() - 1) * 30102 // 100000 - room))
-    if isinstance(x, Fraction):
-        return f"Fraction({_head(x.numerator, room)}, {_head(x.denominator, room)})"
-    if type(x) not in _BRACKETS or not x:
-        try:
-            return repr(x)
-        except ValueError:  # another container, holding an int past the int-to-text limit
-            return f"<{type(x).__name__}>"
-    opening, closing = _BRACKETS[type(x)]
-    text = opening
-    for item in (x.items() if isinstance(x, dict) else x):
-        if len(text) > room:
-            return text
-        text += ", " if text != opening else ""
-        if isinstance(x, dict):
-            text += _head(item[0], room - len(text)) + ": "
-            item = item[1]
-        text += _head(item, room - len(text))
-    return text + ("," if type(x) is tuple and len(x) == 1 else "") + closing
-
-
-def as_index(x: object, what: str, low: int | None = None, high: int | None = None) -> int:
-    """`x` as an int through `operator.index`, as table level values are read.
-
-    A value without ``__index__`` (a float, a numeric string) raises
-    `InputError` naming `what`, never a silent truncation or coercion; so
-    does one below `low` or above `high`, when given.
-    """
-    try:
-        value = index(x)
-    except TypeError:
-        raise InputError(f"{what} must be an integer, got {_echo(x, repr)}") from None
-    if low is not None and value < low:
-        raise InputError(f"{what} must be >= {low}, got {_echo(value)}")
-    if high is not None and value > high:
-        raise InputError(f"{what} must be <= {high}, got {_echo(value)}")
-    return value
-
-
-def as_fraction(x: int | float | str | Fraction) -> Fraction:
-    """Exact rational from a threshold-like value.
-
-    Floats go through their shortest decimal repr, so ``as_fraction(0.8)``
-    is exactly 4/5 rather than the binary float closest to 0.8. Strings may
-    be decimals ("0.8") or ratios ("4/5").
-    """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        try:
-            return Fraction(repr(x))
-        except ValueError:
-            raise InputError(f"not a valid ratio: {_echo(x)!r}") from None
-    if isinstance(x, str):
-        try:
-            return Fraction(x.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a valid ratio: {_echo(x)!r}") from exc
-    raise InputError(f"cannot interpret {type(x).__name__} as a ratio")
-
+_set = object.__setattr__
 
 # ---------------------------------------------------------------------------
 # Analysis parameters
 
-@dataclass(frozen=True)
+@frozen
 class AnalysisParams:
     """Everything a pipeline run needs besides the table, checked when built.
 
@@ -211,14 +102,14 @@ class AnalysisParams:
     assume_necessary: tuple[Literal, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "consistency_threshold", as_fraction(self.consistency_threshold))
-        object.__setattr__(self, "necessity_threshold", as_fraction(self.necessity_threshold))
-        object.__setattr__(self, "decision_label", as_index(self.decision_label, "decision_label"))
+        _set(self, "consistency_threshold", as_fraction(self.consistency_threshold))
+        _set(self, "necessity_threshold", as_fraction(self.necessity_threshold))
+        _set(self, "decision_label", as_index(self.decision_label, "decision_label"))
         if not 0 < self.consistency_threshold <= 1:
             raise InputError(f"consistency threshold must be in (0,1], got {_echo(self.consistency_threshold)}")
         for name in ("cutoff", "max_order", "unique_cover"):
             if name != "max_order" or self.max_order is not None:  # None: no bound on the literals per rule
-                object.__setattr__(self, name, as_index(getattr(self, name), name, 1))
+                _set(self, name, as_index(getattr(self, name), name, 1))
         if not 0 < self.necessity_threshold <= 1:
             raise InputError(f"necessity threshold must be in (0,1], got {_echo(self.necessity_threshold)}")
         if self.assume_necessary is not None:
@@ -229,7 +120,7 @@ class AnalysisParams:
 # Schema and cases
 
 
-@dataclass(frozen=True)
+@frozen
 class Factor:
     """One column: a name, its admissible level count, and optional provenance.
 
@@ -247,12 +138,12 @@ class Factor:
         if not self.name:
             raise InputError("factor name must be non-empty")
         levels = as_index(self.levels, f"factor {_echo(self.name)!r}: level count", 2, 1 << 15)
-        object.__setattr__(self, "levels", levels)
+        _set(self, "levels", levels)
         if self.labels is not None and len(self.labels) != self.levels:
             raise InputError(f"factor {_echo(self.name)!r}: {len(self.labels)} labels for {self.levels} levels")
 
 
-@dataclass(frozen=True)
+@frozen
 class FactorSchema:
     """Ordered condition factors plus the outcome column."""
 
@@ -292,7 +183,7 @@ def binary_schema(names: Sequence[str], outcome_name: str = "O") -> FactorSchema
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class Case:
     id: str
     values: tuple[int, ...]
@@ -386,7 +277,7 @@ def _bits_where(col: bytes | array, value: int) -> int:
     return int(b"0" + bytes(map(value.__eq__, reversed(col))).translate(_FLAG_TO_DIGIT), 2)
 
 
-@dataclass(frozen=True, eq=False)
+@frozen
 class CaseTable:
     """A calibrated dataset: cases x factors with dense integer levels.
 
@@ -440,13 +331,13 @@ class CaseTable:
                 raise InputError(_bad_cell(cells, levels, ids, factor))
             stored.append(col)
         *stored, outcome_column = stored
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "_columns", tuple(stored))
-        object.__setattr__(self, "_outcome_column", outcome_column)
-        object.__setattr__(self, "values", Rows(self._columns, n))
-        object.__setattr__(self, "outcomes", memoryview(outcome_column).toreadonly())
-        object.__setattr__(self, "_bit_cache", {})
-        object.__setattr__(self, "_taken_from", None)
+        _set(self, "ids", ids)
+        _set(self, "_columns", tuple(stored))
+        _set(self, "_outcome_column", outcome_column)
+        _set(self, "values", Rows(self._columns, n))
+        _set(self, "outcomes", memoryview(outcome_column).toreadonly())
+        _set(self, "_bit_cache", {})
+        _set(self, "_taken_from", None)
 
     @classmethod
     def from_columns(
@@ -479,7 +370,7 @@ class CaseTable:
         taken = CaseTable.from_columns(
             self.schema, [self.ids[i] for i in indices], map(pick, self._columns), pick(self._outcome_column)
         )
-        object.__setattr__(taken, "_taken_from", weakref.ref(self))
+        _set(taken, "_taken_from", weakref.ref(self))
         return taken
 
     def __len__(self) -> int:
@@ -577,22 +468,39 @@ def bits_of(members: Iterable[str], ids: Sequence[str]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Literals, conjunctions, rules
+# Literals, conjunctions, rules: built, hashed, compared and sorted in the hot
+# loops, so they write their own `frozen` methods.
 
 
-@dataclass(frozen=True, order=True)
+@frozen
+@total_ordering
 class Literal:
-    """A factor=value atom."""
+    """A factor=value atom, ordered by factor index, then value."""
 
     factor_index: int
     value: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factor_index", as_index(self.factor_index, "literal factor_index", 0))
-        object.__setattr__(self, "value", as_index(self.value, "literal value", 0))
+    def __init__(self, factor_index: int, value: int) -> None:
+        _set(self, "factor_index", as_index(factor_index, "literal factor_index", 0))
+        _set(self, "value", as_index(value, "literal value", 0))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factor_index == other.factor_index and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.factor_index, self.value))
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factor_index < other.factor_index or (
+            self.factor_index == other.factor_index and self.value < other.value
+        )
 
 
-@dataclass(frozen=True)
+@frozen
 class Conjunction:
     """A partial assignment: at most one literal per factor, rest don't-care.
 
@@ -602,14 +510,22 @@ class Conjunction:
 
     literals: tuple[Literal, ...]
 
-    def __post_init__(self) -> None:
-        lits = tuple(sorted(self.literals))
+    def __init__(self, literals: Iterable[Literal]) -> None:
+        lits = tuple(sorted(literals))
         seen: set[int] = set()
         for lit in lits:
             if lit.factor_index in seen:
                 raise InputError(f"conjunction assigns factor index {_echo(lit.factor_index)} twice")
             seen.add(lit.factor_index)
-        object.__setattr__(self, "literals", lits)
+        _set(self, "literals", lits)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.literals == other.literals
+
+    def __hash__(self) -> int:
+        return hash((self.literals,))
 
     @classmethod
     def of(cls, *pairs: tuple[int, int]) -> "Conjunction":
@@ -676,7 +592,7 @@ def matched_ids(conjunction: Conjunction, table: CaseTable) -> frozenset[str]:
     return frozenset(ids_of(match_bits(conjunction, table), table.ids))
 
 
-@dataclass(frozen=True)
+@frozen
 class CandidateRule:
     """A conjunction with the bitsets of its matched and matched-positive cases.
 
@@ -687,17 +603,34 @@ class CandidateRule:
     """
 
     conjunction: Conjunction
-    matched_bits: int = field(repr=False)
-    positive_bits: int = field(repr=False)
-    ids: tuple[str, ...] = field(repr=False, hash=False)
+    matched_bits: int
+    positive_bits: int
+    ids: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if self.matched_bits < 1:
+    def __init__(self, conjunction: Conjunction, matched_bits: int, positive_bits: int, ids: tuple[str, ...]) -> None:
+        if matched_bits < 1:
             raise InputError("candidate rule must match at least one case")
-        if self.positive_bits & ~self.matched_bits:
+        if positive_bits & ~matched_bits:
             raise InputError("positives_matched must be a subset of matched")
-        if self.matched_bits.bit_length() > len(self.ids):
+        if matched_bits.bit_length() > len(ids):
             raise InputError("matched bits reach past the case ids")
+        _set(self, "conjunction", conjunction)
+        _set(self, "matched_bits", matched_bits)
+        _set(self, "positive_bits", positive_bits)
+        _set(self, "ids", ids)
+
+    def __eq__(self, other: object) -> bool:  # ids compared too, as one tuple item: by identity first
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.matched_bits, self.positive_bits, self.conjunction, self.ids) == (
+            other.matched_bits, other.positive_bits, other.conjunction, other.ids
+        )
+
+    def __hash__(self) -> int:  # not over the ids, which every rule of a table shares
+        return hash((self.conjunction, self.matched_bits, self.positive_bits))
+
+    def __repr__(self) -> str:
+        return f"CandidateRule(conjunction={self.conjunction!r})"
 
     @classmethod
     def from_sets(
@@ -749,12 +682,12 @@ class CandidateRules(Sequence[CandidateRule]):
         # Checking costs more than walking the node, so the frozen fields are
         # set directly, one at a time: that keeps no instance dict per rule.
         conjunction = object.__new__(Conjunction)
-        object.__setattr__(conjunction, "literals", literals)
+        _set(conjunction, "literals", literals)
         rule = object.__new__(CandidateRule)
-        object.__setattr__(rule, "conjunction", conjunction)
-        object.__setattr__(rule, "matched_bits", matched_bits)
-        object.__setattr__(rule, "positive_bits", positive_bits)
-        object.__setattr__(rule, "ids", self.ids)
+        _set(rule, "conjunction", conjunction)
+        _set(rule, "matched_bits", matched_bits)
+        _set(rule, "positive_bits", positive_bits)
+        _set(rule, "ids", self.ids)
         return rule
 
     def __len__(self) -> int:
@@ -777,7 +710,7 @@ class CandidateRules(Sequence[CandidateRule]):
         return f"CandidateRules({list(self)!r})"
 
 
-@dataclass(frozen=True)
+@frozen
 class Solution:
     """Necessary literals conjoined with a disjunction of selected rules.
 
@@ -802,7 +735,7 @@ class Solution:
             raise InputError("one unique-coverage count per rule required")
         if len(set(self.rules)) != len(self.rules):
             raise InputError("selected rules must be pairwise distinct")
-        object.__setattr__(self, "necessary", tuple(sorted(self.necessary)))
+        _set(self, "necessary", tuple(sorted(self.necessary)))
 
     def configurations(self) -> tuple[Conjunction, ...]:
         """Effective configurations: each rule with the necessary literals folded in."""

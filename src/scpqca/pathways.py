@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
@@ -39,6 +38,7 @@ from .model import (
     _echo,
     as_index,
     dnf_shorthand,
+    frozen,
 )
 from .pipeline import AnalysisParams, SolveResult, solve
 
@@ -47,7 +47,7 @@ MAX_TRUTH_TABLE_ROWS = 1 << 24
 MAX_SAMPLE_SIZE = 10**7
 
 
-@dataclass(frozen=True)
+@frozen
 class PathwaySpec:
     """A parsed DNF causal pathway bound to a schema."""
 
@@ -70,7 +70,7 @@ class PathwaySpec:
         return dnf_shorthand(self.terms, self.schema)
 
 
-@dataclass(frozen=True)
+@frozen
 class ExperimentSpec:
     """One synthetic run: plant a pathway, sample, corrupt some outcomes."""
 
@@ -290,7 +290,7 @@ def generate_experiment_table(spec: ExperimentSpec) -> CaseTable:
 # Experiment runner
 
 
-@dataclass(frozen=True)
+@frozen
 class ExperimentReport:
     spec: ExperimentSpec
     params: AnalysisParams

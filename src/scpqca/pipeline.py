@@ -13,7 +13,6 @@ its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from .candidates import CandidatePool, enumerate_candidates
 from .cover import assemble_solution, greedy_cover
@@ -26,13 +25,14 @@ from .model import (
     Solution,
     UndefinedRatioError,
     conjunction_expr,
+    frozen,
     match_bits,
     necessity_consistency,
 )
 from .necessity import conflicting_factors, exclude_necessary, necessary_conditions
 
 
-@dataclass(frozen=True)
+@frozen
 class SolveResult:
     table: CaseTable
     params: AnalysisParams

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
@@ -40,6 +39,8 @@ from .model import (
     _echo,
     as_fraction,
     as_index,
+    frozen,
+    replace,
 )
 from .pipeline import SolveResult, solve
 
@@ -87,7 +88,7 @@ def classify_with_match(
 # Internal validity
 
 
-@dataclass(frozen=True)
+@frozen
 class SweepCell:
     """A grid point as given (its consistency parsed) and its solve, if any."""
 
@@ -178,7 +179,7 @@ def derive_seed(seed: int, repetition: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass(frozen=True)
+@frozen
 class Repetition:
     removed_ids: tuple[str, ...]
     configurations: tuple[Conjunction, ...]
@@ -187,7 +188,7 @@ class Repetition:
     error: str | None = None
 
 
-@dataclass(frozen=True)
+@frozen
 class ValidityReport:
     originals: tuple[Conjunction, ...]
     repetitions: tuple[Repetition, ...]

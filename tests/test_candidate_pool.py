@@ -15,7 +15,6 @@ import gc
 import math
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -38,6 +37,7 @@ from scpqca import (
     enumerate_candidates,
     external_validity,
     internal_sweep,
+    replace,
     robustness,
     solve,
 )

@@ -30,6 +30,7 @@ from scpqca import (
     necessary_conditions,
     sufficiency_consistency,
 )
+from scpqca import model
 from scpqca.cli import main
 from conftest import brute_force_candidates, random_table
 
@@ -250,19 +251,34 @@ class TestWalkAgainstItertools:
 
 
 class TestAbsentLevels:
+    # 3 factors of 32 768 levels and 200 cases: all but a few hundred
+    # levels are held by no case, and the walk and the necessity scan
+    # must not visit them one by one for every frontier node.
+    ARGS = ["experiment", "--factors", "3", "--levels", "32768", "--pathway", "A1*B2+C3",
+            "--samples", "200", "--confounds", "50", "--max-order", "2", "--consistency", "0.3",
+            "--cutoff", "1", "--unique-cover", "1"]
+
     def test_many_unheld_levels_stay_fast(self):
-        # 3 factors of 32 768 levels and 200 cases: all but a few hundred
-        # levels are held by no case, and the walk and the necessity scan
-        # must not visit them one by one for every frontier node.
-        args = ["experiment", "--factors", "3", "--levels", "32768", "--pathway", "A1*B2+C3",
-                "--samples", "200", "--confounds", "50", "--max-order", "2", "--consistency", "0.3",
-                "--cutoff", "1", "--unique-cover", "1"]
+        args = self.ARGS
         start = time.perf_counter()
         with redirect_stdout(io.StringIO()) as out:
             code = main(args)
         elapsed = time.perf_counter() - start
         assert code == 0 and out.getvalue()
         assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+    def test_only_held_levels_are_packed(self, monkeypatch):
+        # The same run, counted instead of timed: a level's bitset is packed
+        # from its column only when some case holds it, and once, so the
+        # 200 cases bound the packs (at most one level per factor each, plus
+        # the outcome labels) whatever the speed of the host.
+        packs = []
+        real = model._bits_where
+        monkeypatch.setattr(model, "_bits_where", lambda col, v: packs.append((id(col), v, v in col)) or real(col, v))
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(self.ARGS) == 0 and out.getvalue()
+        assert all(held for _, _, held in packs)
+        assert len(set(packs)) == len(packs) <= 3 * 200 + 2
 
 
 class TestUncheckedRulesAreValid:

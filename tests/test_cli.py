@@ -1190,12 +1190,25 @@ class TestStartup:
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, encoding="utf-8", env=env)
         assert (run.returncode, run.stdout) == (0, "[]\n")
 
+    def test_cli_import_loads_no_dataclasses_machinery(self):
+        # `dataclasses` would load `inspect`, `ast`, `dis` and `tokenize`,
+        # which nothing else in the package needs. Only the modules that
+        # `import scpqca.cli` loads count, not those the interpreter's site
+        # hooks loaded before it.
+        code = (
+            "import sys; before = set(sys.modules); import scpqca.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & (set(sys.modules) - before)))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, encoding="utf-8", env=env)
+        assert (run.returncode, run.stdout) == (0, "[]\n")
+
     def test_report_import_loads_no_pipeline_stage(self):
         # `report` names `SolveResult` and `ValidityReport` in annotations only.
         code = "import sys, scpqca.report; print(sorted(m for m in sys.modules if m.startswith('scpqca.')))"
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, encoding="utf-8", env=env)
-        assert (run.returncode, run.stdout) == (0, "['scpqca.model', 'scpqca.report']\n")
+        assert (run.returncode, run.stdout) == (0, "['scpqca._base', 'scpqca.model', 'scpqca.report']\n")
 
     def test_package_names_load_on_first_use(self):
         code = (

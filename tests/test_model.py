@@ -296,8 +296,8 @@ class TestTypes:
         a, b, conflict = Conjunction.of((2, 0), (0, 1)), Conjunction.of((1, 3), (0, 1)), Conjunction.of((0, 0))
         expected = Conjunction.of((0, 1), (1, 3), (2, 0))
         built = []
-        post_init = Literal.__post_init__
-        monkeypatch.setattr(Literal, "__post_init__", lambda lit: (built.append(lit), post_init(lit))[1])
+        init = Literal.__init__
+        monkeypatch.setattr(Literal, "__init__", lambda lit, *args: (built.append(lit), init(lit, *args))[1])
         assert a.merge(b) == expected
         with pytest.raises(InputError, match="^conflicting values for factor index 0: 1 vs 0$"):
             a.merge(conflict)
