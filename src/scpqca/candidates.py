@@ -53,10 +53,10 @@ cutoff and consistency, and every node of that walk is a rule. Only a
 sweep or jackknife shares a `CandidatePool`, which keeps the nodes of one
 walk and filters them per cell or rep; a call its pool cannot answer walks
 directly as well. Either way the rules come back as one `CandidateRules`
-(see `model`), the nodes' literal tuples and bits as columns, with no rule
-object per node. The walk appends literals in ascending factor order and
-derives each node's bits from the table, so every rule is valid by
-construction. The filters, the decision label and `max_order` are read from
+(see `model`): the nodes' literal tuples and matched bits as columns, the
+table's positives as one bitset, and no rule object per node. The walk
+appends literals in ascending factor order and derives each node's bits from
+the table, so every rule is valid by construction. The filters, the decision label and `max_order` are read from
 the run's one `model.AnalysisParams`, which checked them when it was built;
 only the pool checks its own cutoff.
 """
@@ -117,7 +117,7 @@ def _walk(
         ]
         tails[at] = [(lit, bits, at + 1) for lit, bits in kept] + tails[at + 1]
         groups[at] = [(kept[:-1], kept[-1]) if len(kept) == levels else (kept, None)] + groups[at + 1]
-    out_literals, out_matched, out_positive = [], [], []
+    out_literals, out_matched = [], []
 
     # Frontier entries: (literals tuple, matched bits, position in `factors` to
     # extend from), all meeting the cutoff and with a literal to extend by.
@@ -133,11 +133,9 @@ def _walk(
                 if count < cutoff:
                     continue
                 child_lits = lits + (lit,)
-                child_pos = child & positives
-                if child_pos.bit_count() * den >= num * count:
+                if (child & positives).bit_count() * den >= num * count:
                     out_literals.append(child_lits)
                     out_matched.append(child)
-                    out_positive.append(child_pos)
                 if tails[after]:
                     next_frontier.append((child_lits, child, after))
         frontier = next_frontier
@@ -152,21 +150,17 @@ def _walk(
             for lit, lit_bits in head:
                 child = bits & lit_bits
                 count = child.bit_count()
-                child_pos = child & positives
-                pos = child_pos.bit_count()
+                pos = (child & positives).bit_count()
                 left -= count
                 left_pos -= pos
                 if count >= cutoff and pos * den >= num * count:
                     out_literals.append(lits + (lit,))
                     out_matched.append(child)
-                    out_positive.append(child_pos)
             if last is not None and left >= cutoff and left_pos * den >= num * left:
                 lit, lit_bits = last
-                child = bits & lit_bits
                 out_literals.append(lits + (lit,))
-                out_matched.append(child)
-                out_positive.append(child & positives)
-    return CandidateRules(out_literals, out_matched, out_positive, table.ids)
+                out_matched.append(bits & lit_bits)
+    return CandidateRules(out_literals, out_matched, positives, table.ids)
 
 
 class CandidatePool:
@@ -183,11 +177,11 @@ class CandidatePool:
     later call is a pool node, and filtering keeps the order.
 
     A selection indexes the pool table's `ids`; on a subset that
-    `CaseTable.take` made from that table its bits are the nodes' masked to
-    the subset's cases. The pool knows such a subset by the table it was
-    taken from, so a table that only equals one (built another way) is not
-    compared case by case but walks its own table, like any call the pool
-    cannot answer.
+    `CaseTable.take` made from that table its matched bits and positives are
+    the pool's masked to the subset's cases. The pool knows such a subset by
+    the table it was taken from, so a table that only equals one (built
+    another way) is not compared case by case but walks its own table, like
+    any call the pool cannot answer.
 
     An owner that solves only the pool's own table (a sweep) may also give
     the loosest `consistency` it will ask for; the pool then keeps only the
@@ -221,8 +215,8 @@ class CandidatePool:
         or a table that is not a subset of its own."""
         if self._table is None:
             self._build(table, factors, params)
-        # On the pool's own table the nodes' bits pass as they are; on a
-        # subset, masked to the subset's cases.
+        # On the pool's own table the nodes' bits pass as they are, shared, not
+        # copied (``& -1`` would copy each); on a subset, masked to its cases.
         keep = None if table is self._table else self._keep(table)
         if (
             params.decision_label != self._label
@@ -237,20 +231,19 @@ class CandidatePool:
         nodes = self._nodes
         cutoff, threshold = params.cutoff, params.consistency_threshold
         num, den = threshold.numerator, threshold.denominator
-        out_literals, out_matched, out_positive = [], [], []
-        for lits, matched, positive in zip(nodes.literals, nodes.matched_bits, nodes.positive_bits):
+        positives = nodes.positives if keep is None else nodes.positives & keep
+        out_literals, out_matched = [], []
+        for lits, matched in zip(nodes.literals, nodes.matched_bits):
             if keep is not None:
                 matched &= keep
-                positive &= keep
             count = matched.bit_count()
-            if count < cutoff or positive.bit_count() * den < num * count:
+            if count < cutoff or (matched & positives).bit_count() * den < num * count:
                 continue
             if excluded and any(lit.factor_index in excluded for lit in lits):
                 continue
             out_literals.append(lits)
             out_matched.append(matched)
-            out_positive.append(positive)
-        return CandidateRules(out_literals, out_matched, out_positive, nodes.ids)
+        return CandidateRules(out_literals, out_matched, positives, nodes.ids)
 
 
 def enumerate_candidates(

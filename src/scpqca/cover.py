@@ -17,10 +17,10 @@ construction includes every sequence the greedy loop can produce.
 Greedy reads its candidates as the columns of a `model.CandidateRules` (a
 plain list of rules is put into columns once), bitsets over the table's ids,
 and builds rule objects only for its picks. A gain is the popcount of
-``positive_bits & uncovered``; `positives` are ids, mapped onto the
-candidates' ids once per call. Greedy, assembly and the oracle read the
-decision label and `unique_cover` of the run's one `model.AnalysisParams`,
-which checked them when it was built.
+``matched_bits & uncovered``, and uncovered holds positives only: the
+`positives` ids, mapped once per call onto the candidates' `positives`.
+Greedy, assembly and the oracle read the decision label and `unique_cover`
+of the run's one `model.AnalysisParams`, which checked them when it was built.
 
 Each greedy pass takes gains first and ties second: it computes every
 rule's gain and their maximum, and builds the full tie-break key
@@ -66,14 +66,14 @@ def greedy_cover(
 ) -> list[CandidateRule]:
     """Forward greedy selection; empty result means no admissible cover."""
     columns = CandidateRules.of(candidates)
-    uncovered = bits_of(positives, columns.ids)
+    uncovered = bits_of(positives, columns.ids) & columns.positives
     floor = params.unique_cover
-    # Live rules: their positive bits and their index in `candidates`.
-    pbits = columns.positive_bits
+    # Live rules: their matched bits and their index in `candidates`.
+    mbits = columns.matched_bits
     index = list(range(len(candidates)))
     picks: list[int] = []
-    while uncovered and pbits:
-        gains = [(p & uncovered).bit_count() for p in pbits]
+    while uncovered and mbits:
+        gains = [(m & uncovered).bit_count() for m in mbits]
         best = max(gains)
         if best < floor:
             break
@@ -82,16 +82,16 @@ def greedy_cover(
             at = max(
                 (i for i, gain in enumerate(gains) if gain == best),
                 key=lambda i: (
-                    Fraction(pbits[i].bit_count(), columns.matched_bits[index[i]].bit_count()),
+                    Fraction((mbits[i] & columns.positives).bit_count(), mbits[i].bit_count()),
                     -len(columns.literals[index[i]]),
                     -index[i],
                 ),
             )
         picks.append(index[at])
-        uncovered &= ~pbits[at]
+        uncovered &= ~mbits[at]
         gains[at] = 0
         live = [gain >= floor for gain in gains]
-        pbits = list(compress(pbits, live))
+        mbits = list(compress(mbits, live))
         index = list(compress(index, live))
     return [candidates[i] for i in picks]
 

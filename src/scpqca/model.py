@@ -35,7 +35,7 @@ the rest, and `ids_of` / `bits_of` convert at the edges. A table never caches
 an id set: `positive_ids` builds one where it is read. `CandidateRule`
 carries the bits plus the shared ids and offers frozenset views of them;
 `CandidateRules`, enumeration's output and greedy's input, holds many rules
-as columns and builds a rule object only for a rule that is read.
+as columns plus one positives bitset, and builds a rule only when it is read.
 
 `AnalysisParams` holds the analysis parameters (the consistency threshold,
 the frequency cutoff, the unique-cover floor and the rest) and checks them
@@ -57,9 +57,9 @@ from __future__ import annotations
 import weakref
 from array import array
 from fractions import Fraction
-from functools import cached_property, total_ordering
+from functools import cached_property, reduce, total_ordering
 from itertools import compress
-from operator import eq, index
+from operator import eq, index, or_
 from typing import Iterable, Iterator, Sequence
 
 from ._base import (  # re-exported: every module reads these from here
@@ -398,6 +398,9 @@ class CaseTable:
 
     __hash__ = None  # type: ignore[assignment]
 
+    def __reduce__(self):  # a copy or unpickled table is rebuilt: no cache, taken from no table
+        return self.from_columns, (self.schema, self.ids, self._columns, self._outcome_column)
+
     @cached_property
     def _unique_ids(self) -> bool:
         return len(set(self.ids)) == len(self.ids)
@@ -658,27 +661,31 @@ class CandidateRule:
 class CandidateRules(Sequence[CandidateRule]):
     """A read-only list of rules as parallel columns over one `ids` tuple.
 
-    `len` builds nothing; an index or an iteration builds one `CandidateRule`
-    per rule read, and a slice is another `CandidateRules`. It equals a list
-    or tuple of the same rules. The columns are taken unchecked: the lattice
-    walk builds them valid, and `of` takes them from checked rules.
+    The columns are literal tuples and `matched_bits`, and one bitset holds
+    the `positives`. `len` builds nothing; an index or an iteration builds one
+    `CandidateRule` per rule read, its positive bits ``matched_bits & positives``,
+    and a slice is another `CandidateRules`. It equals a list or tuple of the
+    same rules. The columns are taken unchecked: the walk builds them valid.
     """
 
-    __slots__ = ("literals", "matched_bits", "positive_bits", "ids")
+    __slots__ = ("literals", "matched_bits", "positives", "ids")
 
-    def __init__(self, literals: list, matched_bits: list[int], positive_bits: list[int], ids: tuple[str, ...]):
-        self.literals, self.matched_bits, self.positive_bits, self.ids = literals, matched_bits, positive_bits, ids
+    def __init__(self, literals: list, matched_bits: list[int], positives: int, ids: tuple[str, ...]):
+        self.literals, self.matched_bits, self.positives, self.ids = literals, matched_bits, positives, ids
 
     @classmethod
     def of(cls, rules: Sequence[CandidateRule]) -> "CandidateRules":
-        """`rules` as columns over the first rule's ids; a `CandidateRules` as it is."""
+        """`rules` as columns over the first rule's ids, refused when they
+        disagree on which cases are positive; a `CandidateRules` as it is."""
         if isinstance(rules, cls):
             return rules
+        positives = reduce(or_, [rule.positive_bits for rule in rules], 0)
+        if any(rule.positive_bits != rule.matched_bits & positives for rule in rules):
+            raise InputError("candidate rules disagree on which cases are positive")
         literals = [rule.conjunction.literals for rule in rules]
-        bits = [rule.matched_bits for rule in rules], [rule.positive_bits for rule in rules]
-        return cls(literals, *bits, rules[0].ids if rules else ())
+        return cls(literals, [rule.matched_bits for rule in rules], positives, rules[0].ids if rules else ())
 
-    def _rule(self, literals: tuple[Literal, ...], matched_bits: int, positive_bits: int) -> CandidateRule:
+    def _rule(self, literals: tuple[Literal, ...], matched_bits: int) -> CandidateRule:
         # Checking costs more than walking the node, so the frozen fields are
         # set directly, one at a time: that keeps no instance dict per rule.
         conjunction = object.__new__(Conjunction)
@@ -686,7 +693,7 @@ class CandidateRules(Sequence[CandidateRule]):
         rule = object.__new__(CandidateRule)
         _set(rule, "conjunction", conjunction)
         _set(rule, "matched_bits", matched_bits)
-        _set(rule, "positive_bits", positive_bits)
+        _set(rule, "positive_bits", matched_bits & self.positives)
         _set(rule, "ids", self.ids)
         return rule
 
@@ -695,11 +702,11 @@ class CandidateRules(Sequence[CandidateRule]):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return CandidateRules(self.literals[i], self.matched_bits[i], self.positive_bits[i], self.ids)
-        return self._rule(self.literals[i], self.matched_bits[i], self.positive_bits[i])
+            return CandidateRules(self.literals[i], self.matched_bits[i], self.positives, self.ids)
+        return self._rule(self.literals[i], self.matched_bits[i])
 
     def __iter__(self) -> Iterator[CandidateRule]:
-        return map(self._rule, self.literals, self.matched_bits, self.positive_bits)
+        return map(self._rule, self.literals, self.matched_bits)
 
     def __eq__(self, other: object) -> bool:  # also makes the sequence unhashable
         if not isinstance(other, (CandidateRules, list, tuple)):

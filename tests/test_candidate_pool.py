@@ -41,7 +41,7 @@ from scpqca import (
     robustness,
     solve,
 )
-from scpqca.model import ids_of
+from scpqca.model import bits_of, ids_of
 from scpqca.robustness import Repetition, SweepCell, ValidityReport, classify_with_match
 
 from conftest import brute_force_candidates, random_table
@@ -124,6 +124,19 @@ class TestPoolAgainstWalk:
                     assert case_sets(pooled) == case_sets(plain)
                     assert [r.conjunction for r in plain] == brute_force_candidates(sub, factors, params)
                     assert all(r.ids is sub.ids for r in pooled)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pooled_runs())
+    def test_selections_hold_the_pool_positives_under_keep(self, drawn):
+        table, label, max_order, base_cutoff, grid, subsets, factor_sets = drawn
+        everything = tuple(range(len(table.schema.factors)))
+        pool = CandidatePool(base_cutoff)
+        consistency, cutoff = grid[0]
+        params = AnalysisParams(label, consistency, cutoff=cutoff, max_order=max_order)
+        for sub in [table] + [table.take([i for i, kept in enumerate(mask) if kept]) for mask in subsets]:
+            got = enumerate_candidates(sub, everything, params, pool=pool)
+            assert got.positives == table.positive_bits(label) & bits_of(sub.ids, table.ids)
+            assert all(r.positive_bits == r.matched_bits & got.positives for r in got)
 
     def test_own_table_calls_share_one_walk(self, monkeypatch, remote_table):
         walks, walk = [], candidates._walk

@@ -247,7 +247,10 @@ class TestWalkAgainstItertools:
             got = enumerate_candidates(table, factors, params)
         else:  # no `AnalysisParams` holds 0; a candidate pool walks at it
             got = candidates._walk(table, factors, params, cutoff, threshold)
-        assert (got.literals, got.matched_bits, got.positive_bits) == want
+        literals, matched, positive = want
+        assert (got.literals, got.matched_bits) == (literals, matched)
+        assert got.positives == table.positive_bits(label)
+        assert [r.positive_bits for r in got] == positive
 
 
 class TestAbsentLevels:
@@ -452,12 +455,13 @@ class TestCandidateRules:
         assert isinstance(rules, CandidateRules) and len(rules) >= 6
         return rules
 
-    def test_iteration_equals_indexing(self, rules):
+    def test_iteration_equals_indexing(self, rules, remote_table):
         listed = list(rules)
         assert listed == [rules[i] for i in range(len(rules))]
         assert [r.conjunction.literals for r in listed] == rules.literals
         assert [r.matched_bits for r in listed] == rules.matched_bits
-        assert [r.positive_bits for r in listed] == rules.positive_bits
+        assert rules.positives == remote_table.positive_bits(1)
+        assert [r.positive_bits for r in listed] == [m & rules.positives for m in rules.matched_bits]
         assert all(r.ids is rules.ids for r in listed)
 
     def test_built_rules_equal_checked_ones(self, rules):
@@ -511,3 +515,17 @@ class TestCandidateRules:
         columns = CandidateRules.of(listed)
         assert columns == rules and columns.ids is rules.ids
         assert CandidateRules.of([]) == []
+
+    def test_of_takes_the_union_of_agreeing_positives(self):
+        ids = ("a", "b", "c", "d")
+        one = CandidateRule.from_sets(Conjunction.of((0, 1)), {"a", "b"}, {"a"}, ids)
+        two = CandidateRule.from_sets(Conjunction.of((1, 1)), {"b", "c"}, {"c"}, ids)
+        columns = CandidateRules.of([one, two])
+        assert columns.positives == 0b101 and columns == [one, two]
+
+    def test_of_refuses_rules_that_disagree_on_positives(self):
+        ids = ("a", "b", "c")
+        one = CandidateRule.from_sets(Conjunction.of((0, 1)), {"a", "b"}, {"a", "b"}, ids)
+        other = CandidateRule.from_sets(Conjunction.of((1, 1)), {"b", "c"}, {"c"}, ids)  # b is not positive here
+        with pytest.raises(InputError, match="^candidate rules disagree on which cases are positive$"):
+            CandidateRules.of([one, other])

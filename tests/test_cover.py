@@ -77,6 +77,14 @@ class TestGreedy:
         sel = greedy_cover([impure, pure], set("1234"), AnalysisParams(1, unique_cover=2))
         assert sel[0] == pure
 
+    def test_a_case_the_rules_hold_negative_is_never_a_gain(self):
+        # "n" is named in `positives` but is no rule's positive: it would
+        # give `impure` a gain of 2 and the first pick.
+        impure = CandidateRule.from_sets(Conjunction.of((0, 0)), {"1", "n"}, {"1"}, INDEX)
+        pure = pure_rule(1, {"3"})
+        sel = greedy_cover([impure, pure], {"1", "3", "n"}, AnalysisParams(1, unique_cover=1))
+        assert sel == [pure, impure]
+
     def test_consistency_ties_break_by_fewer_literals(self):
         wide = CandidateRule.from_sets(Conjunction.of((0, 0)), {"1", "2"}, {"1", "2"}, INDEX)
         narrow = CandidateRule.from_sets(Conjunction.of((1, 0), (2, 0)), {"3", "4"}, {"3", "4"}, INDEX)
@@ -282,6 +290,13 @@ class TestAssembleSolution:
         rule = rule_from_conjunction(Conjunction.of((1, 1)), t, 1)  # matches only b
         with pytest.raises(UndefinedRatioError):
             assemble_solution([Literal(0, 1)], [rule], t, AnalysisParams(1, unique_cover=1))
+
+
+    def test_no_positive_case(self):
+        # `solve` refuses such a table first, so only a direct call gets here.
+        t = CaseTable.from_cases(binary_schema(["A"]), [Case("a", (1,), 0), Case("b", (0,), 0)])
+        with pytest.raises(UndefinedRatioError, match="^no cases with outcome 1$"):
+            assemble_solution([Literal(0, 1)], [], t, AnalysisParams(1, unique_cover=1))
 
 
 class TestPipelineGainInvariant:

@@ -32,6 +32,7 @@ from scpqca import (
     SolveResult,
     binary_schema,
     replace,
+    solve,
 )
 from scpqca.robustness import Repetition, SweepCell, ValidityClass, ValidityReport
 
@@ -250,8 +251,19 @@ class TestValueClasses:
     def test_copies_and_pickles_are_equal(self, cls, names, args, required, text):
         a = cls(*args)
         assert copy.copy(a) == a
-        if cls is not CaseTable:  # its columns are memoryviews, which neither pickle nor deep-copy
-            assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+        assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+    def test_a_solve_result_copies_and_pickles(self, remote_table):
+        result = solve(remote_table, AnalysisParams(1, "0.8", cutoff=3))
+        for again in [copy.deepcopy(result), pickle.loads(pickle.dumps(result))]:
+            assert again == result and again.candidates == result.candidates
+            assert again.table._taken_from is None
+
+    def test_a_copied_take_is_taken_from_no_table(self, remote_table):
+        taken = remote_table.take([3, 1, 2])
+        for again in [copy.copy(taken), copy.deepcopy(taken), pickle.loads(pickle.dumps(taken))]:
+            assert again == taken and again._taken_from is None
+            assert again.positive_bits(1) == taken.positive_bits(1)
 
     def test_replace_takes_the_changes_and_keeps_the_rest(self):
         params = AnalysisParams(1, cutoff=3)
