@@ -174,7 +174,10 @@ class CandidatePool:
     every node in emit order as one `CandidateRules`. A later call selects
     from its columns into new ones. Both filters are anti-monotone and a
     subset of cases can only lower a node's counts, so every rule of the
-    later call is a pool node, and filtering keeps the order.
+    later call is a pool node, and filtering keeps the order. A selection on
+    the pool's own table is kept per (cutoff, consistency, factor set): a
+    repeat returns the same `CandidateRules`, so the sweep cells that share
+    them share greedy's recorded run too (see `cover`).
 
     A selection indexes the pool table's `ids`; on a subset that
     `CaseTable.take` made from that table its matched bits and positives are
@@ -199,6 +202,7 @@ class CandidatePool:
         self._table, self._factors = table, factors
         self._label, self._max_order = params.decision_label, params.max_order
         self._nodes = _walk(table, factors, params, self.cutoff, self.consistency or Fraction(0))
+        self._selected: dict[tuple, CandidateRules] = {}  # the own table's selections, by key
 
     def _keep(self, table: CaseTable) -> int | None:
         """Bits of `table`'s cases over the pool's ids, or None when `table`
@@ -227,6 +231,9 @@ class CandidatePool:
             or (keep is None and table is not self._table)
         ):
             return None
+        key = (params.cutoff, params.consistency_threshold, factors)
+        if keep is None and key in self._selected:
+            return self._selected[key]
         excluded = set(self._factors) - set(factors)
         nodes = self._nodes
         cutoff, threshold = params.cutoff, params.consistency_threshold
@@ -243,7 +250,10 @@ class CandidatePool:
                 continue
             out_literals.append(lits)
             out_matched.append(matched)
-        return CandidateRules(out_literals, out_matched, positives, nodes.ids)
+        rules = CandidateRules(out_literals, out_matched, positives, nodes.ids)
+        if keep is None:
+            self._selected[key] = rules
+        return rules
 
 
 def enumerate_candidates(

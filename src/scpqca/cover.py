@@ -23,16 +23,30 @@ Greedy, assembly and the oracle read the decision label and `unique_cover`
 of the run's one `model.AnalysisParams`, which checked them when it was built.
 
 Each greedy pass takes gains first and ties second: it computes every
-rule's gain and their maximum, and builds the full tie-break key
-(consistency from the popcounts, fewer literals, candidate order) only for
-the rules that tie on that gain, so most passes build no `Fraction`. Gains
-only fall as cases get covered, so after each pass the rules whose gain is
-below `unique_cover`, the picked one included, leave the scan for good; the
+rule's gain and their maximum, and compares only the rules that tie on that
+gain. A tie breaks by higher consistency, compared as exact integer cross
+products of the popcounts (``p * m'`` against ``p' * m``, so no `Fraction`
+is built), then fewer literals, then the earlier candidate. Gains only fall
+as cases get covered, so after each pass the rules whose gain is below
+`unique_cover`, the picked one included, leave the scan for good; the
 tie-break still sees each rule's original candidate index. Lazy greedy
 (Minoux 1978), a heap keyed by gain and a precomputed tie-break rank, picks
 the same rules but measured slower than this scan on the small, repeated
 solves of a sweep or jackknife: ranking the rules by their `Fraction`
 consistencies costs more than the passes it saves.
+
+A run is recorded on the `CandidateRules` it covered: its starting
+uncovered bits, its floor, its picks and each pick's gain. Picked gains
+never rise, and a rule whose gain is below a floor `f` can never tie the
+best while the best is at least `f`, so a run at `f` makes exactly the
+picks of a run at any lower floor whose gain is at least `f`, and stops
+where they stop. A later call on the same rules and the same uncovered
+bits at a floor at least the recorded one is answered from the record
+without a pass; any other call runs and replaces it. A sweep's cells that
+share a (consistency, cutoff) share one `CandidateRules` (see
+`candidates.CandidatePool`), so they cover once at the first cell's floor,
+and once more only where a later cell's floor is lower. A plain list is
+put into new columns on each call, so it never meets an old record.
 """
 
 from __future__ import annotations
@@ -68,10 +82,15 @@ def greedy_cover(
     columns = CandidateRules.of(candidates)
     uncovered = bits_of(positives, columns.ids) & columns.positives
     floor = params.unique_cover
+    record = columns._greedy
+    if record is not None and record[0] == uncovered and record[1] <= floor:
+        return [candidates[i] for i, gain in zip(record[2], record[3]) if gain >= floor]
+    start = uncovered
     # Live rules: their matched bits and their index in `candidates`.
     mbits = columns.matched_bits
     index = list(range(len(candidates)))
     picks: list[int] = []
+    picked_gains: list[int] = []
     while uncovered and mbits:
         gains = [(m & uncovered).bit_count() for m in mbits]
         best = max(gains)
@@ -79,20 +98,23 @@ def greedy_cover(
             break
         at = gains.index(best)
         if gains.count(best) > 1:
-            at = max(
-                (i for i, gain in enumerate(gains) if gain == best),
-                key=lambda i: (
-                    Fraction((mbits[i] & columns.positives).bit_count(), mbits[i].bit_count()),
-                    -len(columns.literals[index[i]]),
-                    -index[i],
-                ),
-            )
+            # Consistencies p/m compared as p * m' against p' * m, then fewer
+            # literals; on a full tie the earlier rule, found first, stays.
+            pos, lits = columns.positives, columns.literals
+            p, m, size = (mbits[at] & pos).bit_count(), mbits[at].bit_count(), len(lits[index[at]])
+            for i in range(at + 1, len(gains)):
+                if gains[i] == best:
+                    pi, mi, si = (mbits[i] & pos).bit_count(), mbits[i].bit_count(), len(lits[index[i]])
+                    if pi * m > p * mi or (pi * m == p * mi and si < size):
+                        at, p, m, size = i, pi, mi, si
         picks.append(index[at])
+        picked_gains.append(best)
         uncovered &= ~mbits[at]
         gains[at] = 0
         live = [gain >= floor for gain in gains]
         mbits = list(compress(mbits, live))
         index = list(compress(index, live))
+    columns._greedy = (start, floor, picks, picked_gains)
     return [candidates[i] for i in picks]
 
 

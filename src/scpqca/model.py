@@ -46,8 +46,10 @@ The errors, the one echo `_echo` and the readers `as_index` and
 fits a schema is checked once, by `_check_literal`, for `match_bits`,
 `necessity.exclude_necessary` and `pathways.PathwaySpec`.
 
-All types are immutable after construction (the bitset cache only memoizes)
-and all operations are pure, so values can be shared freely across threads.
+All types are immutable after construction (the bitset cache and the
+greedy run a `CandidateRules` records only memoize; the run is written whole,
+in one assignment) and all operations are pure, so values can be shared
+freely across threads.
 The value classes are `_base.frozen` classes, and `replace` gives a changed
 copy, checked as a new one is.
 """
@@ -666,12 +668,18 @@ class CandidateRules(Sequence[CandidateRule]):
     `CandidateRule` per rule read, its positive bits ``matched_bits & positives``,
     and a slice is another `CandidateRules`. It equals a list or tuple of the
     same rules. The columns are taken unchecked: the walk builds them valid.
+    `_greedy` is the last greedy run over them (see `cover.greedy_cover`),
+    a memo that equality, `repr`, copies and pickles leave out.
     """
 
-    __slots__ = ("literals", "matched_bits", "positives", "ids")
+    __slots__ = ("literals", "matched_bits", "positives", "ids", "_greedy")
 
     def __init__(self, literals: list, matched_bits: list[int], positives: int, ids: tuple[str, ...]):
         self.literals, self.matched_bits, self.positives, self.ids = literals, matched_bits, positives, ids
+        self._greedy: tuple[int, int, list[int], list[int]] | None = None
+
+    def __reduce__(self):
+        return CandidateRules, (self.literals, self.matched_bits, self.positives, self.ids)
 
     @classmethod
     def of(cls, rules: Sequence[CandidateRule]) -> "CandidateRules":

@@ -8,7 +8,10 @@ solution. Both protocols walk the candidate lattice once and filter it per
 cell or repetition (see `candidates.CandidatePool`); a repetition's
 candidates index the full table's ids, its solution is scored on its own
 cases. A repetition whose necessity step keeps a factor the full table
-excluded walks its own table instead, over its own ids.
+excluded walks its own table instead, over its own ids. A sweep selects and
+covers once per distinct (consistency, cutoff): cells that differ only in
+unique cover share one selection, and greedy answers a floor from its run
+at any lower one before it (see `cover`).
 
 Classification compares literal sets structurally. A test configuration is
 Replicated when its literal set equals an original's; a Superset when its
@@ -122,7 +125,11 @@ def internal_sweep(
     non-integer value (cutoff 0 or 2.5) fails only its own cell, recorded
     with its error like a failed solve. The cells share one candidate pool
     at the smallest cutoff and consistency of the cells whose parameters
-    are valid, so the lattice is walked once.
+    are valid, so the lattice is walked once. Every cell still runs its own
+    solve, but cells with the same (consistency, cutoff) get the same
+    candidates from the pool, and greedy answers a floor at or above one it
+    already ran on them without a pass; necessity, the dropped-rule check
+    and assembly run per cell.
     """
     if not grid:
         raise InputError("sweep grid must not be empty")
@@ -256,8 +263,9 @@ def external_validity(
     A repetition whose subsample cannot be solved (for instance no positive
     cases survive) is recorded as degenerate with no configurations. The full
     solve and every repetition share one candidate pool at `params.cutoff`.
-    `reps` outside [1, MAX_REPS] or a `seed` that `derive_seed` refuses is
-    an InputError, before any solve.
+    `reps` outside [1, MAX_REPS], a `seed` that `derive_seed` refuses, or a
+    `fraction` that would remove every case is an InputError, before any
+    solve.
     """
     exact = as_fraction(fraction)
     if not 0 < exact < 1:
@@ -265,15 +273,14 @@ def external_validity(
     reps, seed = check_reps(reps), as_index(seed, "seed")
     rep_seeds = [derive_seed(seed, rep) for rep in range(reps)]
     table.require_unique_ids()
-
-    pool = CandidatePool(params.cutoff)
-    full = solve(table, params, pool=pool)
-    originals = full.solution.configurations()
-
     n = len(table)
     k = math.ceil(exact * n)
     if k >= n:
         raise InputError(f"removing {k} of {n} cases leaves nothing to analyse")
+
+    pool = CandidatePool(params.cutoff)
+    full = solve(table, params, pool=pool)
+    originals = full.solution.configurations()
 
     repetitions: list[Repetition] = []
     for rep_seed in rep_seeds:

@@ -251,6 +251,19 @@ class TestHarnessesAgainstPlainSolves:
         ]
         assert internal_sweep(table, grid, base) == plain_sweep(table, grid, base)
 
+    @settings(max_examples=200, deadline=None)
+    @given(pooled_runs(), st.data())
+    def test_a_sweep_over_repeated_keys_equals_pool_free_solves(self, drawn, data):
+        # Every (consistency, cutoff) pair comes back with unique covers that
+        # rise, fall or repeat, in any order. A repeat reuses its selection
+        # and its greedy run, and must still give what a fresh solve gives:
+        # solution, candidate count, warnings or error text.
+        table, label, max_order, _, pairs, _, _ = drawn
+        covers = st.lists(st.integers(1, 3), min_size=2, max_size=4)
+        grid = data.draw(st.permutations([(c, k, u) for c, k in pairs for u in data.draw(covers)]))
+        base = AnalysisParams(label, max_order=max_order)
+        assert internal_sweep(table, grid, base) == plain_sweep(table, grid, base)
+
     @pytest.mark.parametrize("seed", range(16))
     def test_jackknife_equals_a_loop_of_solves(self, seed):
         rng = random.Random(8000 + seed)

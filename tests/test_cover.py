@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -25,6 +27,7 @@ from scpqca import (
     solve,
     unique_coverage,
 )
+from scpqca import cover
 from conftest import random_table
 
 
@@ -90,6 +93,23 @@ class TestGreedy:
         narrow = CandidateRule.from_sets(Conjunction.of((1, 0), (2, 0)), {"3", "4"}, {"3", "4"}, INDEX)
         sel = greedy_cover([narrow, wide], set("1234"), AnalysisParams(1, unique_cover=2))
         assert sel[0] == wide
+
+    @pytest.mark.parametrize("fewer, more", [((2, 4), (3, 6)), ((3, 6), (2, 4))], ids=["2/4-shorter", "3/6-shorter"])
+    def test_equal_consistencies_over_other_counts_break_by_fewer_literals(self, fewer, more, monkeypatch):
+        # `first` covers one positive of the 3/6 rule, so both others then
+        # gain 2 at equal consistency: the shorter rule wins, whichever of the
+        # two it is, although the longer one comes first. Comparing positive
+        # counts alone, or matched counts alone, picks the wrong one in a case.
+        ids = ("x1", "x2", "x3", "x4", "s", "t1", "t2", "u1", "u2", "u3", "v1", "v2", "w1", "w2")
+        positives = {"x1", "x2", "x3", "x4", "s", "t1", "t2", "v1", "v2"}
+        first = CandidateRule.from_sets(Conjunction.of((0, 0)), set(ids[:5]), set(ids[:5]), ids)
+        cases = {(3, 6): (set(ids[4:10]), {"s", "t1", "t2"}), (2, 4): (set(ids[10:]), {"v1", "v2"})}
+        short = CandidateRule.from_sets(Conjunction.of((1, 0)), *cases[fewer], ids)
+        long = CandidateRule.from_sets(Conjunction.of((2, 0), (3, 0)), *cases[more], ids)
+        assert (short.consistency, long.consistency) == (Fraction(1, 2), Fraction(1, 2))
+        monkeypatch.setattr(cover, "Fraction", None)  # the tie-break builds none
+        sel = greedy_cover([first, long, short], positives, AnalysisParams(1, unique_cover=2))
+        assert sel == [first, short, long]
 
     def test_final_tie_breaks_by_candidate_order(self):
         a = pure_rule(0, {"1", "2"})
@@ -182,6 +202,51 @@ class TestGreedyAgainstFullKeyScan:
         got = greedy_cover(rules, positives, params)
         want = full_key_greedy(rules, positives, params)
         assert [id(r) for r in got] == [id(r) for r in want]
+
+
+class TestGreedyRecord:
+    """A `CandidateRules` keeps its last greedy run; a floor at or above the
+    recorded one on the same uncovered cases is answered from it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_rule_lists(), st.lists(st.sampled_from(TIE_IDS[:8]), unique=True))
+    def test_floors_in_any_order_equal_a_fresh_list_and_the_reference(self, drawn, others):
+        rules, positives = drawn
+        columns = CandidateRules.of(rules)
+        # 3, 1, 2, 2 records, replaces, then answers twice; other cases at
+        # floor 2 must not be answered from the record made at floor 1.
+        for floor, cases in [(3, positives), (1, positives), (2, positives), (2, positives), (2, others), (1, positives)]:
+            params = AnalysisParams(1, unique_cover=floor)
+            got = greedy_cover(columns, cases, params)
+            assert got == greedy_cover(list(rules), cases, params) == full_key_greedy(rules, cases, params)
+
+    def test_a_higher_floor_on_the_same_rules_runs_no_pass(self, remote_table, monkeypatch):
+        # Each pass that picks ends by narrowing the live rules with
+        # `compress`, so its calls count the passes.
+        calls = []
+        real = cover.compress
+        monkeypatch.setattr(cover, "compress", lambda *args: (calls.append(args), real(*args))[1])
+        candidates = enumerate_candidates(remote_table, (1, 2, 4, 5), AnalysisParams(1, "0.7", cutoff=2))
+        positives = remote_table.positive_ids(1)
+
+        def cover_counted(rules, floor):
+            calls.clear()
+            return greedy_cover(rules, positives, AnalysisParams(1, unique_cover=floor)), len(calls)
+
+        assert cover_counted(candidates, 1)[1] > 0
+        fresh, passes = cover_counted(list(candidates), 2)
+        assert passes > 0
+        assert cover_counted(candidates, 2) == (fresh, 0)
+        assert cover_counted(candidates, 1)[1] == 0
+
+    def test_equality_repr_copies_and_pickles_leave_the_record_out(self, remote_table):
+        candidates = enumerate_candidates(remote_table, (1, 2, 4, 5), AnalysisParams(1, "0.7", cutoff=2))
+        before = repr(candidates)
+        greedy_cover(candidates, remote_table.positive_ids(1), AnalysisParams(1, unique_cover=1))
+        assert candidates._greedy is not None
+        assert repr(candidates) == before and candidates == list(candidates)
+        for copied in (copy.copy(candidates), copy.deepcopy(candidates), pickle.loads(pickle.dumps(candidates))):
+            assert copied == candidates and copied._greedy is None
 
 
 class TestOracle:

@@ -88,6 +88,12 @@ class TestInternalSweep:
         assert len(cells) == 2
         assert all(c.result is None and c.error for c in cells)
 
+    def test_cells_that_share_a_key_share_their_candidates(self, remote_table):
+        grid = [("0.8", 2, 1), ("0.8", 2, 2), ("0.7", 2, 1), ("0.8", 2, 1), ("0.8", 3, 2)]
+        held = [cell.result.candidates for cell in internal_sweep(remote_table, grid, AnalysisParams(decision_label=1))]
+        assert held[0] is held[1] is held[3]
+        assert len({id(candidates) for candidates in held}) == 3
+
     def test_empty_grid_rejected(self, m1_table):
         with pytest.raises(InputError):
             internal_sweep(m1_table, [], AnalysisParams(decision_label=1))
@@ -242,6 +248,15 @@ class TestExternalValidity:
         with pytest.raises(InputError) as err:
             external_validity(m1_table, AnalysisParams(decision_label=1), reps=reps)
         assert str(err.value) == message
+
+    def test_a_fraction_that_removes_every_case_is_rejected_before_any_solve(self, remote_table, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the fraction was checked")
+
+        monkeypatch.setattr(robustness, "solve", solve)
+        with pytest.raises(InputError) as err:
+            external_validity(remote_table, AnalysisParams(decision_label=1), fraction=0.95)
+        assert str(err.value) == "removing 8 of 8 cases leaves nothing to analyse"
 
     def test_the_reps_bound_is_inclusive(self):
         assert check_reps(1) == 1 and check_reps(MAX_REPS) == MAX_REPS
