@@ -71,12 +71,10 @@ from .model import (
     CandidateRules,
     CaseTable,
     FactorSchema,
-    InputError,
     Literal,
-    _echo,
+    _check_factor_index,
     as_fraction,
     as_index,
-    bits_of,
 )
 
 
@@ -84,8 +82,7 @@ def _check_factor_set(schema: FactorSchema, factor_set: Sequence[int]) -> tuple[
     nf = len(schema.factors)
     factors = tuple(sorted({as_index(i, "factor index") for i in factor_set}))
     for i in factors:
-        if not 0 <= i < nf:
-            raise InputError(f"factor index {_echo(i)} out of range (table has {nf} factors)")
+        _check_factor_index(i, nf)
     return factors
 
 
@@ -181,10 +178,10 @@ class CandidatePool:
 
     A selection indexes the pool table's `ids`; on a subset that
     `CaseTable.take` made from that table its matched bits and positives are
-    the pool's masked to the subset's cases. The pool knows such a subset by
-    the table it was taken from, so a table that only equals one (built
-    another way) is not compared case by case but walks its own table, like
-    any call the pool cannot answer.
+    the pool's masked to the subset's cases. The subset answers which cases
+    it holds (`CaseTable.subset_bits`), and only for the table it was taken
+    from, so a table that only equals one (built another way) walks its own
+    table, like any call the pool cannot answer.
 
     An owner that solves only the pool's own table (a sweep) may also give
     the loosest `consistency` it will ask for; the pool then keeps only the
@@ -204,14 +201,6 @@ class CandidatePool:
         self._nodes = _walk(table, factors, params, self.cutoff, self.consistency or Fraction(0))
         self._selected: dict[tuple, CandidateRules] = {}  # the own table's selections, by key
 
-    def _keep(self, table: CaseTable) -> int | None:
-        """Bits of `table`'s cases over the pool's ids, or None when `table`
-        was not taken from the pool's table."""
-        source = table._taken_from
-        if self.consistency is not None or source is None or source() is not self._table:
-            return None
-        return bits_of(table.ids, self._table.ids)
-
     def _select(self, table: CaseTable, factors: tuple[int, ...], params: AnalysisParams) -> CandidateRules | None:
         """The rules passing `params` on `table` and `factors`, in emit order,
         or None when the pool cannot answer: another label or `max_order`, a
@@ -221,7 +210,7 @@ class CandidatePool:
             self._build(table, factors, params)
         # On the pool's own table the nodes' bits pass as they are, shared, not
         # copied (``& -1`` would copy each); on a subset, masked to its cases.
-        keep = None if table is self._table else self._keep(table)
+        keep = None if table is self._table or self.consistency is not None else table.subset_bits(self._table)
         if (
             params.decision_label != self._label
             or params.max_order != self._max_order

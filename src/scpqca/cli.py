@@ -336,7 +336,12 @@ def _cmd_experiment(args: argparse.Namespace) -> dict:
         per_rep: list[tuple[Fraction, Fraction, int]] = []
         for rep in range(args.reps):
             seed = base_seed if args.reps == 1 else derive_seed(base_seed, rep)
-            got = run_experiment(ExperimentSpec(schema, pathway, args.samples, c, seed), params)
+            spec = ExperimentSpec(schema, pathway, args.samples, c, seed)
+            try:
+                got = run_experiment(spec, params)
+            except ScpqcaError as exc:  # name the draw that failed, keep the class and so the exit code
+                where = f"confounds {c}" + (f", rep {rep}" if args.reps > 1 else "")
+                raise type(exc)(f"{where} (seed {_echo(seed)}): {exc}") from None
             per_rep.append((got.consistency, got.coverage, got.candidate_count))
             rows.append(row(c, rep if args.reps > 1 else None, seed, got.expression, *per_rep[-1]))
         if args.reps > 1:

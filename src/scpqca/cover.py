@@ -148,9 +148,7 @@ def assemble_solution(
     table.require_unique_ids()
     base = Conjunction(necessary)
 
-    positives = table.positive_bits(params.decision_label)
-    if not positives:
-        raise UndefinedRatioError(f"no cases with outcome {params.decision_label}")
+    positives = table.require_positives(params.decision_label)
 
     effective: list[CandidateRule] = []
     for rule in selected:

@@ -29,10 +29,13 @@ table a subset was taken from.
 A set of cases is one Python int over a tuple of case ids: bit i stands for
 ``ids[i]``, so intersection is ``&``, union is ``|`` and a count is
 ``int.bit_count()`` (the vertical tid-lists of Eclat). Only this module knows
-the encoding: `CaseTable` caches one bitset per factor=value literal, packed
-from its column at C speed, `match_bits` and `CaseTable.positive_bits` build
-the rest, and `ids_of` / `bits_of` convert at the edges. A table never caches
-an id set: `positive_ids` builds one where it is read. `CandidateRule`
+the encoding. `CaseTable` caches one entry per column, the bitset of each
+level, packed at C speed on the column's first read by `literal_bits` or
+`positive_bits`; `match_bits` builds the rest, and `ids_of` / `bits_of`
+convert at the edges. A table never caches an id set: `positive_ids` builds
+one where it is read. The table answers for its outcome set, refusing one
+with no case for every stage (`require_positives`), and for its provenance
+(`subset_bits`). `CandidateRule`
 carries the bits plus the shared ids and offers frozenset views of them;
 `CandidateRules`, enumeration's output and greedy's input, holds many rules
 as columns plus one positives bitset, and builds a rule only when it is read.
@@ -46,10 +49,10 @@ The errors, the one echo `_echo` and the readers `as_index` and
 fits a schema is checked once, by `_check_literal`, for `match_bits`,
 `necessity.exclude_necessary` and `pathways.PathwaySpec`.
 
-All types are immutable after construction (the bitset cache and the
-greedy run a `CandidateRules` records only memoize; the run is written whole,
-in one assignment) and all operations are pure, so values can be shared
-freely across threads.
+All types are immutable after construction (a table's per-column bitset
+cache and the greedy run a `CandidateRules` records only memoize; each cache
+entry and the run are written whole, in one assignment) and all operations
+are pure, so values can be shared freely across threads.
 The value classes are `_base.frozen` classes, and `replace` gives a changed
 copy, checked as a new one is.
 """
@@ -71,7 +74,6 @@ from ._base import (  # re-exported: every module reads these from here
     UndefinedRatioError,
     VacuousSolutionError,
     _echo,
-    _head,
     as_fraction,
     as_index,
     frozen,
@@ -273,8 +275,6 @@ def _bad_cell(cells: Sequence, levels: int, ids: Sequence[str], factor: Factor |
 def _bits_where(col: bytes | array, value: int) -> int:
     """Bitset of the cells of a stored column equal to `value` (bit i = cell i)."""
     if isinstance(col, bytes):
-        if not 0 <= value < 256:
-            return 0
         return int(b"0" + col[::-1].translate(b"0" * value + b"1" + b"0" * (255 - value)), 2)
     return int(b"0" + bytes(map(value.__eq__, reversed(col))).translate(_FLAG_TO_DIGIT), 2)
 
@@ -295,14 +295,16 @@ class CaseTable:
     Case ids are not required to be unique at the type level (sampling
     produces fresh ids, ingestion enforces uniqueness), but the analysis
     entry points insist on unique ids before computing case-set metrics.
-    Case sets over the table are bitsets over `ids`, built from per-literal
-    bitsets that are packed from the columns on first use and cached.
+    Case sets over the table are bitsets over `ids`, built from per-level
+    bitsets that are packed a whole column at a time on its first read and
+    cached.
     """
 
     schema: FactorSchema
     ids: tuple[str, ...]
     values: Rows
     outcomes: Sequence[int]
+    _taken_from = None  # `take` sets a weak reference to the table it took from
 
     def __post_init__(self) -> None:
         ids = tuple(self.ids)
@@ -339,7 +341,6 @@ class CaseTable:
         _set(self, "values", Rows(self._columns, n))
         _set(self, "outcomes", memoryview(outcome_column).toreadonly())
         _set(self, "_bit_cache", {})
-        _set(self, "_taken_from", None)
 
     @classmethod
     def from_columns(
@@ -361,8 +362,8 @@ class CaseTable:
     def take(self, indices: Sequence[int]) -> "CaseTable":
         """The cases at `indices`, in that order; an index may repeat.
 
-        The result records this table, weakly, for `candidates.CandidatePool`,
-        which answers a table taken from its own.
+        The result records this table, weakly, for `subset_bits`, by which
+        `candidates.CandidatePool` answers a table taken from its own.
         """
 
         def pick(col: bytes | array) -> bytes | array:
@@ -421,38 +422,45 @@ class CaseTable:
     def positive_bits(self, decision_label: int) -> int:
         """Bitset of the cases with the decision label as outcome, cached."""
         decision_label = as_index(decision_label, "decision_label")
-        key = ("outcome", decision_label)
-        if key not in self._bit_cache:
-            self._check_label(decision_label)
-            self._bit_cache[key] = _bits_where(self._outcome_column, decision_label)
-        return self._bit_cache[key]
+        if not 0 <= decision_label < self.schema.outcome_levels:
+            raise InputError(
+                f"decision label {_echo(decision_label)} out of range "
+                f"(outcome levels 0..{self.schema.outcome_levels - 1})"
+            )
+        return self._level_bits(None).get(decision_label, 0)
+
+    def require_positives(self, decision_label: int) -> int:
+        """`positive_bits`, refused by `UndefinedRatioError` when no case has the label."""
+        positives = self.positive_bits(decision_label)
+        if not positives:
+            raise UndefinedRatioError(f"no cases with outcome {index(decision_label)}")
+        return positives
 
     def positive_ids(self, decision_label: int) -> frozenset[str]:
         """Ids of the cases with the decision label as outcome, built on each call, never cached."""
         return frozenset(ids_of(self.positive_bits(decision_label), self.ids))
 
     def literal_bits(self, factor_index: int, value: int) -> int:
-        """Bitset of the cases carrying factor=value, packed once and cached.
+        """Bitset of the cases carrying factor=value, packed with its column and cached."""
+        return self._level_bits(factor_index).get(value, 0)
 
-        A wide column is read once for the levels it holds (cached under the
-        bare factor index), so that its absent levels cost no pack.
-        """
-        cache = self._bit_cache
-        key = (factor_index, value)
-        if key not in cache:
-            col = self._columns[factor_index]
-            if isinstance(col, array) and factor_index not in cache:
-                cache[factor_index] = frozenset(col)
-            absent = isinstance(col, array) and value not in cache[factor_index]
-            cache[key] = 0 if absent else _bits_where(col, value)
-        return cache[key]
+    def _level_bits(self, j: int | None) -> dict:
+        """Level -> bitset of column `j` (None: the outcome), packed on its first read:
+        every level of a byte column, the held levels of a wide one."""
+        held = self._bit_cache.get(j)
+        if held is None:
+            col = self._outcome_column if j is None else self._columns[j]
+            factor = self.schema.outcome if j is None else self.schema.factors[j]
+            levels = range(factor.levels) if isinstance(col, bytes) else set(col)
+            held = self._bit_cache[j] = {v: _bits_where(col, v) for v in levels}
+        return held
 
-    def _check_label(self, decision_label: int) -> None:
-        if not 0 <= decision_label < self.schema.outcome_levels:
-            raise InputError(
-                f"decision label {_echo(decision_label)} out of range "
-                f"(outcome levels 0..{self.schema.outcome_levels - 1})"
-            )
+    def subset_bits(self, source: "CaseTable") -> int | None:
+        """Bits over `source.ids` of this table's cases if `take` made it from
+        `source`, else None."""
+        if self._taken_from and self._taken_from() is source:
+            return bits_of(self.ids, source.ids)
+        return None
 
 
 # Both edges run at C speed: a bitset's binary digits become 0/1 bytes that
@@ -534,7 +542,7 @@ class Conjunction:
 
     @classmethod
     def of(cls, *pairs: tuple[int, int]) -> "Conjunction":
-        return cls(tuple(Literal(i, v) for i, v in pairs))
+        return cls(Literal(i, v) for i, v in pairs)
 
     def __len__(self) -> int:
         return len(self.literals)
@@ -559,12 +567,11 @@ class Conjunction:
                     f"conflicting values for factor index {_echo(lit.factor_index)}: "
                     f"{_echo(held.value)} vs {_echo(lit.value)}"
                 )
-        return Conjunction(tuple(mine.values()))
+        return Conjunction(mine.values())
 
     def matches_values(self, values: Sequence[int]) -> bool:
         for lit in self.literals:
-            if lit.factor_index >= len(values):
-                raise InputError(f"factor index {_echo(lit.factor_index)} out of range for {len(values)} factors")
+            _check_factor_index(lit.factor_index, len(values))
             if values[lit.factor_index] != lit.value:
                 return False
         return True
@@ -575,10 +582,15 @@ def matches(conjunction: Conjunction, case: Case) -> bool:
     return conjunction.matches_values(case.values)
 
 
+def _check_factor_index(factor_index: int, factors: int) -> None:
+    """InputError, in the one text, unless `factor_index` names one of `factors` factors."""
+    if not 0 <= factor_index < factors:
+        raise InputError(f"factor index {_echo(factor_index)} out of range for {factors} factors")
+
+
 def _check_literal(schema: FactorSchema, lit: Literal) -> None:
     """InputError unless `lit` names a factor of `schema` and one of its levels."""
-    if lit.factor_index >= len(schema.factors):
-        raise InputError(f"factor index {_echo(lit.factor_index)} out of range for {len(schema.factors)} factors")
+    _check_factor_index(lit.factor_index, len(schema.factors))
     factor = schema.factors[lit.factor_index]
     if lit.value >= factor.levels:
         raise InputError(f"value {_echo(lit.value)} out of range for factor {_echo(factor.name)!r}")
@@ -774,9 +786,7 @@ def sufficiency_consistency(conjunction: Conjunction, table: CaseTable, decision
 
 def necessity_consistency(literal: Literal, table: CaseTable, decision_label: int) -> Fraction:
     """Share of decision-label cases that carry the literal."""
-    pos = table.positive_bits(decision_label)
-    if not pos:
-        raise UndefinedRatioError(f"no cases with outcome {decision_label}; necessity consistency undefined")
+    pos = table.require_positives(decision_label)
     both = match_bits(Conjunction((literal,)), table) & pos
     return Fraction(both.bit_count(), pos.bit_count())
 
@@ -796,9 +806,7 @@ def solution_metrics(
     union = 0
     for r in rules:
         union |= r.matched_bits
-    positives = table.positive_bits(decision_label)
-    if not positives:
-        raise UndefinedRatioError(f"no cases with outcome {decision_label}")
+    positives = table.require_positives(decision_label)
     covered = (union & positives).bit_count()
     return Fraction(covered, union.bit_count()), Fraction(covered, positives.bit_count())
 

@@ -17,7 +17,6 @@ from .model import (
     CaseTable,
     FactorSchema,
     Literal,
-    UndefinedRatioError,
     _check_literal,
 )
 
@@ -34,10 +33,8 @@ def necessary_conditions(table: CaseTable, params: AnalysisParams) -> list[tuple
     """
     if not table.schema.factors:
         return []
-    positives = table.positive_bits(params.decision_label)
+    positives = table.require_positives(params.decision_label)
     total = positives.bit_count()
-    if not total:
-        raise UndefinedRatioError(f"no cases with outcome {params.decision_label}; necessity consistency undefined")
     num, den = params.necessity_threshold.as_integer_ratio()
     out: list[tuple[Literal, Fraction]] = []
     for i, factor in enumerate(table.schema.factors):

@@ -23,7 +23,6 @@ from .model import (
     Conjunction,
     Literal,
     Solution,
-    UndefinedRatioError,
     conjunction_expr,
     frozen,
     match_bits,
@@ -47,11 +46,15 @@ class SolveResult:
 def solve(table: CaseTable, params: AnalysisParams, *, pool: CandidatePool | None = None) -> SolveResult:
     """Run the full pipeline; raises VacuousSolutionError when nothing remains.
 
+    A table with no case of the decision label is refused first, before
+    necessity or enumeration (`CaseTable.require_positives`).
+
     A `pool` (see `candidates.CandidatePool`) is shared by the solves of one
     sweep or jackknife; on a subset of the pool's table, `candidates` then
     index the pool table's ids, while the solution is scored on `table`.
     """
     table.require_unique_ids()
+    table.require_positives(params.decision_label)
     warnings: list[str] = []
 
     if params.assume_necessary is not None:  # no scan: list what is conjoined, with its consistency
@@ -71,11 +74,7 @@ def solve(table: CaseTable, params: AnalysisParams, *, pool: CandidatePool | Non
     factor_set = exclude_necessary(table.schema, conjoined)
     candidates = enumerate_candidates(table, factor_set, params, pool=pool)
 
-    positives = table.positive_ids(params.decision_label)
-    if not positives:
-        raise UndefinedRatioError(f"no cases with outcome {params.decision_label}")
-
-    selected = greedy_cover(candidates, positives, params)
+    selected = greedy_cover(candidates, table.positive_ids(params.decision_label), params)
 
     # Rules that lose every matched case once the necessary literals are
     # conjoined cannot be scored; drop them with a warning instead of failing.

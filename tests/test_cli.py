@@ -419,6 +419,25 @@ class TestErrors:
         code, out, err = run_cli("experiment", "--factors", "3", "--pathway", "ab", "--confounds", confounds)
         assert (code, out, err) == (1, "", "error: --confounds must list at least one count\n")
 
+    # Seed 0's third repetition draws five cases none of which has A=1.
+    UNLUCKY = ["experiment", "--factors", "3", "--pathway", "A1", "--samples", "5"]
+
+    def test_experiment_names_the_repetition_that_failed(self):
+        code, out, err = run_cli(*self.UNLUCKY, "--reps", "3", "--seed", "0")
+        seed = robustness.derive_seed(0, 2)
+        assert (code, out, err) == (1, "", f"error: confounds 0, rep 2 (seed {seed}): no cases with outcome 1\n")
+
+    def test_a_single_run_is_named_by_confounds_and_seed(self):
+        seed = str(robustness.derive_seed(0, 2))
+        code, out, err = run_cli(*self.UNLUCKY, "--seed", seed, "--confounds", "0,1")
+        assert (code, out, err) == (1, "", f"error: confounds 0 (seed {seed}): no cases with outcome 1\n")
+
+    def test_a_vacuous_experiment_keeps_exit_2(self):
+        code, out, err = run_cli("experiment", "--factors", "3", "--pathway", "A1+B1", "--samples", "20",
+                                 "--unique-cover", "1000", "--seed", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: confounds 0 (seed 0): no admissible cover and no necessary conditions\n"
+
     def test_threads_flag_is_gone(self):
         code, out, err = run_cli("solve", *REMOTE, "--cutoff", "4", "--threads", "2")
         assert code == 1

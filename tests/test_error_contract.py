@@ -13,7 +13,10 @@ an `int`, and a value just outside a range raises the one range wording.
 A container that holds an int past any int-to-text limit is echoed item by
 item up to the cut, never converted whole (a container of another type, by
 its type name), and a seed past the current limit
-is refused by `derive_seed` before any solve. Run this file under
+is refused by `derive_seed` before any solve.
+
+Two refusals have one text wherever they are raised: a table with no case
+of the decision label, and a factor index outside the table. Run this file under
 ``python -X int_max_str_digits=640`` (the lowest limit) to check that no
 echo converts a large int whole.
 """
@@ -37,6 +40,8 @@ from scpqca import (
     InputError,
     Literal,
     PathwaySpec,
+    UndefinedRatioError,
+    assemble_solution,
     binary_schema,
     candidate_count_bound,
     derive_seed,
@@ -45,6 +50,10 @@ from scpqca import (
     external_validity,
     match_bits,
     matches,
+    necessary_conditions,
+    necessity_consistency,
+    rule_from_conjunction,
+    solution_metrics,
     solve,
     synth_schema,
 )
@@ -293,3 +302,37 @@ def test_a_seed_past_the_int_to_text_limit_raises_short_input_error_before_any_s
 
     monkeypatch.setattr(scpqca.robustness, "solve", no_solve)
     assert_input_error(lambda: SEED_PROBES[probe](table, 10**LIMIT))
+
+
+# Each probe takes a table with no case of outcome 1.
+NO_POSITIVE_PROBES = {
+    "solve": lambda t: solve(t, AnalysisParams(1)),
+    "necessary_conditions": lambda t: necessary_conditions(t, AnalysisParams(1)),
+    "necessity_consistency": lambda t: necessity_consistency(Literal(0, 1), t, 1),
+    "assemble_solution": lambda t: assemble_solution((Literal(0, 1),), [], t, AnalysisParams(1)),
+    "solution_metrics": lambda t: solution_metrics([rule_from_conjunction(one(0, 1), t, 1)], t, 1),
+}
+
+
+@pytest.mark.parametrize("probe", NO_POSITIVE_PROBES, ids=list(NO_POSITIVE_PROBES))
+def test_no_positive_case_is_refused_in_one_text(probe):
+    table = CaseTable.from_cases(binary_schema(["A", "B"]), [Case("a", (1, 0), 0), Case("b", (0, 1), 0)])
+    with pytest.raises(UndefinedRatioError) as err:
+        NO_POSITIVE_PROBES[probe](table)
+    assert str(err.value) == "no cases with outcome 1"
+
+
+# Each probe takes the two-factor table and names factor index 9.
+FACTOR_INDEX_PROBES = {
+    "enumerate_candidates": lambda t: enumerate_candidates(t, [0, 9], SOLVABLE),
+    "candidate_count_bound": lambda t: candidate_count_bound(t.schema, [9]),
+    "match_bits": lambda t: match_bits(one(9, 0), t),
+    "matches": lambda t: matches(one(9, 0), t.case(0)),
+}
+
+
+@pytest.mark.parametrize("probe", FACTOR_INDEX_PROBES, ids=list(FACTOR_INDEX_PROBES))
+def test_a_factor_index_out_of_range_is_refused_in_one_text(table, probe):
+    with pytest.raises(InputError) as err:
+        FACTOR_INDEX_PROBES[probe](table)
+    assert str(err.value) == "factor index 9 out of range for 2 factors"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scpqca import (
+    AnalysisParams,
     CandidateRule,
     Case,
     CaseTable,
@@ -26,8 +27,10 @@ from scpqca import (
     necessity_consistency,
     rule_from_conjunction,
     solution_metrics,
+    solve,
     sufficiency_consistency,
 )
+from scpqca import model
 from scpqca.model import bits_of, ids_of
 from conftest import random_table
 
@@ -278,6 +281,34 @@ class TestPositiveIds:
         finally:
             tracemalloc.stop()
         assert after - before < 32 * 1024
+
+
+class TestColumnBits:
+    """A column's bitsets are packed together on its first read, and once."""
+
+    def test_one_read_packs_every_level_of_a_byte_column(self, monkeypatch):
+        packs = []
+        real = model._bits_where
+        monkeypatch.setattr(model, "_bits_where", lambda col, v: packs.append(v) or real(col, v))
+        schema = FactorSchema((Factor("A", 4), Factor("B", 2)), Factor("O", 2))
+        cases = [Case("a", (0, 1), 1), Case("b", (2, 1), 1), Case("c", (2, 0), 0), Case("d", (0, 0), 1)]
+        table = CaseTable.from_cases(schema, cases)
+        assert table.literal_bits(0, 2) == 0b0110
+        assert packs == [0, 1, 2, 3]  # level 1 and 3 are held by no case, but A can hold them
+        assert table.literal_bits(0, 3) == 0 and table.literal_bits(0, 9) == 0 and len(packs) == 4
+        solve(table, AnalysisParams(1, "0.5", cutoff=1, unique_cover=1))
+        assert packs == [0, 1, 2, 3, 0, 1, 0, 1]  # then B and the outcome, and nothing more
+        solve(table, AnalysisParams(0, "0.5", cutoff=1, unique_cover=1))
+        assert len(packs) == 8
+
+    def test_a_wide_column_packs_only_its_held_levels(self, monkeypatch):
+        packs = []
+        real = model._bits_where
+        monkeypatch.setattr(model, "_bits_where", lambda col, v: packs.append(v) or real(col, v))
+        schema = FactorSchema((Factor("A", 1000),), Factor("O", 2))
+        table = CaseTable.from_cases(schema, [Case("a", (700,), 1), Case("b", (3,), 0), Case("c", (700,), 0)])
+        assert table.literal_bits(0, 700) == 0b101 and table.literal_bits(0, 4) == 0
+        assert sorted(packs) == [3, 700]
 
 
 class TestTypes:

@@ -205,6 +205,20 @@ class TestAnalysisParams:
             solve(m1_table, params)
         assert str(err.value) == "value 5 out of range for factor 'A'"
 
+    def test_no_positive_case_is_refused_before_enumeration(self, monkeypatch):
+        # With nothing assumed necessary no necessity step reads the
+        # positives, so solve must refuse the table before it walks the lattice.
+        from scpqca import UndefinedRatioError, pipeline
+
+        def enumerate_candidates(*args, **kwargs):
+            raise AssertionError("enumeration ran")
+
+        monkeypatch.setattr(pipeline, "enumerate_candidates", enumerate_candidates)
+        table = CaseTable.from_cases(binary_schema(["A", "B"]), [Case("a", (1, 0), 0), Case("b", (0, 1), 0)])
+        with pytest.raises(UndefinedRatioError) as err:
+            solve(table, AnalysisParams(1, assume_necessary=()))
+        assert str(err.value) == "no cases with outcome 1"
+
     def test_solve_passes_the_object_through_unchecked(self, monkeypatch, remote_table):
         from scpqca import pipeline
 
