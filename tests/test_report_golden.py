@@ -38,6 +38,11 @@ CASES = {
     "solve_assume_necessary": ["solve", *REMOTE, "--cutoff", "4", "--assume-necessary", "PI=1"],
     "solve_necessary_only": ["solve", *M1, "--unique-cover", "1"],
     "solve_multi_value": ["solve", "--data", MULTI_VALUE, "--outcome", "OUTCOME", "--unique-cover", "1"],
+    # Three levels per factor: the pool's per-level case node sets are pinned.
+    "sweep_multi_value": ["sweep", "--data", MULTI_VALUE, "--outcome", "OUTCOME", "--unique-cover", "1",
+                          "--cutoff-list", "1,2,3", "--consistency-list", "0.6,0.8,1"],
+    "xval_multi_value": ["xval", "--data", MULTI_VALUE, "--outcome", "OUTCOME", "--unique-cover", "1",
+                         "--cutoff", "1", "--reps", "8", "--fraction", "0.2", "--seed", "5"],
     "experiment": EXPERIMENT,
     "experiment_reps": [*EXPERIMENT, "--reps", "3"],
     "sweep": ["sweep", *REMOTE, "--cutoff", "4", "--consistency-list", "0.8,0.7"],
