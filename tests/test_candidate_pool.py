@@ -9,6 +9,10 @@ shares the walk, so the conjunctions are also checked against
 `brute_force_candidates`, which shares no code with it. Pooled rules index
 the pool table's ids, also on a subset taken from that table, which is how
 these tests see that the shared pool (not a fresh one) answered.
+
+A pool filters its nodes through bit-sliced counts, so the slice arithmetic
+is checked on its own against plain per-position integers, and the pool on
+tables large enough that its counts span two byte planes.
 """
 
 import gc
@@ -16,6 +20,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +87,95 @@ def case_sets(rules):
     return [(r.conjunction, ids_of(r.matched_bits, r.ids), ids_of(r.positive_bits, r.ids)) for r in rules]
 
 
+def values(slices, n):
+    """The count each of `n` positions holds in `slices`."""
+    return [sum((bits >> t & 1) << b for b, bits in enumerate(slices)) for t in range(n)]
+
+
+COUNTS = st.lists(st.integers(0, 2**17), max_size=40)
+PAIRS = st.lists(st.tuples(st.integers(0, 2**17), st.integers(0, 2**17)), max_size=40)
+# 0, 1, a 64-bit constant, and any other small one.
+CONSTANTS = st.sampled_from([0, 1, 2**64 - 59]) | st.integers(0, 2**20)
+
+
+class TestBitSlicedArithmetic:
+    @settings(max_examples=200, deadline=None)
+    @given(COUNTS, st.integers(0, 2**63))
+    def test_slices_hold_each_count(self, counts, spare):
+        # Any bound at or above the largest count (a table's length, so below
+        # 2**64), so every array width is used.
+        bound = max(counts, default=0) + spare
+        slices = candidates._slices(counts, bound)
+        assert values(slices, len(counts)) == counts
+        assert len(slices) == max(counts, default=0).bit_length()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 2**n - 1)))))
+    def test_count_is_how_many_bitsets_hold_each_position(self, drawn):
+        n, bitsets = drawn
+        assert values(candidates._count(bitsets), n) == [sum(b >> t & 1 for b in bitsets) for t in range(n)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(PAIRS)
+    def test_add(self, pairs):
+        a, b = [x for x, _ in pairs], [y for _, y in pairs]
+        total = candidates._add(candidates._slices(a, 2**17), candidates._slices(b, 2**17))
+        assert values(total, len(pairs)) == [x + y for x, y in pairs]
+
+    @settings(max_examples=200, deadline=None)
+    @given(PAIRS)
+    def test_subtract_with_borrow(self, pairs):
+        a, b = candidates._slices([x for x, _ in pairs], 2**17), candidates._slices([y for _, y in pairs], 2**17)
+        diff, borrow = candidates._sub(a, b)
+        width = max(len(a), len(b))
+        assert values(diff, len(pairs)) == [(x - y) % 2**width for x, y in pairs]
+        assert borrow == sum(1 << t for t, (x, y) in enumerate(pairs) if x < y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(COUNTS, CONSTANTS)
+    def test_scale(self, counts, k):
+        scaled = candidates._scale(candidates._slices(counts, 2**17), k)
+        assert values(scaled, len(counts)) == [k * x for x in counts]
+
+    @settings(max_examples=100, deadline=None)
+    @given(COUNTS, CONSTANTS, CONSTANTS)
+    def test_a_filter_is_the_borrow_of_scaled_counts(self, counts, den, num):
+        # den * p < num * m, as the pool tests consistency, with p the count
+        # and m the count plus its position.
+        positives, matched = counts, [x + t for t, x in enumerate(counts)]
+        p, m = candidates._slices(positives, 2**17), candidates._slices(matched, 2**17 + 40)
+        failing = candidates._sub(candidates._scale(p, den), candidates._scale(m, num))[1]
+        assert failing == sum(1 << t for t, (x, y) in enumerate(zip(positives, matched)) if den * x < num * y)
+
+
+@st.composite
+def plane_crossing_runs(draw):
+    """A table of 256-600 cases whose counts reach past one byte, a
+    threshold with a large denominator or 20 decimal digits, and subsets
+    that drop no case, one case, and all cases but one."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    levels = [rng.randint(2, 3) for _ in range(rng.randint(1, 3))]
+    schema = FactorSchema(
+        factors=tuple(Factor(chr(ord("A") + j), lv) for j, lv in enumerate(levels)),
+        outcome=Factor("O", 2),
+    )
+    n = rng.randint(256, 600)
+    share = rng.random()
+    rows = [[rng.randrange(lv) for lv in levels] for _ in range(n)]
+    for i in rng.sample(range(n), 256):  # A=0 matches at least 256 cases
+        rows[i][0] = 0
+    table = CaseTable(schema, tuple(f"c{i}" for i in range(n)), rows, [int(rng.random() < share) for _ in range(n)])
+    threshold = draw(
+        st.fractions(Fraction(1, 10**6), 1, max_denominator=10**6)
+        | st.sampled_from(["0.66666666666666666667", "0.12345678901234567891", "0.99999999999999999999"])
+    )
+    base_cutoff = draw(st.integers(1, 3))
+    cutoff = draw(st.sampled_from([base_cutoff, base_cutoff + 1, 255, 256, 300]))
+    one = rng.randrange(n)
+    subsets = [list(range(n)), [i for i in range(n) if i != one], [one]]
+    return table, base_cutoff, AnalysisParams(1, threshold, cutoff=cutoff), subsets
+
+
 class TestPoolAgainstWalk:
     @settings(max_examples=300, deadline=None)
     @given(pooled_runs())
@@ -137,6 +231,56 @@ class TestPoolAgainstWalk:
             got = enumerate_candidates(sub, everything, params, pool=pool)
             assert got.positives == table.positive_bits(label) & bits_of(sub.ids, table.ids)
             assert all(r.positive_bits == r.matched_bits & got.positives for r in got)
+
+    @settings(max_examples=25, deadline=None)
+    @given(plane_crossing_runs())
+    def test_counts_past_one_byte(self, drawn):
+        table, base_cutoff, params, subsets = drawn
+        everything = tuple(range(len(table.schema.factors)))
+        pool = CandidatePool(base_cutoff)
+        enumerate_candidates(table, everything, replace(params, cutoff=base_cutoff), pool=pool)
+        assert max(map(int.bit_count, pool._nodes.matched_bits)) > 255
+        for sub in [table, *(table.take(kept) for kept in subsets)]:
+            for factors in [everything, everything[1:]]:
+                pooled = enumerate_candidates(sub, factors, params, pool=pool)
+                assert case_sets(pooled) == case_sets(enumerate_candidates(sub, factors, params))
+                assert pooled.ids is table.ids
+
+    @settings(max_examples=100, deadline=None)
+    @given(pooled_runs(), st.sampled_from([1, 2, 3, 4096]))
+    def test_case_nodes_are_the_nodes_matching_the_case(self, drawn, chunk):
+        # The literal index reads the nodes in chunks; small ones split every run.
+        table, label, max_order, base_cutoff, grid, _, _ = drawn
+        pool = CandidatePool(base_cutoff)
+        params = AnalysisParams(label, grid[0][0], cutoff=grid[0][1], max_order=max_order)
+        enumerate_candidates(table, range(len(table.schema.factors)), params, pool=pool)
+        matched = pool._nodes.matched_bits
+        with mock.patch.object(candidates, "_CHUNK", chunk):
+            pool._node_index()
+        for case in range(len(table)):
+            assert pool._case_nodes(case) == sum(1 << t for t, bits in enumerate(matched) if bits >> case & 1)
+
+    def test_node_sets_are_built_for_the_dropped_cases_only(self, monkeypatch, remote_table):
+        built, case_nodes = [], CandidatePool._case_nodes
+
+        def counted(pool, case):
+            built.append(case)
+            return case_nodes(pool, case)
+
+        monkeypatch.setattr(CandidatePool, "_case_nodes", counted)
+        pool = CandidatePool(1)
+        params = AnalysisParams(1, "0.7", cutoff=1)
+        for call in [params, replace(params, cutoff=2), replace(params, consistency_threshold="0.9")]:
+            enumerate_candidates(remote_table, range(7), call, pool=pool)
+        enumerate_candidates(remote_table, range(1, 7), params, pool=pool)  # own table, a narrower factor set
+        assert built == []
+        n = len(remote_table)
+        for dropped in [[0], [2, 5], list(range(1, n))]:
+            built.clear()
+            sub = remote_table.take([i for i in range(n) if i not in dropped])
+            got = enumerate_candidates(sub, range(7), params, pool=pool)
+            assert sorted(built) == dropped
+            assert case_sets(got) == case_sets(enumerate_candidates(sub, range(7), params))
 
     def test_own_table_calls_share_one_walk(self, monkeypatch, remote_table):
         walks, walk = [], candidates._walk
