@@ -11,19 +11,12 @@ import importlib
 
 # Each public name, by the module it lives in. A name is imported on first
 # use (PEP 562), so that `import scpqca.cli` loads only what a run needs.
+# A name is exported when the package, a demo, the benchmark or README uses
+# it; `binary_schema`, the tests' constructor, is the one other.
 _EXPORTS = {
     "candidates": ("CandidatePool", "candidate_count_bound", "enumerate_candidates"),
-    "cover": ("assemble_solution", "exhaustive_cover_oracle", "greedy_cover", "unique_coverage"),
-    "ingest": (
-        "CalibrationSpec",
-        "Cutpoints",
-        "deduplicate",
-        "load_csv",
-        "schema_metadata",
-        "to_csv_string",
-        "write_csv",
-        "write_schema_json",
-    ),
+    "cover": ("assemble_solution", "exhaustive_cover_oracle", "greedy_cover"),
+    "ingest": ("CalibrationSpec", "Cutpoints", "deduplicate", "load_csv", "to_csv_string", "write_schema_json"),
     "model": (
         "AnalysisParams",
         "CandidateRule",
@@ -44,26 +37,20 @@ _EXPORTS = {
         "conjunction_expr",
         "conjunction_shorthand",
         "dnf_shorthand",
-        "matches",
         "match_bits",
-        "matched_ids",
         "necessity_consistency",
         "replace",
         "rule_from_conjunction",
         "solution_metrics",
-        "sufficiency_consistency",
     ),
     "necessity": ("exclude_necessary", "necessary_conditions"),
     "pathways": (
         "ExperimentReport",
         "ExperimentSpec",
         "PathwaySpec",
-        "full_truth_table",
         "generate_experiment_table",
         "parse_pathway",
-        "plant_outcome",
         "run_experiment",
-        "sample_and_confound",
         "synth_schema",
     ),
     "pipeline": ("SolveResult", "solve"),

@@ -85,8 +85,8 @@ from .model import (
     CaseTable,
     FactorSchema,
     Literal,
-    _DIGIT_TO_FLAG,
     _check_factor_index,
+    _flags,
     as_fraction,
     as_index,
     ids_of,
@@ -182,11 +182,6 @@ def _walk(
 _BIT_DIGITS = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
 _FACTOR, _LEVEL = attrgetter("factor_index"), attrgetter("value")
 _CHUNK = 4096  # nodes read at once by `_literal_nodes`
-
-
-def _flags(bits: int) -> bytes:
-    """One 0/1 byte per position of `bits`, up to its highest set bit, for `compress`."""
-    return bin(bits)[:1:-1].encode().translate(_DIGIT_TO_FLAG)
 
 
 def _column(values: Iterable[int], top: int) -> bytes | array:

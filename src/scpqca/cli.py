@@ -127,7 +127,10 @@ def _parse_cutpoints(items: list[str] | None) -> CalibrationSpec:
             points = tuple(map(float, _entries(rest)))
         except ValueError:
             raise InputError(f"--cutpoints {_echo(item)!r}: thresholds must be numeric") from None
-        columns[name.strip()] = Cutpoints(points)
+        name = name.strip()
+        if name in columns:
+            raise InputError(f"--cutpoints names column {_echo(name)!r} twice")
+        columns[name] = Cutpoints(points)
     return CalibrationSpec(columns)
 
 

@@ -53,6 +53,10 @@ distinct cells themselves: the joined length alone would pass ["", "ab"].
 On the `tall` file the 11 calibrated columns took 6.4 ms against 12.2 ms
 cell by cell, and `load_csv` 31 ms against 42 ms (medians of 21
 alternating in-process calls, CPython 3.11.7, 2-vCPU Xeon VM).
+
+Going out, `to_csv_string` gives a table's dense levels as CSV text and
+`write_schema_json` writes its schema, with the labels and cutpoints that
+map levels back, as a JSON file.
 """
 
 from __future__ import annotations
@@ -105,9 +109,6 @@ class CalibrationSpec:
         for name, calib in self.columns.items():
             if not isinstance(calib, Cutpoints):
                 raise InputError(f"calibration of column {_echo(name)!r} is a {_echo(type(calib).__name__)}, not Cutpoints")
-
-    def for_column(self, name: str) -> Cutpoints | None:
-        return self.columns.get(name)
 
 
 def _parse_int(cell: str) -> int | None:
@@ -374,11 +375,11 @@ def load_csv(
     factors: list[Factor] = []
     value_cols: list[bytes | list[int]] = []
     for name in factor_names:
-        vals, fac = _calibrate_column(name, columns[name], calibration.for_column(name), distinct[name])
+        vals, fac = _calibrate_column(name, columns[name], calibration.columns.get(name), distinct[name])
         factors.append(fac)
         value_cols.append(vals)
     outcome_vals, outcome_factor = _calibrate_column(
-        outcome_column, columns[outcome_column], calibration.for_column(outcome_column), distinct[outcome_column]
+        outcome_column, columns[outcome_column], calibration.columns.get(outcome_column), distinct[outcome_column]
     )
 
     schema = FactorSchema(factors=tuple(factors), outcome=outcome_factor)
@@ -410,27 +411,20 @@ def numeric_label_columns(table: CaseTable) -> list[Factor]:
     ]
 
 
-def _write_rows(table: CaseTable, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
+def to_csv_string(table: CaseTable) -> str:
+    """The dense-level CSV text: a header, then one line per case (id,
+    factors..., outcome), each ended by a bare newline, so a file takes it
+    with ``newline=""``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", *(f.name for f in table.schema.factors), table.schema.outcome_name])
     columns = map(table.values.column, range(len(table.schema.factors)))
     writer.writerows(zip(table.ids, *columns, table.outcomes))
-
-
-def write_csv(table: CaseTable, path: str | Path) -> None:
-    """Write the dense-level representation: id, factors..., outcome."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        _write_rows(table, fh)
-
-
-def to_csv_string(table: CaseTable) -> str:
-    buf = io.StringIO()
-    _write_rows(table, buf)
     return buf.getvalue()
 
 
-def schema_metadata(table: CaseTable) -> dict:
-    """JSON-able record of the schema, including label/cutpoint provenance."""
+def write_schema_json(table: CaseTable, path: str | Path) -> None:
+    """Write a JSON record of the schema, with label/cutpoint provenance, and the case count."""
 
     def factor_entry(f: Factor) -> dict:
         entry: dict = {"name": f.name, "levels": f.levels}
@@ -440,15 +434,12 @@ def schema_metadata(table: CaseTable) -> dict:
             entry["cutpoints"] = list(f.cutpoints)
         return entry
 
-    return {
+    meta = {
         "factors": [factor_entry(f) for f in table.schema.factors],
         "outcome": factor_entry(table.schema.outcome),
         "cases": len(table),
     }
-
-
-def write_schema_json(table: CaseTable, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(schema_metadata(table), indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
 def deduplicate(table: CaseTable) -> tuple[CaseTable, int]:

@@ -10,7 +10,8 @@ Metric conventions (for a decision label ``o``):
 
 * necessity consistency of a literal C=c:
   |cases with C=c and outcome o| / |cases with outcome o|
-* sufficiency consistency of a conjunction X:
+* sufficiency consistency of a conjunction X (`CandidateRule.consistency`
+  of the rule `rule_from_conjunction` builds for X):
   |cases matching X with outcome o| / |cases matching X|
 * solution consistency / coverage of a rule set, with U the union of the rules'
   matched cases and P the outcome-o cases:
@@ -29,14 +30,15 @@ table a subset was taken from.
 A set of cases is one Python int over a tuple of case ids: bit i stands for
 ``ids[i]``, so intersection is ``&``, union is ``|`` and a count is
 ``int.bit_count()`` (the vertical tid-lists of Eclat). Only this module knows
-the encoding. `CaseTable` caches one entry per column, the bitset of each
-level, packed at C speed on the column's first read by `literal_bits` or
+the encoding; `_flags` turns a bitset into the 0/1 bytes `compress` reads.
+`CaseTable` caches one entry per column, the bitset of each level, packed
+at C speed on the column's first read by `literal_bits` or
 `positive_bits`; `match_bits` builds the rest, and `ids_of` / `bits_of`
 convert at the edges. A table never caches an id set: `positive_ids` builds
 one where it is read. The table answers for its outcome set, refusing one
 with no case for every stage (`require_positives`), and for its provenance
-(`subset_bits`). `CandidateRule`
-carries the bits plus the shared ids and offers frozenset views of them;
+(`subset_bits`). `CandidateRule` carries the bits plus the shared ids and
+offers frozenset views of them;
 `CandidateRules`, enumeration's output and greedy's input, holds many rules
 as columns plus one positives bitset, and builds a rule only when it is read.
 
@@ -68,7 +70,6 @@ from operator import eq, index, or_
 from typing import Iterable, Iterator, Sequence
 
 from ._base import (  # re-exported: every module reads these from here
-    _ECHO_LIMIT,
     InputError,
     ScpqcaError,
     UndefinedRatioError,
@@ -385,10 +386,6 @@ class CaseTable:
     def __iter__(self) -> Iterator[Case]:
         return (self.case(i) for i in range(len(self)))
 
-    @cached_property
-    def cases(self) -> tuple[Case, ...]:
-        return tuple(self)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CaseTable):
             return NotImplemented
@@ -408,11 +405,8 @@ class CaseTable:
     def _unique_ids(self) -> bool:
         return len(set(self.ids)) == len(self.ids)
 
-    def has_unique_ids(self) -> bool:
-        return self._unique_ids
-
     def require_unique_ids(self) -> None:
-        if not self.has_unique_ids():
+        if not self._unique_ids:
             seen: set[str] = set()
             for i in self.ids:
                 if i in seen:
@@ -469,9 +463,14 @@ _DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\x00\x01")
 _FLAG_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 
 
+def _flags(bits: int) -> bytes:
+    """One 0/1 byte per position of `bits`, up to its highest set bit, for `compress`."""
+    return bin(bits)[:1:-1].encode().translate(_DIGIT_TO_FLAG)
+
+
 def ids_of(bits: int, ids: Sequence[str]) -> list[str]:
     """The ids whose bits are set, in index order."""
-    return list(compress(ids, bin(bits)[:1:-1].encode().translate(_DIGIT_TO_FLAG)))
+    return list(compress(ids, _flags(bits)))
 
 
 def bits_of(members: Iterable[str], ids: Sequence[str]) -> int:
@@ -550,13 +549,6 @@ class Conjunction:
     def literal_set(self) -> frozenset[Literal]:
         return frozenset(self.literals)
 
-    def factor_indices(self) -> tuple[int, ...]:
-        return tuple(lit.factor_index for lit in self.literals)
-
-    def sort_key(self) -> tuple:
-        """Deterministic ordering key: size first, then literal lexicographic."""
-        return (len(self.literals), tuple((l.factor_index, l.value) for l in self.literals))
-
     def merge(self, other: "Conjunction") -> "Conjunction":
         """Union of two partial assignments; conflicting values are an error."""
         mine = {l.factor_index: l for l in self.literals}
@@ -570,16 +562,12 @@ class Conjunction:
         return Conjunction(mine.values())
 
     def matches_values(self, values: Sequence[int]) -> bool:
+        """True iff every literal agrees with `values`, one level per factor (empty matches all)."""
         for lit in self.literals:
             _check_factor_index(lit.factor_index, len(values))
             if values[lit.factor_index] != lit.value:
                 return False
         return True
-
-
-def matches(conjunction: Conjunction, case: Case) -> bool:
-    """True iff every literal agrees with the case (empty matches all)."""
-    return conjunction.matches_values(case.values)
 
 
 def _check_factor_index(factor_index: int, factors: int) -> None:
@@ -603,10 +591,6 @@ def match_bits(conjunction: Conjunction, table: CaseTable) -> int:
         _check_literal(table.schema, lit)
         bits &= table.literal_bits(lit.factor_index, lit.value)
     return bits
-
-
-def matched_ids(conjunction: Conjunction, table: CaseTable) -> frozenset[str]:
-    return frozenset(ids_of(match_bits(conjunction, table), table.ids))
 
 
 @frozen
@@ -774,14 +758,6 @@ class Solution:
 
 # ---------------------------------------------------------------------------
 # Metrics
-
-
-def sufficiency_consistency(conjunction: Conjunction, table: CaseTable, decision_label: int) -> Fraction:
-    """Share of conjunction-matching cases whose outcome is the decision label."""
-    matched = match_bits(conjunction, table)
-    if not matched:
-        raise UndefinedRatioError("conjunction matches no cases; sufficiency consistency undefined")
-    return Fraction((matched & table.positive_bits(decision_label)).bit_count(), matched.bit_count())
 
 
 def necessity_consistency(literal: Literal, table: CaseTable, decision_label: int) -> Fraction:

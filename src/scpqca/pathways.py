@@ -273,7 +273,9 @@ def generate_experiment_table(spec: ExperimentSpec) -> CaseTable:
     Row indices are drawn exactly as `sample_and_confound` would draw them
     from `plant_outcome(full_truth_table(schema), pathway)`, then decoded
     directly, so the two routes produce identical tables for the same seed
-    while this one stays cheap for large factor spaces.
+    while this one stays cheap for large factor spaces. Those three are the
+    reference route the tests compare this one against; the package does
+    not export them.
     """
     counts = spec.schema.level_counts()
     n_rows = math.prod(counts)

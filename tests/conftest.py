@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
@@ -14,8 +15,7 @@ from scpqca import (
     Literal,
     binary_schema,
     load_csv,
-    matched_ids,
-    sufficiency_consistency,
+    match_bits,
 )
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -61,21 +61,27 @@ def random_table(rng: random.Random, max_factors: int = 4, max_levels: int = 3, 
     return CaseTable(schema=schema, ids=ids, values=values, outcomes=outcomes)
 
 
+def emit_order(conjunction: Conjunction) -> tuple:
+    """The order enumeration emits rules in: size first, then literals lexicographically."""
+    return len(conjunction.literals), tuple((lit.factor_index, lit.value) for lit in conjunction.literals)
+
+
 def brute_force_candidates(table: CaseTable, factor_set, params: AnalysisParams):
     """Independent oracle: materialize every conjunction via itertools and
-    filter with the model-level metric operations."""
+    filter by the popcounts of its matched and matched-positive bitsets."""
     factor_set = sorted(factor_set)
     max_order = params.max_order or len(factor_set)
+    positives = table.positive_bits(params.decision_label)
     out = []
     for k in range(1, min(max_order, len(factor_set)) + 1):
         for idxs in combinations(factor_set, k):
             for values in product(*[range(table.schema.factors[i].levels) for i in idxs]):
                 conj = Conjunction(tuple(Literal(i, v) for i, v in zip(idxs, values)))
-                matched = matched_ids(conj, table)
-                if len(matched) < params.cutoff:
+                matched = match_bits(conj, table)
+                if matched.bit_count() < params.cutoff:
                     continue
-                if sufficiency_consistency(conj, table, params.decision_label) < params.consistency_threshold:
+                if Fraction((matched & positives).bit_count(), matched.bit_count()) < params.consistency_threshold:
                     continue
                 out.append(conj)
-    out.sort(key=lambda c: c.sort_key())
+    out.sort(key=emit_order)
     return out

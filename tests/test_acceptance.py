@@ -31,12 +31,12 @@ from scpqca import (
     generate_experiment_table,
     greedy_cover,
     load_csv,
-    matched_ids,
+    match_bits,
     necessity_consistency,
     parse_pathway,
+    rule_from_conjunction,
     run_experiment,
     solve,
-    sufficiency_consistency,
     synth_schema,
 )
 from scpqca.cli import main as cli_main
@@ -259,7 +259,7 @@ def test_criterion_08_metric_property_suite(remote_table, m1_table):
                 tuple(Literal(i, rng.randrange(table.schema.factors[i].levels)) for i in idxs)
             )
             try:
-                suf = sufficiency_consistency(conj, table, label)
+                suf = rule_from_conjunction(conj, table, label).consistency
                 assert 0 <= suf <= 1
             except UndefinedRatioError:
                 pass
@@ -270,7 +270,7 @@ def test_criterion_08_metric_property_suite(remote_table, m1_table):
             # anti-monotone matching: dropping a literal never shrinks the set
             if len(conj.literals) > 1:
                 sub = Conjunction(conj.literals[:-1])
-                assert matched_ids(conj, table) <= matched_ids(sub, table)
+                assert match_bits(conj, table) & ~match_bits(sub, table) == 0
 
     # threshold directions on the repo fixtures
     counts_cons = [

@@ -28,11 +28,11 @@ from scpqca import (
     exclude_necessary,
     match_bits,
     necessary_conditions,
-    sufficiency_consistency,
+    rule_from_conjunction,
 )
 from scpqca import model
 from scpqca.cli import main
-from conftest import brute_force_candidates, random_table
+from conftest import brute_force_candidates, emit_order, random_table
 
 
 class Index:
@@ -81,7 +81,7 @@ class TestThresholdSemantics:
         params = AnalysisParams(1, "0.8", cutoff=4)
         for rule in enumerate_candidates(remote_table, range(7), params):
             assert len(rule.matched) >= 4
-            assert sufficiency_consistency(rule.conjunction, remote_table, 1) == rule.consistency
+            assert rule_from_conjunction(rule.conjunction, remote_table, 1).consistency == rule.consistency
             assert rule.consistency >= Fraction(4, 5)
 
 
@@ -224,7 +224,7 @@ def itertools_columns(table, factors, label, cutoff, threshold, max_order):
                 matched = match_bits(conj, table)
                 count, pos = matched.bit_count(), (matched & positives).bit_count()
                 if count >= cutoff and pos >= threshold * count:
-                    rows.append((conj.sort_key(), conj.literals, matched, matched & positives))
+                    rows.append((emit_order(conj), conj.literals, matched, matched & positives))
     rows.sort(key=lambda row: row[0])
     return [row[1] for row in rows], [row[2] for row in rows], [row[3] for row in rows]
 
@@ -321,7 +321,7 @@ class TestUncheckedRulesAreValid:
 class TestDeterminismAndOrdering:
     def test_order_is_size_then_lexicographic(self, remote_table):
         rules = enumerate_candidates(remote_table, range(7), AnalysisParams(1, "0.8", cutoff=4))
-        keys = [r.conjunction.sort_key() for r in rules]
+        keys = [emit_order(r.conjunction) for r in rules]
         assert keys == sorted(keys)
 
     def test_byte_identical_across_runs(self, remote_table):

@@ -202,6 +202,16 @@ class TestErrors:
         assert (code, out, err) == (1, "", f"error: {DATA / 'm1.csv'}: calibration column 'NOPE' not found\n")
 
     @pytest.mark.parametrize(
+        "first, second, shown",
+        [("A:0.5", "A:5", "A"), ("A:1", " A :2", "A"), ("N" * 5000 + ":1", "N" * 5000 + ":2", "NNNNNNNNNNNN...")],
+        ids=["plain", "spaced", "5000-characters"],
+    )
+    def test_a_column_cut_twice_is_refused(self, first, second, shown):
+        # Names are compared stripped, so 'A' and ' A ' are one column.
+        code, out, err = run_cli("necessity", *M1, "--cutpoints", first, "--cutpoints", second)
+        assert (code, out, err) == (1, "", f"error: --cutpoints names column {shown!r} twice\n")
+
+    @pytest.mark.parametrize(
         "args, line",
         [
             (["solve", "--cutoff", "9" * 5000], "--cutoff: invalid int value: '999999999999...'"),
@@ -1244,6 +1254,63 @@ class TestStartup:
 
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
             scpqca.no_such_name
+
+
+# Files outside the tests that may use a public name: the package but not its
+# export table, the demos, the benchmark, the scripts and README.
+USER_FILES = [
+    *(p for p in sorted((ROOT / "src" / "scpqca").glob("*.py")) if p.name != "__init__.py"),
+    *sorted(ROOT.glob("demos/*.py")),
+    *sorted(ROOT.glob("bench/*.py")),
+    *sorted(ROOT.glob("scripts/*.py")),
+    ROOT / "README.md",
+]
+# Exports that nothing outside the tests uses, each with the reason it stays.
+TEST_ONLY_EXPORTS = {
+    "binary_schema": "the constructor of an all-binary schema that the tests build their tables on",
+}
+# Names only the tests called: a deleted one is gone from its module too, a
+# de-exported one stays there (the tests' reference route, or a helper).
+DELETED = {"model": ("matched_ids", "matches", "sufficiency_consistency", "_ECHO_LIMIT"),
+           "ingest": ("write_csv", "schema_metadata")}
+DE_EXPORTED = {"pathways": ("full_truth_table", "plant_outcome", "sample_and_confound"),
+               "cover": ("unique_coverage",)}
+
+
+class TestPublicNames:
+    def test_every_export_resolves(self):
+        import scpqca
+
+        for name in scpqca.__all__:
+            assert getattr(scpqca, name) is not None, name
+
+    def test_every_export_is_used_outside_the_tests(self):
+        import scpqca
+
+        lines = [line for p in USER_FILES for line in p.read_text(encoding="utf-8").splitlines()]
+        unused = [
+            name
+            for name in scpqca.__all__
+            if not any(
+                re.search(rf"\b{name}\b", line) and not re.match(rf"\s*(?:def|class)\s+{name}\b", line)
+                for line in lines
+            )
+        ]
+        assert unused == sorted(TEST_ONLY_EXPORTS)
+
+    def test_removed_names_are_gone(self):
+        import importlib
+
+        import scpqca
+        from scpqca import CalibrationSpec, CaseTable, Conjunction
+
+        for module, names in [*DELETED.items(), *DE_EXPORTED.items()]:
+            for name in names:
+                assert not hasattr(scpqca, name) and name not in scpqca.__all__
+                assert hasattr(importlib.import_module(f"scpqca.{module}"), name) == (module in DE_EXPORTED)
+        for cls, name in [(CaseTable, "cases"), (CaseTable, "has_unique_ids"), (Conjunction, "factor_indices"),
+                          (Conjunction, "sort_key"), (CalibrationSpec, "for_column")]:
+            assert not hasattr(cls, name)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ from scpqca import (
     greedy_cover,
     rule_from_conjunction,
     solve,
-    unique_coverage,
 )
 from scpqca import cover
+from scpqca.cover import unique_coverage
 from conftest import random_table
 
 

@@ -49,7 +49,6 @@ from scpqca import (
     exclude_necessary,
     external_validity,
     match_bits,
-    matches,
     necessary_conditions,
     necessity_consistency,
     rule_from_conjunction,
@@ -87,7 +86,7 @@ INT_PROBES = {
     "merge value conflict": lambda t, big, n: one(0, n).merge(one(0, n + 1)),
     "match_bits index": lambda t, big, n: match_bits(one(n, 0), t),
     "match_bits level": lambda t, big, n: match_bits(one(0, n), t),
-    "matches index": lambda t, big, n: matches(one(n, 0), t.case(0)),
+    "matches index": lambda t, big, n: one(n, 0).matches_values(t.case(0).values),
     "exclude_necessary index": lambda t, big, n: exclude_necessary(t.schema, [Literal(n, 0)]),
     "exclude_necessary level": lambda t, big, n: exclude_necessary(t.schema, [Literal(0, n)]),
     "enumerate_candidates": lambda t, big, n: enumerate_candidates(t, [0, big], AnalysisParams(1)),
@@ -327,7 +326,7 @@ FACTOR_INDEX_PROBES = {
     "enumerate_candidates": lambda t: enumerate_candidates(t, [0, 9], SOLVABLE),
     "candidate_count_bound": lambda t: candidate_count_bound(t.schema, [9]),
     "match_bits": lambda t: match_bits(one(9, 0), t),
-    "matches": lambda t: matches(one(9, 0), t.case(0)),
+    "matches": lambda t: one(9, 0).matches_values(t.case(0).values),
 }
 
 

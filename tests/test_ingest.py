@@ -23,9 +23,7 @@ from scpqca import (
     deduplicate,
     ingest,
     load_csv,
-    schema_metadata,
     to_csv_string,
-    write_csv,
     write_schema_json,
 )
 
@@ -177,25 +175,28 @@ class TestLoadCsv:
 class TestRoundTrip:
     def test_load_write_load_is_idempotent(self, tmp_path, m1_table):
         p = tmp_path / "out.csv"
-        write_csv(m1_table, p)
+        p.write_text(to_csv_string(m1_table), encoding="utf-8", newline="")
         again = load_csv(p, outcome_column="O")
         assert again == m1_table
         p2 = tmp_path / "out2.csv"
-        write_csv(again, p2)
+        p2.write_text(to_csv_string(again), encoding="utf-8", newline="")
         assert p.read_text(encoding="utf-8") == p2.read_text(encoding="utf-8")
 
     def test_to_csv_string_matches_file(self, tmp_path, m1_table):
         p = tmp_path / "out.csv"
-        write_csv(m1_table, p)
-        assert p.read_text(encoding="utf-8") == to_csv_string(m1_table)
+        p.write_text(to_csv_string(m1_table), encoding="utf-8", newline="")
+        rows = ["id,A,B,O", "c1,1,1,1", "c2,1,0,1", "c3,1,1,1", "c4,0,1,0", "c5,0,0,0", "c6,1,0,0"]
+        assert p.read_bytes() == "".join(f"{row}\n" for row in rows).encode()
 
     def test_schema_sidecar(self, tmp_path, m1_table):
         p = tmp_path / "schema.json"
         write_schema_json(m1_table, p)
         meta = json.loads(p.read_text(encoding="utf-8"))
-        assert meta == schema_metadata(m1_table)
-        assert meta["cases"] == 6
-        assert [f["name"] for f in meta["factors"]] == ["A", "B"]
+        assert meta == {
+            "factors": [{"name": "A", "levels": 2}, {"name": "B", "levels": 2}],
+            "outcome": {"name": "O", "levels": 2},
+            "cases": 6,
+        }
 
 
 class TestDeduplicate:
@@ -321,11 +322,11 @@ def reference_load_csv(path, outcome_column, calibration=None, id_column=None):
         seen[cid] = rowno
     factors, value_cols = [], []
     for name in [h for h in header if h != outcome_column and h != id_name]:
-        vals, fac = _ref_calibrate_column(name, columns[name], rownos, calibration.for_column(name))
+        vals, fac = _ref_calibrate_column(name, columns[name], rownos, calibration.columns.get(name))
         factors.append(fac)
         value_cols.append(vals)
     outcome_vals, outcome_factor = _ref_calibrate_column(
-        outcome_column, columns[outcome_column], rownos, calibration.for_column(outcome_column)
+        outcome_column, columns[outcome_column], rownos, calibration.columns.get(outcome_column)
     )
     schema = FactorSchema(factors=tuple(factors), outcome=outcome_factor)
     values = [list(row) for row in zip(*value_cols)] if value_cols else [[] for _ in data]

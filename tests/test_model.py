@@ -22,13 +22,11 @@ from scpqca import (
     binary_schema,
     conjunction_expr,
     conjunction_shorthand,
-    matched_ids,
-    matches,
+    match_bits,
     necessity_consistency,
     rule_from_conjunction,
     solution_metrics,
     solve,
-    sufficiency_consistency,
 )
 from scpqca import model
 from scpqca.model import bits_of, ids_of
@@ -37,7 +35,7 @@ from conftest import random_table
 
 def brute_sufficiency(conj: Conjunction, table: CaseTable, label: int) -> Fraction:
     """Independent oracle: per-case loop over Case objects."""
-    matched = [c for c in table if matches(conj, c)]
+    matched = [c for c in table if conj.matches_values(c.values)]
     return Fraction(sum(1 for c in matched if c.outcome == label), len(matched))
 
 
@@ -51,27 +49,27 @@ def brute_necessity(lit: Literal, table: CaseTable, label: int) -> Fraction:
 class TestMatches:
     def test_exact_match(self):
         conj = Conjunction.of((0, 1), (1, 1))
-        assert matches(conj, Case("x", (1, 1), 0)) is True
+        assert conj.matches_values((1, 1)) is True
 
     def test_violated_literal(self):
         conj = Conjunction.of((0, 1), (1, 1))
-        assert matches(conj, Case("x", (1, 0), 0)) is False
+        assert conj.matches_values((1, 0)) is False
 
     def test_m1_single_literal(self, m1_table):
-        assert matched_ids(Conjunction.of((0, 1)), m1_table) == {"c1", "c2", "c3", "c6"}
+        assert ids_of(match_bits(Conjunction.of((0, 1)), m1_table), m1_table.ids) == ["c1", "c2", "c3", "c6"]
 
     def test_empty_conjunction_matches_everything(self, m1_table):
-        assert matched_ids(Conjunction(()), m1_table) == set(m1_table.ids)
+        assert ids_of(match_bits(Conjunction(()), m1_table), m1_table.ids) == list(m1_table.ids)
 
     def test_out_of_range_factor_index(self, m1_table):
         with pytest.raises(InputError):
-            matches(Conjunction.of((7, 0)), m1_table.case(0))
+            Conjunction.of((7, 0)).matches_values(m1_table.case(0).values)
         with pytest.raises(InputError):
-            matched_ids(Conjunction.of((7, 0)), m1_table)
+            match_bits(Conjunction.of((7, 0)), m1_table)
 
     def test_out_of_range_value(self, m1_table):
         with pytest.raises(InputError):
-            matched_ids(Conjunction.of((0, 5)), m1_table)
+            match_bits(Conjunction.of((0, 5)), m1_table)
 
 
 class TestSufficiencyConsistency:
@@ -85,7 +83,7 @@ class TestSufficiencyConsistency:
     )
     def test_m1_values(self, m1_table, pairs, expected):
         conj = Conjunction.of(*pairs)
-        assert sufficiency_consistency(conj, m1_table, 1) == expected
+        assert rule_from_conjunction(conj, m1_table, 1).consistency == expected
         assert brute_sufficiency(conj, m1_table, 1) == expected
 
     def test_zero_matches_is_an_error(self, m1_table):
@@ -94,8 +92,8 @@ class TestSufficiencyConsistency:
         empty = Conjunction.of((0, 1), (1, 1))
         # restrict to a table without matching cases
         sub = CaseTable.from_cases(m1_table.schema, [m1_table.case(4)])  # only c5 (0,0)
-        with pytest.raises(UndefinedRatioError):
-            sufficiency_consistency(empty, sub, 1)
+        with pytest.raises(UndefinedRatioError, match="^conjunction matches no cases$"):
+            rule_from_conjunction(empty, sub, 1)
 
 
 class TestNecessityConsistency:
@@ -160,14 +158,14 @@ class TestDuplicateWeighting:
         # duplicate c6 (A=1,B=0 -> 0) under a fresh id: {A=1} now matches 5
         # cases of which 3 are positive
         dup = CaseTable.from_cases(
-            m1_table.schema, list(m1_table.cases) + [Case("c6bis", (1, 0), 0)]
+            m1_table.schema, list(m1_table) + [Case("c6bis", (1, 0), 0)]
         )
-        assert sufficiency_consistency(Conjunction.of((0, 1)), dup, 1) == Fraction(3, 5)
+        assert rule_from_conjunction(Conjunction.of((0, 1)), dup, 1).consistency == Fraction(3, 5)
         # necessity unchanged: the duplicate is not a positive case
         assert necessity_consistency(Literal(0, 1), dup, 1) == 1
         # duplicating a positive raises the weight of its literals
         dup2 = CaseTable.from_cases(
-            m1_table.schema, list(m1_table.cases) + [Case("c1bis", (1, 1), 1)]
+            m1_table.schema, list(m1_table) + [Case("c1bis", (1, 1), 1)]
         )
         assert necessity_consistency(Literal(1, 1), dup2, 1) == Fraction(3, 4)
 
@@ -186,16 +184,16 @@ class TestMetricProperties:
             assert 0 <= nec <= 1
             conj = Conjunction((Literal(0, lit.value % table.schema.factors[0].levels),))
             try:
-                suf = sufficiency_consistency(conj, table, label)
+                suf = rule_from_conjunction(conj, table, label).consistency
             except UndefinedRatioError:
                 return
             assert 0 <= suf <= 1
             # shared numerator: |matched ∩ positives| both ways
-            matched = matched_ids(conj, table)
-            positives = table.positive_ids(label)
-            overlap = len(matched & positives)
-            assert suf * len(matched) == overlap
-            assert nec * len(positives) == overlap
+            matched = match_bits(conj, table)
+            positives = table.positive_bits(label)
+            overlap = (matched & positives).bit_count()
+            assert suf * matched.bit_count() == overlap
+            assert nec * positives.bit_count() == overlap
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9))
@@ -204,11 +202,11 @@ class TestMetricProperties:
         table = random_table(rng)
         nf = len(table.schema.factors)
         base_lits = []
-        prev = matched_ids(Conjunction(()), table)
+        prev = match_bits(Conjunction(()), table)
         for i in rng.sample(range(nf), k=rng.randint(1, nf)):
             base_lits.append(Literal(i, rng.randrange(table.schema.factors[i].levels)))
-            cur = matched_ids(Conjunction(tuple(base_lits)), table)
-            assert cur <= prev
+            cur = match_bits(Conjunction(tuple(base_lits)), table)
+            assert cur & ~prev == 0
             prev = cur
 
 
@@ -246,12 +244,12 @@ class TestIdsAndBits:
 
 class TestUniqueIds:
     def test_answer_is_cached_on_the_table(self, m1_table):
-        assert m1_table.has_unique_ids() is True
+        assert m1_table.require_unique_ids() is None
         assert m1_table.__dict__["_unique_ids"] is True
         dup = CaseTable(m1_table.schema, ("a", "a", "b", "c", "d", "e"), m1_table.values, m1_table.outcomes)
-        assert dup.has_unique_ids() is False
         with pytest.raises(InputError, match="duplicate case id 'a'"):
             dup.require_unique_ids()
+        assert dup.__dict__["_unique_ids"] is False
 
 
 class TestPositiveIds:
@@ -336,7 +334,7 @@ class TestTypes:
 
     def test_literals_sorted_and_hashable(self):
         c = Conjunction.of((2, 0), (0, 1))
-        assert c.factor_indices() == (0, 2)
+        assert [lit.factor_index for lit in c.literals] == [0, 2]
         assert len({c, Conjunction.of((0, 1), (2, 0))}) == 1
 
     def test_candidate_rule_invariants(self):
@@ -523,7 +521,7 @@ class TestLongValuesInModelErrors:
         table = CaseTable(FactorSchema((Factor("F" * n, 2),), Factor("O", 2)), ("a", "b"), ((0,), (1,)), (1, 0))
         for value, shown in [(2, "2"), (10**5000, "100000000000...")]:
             with pytest.raises(InputError) as err:
-                matched_ids(Conjunction((Literal(0, value),)), table)
+                match_bits(Conjunction((Literal(0, value),)), table)
             assert str(err.value) == f"value {shown} out of range for factor {cut('F' * n)!r}"
 
 

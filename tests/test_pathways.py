@@ -16,15 +16,13 @@ from scpqca import (
     InputError,
     PathwaySpec,
     generate_experiment_table,
-    full_truth_table,
     parse_pathway,
-    plant_outcome,
     run_experiment,
-    sample_and_confound,
     synth_schema,
     AnalysisParams,
 )
-from scpqca.model import _ECHO_LIMIT
+from scpqca._base import _ECHO_LIMIT
+from scpqca.pathways import full_truth_table, plant_outcome, sample_and_confound
 
 
 def brute_dnf_eval(terms, row) -> bool:

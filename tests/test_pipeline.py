@@ -61,7 +61,7 @@ class TestTwoStepPipeline:
         params = AnalysisParams(decision_label=1, cutoff=4)
         result = solve(remote_table, params)
         for config in result.solution.configurations():
-            literal_factors = set(config.factor_indices())
+            literal_factors = {lit.factor_index for lit in config.literals}
             assert {l.factor_index for l in result.conjoined_necessary} <= literal_factors
 
     def test_vacuous_solution_raises(self):
