@@ -74,7 +74,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, compress, repeat, zip_longest
 from operator import and_, attrgetter, or_
 from typing import Iterable, Sequence
@@ -309,6 +309,15 @@ def _literal_nodes(literals: Sequence[tuple[Literal, ...]], top: int) -> dict[in
     return out
 
 
+def _nodes_matching(index: dict[int, tuple], every: int, case: int) -> int:
+    """The nodes of `every` that match the case at position `case` of the
+    table whose node index (see `CandidatePool._node_index`) is `index`."""
+    contradicting = 0
+    for column, others, holding in index.values():
+        contradicting |= others.get(column[case], holding)
+    return every ^ contradicting
+
+
 class CandidatePool:
     """Every lattice node that meets one cutoff, walked once and filtered per call.
 
@@ -336,11 +345,18 @@ class CandidatePool:
     `cutoff`, and ``den * positive`` minus ``num * matched``, the products
     exact by shift and add. The passing nodes are taken by `compress`, so
     no Python code runs per node. The nodes that match one case are those
-    holding no literal at another level of its factors. So the first call
-    that needs them (a subset, or a factor set narrower than the pool's)
-    builds, per walked factor and level, the bitset of the nodes holding a
-    literal on that factor at another level, and per factor the bitset of
-    the nodes holding any literal on it, which a narrower factor set drops.
+    holding no literal at another level of its factors. So the first
+    selection builds, per walked factor and level, the bitset of the nodes
+    holding a literal on that factor at another level, and per factor the
+    bitset of the nodes holding any literal on it, which a narrower factor
+    set drops.
+
+    The same counts serve greedy's gains (see `cover`). A selection carries
+    its passing nodes, its positive-count slices (the gains before any pick)
+    and a function from a case to the nodes that match it, over that index;
+    a subset's dropped cases and greedy's covered ones both lower counts by
+    it. The selection holds no reference to the pool, so a pool dies with
+    its owner's last reference while its selections live on.
 
     A selection indexes the pool table's `ids`; on a subset that
     `CaseTable.take` made from that table its matched bits and positives are
@@ -368,7 +384,7 @@ class CandidatePool:
         self._all = (1 << len(nodes)) - 1
         self._matched = _slices(map(int.bit_count, nodes.matched_bits), len(table))
         self._positive = _slices(map(int.bit_count, map(and_, nodes.matched_bits, repeat(nodes.positives))), len(table))
-        self._index: dict[int, tuple] | None = None  # per walked factor, built when first needed
+        self._index: dict[int, tuple] | None = None  # per walked factor, built by the first selection
         self._selected: dict[tuple, CandidateRules] = {}  # the own table's selections, by key
 
     def _node_index(self) -> dict[int, tuple]:
@@ -390,10 +406,7 @@ class CandidatePool:
 
     def _case_nodes(self, case: int) -> int:
         """The nodes that match the pool table's case at index `case`."""
-        contradicting = 0
-        for column, others, holding in self._node_index().values():
-            contradicting |= others.get(column[case], holding)
-        return self._all ^ contradicting
+        return _nodes_matching(self._node_index(), self._all, case)
 
     def _select(self, table: CaseTable, factors: tuple[int, ...], params: AnalysisParams) -> CandidateRules | None:
         """The rules passing `params` on `table` and `factors`, in emit order,
@@ -433,11 +446,17 @@ class CandidatePool:
         failing |= _sub(_scale(positive, threshold.denominator), _scale(matched, threshold.numerator))[1]
         for j in set(self._factors) - set(factors):
             failing |= self._node_index()[j][2]
-        flags = _flags(every & ~failing)
+        passing = every & ~failing
+        flags = _flags(passing)
         literals, matched_bits = list(compress(nodes.literals, flags)), compress(nodes.matched_bits, flags)
         if keep is not None:
-            return CandidateRules(literals, list(map(keep.__and__, matched_bits)), nodes.positives & keep, nodes.ids)
-        rules = self._selected[key] = CandidateRules(literals, list(matched_bits), nodes.positives, nodes.ids)
+            rules = CandidateRules(literals, list(map(keep.__and__, matched_bits)), nodes.positives & keep, nodes.ids)
+        else:
+            rules = self._selected[key] = CandidateRules(literals, list(matched_bits), nodes.positives, nodes.ids)
+        # Greedy covers the selection in node space (see `cover`). It gets the
+        # node index, not the pool: a selection that held the pool would make
+        # a cycle through `_selected`, which only the garbage collector frees.
+        rules._pooled = (passing, positive, partial(_nodes_matching, self._node_index(), every))
         return rules
 
 

@@ -12,7 +12,8 @@ replacement, pure forward greedy.
 `exhaustive_cover_oracle` is an independent exact search over rule subsets
 used by tests and the `--oracle` flag; a subset is admissible when some pick
 order gives every rule a marginal gain of at least `unique_cover`, which by
-construction includes every sequence the greedy loop can produce.
+construction includes every sequence the greedy loop can produce. Like
+greedy, it refuses rules over different case ids (`model.CandidateRules.of`).
 
 Greedy reads its candidates as the columns of a `model.CandidateRules` (a
 plain list of rules is put into columns once), bitsets over the table's ids,
@@ -22,21 +23,39 @@ and builds rule objects only for its picks. A gain is the popcount of
 Greedy, assembly and the oracle read the decision label and `unique_cover`
 of the run's one `model.AnalysisParams`, which checked them when it was built.
 
-Each greedy pass takes gains first and ties second: it computes every
-rule's gain and their maximum, and compares only the rules that tie on that
-gain. A tie breaks by higher consistency, compared as exact integer cross
-products of the popcounts (``p * m'`` against ``p' * m``, so no `Fraction`
-is built), then fewer literals, then the earlier candidate. Gains only fall
-as cases get covered, so after each pass the rules whose gain is below
-`unique_cover`, the picked one included, leave the scan for good; the
-tie-break still sees each rule's original candidate index. Lazy greedy
-(Minoux 1978), a heap keyed by gain and a precomputed tie-break rank, picks
-the same rules but measured slower than this scan on the small, repeated
-solves of a sweep or jackknife: ranking the rules by their `Fraction`
-consistencies costs more than the passes it saves.
+Greedy runs one of two loops, chosen by where the rules came from; both
+take gains first and ties second, and break a tie in one function: higher
+consistency, compared as exact integer cross products of the popcounts
+(``p * m'`` against ``p' * m``, so no `Fraction` is built), then fewer
+literals, then the earlier candidate.
 
-A run is recorded on the `CandidateRules` it covered: its starting
-uncovered bits, its floor, its picks and each pick's gain. Picked gains
+- The scan, for rules made by a walk or given as a list, computes every
+  live rule's gain and their maximum each pass, and compares only the rules
+  that tie on it. Gains only fall as cases get covered, so after each pass
+  the rules whose gain is below `unique_cover`, the picked one included,
+  leave the scan for good; the tie-break still sees each rule's original
+  candidate index.
+- A `candidates.CandidatePool`'s selection is covered over the pool's
+  nodes, with no rule visited. Every node's gain is held as bit slices (see
+  `candidates`), starting at the positive counts the selection was filtered
+  by, less the positives not asked for. A pick lowers them by the count of
+  the pick's newly covered cases among each node's matched ones, from the
+  pool's case node sets. The best gain and the nodes holding it come from
+  one pass over the slices from the top bit down, over the selection's
+  nodes not yet picked; a node below the floor cannot hold the best unless
+  the best is below it too, when the run stops. A node maps back to its
+  rule by the count of the selection's nodes before it.
+
+The scan stays for rules made by a walk: they have no case node index, and
+building one per solve would cost more than the scan it saves, as on the
+20 000 cases of a tall table. Lazy greedy (Minoux 1978), a heap keyed by
+gain and a precomputed tie-break rank, picks the same rules but measured
+slower than the scan on the small, repeated solves of a sweep or
+jackknife: ranking the rules by their `Fraction` consistencies costs more
+than the passes it saves.
+
+A run of either loop is recorded on the `CandidateRules` it covered: its
+starting uncovered bits, its floor, its picks and each pick's gain. Picked gains
 never rise, and a rule whose gain is below a floor `f` can never tie the
 best while the best is at least `f`, so a run at `f` makes exactly the
 picks of a run at any lower floor whose gain is at least `f`, and stops
@@ -55,6 +74,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Sequence
 
+from .candidates import _count, _sub
 from .model import (
     AnalysisParams,
     CandidateRule,
@@ -67,6 +87,7 @@ from .model import (
     UndefinedRatioError,
     VacuousSolutionError,
     bits_of,
+    ids_of,
     match_bits,
     rule_from_conjunction,
     solution_metrics,
@@ -85,10 +106,32 @@ def greedy_cover(
     record = columns._greedy
     if record is not None and record[0] == uncovered and record[1] <= floor:
         return [candidates[i] for i, gain in zip(record[2], record[3]) if gain >= floor]
-    start = uncovered
-    # Live rules: their matched bits and their index in `candidates`.
+    run = _scan if columns._pooled is None else _cover_nodes
+    picks, picked_gains = run(columns, uncovered, floor)
+    columns._greedy = (uncovered, floor, picks, picked_gains)
+    return [candidates[i] for i in picks]
+
+
+def _tie_break(columns: CandidateRules, tied: list[int]) -> int:
+    """The position in `tied`, rules in ascending order that tie on gain, of
+    the one greedy picks: the higher consistency p/m, compared as ``p * m'``
+    against ``p' * m``, then fewer literals; on a full tie the earlier rule."""
+    pos, matched, literals = columns.positives, columns.matched_bits, columns.literals
+    first = matched[tied[0]]
+    at, p, m, size = 0, (first & pos).bit_count(), first.bit_count(), len(literals[tied[0]])
+    for k in range(1, len(tied)):
+        bits = matched[tied[k]]
+        pk, mk, sk = (bits & pos).bit_count(), bits.bit_count(), len(literals[tied[k]])
+        if pk * m > p * mk or (pk * m == p * mk and sk < size):
+            at, p, m, size = k, pk, mk, sk
+    return at
+
+
+def _scan(columns: CandidateRules, uncovered: int, floor: int) -> tuple[list[int], list[int]]:
+    """Greedy's picks and their gains, each pass a popcount per live rule."""
+    # Live rules: their matched bits and their index in `columns`.
     mbits = columns.matched_bits
-    index = list(range(len(candidates)))
+    index = list(range(len(columns)))
     picks: list[int] = []
     picked_gains: list[int] = []
     while uncovered and mbits:
@@ -98,15 +141,8 @@ def greedy_cover(
             break
         at = gains.index(best)
         if gains.count(best) > 1:
-            # Consistencies p/m compared as p * m' against p' * m, then fewer
-            # literals; on a full tie the earlier rule, found first, stays.
-            pos, lits = columns.positives, columns.literals
-            p, m, size = (mbits[at] & pos).bit_count(), mbits[at].bit_count(), len(lits[index[at]])
-            for i in range(at + 1, len(gains)):
-                if gains[i] == best:
-                    pi, mi, si = (mbits[i] & pos).bit_count(), mbits[i].bit_count(), len(lits[index[i]])
-                    if pi * m > p * mi or (pi * m == p * mi and si < size):
-                        at, p, m, size = i, pi, mi, si
+            tied = [i for i in range(at, len(gains)) if gains[i] == best]
+            at = tied[_tie_break(columns, [index[i] for i in tied])]
         picks.append(index[at])
         picked_gains.append(best)
         uncovered &= ~mbits[at]
@@ -114,8 +150,45 @@ def greedy_cover(
         live = [gain >= floor for gain in gains]
         mbits = list(compress(mbits, live))
         index = list(compress(index, live))
-    columns._greedy = (start, floor, picks, picked_gains)
-    return [candidates[i] for i in picks]
+    return picks, picked_gains
+
+
+def _cover_nodes(columns: CandidateRules, uncovered: int, floor: int) -> tuple[list[int], list[int]]:
+    """Greedy's picks and their gains on a pool's selection, with every gain
+    held as bit slices over the pool's nodes, so no rule is visited."""
+    passing, gains, case_nodes = columns._pooled
+    cases = range(len(columns.ids))
+    picks: list[int] = []
+    picked_gains: list[int] = []
+    # The positives covered since the gains were last lowered: at first
+    # those not asked for, then each pick's newly covered ones.
+    covered = columns.positives & ~uncovered
+    # The selection's nodes not picked yet. A pick's gain falls to 0, and it
+    # also leaves this set, as a picked rule leaves the scan, so the loop
+    # makes at most one pass per node whatever the counts hold.
+    live = passing
+    while uncovered and live:
+        if covered:
+            gains = _sub(gains, _count(map(case_nodes, ids_of(covered, cases))))[0]
+        # The best gain and the nodes that hold it, bit by bit from the top.
+        tied, best = live, 0
+        for b in reversed(range(len(gains))):
+            held = tied & gains[b]
+            if held:
+                tied, best = held, best | 1 << b
+        if best < floor:
+            break
+        # A node's rule is preceded by one rule per passing node before it.
+        nodes = ids_of(tied, range(tied.bit_length()))
+        ranks = [(passing & ((1 << t) - 1)).bit_count() for t in nodes]
+        k = _tie_break(columns, ranks) if len(ranks) > 1 else 0
+        live ^= 1 << nodes[k]
+        at = ranks[k]
+        picks.append(at)
+        picked_gains.append(best)
+        covered = columns.matched_bits[at] & uncovered
+        uncovered ^= covered
+    return picks, picked_gains
 
 
 def unique_coverage(rules: Sequence[CandidateRule]) -> tuple[int, ...]:
@@ -193,7 +266,7 @@ def exhaustive_cover_oracle(
             "tighten the filters or skip --oracle"
         )
 
-    pos_mask = bits_of(positives, candidates[0].ids) if candidates else 0
+    pos_mask = bits_of(positives, CandidateRules.of(candidates).ids)
     pos_bits = [rule.positive_bits & pos_mask for rule in candidates]
     matched_bits = [rule.matched_bits for rule in candidates]
 

@@ -664,30 +664,37 @@ class CandidateRules(Sequence[CandidateRule]):
     `CandidateRule` per rule read, its positive bits ``matched_bits & positives``,
     and a slice is another `CandidateRules`. It equals a list or tuple of the
     same rules. The columns are taken unchecked: the walk builds them valid.
-    `_greedy` is the last greedy run over them (see `cover.greedy_cover`),
-    a memo that equality, `repr`, copies and pickles leave out.
+    Two memos, which equality, `repr`, copies, pickles and slices leave out:
+    `_greedy`, the last greedy run over them (see `cover.greedy_cover`), and
+    on a pool's selection `_pooled`, its nodes among the pool's, their
+    positive counts and the nodes matching a case (see `candidates.CandidatePool`).
     """
 
-    __slots__ = ("literals", "matched_bits", "positives", "ids", "_greedy")
+    __slots__ = ("literals", "matched_bits", "positives", "ids", "_greedy", "_pooled")
 
     def __init__(self, literals: list, matched_bits: list[int], positives: int, ids: tuple[str, ...]):
         self.literals, self.matched_bits, self.positives, self.ids = literals, matched_bits, positives, ids
         self._greedy: tuple[int, int, list[int], list[int]] | None = None
+        self._pooled = None
 
     def __reduce__(self):
         return CandidateRules, (self.literals, self.matched_bits, self.positives, self.ids)
 
     @classmethod
     def of(cls, rules: Sequence[CandidateRule]) -> "CandidateRules":
-        """`rules` as columns over the first rule's ids, refused when they
-        disagree on which cases are positive; a `CandidateRules` as it is."""
+        """`rules` as columns over their one ids tuple, refused when they index
+        different ids or disagree on which cases are positive; a
+        `CandidateRules` as it is."""
         if isinstance(rules, cls):
             return rules
+        ids = rules[0].ids if rules else ()
+        if any(rule.ids is not ids and rule.ids != ids for rule in rules):
+            raise InputError("candidate rules index different case ids")
         positives = reduce(or_, [rule.positive_bits for rule in rules], 0)
         if any(rule.positive_bits != rule.matched_bits & positives for rule in rules):
             raise InputError("candidate rules disagree on which cases are positive")
         literals = [rule.conjunction.literals for rule in rules]
-        return cls(literals, [rule.matched_bits for rule in rules], positives, rules[0].ids if rules else ())
+        return cls(literals, [rule.matched_bits for rule in rules], positives, ids)
 
     def _rule(self, literals: tuple[Literal, ...], matched_bits: int) -> CandidateRule:
         # Checking costs more than walking the node, so the frozen fields are

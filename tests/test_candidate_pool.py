@@ -249,14 +249,14 @@ class TestPoolAgainstWalk:
     @settings(max_examples=100, deadline=None)
     @given(pooled_runs(), st.sampled_from([1, 2, 3, 4096]))
     def test_case_nodes_are_the_nodes_matching_the_case(self, drawn, chunk):
-        # The literal index reads the nodes in chunks; small ones split every run.
+        # The literal index reads the nodes in chunks; small ones split every
+        # run. A selection builds the index, for greedy (see `cover`).
         table, label, max_order, base_cutoff, grid, _, _ = drawn
         pool = CandidatePool(base_cutoff)
         params = AnalysisParams(label, grid[0][0], cutoff=grid[0][1], max_order=max_order)
-        enumerate_candidates(table, range(len(table.schema.factors)), params, pool=pool)
-        matched = pool._nodes.matched_bits
         with mock.patch.object(candidates, "_CHUNK", chunk):
-            pool._node_index()
+            enumerate_candidates(table, range(len(table.schema.factors)), params, pool=pool)
+        matched = pool._nodes.matched_bits
         for case in range(len(table)):
             assert pool._case_nodes(case) == sum(1 << t for t, bits in enumerate(matched) if bits >> case & 1)
 

@@ -1,6 +1,8 @@
 import copy
+import gc
 import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,11 +11,14 @@ from hypothesis import strategies as st
 
 from scpqca import (
     AnalysisParams,
+    CandidatePool,
     CandidateRule,
     CandidateRules,
     Case,
     CaseTable,
     Conjunction,
+    Factor,
+    FactorSchema,
     InputError,
     Literal,
     UndefinedRatioError,
@@ -23,6 +28,7 @@ from scpqca import (
     enumerate_candidates,
     exhaustive_cover_oracle,
     greedy_cover,
+    replace,
     rule_from_conjunction,
     solve,
 )
@@ -144,6 +150,33 @@ class TestGreedy:
             assert covered(sel, universe) >= best_single
 
 
+class TestCandidatesOverOneIds:
+    """Rules read as columns must index one ids tuple: a bit of a rule over
+    other ids names another case, so the cover would claim cases no rule matches."""
+
+    def rules(self):
+        a = CandidateRule.from_sets(Conjunction.of((0, 0)), {"x"}, {"x"}, ("x", "y", "z"))
+        b = CandidateRule.from_sets(Conjunction.of((1, 0)), {"x"}, {"x"}, ("z", "y", "x"))
+        return a, b
+
+    @pytest.mark.parametrize(
+        "run",
+        [greedy_cover, exhaustive_cover_oracle, lambda rules, *_: CandidateRules.of(rules)],
+        ids=["greedy", "oracle", "columns"],
+    )
+    def test_rules_over_different_ids_are_refused(self, run):
+        with pytest.raises(InputError, match="^candidate rules index different case ids$"):
+            run(list(self.rules()), {"x", "y", "z"}, AnalysisParams(1, unique_cover=1))
+
+    def test_equal_ids_built_apart_are_one_index(self):
+        a, _ = self.rules()
+        c = CandidateRule.from_sets(Conjunction.of((1, 0)), {"z"}, {"z"}, tuple("xyz"))
+        assert c.ids is not a.ids
+        params = AnalysisParams(1, unique_cover=1)
+        assert greedy_cover([a, c], {"x", "y", "z"}, params) == [a, c]
+        assert exhaustive_cover_oracle([a, c], {"x", "y", "z"}, params) == [a, c]
+
+
 def full_key_greedy(candidates, positives, params):
     """The greedy scan as it was before gains-then-ties: one full key per rule per pass."""
     if not candidates:
@@ -202,6 +235,109 @@ class TestGreedyAgainstFullKeyScan:
         got = greedy_cover(rules, positives, params)
         want = full_key_greedy(rules, positives, params)
         assert [id(r) for r in got] == [id(r) for r in want]
+
+
+RATIOS = [Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)]
+
+
+@st.composite
+def pool_selections(draw):
+    """A pool's selection: a table of few distinct rows, repeated so that
+    gains and consistencies tie, a pool with or without a consistency floor,
+    a call on its own table or (no floor) on a take of it, over every
+    factor or fewer, and the positives greedy is asked for, all or some."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    nf = rng.randint(2, 5)
+    levels = [rng.randint(2, 3) for _ in range(nf)]
+    schema = FactorSchema(
+        factors=tuple(Factor(chr(ord("A") + j), lv) for j, lv in enumerate(levels)),
+        outcome=Factor("O", 2),
+    )
+    # Each distinct row has an outcome, which a few of its repeats flip.
+    distinct = [tuple(rng.randrange(lv) for lv in levels) for _ in range(rng.randint(2, 10))]
+    outcome = {row: rng.randint(0, 1) for row in distinct}
+    rows = [rng.choice(distinct) for _ in range(rng.randint(4, 30))]
+    flipped = set(rng.sample(range(len(rows)), rng.randint(0, 2)))
+    outcomes = [outcome[row] ^ (i in flipped) for i, row in enumerate(rows)]
+    table = CaseTable(schema, tuple(f"c{i}" for i in range(len(rows))), [list(row) for row in rows], outcomes)
+    label = draw(st.integers(0, 1))
+    max_order = draw(st.sampled_from([None, 1, 2, 3]))
+    base_cutoff = draw(st.integers(1, 2))
+    # A floored pool on its own table, an unfloored one on its own table or on a take.
+    mode = draw(st.sampled_from(["floor", "own", "take"]))
+    floor = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)])) if mode == "floor" else None
+    consistency = draw(st.sampled_from([c for c in RATIOS if floor is None or c >= floor]))
+    cutoff = draw(st.integers(base_cutoff, base_cutoff + 1))
+    params = AnalysisParams(label, consistency, cutoff=cutoff, max_order=max_order)
+    pool = CandidatePool(base_cutoff, floor)
+    everything = tuple(range(nf))
+    enumerate_candidates(table, everything, replace(params, cutoff=base_cutoff), pool=pool)
+    sub = table
+    if mode == "take":
+        dropped = draw(st.sets(st.integers(0, len(table) - 1), min_size=1, max_size=3))
+        sub = table.take([i for i in range(len(table)) if i not in dropped])
+    factors = draw(st.sets(st.integers(0, nf - 1), min_size=1)) if draw(st.booleans()) else everything
+    selection = enumerate_candidates(sub, factors, params, pool=pool)
+    positives = sub.positive_ids(label)
+    if draw(st.booleans()):
+        positives = [case for case in positives if draw(st.booleans())]
+    return selection, positives
+
+
+class TestGreedyOnPoolSelections:
+    """Greedy covers a pool's selection over the pool's nodes; it must pick
+    what the scan and the full-key reference pick, and record the same run."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(pool_selections(), st.permutations([1, 2, 3]))
+    def test_same_picks_and_record_as_the_scan_and_the_reference(self, drawn, floors):
+        selection, positives = drawn
+        assert selection._pooled is not None
+        scanned = selection[:]  # the same columns, with no pool nodes: the scan covers them
+        assert scanned._pooled is None
+        for floor in floors:
+            params = AnalysisParams(1, unique_cover=floor)
+            got = greedy_cover(selection, positives, params)
+            assert got == greedy_cover(scanned, positives, params)
+            assert selection._greedy == scanned._greedy
+            assert got == greedy_cover(list(selection), positives, params)
+            assert got == full_key_greedy(selection, positives, params)
+
+    def test_no_scan_pass_on_a_pool_selection(self, remote_table, monkeypatch):
+        # Each pass of the scan ends with `compress`, so its calls count them.
+        calls = []
+        real = cover.compress
+        monkeypatch.setattr(cover, "compress", lambda *args: (calls.append(args), real(*args))[1])
+        pool = CandidatePool(2)
+        params = AnalysisParams(1, "0.7", cutoff=2)
+        full = enumerate_candidates(remote_table, range(7), params, pool=pool)
+        sub = remote_table.take(range(1, len(remote_table)))
+        for table, selection in [(remote_table, full), (sub, enumerate_candidates(sub, range(7), params, pool=pool))]:
+            calls.clear()
+            picks = greedy_cover(selection, table.positive_ids(1), params)
+            assert picks and calls == []
+            assert greedy_cover(list(selection), table.positive_ids(1), params) == picks
+            assert calls
+
+    @pytest.mark.parametrize("subset", [False, True], ids=["own-table", "take"])
+    def test_a_selection_covered_keeps_no_pool_alive(self, remote_table, subset):
+        # With the garbage collector off, only reference counts free the pool:
+        # a selection that referred to it back would keep it alive.
+        params = AnalysisParams(1, "0.7", cutoff=2)
+        gc.disable()
+        try:
+            pool = CandidatePool(2)
+            table = remote_table.take(range(1, len(remote_table))) if subset else remote_table
+            enumerate_candidates(remote_table, range(7), params, pool=pool)
+            selection = enumerate_candidates(table, range(7), params, pool=pool)
+            picks = greedy_cover(selection, table.positive_ids(1), params)
+            assert picks and selection._pooled is not None
+            dead = weakref.ref(pool)
+            del pool
+            assert dead() is None
+            assert greedy_cover(selection[:], table.positive_ids(1), params) == picks
+        finally:
+            gc.enable()
 
 
 class TestGreedyRecord:
