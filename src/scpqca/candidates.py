@@ -7,35 +7,52 @@ consistency (compared with >=, so a rule at exactly the threshold is kept).
 No minimality pruning happens here; a rule and its specializations may
 coexist, the covering stage decides what survives.
 
-Enumeration walks the conjunction lattice level by level (order 1, then 2,
-...), extending only prefixes that still meet the cutoff. Matching is
+Enumeration walks the conjunction lattice from short conjunctions to long,
+extending only prefixes that still meet the cutoff. Matching is
 anti-monotone (adding a literal never enlarges the matched set), so a prefix
-below the cutoff can never recover and the whole subtree is skipped. The
-level-wise walk visits nodes in the final deterministic order, literal
-count ascending then lexicographic on (factor index, value). A literal that
-matches fewer cases than the cutoff (a level no case holds matches none) is
-dropped before the walk, since every node under it fails; each factor
-position then has one flat list of the literals that may follow it. The
-last level (`max_order` literals) is counted, never extended: it has its
-own loop that builds a node's literal tuple only when the node passes both
-filters and keeps no frontier. On a wide table that level holds most of the
-nodes and few of them pass: with 20 binary factors, 200 cases and
-`max_order` 4, about 77 500 of the 87 440 nodes, of which about 10 000 pass.
+below the cutoff can never recover and the whole subtree is skipped. Nodes
+come out in the final deterministic order, literal count ascending then
+lexicographic on (factor index, value). A literal that matches fewer cases
+than the cutoff (a level no case holds matches none) is dropped before the
+walk, since every node under it fails; each factor position then has one
+flat list of the literals that may follow it.
 
-Every case holds exactly one level of each factor, so a node's children
-over one factor's levels split its matched and positive cases. At the last
-level, for a factor none of whose levels was dropped (its group is
-complete), the last level's two counts are the node's minus its siblings'
-(the diffsets of Zaki and Gouda's vertical mining), and its bits are built
-only when it passes; a factor with a dropped level is walked level by
-level. The node is recounted once for this: carrying the counts on the
-frontier instead was 9 % faster on the `tall` table's walk but 5 % slower
-and 0.56 MB (17 %) higher in tracemalloc peak on a wide one. A frontier
-keeps only nodes with a literal to extend by. Measured in process against
-the level-by-level walk that kept every node, alternating (CPython 3.11.7,
-2-vCPU Xeon VM): `tall`'s walk 21.7 -> 17.6 ms (faster in 20 of 20), the
-eight `wide` tables together 324 -> 306 ms (11 of 12), and its tracemalloc
-peak 1.91 -> 1.78 MB on `tall` and 3.36 -> 3.12 MB on a `wide` table.
+Levels 1 to `max_order - 2` are walked level by level, each level's
+frontier holding its nodes that meet the cutoff and have a literal to
+extend by. The last two levels are walked one parent of level
+`max_order - 2` at a time: its children are emitted, those with a literal
+to extend by are its batch, and the batch's last level is counted at once
+and dropped. So the walk holds the frontiers up to level `max_order - 2`
+and one parent's batch. It never holds the frontier of level
+`max_order - 1`, the largest on a wide table: with 20 binary factors, 200
+cases and `max_order` 4, 7 752 nodes against at most 34 in a batch.
+
+The order is the level-wise walk's. Every shallower level is emitted before
+the last two start. Parents come in emit order and each one's children in
+order, so level `max_order - 1` is emitted in order, and so is the last
+level, which goes to its own columns and is joined after it (see `_join`).
+Measured in process against the level-wise walk (CPython 3.11.7, 2-vCPU
+Xeon VM), on synth tables at consistency 0.8 and cutoff 2, the walk's
+tracemalloc peak fell from 1.83 to 1.08 times what its rules retain on
+the shape above, and from 1.45 to 1.05 on 22 binary factors at
+`max_order` 5. A walk that takes every level
+one node at a time, on an explicit stack, held less still, but pushing and
+popping each node made the deep walks of a jackknife pool (7 factors at
+full order) about 40 % slower.
+
+The last level (`max_order` literals) is counted, never extended: a node's
+literal tuple is built only when it passes both filters. On a wide table
+that level holds most of the nodes and few of them pass: on the table
+above, about 77 500 of the 87 440 nodes, of which about 10 000 pass. Every
+case holds exactly one level of each factor, so a node's children over one
+factor's levels split its matched and positive cases. At the last level,
+for a factor none of whose levels was dropped (its group is complete), the
+last level's two counts are the node's minus its siblings' (the diffsets of
+Zaki and Gouda's vertical mining), and its bits are built only when it
+passes; a factor with a dropped level is walked level by level. The node
+is recounted once for this: carrying the counts down instead was 9 %
+faster on the `tall` table's walk but 5 % slower and 17 % higher in
+tracemalloc peak on a wide one.
 
 The walk is a plain loop on purpose. On CPython 3.11.7 (2-vCPU Xeon VM),
 a walk written as a per-node `map`/`compress` pipeline took 0.16 s on that
@@ -106,7 +123,11 @@ def _walk(
 ) -> CandidateRules:
     """Every node up to `params.max_order` literals that meets `cutoff` and
     whose consistency for `params.decision_label` is at least `threshold`,
-    in emit order, as a `CandidateRules` over `table.ids`."""
+    in emit order, as a `CandidateRules` over `table.ids`.
+
+    Levels below `max_order - 1` go level by level, keeping each frontier;
+    the last two go one parent of level `max_order - 2` at a time, keeping
+    only that parent's batch (see the module docstring)."""
     nf = len(factors)
     max_order = min(params.max_order if params.max_order is not None else nf, nf)
     positives = table.positive_bits(params.decision_label)
@@ -136,25 +157,51 @@ def _walk(
     # Literals are appended in ascending factor order, so every tuple is
     # already a valid conjunction.
     frontier = [((), (1 << len(table)) - 1, 0)]
-    for _ in range(1, max_order):
-        next_frontier = []
-        for lits, bits, first in frontier:
-            for lit, lit_bits, after in tails[first]:
-                child = bits & lit_bits
-                count = child.bit_count()
-                if count < cutoff:
-                    continue
-                child_lits = lits + (lit,)
-                if (child & positives).bit_count() * den >= num * count:
-                    out_literals.append(child_lits)
-                    out_matched.append(child)
-                if tails[after]:
-                    next_frontier.append((child_lits, child, after))
-        frontier = next_frontier
-    # The last level is counted, never extended: a node's literal tuple is
-    # built only when it passes both filters. In a complete group the last
-    # level's counts are the node's minus its siblings'.
-    for lits, bits, first in frontier:
+    for _ in range(2, max_order):
+        frontier = _extend(frontier, tails, positives, cutoff, num, den, out_literals, out_matched)
+    if max_order < 2:  # the root's children are the last level
+        _count_last(frontier, groups, positives, cutoff, num, den, out_literals, out_matched)
+        return CandidateRules(out_literals, out_matched, positives, table.ids)
+    # Levels max_order - 1 and max_order, one parent at a time: its children
+    # are emitted in order after every shallower node, and those that can be
+    # extended are its batch, whose last level goes to its own columns.
+    last_literals, last_matched = [], []
+    for parent in frontier:
+        batch = _extend((parent,), tails, positives, cutoff, num, den, out_literals, out_matched)
+        if batch:
+            _count_last(batch, groups, positives, cutoff, num, den, last_literals, last_matched)
+    # The frontier and each column's two lists go before the next join.
+    del frontier
+    literals = _join(out_literals, last_literals)
+    del out_literals, last_literals
+    return CandidateRules(literals, _join(out_matched, last_matched), positives, table.ids)
+
+
+def _extend(parents, tails, positives, cutoff, num, den, out_literals, out_matched) -> list:
+    """Append the children of `parents` that pass both filters to the output
+    columns, in emit order, and return those with a literal to extend by."""
+    extendable = []
+    for lits, bits, first in parents:
+        for lit, lit_bits, after in tails[first]:
+            child = bits & lit_bits
+            count = child.bit_count()
+            if count < cutoff:
+                continue
+            child_lits = lits + (lit,)
+            if (child & positives).bit_count() * den >= num * count:
+                out_literals.append(child_lits)
+                out_matched.append(child)
+            if tails[after]:
+                extendable.append((child_lits, child, after))
+    return extendable
+
+
+def _count_last(parents, groups, positives, cutoff, num, den, out_literals, out_matched) -> None:
+    """Append the children of `parents` that pass both filters to the output
+    columns, in emit order. They are counted, never extended: a child's
+    literal tuple is built only when it passes, and in a complete group the
+    last level's counts are the parent's minus its siblings'."""
+    for lits, bits, first in parents:
         whole = bits.bit_count()
         whole_pos = (bits & positives).bit_count()
         for head, last in groups[first]:
@@ -172,7 +219,25 @@ def _walk(
                 lit, lit_bits = last
                 out_literals.append(lits + (lit,))
                 out_matched.append(bits & lit_bits)
-    return CandidateRules(out_literals, out_matched, positives, table.ids)
+
+
+def _join(head: list, tail: list) -> list:
+    """`head` then `tail`, built in one of the two lists.
+
+    CPython allocates a growing list exactly when it grows by more than
+    about an eighth of its new length, and with room to spare otherwise. So
+    the shorter list is inserted into the longer when it is that long, which
+    copies the fewest pointers, and the longer into the shorter when it is
+    not. Either way the joined list, which a pool keeps for its life, has no
+    more spare room than one built by appends alone.
+    """
+    n = len(head) + len(tail)
+    shorter_is_head = len(head) <= len(tail)
+    if shorter_is_head == (min(len(head), len(tail)) > n // 8 + 6):
+        tail[:0] = head
+        return tail
+    head += tail
+    return head
 
 
 # Bit-sliced counts: a count per pool node is held as a list of slices, least

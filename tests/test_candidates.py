@@ -1,6 +1,7 @@
 import io
 import random
 import time
+import tracemalloc
 from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations, product
@@ -24,11 +25,15 @@ from scpqca import (
     conjunction_shorthand,
     CandidateRule,
     CandidateRules,
+    ExperimentSpec,
     enumerate_candidates,
     exclude_necessary,
+    generate_experiment_table,
     match_bits,
     necessary_conditions,
+    parse_pathway,
     rule_from_conjunction,
+    synth_schema,
 )
 from scpqca import model
 from scpqca.cli import main
@@ -159,6 +164,19 @@ class TestOracleEquivalence:
             # No last-level node meets the cutoff, then none is consistent enough.
             ([2, 2], [(int(i < 4), int(i < 2 or i > 3), int(i < 3)) for i in range(6)], 3, "0.5", 2),
             ([2, 2], [(1, 1, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 1, 0), (0, 0, 0), (0, 0, 0)], 2, "0.6", 2),
+            # The root is the one parent of the last two levels, and its
+            # children (level 1) are the batch.
+            ([2, 3, 2], [(i % 2, i % 3, i // 3 % 2, int(i % 4 < 2)) for i in range(12)], 2, "0.5", 2),
+            # Parents of level 1 whose batch is empty: every child of A1 (two
+            # cases that differ on B and C) fails the cutoff, and no child of
+            # B0 or B1 has a literal to extend by.
+            ([2, 2, 2], [(0, i // 2, i % 2, int(i % 3 > 0)) for i in range(4)] * 2 + [(1, 0, 0, 1), (1, 1, 1, 0)],
+             2, "0.5", 3),
+            # Level 2 of D is held by one case, below the cutoff, so D's group
+            # is incomplete and the batches' last level over D is walked level
+            # by level.
+            ([2, 2, 2, 3, 2], [(i % 2, i // 2 % 2, i // 4 % 2, 2 if i == 23 else i // 8 % 2, i * 7 // 5 % 2,
+                               int(i % 5 < 3)) for i in range(24)], 2, "0.6", 4),
         ],
         ids=[
             "max_order_1",
@@ -167,6 +185,9 @@ class TestOracleEquivalence:
             "last_factor_below_cutoff",
             "no_last_level_node_meets_cutoff",
             "no_last_level_node_consistent",
+            "max_order_2",
+            "empty_batches",
+            "incomplete_group_in_a_batch",
         ],
     )
     def test_matches_brute_force_at_the_last_level(self, levels, rows, cutoff, consistency, max_order):
@@ -181,6 +202,16 @@ class TestOracleEquivalence:
         factor_set = range(len(levels))
         got = [r.conjunction for r in enumerate_candidates(table, factor_set, params)]
         assert got and got == brute_force_candidates(table, factor_set, params)
+
+    @pytest.mark.parametrize("max_order", [None, 1, 2, 3])
+    @pytest.mark.parametrize("threshold", [Fraction(0), Fraction(4, 5)])
+    def test_walk_over_no_factors(self, m1_table, max_order, threshold):
+        # Every factor necessary leaves none to walk: the walk emits nothing.
+        params = AnalysisParams(1, threshold or 1, cutoff=1, max_order=max_order)
+        rules = candidates._walk(m1_table, (), params, 1, threshold)
+        assert (rules.literals, rules.matched_bits) == ([], [])
+        assert rules.positives == m1_table.positive_bits(1)
+        assert list(rules) == brute_force_candidates(m1_table, (), params)
 
 
 @st.composite
@@ -282,6 +313,39 @@ class TestAbsentLevels:
             assert main(self.ARGS) == 0 and out.getvalue()
         assert all(held for _, _, held in packs)
         assert len(set(packs)) == len(packs) <= 3 * 200 + 2
+
+
+class TestWalkMemory:
+    # 20 binary factors, 200 cases, max_order 4: the frontier of level 3
+    # would hold 7 752 nodes, while the walk holds the frontiers up to
+    # level 2 and one level-2 parent's batch of at most 34. Against what its
+    # rules retain, the level-wise walk peaked at 1.83 times at consistency
+    # 0.8 and at 1.03 times with no consistency filter.
+    @pytest.fixture(scope="class")
+    def wide(self):
+        schema = synth_schema(20)
+        return generate_experiment_table(ExperimentSpec(schema, parse_pathway("ab+CD+ace+BDF", schema), 200, 0, 1))
+
+    @pytest.mark.parametrize(
+        "threshold, bound, size", [(Fraction(4, 5), 1.5, 11_502), (Fraction(0), 1.10, 87_440)], ids=["0.8", "0"]
+    )
+    def test_peak_stays_near_what_the_rules_retain(self, wide, threshold, bound, size):
+        factors, params = tuple(range(20)), AnalysisParams(1, threshold or 1, cutoff=2, max_order=4)
+        candidates._walk(wide, factors, params, 2, threshold)  # the table's bitset caches stay out of the figures
+        tracing = tracemalloc.is_tracing()  # if so, only the call is measured, and tracing stays on
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rules = candidates._walk(wide, factors, params, 2, threshold)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        retained, peak = after - before, peak - before
+        assert len(rules) == size
+        assert peak < bound * retained, f"peak {peak / retained:.3f} times the retained {retained} bytes"
 
 
 class TestUncheckedRulesAreValid:
