@@ -333,11 +333,11 @@ def load_csv(
     header name.
 
     Case ids come from `id_column` when given, else from a column literally
-    named "id" (any capitalization), else from the first column when its
-    cells are not all integers (e.g. country codes), else from row numbers.
-    Every remaining column except the outcome becomes a factor, in header
-    order. Duplicate ids, and a calibration of a column not in the header,
-    are rejected.
+    named "id" (any capitalization), else from the first column when it is
+    not calibrated and its cells are not all integers (e.g. country codes),
+    else from row numbers. Every remaining column except the outcome becomes
+    a factor, in header order. Duplicate ids, and a calibration of a column
+    not in the header or of the named id column, are rejected.
     """
     calibration = calibration or CalibrationSpec()
     path = Path(path)
@@ -356,7 +356,9 @@ def load_csv(
     for name in calibration.columns:
         if name not in header:
             raise InputError(f"{path}: calibration column {_echo(name)!r} not found")
-    if id_name is None and header and header[0] != outcome_column:
+    if id_name in calibration.columns:
+        raise InputError(f"{path}: calibration column {_echo(id_name)!r} is the id column")
+    if id_name is None and header and header[0] != outcome_column and header[0] not in calibration.columns:
         # Every distinct cell is parsed, so that a cell past the digit limit
         # raises whatever the set's order, as it does in a factor column.
         if None in [_parse_int(cell) for cell in distinct[header[0]]]:

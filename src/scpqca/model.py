@@ -29,18 +29,18 @@ table a subset was taken from.
 
 A set of cases is one Python int over a tuple of case ids: bit i stands for
 ``ids[i]``, so intersection is ``&``, union is ``|`` and a count is
-``int.bit_count()`` (the vertical tid-lists of Eclat). Only this module knows
-the encoding; `_flags` turns a bitset into the 0/1 bytes `compress` reads.
-`CaseTable` caches one entry per column, the bitset of each level, packed
-at C speed on the column's first read by `literal_bits` or
-`positive_bits`; `match_bits` builds the rest, and `ids_of` / `bits_of`
-convert at the edges. A table never caches an id set: `positive_ids` builds
-one where it is read. The table answers for its outcome set, refusing one
-with no case for every stage (`require_positives`), and for its provenance
-(`subset_bits`). `CandidateRule` carries the bits plus the shared ids and
-offers frozenset views of them;
-`CandidateRules`, enumeration's output and greedy's input, holds many rules
-as columns plus one positives bitset, and builds a rule only when it is read.
+``int.bit_count()`` (Eclat's vertical tid-lists). This module owns case
+bitsets, `candidates` those over pool nodes and their slices, which `cover`
+reads; `_flags` gives a bitset's 0/1 bytes for `compress`. `CaseTable`
+caches one entry per column, each level's bitset, packed at C speed on the
+column's first read by `literal_bits` or `positive_bits`; `match_bits`
+builds the rest, and `ids_of` / `bits_of` convert at the edges. A table
+caches no id set; `positive_ids` builds one where read. The table answers
+for its outcome set, refusing one with no case for every stage
+(`require_positives`), and for its provenance (`subset_bits`).
+`CandidateRule` carries the bits and shared ids, with frozenset views;
+`CandidateRules`, enumeration's output and greedy's input, holds rules as
+columns plus a positives bitset, building a rule when read.
 
 `AnalysisParams` holds the analysis parameters (the consistency threshold,
 the frequency cutoff, the unique-cover floor and the rest) and checks them

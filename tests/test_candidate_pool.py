@@ -19,6 +19,7 @@ import gc
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -31,6 +32,7 @@ from scpqca import (
     CandidatePool,
     Case,
     CaseTable,
+    ExperimentSpec,
     Factor,
     FactorSchema,
     InputError,
@@ -41,10 +43,13 @@ from scpqca import (
     derive_seed,
     enumerate_candidates,
     external_validity,
+    generate_experiment_table,
     internal_sweep,
+    parse_pathway,
     replace,
     robustness,
     solve,
+    synth_schema,
 )
 from scpqca.model import bits_of, ids_of
 from scpqca.robustness import Repetition, SweepCell, ValidityReport, classify_with_match
@@ -250,7 +255,7 @@ class TestPoolAgainstWalk:
     @given(pooled_runs(), st.sampled_from([1, 2, 3, 4096]))
     def test_case_nodes_are_the_nodes_matching_the_case(self, drawn, chunk):
         # The literal index reads the nodes in chunks; small ones split every
-        # run. A selection builds the index, for greedy (see `cover`).
+        # run. The pool's build makes the index, with its nodes.
         table, label, max_order, base_cutoff, grid, _, _ = drawn
         pool = CandidatePool(base_cutoff)
         params = AnalysisParams(label, grid[0][0], cutoff=grid[0][1], max_order=max_order)
@@ -261,13 +266,13 @@ class TestPoolAgainstWalk:
             assert pool._case_nodes(case) == sum(1 << t for t, bits in enumerate(matched) if bits >> case & 1)
 
     def test_node_sets_are_built_for_the_dropped_cases_only(self, monkeypatch, remote_table):
-        built, case_nodes = [], CandidatePool._case_nodes
+        built, case_nodes = [], candidates._nodes_matching
 
-        def counted(pool, case):
+        def counted(index, every, case):
             built.append(case)
-            return case_nodes(pool, case)
+            return case_nodes(index, every, case)
 
-        monkeypatch.setattr(CandidatePool, "_case_nodes", counted)
+        monkeypatch.setattr(candidates, "_nodes_matching", counted)
         pool = CandidatePool(1)
         params = AnalysisParams(1, "0.7", cutoff=1)
         for call in [params, replace(params, cutoff=2), replace(params, consistency_threshold="0.9")]:
@@ -341,6 +346,36 @@ class TestPoolAgainstWalk:
             CandidatePool(0)
         with pytest.raises(InputError, match="cutoff must be an integer, got 1.5"):
             CandidatePool(1.5)
+
+
+class TestPoolMemory:
+    # 20 binary factors, 200 cases, max_order 4, no consistency floor: the
+    # pool keeps all 87 440 nodes that meet the cutoff. Its node index reads
+    # the nodes' literals a chunk at a time (`_literal_nodes`), so the first
+    # selection, which walks and builds the index, peaks near what the pool
+    # and the selection retain: 1.01 times, against 1.20 with every run of
+    # equal-length nodes read as one chunk.
+    def test_first_selection_peaks_near_what_it_retains(self):
+        schema = synth_schema(20)
+        table = generate_experiment_table(ExperimentSpec(schema, parse_pathway("ab+CD+ace+BDF", schema), 200, 0, 1))
+        for j in range(20):  # the table's bitset caches stay out of the figures
+            table.literal_bits(j, 0), table.literal_bits(j, 1)
+        table.positive_bits(1)
+        pool, params = CandidatePool(2), AnalysisParams(1, "0.8", cutoff=2, max_order=4)
+        tracing = tracemalloc.is_tracing()  # if so, only the call is measured, and tracing stays on
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rules = enumerate_candidates(table, range(20), params, pool=pool)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        retained, peak = after - before, peak - before
+        assert len(pool._nodes) == 87_440 and rules
+        assert peak < 1.10 * retained, f"peak {peak / retained:.3f} times the retained {retained} bytes"
 
 
 def load_other(table: CaseTable) -> CaseTable:

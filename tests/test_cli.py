@@ -201,6 +201,10 @@ class TestErrors:
         code, out, err = run_cli("solve", *M1, "--cutpoints", "NOPE:0.5")
         assert (code, out, err) == (1, "", f"error: {DATA / 'm1.csv'}: calibration column 'NOPE' not found\n")
 
+    def test_a_calibration_of_the_id_column(self):
+        code, out, err = run_cli("solve", *M1, "--cutpoints", "id:0.5")
+        assert (code, out, err) == (1, "", f"error: {DATA / 'm1.csv'}: calibration column 'id' is the id column\n")
+
     @pytest.mark.parametrize(
         "first, second, shown",
         [("A:0.5", "A:5", "A"), ("A:1", " A :2", "A"), ("N" * 5000 + ":1", "N" * 5000 + ":2", "NNNNNNNNNNNN...")],
@@ -796,6 +800,18 @@ class TestCandidates:
         assert by_expr["ms*PI*LP"]["matched_count"] == 4
         assert by_expr["ms*MC*pv"]["matched_count"] == 6
         assert by_expr["MC*LP"]["matched_count"] == 6
+
+    def test_a_calibrated_first_column_is_a_factor(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("score,B,O\n0.5,1,1\n1.7,0,1\n2.5,1,0\n0.2,0,0\n", encoding="utf-8")
+        code, out, err = run_cli(
+            "candidates", "--data", str(p), "--outcome", "O", "--cutpoints", "score:1", "--cutoff", "1",
+            "--consistency", "0.5", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        rules = json.loads(out)["rules"]
+        assert [r["expression"] for r in rules][:2] == ["score", "SCORE"]
+        assert [r["matched"] for r in rules][:2] == [["0", "3"], ["1", "2"]]
 
     def test_text_has_dont_care_marks(self):
         code, out, _ = run_cli("candidates", *REMOTE, "--cutoff", "4")

@@ -114,6 +114,26 @@ class TestLoadCsv:
         assert t.ids == ("FR", "DE")
         assert [f.name for f in t.schema.factors] == ["A"]
 
+    def test_a_calibrated_first_column_is_a_factor(self, tmp_path):
+        # Its cells are not integers, but a calibrated column is never taken as ids.
+        p = write(tmp_path, "t.csv", "score,B,O\n0.5,1,1\n1.7,0,1\n2.5,1,0\n0.2,0,0\n")
+        t = load_csv(p, outcome_column="O", calibration=CalibrationSpec({"score": Cutpoints((1.0,))}))
+        assert t.ids == ("0", "1", "2", "3")
+        assert [f.name for f in t.schema.factors] == ["score", "B"]
+        assert t.schema.factors[0].cutpoints == (1.0,)
+        assert [row[0] for row in t.values] == [0, 1, 1, 0]
+
+    @pytest.mark.parametrize(
+        "header, id_column, name",
+        [("id,A,O", None, "id"), ("ID,A,O", None, "ID"), ("tag,A,O", "tag", "tag"), ("id,A,O", "A", "A")],
+        ids=["id-header", "ID-header", "id-column", "id-column-over-header"],
+    )
+    def test_a_calibration_of_the_id_column_is_refused(self, tmp_path, header, id_column, name):
+        p = write(tmp_path, "t.csv", header + "\n1,1,1\n2,0,0\n")
+        with pytest.raises(InputError) as err:
+            load_csv(p, "O", CalibrationSpec({name: Cutpoints((1.5,))}), id_column=id_column)
+        assert str(err.value) == f"{p}: calibration column {name!r} is the id column"
+
     def test_row_numbers_when_no_id_column(self, tmp_path):
         p = write(tmp_path, "t.csv", "A,B,O\n1,0,1\n0,1,0\n")
         t = load_csv(p, outcome_column="O")
@@ -308,12 +328,17 @@ def reference_load_csv(path, outcome_column, calibration=None, id_column=None):
         id_name = id_column
     else:
         lowered = [h.lower() for h in header]
-        if "id" in lowered:
-            id_name = header[lowered.index("id")]
-        elif header and header[0] != outcome_column and any(_ref_parse_int(c) is None for c in columns[header[0]]):
-            id_name = header[0]
-        else:
-            id_name = None
+        id_name = header[lowered.index("id")] if "id" in lowered else None
+    if id_name in calibration.columns:
+        raise InputError(f"{path}: calibration column {id_name!r} is the id column")
+    if (
+        id_name is None
+        and header
+        and header[0] != outcome_column
+        and header[0] not in calibration.columns
+        and any(_ref_parse_int(c) is None for c in columns[header[0]])
+    ):
+        id_name = header[0]
     ids = [c.strip() for c in columns[id_name]] if id_name is not None else [str(i) for i in range(len(data))]
     seen = {}
     for cid, rowno in zip(ids, rownos):
