@@ -14,13 +14,12 @@ import importlib
 # A name is exported when the package, a demo, the benchmark or README uses
 # it; `binary_schema`, the tests' constructor, is the one other.
 _EXPORTS = {
-    "candidates": ("CandidatePool", "candidate_count_bound", "enumerate_candidates"),
+    "candidates": ("CandidatePool", "CandidateRules", "candidate_count_bound", "enumerate_candidates"),
     "cover": ("assemble_solution", "exhaustive_cover_oracle", "greedy_cover"),
     "ingest": ("CalibrationSpec", "Cutpoints", "deduplicate", "load_csv", "to_csv_string", "write_schema_json"),
     "model": (
         "AnalysisParams",
         "CandidateRule",
-        "CandidateRules",
         "Case",
         "CaseTable",
         "Conjunction",

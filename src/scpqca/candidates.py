@@ -30,18 +30,21 @@ cases and `max_order` 4, 7 752 nodes against at most 34 in a batch.
 The order is the level-wise walk's. Every shallower level is emitted before
 the last two start. Parents come in emit order and each one's children in
 order, so level `max_order - 1` is emitted in order, and so is the last
-level, which goes to its own columns, appended to the others at the end.
-Measured in process against the level-wise walk (CPython 3.11.7, 2-vCPU
-Xeon VM), on synth tables at consistency 0.8 and cutoff 2, the walk's
-tracemalloc peak fell from 1.83 to 1.08 times what its rules retain on
-the shape above, and from 1.45 to 1.05 on 22 binary factors at
-`max_order` 5. A walk that takes every level
-one node at a time, on an explicit stack, held less still, but pushing and
-popping each node made the deep walks of a jackknife pool (7 factors at
-full order) about 40 % slower.
+level. The last level goes straight to the output; level `max_order - 1`,
+a tenth of its size on the table above, goes to its own columns, which are
+inserted before the last level at the end, so that no join copies the
+larger one. Measured in process (CPython 3.11.7, 2-vCPU Xeon VM), on synth
+tables at cutoff 2, the walk's tracemalloc peak is 1.08 times what its
+rules retain on the shape above at consistency 0.8 (0.87 against 0.80
+MiB), 1.02 times with no consistency filter (5.97 against 5.86 MiB), and
+1.07 times on 22 binary factors at `max_order` 5 and consistency 0.8
+(18.1 against 16.9 MiB); the level-wise walk peaked at 1.83 times on the
+first. A walk that takes every level one node at a time, on an explicit
+stack, held less still, but pushing and popping each node made the deep
+walks of a jackknife pool (7 factors at full order) about 40 % slower.
 
-The last level (`max_order` literals) is counted, never extended: a node's
-literal tuple is built only when it passes both filters. On a wide table
+The last level (`max_order` literals) is counted, never extended: a node
+is added to the tree only when it passes both filters. On a wide table
 that level holds most of the nodes and few of them pass: on the table
 above, about 77 500 of the 87 440 nodes, of which about 10 000 pass. Every
 case holds exactly one level of each factor, so a node's children over one
@@ -75,39 +78,178 @@ cutoff and consistency, and every node of that walk is a rule. Only a
 sweep or jackknife shares a `CandidatePool`, which keeps the nodes of one
 walk with their counts as a bit-sliced index and filters all of them at
 once per cell or rep; a call its pool cannot answer walks directly as
-well. Either way the rules come back as one `CandidateRules` (see
-`model`): the nodes' literal tuples and matched bits as columns, the
-table's positives as one bitset, and no rule object per node. The walk
-appends literals in ascending factor order and derives each node's bits
-from the table, so every rule is valid by construction. The filters, the
-decision label and `max_order` are read from the run's one
-`model.AnalysisParams`, which checked them when it was built; only the
-pool checks its own cutoff.
+well. Either way the rules come back as one `CandidateRules`: nodes of a
+prefix tree with their matched bits, the table's positives as one bitset,
+and no rule object or literal tuple per rule. The walk appends literals in
+ascending factor order and derives each node's bits from the table, so
+every rule is valid by construction. The filters, the decision label and
+`max_order` are read from the run's one `model.AnalysisParams`, which
+checked them when it was built; only the pool checks its own cutoff.
+
+The tree (`_Tree`, after the FP-tree of Han, Pei and Yin, "Mining frequent
+patterns without candidate generation", SIGMOD 2000) holds per node its
+parent's index and its last literal, in arrays; the walk adds a node when
+it is a rule or has a literal to extend by, so a parent that fails the
+consistency filter stays as an inner node. A rule's literal tuple is built
+only when it is read: by greedy's picks, the tie-break's literal count,
+report rows, iteration. On 22 binary factors, 200 cases, `max_order` 5 and
+consistency 0.8, a rule retains about 72 bytes (its matched bits about 52,
+its list slot 8, its node about 9, with 88 087 inner nodes beside its
+246 665 rules), where a rule with a literal tuple retained about 147.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import chain, compress, repeat, zip_longest
-from operator import and_, attrgetter, or_
-from typing import Iterable, Sequence
+from itertools import compress, repeat, zip_longest
+from operator import and_, eq, or_
+from typing import Iterable, Iterator, Sequence
 
 from .model import (
     AnalysisParams,
-    CandidateRules,
+    CandidateRule,
     CaseTable,
+    Conjunction,
     FactorSchema,
+    InputError,
     Literal,
     _check_factor_index,
     _flags,
+    _set,
     as_fraction,
     as_index,
     ids_of,
 )
+
+
+class _Tree:
+    """Conjunctions as a prefix tree. Node 0 is the empty conjunction, and
+    every other node is its parent's conjunction with one literal appended:
+    `parents` holds each node's parent, and `codes` its last literal as a
+    position in `literals` (0, and None there, for the root). Nodes are only
+    appended, each after its parent."""
+
+    __slots__ = ("parents", "codes", "literals")
+
+    def __init__(self, literals: Iterable[Literal]) -> None:
+        self.literals = (None, *literals)
+        self.parents = array("I", [0])
+        # A bytearray or an "I" array: both append at about list speed, where
+        # "B" and "H" arrays take two to three times as long.
+        self.codes = bytearray(1) if len(self.literals) <= 256 else array("I", [0])
+
+    def conjunction(self, node: int) -> tuple[Literal, ...]:
+        """The literals of `node`, first to last."""
+        parents, codes, literals = self.parents, self.codes, self.literals
+        out = []
+        while node:
+            out.append(literals[codes[node]])
+            node = parents[node]
+        out.reverse()
+        return tuple(out)
+
+    def depth(self, node: int) -> int:
+        """How many literals `node` holds."""
+        parents, depth = self.parents, 0
+        while node:
+            node, depth = parents[node], depth + 1
+        return depth
+
+
+class CandidateRules(Sequence[CandidateRule]):
+    """A read-only list of rules over one `ids` tuple, held without a rule
+    object or a literal tuple per rule.
+
+    Rule i is node ``_nodes[i]`` of a prefix tree (`_Tree`) shared by every
+    list cut from the same walk, and its case set is ``matched_bits[i]``;
+    one bitset holds the `positives`. `len` builds nothing; an index or an
+    iteration builds one `CandidateRule` per rule read, its literals read up
+    the tree and its positive bits ``matched_bits & positives``, and a slice
+    is another `CandidateRules` on the same tree. It equals a list or tuple
+    of the same rules. The columns are taken unchecked: the walk builds them
+    valid. Two memos, each written whole in one assignment, which equality,
+    `repr`, copies, pickles and slices leave out: `_greedy`, the last greedy
+    run over them (see `cover.greedy_cover`), and on a pool's selection
+    `_pooled`, its nodes among the pool's, their positive counts and the
+    nodes matching a case (see `CandidatePool`).
+    """
+
+    __slots__ = ("_tree", "_nodes", "matched_bits", "positives", "ids", "_greedy", "_pooled")
+
+    def __init__(
+        self, tree: _Tree, nodes: Sequence[int], matched_bits: list[int], positives: int, ids: tuple[str, ...]
+    ) -> None:
+        self._tree, self._nodes, self.matched_bits, self.positives, self.ids = tree, nodes, matched_bits, positives, ids
+        self._greedy: tuple[int, int, list[int], list[int]] | None = None
+        self._pooled = None
+
+    def __reduce__(self):
+        return CandidateRules, (self._tree, self._nodes, self.matched_bits, self.positives, self.ids)
+
+    @classmethod
+    def of(cls, rules: Sequence[CandidateRule]) -> "CandidateRules":
+        """`rules` in one new tree over their one ids tuple, refused when they
+        index different ids or disagree on which cases are positive; a
+        `CandidateRules` as it is."""
+        if isinstance(rules, cls):
+            return rules
+        ids = rules[0].ids if rules else ()
+        if any(rule.ids is not ids and rule.ids != ids for rule in rules):
+            raise InputError("candidate rules index different case ids")
+        positives = reduce(or_, [rule.positive_bits for rule in rules], 0)
+        if any(rule.positive_bits != rule.matched_bits & positives for rule in rules):
+            raise InputError("candidate rules disagree on which cases are positive")
+        tree = _Tree(sorted({lit for rule in rules for lit in rule.conjunction.literals}))
+        code = {lit: c for c, lit in enumerate(tree.literals)}
+        node_of: dict[tuple[Literal, ...], int] = {(): 0}
+        nodes = array("I")
+        for rule in rules:
+            literals = rule.conjunction.literals
+            for k in range(1, len(literals) + 1):
+                if literals[:k] not in node_of:  # a new prefix: a rule's node, or an inner one
+                    node_of[literals[:k]] = len(tree.parents)
+                    tree.parents.append(node_of[literals[: k - 1]])
+                    tree.codes.append(code[literals[k - 1]])
+            nodes.append(node_of[literals])
+        return cls(tree, nodes, [rule.matched_bits for rule in rules], positives, ids)
+
+    def _rule(self, literals: tuple[Literal, ...], matched_bits: int) -> CandidateRule:
+        # Checking costs more than walking the node, so the frozen fields are
+        # set directly, one at a time: that keeps no instance dict per rule.
+        conjunction = object.__new__(Conjunction)
+        _set(conjunction, "literals", literals)
+        rule = object.__new__(CandidateRule)
+        _set(rule, "conjunction", conjunction)
+        _set(rule, "matched_bits", matched_bits)
+        _set(rule, "positive_bits", matched_bits & self.positives)
+        _set(rule, "ids", self.ids)
+        return rule
+
+    def _length(self, i: int) -> int:
+        """How many literals rule i holds, read without building it."""
+        return self._tree.depth(self._nodes[i])
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return CandidateRules(self._tree, self._nodes[i], self.matched_bits[i], self.positives, self.ids)
+        return self._rule(self._tree.conjunction(self._nodes[i]), self.matched_bits[i])
+
+    def __iter__(self) -> Iterator[CandidateRule]:
+        return map(self._rule, map(self._tree.conjunction, self._nodes), self.matched_bits)
+
+    def __eq__(self, other: object) -> bool:  # also makes the sequence unhashable
+        if not isinstance(other, (CandidateRules, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"CandidateRules({list(self)!r})"
 
 
 def _check_factor_set(schema: FactorSchema, factor_set: Sequence[int]) -> tuple[int, ...]:
@@ -133,95 +275,112 @@ def _walk(
     positives = table.positive_bits(params.decision_label)
     num, den = threshold.numerator, threshold.denominator
     # A literal below the cutoff heads only subtrees below it (levels no case
-    # holds have no bits at all), so it is dropped before the walk.
+    # holds have no bits at all), so it is dropped before the walk; each kept
+    # one is coded by its position in the tree's literals.
     # tails[at] lists every literal of factors[at:] in emit order, each with
     # the position a child ending in it extends from. groups[at] holds the
     # same literals per factor for the last level, as (head, last): `last` is
     # the factor's last level when none of its levels was dropped (the group
     # is complete), else None, and `head` holds its other kept levels.
-    tails: list[list[tuple[Literal, int, int]]] = [[] for _ in range(nf + 1)]
-    groups: list[list[tuple[list, tuple[Literal, int] | None]]] = [[] for _ in range(nf + 1)]
+    literals: list[Literal] = []
+    tails: list[list[tuple[int, int, int]]] = [[] for _ in range(nf + 1)]
+    groups: list[list[tuple[list, tuple[int, int] | None]]] = [[] for _ in range(nf + 1)]
     for at in reversed(range(nf)):
         j = factors[at]
         levels = table.schema.factors[j].levels
-        kept = [
-            (Literal(j, v), bits) for v in range(levels)
-            if (bits := table.literal_bits(j, v)).bit_count() >= cutoff
-        ]
-        tails[at] = [(lit, bits, at + 1) for lit, bits in kept] + tails[at + 1]
+        kept = []
+        for v in range(levels):
+            bits = table.literal_bits(j, v)
+            if bits.bit_count() >= cutoff:
+                literals.append(Literal(j, v))
+                kept.append((len(literals), bits))
+        tails[at] = [(code, bits, at + 1) for code, bits in kept] + tails[at + 1]
         groups[at] = [(kept[:-1], kept[-1]) if len(kept) == levels else (kept, None)] + groups[at + 1]
-    out_literals, out_matched = [], []
+    tree = _Tree(literals)
+    out_nodes, out_matched = array("I"), []
 
-    # Frontier entries: (literals tuple, matched bits, position in `factors` to
+    # Frontier entries: (tree node, matched bits, position in `factors` to
     # extend from), all meeting the cutoff and with a literal to extend by.
-    # Literals are appended in ascending factor order, so every tuple is
+    # Literals are appended in ascending factor order, so every node is
     # already a valid conjunction.
-    frontier = [((), (1 << len(table)) - 1, 0)]
+    frontier = [(0, (1 << len(table)) - 1, 0)]
     for _ in range(2, max_order):
-        frontier = _extend(frontier, tails, positives, cutoff, num, den, out_literals, out_matched)
+        frontier = _extend(frontier, tails, positives, cutoff, num, den, tree, out_nodes, out_matched)
     if max_order < 2:  # the root's children are the last level
-        _count_last(frontier, groups, positives, cutoff, num, den, out_literals, out_matched)
-        return CandidateRules(out_literals, out_matched, positives, table.ids)
+        _count_last(frontier, groups, positives, cutoff, num, den, tree, out_nodes, out_matched)
+        return CandidateRules(tree, out_nodes, out_matched, positives, table.ids)
     # Levels max_order - 1 and max_order, one parent at a time: its children
-    # are emitted in order after every shallower node, and those that can be
-    # extended are its batch, whose last level goes to its own columns.
-    last_literals, last_matched = [], []
+    # go to their own columns, and those that can be extended are its batch,
+    # whose last level is appended to the output. At the end the level
+    # max_order - 1 columns, the smaller ones, go in before the last level.
+    shallow = len(out_matched)
+    next_nodes, next_matched = array("I"), []
     for parent in frontier:
-        batch = _extend((parent,), tails, positives, cutoff, num, den, out_literals, out_matched)
+        batch = _extend((parent,), tails, positives, cutoff, num, den, tree, next_nodes, next_matched)
         if batch:
-            _count_last(batch, groups, positives, cutoff, num, den, last_literals, last_matched)
-    # The frontier goes before the first join, and each last-level list
-    # before the next.
-    del frontier
-    out_literals += last_literals
-    del last_literals
-    out_matched += last_matched
-    del last_matched
-    return CandidateRules(out_literals, out_matched, positives, table.ids)
+            _count_last(batch, groups, positives, cutoff, num, den, tree, out_nodes, out_matched)
+    del frontier  # before the insertions below grow the output columns
+    out_nodes[shallow:shallow] = next_nodes
+    out_matched[shallow:shallow] = next_matched
+    return CandidateRules(tree, out_nodes, out_matched, positives, table.ids)
 
 
-def _extend(parents, tails, positives, cutoff, num, den, out_literals, out_matched) -> list:
-    """Append the children of `parents` that pass both filters to the output
-    columns, in emit order, and return those with a literal to extend by."""
+def _extend(parents, tails, positives, cutoff, num, den, tree, out_nodes, out_matched) -> list:
+    """Add to `tree` the children of `parents` that pass both filters or can
+    be extended, append those that pass to the output columns, in emit
+    order, and return those with a literal to extend by."""
     extendable = []
-    for lits, bits, first in parents:
-        for lit, lit_bits, after in tails[first]:
+    add_parent, add_code = tree.parents.append, tree.codes.append
+    add_node, add_matched = out_nodes.append, out_matched.append
+    node = len(tree.parents)
+    for parent, bits, first in parents:
+        for code, lit_bits, after in tails[first]:
             child = bits & lit_bits
             count = child.bit_count()
             if count < cutoff:
                 continue
-            child_lits = lits + (lit,)
             if (child & positives).bit_count() * den >= num * count:
-                out_literals.append(child_lits)
-                out_matched.append(child)
+                add_node(node)
+                add_matched(child)
+            elif not tails[after]:
+                continue
+            add_parent(parent)
+            add_code(code)
             if tails[after]:
-                extendable.append((child_lits, child, after))
+                extendable.append((node, child, after))
+            node += 1
     return extendable
 
 
-def _count_last(parents, groups, positives, cutoff, num, den, out_literals, out_matched) -> None:
-    """Append the children of `parents` that pass both filters to the output
-    columns, in emit order. They are counted, never extended: a child's
-    literal tuple is built only when it passes, and in a complete group the
-    last level's counts are the parent's minus its siblings'."""
-    for lits, bits, first in parents:
+def _count_last(parents, groups, positives, cutoff, num, den, tree, out_nodes, out_matched) -> None:
+    """Add to `tree` and to the output columns the children of `parents`
+    that pass both filters, in emit order. They are counted, never
+    extended: a child's node is added only when it passes, and in a
+    complete group the last level's counts are the parent's minus its
+    siblings'."""
+    add_parent, add_code, add_matched = tree.parents.append, tree.codes.append, out_matched.append
+    first_node = len(tree.parents)
+    for parent, bits, first in parents:
         whole = bits.bit_count()
         whole_pos = (bits & positives).bit_count()
         for head, last in groups[first]:
             left, left_pos = whole, whole_pos
-            for lit, lit_bits in head:
+            for code, lit_bits in head:
                 child = bits & lit_bits
                 count = child.bit_count()
                 pos = (child & positives).bit_count()
                 left -= count
                 left_pos -= pos
                 if count >= cutoff and pos * den >= num * count:
-                    out_literals.append(lits + (lit,))
-                    out_matched.append(child)
+                    add_parent(parent)
+                    add_code(code)
+                    add_matched(child)
             if last is not None and left >= cutoff and left_pos * den >= num * left:
-                lit, lit_bits = last
-                out_literals.append(lits + (lit,))
-                out_matched.append(bits & lit_bits)
+                code, lit_bits = last
+                add_parent(parent)
+                add_code(code)
+                add_matched(bits & lit_bits)
+    out_nodes.extend(range(first_node, len(tree.parents)))
 
 
 # Bit-sliced counts: a count per pool node is held as a list of slices, least
@@ -229,7 +388,6 @@ def _count_last(parents, groups, positives, cutoff, num, den, out_literals, out_
 # set (bit t stands for node t). A slice list ends in a non-empty slice.
 # _BIT_DIGITS[b] maps a byte to b"1" when its bit b is set, else b"0".
 _BIT_DIGITS = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
-_FACTOR, _LEVEL = attrgetter("factor_index"), attrgetter("value")
 _CHUNK = 4096  # nodes read at once by `_literal_nodes`
 
 
@@ -320,41 +478,33 @@ def _scale(a: list[int], k: int) -> list[int]:
     return out
 
 
-def _literal_nodes(literals: Sequence[tuple[Literal, ...]], top: int) -> dict[int, dict[int, int]]:
-    """Factor -> level -> the bitset of the nodes holding that literal, for
-    every literal some node holds; no factor index or level exceeds `top`.
+def _literal_nodes(rules: CandidateRules) -> dict[int, dict[int, int]]:
+    """Factor -> level -> the bitset of the rules holding that literal, for
+    every literal some rule holds.
 
-    `literals` must come in ascending length, as the walk emits them, so the
-    nodes of one length are one run. A chunk of a run is read once, its
-    tuples flattened: the factor indices and the levels of all its literals
-    become one array each, at C speed. At one literal position, a literal's
-    nodes are those equal to its factor and to its level there, one
-    translate per byte plane of each. The build holds one chunk's arrays at
-    a time, not a buffer per literal.
+    `rules` must come in ascending length, as the walk emits them. They are
+    read a chunk at a time, up their tree one level per step: a step's
+    column holds each rule's literal code at that depth from its end, at C
+    speed, and a literal's rules at that step are those equal to its code
+    there, one translate per byte plane. The rules that have reached the
+    root are a prefix of the chunk, since lengths ascend, and are cut off.
+    The build holds one chunk's columns at a time, not a buffer per literal.
     """
+    tree = rules._tree
+    parents, codes, literals = tree.parents, tree.codes, tree.literals
     out: dict[int, dict[int, int]] = {}
-    lo = 0
-    while lo < len(literals):
-        size = len(literals[lo])
-        hi = bisect_left(literals, size + 1, lo, key=len)
-        for start in range(lo, hi, _CHUNK):
-            flat = list(chain.from_iterable(literals[start : min(hi, start + _CHUNK)]))
-            factors, levels = _column(map(_FACTOR, flat), top), _column(map(_LEVEL, flat), top)
-            del flat
-            factor_planes, level_planes = _planes(factors), _planes(levels)
-            for k in range(size):
-                # Position k is every size-th value from k, and every size-th
-                # byte from size - 1 - k of a (reversed) plane.
-                at = slice(size - 1 - k, None, size)
-                factor_at, level_at = [plane[at] for plane in factor_planes], [plane[at] for plane in level_planes]
-                by_level = {v: _equal(level_at, v) for v in set(levels[k::size])}
-                for j in set(factors[k::size]):
-                    on_factor = _equal(factor_at, j)
-                    held = out.setdefault(j, {})
-                    for v, bits in by_level.items():
-                        if on_factor & bits:
-                            held[v] = held.get(v, 0) | (on_factor & bits) << start
-        lo = hi
+    for start in range(0, len(rules), _CHUNK):
+        at = rules._nodes[start : start + _CHUNK]
+        while at:
+            column = _column(map(codes.__getitem__, at), len(literals) - 1)
+            planes = _planes(column)
+            for code in set(column):
+                lit = literals[code]
+                held = out.setdefault(lit.factor_index, {})
+                held[lit.value] = held.get(lit.value, 0) | _equal(planes, code) << start
+            at = array("I", map(parents.__getitem__, at))
+            done = at.count(0)
+            at, start = at[done:], start + done
     return out
 
 
@@ -431,13 +581,16 @@ class CandidatePool:
         self._label, self._max_order = params.decision_label, params.max_order
         nodes = self._nodes = _walk(table, factors, params, self.cutoff, self.consistency or Fraction(0))
         self._all = (1 << len(nodes)) - 1
+        # The nodes' places in the tree, as a list: a selection takes its own
+        # from it by `compress`, in 19 us against 51 us into an array over
+        # the `resample` table's 1 409 nodes, at about 36 bytes a node.
+        self._node_ids = list(nodes._nodes)
         self._matched = _slices(map(int.bit_count, nodes.matched_bits), len(table))
         self._positive = _slices(map(int.bit_count, map(and_, nodes.matched_bits, repeat(nodes.positives))), len(table))
         # The node index, per walked factor j: the table's column j, the nodes
         # holding a literal on j at a level other than v (by level v, for the
         # levels some node holds), and the nodes holding any literal on j.
-        top = max([len(table.schema.factors), *(table.schema.factors[j].levels for j in factors)])
-        by_factor = _literal_nodes(nodes.literals, top)
+        by_factor = _literal_nodes(nodes)
         self._index: dict[int, tuple] = {}
         for j in factors:
             levels = by_factor.get(j, {})
@@ -491,11 +644,12 @@ class CandidatePool:
             failing |= self._index[j][2]
         passing = every & ~failing
         flags = _flags(passing)
-        literals, matched_bits = list(compress(nodes.literals, flags)), compress(nodes.matched_bits, flags)
+        tree, selected = nodes._tree, list(compress(self._node_ids, flags))
+        matched_bits = compress(nodes.matched_bits, flags)
         if keep is not None:
-            rules = CandidateRules(literals, list(map(keep.__and__, matched_bits)), nodes.positives & keep, nodes.ids)
+            rules = CandidateRules(tree, selected, list(map(keep.__and__, matched_bits)), nodes.positives & keep, nodes.ids)
         else:
-            rules = self._selected[key] = CandidateRules(literals, list(matched_bits), nodes.positives, nodes.ids)
+            rules = self._selected[key] = CandidateRules(tree, selected, list(matched_bits), nodes.positives, nodes.ids)
         rules._pooled = (passing, positive, self._case_nodes)  # greedy covers it in node space (see `cover`)
         return rules
 

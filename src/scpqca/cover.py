@@ -13,11 +13,12 @@ replacement, pure forward greedy.
 used by tests and the `--oracle` flag; a subset is admissible when some pick
 order gives every rule a marginal gain of at least `unique_cover`, which by
 construction includes every sequence the greedy loop can produce. Like
-greedy, it refuses rules over different case ids (`model.CandidateRules.of`).
+greedy, it refuses rules over different case ids (`candidates.CandidateRules.of`).
 
-Greedy reads its candidates as the columns of a `model.CandidateRules` (a
-plain list of rules is put into columns once), bitsets over the table's ids,
-and builds rule objects only for its picks. A gain is the popcount of
+Greedy reads its candidates from a `candidates.CandidateRules` (a plain
+list of rules is put into one once): their matched bits, bitsets over the
+table's ids, and for a tie their literal counts, read from its prefix tree;
+it builds rule objects only for its picks. A gain is the popcount of
 ``matched_bits & uncovered``, and uncovered holds positives only: the
 `positives` ids, mapped once per call onto the candidates' `positives`.
 Greedy, assembly and the oracle read the decision label and `unique_cover`
@@ -65,20 +66,20 @@ without a pass; any other call runs and replaces it. A sweep's cells that
 share a (consistency, cutoff) share one `CandidateRules` (see
 `candidates.CandidatePool`), so they cover once at the first cell's floor,
 and once more only where a later cell's floor is lower. A plain list is
-put into new columns on each call, so it never meets an old record.
+put into a new `CandidateRules` on each call, so it never meets an old record.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Sequence
 
-from .candidates import _count, _sub
+from .candidates import CandidateRules, _count, _sub
 from .model import (
     AnalysisParams,
     CandidateRule,
-    CandidateRules,
     CaseTable,
     Conjunction,
     InputError,
@@ -116,12 +117,12 @@ def _tie_break(columns: CandidateRules, tied: list[int]) -> int:
     """The position in `tied`, rules in ascending order that tie on gain, of
     the one greedy picks: the higher consistency p/m, compared as ``p * m'``
     against ``p' * m``, then fewer literals; on a full tie the earlier rule."""
-    pos, matched, literals = columns.positives, columns.matched_bits, columns.literals
+    pos, matched, length = columns.positives, columns.matched_bits, columns._length
     first = matched[tied[0]]
-    at, p, m, size = 0, (first & pos).bit_count(), first.bit_count(), len(literals[tied[0]])
+    at, p, m, size = 0, (first & pos).bit_count(), first.bit_count(), length(tied[0])
     for k in range(1, len(tied)):
         bits = matched[tied[k]]
-        pk, mk, sk = (bits & pos).bit_count(), bits.bit_count(), len(literals[tied[k]])
+        pk, mk, sk = (bits & pos).bit_count(), bits.bit_count(), length(tied[k])
         if pk * m > p * mk or (pk * m == p * mk and sk < size):
             at, p, m, size = k, pk, mk, sk
     return at
@@ -129,9 +130,11 @@ def _tie_break(columns: CandidateRules, tied: list[int]) -> int:
 
 def _scan(columns: CandidateRules, uncovered: int, floor: int) -> tuple[list[int], list[int]]:
     """Greedy's picks and their gains, each pass a popcount per live rule."""
-    # Live rules: their matched bits and their index in `columns`.
+    # Live rules: their matched bits, and their indices in `columns`: a
+    # range at first, then an array, not a list of int objects. A pass keeps
+    # its live flags as bytes, one per rule.
     mbits = columns.matched_bits
-    index = list(range(len(columns)))
+    index: range | array = range(len(columns))
     picks: list[int] = []
     picked_gains: list[int] = []
     while uncovered and mbits:
@@ -147,9 +150,10 @@ def _scan(columns: CandidateRules, uncovered: int, floor: int) -> tuple[list[int
         picked_gains.append(best)
         uncovered &= ~mbits[at]
         gains[at] = 0
-        live = [gain >= floor for gain in gains]
+        live = bytes([gain >= floor for gain in gains])
+        del gains
         mbits = list(compress(mbits, live))
-        index = list(compress(index, live))
+        index = array("I", compress(index, live))
     return picks, picked_gains
 
 

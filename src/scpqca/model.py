@@ -39,8 +39,7 @@ caches no id set; `positive_ids` builds one where read. The table answers
 for its outcome set, refusing one with no case for every stage
 (`require_positives`), and for its provenance (`subset_bits`).
 `CandidateRule` carries the bits and shared ids, with frozenset views;
-`CandidateRules`, enumeration's output and greedy's input, holds rules as
-columns plus a positives bitset, building a rule when read.
+many of them are held as a `candidates.CandidateRules`.
 
 `AnalysisParams` holds the analysis parameters (the consistency threshold,
 the frequency cutoff, the unique-cover floor and the rest) and checks them
@@ -52,9 +51,8 @@ fits a schema is checked once, by `_check_literal`, for `match_bits`,
 `necessity.exclude_necessary` and `pathways.PathwaySpec`.
 
 All types are immutable after construction (a table's per-column bitset
-cache and the greedy run a `CandidateRules` records only memoize; each cache
-entry and the run are written whole, in one assignment) and all operations
-are pure, so values can be shared freely across threads.
+cache only memoizes; each cache entry is written whole, in one assignment)
+and all operations are pure, so values can be shared freely across threads.
 The value classes are `_base.frozen` classes, and `replace` gives a changed
 copy, checked as a new one is.
 """
@@ -64,9 +62,9 @@ from __future__ import annotations
 import weakref
 from array import array
 from fractions import Fraction
-from functools import cached_property, reduce, total_ordering
+from functools import cached_property, total_ordering
 from itertools import compress
-from operator import eq, index, or_
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from ._base import (  # re-exported: every module reads these from here
@@ -654,78 +652,6 @@ class CandidateRule:
     @cached_property
     def positives_matched(self) -> frozenset[str]:
         return frozenset(ids_of(self.positive_bits, self.ids))
-
-
-class CandidateRules(Sequence[CandidateRule]):
-    """A read-only list of rules as parallel columns over one `ids` tuple.
-
-    The columns are literal tuples and `matched_bits`, and one bitset holds
-    the `positives`. `len` builds nothing; an index or an iteration builds one
-    `CandidateRule` per rule read, its positive bits ``matched_bits & positives``,
-    and a slice is another `CandidateRules`. It equals a list or tuple of the
-    same rules. The columns are taken unchecked: the walk builds them valid.
-    Two memos, which equality, `repr`, copies, pickles and slices leave out:
-    `_greedy`, the last greedy run over them (see `cover.greedy_cover`), and
-    on a pool's selection `_pooled`, its nodes among the pool's, their
-    positive counts and the nodes matching a case (see `candidates.CandidatePool`).
-    """
-
-    __slots__ = ("literals", "matched_bits", "positives", "ids", "_greedy", "_pooled")
-
-    def __init__(self, literals: list, matched_bits: list[int], positives: int, ids: tuple[str, ...]):
-        self.literals, self.matched_bits, self.positives, self.ids = literals, matched_bits, positives, ids
-        self._greedy: tuple[int, int, list[int], list[int]] | None = None
-        self._pooled = None
-
-    def __reduce__(self):
-        return CandidateRules, (self.literals, self.matched_bits, self.positives, self.ids)
-
-    @classmethod
-    def of(cls, rules: Sequence[CandidateRule]) -> "CandidateRules":
-        """`rules` as columns over their one ids tuple, refused when they index
-        different ids or disagree on which cases are positive; a
-        `CandidateRules` as it is."""
-        if isinstance(rules, cls):
-            return rules
-        ids = rules[0].ids if rules else ()
-        if any(rule.ids is not ids and rule.ids != ids for rule in rules):
-            raise InputError("candidate rules index different case ids")
-        positives = reduce(or_, [rule.positive_bits for rule in rules], 0)
-        if any(rule.positive_bits != rule.matched_bits & positives for rule in rules):
-            raise InputError("candidate rules disagree on which cases are positive")
-        literals = [rule.conjunction.literals for rule in rules]
-        return cls(literals, [rule.matched_bits for rule in rules], positives, ids)
-
-    def _rule(self, literals: tuple[Literal, ...], matched_bits: int) -> CandidateRule:
-        # Checking costs more than walking the node, so the frozen fields are
-        # set directly, one at a time: that keeps no instance dict per rule.
-        conjunction = object.__new__(Conjunction)
-        _set(conjunction, "literals", literals)
-        rule = object.__new__(CandidateRule)
-        _set(rule, "conjunction", conjunction)
-        _set(rule, "matched_bits", matched_bits)
-        _set(rule, "positive_bits", matched_bits & self.positives)
-        _set(rule, "ids", self.ids)
-        return rule
-
-    def __len__(self) -> int:
-        return len(self.literals)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return CandidateRules(self.literals[i], self.matched_bits[i], self.positives, self.ids)
-        return self._rule(self.literals[i], self.matched_bits[i])
-
-    def __iter__(self) -> Iterator[CandidateRule]:
-        return map(self._rule, self.literals, self.matched_bits)
-
-    def __eq__(self, other: object) -> bool:  # also makes the sequence unhashable
-        if not isinstance(other, (CandidateRules, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    def __repr__(self) -> str:
-        return f"CandidateRules({list(self)!r})"
 
 
 @frozen

@@ -14,11 +14,10 @@ its own.
 from __future__ import annotations
 
 from fractions import Fraction
-from .candidates import CandidatePool, enumerate_candidates
+from .candidates import CandidatePool, CandidateRules, enumerate_candidates
 from .cover import assemble_solution, greedy_cover
 from .model import (
     AnalysisParams,
-    CandidateRules,
     CaseTable,
     Conjunction,
     Literal,

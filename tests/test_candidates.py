@@ -1,4 +1,6 @@
+import copy
 import io
+import pickle
 import random
 import time
 import tracemalloc
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from scpqca import (
     AnalysisParams,
+    CandidatePool,
     Case,
     CaseTable,
     Conjunction,
@@ -35,7 +38,7 @@ from scpqca import (
     rule_from_conjunction,
     synth_schema,
 )
-from scpqca import model
+from scpqca import cover, model
 from scpqca.cli import main
 from conftest import brute_force_candidates, emit_order, random_table
 
@@ -209,7 +212,7 @@ class TestOracleEquivalence:
         # Every factor necessary leaves none to walk: the walk emits nothing.
         params = AnalysisParams(1, threshold or 1, cutoff=1, max_order=max_order)
         rules = candidates._walk(m1_table, (), params, 1, threshold)
-        assert (rules.literals, rules.matched_bits) == ([], [])
+        assert ([r.conjunction.literals for r in rules], rules.matched_bits) == ([], [])
         assert rules.positives == m1_table.positive_bits(1)
         assert list(rules) == brute_force_candidates(m1_table, (), params)
 
@@ -279,7 +282,7 @@ class TestWalkAgainstItertools:
         else:  # no `AnalysisParams` holds 0; a candidate pool walks at it
             got = candidates._walk(table, factors, params, cutoff, threshold)
         literals, matched, positive = want
-        assert (got.literals, got.matched_bits) == (literals, matched)
+        assert ([r.conjunction.literals for r in got], got.matched_bits) == (literals, matched)
         assert got.positives == table.positive_bits(label)
         assert [r.positive_bits for r in got] == positive
 
@@ -319,8 +322,12 @@ class TestWalkMemory:
     # 20 binary factors, 200 cases, max_order 4: the frontier of level 3
     # would hold 7 752 nodes, while the walk holds the frontiers up to
     # level 2 and one level-2 parent's batch of at most 34. Against what its
-    # rules retain, the level-wise walk peaked at 1.83 times at consistency
-    # 0.8 and at 1.03 times with no consistency filter.
+    # rules retain, the walk peaks at 1.08 times at consistency 0.8 (0.87
+    # against 0.80 MiB) and at 1.02 times with no consistency filter (5.97
+    # against 5.86 MiB), its rules held as nodes of a prefix tree. With a
+    # literal tuple per rule it peaked at 1.08 (1.45 against 1.34 MiB) and
+    # 1.06 (11.94 against 11.32 MiB), and the level-wise walk at 1.83 times
+    # at consistency 0.8.
     @pytest.fixture(scope="class")
     def wide(self):
         schema = synth_schema(20)
@@ -522,7 +529,7 @@ class TestCandidateRules:
     def test_iteration_equals_indexing(self, rules, remote_table):
         listed = list(rules)
         assert listed == [rules[i] for i in range(len(rules))]
-        assert [r.conjunction.literals for r in listed] == rules.literals
+        assert [r.conjunction.literals for r in listed] == list(map(rules._tree.conjunction, rules._nodes))
         assert [r.matched_bits for r in listed] == rules.matched_bits
         assert rules.positives == remote_table.positive_bits(1)
         assert [r.positive_bits for r in listed] == [m & rules.positives for m in rules.matched_bits]
@@ -593,3 +600,114 @@ class TestCandidateRules:
         other = CandidateRule.from_sets(Conjunction.of((1, 1)), {"b", "c"}, {"c"}, ids)  # b is not positive here
         with pytest.raises(InputError, match="^candidate rules disagree on which cases are positive$"):
             CandidateRules.of([one, other])
+
+
+def store_cases(kind: str):
+    """A `CandidateRules` of one kind and the plain list of the same rules,
+    the list built independently of the store (by itertools, or given)."""
+    schema = synth_schema(6)
+    table = generate_experiment_table(ExperimentSpec(schema, parse_pathway("ab+CD", schema), 40, 4, 3))
+    params = AnalysisParams(1, "0.7", cutoff=2)
+    positives = table.positive_bits(1)
+
+    def plain(on: CaseTable, keep: int) -> list[CandidateRule]:
+        # The rules of `on`, over `table`'s ids with their bits masked to `keep`.
+        return [
+            CandidateRule(conj, match_bits(conj, table) & keep, match_bits(conj, table) & keep & positives, table.ids)
+            for conj in brute_force_candidates(on, range(6), params)
+        ]
+
+    everything = (1 << len(table)) - 1
+    if kind == "walk":
+        return enumerate_candidates(table, range(6), params), plain(table, everything)
+    if kind.startswith("pool"):
+        pool = CandidatePool(2)
+        enumerate_candidates(table, range(6), params, pool=pool)
+        if kind == "pool-own-table":
+            return enumerate_candidates(table, range(6), params, pool=pool), plain(table, everything)
+        kept = [i for i in range(len(table)) if i % 5]
+        sub = table.take(kept)
+        return enumerate_candidates(sub, range(6), params, pool=pool), plain(sub, sum(1 << i for i in kept))
+    # An unsorted list with one rule twice, a rule whose proper prefixes are
+    # not rules of the list: they become inner nodes of its tree.
+    rules = plain(table, everything)
+    twice = next(r for r in rules if len(r.conjunction.literals) == 3)
+    prefixes = {twice.conjunction.literals[:k] for k in (1, 2)}
+    listed = [r for r in rules if r.conjunction.literals not in prefixes]
+    random.Random(7).shuffle(listed)
+    listed.insert(len(listed) // 3, twice)
+    return CandidateRules.of(listed), listed
+
+
+class TestTreeStore:
+    """A walk, a pool's selections and `CandidateRules.of` all hold rules as
+    nodes of one prefix tree; each must read as the plain list of its rules."""
+
+    CUTS = [slice(None), slice(1, None, 2), slice(None, None, -1), slice(-3, None), slice(9, 1, -3), slice(99, None)]
+
+    @pytest.fixture(params=["walk", "pool-own-table", "pool-take", "of-unsorted"], scope="class")
+    def stored(self, request):
+        rules, want = store_cases(request.param)
+        assert isinstance(rules, CandidateRules) and len(want) >= 20
+        return rules, want
+
+    def test_the_store_is_a_tree_with_inner_nodes(self, stored):
+        rules, want = stored
+        nodes = range(len(rules._tree.parents))
+        assert set(map(rules._tree.conjunction, nodes)) >= {r.conjunction.literals for r in want}
+        # Besides the root, some node is no rule of the list: a parent that
+        # fails a filter, a pool node not selected, or a prefix not listed.
+        assert len(set(nodes) - set(rules._nodes)) > 1
+
+    def test_iteration_and_indexing(self, stored):
+        rules, want = stored
+        assert list(rules) == want
+        assert [rules[i] for i in range(len(rules))] == want
+        assert [rules[-i] for i in range(1, len(rules) + 1)] == [want[-i] for i in range(1, len(want) + 1)]
+        assert [rules._length(i) for i in range(len(rules))] == [len(r.conjunction.literals) for r in want]
+
+    @pytest.mark.parametrize("cut", CUTS)
+    def test_slices(self, stored, cut):
+        rules, want = stored
+        part = rules[cut]
+        assert isinstance(part, CandidateRules) and part.ids is rules.ids
+        assert len(part) == len(want[cut]) and list(part) == want[cut] and part == want[cut]
+
+    def test_equality_and_repr(self, stored):
+        rules, want = stored
+        assert rules == want and want == rules and rules == tuple(want) and rules == rules[:]
+        assert rules != want[:-1] and rules != want[::-1]
+        assert repr(rules) == f"CandidateRules({want!r})"
+
+    def test_copies_and_pickles(self, stored):
+        rules, want = stored
+        for copied in (copy.copy(rules), copy.deepcopy(rules), pickle.loads(pickle.dumps(rules))):
+            assert copied == want and list(copied) == want and repr(copied) == repr(rules)
+            assert copied._greedy is None and copied._pooled is None
+
+    def test_len_builds_no_rule(self, stored, monkeypatch):
+        rules, want = stored
+
+        def built(*args):
+            raise AssertionError("a rule was built")
+
+        monkeypatch.setattr(CandidateRules, "_rule", built)
+        monkeypatch.setattr(candidates._Tree, "conjunction", built)
+        assert len(rules) == len(want) and len(rules[1::2]) == len(want[1::2])
+
+    def test_fewer_literals_break_a_tie_of_gain_and_consistency(self, stored):
+        # Two rules of different length and equal consistency, taken as tied
+        # on gain: the tie-break takes the shorter, read from the tree, also
+        # when it comes later, as in the reversed list.
+        rules, want = stored
+        rules, want = rules[::-1], want[::-1]
+        by_consistency = {}
+        for i, r in enumerate(want):
+            by_consistency.setdefault(r.consistency, []).append(i)
+        pairs = [
+            (i, j) for tied in by_consistency.values() for i in tied for j in tied
+            if i < j and len(want[i].conjunction.literals) > len(want[j].conjunction.literals)
+        ]
+        assert pairs
+        for i, j in pairs:
+            assert cover._tie_break(rules, [i, j]) == 1

@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from scpqca import (
     Case,
     CaseTable,
     Conjunction,
+    ExperimentSpec,
     Factor,
     FactorSchema,
     InputError,
@@ -27,10 +29,13 @@ from scpqca import (
     binary_schema,
     enumerate_candidates,
     exhaustive_cover_oracle,
+    generate_experiment_table,
     greedy_cover,
+    parse_pathway,
     replace,
     rule_from_conjunction,
     solve,
+    synth_schema,
 )
 from scpqca import cover
 from scpqca.cover import unique_coverage
@@ -383,6 +388,47 @@ class TestGreedyRecord:
         assert repr(candidates) == before and candidates == list(candidates)
         for copied in (copy.copy(candidates), copy.deepcopy(candidates), pickle.loads(pickle.dumps(candidates))):
             assert copied == candidates and copied._greedy is None
+
+
+
+class TestScanMemory:
+    # The scan holds its live rules' indices as a range, then an array, and
+    # each pass's live flags as bytes: on top of its input it peaks at about
+    # 31 bytes per rule here (28 at floor 8), where a list of int indices and
+    # one of bool flags peaked at about 73 (71).
+    BOUND = 40  # bytes per rule
+
+    @pytest.fixture(scope="class")
+    def rules(self):
+        # TestWalkMemory's table at consistency 0.8: 11 502 rules.
+        schema = synth_schema(20)
+        table = generate_experiment_table(ExperimentSpec(schema, parse_pathway("ab+CD+ace+BDF", schema), 200, 0, 1))
+        params = AnalysisParams(1, "0.8", cutoff=2, max_order=4)
+        return table, enumerate_candidates(table, range(20), params)
+
+    @pytest.mark.parametrize("floor, survive", [(2, True), (8, False)], ids=["every-rule-survives", "most-leave"])
+    def test_peak_over_the_input_per_rule(self, rules, floor, survive):
+        table, candidates = rules
+        positives, params = table.positive_ids(1), AnalysisParams(1, unique_cover=floor)
+        # At floor 2 every rule's first gain meets the floor, so every rule but
+        # the pick survives the first pass; at floor 8 most leave in it.
+        starting = [(m & candidates.positives).bit_count() for m in candidates.matched_bits]
+        assert len(candidates) == 11_502
+        assert all(gain >= floor for gain in starting) == survive
+        candidates._greedy = None
+        tracing = tracemalloc.is_tracing()  # if so, only the call is measured, and tracing stays on
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            picks = greedy_cover(candidates, positives, params)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert picks == full_key_greedy(candidates, positives, params)
+        assert peak < self.BOUND * len(candidates), f"{peak / len(candidates):.1f} bytes per rule"
 
 
 class TestOracle:
