@@ -309,10 +309,10 @@ class TestGreedyOnPoolSelections:
             assert got == full_key_greedy(selection, positives, params)
 
     def test_no_scan_pass_on_a_pool_selection(self, remote_table, monkeypatch):
-        # Each pass of the scan ends with `compress`, so its calls count them.
+        # A wrapper round the scan counts its runs.
         calls = []
-        real = cover.compress
-        monkeypatch.setattr(cover, "compress", lambda *args: (calls.append(args), real(*args))[1])
+        real = cover._scan
+        monkeypatch.setattr(cover, "_scan", lambda *args: (calls.append(args), real(*args))[1])
         pool = CandidatePool(2)
         params = AnalysisParams(1, "0.7", cutoff=2)
         full = enumerate_candidates(remote_table, range(7), params, pool=pool)
@@ -362,11 +362,11 @@ class TestGreedyRecord:
             assert got == greedy_cover(list(rules), cases, params) == full_key_greedy(rules, cases, params)
 
     def test_a_higher_floor_on_the_same_rules_runs_no_pass(self, remote_table, monkeypatch):
-        # Each pass that picks ends by narrowing the live rules with
-        # `compress`, so its calls count the passes.
+        # A wrapper round the scan counts its runs: a call answered from the
+        # record makes none.
         calls = []
-        real = cover.compress
-        monkeypatch.setattr(cover, "compress", lambda *args: (calls.append(args), real(*args))[1])
+        real = cover._scan
+        monkeypatch.setattr(cover, "_scan", lambda *args: (calls.append(args), real(*args))[1])
         candidates = enumerate_candidates(remote_table, (1, 2, 4, 5), AnalysisParams(1, "0.7", cutoff=2))
         positives = remote_table.positive_ids(1)
 
@@ -391,12 +391,83 @@ class TestGreedyRecord:
 
 
 
+# 24 positive and 4 negative case ids. A rule's positives are a run of
+# blocks that partition the positives, so first gains spread from 1 to 24, a
+# pick lowers many gains at once, some by several levels, and rules from
+# different buckets meet on a new best gain. Most rules match no negative and
+# literal counts are 1 or 2, so ties often fall through to the rule order.
+SPREAD_IDS = tuple(f"p{i}" for i in range(24)) + tuple(f"n{i}" for i in range(4))
+
+
+@st.composite
+def spread_rule_lists(draw):
+    # Blocks of one size, `step`, make rules of equal gains, and a few
+    # other cuts make blocks of other sizes.
+    step = draw(st.integers(1, 8))
+    cuts = set(range(step, 24, step)) | draw(st.sets(st.integers(1, 23), max_size=3))
+    edges = [0, *sorted(cuts), 24]
+    blocks = [(1 << b) - (1 << a) for a, b in zip(edges, edges[1:])]
+    # Rules draw their positives from a few runs of blocks, so whole
+    # positive sets repeat too.
+    starts = draw(st.lists(st.integers(0, len(blocks) - 1), min_size=1, max_size=8))
+    runs = [sum(blocks[a : draw(st.integers(a + 1, len(blocks)))]) for a in starts]
+    rules = []
+    for _ in range(draw(st.integers(0, 16))):
+        positive = draw(st.sampled_from(runs))
+        negative = draw(st.sampled_from((0, 0, 0, 0b0001, 0b0011, 0b1111))) << 24
+        conjunction = Conjunction.of(*((j, 0) for j in range(draw(st.integers(1, 2)))))
+        rules.append(CandidateRule(conjunction, positive | negative, positive, SPREAD_IDS))
+    mask = draw(st.one_of(st.just(2**24 - 1), st.integers(1, 2**24 - 1)))
+    return rules, [SPREAD_IDS[i] for i in range(24) if mask >> i & 1]
+
+
+def replayed_gains(picks, positives):
+    """Each pick's gain: its positives among `positives` not covered before it."""
+    gains, seen = [], set()
+    for rule in picks:
+        gains.append(len((rule.positives_matched & set(positives)) - seen))
+        seen |= rule.positives_matched
+    return gains
+
+
+class TestScanDescent:
+    """The scan recounts a rule only from the bucket of its last gain; its
+    picks and record must equal the full-key reference and a plain list's."""
+
+    def check(self, rules, positives, floor):
+        params = AnalysisParams(1, unique_cover=floor)
+        columns = CandidateRules.of(rules)
+        got = greedy_cover(columns, positives, params)
+        want = full_key_greedy(rules, positives, params)
+        assert got == want
+        _, recorded_floor, picks, gains = columns._greedy
+        assert recorded_floor == floor
+        assert picks == [next(i for i, rule in enumerate(rules) if rule is pick) for pick in want]
+        assert gains == replayed_gains(want, positives)
+        plain = CandidateRules.of(list(columns))
+        assert greedy_cover(plain, positives, params) == got and plain._greedy == columns._greedy
+        return got
+
+    # Floors run past the top gain of 24; low ones, drawn more often, keep
+    # most rules live down many levels.
+    @settings(max_examples=400, deadline=None)
+    @given(spread_rule_lists(), st.one_of(st.integers(1, 4), st.integers(1, 26)))
+    def test_picks_and_record_equal_the_reference(self, drawn, floor):
+        self.check(*drawn, floor)
+
+    @pytest.mark.parametrize("floor", [1, 3, 4])
+    def test_no_rule_and_one_rule(self, floor):
+        positives = SPREAD_IDS[:24]
+        assert self.check([], positives, floor) == []
+        rule = CandidateRule(Conjunction.of((0, 0)), 0b111 | 1 << 24, 0b111, SPREAD_IDS)
+        assert self.check([rule], positives, floor) == ([rule] if floor <= 3 else [])
+
+
 class TestScanMemory:
-    # The scan holds its live rules' indices as a range, then an array, and
-    # each pass's live flags as bytes: on top of its input it peaks at about
-    # 31 bytes per rule here (28 at floor 8), where a list of int indices and
-    # one of bool flags peaked at about 73 (71).
-    BOUND = 40  # bytes per rule
+    # The scan links its live rules into buckets through one array slot per
+    # rule, built beside its first pass's list of gains: on top of its input
+    # it peaks at about 12 bytes per rule here, at both floors.
+    BOUND = 24  # bytes per rule
 
     @pytest.fixture(scope="class")
     def rules(self):
