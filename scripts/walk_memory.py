@@ -10,6 +10,7 @@ walk's own. Columns:
 - rules: how many rules the walk returns;
 - walk: the fastest of three untraced walks, in seconds;
 - peak: the tracemalloc peak of one more walk, over what was traced before it;
+- peak/retained: that peak over what the returned rules retain;
 - B/rule: what the returned rules retain, in bytes per rule.
 
 Uses only the standard library. Run from the repository root:
@@ -60,12 +61,13 @@ def measure(factors: int) -> tuple[int, float, int, int]:
 
 
 def main() -> None:
-    print("| factors | rules | walk | peak | B/rule |")
-    print("|---|---|---|---|---|")
+    print("| factors | rules | walk | peak | peak/retained | B/rule |")
+    print("|---|---|---|---|---|---|")
     for factors in FACTORS:
         rules, walk, peak, retained = measure(factors)
         count = f"{rules:,}".replace(",", " ")
-        print(f"| {factors} | {count} | {walk:.2f} s | {peak / 2**20:.1f} MiB | {retained / rules:.0f} |")
+        ratio = peak / retained
+        print(f"| {factors} | {count} | {walk:.2f} s | {peak / 2**20:.1f} MiB | {ratio:.2f} | {retained / rules:.0f} |")
 
 
 if __name__ == "__main__":

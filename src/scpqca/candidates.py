@@ -19,10 +19,11 @@ flat list of the literals that may follow it.
 
 Levels 1 to `max_order - 2` are walked level by level, each level's
 frontier holding its nodes that meet the cutoff and have a literal to
-extend by. The last two levels are walked one parent of level
-`max_order - 2` at a time: its children are emitted, those with a literal
-to extend by are its batch, and the batch's last level is counted at once
-and dropped. So the walk holds the frontiers up to level `max_order - 2`
+extend by, and each parent popped from it as it is walked. The last two
+levels are walked one parent of level `max_order - 2` at a time: its
+children are emitted, those with a literal to extend by are its batch,
+and the batch's last level is counted at once and dropped. So the walk
+holds what is left of one frontier, the part of the next built so far,
 and one parent's batch. It never holds the frontier of level
 `max_order - 1`, the largest on a wide table: with 20 binary factors, 200
 cases and `max_order` 4, 7 752 nodes against at most 34 in a batch.
@@ -34,14 +35,16 @@ level. The last level goes straight to the output; level `max_order - 1`,
 a tenth of its size on the table above, goes to its own columns, which are
 inserted before the last level at the end, so that no join copies the
 larger one. Measured in process (CPython 3.11.7, 2-vCPU Xeon VM), on synth
-tables at cutoff 2, the walk's tracemalloc peak is 1.08 times what its
-rules retain on the shape above at consistency 0.8 (0.87 against 0.80
-MiB), 1.02 times with no consistency filter (5.97 against 5.86 MiB), and
-1.07 times on 22 binary factors at `max_order` 5 and consistency 0.8
-(18.1 against 16.9 MiB); the level-wise walk peaked at 1.83 times on the
-first. A walk that takes every level one node at a time, on an explicit
-stack, held less still, but pushing and popping each node made the deep
-walks of a jackknife pool (7 factors at full order) about 40 % slower.
+tables at cutoff 2, the walk's tracemalloc peak is 1.03 times what its
+rules retain on the shape above at consistency 0.8 (0.82 against 0.80
+MiB), 1.02 times with no consistency filter, 1.015 times on 22 binary
+factors at `max_order` 5 and consistency 0.8, and 1.58 times with no
+`max_order` on 18 factors and 30 cases; with each frontier held whole
+these read 1.08, 1.02, 1.07 and 2.44, and the level-wise walk 1.83 on the
+first. Popping the parents made the deep walks of a jackknife pool (7
+factors at full order) 4 to 5 % slower (a None per slot, 9 %). A walk
+that takes every level one node at a time, on an explicit stack, held
+less still, but made those walks about 40 % slower.
 
 The last level (`max_order` literals) is counted, never extended: a node
 is added to the tree only when it passes both filters. On a wide table
@@ -267,9 +270,10 @@ def _walk(
     whose consistency for `params.decision_label` is at least `threshold`,
     in emit order, as a `CandidateRules` over `table.ids`.
 
-    Levels below `max_order - 1` go level by level, keeping each frontier;
-    the last two go one parent of level `max_order - 2` at a time, keeping
-    only that parent's batch (see the module docstring)."""
+    Levels below `max_order - 1` go level by level, each frontier emptied
+    as the next one grows; the last two go one parent of level
+    `max_order - 2` at a time, keeping only that parent's batch (see the
+    module docstring)."""
     nf = len(factors)
     max_order = min(params.max_order if params.max_order is not None else nf, nf)
     positives = table.positive_bits(params.decision_label)
@@ -313,13 +317,14 @@ def _walk(
     # go to their own columns, and those that can be extended are its batch,
     # whose last level is appended to the output. At the end the level
     # max_order - 1 columns, the smaller ones, go in before the last level.
+    # A parent is popped, so its bits are freed once its batch is counted.
     shallow = len(out_matched)
     next_nodes, next_matched = array("I"), []
-    for parent in frontier:
-        batch = _extend((parent,), tails, positives, cutoff, num, den, tree, next_nodes, next_matched)
+    frontier.reverse()
+    while frontier:
+        batch = _extend([frontier.pop()], tails, positives, cutoff, num, den, tree, next_nodes, next_matched)
         if batch:
             _count_last(batch, groups, positives, cutoff, num, den, tree, out_nodes, out_matched)
-    del frontier  # before the insertions below grow the output columns
     out_nodes[shallow:shallow] = next_nodes
     out_matched[shallow:shallow] = next_matched
     return CandidateRules(tree, out_nodes, out_matched, positives, table.ids)
@@ -328,12 +333,15 @@ def _walk(
 def _extend(parents, tails, positives, cutoff, num, den, tree, out_nodes, out_matched) -> list:
     """Add to `tree` the children of `parents` that pass both filters or can
     be extended, append those that pass to the output columns, in emit
-    order, and return those with a literal to extend by."""
+    order, and return those with a literal to extend by. `parents` is
+    emptied, each parent popped as its children are counted."""
     extendable = []
     add_parent, add_code = tree.parents.append, tree.codes.append
     add_node, add_matched = out_nodes.append, out_matched.append
     node = len(tree.parents)
-    for parent, bits, first in parents:
+    parents.reverse()
+    while parents:
+        parent, bits, first = parents.pop()
         for code, lit_bits, after in tails[first]:
             child = bits & lit_bits
             count = child.bit_count()

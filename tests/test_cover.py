@@ -462,12 +462,49 @@ class TestScanDescent:
         rule = CandidateRule(Conjunction.of((0, 0)), 0b111 | 1 << 24, 0b111, SPREAD_IDS)
         assert self.check([rule], positives, floor) == ([rule] if floor <= 3 else [])
 
+    @staticmethod
+    def spread_rule(code, positives, negatives=0):
+        """A one-literal rule over SPREAD_IDS matching positives p{i} for i in
+        `positives` and negatives n{i} for the bits of `negatives`."""
+        bits = sum(1 << i for i in positives)
+        return CandidateRule(Conjunction.of((code, 0)), bits | negatives << 24, bits, SPREAD_IDS)
+
+    @pytest.mark.parametrize("floor", [1, 2, 4, 6, 7])
+    def test_positives_a_strict_subset_of_the_tables(self, floor):
+        # 12 of the 24 positives are asked for. Rule 0 matches none of them
+        # and 12 others, the most of any rule on the table's positives; the
+        # last rule matches all 12, a gain as high as a gain can be.
+        positives = [SPREAD_IDS[i] for i in (*range(8), *range(16, 20))]
+        rule = self.spread_rule
+        rules = [
+            rule(0, [*range(8, 16), *range(20, 24)]),
+            rule(1, [*range(4), *range(8, 16)]),
+            rule(2, [4, 5, 6, 7, 16, 17]),
+            rule(3, range(6)),
+            rule(4, range(16, 20), 0b1),
+            rule(5, [7, 19, 20, 21]),
+        ]
+        picks = self.check(rules, positives, floor)
+        assert rules[0] not in picks and (picks[:1] == [rules[2]] if floor <= 6 else picks == [])
+        whole = rule(6, [*range(8), *range(16, 24)], 0b1111)
+        assert self.check([*rules, whole], positives, floor) == [whole]
+
+    @pytest.mark.parametrize("floor", [4, 5, 25])
+    def test_a_floor_above_the_uncovered_positives(self, floor):
+        # 3 positives are asked for and every rule's gain is at most 3, while
+        # on the table's 24 positives the rules' counts reach 24.
+        rule = self.spread_rule
+        rules = [rule(0, range(24)), rule(1, range(2, 20), 0b11), rule(2, range(3)), rule(3, [0, 5, 6, 7])]
+        assert self.check(rules, SPREAD_IDS[:3], floor) == []
+        assert self.check(rules, SPREAD_IDS[:3], 3) == [rules[0]]
+
 
 class TestScanMemory:
     # The scan links its live rules into buckets through one array slot per
-    # rule, built beside its first pass's list of gains: on top of its input
-    # it peaks at about 12 bytes per rule here, at both floors.
-    BOUND = 24  # bytes per rule
+    # rule, counting and linking each rule in one first pass: on top of its
+    # input it peaks at about 4 bytes per rule here, at both floors, where a
+    # first pass that kept a list of every rule's gain peaked at about 12.
+    BOUND = 8  # bytes per rule
 
     @pytest.fixture(scope="class")
     def rules(self):
