@@ -66,7 +66,8 @@ table against 0.034 s for this loop, and even greedy's gains over its
 10 500 rules took 1.9 ms with `map` against 1.4 ms with a list
 comprehension. A pool's selection is the opposite case: it asks the same
 two questions of every node, so it runs no loop over nodes at all, but a
-few dozen big-int operations on bit-sliced counts (see `CandidatePool`).
+few dozen big-int operations on bit-sliced counts (see `CandidatePool`),
+which are themselves counted from each case's set of matching nodes.
 On the `resample` table, 50 jackknife selections over its 1 409 pool
 nodes took 10.1 ms with a per-node loop against 6.3 ms this way, the
 one-time build of the node index included (medians of 30 runs).
@@ -103,12 +104,11 @@ its list slot 8, its node about 9, with 88 087 inner nodes beside its
 
 from __future__ import annotations
 
-import sys
 from array import array
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import compress, repeat, zip_longest
-from operator import and_, eq, or_
+from itertools import compress, zip_longest
+from operator import eq, or_
 from typing import Iterable, Iterator, Sequence
 
 from .model import (
@@ -119,6 +119,7 @@ from .model import (
     FactorSchema,
     InputError,
     Literal,
+    _bits_where,
     _check_factor_index,
     _flags,
     _set,
@@ -394,51 +395,7 @@ def _count_last(parents, groups, positives, cutoff, num, den, tree, out_nodes, o
 # Bit-sliced counts: a count per pool node is held as a list of slices, least
 # significant first, slice b the bitset of the nodes whose count has bit b
 # set (bit t stands for node t). A slice list ends in a non-empty slice.
-# _BIT_DIGITS[b] maps a byte to b"1" when its bit b is set, else b"0".
-_BIT_DIGITS = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
 _CHUNK = 4096  # nodes read at once by `_literal_nodes`
-
-
-def _column(values: Iterable[int], top: int) -> bytes | array:
-    """`values` (each in [0, `top`]) as bytes when `top` is below 256, else
-    in an array of the narrowest unsigned type that holds `top`."""
-    if top < 256:
-        return bytes(values)  # several times faster to fill than an array
-    return array(next(code for code in "HIQ" if top < 256 ** array(code).itemsize), values)
-
-
-def _planes(column: bytes | array) -> list[bytes]:
-    """The byte planes of `column`, least significant first, each reversed
-    so that position 0 is its last byte, as `int(..., 2)` reads digits."""
-    if isinstance(column, bytes):
-        return [column[::-1]]
-    if sys.byteorder == "big":
-        column = array(column.typecode, column)
-        column.byteswap()
-    raw, size = column.tobytes(), column.itemsize
-    return [raw[i::size][::-1] for i in range(size)]
-
-
-def _equal(planes: list[bytes], value: int) -> int:
-    """The positions whose value, split into `planes`, is `value`."""
-    bits = -1
-    for i, plane in enumerate(planes):
-        byte = value >> 8 * i & 255
-        bits &= int(b"0" + plane.translate(b"0" * byte + b"1" + b"0" * (255 - byte)), 2)
-    return bits
-
-
-def _slices(counts: Iterable[int], bound: int) -> list[int]:
-    """The slices of `counts`, each in [0, `bound`], position t's at index t:
-    one translate per bit of each byte plane."""
-    slices = [
-        int(b"0" + plane.translate(_BIT_DIGITS[b]), 2)
-        for i, plane in enumerate(_planes(_column(counts, bound)))
-        for b in range(min(8, bound.bit_length() - 8 * i))
-    ]
-    while slices and not slices[-1]:
-        slices.pop()
-    return slices
 
 
 def _count(bitsets: Iterable[int]) -> list[int]:
@@ -493,10 +450,12 @@ def _literal_nodes(rules: CandidateRules) -> dict[int, dict[int, int]]:
     `rules` must come in ascending length, as the walk emits them. They are
     read a chunk at a time, up their tree one level per step: a step's
     column holds each rule's literal code at that depth from its end, at C
-    speed, and a literal's rules at that step are those equal to its code
-    there, one translate per byte plane. The rules that have reached the
-    root are a prefix of the chunk, since lengths ascend, and are cut off.
-    The build holds one chunk's columns at a time, not a buffer per literal.
+    speed, in bytes or an "I" array as the tree's codes are, and a
+    literal's rules at that step are those equal to its code there, packed
+    by `model._bits_where` as a table's column is. The rules that have
+    reached the root are a prefix of the chunk, since lengths ascend, and
+    are cut off. The build holds one chunk's columns at a time, not a
+    buffer per literal.
     """
     tree = rules._tree
     parents, codes, literals = tree.parents, tree.codes, tree.literals
@@ -504,12 +463,12 @@ def _literal_nodes(rules: CandidateRules) -> dict[int, dict[int, int]]:
     for start in range(0, len(rules), _CHUNK):
         at = rules._nodes[start : start + _CHUNK]
         while at:
-            column = _column(map(codes.__getitem__, at), len(literals) - 1)
-            planes = _planes(column)
+            column = map(codes.__getitem__, at)
+            column = bytes(column) if len(literals) <= 256 else array("I", column)
             for code in set(column):
                 lit = literals[code]
                 held = out.setdefault(lit.factor_index, {})
-                held[lit.value] = held.get(lit.value, 0) | _equal(planes, code) << start
+                held[lit.value] = held.get(lit.value, 0) | _bits_where(column, code) << start
             at = array("I", map(parents.__getitem__, at))
             done = at.count(0)
             at, start = at[done:], start + done
@@ -543,20 +502,23 @@ class CandidatePool:
 
     A selection filters every node at once through a bit-sliced index
     (O'Neil and Quass, "Improved query performance with variant indexes",
-    SIGMOD 1997). Each node's matched and positive counts, popcounted once
-    when the pool is built, are held as slices: slice b is the bitset over
-    node positions of the counts with bit b set. A subset lowers each
-    count by the node's dropped cases, along a borrow chain (Rinfret,
-    O'Neil and O'Neil, "Bit-sliced index arithmetic", SIGMOD 2001). Each
-    filter is then the borrow out of one subtraction: matched minus
-    `cutoff`, and ``den * positive`` minus ``num * matched``, the products
-    exact by shift and add. The passing nodes are taken by `compress`, so
-    no Python code runs per node. The nodes that match one case are those
-    holding no literal at another level of its factors. So the build makes,
-    with the nodes and their slices, per walked factor and level the bitset
-    of the nodes holding a literal on that factor at another level, and per
-    factor the bitset of the nodes holding any literal on it, which a
-    narrower factor set drops.
+    SIGMOD 1997). Each node's matched and positive counts are held as
+    slices: slice b is the bitset over node positions of the counts with
+    bit b set. A subset lowers each count by the node's dropped cases,
+    along a borrow chain (Rinfret, O'Neil and O'Neil, "Bit-sliced index
+    arithmetic", SIGMOD 2001). Each filter is then the borrow out of one
+    subtraction: matched minus `cutoff`, and ``den * positive`` minus
+    ``num * matched``, the products exact by shift and add. The passing
+    nodes are taken by `compress`, so no Python code runs per node. The
+    nodes that match one case are those holding no literal at another
+    level of its factors. So the build makes, with the nodes, per walked
+    factor and level the bitset of the nodes holding a literal on that
+    factor at another level, and per factor the bitset of the nodes holding
+    any literal on it, which a narrower factor set drops. From that index
+    it takes each case's node set, and a node's matched count is how many
+    cases' sets hold it, its positive count how many positive cases' sets
+    do: the same sets, counted the same way (`_count`), that later lower
+    the counts.
 
     The same counts serve greedy's gains (see `cover`). A selection carries
     its passing nodes, its positive-count slices (the gains before any pick)
@@ -593,8 +555,6 @@ class CandidatePool:
         # from it by `compress`, in 19 us against 51 us into an array over
         # the `resample` table's 1 409 nodes, at about 36 bytes a node.
         self._node_ids = list(nodes._nodes)
-        self._matched = _slices(map(int.bit_count, nodes.matched_bits), len(table))
-        self._positive = _slices(map(int.bit_count, map(and_, nodes.matched_bits, repeat(nodes.positives))), len(table))
         # The node index, per walked factor j: the table's column j, the nodes
         # holding a literal on j at a level other than v (by level v, for the
         # levels some node holds), and the nodes holding any literal on j.
@@ -610,6 +570,13 @@ class CandidatePool:
         # holds the index, not the pool: a selection that held the pool would
         # make a cycle through `_selected`, which only the garbage collector frees.
         self._case_nodes = partial(_nodes_matching, self._index, self._all)
+        # A node's count is how many cases' node sets hold it: its popcount.
+        # Each case's set is built once: the positive cases' are counted apart,
+        # then added to the rest's.
+        cases = range(len(table))
+        self._positive = _count(map(self._case_nodes, ids_of(nodes.positives, cases)))
+        negative = _count(map(self._case_nodes, ids_of(((1 << len(table)) - 1) ^ nodes.positives, cases)))
+        self._matched = _add(self._positive, negative)
         self._selected: dict[tuple, CandidateRules] = {}  # the own table's selections, by key
 
     def _select(self, table: CaseTable, factors: tuple[int, ...], params: AnalysisParams) -> CandidateRules | None:

@@ -272,7 +272,9 @@ def _bad_cell(cells: Sequence, levels: int, ids: Sequence[str], factor: Factor |
 
 
 def _bits_where(col: bytes | array, value: int) -> int:
-    """Bitset of the cells of a stored column equal to `value` (bit i = cell i)."""
+    """Bitset of the cells of a stored column equal to `value` (bit i = cell i).
+    A candidate pool packs its tree-code columns with it too (bytes, or an
+    "I" array past 256 literals)."""
     if isinstance(col, bytes):
         return int(b"0" + col[::-1].translate(b"0" * value + b"1" + b"0" * (255 - value)), 2)
     return int(b"0" + bytes(map(value.__eq__, reversed(col))).translate(_FLAG_TO_DIGIT), 2)

@@ -12,7 +12,8 @@ these tests see that the shared pool (not a fresh one) answered.
 
 A pool filters its nodes through bit-sliced counts, so the slice arithmetic
 is checked on its own against plain per-position integers, and the pool on
-tables large enough that its counts span two byte planes.
+tables large enough that its counts reach past one byte, and on more than
+256 literals, where its tree codes no longer fit in a byte.
 """
 
 import gc
@@ -20,6 +21,7 @@ import math
 import random
 import re
 import tracemalloc
+from array import array
 from fractions import Fraction
 from unittest import mock
 
@@ -97,6 +99,17 @@ def values(slices, n):
     return [sum((bits >> t & 1) << b for b, bits in enumerate(slices)) for t in range(n)]
 
 
+def slices_of(counts):
+    """The slices holding `counts`, position t's at index t, ending in a
+    non-empty slice: the reference `values` reads back."""
+    slices = [0] * max(counts, default=0).bit_length()
+    for t, count in enumerate(counts):
+        for b in range(count.bit_length()):
+            if count >> b & 1:
+                slices[b] |= 1 << t
+    return slices
+
+
 COUNTS = st.lists(st.integers(0, 2**17), max_size=40)
 PAIRS = st.lists(st.tuples(st.integers(0, 2**17), st.integers(0, 2**17)), max_size=40)
 # 0, 1, a 64-bit constant, and any other small one.
@@ -104,16 +117,6 @@ CONSTANTS = st.sampled_from([0, 1, 2**64 - 59]) | st.integers(0, 2**20)
 
 
 class TestBitSlicedArithmetic:
-    @settings(max_examples=200, deadline=None)
-    @given(COUNTS, st.integers(0, 2**63))
-    def test_slices_hold_each_count(self, counts, spare):
-        # Any bound at or above the largest count (a table's length, so below
-        # 2**64), so every array width is used.
-        bound = max(counts, default=0) + spare
-        slices = candidates._slices(counts, bound)
-        assert values(slices, len(counts)) == counts
-        assert len(slices) == max(counts, default=0).bit_length()
-
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 2**n - 1)))))
     def test_count_is_how_many_bitsets_hold_each_position(self, drawn):
@@ -124,13 +127,13 @@ class TestBitSlicedArithmetic:
     @given(PAIRS)
     def test_add(self, pairs):
         a, b = [x for x, _ in pairs], [y for _, y in pairs]
-        total = candidates._add(candidates._slices(a, 2**17), candidates._slices(b, 2**17))
+        total = candidates._add(slices_of(a), slices_of(b))
         assert values(total, len(pairs)) == [x + y for x, y in pairs]
 
     @settings(max_examples=200, deadline=None)
     @given(PAIRS)
     def test_subtract_with_borrow(self, pairs):
-        a, b = candidates._slices([x for x, _ in pairs], 2**17), candidates._slices([y for _, y in pairs], 2**17)
+        a, b = slices_of([x for x, _ in pairs]), slices_of([y for _, y in pairs])
         diff, borrow = candidates._sub(a, b)
         width = max(len(a), len(b))
         assert values(diff, len(pairs)) == [(x - y) % 2**width for x, y in pairs]
@@ -139,7 +142,7 @@ class TestBitSlicedArithmetic:
     @settings(max_examples=200, deadline=None)
     @given(COUNTS, CONSTANTS)
     def test_scale(self, counts, k):
-        scaled = candidates._scale(candidates._slices(counts, 2**17), k)
+        scaled = candidates._scale(slices_of(counts), k)
         assert values(scaled, len(counts)) == [k * x for x in counts]
 
     @settings(max_examples=100, deadline=None)
@@ -148,7 +151,7 @@ class TestBitSlicedArithmetic:
         # den * p < num * m, as the pool tests consistency, with p the count
         # and m the count plus its position.
         positives, matched = counts, [x + t for t, x in enumerate(counts)]
-        p, m = candidates._slices(positives, 2**17), candidates._slices(matched, 2**17 + 40)
+        p, m = slices_of(positives), slices_of(matched)
         failing = candidates._sub(candidates._scale(p, den), candidates._scale(m, num))[1]
         assert failing == sum(1 << t for t, (x, y) in enumerate(zip(positives, matched)) if den * x < num * y)
 
@@ -244,7 +247,11 @@ class TestPoolAgainstWalk:
         everything = tuple(range(len(table.schema.factors)))
         pool = CandidatePool(base_cutoff)
         enumerate_candidates(table, everything, replace(params, cutoff=base_cutoff), pool=pool)
-        assert max(map(int.bit_count, pool._nodes.matched_bits)) > 255
+        nodes = pool._nodes
+        assert max(map(int.bit_count, nodes.matched_bits)) > 255
+        # The counts the pool built from its case node sets are the popcounts.
+        assert values(pool._matched, len(nodes)) == [bits.bit_count() for bits in nodes.matched_bits]
+        assert values(pool._positive, len(nodes)) == [(bits & nodes.positives).bit_count() for bits in nodes.matched_bits]
         for sub in [table, *(table.take(kept) for kept in subsets)]:
             for factors in [everything, everything[1:]]:
                 pooled = enumerate_candidates(sub, factors, params, pool=pool)
@@ -265,6 +272,24 @@ class TestPoolAgainstWalk:
         for case in range(len(table)):
             assert pool._case_nodes(case) == sum(1 << t for t, bits in enumerate(matched) if bits >> case & 1)
 
+    def test_tree_codes_past_one_byte(self):
+        # 305 literals: the tree's codes are an "I" array, and so is each
+        # column the node index packs.
+        rng = random.Random(39)
+        schema = FactorSchema(factors=(Factor("A", 300), Factor("B", 2), Factor("C", 3)), outcome=Factor("O", 2))
+        rows = [[i % 300, rng.randrange(2), rng.randrange(3)] for i in range(700)]
+        table = CaseTable(schema, tuple(f"c{i}" for i in range(700)), rows, [rng.randrange(2) for _ in range(700)])
+        pool, params = CandidatePool(1), AnalysisParams(1, "0.5", cutoff=1)
+        assert enumerate_candidates(table, range(3), params, pool=pool) == enumerate_candidates(table, range(3), params)
+        assert isinstance(pool._nodes._tree.codes, array)
+        matched = pool._nodes.matched_bits
+        for case in range(len(table)):
+            assert pool._case_nodes(case) == sum(1 << t for t, bits in enumerate(matched) if bits >> case & 1)
+        sub = table.take([i for i in range(len(table)) if i % 10])
+        pooled = enumerate_candidates(sub, range(3), params, pool=pool)
+        assert pooled.ids is table.ids
+        assert case_sets(pooled) == case_sets(enumerate_candidates(sub, range(3), params))
+
     def test_node_sets_are_built_for_the_dropped_cases_only(self, monkeypatch, remote_table):
         built, case_nodes = [], candidates._nodes_matching
 
@@ -275,11 +300,15 @@ class TestPoolAgainstWalk:
         monkeypatch.setattr(candidates, "_nodes_matching", counted)
         pool = CandidatePool(1)
         params = AnalysisParams(1, "0.7", cutoff=1)
+        n = len(remote_table)
+        # The first call builds the pool, whose counts take each case's node set once.
+        enumerate_candidates(remote_table, range(7), params, pool=pool)
+        assert sorted(built) == list(range(n))
+        built.clear()
         for call in [params, replace(params, cutoff=2), replace(params, consistency_threshold="0.9")]:
             enumerate_candidates(remote_table, range(7), call, pool=pool)
         enumerate_candidates(remote_table, range(1, 7), params, pool=pool)  # own table, a narrower factor set
         assert built == []
-        n = len(remote_table)
         for dropped in [[0], [2, 5], list(range(1, n))]:
             built.clear()
             sub = remote_table.take([i for i in range(n) if i not in dropped])
