@@ -84,11 +84,13 @@ walk with their counts as a bit-sliced index and filters all of them at
 once per cell or rep; a call its pool cannot answer walks directly as
 well. Either way the rules come back as one `CandidateRules`: nodes of a
 prefix tree with their matched bits, the table's positives as one bitset,
-and no rule object or literal tuple per rule. The walk appends literals in
-ascending factor order and derives each node's bits from the table, so
-every rule is valid by construction. The filters, the decision label and
-`max_order` are read from the run's one `model.AnalysisParams`, which
-checked them when it was built; only the pool checks its own cutoff.
+and no rule object or literal tuple per rule. Greedy covers both alike
+(see `cover`); the pool's counts never leave this module. The walk
+appends literals in ascending factor order and derives each node's bits
+from the table, so every rule is valid by construction. The filters, the
+decision label and `max_order` are read from the run's one
+`model.AnalysisParams`, which checked them when it was built; only the
+pool checks its own cutoff.
 
 The tree (`_Tree`, after the FP-tree of Han, Pei and Yin, "Mining frequent
 patterns without candidate generation", SIGMOD 2000) holds per node its
@@ -174,21 +176,18 @@ class CandidateRules(Sequence[CandidateRule]):
     the tree and its positive bits ``matched_bits & positives``, and a slice
     is another `CandidateRules` on the same tree. It equals a list or tuple
     of the same rules. The columns are taken unchecked: the walk builds them
-    valid. Two memos, each written whole in one assignment, which equality,
+    valid. One memo, written whole in one assignment, which equality,
     `repr`, copies, pickles and slices leave out: `_greedy`, the last greedy
-    run over them (see `cover.greedy_cover`), and on a pool's selection
-    `_pooled`, its nodes among the pool's, their positive counts and the
-    nodes matching a case (see `CandidatePool`).
+    run over them (see `cover.greedy_cover`).
     """
 
-    __slots__ = ("_tree", "_nodes", "matched_bits", "positives", "ids", "_greedy", "_pooled")
+    __slots__ = ("_tree", "_nodes", "matched_bits", "positives", "ids", "_greedy")
 
     def __init__(
         self, tree: _Tree, nodes: Sequence[int], matched_bits: list[int], positives: int, ids: tuple[str, ...]
     ) -> None:
         self._tree, self._nodes, self.matched_bits, self.positives, self.ids = tree, nodes, matched_bits, positives, ids
         self._greedy: tuple[int, int, list[int], list[int]] | None = None
-        self._pooled = None
 
     def __reduce__(self):
         return CandidateRules, (self._tree, self._nodes, self.matched_bits, self.positives, self.ids)
@@ -520,12 +519,9 @@ class CandidatePool:
     do: the same sets, counted the same way (`_count`), that later lower
     the counts.
 
-    The same counts serve greedy's gains (see `cover`). A selection carries
-    its passing nodes, its positive-count slices (the gains before any pick)
-    and a function from a case to the nodes that match it, over that index;
-    a subset's dropped cases and greedy's covered ones both lower counts by
-    it. The selection holds no reference to the pool, so a pool dies with
-    its owner's last reference while its selections live on.
+    A selection is a plain `CandidateRules` that greedy covers as it covers
+    a walk's (see `cover`). It holds no reference to the pool, so a pool
+    dies with its owner's last reference while its selections live on.
 
     A selection indexes the pool table's `ids`; on a subset that
     `CaseTable.take` made from that table its matched bits and positives are
@@ -566,9 +562,10 @@ class CandidatePool:
             for v, bits in levels.items():
                 levels[v] = holding ^ bits
             self._index[j] = (table.values.column(j), levels, holding)
-        # The nodes that match the pool table's case at a given index. It
-        # holds the index, not the pool: a selection that held the pool would
-        # make a cycle through `_selected`, which only the garbage collector frees.
+        # The nodes that match the pool table's case at a given index, which
+        # `map` calls once per case of the build and per dropped case of a
+        # subset (about 420 calls per `resample` benchmark op): a partial
+        # over the index makes each call with no attribute lookup on the pool.
         self._case_nodes = partial(_nodes_matching, self._index, self._all)
         # A node's count is how many cases' node sets hold it: its popcount.
         # Each case's set is built once: the positive cases' are counted apart,
@@ -625,7 +622,6 @@ class CandidatePool:
             rules = CandidateRules(tree, selected, list(map(keep.__and__, matched_bits)), nodes.positives & keep, nodes.ids)
         else:
             rules = self._selected[key] = CandidateRules(tree, selected, list(matched_bits), nodes.positives, nodes.ids)
-        rules._pooled = (passing, positive, self._case_nodes)  # greedy covers it in node space (see `cover`)
         return rules
 
 

@@ -24,45 +24,31 @@ it builds rule objects only for its picks. A gain is the popcount of
 Greedy, assembly and the oracle read the decision label and `unique_cover`
 of the run's one `model.AnalysisParams`, which checked them when it was built.
 
-Greedy runs one of two loops, chosen by where the rules came from; both
-take gains first and ties second, and break a tie in one function: higher
-consistency, compared as exact integer cross products of the popcounts
-(``p * m'`` against ``p' * m``, so no `Fraction` is built), then fewer
-literals, then the earlier candidate.
+Greedy takes gains first and ties second, and breaks a tie in one
+function: higher consistency, compared as exact integer cross products of
+the popcounts (``p * m'`` against ``p' * m``, so no `Fraction` is built),
+then fewer literals, then the earlier candidate.
 
-- The scan, for rules made by a walk or given as a list, counts every
-  rule's gain once and keeps each rule in a bucket of its last counted gain
-  (Dial 1969), a list linked through one array slot per rule. Gains only
-  fall as cases get covered, so a last gain bounds the gain now: greedy
-  recounts the rules of the top bucket only, and moves each whose gain fell
-  to its new bucket, or out of the scan if it fell below `unique_cover`.
-  The first bucket from the top where some recounted rule keeps its gain
-  holds the best gain, and the rules that keep it are the whole tie set, compared in
-  candidate order.
-- A `candidates.CandidatePool`'s selection is covered over the pool's
-  nodes, with no rule visited. Every node's gain is held as bit slices (see
-  `candidates`), starting at the positive counts the selection was filtered
-  by, less the positives not asked for. A pick lowers them by the count of
-  the pick's newly covered cases among each node's matched ones, from the
-  pool's case node sets. The best gain and the nodes holding it come from
-  one pass over the slices from the top bit down, over the selection's
-  nodes not yet picked; a node below the floor cannot hold the best unless
-  the best is below it too, when the run stops. A node maps back to its
-  rule by the count of the selection's nodes before it.
-
-The scan stays for rules made by a walk: they have no case node index, and
-building one per solve would cost more than the scan it saves, as on the
-20 000 cases of a tall table. Its buckets are lazy greedy (Minoux 1978)
-without a heap. On the `wide` benchmark's tables nearly every rule keeps a
-gain at or above `unique_cover` after each pick, and the buckets count
+One loop, the scan, covers every rule list: a walk's, a
+`candidates.CandidatePool`'s selection, or a plain list. It counts every
+rule's gain once and keeps each rule in a bucket of its last counted gain
+(Dial 1969), a list linked through one array slot per rule. Gains only
+fall as cases get covered, so a last gain bounds the gain now: greedy
+recounts the rules of the top bucket only, and moves each whose gain fell
+to its new bucket, or out of the scan if it fell below `unique_cover`.
+The first bucket from the top where some recounted rule keeps its gain
+holds the best gain, and the rules that keep it are the whole tie set,
+compared in candidate order. The buckets are lazy greedy (Minoux 1978)
+without a heap. On the `wide` benchmark's tables nearly every rule keeps
+a gain at or above `unique_cover` after each pick, and the buckets count
 about two gains per rule where a pass per pick counted three or four:
-greedy takes about 40 % less time. Its first pass counts each rule's gain
+greedy takes about 40 % less time. The first pass counts each rule's gain
 and links the rule at once, with no list of gains, so it peaks at about 4
 bytes a rule over its input, against 12 with that list and 31 without
 buckets.
 
-A run of either loop is recorded on the `CandidateRules` it covered: its
-starting uncovered bits, its floor, its picks and each pick's gain. Picked gains
+A run is recorded on the `CandidateRules` it covered: its starting
+uncovered bits, its floor, its picks and each pick's gain. Picked gains
 never rise, and a rule whose gain is below a floor `f` can never tie the
 best while the best is at least `f`, so a run at `f` makes exactly the
 picks of a run at any lower floor whose gain is at least `f`, and stops
@@ -81,7 +67,7 @@ from array import array
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .candidates import CandidateRules, _count, _sub
+from .candidates import CandidateRules
 from .model import (
     AnalysisParams,
     CandidateRule,
@@ -93,7 +79,6 @@ from .model import (
     UndefinedRatioError,
     VacuousSolutionError,
     bits_of,
-    ids_of,
     match_bits,
     rule_from_conjunction,
     solution_metrics,
@@ -112,8 +97,7 @@ def greedy_cover(
     record = columns._greedy
     if record is not None and record[0] == uncovered and record[1] <= floor:
         return [candidates[i] for i, gain in zip(record[2], record[3]) if gain >= floor]
-    run = _scan if columns._pooled is None else _cover_nodes
-    picks, picked_gains = run(columns, uncovered, floor)
+    picks, picked_gains = _scan(columns, uncovered, floor)
     columns._greedy = (uncovered, floor, picks, picked_gains)
     return [candidates[i] for i in picks]
 
@@ -173,44 +157,6 @@ def _scan(columns: CandidateRules, uncovered: int, floor: int) -> tuple[list[int
         uncovered &= ~mbits[at]
         for i in tied:
             after[i], first[level] = first[level], i
-    return picks, picked_gains
-
-
-def _cover_nodes(columns: CandidateRules, uncovered: int, floor: int) -> tuple[list[int], list[int]]:
-    """Greedy's picks and their gains on a pool's selection, with every gain
-    held as bit slices over the pool's nodes, so no rule is visited."""
-    passing, gains, case_nodes = columns._pooled
-    cases = range(len(columns.ids))
-    picks: list[int] = []
-    picked_gains: list[int] = []
-    # The positives covered since the gains were last lowered: at first
-    # those not asked for, then each pick's newly covered ones.
-    covered = columns.positives & ~uncovered
-    # The selection's nodes not picked yet. A pick's gain falls to 0, and it
-    # also leaves this set, as a picked rule leaves the scan, so the loop
-    # makes at most one pass per node whatever the counts hold.
-    live = passing
-    while uncovered and live:
-        if covered:
-            gains = _sub(gains, _count(map(case_nodes, ids_of(covered, cases))))[0]
-        # The best gain and the nodes that hold it, bit by bit from the top.
-        tied, best = live, 0
-        for b in reversed(range(len(gains))):
-            held = tied & gains[b]
-            if held:
-                tied, best = held, best | 1 << b
-        if best < floor:
-            break
-        # A node's rule is preceded by one rule per passing node before it.
-        nodes = ids_of(tied, range(tied.bit_length()))
-        ranks = [(passing & ((1 << t) - 1)).bit_count() for t in nodes]
-        k = _tie_break(columns, ranks) if len(ranks) > 1 else 0
-        live ^= 1 << nodes[k]
-        at = ranks[k]
-        picks.append(at)
-        picked_gains.append(best)
-        covered = columns.matched_bits[at] & uncovered
-        uncovered ^= covered
     return picks, picked_gains
 
 

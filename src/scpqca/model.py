@@ -30,8 +30,8 @@ table a subset was taken from.
 A set of cases is one Python int over a tuple of case ids: bit i stands for
 ``ids[i]``, so intersection is ``&``, union is ``|`` and a count is
 ``int.bit_count()`` (Eclat's vertical tid-lists). This module owns case
-bitsets, `candidates` those over pool nodes and their slices, which `cover`
-reads; `_flags` gives a bitset's 0/1 bytes for `compress`. `CaseTable`
+bitsets, `candidates` those over pool nodes and their slices, which it
+alone reads; `_flags` gives a bitset's 0/1 bytes for `compress`. `CaseTable`
 caches one entry per column, each level's bitset, packed at C speed on the
 column's first read by `literal_bits` or `positive_bits`; `match_bits`
 builds the rest, and `ids_of` / `bits_of` convert at the edges. A table

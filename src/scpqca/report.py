@@ -548,7 +548,7 @@ def xval_text(payload: dict) -> str:
     head_items = [f"{i + 1}: {o['expression']}" for i, o in enumerate(payload["per_original"])]
     head = (
         f"External validity, {payload['reps']} repetitions removing "
-        f"{payload['fraction']:.0%} of cases (seed {payload['seed']})\n"
+        f"{payload['fraction'] * 100:g}% of cases (seed {payload['seed']})\n"
         + "Original configurations: " + "; ".join(head_items) + "\n"
     )
     tail = ""

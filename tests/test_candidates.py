@@ -699,7 +699,7 @@ class TestTreeStore:
         rules, want = stored
         for copied in (copy.copy(rules), copy.deepcopy(rules), pickle.loads(pickle.dumps(rules))):
             assert copied == want and list(copied) == want and repr(copied) == repr(rules)
-            assert copied._greedy is None and copied._pooled is None
+            assert copied._greedy is None
 
     def test_len_builds_no_rule(self, stored, monkeypatch):
         rules, want = stored

@@ -915,6 +915,14 @@ class TestSweepAndXval:
         assert payload["reps"] == 3
         assert set(payload["totals"]) == {"replicated", "superset", "subset", "not_identified"}
 
+    @pytest.mark.parametrize("fraction, shown", [("0.004", "0.4%"), ("0.125", "12.5%")])
+    def test_xval_header_shows_a_fraction_below_a_whole_percent(self, fraction, shown):
+        # Each repetition removes 1 of the 8 cases; a header rounded to a
+        # whole percent read "0%" and "12%".
+        code, out, _ = run_cli("xval", *REMOTE, "--fraction", fraction, "--reps", "2")
+        assert code == 0
+        assert out.startswith(f"External validity, 2 repetitions removing {shown} of cases (seed ")
+
 
 class TestDeterminism:
     SUBCOMMANDS = {

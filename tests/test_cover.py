@@ -290,16 +290,15 @@ def pool_selections(draw):
 
 
 class TestGreedyOnPoolSelections:
-    """Greedy covers a pool's selection over the pool's nodes; it must pick
-    what the scan and the full-key reference pick, and record the same run."""
+    """Greedy covers a pool's selection with the scan it runs on a walk's
+    rules; it must pick what a copy of the same columns and the full-key
+    reference pick, and record the same run."""
 
     @settings(max_examples=400, deadline=None)
     @given(pool_selections(), st.permutations([1, 2, 3]))
     def test_same_picks_and_record_as_the_scan_and_the_reference(self, drawn, floors):
         selection, positives = drawn
-        assert selection._pooled is not None
-        scanned = selection[:]  # the same columns, with no pool nodes: the scan covers them
-        assert scanned._pooled is None
+        scanned = selection[:]  # the same columns, with a record of their own
         for floor in floors:
             params = AnalysisParams(1, unique_cover=floor)
             got = greedy_cover(selection, positives, params)
@@ -307,22 +306,6 @@ class TestGreedyOnPoolSelections:
             assert selection._greedy == scanned._greedy
             assert got == greedy_cover(list(selection), positives, params)
             assert got == full_key_greedy(selection, positives, params)
-
-    def test_no_scan_pass_on_a_pool_selection(self, remote_table, monkeypatch):
-        # A wrapper round the scan counts its runs.
-        calls = []
-        real = cover._scan
-        monkeypatch.setattr(cover, "_scan", lambda *args: (calls.append(args), real(*args))[1])
-        pool = CandidatePool(2)
-        params = AnalysisParams(1, "0.7", cutoff=2)
-        full = enumerate_candidates(remote_table, range(7), params, pool=pool)
-        sub = remote_table.take(range(1, len(remote_table)))
-        for table, selection in [(remote_table, full), (sub, enumerate_candidates(sub, range(7), params, pool=pool))]:
-            calls.clear()
-            picks = greedy_cover(selection, table.positive_ids(1), params)
-            assert picks and calls == []
-            assert greedy_cover(list(selection), table.positive_ids(1), params) == picks
-            assert calls
 
     @pytest.mark.parametrize("subset", [False, True], ids=["own-table", "take"])
     def test_a_selection_covered_keeps_no_pool_alive(self, remote_table, subset):
@@ -336,7 +319,7 @@ class TestGreedyOnPoolSelections:
             enumerate_candidates(remote_table, range(7), params, pool=pool)
             selection = enumerate_candidates(table, range(7), params, pool=pool)
             picks = greedy_cover(selection, table.positive_ids(1), params)
-            assert picks and selection._pooled is not None
+            assert picks
             dead = weakref.ref(pool)
             del pool
             assert dead() is None
