@@ -7,24 +7,24 @@ consistency (compared with >=, so a rule at exactly the threshold is kept).
 No minimality pruning happens here; a rule and its specializations may
 coexist, the covering stage decides what survives.
 
-Enumeration walks the conjunction lattice from short conjunctions to long,
-extending only prefixes that still meet the cutoff. Matching is
-anti-monotone (adding a literal never enlarges the matched set), so a prefix
-below the cutoff can never recover and the whole subtree is skipped. Nodes
-come out in the final deterministic order, literal count ascending then
-lexicographic on (factor index, value). A literal that matches fewer cases
-than the cutoff (a level no case holds matches none) is dropped before the
-walk, since every node under it fails; each factor position then has one
-flat list of the literals that may follow it.
+Enumeration walks the conjunction lattice from short conjunctions to long.
+Matching is anti-monotone (adding a literal never enlarges the matched
+set), so a prefix below the cutoff is not extended, nor one with fewer
+positives than every rule holds, ``ceil(consistency * cutoff)``, as no node
+below it holds more (an optimistic estimate: Grosskreutz, Rüping and
+Wrobel, ECML PKDD 2008). Nodes come out in the final deterministic order,
+literal count ascending then lexicographic on (factor index, value). A
+literal that matches fewer cases than the cutoff (a level no case holds
+matches none) is dropped before the walk; each factor position then has
+one flat list of the literals that may follow it.
 
 Levels 1 to `max_order - 2` are walked level by level, each level's
-frontier holding its nodes that meet the cutoff and have a literal to
-extend by, and each parent popped from it as it is walked. The last two
-levels are walked one parent of level `max_order - 2` at a time: its
-children are emitted, those with a literal to extend by are its batch,
-and the batch's last level is counted at once and dropped. So the walk
-holds what is left of one frontier, the part of the next built so far,
-and one parent's batch. It never holds the frontier of level
+frontier holding its nodes that can be extended, and each parent popped
+from it as it is walked. The last two levels are walked one parent of
+level `max_order - 2` at a time: its children are emitted, those that can
+be extended are its batch, and the batch's last level is counted at once
+and dropped. So the walk holds what is left of one frontier, the part of
+the next built so far, and one parent's batch. It never holds the frontier of level
 `max_order - 1`, the largest on a wide table: with 20 binary factors, 200
 cases and `max_order` 4, 7 752 nodes against at most 34 in a batch.
 
@@ -38,13 +38,13 @@ larger one. Measured in process (CPython 3.11.7, 2-vCPU Xeon VM), on synth
 tables at cutoff 2, the walk's tracemalloc peak is 1.03 times what its
 rules retain on the shape above at consistency 0.8 (0.82 against 0.80
 MiB), 1.02 times with no consistency filter, 1.015 times on 22 binary
-factors at `max_order` 5 and consistency 0.8, and 1.58 times with no
-`max_order` on 18 factors and 30 cases; with each frontier held whole
-these read 1.08, 1.02, 1.07 and 2.44, and the level-wise walk 1.83 on the
-first. Popping the parents made the deep walks of a jackknife pool (7
-factors at full order) 4 to 5 % slower (a None per slot, 9 %). A walk
-that takes every level one node at a time, on an explicit stack, held
-less still, but made those walks about 40 % slower.
+factors at `max_order` 5 and consistency 0.8, and 1.12 times with no
+`max_order` on 18 factors and 30 cases (1.58 with no positive floor); with
+each frontier held whole the first three read 1.08, 1.02 and 1.07, and the
+level-wise walk 1.83 on the first. Popping the parents made the deep walks
+of a jackknife pool (7 factors at full order) 4 to 5 % slower (a None per
+slot, 9 %). A walk that takes every level one node at a time, on an
+explicit stack, held less still, but made those walks about 40 % slower.
 
 The last level (`max_order` literals) is counted, never extended: a node
 is added to the tree only when it passes both filters. On a wide table
@@ -68,9 +68,10 @@ comprehension. A pool's selection is the opposite case: it asks the same
 two questions of every node, so it runs no loop over nodes at all, but a
 few dozen big-int operations on bit-sliced counts (see `CandidatePool`),
 which are themselves counted from each case's set of matching nodes.
-On the `resample` table, 50 jackknife selections over its 1 409 pool
-nodes took 10.1 ms with a per-node loop against 6.3 ms this way, the
-one-time build of the node index included (medians of 30 runs).
+On the `resample` table, 50 jackknife selections over 1 409 pool nodes
+(942 with the positive floor) took 10.1 ms with a per-node loop against
+6.3 ms this way, the one-time build of the node index included (medians
+of 30 runs).
 
 Case sets are the table's bitsets over its ids (see `model`): a child's
 matched set is its prefix's bits ANDed with one literal's, counts are
@@ -95,12 +96,12 @@ pool checks its own cutoff.
 The tree (`_Tree`, after the FP-tree of Han, Pei and Yin, "Mining frequent
 patterns without candidate generation", SIGMOD 2000) holds per node its
 parent's index and its last literal, in arrays; the walk adds a node when
-it is a rule or has a literal to extend by, so a parent that fails the
-consistency filter stays as an inner node. A rule's literal tuple is built
-only when it is read: by greedy's picks, the tie-break's literal count,
+it is a rule or can be extended, so a parent that fails the consistency
+filter may stay as an inner node. A rule's literal tuple is built only
+when it is read: by greedy's picks, the tie-break's literal count,
 report rows, iteration. On 22 binary factors, 200 cases, `max_order` 5 and
 consistency 0.8, a rule retains about 72 bytes (its matched bits about 52,
-its list slot 8, its node about 9, with 88 087 inner nodes beside its
+its list slot 8, its node about 9, with 85 544 inner nodes beside its
 246 665 rules), where a rule with a literal tuple retained about 147.
 """
 
@@ -263,21 +264,26 @@ def _check_factor_set(schema: FactorSchema, factor_set: Sequence[int]) -> tuple[
     return factors
 
 
+def _floor(threshold: Fraction, cutoff: int) -> int:
+    """``ceil(threshold * cutoff)``: a rule's fewest positives."""
+    return -(-threshold.numerator * cutoff // threshold.denominator)
+
+
 def _walk(
-    table: CaseTable, factors: tuple[int, ...], params: AnalysisParams, cutoff: int, threshold: Fraction
+    table: CaseTable, factors: tuple[int, ...], params: AnalysisParams, cutoff: int, threshold: Fraction, floor=None
 ) -> CandidateRules:
     """Every node up to `params.max_order` literals that meets `cutoff` and
     whose consistency for `params.decision_label` is at least `threshold`,
-    in emit order, as a `CandidateRules` over `table.ids`.
-
-    Levels below `max_order - 1` go level by level, each frontier emptied
-    as the next one grows; the last two go one parent of level
-    `max_order - 2` at a time, keeping only that parent's batch (see the
-    module docstring)."""
+    in emit order, as a `CandidateRules` over `table.ids`, walked as the
+    module docstring says. A node with fewer than `floor` positives (by
+    default `_floor(threshold, cutoff)`, which every rule reaches) is neither
+    kept nor extended, since no node below it holds more positives."""
     nf = len(factors)
     max_order = min(params.max_order if params.max_order is not None else nf, nf)
     positives = table.positive_bits(params.decision_label)
     num, den = threshold.numerator, threshold.denominator
+    if floor is None:
+        floor = _floor(threshold, cutoff)
     # A literal below the cutoff heads only subtrees below it (levels no case
     # holds have no bits at all), so it is dropped before the walk; each kept
     # one is coded by its position in the tree's literals.
@@ -309,7 +315,7 @@ def _walk(
     # already a valid conjunction.
     frontier = [(0, (1 << len(table)) - 1, 0)]
     for _ in range(2, max_order):
-        frontier = _extend(frontier, tails, positives, cutoff, num, den, tree, out_nodes, out_matched)
+        frontier = _extend(frontier, tails, positives, cutoff, floor, num, den, tree, out_nodes, out_matched)
     if max_order < 2:  # the root's children are the last level
         _count_last(frontier, groups, positives, cutoff, num, den, tree, out_nodes, out_matched)
         return CandidateRules(tree, out_nodes, out_matched, positives, table.ids)
@@ -322,7 +328,7 @@ def _walk(
     next_nodes, next_matched = array("I"), []
     frontier.reverse()
     while frontier:
-        batch = _extend([frontier.pop()], tails, positives, cutoff, num, den, tree, next_nodes, next_matched)
+        batch = _extend([frontier.pop()], tails, positives, cutoff, floor, num, den, tree, next_nodes, next_matched)
         if batch:
             _count_last(batch, groups, positives, cutoff, num, den, tree, out_nodes, out_matched)
     out_nodes[shallow:shallow] = next_nodes
@@ -330,11 +336,12 @@ def _walk(
     return CandidateRules(tree, out_nodes, out_matched, positives, table.ids)
 
 
-def _extend(parents, tails, positives, cutoff, num, den, tree, out_nodes, out_matched) -> list:
-    """Add to `tree` the children of `parents` that pass both filters or can
-    be extended, append those that pass to the output columns, in emit
-    order, and return those with a literal to extend by. `parents` is
-    emptied, each parent popped as its children are counted."""
+def _extend(parents, tails, positives, cutoff, floor, num, den, tree, out_nodes, out_matched) -> list:
+    """Add to `tree` the children of `parents` with at least `floor`
+    positives that pass both filters or can be extended, append those that
+    pass to the output columns, in emit order, and return those with a
+    literal to extend by. `parents` is emptied, each parent popped as its
+    children are counted."""
     extendable = []
     add_parent, add_code = tree.parents.append, tree.codes.append
     add_node, add_matched = out_nodes.append, out_matched.append
@@ -347,7 +354,10 @@ def _extend(parents, tails, positives, cutoff, num, den, tree, out_nodes, out_ma
             count = child.bit_count()
             if count < cutoff:
                 continue
-            if (child & positives).bit_count() * den >= num * count:
+            pos = (child & positives).bit_count()
+            if pos < floor:
+                continue
+            if pos * den >= num * count:
                 add_node(node)
                 add_matched(child)
             elif not tails[after]:
@@ -489,15 +499,19 @@ class CandidatePool:
     Only the owner of a run that solves one table many times (a sweep over
     its cells, a jackknife over its reps) creates a pool: at the loosest
     cutoff it will ask for, passed to every `enumerate_candidates` call. The
-    first call walks its table and factor set at that cutoff, with no
+    first call walks its table and factor set at that cutoff c, with no
     consistency filter unless the owner gives one (see below), and keeps
-    every node in emit order as one `CandidateRules`. A later call selects
-    from its columns into new ones. Both filters are anti-monotone and a
-    subset of cases can only lower a node's counts, so every rule of the
-    later call is a pool node, and filtering keeps the order. A selection on
-    the pool's own table is kept per (cutoff, consistency, factor set): a
-    repeat returns the same `CandidateRules`, so the sweep cells that share
-    them share greedy's recorded run too (see `cover`).
+    every node with at least ``ceil(t * c)`` positives in emit order as one
+    `CandidateRules`, t that consistency or else the first call's. A later
+    call selects from its columns into new ones. Both filters are
+    anti-monotone and a subset of cases can only lower a node's counts, so
+    every rule of a later call whose own ``ceil(consistency * cutoff)`` is
+    at least that floor is a pool node (it holds that many positives on
+    the subset, so on the pool's table), and filtering keeps the order; any
+    other call walks. A selection on the pool's own table is kept per
+    (cutoff, consistency, factor set): a repeat returns the same
+    `CandidateRules`, so the sweep cells that share them share greedy's
+    recorded run too (see `cover`).
 
     A selection filters every node at once through a bit-sliced index
     (O'Neil and Quass, "Improved query performance with variant indexes",
@@ -545,7 +559,9 @@ class CandidatePool:
     def _build(self, table: CaseTable, factors: tuple[int, ...], params: AnalysisParams) -> None:
         self._table, self._factors = table, factors
         self._label, self._max_order = params.decision_label, params.max_order
-        nodes = self._nodes = _walk(table, factors, params, self.cutoff, self.consistency or Fraction(0))
+        first = params.consistency_threshold if self.consistency is None else self.consistency
+        self._floor = _floor(first, self.cutoff)
+        nodes = self._nodes = _walk(table, factors, params, self.cutoff, self.consistency or Fraction(0), self._floor)
         self._all = (1 << len(nodes)) - 1
         # The nodes' places in the tree, as a list: a selection takes its own
         # from it by `compress`, in 19 us against 51 us into an array over
@@ -579,8 +595,8 @@ class CandidatePool:
     def _select(self, table: CaseTable, factors: tuple[int, ...], params: AnalysisParams) -> CandidateRules | None:
         """The rules passing `params` on `table` and `factors`, in emit order,
         or None when the pool cannot answer: another label or `max_order`, a
-        factor outside the pool's, a cutoff or consistency below the pool's,
-        or a table that is not a subset of its own."""
+        factor outside the pool's, a cutoff, consistency or positive floor
+        below the pool's, or a table that is not a subset of its own."""
         if self._table is None:
             self._build(table, factors, params)
         # On the pool's own table the nodes' bits pass as they are, shared, not
@@ -590,6 +606,7 @@ class CandidatePool:
             params.decision_label != self._label
             or params.max_order != self._max_order
             or params.cutoff < self.cutoff
+            or _floor(params.consistency_threshold, params.cutoff) < self._floor
             or (self.consistency is not None and params.consistency_threshold < self.consistency)
             or not set(factors) <= set(self._factors)
             or (keep is None and table is not self._table)

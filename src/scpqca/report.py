@@ -34,6 +34,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from decimal import Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -546,9 +547,12 @@ def xval_text(payload: dict) -> str:
     labels = ("Replicated", "Superset", "Subset", "not Identified", "Accuracy")
     rows = [["", *[str(i + 1) for i in range(k)], "Number"], *_xval_rows(payload, labels, "-", "-")]
     head_items = [f"{i + 1}: {o['expression']}" for i, o in enumerate(payload["per_original"])]
+    # `:g`'s six significant digits, never in exponent form (1e-05 reads 0.00001).
+    percent = format(Decimal(f"{payload['fraction'] * 100:g}"), "f")
+    reps = payload["reps"]
     head = (
-        f"External validity, {payload['reps']} repetitions removing "
-        f"{payload['fraction'] * 100:g}% of cases (seed {payload['seed']})\n"
+        f"External validity, {reps} repetition{'' if reps == 1 else 's'} removing "
+        f"{percent}% of cases (seed {payload['seed']})\n"
         + "Original configurations: " + "; ".join(head_items) + "\n"
     )
     tail = ""

@@ -195,16 +195,21 @@ class TestPoolAgainstWalk:
         first = AnalysisParams(label, grid[0][0], cutoff=grid[0][1], max_order=max_order)
         enumerate_candidates(table, everything, first, pool=pool)
 
+        # The pool keeps the nodes with at least ceil(t * c) positives, t the
+        # first call's consistency and c its own cutoff; a call below that
+        # floor walks its own table.
+        floor = math.ceil(grid[0][0] * base_cutoff)
         tables = [table] + [table.take([i for i, kept in enumerate(mask) if kept]) for mask in subsets]
         for consistency, cutoff in grid:
             params = AnalysisParams(label, consistency, cutoff=cutoff, max_order=max_order)
+            answered = math.ceil(consistency * cutoff) >= floor
             for sub in tables:
                 for factors in [everything, *factor_sets]:
                     pooled = enumerate_candidates(sub, factors, params, pool=pool)
                     plain = enumerate_candidates(sub, factors, params)
                     assert case_sets(pooled) == case_sets(plain)
                     assert [r.conjunction for r in plain] == brute_force_candidates(sub, factors, params)
-                    assert all(r.ids is table.ids for r in pooled)
+                    assert all(r.ids is (table.ids if answered else sub.ids) for r in pooled)
                     if sub is table:
                         assert pooled == plain
 
@@ -347,6 +352,32 @@ class TestPoolAgainstWalk:
             assert case_sets(got) == case_sets(enumerate_candidates(table, factors, call))
             assert all(r.ids is table.ids for r in got)
 
+    def test_a_call_below_the_floor_walks(self, monkeypatch):
+        # The first call sets the pool's positive floor, ceil(0.8 * 2) = 2. A
+        # later call at ceil(0.4 * 2) = 1 keeps rules with one positive,
+        # which the pool does not hold: it walks the subset, and gets the
+        # walk's rules over the subset's ids. A call at the floor is answered.
+        schema = synth_schema(5)
+        table = generate_experiment_table(ExperimentSpec(schema, parse_pathway("ab+CD", schema), 40, 0, 1))
+        walks, walk = [], candidates._walk
+
+        def counted(*args):
+            walks.append(args[0])  # the walked table
+            return walk(*args)
+
+        pool = CandidatePool(2)
+        enumerate_candidates(table, range(5), AnalysisParams(1, "0.8", cutoff=2), pool=pool)
+        sub = table.take([i for i in range(len(table)) if i % 8])
+        monkeypatch.setattr(candidates, "_walk", counted)
+        below = AnalysisParams(1, "0.4", cutoff=2)
+        got = enumerate_candidates(sub, range(5), below, pool=pool)
+        assert walks == [sub]
+        assert got == enumerate_candidates(sub, range(5), below) and all(r.ids is sub.ids for r in got)
+        assert any(r.positive_bits.bit_count() < 2 for r in got)
+        walks.clear()
+        at = enumerate_candidates(sub, range(5), AnalysisParams(1, "0.5", cutoff=4), pool=pool)
+        assert walks == [] and at and all(r.ids is table.ids for r in at)
+
     def test_only_a_take_of_the_pool_table_is_answered(self, remote_table):
         pool = CandidatePool(3)
         params = AnalysisParams(1, "0.8", cutoff=3, max_order=3)
@@ -379,7 +410,8 @@ class TestPoolAgainstWalk:
 
 class TestPoolMemory:
     # 20 binary factors, 200 cases, max_order 4, no consistency floor: the
-    # pool keeps all 87 440 nodes that meet the cutoff. Its node index reads
+    # pool keeps the 86 570 of the 87 440 nodes meeting the cutoff whose
+    # positives reach the first call's floor, ceil(0.8 * 2). Its node index reads
     # the nodes' literals up their tree a chunk at a time (`_literal_nodes`),
     # so the first selection, which walks and builds the index, peaks near
     # what the pool and the selection retain: 1.01 times (9.94 against 9.85
@@ -405,7 +437,7 @@ class TestPoolMemory:
             if not tracing:
                 tracemalloc.stop()
         retained, peak = after - before, peak - before
-        assert len(pool._nodes) == 87_440 and rules
+        assert len(pool._nodes) == 86_570 and rules
         assert peak < 1.10 * retained, f"peak {peak / retained:.3f} times the retained {retained} bytes"
 
 

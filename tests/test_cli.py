@@ -313,6 +313,11 @@ class TestErrors:
         assert err.startswith("error:") and "'A'" in err
         assert "internal error" not in err
 
+    def test_synth_levels_list_of_the_wrong_length(self):
+        code, out, err = run_cli("synth", "--factors", "3", "--levels", "2,3", "--pathway", "ab")
+        assert (code, out) == (1, "")
+        assert err == "error: --levels lists 2 counts for 3 factors\n"
+
     def test_utf8_bom_is_ignored(self, tmp_path):
         text = "id,A,B,O\n1,1,1,1\n2,1,0,1\n3,0,1,0\n40,1,1,1\n"
         plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
@@ -922,6 +927,21 @@ class TestSweepAndXval:
         code, out, _ = run_cli("xval", *REMOTE, "--fraction", fraction, "--reps", "2")
         assert code == 0
         assert out.startswith(f"External validity, 2 repetitions removing {shown} of cases (seed ")
+
+    @pytest.mark.parametrize(
+        "fraction, shown",
+        [("0.1", "10%"), ("0.0000001", "0.00001%"), ("0.000000123456789", "0.0000123457%")],
+    )
+    def test_xval_header_shows_no_exponent(self, fraction, shown):
+        # Below 1e-4 %, `:g` alone would print "1e-05%" and "1.23457e-05%".
+        code, out, _ = run_cli("xval", *REMOTE, "--fraction", fraction, "--reps", "2")
+        assert code == 0
+        assert out.startswith(f"External validity, 2 repetitions removing {shown} of cases (seed ")
+
+    def test_xval_header_names_one_repetition(self):
+        code, out, _ = run_cli("xval", *REMOTE, "--reps", "1")
+        assert code == 0
+        assert out.startswith("External validity, 1 repetition removing 10% of cases (seed ")
 
 
 class TestDeterminism:
