@@ -64,14 +64,8 @@ The walk is a plain loop on purpose. On CPython 3.11.7 (2-vCPU Xeon VM),
 a walk written as a per-node `map`/`compress` pipeline took 0.16 s on that
 table against 0.034 s for this loop, and even greedy's gains over its
 10 500 rules took 1.9 ms with `map` against 1.4 ms with a list
-comprehension. A pool's selection is the opposite case: it asks the same
-two questions of every node, so it runs no loop over nodes at all, but a
-few dozen big-int operations on bit-sliced counts (see `CandidatePool`),
-which are themselves counted from each case's set of matching nodes.
-On the `resample` table, 50 jackknife selections over 1 409 pool nodes
-(942 with the positive floor) took 10.1 ms with a per-node loop against
-6.3 ms this way, the one-time build of the node index included (medians
-of 30 runs).
+comprehension. A pool's selection is a plain loop too, over the pool's
+nodes (see `CandidatePool`).
 
 Case sets are the table's bitsets over its ids (see `model`): a child's
 matched set is its prefix's bits ANDed with one literal's, counts are
@@ -81,17 +75,16 @@ popcounts, and the consistency filter compares exact integer cross products
 A call with no pool walks the lattice over its own table at its own
 cutoff and consistency, and every node of that walk is a rule. Only a
 sweep or jackknife shares a `CandidatePool`, which keeps the nodes of one
-walk with their counts as a bit-sliced index and filters all of them at
-once per cell or rep; a call its pool cannot answer walks directly as
-well. Either way the rules come back as one `CandidateRules`: nodes of a
-prefix tree with their matched bits, the table's positives as one bitset,
-and no rule object or literal tuple per rule. Greedy covers both alike
-(see `cover`); the pool's counts never leave this module. The walk
-appends literals in ascending factor order and derives each node's bits
-from the table, so every rule is valid by construction. The filters, the
-decision label and `max_order` are read from the run's one
-`model.AnalysisParams`, which checked them when it was built; only the
-pool checks its own cutoff.
+walk and filters them per cell or rep; a call its pool cannot answer
+walks directly as well. Either way the rules come back as one
+`CandidateRules`: nodes of a prefix tree with their matched bits, the
+table's positives as one bitset, and no rule object or literal tuple per
+rule. Greedy covers both alike (see `cover`). The walk appends literals
+in ascending factor order and derives each node's bits from the table, so
+every rule is valid by construction. The filters, the decision label and
+`max_order` are read from the run's one `model.AnalysisParams`, which
+checked them when it was built; only the pool checks its own cutoff and
+consistency.
 
 The tree (`_Tree`, after the FP-tree of Han, Pei and Yin, "Mining frequent
 patterns without candidate generation", SIGMOD 2000) holds per node its
@@ -109,8 +102,7 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import compress, zip_longest
+from functools import reduce
 from operator import eq, or_
 from typing import Iterable, Iterator, Sequence
 
@@ -122,13 +114,11 @@ from .model import (
     FactorSchema,
     InputError,
     Literal,
-    _bits_where,
     _check_factor_index,
-    _flags,
+    _check_threshold,
     _set,
     as_fraction,
     as_index,
-    ids_of,
 )
 
 
@@ -401,98 +391,6 @@ def _count_last(parents, groups, positives, cutoff, num, den, tree, out_nodes, o
     out_nodes.extend(range(first_node, len(tree.parents)))
 
 
-# Bit-sliced counts: a count per pool node is held as a list of slices, least
-# significant first, slice b the bitset of the nodes whose count has bit b
-# set (bit t stands for node t). A slice list ends in a non-empty slice.
-_CHUNK = 4096  # nodes read at once by `_literal_nodes`
-
-
-def _count(bitsets: Iterable[int]) -> list[int]:
-    """The slices of how many of `bitsets` hold each position."""
-    slices: list[int] = []
-    for carry in bitsets:
-        for i, bits in enumerate(slices):
-            slices[i], carry = bits ^ carry, bits & carry
-            if not carry:
-                break
-        else:
-            if carry:
-                slices.append(carry)
-    return slices
-
-
-def _add(a: list[int], b: list[int]) -> list[int]:
-    """The slices of a + b, position by position."""
-    out, carry = [], 0
-    for x, y in zip_longest(a, b, fillvalue=0):
-        half = x ^ y
-        out.append(half ^ carry)
-        carry = (x & y) | (half & carry)
-    return out + [carry] if carry else out
-
-
-def _sub(a: list[int], b: list[int]) -> tuple[list[int], int]:
-    """The slices of a - b, and the borrow out of the top slice: the
-    positions where a < b, whose slices hold a - b + 2 ** max(len(a), len(b))."""
-    out, borrow = [], 0
-    for x, y in zip_longest(a, b, fillvalue=0):
-        half = x ^ y
-        out.append(half ^ borrow)
-        borrow = (~x & y) | (~half & borrow)
-    return out, borrow
-
-
-def _scale(a: list[int], k: int) -> list[int]:
-    """The slices of k * a for an int k >= 0, by shift and add: a shift by s
-    prepends s empty slices, which the sum below them leaves as they are."""
-    out: list[int] = []
-    for s in range(k.bit_length()):
-        if k >> s & 1:
-            out = out[:s] + [0] * (s - len(out)) + _add(out[s:], a)
-    return out
-
-
-def _literal_nodes(rules: CandidateRules) -> dict[int, dict[int, int]]:
-    """Factor -> level -> the bitset of the rules holding that literal, for
-    every literal some rule holds.
-
-    `rules` must come in ascending length, as the walk emits them. They are
-    read a chunk at a time, up their tree one level per step: a step's
-    column holds each rule's literal code at that depth from its end, at C
-    speed, in bytes or an "I" array as the tree's codes are, and a
-    literal's rules at that step are those equal to its code there, packed
-    by `model._bits_where` as a table's column is. The rules that have
-    reached the root are a prefix of the chunk, since lengths ascend, and
-    are cut off. The build holds one chunk's columns at a time, not a
-    buffer per literal.
-    """
-    tree = rules._tree
-    parents, codes, literals = tree.parents, tree.codes, tree.literals
-    out: dict[int, dict[int, int]] = {}
-    for start in range(0, len(rules), _CHUNK):
-        at = rules._nodes[start : start + _CHUNK]
-        while at:
-            column = map(codes.__getitem__, at)
-            column = bytes(column) if len(literals) <= 256 else array("I", column)
-            for code in set(column):
-                lit = literals[code]
-                held = out.setdefault(lit.factor_index, {})
-                held[lit.value] = held.get(lit.value, 0) | _bits_where(column, code) << start
-            at = array("I", map(parents.__getitem__, at))
-            done = at.count(0)
-            at, start = at[done:], start + done
-    return out
-
-
-def _nodes_matching(index: dict[int, tuple], every: int, case: int) -> int:
-    """The nodes of `every` that match the case at position `case` of the
-    table whose node index (built by `CandidatePool._build`) is `index`."""
-    contradicting = 0
-    for column, others, holding in index.values():
-        contradicting |= others.get(column[case], holding)
-    return every ^ contradicting
-
-
 class CandidatePool:
     """Every lattice node that meets one cutoff, walked once and filtered per call.
 
@@ -513,29 +411,19 @@ class CandidatePool:
     `CandidateRules`, so the sweep cells that share them share greedy's
     recorded run too (see `cover`).
 
-    A selection filters every node at once through a bit-sliced index
-    (O'Neil and Quass, "Improved query performance with variant indexes",
-    SIGMOD 1997). Each node's matched and positive counts are held as
-    slices: slice b is the bitset over node positions of the counts with
-    bit b set. A subset lowers each count by the node's dropped cases,
-    along a borrow chain (Rinfret, O'Neil and O'Neil, "Bit-sliced index
-    arithmetic", SIGMOD 2001). Each filter is then the borrow out of one
-    subtraction: matched minus `cutoff`, and ``den * positive`` minus
-    ``num * matched``, the products exact by shift and add. The passing
-    nodes are taken by `compress`, so no Python code runs per node. The
-    nodes that match one case are those holding no literal at another
-    level of its factors. So the build makes, with the nodes, per walked
-    factor and level the bitset of the nodes holding a literal on that
-    factor at another level, and per factor the bitset of the nodes holding
-    any literal on it, which a narrower factor set drops. From that index
-    it takes each case's node set, and a node's matched count is how many
-    cases' sets hold it, its positive count how many positive cases' sets
-    do: the same sets, counted the same way (`_count`), that later lower
-    the counts.
-
-    A selection is a plain `CandidateRules` that greedy covers as it covers
-    a walk's (see `cover`). It holds no reference to the pool, so a pool
-    dies with its owner's last reference while its selections live on.
+    A selection is one loop over the pool's nodes: each node's matched bits,
+    masked to the subset's cases, are counted and put to the walk's own
+    two tests, and a narrower factor set reads a passing node's literals up
+    the tree. A bit-sliced index of the nodes' counts, which filters every
+    node with a few dozen big-int operations, pays off only for many
+    selections from a large pool: on 20 binary factors, 200 cases and
+    `max_order` 4 (86 570 nodes) a selection on 180 cases takes about 14 ms
+    this way against about 4 ms, but building the index took about 100 ms
+    against about 20 ms for the walk alone, and held about 4 MiB beside the
+    pool's 6 (CPython 3.11.7, 2-vCPU Xeon VM). A selection is a plain
+    `CandidateRules` that greedy covers as it covers a walk's (see
+    `cover`). It holds no reference to the pool, so a pool dies with its
+    owner's last reference while its selections live on.
 
     A selection indexes the pool table's `ids`; on a subset that
     `CaseTable.take` made from that table its matched bits and positives are
@@ -545,15 +433,16 @@ class CandidatePool:
     table, like any call the pool cannot answer.
 
     An owner that solves only the pool's own table (a sweep) may also give
-    the loosest `consistency` it will ask for; the pool then keeps only the
-    nodes that meet it, which on a wide table is a small share of those that
-    meet the cutoff. Such a pool answers no subset, because dropping cases
-    can raise a node's consistency.
+    the loosest `consistency` it will ask for, checked as
+    `model.AnalysisParams` checks one; the pool then keeps only the nodes
+    that meet it, which on a wide table is a small share of those that meet
+    the cutoff. Such a pool answers no subset, because dropping cases can
+    raise a node's consistency.
     """
 
     def __init__(self, cutoff: int, consistency: Fraction | float | str | None = None) -> None:
         self.cutoff = as_index(cutoff, "cutoff", 1)
-        self.consistency = None if consistency is None else as_fraction(consistency)
+        self.consistency = None if consistency is None else _check_threshold(as_fraction(consistency), "consistency")
         self._table: CaseTable | None = None
 
     def _build(self, table: CaseTable, factors: tuple[int, ...], params: AnalysisParams) -> None:
@@ -561,35 +450,7 @@ class CandidatePool:
         self._label, self._max_order = params.decision_label, params.max_order
         first = params.consistency_threshold if self.consistency is None else self.consistency
         self._floor = _floor(first, self.cutoff)
-        nodes = self._nodes = _walk(table, factors, params, self.cutoff, self.consistency or Fraction(0), self._floor)
-        self._all = (1 << len(nodes)) - 1
-        # The nodes' places in the tree, as a list: a selection takes its own
-        # from it by `compress`, in 19 us against 51 us into an array over
-        # the `resample` table's 1 409 nodes, at about 36 bytes a node.
-        self._node_ids = list(nodes._nodes)
-        # The node index, per walked factor j: the table's column j, the nodes
-        # holding a literal on j at a level other than v (by level v, for the
-        # levels some node holds), and the nodes holding any literal on j.
-        by_factor = _literal_nodes(nodes)
-        self._index: dict[int, tuple] = {}
-        for j in factors:
-            levels = by_factor.get(j, {})
-            holding = reduce(or_, levels.values(), 0)
-            for v, bits in levels.items():
-                levels[v] = holding ^ bits
-            self._index[j] = (table.values.column(j), levels, holding)
-        # The nodes that match the pool table's case at a given index, which
-        # `map` calls once per case of the build and per dropped case of a
-        # subset (about 420 calls per `resample` benchmark op): a partial
-        # over the index makes each call with no attribute lookup on the pool.
-        self._case_nodes = partial(_nodes_matching, self._index, self._all)
-        # A node's count is how many cases' node sets hold it: its popcount.
-        # Each case's set is built once: the positive cases' are counted apart,
-        # then added to the rest's.
-        cases = range(len(table))
-        self._positive = _count(map(self._case_nodes, ids_of(nodes.positives, cases)))
-        negative = _count(map(self._case_nodes, ids_of(((1 << len(table)) - 1) ^ nodes.positives, cases)))
-        self._matched = _add(self._positive, negative)
+        self._nodes = _walk(table, factors, params, self.cutoff, self.consistency or Fraction(0), self._floor)
         self._selected: dict[tuple, CandidateRules] = {}  # the own table's selections, by key
 
     def _select(self, table: CaseTable, factors: tuple[int, ...], params: AnalysisParams) -> CandidateRules | None:
@@ -615,30 +476,22 @@ class CandidatePool:
         key = (params.cutoff, params.consistency_threshold, factors)
         if keep is None and key in self._selected:
             return self._selected[key]
-        nodes, every = self._nodes, self._all
-        matched, positive = self._matched, self._positive
-        dropped = 0 if keep is None else ((1 << len(self._table)) - 1) ^ keep
-        if dropped:
-            # A dropped case lowers the counts of the nodes it matches.
-            cases = range(len(self._table))
-            lost = _count(map(self._case_nodes, ids_of(dropped & nodes.positives, cases)))
-            lost_negative = _count(map(self._case_nodes, ids_of(dropped & ~nodes.positives, cases)))
-            matched = _sub(matched, _add(lost, lost_negative))[0]
-            positive = _sub(positive, lost)[0]
-        threshold = params.consistency_threshold
-        # A node fails when matched < cutoff or den * positive < num * matched.
-        failing = _sub(matched, _scale([every], params.cutoff))[1]
-        failing |= _sub(_scale(positive, threshold.denominator), _scale(matched, threshold.numerator))[1]
-        for j in set(self._factors) - set(factors):
-            failing |= self._index[j][2]
-        passing = every & ~failing
-        flags = _flags(passing)
-        tree, selected = nodes._tree, list(compress(self._node_ids, flags))
-        matched_bits = compress(nodes.matched_bits, flags)
-        if keep is not None:
-            rules = CandidateRules(tree, selected, list(map(keep.__and__, matched_bits)), nodes.positives & keep, nodes.ids)
-        else:
-            rules = self._selected[key] = CandidateRules(tree, selected, list(matched_bits), nodes.positives, nodes.ids)
+        nodes, threshold, cutoff = self._nodes, params.consistency_threshold, params.cutoff
+        tree, positives = nodes._tree, nodes.positives if keep is None else nodes.positives & keep
+        num, den, narrower = threshold.numerator, threshold.denominator, factors != self._factors
+        selected, matched = array("I"), []
+        for node, bits in zip(nodes._nodes, nodes.matched_bits):
+            if keep is not None:
+                bits &= keep
+            m = bits.bit_count()
+            if m >= cutoff and (bits & positives).bit_count() * den >= num * m:
+                if narrower and any(lit.factor_index not in factors for lit in tree.conjunction(node)):
+                    continue
+                selected.append(node)
+                matched.append(bits)
+        rules = CandidateRules(tree, selected, matched, positives, nodes.ids)
+        if keep is None:
+            self._selected[key] = rules
         return rules
 
 

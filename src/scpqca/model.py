@@ -30,8 +30,7 @@ table a subset was taken from.
 A set of cases is one Python int over a tuple of case ids: bit i stands for
 ``ids[i]``, so intersection is ``&``, union is ``|`` and a count is
 ``int.bit_count()`` (Eclat's vertical tid-lists). This module owns case
-bitsets, `candidates` those over pool nodes and their slices, which it
-alone reads; `_flags` gives a bitset's 0/1 bytes for `compress`. `CaseTable`
+bitsets; `_flags` gives a bitset's 0/1 bytes for `compress`. `CaseTable`
 caches one entry per column, each level's bitset, packed at C speed on the
 column's first read by `literal_bits` or `positive_bits`; `match_bits`
 builds the rest, and `ids_of` / `bits_of` convert at the edges. A table
@@ -84,6 +83,14 @@ _set = object.__setattr__
 # ---------------------------------------------------------------------------
 # Analysis parameters
 
+
+def _check_threshold(threshold: Fraction, what: str) -> Fraction:
+    """`threshold`, refused unless in (0, 1], as `what`'s threshold."""
+    if not 0 < threshold <= 1:
+        raise InputError(f"{what} threshold must be in (0,1], got {_echo(threshold)}")
+    return threshold
+
+
 @frozen
 class AnalysisParams:
     """Everything a pipeline run needs besides the table, checked when built.
@@ -108,13 +115,11 @@ class AnalysisParams:
         _set(self, "consistency_threshold", as_fraction(self.consistency_threshold))
         _set(self, "necessity_threshold", as_fraction(self.necessity_threshold))
         _set(self, "decision_label", as_index(self.decision_label, "decision_label"))
-        if not 0 < self.consistency_threshold <= 1:
-            raise InputError(f"consistency threshold must be in (0,1], got {_echo(self.consistency_threshold)}")
+        _check_threshold(self.consistency_threshold, "consistency")
         for name in ("cutoff", "max_order", "unique_cover"):
             if name != "max_order" or self.max_order is not None:  # None: no bound on the literals per rule
                 _set(self, name, as_index(getattr(self, name), name, 1))
-        if not 0 < self.necessity_threshold <= 1:
-            raise InputError(f"necessity threshold must be in (0,1], got {_echo(self.necessity_threshold)}")
+        _check_threshold(self.necessity_threshold, "necessity")
         if self.assume_necessary is not None:
             Conjunction(self.assume_necessary)  # one literal per factor
 
@@ -272,9 +277,7 @@ def _bad_cell(cells: Sequence, levels: int, ids: Sequence[str], factor: Factor |
 
 
 def _bits_where(col: bytes | array, value: int) -> int:
-    """Bitset of the cells of a stored column equal to `value` (bit i = cell i).
-    A candidate pool packs its tree-code columns with it too (bytes, or an
-    "I" array past 256 literals)."""
+    """Bitset of the cells of a stored column equal to `value` (bit i = cell i)."""
     if isinstance(col, bytes):
         return int(b"0" + col[::-1].translate(b"0" * value + b"1" + b"0" * (255 - value)), 2)
     return int(b"0" + bytes(map(value.__eq__, reversed(col))).translate(_FLAG_TO_DIGIT), 2)

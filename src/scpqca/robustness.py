@@ -5,14 +5,14 @@ cutoff, unique cover) settings and reports candidate counts and solutions per
 cell. External validity is a jackknife: repeatedly drop a fraction of the
 cases, rerun, and classify each resulting configuration against the full-data
 solution. Both protocols walk the candidate lattice once and filter it per
-cell or repetition (see `candidates.CandidatePool`), all nodes at once
-through the pool's bit-sliced counts; a repetition lowers the counts by its
-dropped cases. A repetition's candidates index the full table's ids, its
-solution is scored on its own cases. A repetition whose necessity step keeps a factor the full table
-excluded walks its own table instead, over its own ids. A sweep selects and
-covers once per distinct (consistency, cutoff): cells that differ only in
-unique cover share one selection, and greedy answers a floor from its run
-at any lower one before it (see `cover`).
+cell or repetition (see `candidates.CandidatePool`): each pool node's
+matched bits, masked to a repetition's cases, are counted and tested again.
+A repetition's candidates index the full table's ids, its solution is
+scored on its own cases. A repetition whose necessity step keeps a factor
+the full table excluded walks its own table instead, over its own ids. A
+sweep selects and covers once per distinct (consistency, cutoff): cells
+that differ only in unique cover share one selection, and greedy answers a
+floor from its run at any lower one before it (see `cover`).
 
 Classification compares literal sets structurally. A test configuration is
 Replicated when its literal set equals an original's; a Superset when its

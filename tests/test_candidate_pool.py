@@ -10,10 +10,9 @@ shares the walk, so the conjunctions are also checked against
 the pool table's ids, also on a subset taken from that table, which is how
 these tests see that the shared pool (not a fresh one) answered.
 
-A pool filters its nodes through bit-sliced counts, so the slice arithmetic
-is checked on its own against plain per-position integers, and the pool on
-tables large enough that its counts reach past one byte, and on more than
-256 literals, where its tree codes no longer fit in a byte.
+The pool is also checked on tables large enough that its counts reach past
+one byte, and on more than 256 literals, where its tree codes no longer fit
+in a byte.
 """
 
 import gc
@@ -23,7 +22,6 @@ import re
 import tracemalloc
 from array import array
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -92,68 +90,6 @@ def pooled_runs(draw):
 
 def case_sets(rules):
     return [(r.conjunction, ids_of(r.matched_bits, r.ids), ids_of(r.positive_bits, r.ids)) for r in rules]
-
-
-def values(slices, n):
-    """The count each of `n` positions holds in `slices`."""
-    return [sum((bits >> t & 1) << b for b, bits in enumerate(slices)) for t in range(n)]
-
-
-def slices_of(counts):
-    """The slices holding `counts`, position t's at index t, ending in a
-    non-empty slice: the reference `values` reads back."""
-    slices = [0] * max(counts, default=0).bit_length()
-    for t, count in enumerate(counts):
-        for b in range(count.bit_length()):
-            if count >> b & 1:
-                slices[b] |= 1 << t
-    return slices
-
-
-COUNTS = st.lists(st.integers(0, 2**17), max_size=40)
-PAIRS = st.lists(st.tuples(st.integers(0, 2**17), st.integers(0, 2**17)), max_size=40)
-# 0, 1, a 64-bit constant, and any other small one.
-CONSTANTS = st.sampled_from([0, 1, 2**64 - 59]) | st.integers(0, 2**20)
-
-
-class TestBitSlicedArithmetic:
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 2**n - 1)))))
-    def test_count_is_how_many_bitsets_hold_each_position(self, drawn):
-        n, bitsets = drawn
-        assert values(candidates._count(bitsets), n) == [sum(b >> t & 1 for b in bitsets) for t in range(n)]
-
-    @settings(max_examples=200, deadline=None)
-    @given(PAIRS)
-    def test_add(self, pairs):
-        a, b = [x for x, _ in pairs], [y for _, y in pairs]
-        total = candidates._add(slices_of(a), slices_of(b))
-        assert values(total, len(pairs)) == [x + y for x, y in pairs]
-
-    @settings(max_examples=200, deadline=None)
-    @given(PAIRS)
-    def test_subtract_with_borrow(self, pairs):
-        a, b = slices_of([x for x, _ in pairs]), slices_of([y for _, y in pairs])
-        diff, borrow = candidates._sub(a, b)
-        width = max(len(a), len(b))
-        assert values(diff, len(pairs)) == [(x - y) % 2**width for x, y in pairs]
-        assert borrow == sum(1 << t for t, (x, y) in enumerate(pairs) if x < y)
-
-    @settings(max_examples=200, deadline=None)
-    @given(COUNTS, CONSTANTS)
-    def test_scale(self, counts, k):
-        scaled = candidates._scale(slices_of(counts), k)
-        assert values(scaled, len(counts)) == [k * x for x in counts]
-
-    @settings(max_examples=100, deadline=None)
-    @given(COUNTS, CONSTANTS, CONSTANTS)
-    def test_a_filter_is_the_borrow_of_scaled_counts(self, counts, den, num):
-        # den * p < num * m, as the pool tests consistency, with p the count
-        # and m the count plus its position.
-        positives, matched = counts, [x + t for t, x in enumerate(counts)]
-        p, m = slices_of(positives), slices_of(matched)
-        failing = candidates._sub(candidates._scale(p, den), candidates._scale(m, num))[1]
-        assert failing == sum(1 << t for t, (x, y) in enumerate(zip(positives, matched)) if den * x < num * y)
 
 
 @st.composite
@@ -252,34 +188,15 @@ class TestPoolAgainstWalk:
         everything = tuple(range(len(table.schema.factors)))
         pool = CandidatePool(base_cutoff)
         enumerate_candidates(table, everything, replace(params, cutoff=base_cutoff), pool=pool)
-        nodes = pool._nodes
-        assert max(map(int.bit_count, nodes.matched_bits)) > 255
-        # The counts the pool built from its case node sets are the popcounts.
-        assert values(pool._matched, len(nodes)) == [bits.bit_count() for bits in nodes.matched_bits]
-        assert values(pool._positive, len(nodes)) == [(bits & nodes.positives).bit_count() for bits in nodes.matched_bits]
+        assert max(map(int.bit_count, pool._nodes.matched_bits)) > 255
         for sub in [table, *(table.take(kept) for kept in subsets)]:
             for factors in [everything, everything[1:]]:
                 pooled = enumerate_candidates(sub, factors, params, pool=pool)
                 assert case_sets(pooled) == case_sets(enumerate_candidates(sub, factors, params))
                 assert pooled.ids is table.ids
 
-    @settings(max_examples=100, deadline=None)
-    @given(pooled_runs(), st.sampled_from([1, 2, 3, 4096]))
-    def test_case_nodes_are_the_nodes_matching_the_case(self, drawn, chunk):
-        # The literal index reads the nodes in chunks; small ones split every
-        # run. The pool's build makes the index, with its nodes.
-        table, label, max_order, base_cutoff, grid, _, _ = drawn
-        pool = CandidatePool(base_cutoff)
-        params = AnalysisParams(label, grid[0][0], cutoff=grid[0][1], max_order=max_order)
-        with mock.patch.object(candidates, "_CHUNK", chunk):
-            enumerate_candidates(table, range(len(table.schema.factors)), params, pool=pool)
-        matched = pool._nodes.matched_bits
-        for case in range(len(table)):
-            assert pool._case_nodes(case) == sum(1 << t for t, bits in enumerate(matched) if bits >> case & 1)
-
     def test_tree_codes_past_one_byte(self):
-        # 305 literals: the tree's codes are an "I" array, and so is each
-        # column the node index packs.
+        # 305 literals: the tree's codes are an "I" array.
         rng = random.Random(39)
         schema = FactorSchema(factors=(Factor("A", 300), Factor("B", 2), Factor("C", 3)), outcome=Factor("O", 2))
         rows = [[i % 300, rng.randrange(2), rng.randrange(3)] for i in range(700)]
@@ -287,39 +204,10 @@ class TestPoolAgainstWalk:
         pool, params = CandidatePool(1), AnalysisParams(1, "0.5", cutoff=1)
         assert enumerate_candidates(table, range(3), params, pool=pool) == enumerate_candidates(table, range(3), params)
         assert isinstance(pool._nodes._tree.codes, array)
-        matched = pool._nodes.matched_bits
-        for case in range(len(table)):
-            assert pool._case_nodes(case) == sum(1 << t for t, bits in enumerate(matched) if bits >> case & 1)
         sub = table.take([i for i in range(len(table)) if i % 10])
         pooled = enumerate_candidates(sub, range(3), params, pool=pool)
         assert pooled.ids is table.ids
         assert case_sets(pooled) == case_sets(enumerate_candidates(sub, range(3), params))
-
-    def test_node_sets_are_built_for_the_dropped_cases_only(self, monkeypatch, remote_table):
-        built, case_nodes = [], candidates._nodes_matching
-
-        def counted(index, every, case):
-            built.append(case)
-            return case_nodes(index, every, case)
-
-        monkeypatch.setattr(candidates, "_nodes_matching", counted)
-        pool = CandidatePool(1)
-        params = AnalysisParams(1, "0.7", cutoff=1)
-        n = len(remote_table)
-        # The first call builds the pool, whose counts take each case's node set once.
-        enumerate_candidates(remote_table, range(7), params, pool=pool)
-        assert sorted(built) == list(range(n))
-        built.clear()
-        for call in [params, replace(params, cutoff=2), replace(params, consistency_threshold="0.9")]:
-            enumerate_candidates(remote_table, range(7), call, pool=pool)
-        enumerate_candidates(remote_table, range(1, 7), params, pool=pool)  # own table, a narrower factor set
-        assert built == []
-        for dropped in [[0], [2, 5], list(range(1, n))]:
-            built.clear()
-            sub = remote_table.take([i for i in range(n) if i not in dropped])
-            got = enumerate_candidates(sub, range(7), params, pool=pool)
-            assert sorted(built) == dropped
-            assert case_sets(got) == case_sets(enumerate_candidates(sub, range(7), params))
 
     def test_own_table_calls_share_one_walk(self, monkeypatch, remote_table):
         walks, walk = [], candidates._walk
@@ -407,17 +295,34 @@ class TestPoolAgainstWalk:
         with pytest.raises(InputError, match="cutoff must be an integer, got 1.5"):
             CandidatePool(1.5)
 
+    @pytest.mark.parametrize(
+        "consistency, shown",
+        [
+            ("3/2", "3/2"),
+            (0, "0"),
+            ("-1/5", "-1/5"),
+            (10**5000, "100000000000..."),
+            (Fraction(10**5000 + 1, 10**5000), "100000000000..."),
+        ],
+        ids=["3/2", "0", "negative", "5000-digit int", "5000-digit ratio"],
+    )
+    def test_pool_consistency_validated(self, consistency, shown):
+        # The pool refuses what `AnalysisParams` refuses, with its text.
+        with pytest.raises(InputError) as err:
+            CandidatePool(2, consistency)
+        assert str(err.value) == f"consistency threshold must be in (0,1], got {shown}"
+        with pytest.raises(InputError) as err:
+            AnalysisParams(1, consistency)
+        assert str(err.value) == f"consistency threshold must be in (0,1], got {shown}"
+
 
 class TestPoolMemory:
     # 20 binary factors, 200 cases, max_order 4, no consistency floor: the
     # pool keeps the 86 570 of the 87 440 nodes meeting the cutoff whose
-    # positives reach the first call's floor, ceil(0.8 * 2). Its node index reads
-    # the nodes' literals up their tree a chunk at a time (`_literal_nodes`),
-    # so the first selection, which walks and builds the index, peaks near
-    # what the pool and the selection retain: 1.01 times (9.94 against 9.85
-    # MiB), against 1.04 (10.22 MiB) with every node read in one chunk. With
-    # a literal tuple per node it peaked at 1.01 times (12.64 against 12.54
-    # MiB), and at 1.20 with every run of equal-length nodes read at once.
+    # positives reach the first call's floor, ceil(0.8 * 2). The first
+    # selection walks, then filters the nodes in one loop into the
+    # selection's columns, and builds nothing it drops, so it peaks at what
+    # the pool and the selection retain: 1.000 times (5.99 MiB).
     def test_first_selection_peaks_near_what_it_retains(self):
         schema = synth_schema(20)
         table = generate_experiment_table(ExperimentSpec(schema, parse_pathway("ab+CD+ace+BDF", schema), 200, 0, 1))
@@ -438,7 +343,7 @@ class TestPoolMemory:
                 tracemalloc.stop()
         retained, peak = after - before, peak - before
         assert len(pool._nodes) == 86_570 and rules
-        assert peak < 1.10 * retained, f"peak {peak / retained:.3f} times the retained {retained} bytes"
+        assert peak < 1.02 * retained, f"peak {peak / retained:.3f} times the retained {retained} bytes"
 
 
 def load_other(table: CaseTable) -> CaseTable:
