@@ -209,6 +209,77 @@ class TestPoolAgainstWalk:
         assert pooled.ids is table.ids
         assert case_sets(pooled) == case_sets(enumerate_candidates(sub, range(3), params))
 
+    def test_later_selections_walk_nothing(self, monkeypatch, remote_table):
+        # Once built, the pool answers its own table at a tighter cutoff or
+        # consistency and on a narrower factor set, and subsets that drop
+        # cases, with no second walk. Only own-table selections are kept.
+        n = len(remote_table)
+        params = AnalysisParams(1, "0.7", cutoff=1)
+        subsets = [remote_table.take([i for i in range(n) if i not in dropped]) for dropped in [[0], [2, 5], list(range(1, n))]]
+        plain = [case_sets(enumerate_candidates(sub, range(7), params)) for sub in subsets]
+        walks, walk = [], candidates._walk
+
+        def counted(*args):
+            walks.append(args[0])  # the walked table
+            return walk(*args)
+
+        monkeypatch.setattr(candidates, "_walk", counted)
+        pool = CandidatePool(1)
+        enumerate_candidates(remote_table, range(7), params, pool=pool)
+        own = [params, replace(params, cutoff=2), replace(params, consistency_threshold="0.9")]
+        for call in own:
+            first = enumerate_candidates(remote_table, range(7), call, pool=pool)
+            assert enumerate_candidates(remote_table, range(7), call, pool=pool) is first
+        enumerate_candidates(remote_table, range(1, 7), params, pool=pool)  # own table, a narrower factor set
+        for sub, expected in zip(subsets, plain):
+            got = enumerate_candidates(sub, range(7), params, pool=pool)
+            assert case_sets(got) == expected and got.ids is remote_table.ids
+            assert enumerate_candidates(sub, range(7), params, pool=pool) is not got
+        assert len(walks) == 1 and walks[0] is remote_table
+        assert len(pool._selected) == len(own) + 1
+
+    def test_a_narrower_factor_set_reads_passing_nodes_only(self, monkeypatch, remote_table):
+        # A node's literals are read up the tree only once its counts pass,
+        # and a call on the pool's whole factor set reads none.
+        pool = CandidatePool(2)
+        enumerate_candidates(remote_table, range(7), AnalysisParams(1, "0.8", cutoff=2), pool=pool)
+        tight = AnalysisParams(1, "0.8", cutoff=3)
+        tables = [remote_table, remote_table.take([i for i in range(len(remote_table)) if i % 3])]
+        plain = [case_sets(enumerate_candidates(table, range(1, 7), tight)) for table in tables]
+        read, conjunction = [], candidates._Tree.conjunction
+
+        def recorded(tree, node):
+            read.append(node)
+            return conjunction(tree, node)
+
+        monkeypatch.setattr(candidates._Tree, "conjunction", recorded)
+        for table, expected in zip(tables, plain):
+            read.clear()
+            whole = enumerate_candidates(table, range(7), tight, pool=pool)
+            assert read == []
+            narrow = enumerate_candidates(table, range(1, 7), tight, pool=pool)
+            assert read == list(whole._nodes)
+            assert 0 < len(narrow) < len(whole)
+            assert case_sets(narrow) == expected
+
+    def test_own_table_selections_share_the_nodes_bits(self):
+        # On the pool's own table a selection holds the pool's matched-bits
+        # ints themselves; on a subset, new ints masked to its cases. 40
+        # cases put most bits past CPython's cached small ints.
+        schema = synth_schema(5)
+        table = generate_experiment_table(ExperimentSpec(schema, parse_pathway("ab+CD", schema), 40, 0, 1))
+        pool = CandidatePool(2)
+        params = AnalysisParams(1, "0.8", cutoff=2)
+        enumerate_candidates(table, range(5), params, pool=pool)
+        bits_of_node = dict(zip(pool._nodes._nodes, pool._nodes.matched_bits))
+        own = enumerate_candidates(table, range(5), replace(params, cutoff=3), pool=pool)
+        assert own and all(bits is bits_of_node[node] for node, bits in zip(own._nodes, own.matched_bits))
+        sub = table.take([i for i in range(len(table)) if i % 4])
+        keep = sub.subset_bits(table)
+        got = enumerate_candidates(sub, range(5), params, pool=pool)
+        assert got and all(bits == bits_of_node[node] & keep for node, bits in zip(got._nodes, got.matched_bits))
+        assert got.positives == pool._nodes.positives & keep
+
     def test_own_table_calls_share_one_walk(self, monkeypatch, remote_table):
         walks, walk = [], candidates._walk
 
