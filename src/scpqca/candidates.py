@@ -75,16 +75,17 @@ popcounts, and the consistency filter compares exact integer cross products
 A call with no pool walks the lattice over its own table at its own
 cutoff and consistency, and every node of that walk is a rule. Only a
 sweep or jackknife shares a `CandidatePool`, which keeps the nodes of one
-walk and filters them per cell or rep; a call its pool cannot answer
-walks directly as well. Either way the rules come back as one
-`CandidateRules`: nodes of a prefix tree with their matched bits, the
-table's positives as one bitset, and no rule object or literal tuple per
-rule. Greedy covers both alike (see `cover`). The walk appends literals
-in ascending factor order and derives each node's bits from the table, so
-every rule is valid by construction. The filters, the decision label and
-`max_order` are read from the run's one `model.AnalysisParams`, which
-checked them when it was built; only the pool checks its own cutoff and
-consistency.
+walk over one factor set and filters them per cell or rep; a call its pool
+cannot answer walks directly as well, so a repetition whose necessary
+conditions differ from the full table's walks its own cases. Either way
+the rules come back as one `CandidateRules`: nodes of a prefix tree with
+their matched bits, the table's positives as one bitset, and no rule
+object or literal tuple per rule. Greedy covers both alike (see `cover`).
+The walk appends literals in ascending factor order and derives each
+node's bits from the table, so every rule is valid by construction. The
+filters, the decision label and `max_order` are read from the run's one
+`model.AnalysisParams`, which checked them when it was built; only the
+pool checks its own cutoff and consistency.
 
 The tree (`_Tree`, after the FP-tree of Han, Pei and Yin, "Mining frequent
 patterns without candidate generation", SIGMOD 2000) holds per node its
@@ -401,29 +402,23 @@ class CandidatePool:
     consistency filter unless the owner gives one (see below), and keeps
     every node with at least ``ceil(t * c)`` positives in emit order as one
     `CandidateRules`, t that consistency or else the first call's. A later
-    call selects from its columns into new ones. Both filters are
-    anti-monotone and a subset of cases can only lower a node's counts, so
-    every rule of a later call whose own ``ceil(consistency * cutoff)`` is
-    at least that floor is a pool node (it holds that many positives on
-    the subset, so on the pool's table), and filtering keeps the order; any
-    other call walks. A selection on the pool's own table is kept per
-    (cutoff, consistency, factor set): a repeat returns the same
-    `CandidateRules`, so the sweep cells that share them share greedy's
-    recorded run too (see `cover`).
+    call over the same factor set selects from its columns into new ones.
+    Both filters are anti-monotone and a subset of cases can only lower a
+    node's counts, so every rule of a later call whose own
+    ``ceil(consistency * cutoff)`` is at least that floor is a pool node (it
+    holds that many positives on the subset, so on the pool's table), and
+    filtering keeps the order; any other call walks. So a repetition whose
+    necessary conditions differ from the full table's walks its own cases.
+    A selection on the pool's own table is kept per (cutoff, consistency):
+    a repeat returns the same `CandidateRules`, so the sweep cells that
+    share them share greedy's recorded run too (see `cover`).
 
     A selection is one loop over the pool's nodes: each node's matched bits,
     masked to the subset's cases, are counted and put to the walk's own
-    two tests, and a narrower factor set reads a passing node's literals up
-    the tree. A bit-sliced index of the nodes' counts, which filters every
-    node with a few dozen big-int operations, pays off only for many
-    selections from a large pool: on 20 binary factors, 200 cases and
-    `max_order` 4 (86 570 nodes) a selection on 180 cases takes about 14 ms
-    this way against about 4 ms, but building the index took about 100 ms
-    against about 20 ms for the walk alone, and held about 4 MiB beside the
-    pool's 6 (CPython 3.11.7, 2-vCPU Xeon VM). A selection is a plain
-    `CandidateRules` that greedy covers as it covers a walk's (see
-    `cover`). It holds no reference to the pool, so a pool dies with its
-    owner's last reference while its selections live on.
+    two tests. A selection is a plain `CandidateRules` that greedy covers
+    as it covers a walk's (see `cover`). It holds no reference to the pool,
+    so a pool dies with its owner's last reference while its selections
+    live on.
 
     A selection indexes the pool table's `ids`; on a subset that
     `CaseTable.take` made from that table its matched bits and positives are
@@ -446,50 +441,46 @@ class CandidatePool:
         self._table: CaseTable | None = None
 
     def _build(self, table: CaseTable, factors: tuple[int, ...], params: AnalysisParams) -> None:
-        self._table, self._factors = table, factors
-        self._label, self._max_order = params.decision_label, params.max_order
+        self._table, self._walked = table, (factors, params.decision_label, params.max_order)
         first = params.consistency_threshold if self.consistency is None else self.consistency
         self._floor = _floor(first, self.cutoff)
         self._nodes = _walk(table, factors, params, self.cutoff, self.consistency or Fraction(0), self._floor)
         self._selected: dict[tuple, CandidateRules] = {}  # the own table's selections, by key
 
     def _select(self, table: CaseTable, factors: tuple[int, ...], params: AnalysisParams) -> CandidateRules | None:
-        """The rules passing `params` on `table` and `factors`, in emit order,
-        or None when the pool cannot answer: another label or `max_order`, a
-        factor outside the pool's, a cutoff, consistency or positive floor
-        below the pool's, or a table that is not a subset of its own."""
+        """The rules passing `params` on `table` and the pool's factor set, in
+        emit order, or None when the pool cannot answer: another factor set,
+        label or `max_order` than it walked, a cutoff, consistency or
+        positive floor below the pool's, or a table that is not a subset of
+        its own."""
         if self._table is None:
             self._build(table, factors, params)
         # On the pool's own table the nodes' bits pass as they are, shared, not
         # copied (``& -1`` would copy each); on a subset, masked to its cases.
         keep = None if table is self._table or self.consistency is not None else table.subset_bits(self._table)
         if (
-            params.decision_label != self._label
-            or params.max_order != self._max_order
+            (factors, params.decision_label, params.max_order) != self._walked
             or params.cutoff < self.cutoff
             or _floor(params.consistency_threshold, params.cutoff) < self._floor
             or (self.consistency is not None and params.consistency_threshold < self.consistency)
-            or not set(factors) <= set(self._factors)
             or (keep is None and table is not self._table)
         ):
             return None
-        key = (params.cutoff, params.consistency_threshold, factors)
+        key = (params.cutoff, params.consistency_threshold)
         if keep is None and key in self._selected:
             return self._selected[key]
         nodes, threshold, cutoff = self._nodes, params.consistency_threshold, params.cutoff
-        tree, positives = nodes._tree, nodes.positives if keep is None else nodes.positives & keep
-        num, den, narrower = threshold.numerator, threshold.denominator, factors != self._factors
+        positives = nodes.positives if keep is None else nodes.positives & keep
+        num, den = threshold.numerator, threshold.denominator
         selected, matched = array("I"), []
         for node, bits in zip(nodes._nodes, nodes.matched_bits):
             if keep is not None:
                 bits &= keep
             m = bits.bit_count()
             if m >= cutoff and (bits & positives).bit_count() * den >= num * m:
-                if narrower and any(lit.factor_index not in factors for lit in tree.conjunction(node)):
-                    continue
                 selected.append(node)
                 matched.append(bits)
-        rules = CandidateRules(tree, selected, matched, positives, nodes.ids)
+        rules = CandidateRules(nodes._tree, selected, matched, positives, nodes.ids)
         if keep is None:
             self._selected[key] = rules
         return rules

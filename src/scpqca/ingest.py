@@ -298,8 +298,10 @@ def _read_columns(
 ) -> tuple[list[str], list[str | list[str]], list[set[str] | None], str | None, int]:
     """Stripped header names, each column's cells (see `_gather`) and distinct cells, the id column, the row count.
 
-    The id column is the one `_named_id` names; unless it is the outcome,
-    it collects no distinct cells: they would be as many as its rows.
+    A header that names a column twice is refused before any row is read,
+    naming the first repeat in header order. The id column is the one
+    `_named_id` names; unless it is the outcome, it collects no distinct
+    cells: they would be as many as its rows.
     """
     with path.open(newline="", encoding="utf-8-sig") as fh:
         try:
@@ -311,6 +313,10 @@ def _read_columns(
         raise InputError(f"{path}: empty file, header row required")
     parts = (_split_plain if _is_plain(text) else _split_csv)(path, text)
     header = [h.strip() for h in next(parts)]
+    first: dict[str, int] = {}
+    for i, name in enumerate(header):
+        if first.setdefault(name, i) != i:
+            raise InputError(f"{path}: column {_echo(name)!r} appears twice in the header")
     id_name = _named_id(header, id_column)
     distinct: list[set[str] | None] = [None if h == id_name != outcome_column else set() for h in header]
     columns: list = [[] if seen is None else "" for seen in distinct]
@@ -336,8 +342,9 @@ def load_csv(
     named "id" (any capitalization), else from the first column when it is
     not calibrated and its cells are not all integers (e.g. country codes),
     else from row numbers. Every remaining column except the outcome becomes
-    a factor, in header order. Duplicate ids, and a calibration of a column
-    not in the header or of the named id column, are rejected.
+    a factor, in header order. A header that names a column twice (after
+    stripping spaces), duplicate ids, and a calibration of a column not in
+    the header or of the named id column, are rejected.
     """
     calibration = calibration or CalibrationSpec()
     path = Path(path)

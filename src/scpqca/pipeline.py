@@ -49,8 +49,9 @@ def solve(table: CaseTable, params: AnalysisParams, *, pool: CandidatePool | Non
     necessity or enumeration (`CaseTable.require_positives`).
 
     A `pool` (see `candidates.CandidatePool`) is shared by the solves of one
-    sweep or jackknife; on a subset of the pool's table, `candidates` then
-    index the pool table's ids, while the solution is scored on `table`.
+    sweep or jackknife; on a subset of the pool's table over the pool's
+    factor set, `candidates` then index the pool table's ids, while the
+    solution is scored on `table`.
     """
     table.require_unique_ids()
     table.require_positives(params.decision_label)

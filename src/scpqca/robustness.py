@@ -8,8 +8,8 @@ solution. Both protocols walk the candidate lattice once and filter it per
 cell or repetition (see `candidates.CandidatePool`): each pool node's
 matched bits, masked to a repetition's cases, are counted and tested again.
 A repetition's candidates index the full table's ids, its solution is
-scored on its own cases. A repetition whose necessity step keeps a factor
-the full table excluded walks its own table instead, over its own ids. A
+scored on its own cases. A repetition whose necessary conditions differ
+from the full table's walks its own cases instead, over its own ids. A
 sweep selects and covers once per distinct (consistency, cutoff): cells
 that differ only in unique cover share one selection, and greedy answers a
 floor from its run at any lower one before it (see `cover`).

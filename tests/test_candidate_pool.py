@@ -133,14 +133,14 @@ class TestPoolAgainstWalk:
 
         # The pool keeps the nodes with at least ceil(t * c) positives, t the
         # first call's consistency and c its own cutoff; a call below that
-        # floor walks its own table.
+        # floor, or over another factor set, walks its own table.
         floor = math.ceil(grid[0][0] * base_cutoff)
         tables = [table] + [table.take([i for i, kept in enumerate(mask) if kept]) for mask in subsets]
         for consistency, cutoff in grid:
             params = AnalysisParams(label, consistency, cutoff=cutoff, max_order=max_order)
-            answered = math.ceil(consistency * cutoff) >= floor
             for sub in tables:
                 for factors in [everything, *factor_sets]:
+                    answered = math.ceil(consistency * cutoff) >= floor and tuple(sorted(factors)) == everything
                     pooled = enumerate_candidates(sub, factors, params, pool=pool)
                     plain = enumerate_candidates(sub, factors, params)
                     assert case_sets(pooled) == case_sets(plain)
@@ -193,7 +193,7 @@ class TestPoolAgainstWalk:
             for factors in [everything, everything[1:]]:
                 pooled = enumerate_candidates(sub, factors, params, pool=pool)
                 assert case_sets(pooled) == case_sets(enumerate_candidates(sub, factors, params))
-                assert pooled.ids is table.ids
+                assert pooled.ids is (table.ids if factors == everything else sub.ids)
 
     def test_tree_codes_past_one_byte(self):
         # 305 literals: the tree's codes are an "I" array.
@@ -211,12 +211,13 @@ class TestPoolAgainstWalk:
 
     def test_later_selections_walk_nothing(self, monkeypatch, remote_table):
         # Once built, the pool answers its own table at a tighter cutoff or
-        # consistency and on a narrower factor set, and subsets that drop
-        # cases, with no second walk. Only own-table selections are kept.
+        # consistency, and subsets that drop cases, with no second walk; a
+        # narrower factor set walks. Only own-table selections are kept.
         n = len(remote_table)
         params = AnalysisParams(1, "0.7", cutoff=1)
         subsets = [remote_table.take([i for i in range(n) if i not in dropped]) for dropped in [[0], [2, 5], list(range(1, n))]]
         plain = [case_sets(enumerate_candidates(sub, range(7), params)) for sub in subsets]
+        narrow = enumerate_candidates(remote_table, range(1, 7), params)
         walks, walk = [], candidates._walk
 
         def counted(*args):
@@ -230,17 +231,19 @@ class TestPoolAgainstWalk:
         for call in own:
             first = enumerate_candidates(remote_table, range(7), call, pool=pool)
             assert enumerate_candidates(remote_table, range(7), call, pool=pool) is first
-        enumerate_candidates(remote_table, range(1, 7), params, pool=pool)  # own table, a narrower factor set
         for sub, expected in zip(subsets, plain):
             got = enumerate_candidates(sub, range(7), params, pool=pool)
             assert case_sets(got) == expected and got.ids is remote_table.ids
             assert enumerate_candidates(sub, range(7), params, pool=pool) is not got
         assert len(walks) == 1 and walks[0] is remote_table
-        assert len(pool._selected) == len(own) + 1
+        assert enumerate_candidates(remote_table, range(1, 7), params, pool=pool) == narrow  # own table, a narrower factor set
+        assert len(walks) == 2 and walks[1] is remote_table
+        assert len(pool._selected) == len(own)
 
-    def test_a_narrower_factor_set_reads_passing_nodes_only(self, monkeypatch, remote_table):
-        # A node's literals are read up the tree only once its counts pass,
-        # and a call on the pool's whole factor set reads none.
+    def test_a_selection_reads_no_nodes_literals(self, monkeypatch, remote_table):
+        # A selection filters the pool's nodes by their bits alone: a call on
+        # the pool's factor set reads no node's literals up the tree, and a
+        # call on a narrower one walks its own table.
         pool = CandidatePool(2)
         enumerate_candidates(remote_table, range(7), AnalysisParams(1, "0.8", cutoff=2), pool=pool)
         tight = AnalysisParams(1, "0.8", cutoff=3)
@@ -256,9 +259,9 @@ class TestPoolAgainstWalk:
         for table, expected in zip(tables, plain):
             read.clear()
             whole = enumerate_candidates(table, range(7), tight, pool=pool)
-            assert read == []
             narrow = enumerate_candidates(table, range(1, 7), tight, pool=pool)
-            assert read == list(whole._nodes)
+            assert read == []
+            assert whole.ids is remote_table.ids and narrow.ids is table.ids
             assert 0 < len(narrow) < len(whole)
             assert case_sets(narrow) == expected
 
@@ -504,17 +507,40 @@ class TestHarnessesAgainstPlainSolves:
             return
         assert external_validity(table, params, fraction=fraction, reps=6, seed=seed) == want
 
-    def test_jackknife_rep_that_loses_a_necessary_literal(self, monkeypatch):
-        # A=1 holds for 4 of the 5 positives: 4/5 > 0.75 makes it necessary on
-        # the full table, so the pool is walked over B and C only. A rep that
-        # drops one of those four leaves 3/4, not above 0.75, so its factor
-        # set takes A back and it selects from a pool of its own.
-        rows = [
-            (1, 1, 0, 1), (1, 1, 1, 1), (1, 0, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1),
-            (0, 0, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0), (1, 0, 1, 0), (0, 0, 1, 0),
-            (0, 0, 0, 0), (1, 0, 1, 0), (0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 0, 0),
-            (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 1, 0), (0, 0, 0, 0),
-        ]
+    @pytest.mark.parametrize(
+        "rows, full_set, rep_set",
+        [
+            (
+                [
+                    (1, 1, 0, 1), (1, 1, 1, 1), (1, 0, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1),
+                    (0, 0, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0), (1, 0, 1, 0), (0, 0, 1, 0),
+                    (0, 0, 0, 0), (1, 0, 1, 0), (0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 0, 0),
+                    (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 1, 0), (0, 0, 0, 0),
+                ],
+                (1, 2),
+                (0, 1, 2),
+            ),
+            (
+                [
+                    (0, 1, 1, 1), (1, 1, 0, 1), (1, 0, 1, 1), (1, 1, 0, 1), (0, 0, 1, 0),
+                    (0, 0, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0), (1, 0, 1, 0), (0, 0, 1, 0),
+                    (0, 0, 0, 0), (1, 0, 1, 0), (0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 0, 0),
+                    (0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 1, 0), (0, 0, 0, 0),
+                ],
+                (0, 1, 2),
+                (1, 2),
+            ),
+        ],
+        ids=["loses", "gains"],
+    )
+    def test_jackknife_rep_whose_necessary_literals_shift(self, monkeypatch, rows, full_set, rep_set):
+        # Loses: A=1 holds for 4 of the 5 positives, 4/5 > 0.75, so it is
+        # necessary on the full table and the pool is walked over B and C
+        # only. The rep that drops c0 leaves 3/4, not above 0.75, so its
+        # factor set takes A back. Gains: A=1 holds for 3 of the 4 positives,
+        # not above 0.75, and the rep that drops c0 leaves 3/3, so A is
+        # necessary there and its factor set drops A. Either way the shifted
+        # rep walks its own cases, and its candidates index its own ids.
         table = CaseTable.from_cases(
             binary_schema(["A", "B", "C"]), [Case(f"c{i}", row[:3], row[3]) for i, row in enumerate(rows)]
         )
@@ -531,11 +557,11 @@ class TestHarnessesAgainstPlainSolves:
         assert report == plain_external_validity(table, params, 0.1, 6, 1)
 
         full, reps = solved[0], solved[1:]
-        assert full.factor_set == (1, 2)
-        shifted = [r for r in reps if r.factor_set == (0, 1, 2)]
+        assert full.factor_set == full_set
+        shifted = [r for r in reps if r.factor_set == rep_set]
         assert len(shifted) == 1 and len(reps) == 6
         for result in reps:
-            ids = result.table.ids if 0 in result.factor_set else table.ids
+            ids = table.ids if result.factor_set == full_set else result.table.ids
             assert result.candidates and all(r.ids is ids for r in result.candidates)
 
 

@@ -104,6 +104,26 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="duplicate case id"):
             load_csv(p, outcome_column="O")
 
+    @pytest.mark.parametrize(
+        "header, name",
+        [
+            ("id,A,O,O", "O"),
+            ("id,A,B,id,O", "id"),
+            ("id,A,A,O", "A"),
+            ("id,A, A,O", "A"),
+            ('"id",B,A,B,A,O', "B"),
+        ],
+        ids=["outcome", "id", "factor", "stripped", "quoted-first-repeat"],
+    )
+    def test_a_column_named_twice_is_refused(self, tmp_path, header, name):
+        # Refused before any row is read, so the bad level and the short row
+        # below are never reached, on the plain split and the csv module alike.
+        width = header.count(",") + 1
+        p = write(tmp_path, "t.csv", f"{header}\nx{',-1' * (width - 1)}\ny\n")
+        with pytest.raises(InputError) as err:
+            load_csv(p, outcome_column="O")
+        assert str(err.value) == f"{p}: column {name!r} appears twice in the header"
+
     def test_checked_ids_are_handed_to_the_table(self, tmp_path):
         p = write(tmp_path, "t.csv", "id,A,O\nx,1,1\ny,0,0\n")
         assert load_csv(p, outcome_column="O").__dict__["_unique_ids"] is True
@@ -314,6 +334,9 @@ def reference_load_csv(path, outcome_column, calibration=None, id_column=None):
         except StopIteration:
             raise InputError(f"{path}: empty file, header row required") from None
         header = [h.strip() for h in header]
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise InputError(f"{path}: column {name!r} appears twice in the header")
         data = [[c for c in row] for row in reader if row and any(c.strip() for c in row)]
     for rowno, row in enumerate(data, start=2):
         if len(row) != len(header):
@@ -718,6 +741,10 @@ class TestLongHeaderNamesInErrors:
     def test_an_integer_column_of_more_than_32768_levels(self, tmp_path, name, shown):
         got = load_text(tmp_path / "t.csv", f"id,{name},O\na,40000,1\nb,0,0\n", "O")
         assert got == ("InputError", f"factor {shown!r}: level count must be <= 32768, got 40001")
+
+    def test_a_column_named_twice(self, tmp_path, name, shown):
+        got = load_text(tmp_path / "t.csv", f"id,{name},O,{name}\na,1,1,0\n", "O")
+        assert got == ("InputError", f"{tmp_path / 't.csv'}: column {shown!r} appears twice in the header")
 
 
 
