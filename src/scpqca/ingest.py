@@ -19,25 +19,26 @@ it before any cell is read (`_is_plain`). Text with no double quote, no CR,
 no NUL and no line longer than `csv.field_size_limit()` is split by str
 methods, a line-aligned slice of about 64 KB at a time (`_split_plain`):
 `csv.reader` reads exactly those cells from such text, and an empty line is
-a row of no cells there too. The blank-row skip and the width check work on
-a slice's whole lines, and each column takes a stride (`cells[j::n]`) of the
-slice's flat cell list. Any other text (a quoted cell, CRLF line ends, a
-NUL, which the csv module rejects on Python 3.10 and keeps in the cell on
-3.11 and later, or a line whose cell may pass the field limit) is read by
-`csv.reader` over the same string. Both ways give the same rows, row
-numbers and errors; the plain split carries the row number across slices.
+a row of no cells there too. A slice's nonblank rows are joined, a "\\n"
+cell ending each, and split once; the cell count and one strided count of
+the "\\n" cells check every row's width. Any other text (a quoted cell,
+CRLF line ends, a NUL, which the csv module rejects on Python 3.10 and
+keeps in the cell on 3.11 and later, or a line whose cell may pass the
+field limit) is read by `csv.reader` over the same string, laid out alike.
+Both ways give the same rows, row numbers and errors; the plain split
+carries the row number across slices.
 
-Each column is gathered compactly as it goes (`_gather`): while every cell
-is one character, as a str of one character per cell; else as a list of
-cells; with the set of its distinct cells beside it. The id column that the
-header or `id_column` names is a list and collects no such set. So no list
-of all lines, rows or cells is ever built. On the `tall` benchmark file
-(20 000 rows x 12 columns, 580 KB; CPython 3.11.7, 2-vCPU Xeon VM) the
-tracemalloc peak of `load_csv` fell from 6.07 to 2.58 MB and its time from
-24.3-29.9 to 17.7-21.5 ms (medians of 31 calls in each of three
-alternating runs); part of both is the duplicate-id check, which now
-counts dict keys (0.6 MB) instead of a set (2.5 MB). 16 KB slices were
-4-6 % slower, and 256 KB ones peaked at 4.45 MB.
+Each column takes a stride of each slice's cells (`_gather`): as one str
+while every cell is one ASCII character, else as a list, beside the set of
+its distinct cells (but for the id column). A slice's cells are one
+character each when their join is as long as they are and none is empty,
+which the slice text tells at once (",," or a comma at an end); one
+`bytes.translate` deleting the cells seen finds new ones. No list of all
+lines or cells is built. On the `tall` benchmark file (20 000 rows x 12
+columns, 580 KB; CPython 3.11.7, 2-vCPU Xeon VM, pinned to one CPU, best of
+150 calls in 3 alternating runs) `load_csv` takes 10.3-10.4 ms against
+12.3-12.9 ms with a `str.count` per line and a `set` per slice and column,
+at a tracemalloc peak of 2.77 MB against 2.70.
 
 Columns are dictionary-encoded: each distinct raw cell of a column is parsed
 and checked once, into a dict from cell to level. Only when a distinct cell
@@ -51,8 +52,8 @@ a copy. Any other column (a cell such as "01", "low" or "é", an empty cell,
 a cutpoint level past 255) maps each cell by one lookup. The test is on the
 distinct cells themselves: the joined length alone would pass ["", "ab"].
 On the `tall` file the 11 calibrated columns took 6.4 ms against 12.2 ms
-cell by cell, and `load_csv` 31 ms against 42 ms (medians of 21
-alternating in-process calls, CPython 3.11.7, 2-vCPU Xeon VM).
+cell by cell (medians of 21 alternating calls, CPython 3.11.7,
+2-vCPU Xeon VM).
 
 Going out, `to_csv_string` gives a table's dense levels as CSV text and
 `write_schema_json` writes its schema, with the labels and cutpoints that
@@ -207,8 +208,8 @@ def _ragged(path: Path, widths: Sequence[int], header_len: int, first: int = 2) 
     return InputError(f"{path}: row {rowno} has {width} cells, header has {header_len}")
 
 
-def _split_plain(path: Path, text: str) -> Iterator[list[str]]:
-    """The header, then each slice's data cells in row order, of plain text (see `_is_plain`).
+def _split_plain(path: Path, text: str) -> Iterator[list[str] | tuple[list[str], bool]]:
+    """The header, then each slice's `(cells, holes)` (see `_gather`), of plain text (see `_is_plain`).
 
     Such text reads exactly as `csv.reader` reads it: cells are the pieces
     between commas, and an empty line is a row of no cells. The route is
@@ -227,14 +228,19 @@ def _split_plain(path: Path, text: str) -> Iterator[list[str]]:
         rows = list(compress(lines, map(str.strip, lines, repeat(_BLANK))))
         if not rows:
             continue
-        if set(map(str.count, rows, repeat(","))) - {len(header) - 1}:
+        # No plain cell holds "\n", so it marks each row's end as a cell of its own.
+        joined = ",\n,".join(rows)
+        cells = joined.split(",")
+        cells.append("\n")
+        step = len(header) + 1
+        if len(cells) != step * len(rows) or cells[step - 1 :: step].count("\n") != len(rows):
             raise _ragged(path, [row.count(",") + 1 for row in rows], len(header), rowno)
         rowno += len(rows)
-        yield ",".join(rows).split(",")
+        yield cells, joined[0] == "," or joined[-1] == "," or ",," in joined
 
 
-def _split_csv(path: Path, text: str) -> Iterator[list[str]]:
-    """The header, then the data cells in row order, of any text, read by `csv.reader`."""
+def _split_csv(path: Path, text: str) -> Iterator[list[str] | tuple[list[str], bool]]:
+    """The header, then the data's `(cells, holes)` (see `_gather`), of any text, read by `csv.reader`."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
@@ -245,28 +251,37 @@ def _split_csv(path: Path, text: str) -> Iterator[list[str]]:
     widths = list(map(len, data))
     if set(widths) - {len(header)}:
         raise _ragged(path, widths, len(header))
+    for row in data:
+        row.append("\n")
     if data:
-        yield list(chain.from_iterable(data))
+        yield list(chain.from_iterable(data)), True
 
 
-def _gather(columns: list, distinct: list[set[str] | None], cells: list[str]) -> None:
+def _gather(columns: list, distinct: list[set[str] | None], cells: list[str], holes: bool) -> None:
     """Add the data cells of some rows, in row order, to their columns.
 
-    A column stays one str, a character per cell, while each of its cells
-    is one character, and is a list of cells from its first longer or empty
-    cell on. A column whose `distinct` is None (the id column) is a list and
-    collects no distinct cells.
+    `cells` holds each row's cells and then one marker cell; `holes` is
+    false only when no cell is empty. A column stays one str, a character
+    per cell, while each of its cells is one ASCII character, and is a list
+    of cells from its first other cell on. A column whose `distinct` is None
+    (the id column) is a list and collects no distinct cells.
     """
+    step = len(distinct) + 1
     for j, seen in enumerate(distinct):
-        col = cells[j :: len(distinct)]
+        col = cells[j::step]
+        if isinstance(columns[j], str):
+            # No cell is empty and the join is as long as the cells: one character each.
+            joined = "".join(col)
+            if len(joined) == len(col) and joined.isascii() and not (holes and "" in col):
+                columns[j] += joined
+                new = joined.encode().translate(None, "".join(seen).encode())
+                while new:  # one distinct cell not seen before at a time
+                    seen.add(chr(new[0]))
+                    new = new.translate(None, new[:1])
+                continue
+            columns[j] = list(columns[j])
         if seen is not None:
-            new = set(col)
-            seen |= new
-            if isinstance(columns[j], str):
-                if all(len(cell) == 1 for cell in new):
-                    columns[j] += "".join(col)
-                    continue
-                columns[j] = list(columns[j])
+            seen.update(col)
         columns[j] += col
 
 
@@ -321,9 +336,9 @@ def _read_columns(
     distinct: list[set[str] | None] = [None if h == id_name != outcome_column else set() for h in header]
     columns: list = [[] if seen is None else "" for seen in distinct]
     n_rows = 0
-    for cells in parts:
-        _gather(columns, distinct, cells)
-        n_rows += len(cells) // len(header)
+    for cells, holes in parts:
+        _gather(columns, distinct, cells, holes)
+        n_rows += len(cells) // (len(header) + 1)
     return header, columns, distinct, id_name, n_rows
 
 

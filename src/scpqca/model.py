@@ -159,10 +159,12 @@ class FactorSchema:
     outcome: Factor
 
     def __post_init__(self) -> None:
-        names = [f.name for f in self.factors]
-        if len(set(names)) != len(names):
-            raise InputError("factor names must be unique")
-        if self.outcome.name in names:
+        seen: set[str] = set()
+        for f in self.factors:
+            if f.name in seen:
+                raise InputError(f"factor name {_echo(f.name)!r} appears twice")
+            seen.add(f.name)
+        if self.outcome.name in seen:
             raise InputError(f"outcome name {_echo(self.outcome.name)!r} collides with a factor")
 
     @property

@@ -13,20 +13,19 @@ necessary conditions with '*'.
 `render_json` writes the bytes of `json.dumps(payload, indent=2,
 ensure_ascii=False)` with a small recursive writer of its own, because any
 `indent` makes the json module fall back to its pure-Python encoder. Leaves
-are written as the json module writes them. A list whose items are all
-strings is joined in one call over the C string encoder
-(`json.encoder.encode_basestring`): a solve payload is mostly such lists of
-covered case ids, and a first writer that recursed into every leaf was
-slower than `json.dumps` (45 ms against 18.6 ms). On the `tall` benchmark's
-693 367-byte payload (CPython 3.11.7, 2-vCPU Xeon VM, best of 15 in each
-of three interleaved runs) this writer takes 5.2-8.2 ms against 11.8-18.9
-ms for `json.dumps`; the small `sweep`, `xval` and `solve` payloads of the
-other benchmarks are no slower (0.29 against 0.35 ms, 0.44 against 0.62
-ms, 0.05 against 0.07 ms, best runs). A container's text is one join of
-its pieces (brackets, separators, keys and item texts), so an item's text
-is copied only into its container's: on that payload the tracemalloc peak
-is 1.33 MB, about twice the text, against 1.99 MB when brackets and keys
-were added by concatenation, and 3.47 MB for `json.dumps`.
+are written as the json module writes them. A list of strings only, such as
+a solve payload's covered case ids, is one join with a quoted separator
+when its joined text is ASCII with no '"', '\\' or character below 0x20:
+each item's text is then the item between quotes. Any other list of strings
+goes through the C string encoder (`json.encoder.encode_basestring`) item
+by item. On the `tall` benchmark's 693 367-byte payload (CPython 3.11.7,
+2-vCPU Xeon VM, one pinned CPU, best of 60) this writer takes 1.5-1.6 ms
+against 3.6-3.7 ms encoding every id, and 8.0 ms for `json.dumps`; the
+`sweep`, `xval` and m1.csv `solve` payloads take 0.25, 0.26 and 0.02 ms
+against 0.25, 0.34 and 0.02. A container's text is one join of its pieces
+(brackets, separators, keys and item texts), so an item's text is copied
+only into its container's: on that payload the tracemalloc peak is 1.39
+MB, about twice the text, against 3.64 MB for `json.dumps`.
 """
 
 from __future__ import annotations
@@ -63,6 +62,7 @@ def fmt_ratio(x: Fraction | float) -> str:
 
 
 _encode_str = json.encoder.encode_basestring  # the C encoder of ensure_ascii=False
+_ESCAPED = bytes(range(0x20)) + b'"\\'  # what the encoder escapes in ASCII text
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -95,9 +95,15 @@ def _json(value: object, indent: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if set(map(type, value)) == {str}:
+        try:
+            text = "".join(value)  # a TypeError unless every item is a str
+        except TypeError:
+            ends, items = "[]", (("", item) for item in value)
+        else:
+            if text.isascii() and len(text.encode().translate(None, _ESCAPED)) == len(text):
+                quoted = f'"{sep}"'  # nothing to escape: each item's text is the item between quotes
+                return f'[\n{inner}"{quoted.join(value)}"\n{indent}]'
             return f"[\n{inner}{sep.join(map(_encode_str, value))}\n{indent}]"
-        ends, items = "[]", (("", item) for item in value)
     elif isinstance(value, dict):
         if not value:
             return "{}"

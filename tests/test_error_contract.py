@@ -37,6 +37,7 @@ from scpqca import (
     Conjunction,
     ExperimentSpec,
     Factor,
+    FactorSchema,
     InputError,
     Literal,
     PathwaySpec,
@@ -207,6 +208,15 @@ def test_cutoff_text_is_echoed_cut():
     with pytest.raises(InputError) as err:
         AnalysisParams(1, cutoff="9" * 5000)
     assert str(err.value) == "cutoff must be an integer, got '999999999999...'"
+
+
+@pytest.mark.parametrize("name, shown", [("A", "'A'"), ("N" * 5000, "'NNNNNNNNNNNN...'")], ids=["plain", "5000"])
+def test_the_first_repeated_factor_name_is_echoed_cut(name, shown):
+    # `name` repeats at the third factor, before "B" does at the fourth.
+    factors = tuple(Factor(n, 2) for n in ("B", name, name, "B"))
+    with pytest.raises(InputError) as err:
+        FactorSchema(factors, Factor("O", 2))
+    assert str(err.value) == f"factor name {shown} appears twice"
 
 
 @pytest.mark.parametrize("value", [2.5, "3", [1]], ids=["float", "str", "list"])

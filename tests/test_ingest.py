@@ -697,6 +697,93 @@ class TestErrorsInALaterSlice:
         assert [table.values.column(j).tolist() for j in range(2)] == [[2, 1, 2, 1, 3, 0], [0, 1, 1, 0, 2, 0]]
 
 
+# ---------------------------------------------------------------------------
+# The plain split checks a slice's row widths with one strided count of the
+# row-end markers, and `_gather` keeps a column one str unless a slice holds
+# an empty or longer cell in it. Each case must read as the csv path and the
+# per-cell reference read it.
+
+
+def three_ways(path, text, outcome="O"):
+    """The plain split's, the csv path's and the per-cell reference's table or error."""
+    plain = load_text(path, text, outcome)
+    quoted = load_text(path, quote_first_cell(text), outcome)
+    path.write_text(text, encoding="utf-8")
+    return plain, quoted, _outcome_of(reference_load_csv, path, outcome)
+
+
+def tall_rows(first, count, b="01"):
+    """`count` rows from row number `first` on: an id, then 0/1 in A and O, and `b`'s two cells in B."""
+    return "".join(f"r{i},{i % 2},{b[i // 2 % 2]},{i % 3 % 2}\n" for i in range(first - 2, first - 2 + count))
+
+
+# More than one 64 KB slice of rows before the rows under test.
+LATE = 8000
+
+
+class TestSliceChecks:
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("b,1,0,1,1\nc,0,1\n", "row 3 has 5 cells, header has 4"),
+            ("b,1,0\nc,0,1,1,1\n", "row 3 has 3 cells, header has 4"),
+        ],
+        ids=["extra-then-missing", "missing-then-extra"],
+    )
+    def test_an_extra_and_a_missing_cell_that_cancel(self, tmp_path, rows, message):
+        text = "id,A,B,O\na,1,0,1\n" + rows + "d,0,0,0\n"
+        got = three_ways(tmp_path / "t.csv", text)
+        assert got == (("InputError", f"{tmp_path / 't.csv'}: {message}"),) * 3
+
+    @pytest.mark.parametrize("row, width", [("x,1,0,1,1", 5), ("x,1,0,1,1,0,1,0,1", 9)], ids=["one-extra", "step-extra"])
+    def test_a_ragged_row_after_the_first_slice(self, tmp_path, row, width):
+        # 9 cells put the row's end at a row end of the header's width, so
+        # only the slice's length tells it apart.
+        text = "id,A,B,O\n" + tall_rows(2, LATE) + row + "\n" + tall_rows(LATE + 3, 10)
+        assert len(text) > 1 << 16
+        got = three_ways(tmp_path / "t.csv", text)
+        expected = ("InputError", f"{tmp_path / 't.csv'}: row {LATE + 2} has {width} cells, header has 4")
+        assert got == (expected,) * 3
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "id,A,O\na,,1\nb,ab,0\n",  # ",," within a row
+            "id,O,A\na,1,ab\nb,0,\n",  # the slice's last cell
+            "A,id,O\n,a,1\nab,b,0\n",  # the slice's first cell
+            "id,O,A\na,1,\nb,0,ab\n",  # a row's last cell, before another row
+            "A,id,O\nab,a,1\n,b,0\n",  # a row's first cell, after another row
+        ],
+        ids=["inner", "last", "first", "row-end", "row-start"],
+    )
+    def test_an_empty_and_a_two_character_cell_in_one_slice(self, tmp_path, text):
+        plain, quoted, reference = three_ways(tmp_path / "t.csv", text)
+        assert plain[0] == "table"
+        assert plain == quoted == reference
+        assert plain[1].schema.factors[0].labels == ("", "ab")
+
+    def test_levels_first_seen_in_a_late_slice(self, tmp_path):
+        late = "x,2,c,1\ny,3,c,0\nz,2,d,1\n"
+        text = "id,A,B,O\n" + tall_rows(2, LATE, b="ab") + late
+        assert len(text) - len(late) > 1 << 16
+        plain, quoted, reference = three_ways(tmp_path / "t.csv", text)
+        assert plain[0] == "table"
+        assert plain == quoted == reference
+        assert plain[1].schema.factors[1].labels == ("a", "b", "c", "d")
+
+    def test_an_empty_cell_in_a_late_slice_sends_only_its_column_to_a_list(self, tmp_path):
+        path = tmp_path / "t.csv"
+        text = "id,A,B,C,O\n" + tall_rows(2, LATE).replace("\n", ",1\n") + "x,1,,0,1\ny,0,1,1,0\n"
+        assert len(text) > 1 << 16
+        plain, quoted, reference = three_ways(path, text)
+        assert plain[0] == "table"
+        assert plain == quoted == reference
+        path.write_text(text, encoding="utf-8")
+        header, columns, *_ = ingest._read_columns(path, "O", None)
+        assert [type(c).__name__ for c in columns] == ["list", "str", "list", "str", "str"]
+        assert columns[2][-2:] == ["", "1"]
+
+
 class TestLongDataValuesInErrors:
     # A value from the file longer than 40 characters is echoed as its first
     # 12 and "..."; one of 40 or fewer is echoed whole.

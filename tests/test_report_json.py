@@ -2,8 +2,9 @@
 
 The writer is the package's own indent-2 encoder, so it is checked against
 the json module over payload-shaped values: nested dicts with str keys,
-lists and tuples of every leaf type, and lists of strings only, which the
-writer joins in one call.
+lists and tuples of every leaf type, and lists of strings only. The writer
+joins such a list in one call when its text is ASCII with nothing to
+escape, and encodes its items one by one otherwise.
 """
 
 import json
@@ -69,6 +70,13 @@ class TestAgainstJsonModule:
             {"odd": [math.nan, math.inf, -math.inf]},
             {"ids": ["c1", "ü", "\x07", "\ud800", ""]},
             ["mixed", 1, "list"],
+            # At the edge of the one-join path: one item needs an escape, or is not ASCII.
+            *(["c1", f"a{text}b", "c2"] for text in ['"', "\\", "\x00", "\x1f", "\x7f", " ", "é", "日本", "\ud800"]),
+            [""],
+            ["", "c1", ""],
+            ["c1"],
+            ("c1", "c2"),
+            [f"t{n:05d}" for n in range(20_000)],
         ],
     )
     def test_named_values(self, value):
