@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -59,6 +60,24 @@ def random_table(rng: random.Random, max_factors: int = 4, max_levels: int = 3, 
     outcomes = [rng.randrange(out_levels) for _ in range(n)]
     ids = tuple(f"x{i}" for i in range(n))
     return CaseTable(schema=schema, ids=ids, values=values, outcomes=outcomes)
+
+
+def traced(call):
+    """What `call()` returns, the bytes it retained and its tracemalloc peak,
+    both over what was traced before it. If tracing is already on (a
+    profiling run), only the call is measured and tracing stays on."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, after - before, peak - before
 
 
 def emit_order(conjunction: Conjunction) -> tuple:

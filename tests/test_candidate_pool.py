@@ -19,7 +19,6 @@ import gc
 import math
 import random
 import re
-import tracemalloc
 from array import array
 from fractions import Fraction
 
@@ -54,7 +53,7 @@ from scpqca import (
 from scpqca.model import bits_of, ids_of
 from scpqca.robustness import Repetition, SweepCell, ValidityReport, classify_with_match
 
-from conftest import brute_force_candidates, random_table
+from conftest import brute_force_candidates, random_table, traced
 
 
 @st.composite
@@ -106,9 +105,13 @@ def plane_crossing_runs(draw):
     n = rng.randint(256, 600)
     share = rng.random()
     rows = [[rng.randrange(lv) for lv in levels] for _ in range(n)]
-    for i in rng.sample(range(n), 256):  # A=0 matches at least 256 cases
+    planted = rng.sample(range(n), 256)
+    for i in planted:  # A=0 matches at least 256 cases
         rows[i][0] = 0
-    table = CaseTable(schema, tuple(f"c{i}" for i in range(n)), rows, [int(rng.random() < share) for _ in range(n)])
+    outcomes = [int(rng.random() < share) for _ in range(n)]
+    for i in planted[:3]:  # and at least 3 positives, so it reaches any pool's floor, ceil(t * c) <= 3
+        outcomes[i] = 1
+    table = CaseTable(schema, tuple(f"c{i}" for i in range(n)), rows, outcomes)
     threshold = draw(
         st.fractions(Fraction(1, 10**6), 1, max_denominator=10**6)
         | st.sampled_from(["0.66666666666666666667", "0.12345678901234567891", "0.99999999999999999999"])
@@ -404,18 +407,7 @@ class TestPoolMemory:
             table.literal_bits(j, 0), table.literal_bits(j, 1)
         table.positive_bits(1)
         pool, params = CandidatePool(2), AnalysisParams(1, "0.8", cutoff=2, max_order=4)
-        tracing = tracemalloc.is_tracing()  # if so, only the call is measured, and tracing stays on
-        if not tracing:
-            tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            rules = enumerate_candidates(table, range(20), params, pool=pool)
-            after, peak = tracemalloc.get_traced_memory()
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        retained, peak = after - before, peak - before
+        rules, retained, peak = traced(lambda: enumerate_candidates(table, range(20), params, pool=pool))
         assert len(pool._nodes) == 86_570 and rules
         assert peak < 1.02 * retained, f"peak {peak / retained:.3f} times the retained {retained} bytes"
 

@@ -3,7 +3,6 @@ import io
 import pickle
 import random
 import time
-import tracemalloc
 from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations, product
@@ -40,7 +39,7 @@ from scpqca import (
 )
 from scpqca import cover, model
 from scpqca.cli import main
-from conftest import brute_force_candidates, emit_order, random_table
+from conftest import brute_force_candidates, emit_order, random_table, traced
 
 
 class Index:
@@ -335,18 +334,8 @@ class TestWalkMemory:
     @staticmethod
     def peak_over_retained(table, factors, params, threshold):
         candidates._walk(table, factors, params, 2, threshold)  # the table's bitset caches stay out of the figures
-        tracing = tracemalloc.is_tracing()  # if so, only the call is measured, and tracing stays on
-        if not tracing:
-            tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            rules = candidates._walk(table, factors, params, 2, threshold)
-            after, peak = tracemalloc.get_traced_memory()
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        return rules, (peak - before) / (after - before)
+        rules, retained, peak = traced(lambda: candidates._walk(table, factors, params, 2, threshold))
+        return rules, peak / retained
 
     @pytest.mark.parametrize(
         "threshold, bound, size", [(Fraction(4, 5), 1.15, 11_502), (Fraction(0), 1.10, 87_440)], ids=["0.8", "0"]

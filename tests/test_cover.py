@@ -2,7 +2,6 @@ import copy
 import gc
 import pickle
 import random
-import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -39,7 +38,7 @@ from scpqca import (
 )
 from scpqca import cover
 from scpqca.cover import unique_coverage
-from conftest import random_table
+from conftest import random_table, traced
 
 
 # Shared case ids of the synthetic rules below.
@@ -507,17 +506,7 @@ class TestScanMemory:
         assert len(candidates) == 11_502
         assert all(gain >= floor for gain in starting) == survive
         candidates._greedy = None
-        tracing = tracemalloc.is_tracing()  # if so, only the call is measured, and tracing stays on
-        if not tracing:
-            tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            picks = greedy_cover(candidates, positives, params)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        picks, _, peak = traced(lambda: greedy_cover(candidates, positives, params))
         assert picks == full_key_greedy(candidates, positives, params)
         assert peak < self.BOUND * len(candidates), f"{peak / len(candidates):.1f} bytes per rule"
 
