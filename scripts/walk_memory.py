@@ -32,6 +32,7 @@ Columns:
 - walk and build: the fastest of three untraced pool builds, in milliseconds;
 - take selection: the median of ten selections, each on a `CaseTable.take`
   of 90 % of the cases, in milliseconds;
+- marked: the share of the pool's nodes it marks as never picked by greedy;
 - peak/retained: the tracemalloc peak of a fresh pool's first selection
   (its walk, build and own-table selection) over what the pool and the
   selection retain.
@@ -43,9 +44,11 @@ same order, over the same matched and positive cases.
 
 The third table is greedy over the rules of each row whose bounds name
 its peak (the 22-factor walk, both selections of the 20-factor pool), at
-floors 2 and 8: picks, and peak B/rule, its tracemalloc peak over its
-input in bytes per rule. Its picks must equal those of a plain scan that
-recounts every live rule each pass.
+floors 2 and 8: the share of the rules marked (a selection carries its
+pool's marks, which greedy's first pass leaves out; a walk's rules carry
+none), picks, and peak B/rule, its tracemalloc peak over its input in bytes
+per rule. Its picks must equal those of a plain scan that recounts every
+live rule each pass, marked or not.
 
 A row's bounds sit beside its shape in `WALKS` and `POOLS`. The script
 prints each failed bound or check, naming the row and the figure, and
@@ -188,14 +191,15 @@ def cover(failures: list[str], row: str, rules: CandidateRules, table: CaseTable
     greedy out."""
     uncovered = bits_of(table.positive_ids(1), rules.ids) & rules.positives
     lines = []
+    marked = 0 if rules._marks is None else sum(map(rules._marks.__getitem__, rules._nodes)) / len(rules)
     for floor in GREEDY_FLOORS if any(figure == "peak B/rule" for figure, _, _ in bounds) else ():
-        fresh = rules[:]  # a slice carries no greedy record, so greedy scans
+        rules._greedy = None  # no recorded run answers, so greedy scans the rules and their marks
         params = AnalysisParams(1, unique_cover=floor)
-        picks, _, peak = traced(lambda: greedy_cover(fresh, table.positive_ids(1), params))
+        picks, _, peak = traced(lambda: greedy_cover(rules, table.positive_ids(1), params))
         check(failures, f"{row}, floor {floor}", {"peak B/rule": peak / len(rules)}, bounds)
         if picks != [rules[i] for i in plain_scan(rules, uncovered, floor)]:
             failures.append(f"{row}, floor {floor}: greedy's picks differ from the plain scan's")
-        lines.append(f"| {row} | {spaced(len(rules))} | {floor} | {len(picks)} | {peak / len(rules):.1f} |")
+        lines.append(f"| {row} | {spaced(len(rules))} | {marked:.0%} | {floor} | {len(picks)} | {peak / len(rules):.1f} |")
     return lines
 
 
@@ -233,9 +237,10 @@ def pool_row(failures: list[str], row: Row) -> list[str]:
     takes = [table.take(sorted(draw.sample(range(row.cases), row.cases * 9 // 10))) for _ in range(10)]
     take = statistics.median(timed(lambda: enumerate_candidates(sub, everything, params, pool=pool)) for sub in takes)
     nodes = len(pool._nodes)  # no public call counts what the pool keeps, only what a selection passes
+    marked = sum(map(pool._marks.__getitem__, pool._nodes._nodes)) / nodes
     print(
         f"| {row.factors} × {row.cases} | {row.max_order or 'full'} | {spaced(nodes)} | {build * 1e3:.2f} ms"
-        f" | {take * 1e3:.2f} ms | {peak / retained:.3f} |"
+        f" | {take * 1e3:.2f} ms | {marked:.0%} | {peak / retained:.3f} |"
     )
     name = f"pool {row.factors} × {row.cases}"
     check(failures, name, {"pool nodes": nodes}, row.bounds)
@@ -259,12 +264,12 @@ def main() -> None:
     print("|---|---|---|---|---|---|---|---|---|")
     greedy = [line for row in WALKS for line in walk_row(failures, row)]
     print()
-    print("| factors × cases | max_order | pool nodes | walk and build | take selection | peak/retained |")
-    print("|---|---|---|---|---|---|")
+    print("| factors × cases | max_order | pool nodes | walk and build | take selection | marked | peak/retained |")
+    print("|---|---|---|---|---|---|---|")
     greedy += [line for row in POOLS for line in pool_row(failures, row)]
     print()
-    print("| greedy over | rules | floor | picks | peak B/rule |")
-    print("|---|---|---|---|---|")
+    print("| greedy over | rules | marked | floor | picks | peak B/rule |")
+    print("|---|---|---|---|---|---|")
     print("\n".join(greedy))
     if failures:
         sys.exit("\n".join(failures))

@@ -168,18 +168,21 @@ class CandidateRules(Sequence[CandidateRule]):
     the tree and its positive bits ``matched_bits & positives``, and a slice
     is another `CandidateRules` on the same tree. It equals a list or tuple
     of the same rules. The columns are taken unchecked: the walk builds them
-    valid. One memo, written whole in one assignment, which equality,
-    `repr`, copies, pickles and slices leave out: `_greedy`, the last greedy
-    run over them (see `cover.greedy_cover`).
+    valid. Equality, `repr`, copies, pickles and slices leave out two
+    slots. `_greedy` is a memo, written whole in one assignment: the last
+    greedy run over them (see `cover.greedy_cover`). `_marks` is None except
+    on a pool's selection, which holds the pool's marks: per tree node, 1
+    where greedy never picks the node (see `CandidatePool`).
     """
 
-    __slots__ = ("_tree", "_nodes", "matched_bits", "positives", "ids", "_greedy")
+    __slots__ = ("_tree", "_nodes", "matched_bits", "positives", "ids", "_greedy", "_marks")
 
     def __init__(
         self, tree: _Tree, nodes: Sequence[int], matched_bits: list[int], positives: int, ids: tuple[str, ...]
     ) -> None:
         self._tree, self._nodes, self.matched_bits, self.positives, self.ids = tree, nodes, matched_bits, positives, ids
         self._greedy: tuple[int, int, list[int], list[int]] | None = None
+        self._marks: bytearray | None = None
 
     def __reduce__(self):
         return CandidateRules, (self._tree, self._nodes, self.matched_bits, self.positives, self.ids)
@@ -415,10 +418,10 @@ class CandidatePool:
 
     A selection is one loop over the pool's nodes: each node's matched bits,
     masked to the subset's cases, are counted and put to the walk's own
-    two tests. A selection is a plain `CandidateRules` that greedy covers
-    as it covers a walk's (see `cover`). It holds no reference to the pool,
-    so a pool dies with its owner's last reference while its selections
-    live on.
+    two tests. A selection is a `CandidateRules` that greedy covers as it
+    covers a walk's, less the marked rules (below; see `cover`). It holds
+    no reference to the pool, so a pool dies with its owner's last
+    reference while its selections live on.
 
     A selection indexes the pool table's `ids`; on a subset that
     `CaseTable.take` made from that table its matched bits and positives are
@@ -433,6 +436,22 @@ class CandidatePool:
     that meet it, which on a wide table is a small share of those that meet
     the cutoff. Such a pool answers no subset, because dropping cases can
     raise a node's consistency.
+
+    After its walk the pool marks, in one pass in emit order, each node
+    whose tree parent is marked, or is a pool node (not the root) that
+    matches as many negative cases, so the same ones. A marked node n then
+    has a prefix b (n itself or shorter) whose parent, a pool node, is
+    such a parent: every negative case it matches holds b's last literal.
+    So n without that literal is a proper sub-conjunction with n's
+    negative cases and at least its positives, on the pool's table and on
+    any subset of it (masked to a `take`'s cases, equal sets stay equal).
+    It is a pool node, passes every filter n passes, is never below n in
+    gain, wins each tie on consistency or length, and once picked leaves n
+    a gain of 0, below any unique cover. Greedy never picks n. Every
+    selection carries the marks (`CandidateRules._marks`), and greedy's
+    first pass leaves marked rules out (see `cover`). The pass holds a
+    negative count per tree node in one byte; 255, for a count of 255 or
+    more or a node that is not a pool node, is never equal.
     """
 
     def __init__(self, cutoff: int, consistency: Fraction | float | str | None = None) -> None:
@@ -444,7 +463,16 @@ class CandidatePool:
         self._table, self._walked = table, (factors, params.decision_label, params.max_order)
         first = params.consistency_threshold if self.consistency is None else self.consistency
         self._floor = _floor(first, self.cutoff)
-        self._nodes = _walk(table, factors, params, self.cutoff, self.consistency or Fraction(0), self._floor)
+        self._nodes = nodes = _walk(table, factors, params, self.cutoff, self.consistency or Fraction(0), self._floor)
+        parents, others = nodes._tree.parents, ~nodes.positives
+        self._marks = marks = bytearray(len(parents))
+        negatives = bytearray(b"\xff") * len(parents)
+        for node, bits in zip(nodes._nodes, nodes.matched_bits):
+            parent, n = parents[node], (bits & others).bit_count()
+            if marks[parent] or n == negatives[parent] < 255:
+                marks[node] = 1
+            if n < 255:
+                negatives[node] = n
         self._selected: dict[tuple, CandidateRules] = {}  # the own table's selections, by key
 
     def _select(self, table: CaseTable, factors: tuple[int, ...], params: AnalysisParams) -> CandidateRules | None:
@@ -481,6 +509,7 @@ class CandidatePool:
                 selected.append(node)
                 matched.append(bits)
         rules = CandidateRules(nodes._tree, selected, matched, positives, nodes.ids)
+        rules._marks = self._marks
         if keep is None:
             self._selected[key] = rules
         return rules

@@ -21,6 +21,7 @@ import random
 import re
 from array import array
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -31,10 +32,12 @@ from scpqca import (
     CandidatePool,
     Case,
     CaseTable,
+    Conjunction,
     ExperimentSpec,
     Factor,
     FactorSchema,
     InputError,
+    Literal,
     ScpqcaError,
     as_fraction,
     binary_schema,
@@ -43,7 +46,9 @@ from scpqca import (
     enumerate_candidates,
     external_validity,
     generate_experiment_table,
+    greedy_cover,
     internal_sweep,
+    match_bits,
     parse_pathway,
     replace,
     robustness,
@@ -410,6 +415,113 @@ class TestPoolMemory:
         rules, retained, peak = traced(lambda: enumerate_candidates(table, range(20), params, pool=pool))
         assert len(pool._nodes) == 86_570 and rules
         assert peak < 1.02 * retained, f"peak {peak / retained:.3f} times the retained {retained} bytes"
+
+
+def negatives_by_literals(table, label, cutoff, floor, consistency, max_order):
+    """Every conjunction over `table`'s factors, up to `max_order` literals,
+    that meets `cutoff`, holds `floor` positives and reaches `consistency`,
+    as a frozenset of its literals mapped to its negative cases: the pool's
+    nodes, listed by itertools."""
+    positives = table.positive_bits(label)
+    nf = len(table.schema.factors)
+    out = {}
+    for k in range(1, min(max_order or nf, nf) + 1):
+        for idxs in combinations(range(nf), k):
+            for values in product(*[range(table.schema.factors[i].levels) for i in idxs]):
+                literals = tuple(Literal(i, v) for i, v in zip(idxs, values))
+                matched = match_bits(Conjunction(literals), table)
+                m, p = matched.bit_count(), (matched & positives).bit_count()
+                if m >= cutoff and p >= floor and p >= consistency * m:
+                    out[frozenset(literals)] = matched & ~positives
+    return out
+
+
+def check_marks(pool, table, label, max_order, selections=()):
+    """Each marked pool node with at least the pool's floor of positives (a
+    node of the last level may hold fewer) has a proper sub-conjunction that
+    is a pool node with the same negative cases, by `negatives_by_literals`;
+    in each `(table, selection)` of `selections`, one in the selection with
+    the same negative cases on that table. Returns how many pool nodes are
+    marked."""
+    nodes, floor = pool._nodes, pool._floor
+    marked = [rule for node, rule in zip(nodes._nodes, nodes) if pool._marks[node]]
+    reference = negatives_by_literals(table, label, pool.cutoff, floor, pool.consistency or 0, max_order)
+    for literals in [rule.conjunction.literals for rule in marked if rule.positive_bits.bit_count() >= floor]:
+        negatives = reference[frozenset(literals)]
+        assert any(
+            reference.get(frozenset(sub)) == negatives for k in range(1, len(literals)) for sub in combinations(literals, k)
+        ), f"{literals} marked"
+    for sub_table, selection in selections:
+        held = {frozenset(rule.conjunction.literals) for rule in selection}
+        negatives = sub_table.positive_bits(label) ^ ((1 << len(sub_table)) - 1)
+        for node, rule in zip(selection._nodes, selection):
+            if not pool._marks[node]:
+                continue
+            literals = rule.conjunction.literals
+            own = match_bits(Conjunction(literals), sub_table) & negatives
+            assert any(
+                frozenset(sub) in held and match_bits(Conjunction(sub), sub_table) & negatives == own
+                for k in range(1, len(literals))
+                for sub in combinations(literals, k)
+            ), f"{literals} marked in a selection on {len(sub_table)} cases"
+    return len(marked)
+
+
+class TestPoolMarks:
+    """A pool marks the nodes greedy never picks; greedy's first pass leaves
+    them out of a selection (see `CandidatePool` and `cover`)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pooled_runs(), st.none() | st.fractions(Fraction(1, 10), 1, max_denominator=10), st.integers(1, 3))
+    def test_greedy_over_a_marked_selection_equals_an_unmarked_copy(self, drawn, floor, unique_cover):
+        table, label, max_order, base_cutoff, grid, subsets, _ = drawn
+        everything = tuple(range(len(table.schema.factors)))
+        pool = CandidatePool(base_cutoff, floor)
+        tables = [table] + [table.take([i for i, kept in enumerate(mask) if kept]) for mask in subsets]
+        for consistency, cutoff in grid:
+            params = AnalysisParams(label, consistency, cutoff=cutoff, max_order=max_order, unique_cover=unique_cover)
+            for sub in tables:
+                selection = enumerate_candidates(sub, everything, params, pool=pool)
+                copied = selection[:]
+                assert copied._marks is None
+                assert selection._marks is (pool._marks if selection._tree is pool._nodes._tree else None)
+                positives = sub.positive_ids(label)
+                assert greedy_cover(selection, positives, params) == greedy_cover(copied, positives, params)
+                assert selection._greedy == copied._greedy
+
+    @settings(max_examples=150, deadline=None)
+    @given(pooled_runs(), st.none() | st.fractions(Fraction(1, 10), 1, max_denominator=10))
+    def test_a_marked_node_has_a_sub_conjunction_with_its_negatives(self, drawn, floor):
+        table, label, max_order, base_cutoff, grid, subsets, _ = drawn
+        everything = tuple(range(len(table.schema.factors)))
+        pool = CandidatePool(base_cutoff, floor)
+        consistency, cutoff = grid[0]
+        params = AnalysisParams(label, consistency, cutoff=cutoff, max_order=max_order)
+        enumerate_candidates(table, everything, params, pool=pool)
+        takes = [table.take([i for i, kept in enumerate(mask) if kept]) for mask in subsets] if floor is None else []
+        selections = [(sub, enumerate_candidates(sub, everything, params, pool=pool)) for sub in takes]
+        check_marks(pool, table, label, max_order, [(sub, rules) for sub, rules in selections if rules.ids is table.ids])
+
+    def test_a_jackknife_pool_marks_over_a_quarter_of_its_nodes(self):
+        # The shape of the benchmark's `resample` workload: 7 binary factors,
+        # 60 cases, 3 confounded, at full order.
+        schema = synth_schema(7)
+        table = generate_experiment_table(ExperimentSpec(schema, parse_pathway("Ab+cD+BEf", schema), 60, 3, 1))
+        pool = CandidatePool(2)
+        enumerate_candidates(table, range(7), AnalysisParams(1, cutoff=2), pool=pool)
+        assert check_marks(pool, table, 1, None) > len(pool._nodes) // 4
+
+    def test_counts_past_one_byte_are_never_equal(self):
+        # A=0 matches 280 negative cases and A=0*B=0 270: both counts sit
+        # past one byte and differ, so the child is not marked.
+        schema = FactorSchema(factors=(Factor("A", 2), Factor("B", 2)), outcome=Factor("O", 2))
+        rows = [[int(i >= 300), int(290 <= i % 300 < 300)] for i in range(600)]
+        table = CaseTable(schema, tuple(f"c{i}" for i in range(600)), rows, [int(i < 20) for i in range(600)])
+        pool = CandidatePool(1)
+        rules = enumerate_candidates(table, range(2), AnalysisParams(1, "0.01", cutoff=1), pool=pool)
+        check_marks(pool, table, 1, None)
+        (child,) = [node for node, rule in zip(rules._nodes, rules) if rule.conjunction == Conjunction.of((0, 0), (1, 0))]
+        assert not pool._marks[child]
 
 
 def load_other(table: CaseTable) -> CaseTable:
