@@ -193,10 +193,8 @@ def parse_pathway(text: str, schema: FactorSchema) -> PathwaySpec:
 # Generation
 
 
-def synth_schema(
-    n_factors: int, levels: int | Sequence[int] = 2, outcome_name: str = "OUTCOME"
-) -> FactorSchema:
-    """Factors named A, B, C, ... with the given level count(s), each read by `Factor`, binary outcome."""
+def synth_schema(n_factors: int, levels: int | Sequence[int] = 2) -> FactorSchema:
+    """Factors named A, B, C, ... with the given level count(s), each read by `Factor`, binary outcome OUTCOME."""
     n_factors = as_index(n_factors, "n_factors")
     if not 1 <= n_factors <= 26:
         raise InputError("synthetic schemas support 1..26 factors (single-letter names)")
@@ -207,7 +205,7 @@ def synth_schema(
     names = [chr(ord("A") + i) for i in range(n_factors)]
     return FactorSchema(
         factors=tuple(Factor(n, lv) for n, lv in zip(names, per)),
-        outcome=Factor(outcome_name, 2),
+        outcome=Factor("OUTCOME", 2),
     )
 
 

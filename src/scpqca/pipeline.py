@@ -32,10 +32,11 @@ from .necessity import conflicting_factors, exclude_necessary, necessary_conditi
 
 @frozen
 class SolveResult:
+    """One solve's stage outputs; the necessary literals it conjoined are `solution.necessary`."""
+
     table: CaseTable
     params: AnalysisParams
     necessity: tuple[tuple[Literal, Fraction], ...]
-    conjoined_necessary: tuple[Literal, ...]
     factor_set: tuple[int, ...]
     candidates: CandidateRules
     solution: Solution
@@ -104,7 +105,6 @@ def solve(table: CaseTable, params: AnalysisParams, *, pool: CandidatePool | Non
         table=table,
         params=params,
         necessity=necessity,
-        conjoined_necessary=conjoined,
         factor_set=factor_set,
         candidates=candidates,
         solution=solution,

@@ -14,18 +14,18 @@ necessary conditions with '*'.
 ensure_ascii=False)` with a small recursive writer of its own, because any
 `indent` makes the json module fall back to its pure-Python encoder. Leaves
 are written as the json module writes them. A list of strings only, such as
-a solve payload's covered case ids, is one join with a quoted separator
-when its joined text is ASCII with no '"', '\\' or character below 0x20:
-each item's text is then the item between quotes. Any other list of strings
-goes through the C string encoder (`json.encoder.encode_basestring`) item
-by item. On the `tall` benchmark's 693 367-byte payload (CPython 3.11.7,
-2-vCPU Xeon VM, one pinned CPU, best of 60) this writer takes 1.5-1.6 ms
-against 3.6-3.7 ms encoding every id, and 8.0 ms for `json.dumps`; the
-`sweep`, `xval` and m1.csv `solve` payloads take 0.25, 0.26 and 0.02 ms
-against 0.25, 0.34 and 0.02. A container's text is one join of its pieces
-(brackets, separators, keys and item texts), so an item's text is copied
-only into its container's: on that payload the tracemalloc peak is 1.39
-MB, about twice the text, against 3.64 MB for `json.dumps`.
+a solve payload's covered case ids, is one join with a quoted separator when
+its joined text is ASCII with no '"', '\\' or character below 0x20: each
+item's text is then the item between quotes. Any other list takes the
+generic container path, whose strings go through the C string encoder
+(`json.encoder.encode_basestring`). On the `tall` benchmark's 693 367-byte
+payload (CPython 3.11.7, 2-vCPU Xeon VM, one pinned CPU, best of 60) this
+writer takes 1.5-1.6 ms against 3.6-3.7 ms encoding every id, and 8.0 ms for
+`json.dumps`; the `sweep`, `xval` and m1.csv `solve` payloads take 0.25,
+0.26 and 0.02 ms against 0.25, 0.34 and 0.02. A container's text is one join
+of its pieces (brackets, separators, keys and item texts), so an item's text
+is copied only into its container's: on that payload the tracemalloc peak is
+1.39 MB, about twice the text, against 3.64 MB for `json.dumps`.
 """
 
 from __future__ import annotations
@@ -98,12 +98,12 @@ def _json(value: object, indent: str) -> str:
         try:
             text = "".join(value)  # a TypeError unless every item is a str
         except TypeError:
-            ends, items = "[]", (("", item) for item in value)
+            pass
         else:
             if text.isascii() and len(text.encode().translate(None, _ESCAPED)) == len(text):
                 quoted = f'"{sep}"'  # nothing to escape: each item's text is the item between quotes
                 return f'[\n{inner}"{quoted.join(value)}"\n{indent}]'
-            return f"[\n{inner}{sep.join(map(_encode_str, value))}\n{indent}]"
+        ends, items = "[]", (("", item) for item in value)
     elif isinstance(value, dict):
         if not value:
             return "{}"
@@ -131,9 +131,7 @@ def _csv_string(rows: Sequence[Sequence[object]]) -> str:
 
 
 def _grid(rows: Sequence[Sequence[str]]) -> str:
-    """Left-aligned fixed-width text table."""
-    if not rows:
-        return ""
+    """Left-aligned fixed-width text table; the first row is the header."""
     widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
     out = []
     for r in rows:

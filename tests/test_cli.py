@@ -212,8 +212,9 @@ class TestErrors:
     )
     def test_a_column_cut_twice_is_refused(self, first, second, shown):
         # Names are compared stripped, so 'A' and ' A ' are one column.
-        code, out, err = run_cli("necessity", *M1, "--cutpoints", first, "--cutpoints", second)
-        assert (code, out, err) == (1, "", f"error: --cutpoints names column {shown!r} twice\n")
+        for command in ("necessity", "solve"):
+            code, out, err = run_cli(command, *M1, "--cutpoints", first, "--cutpoints", second)
+            assert (code, out, err) == (1, "", f"error: --cutpoints names column {shown!r} twice\n")
 
     @pytest.mark.parametrize(
         "args, line",

@@ -512,11 +512,14 @@ class TestDecode:
         assert isinstance(levels, bytes) == (one_ascii_char_each(cells) and max(want_levels) < 256)
 
     def test_padded_cells_load_as_the_plain_file(self, tmp_path, data_dir):
-        plain = (data_dir / "m1.csv").read_text(encoding="utf-8")
-        header, *rows = plain.splitlines()
-        padded = [",".join([r.split(",")[0], *("0" + c for c in r.split(",")[1:])]) for r in rows]
-        p = write(tmp_path, "padded.csv", "\n".join([header, *padded]) + "\n")
-        assert load_csv(p, outcome_column="O") == load_csv(data_dir / "m1.csv", outcome_column="O")
+        # Padded cells (01, 00) are decoded cell by cell, the plain file's
+        # one-character cells by one translate; the second file spans slices.
+        for plain in ((data_dir / "m1.csv").read_text(encoding="utf-8"), "id,A,B,O\n" + tall_rows(2, LATE)):
+            header, *rows = plain.splitlines()
+            padded = [",".join([r.split(",")[0], *("0" + c for c in r.split(",")[1:])]) for r in rows]
+            p = write(tmp_path, "padded.csv", "\n".join([header, *padded]) + "\n")
+            q = write(tmp_path, "plain.csv", plain)
+            assert load_csv(p, outcome_column="O") == load_csv(q, outcome_column="O")
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +580,13 @@ class TestPlainSplitMatchesCsvReader:
         assert ingest._BLANK == "," + whitespace
 
     def test_crlf_file_equals_its_lf_twin(self, tmp_path):
-        text = "id,A,B,O\na,1,0,1\n\n , \nb,0,1,0\nc,1,1,1"
-        lf = load_text(tmp_path / "t.csv", text, "O")
-        crlf = load_text(tmp_path / "t.csv", text.replace("\n", "\r\n"), "O")
-        assert lf[0] == "table"
-        assert crlf == lf
+        rows = "a,1,0,1\n\n , \nb,0,1,0\nc,1,1,1"
+        # The second text's LF copy is split a slice at a time, its CRLF copy by csv.reader.
+        for text in ("id,A,B,O\n" + rows, "id,A,B,O\n" + tall_rows(2, LATE) + rows):
+            lf = load_text(tmp_path / "t.csv", text, "O")
+            crlf = load_text(tmp_path / "t.csv", text.replace("\n", "\r\n"), "O")
+            assert lf[0] == "table"
+            assert crlf == lf
 
     def test_line_over_the_field_limit_reads_as_csv_does(self, tmp_path):
         limit = csv.field_size_limit(8)
@@ -742,8 +747,9 @@ class TestSliceChecks:
         text = "id,A,B,O\n" + tall_rows(2, LATE) + row + "\n" + tall_rows(LATE + 3, 10)
         assert len(text) > 1 << 16
         got = three_ways(tmp_path / "t.csv", text)
+        crlf = load_text(tmp_path / "t.csv", text.replace("\n", "\r\n"), "O")
         expected = ("InputError", f"{tmp_path / 't.csv'}: row {LATE + 2} has {width} cells, header has 4")
-        assert got == (expected,) * 3
+        assert got == (expected,) * 3 and crlf == expected
 
     @pytest.mark.parametrize(
         "text",

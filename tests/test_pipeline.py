@@ -19,7 +19,7 @@ class TestTwoStepPipeline:
     def test_m1_full_run(self, m1_table):
         params = AnalysisParams(decision_label=1, consistency_threshold="0.8", cutoff=2, unique_cover=1)
         result = solve(m1_table, params)
-        assert result.conjoined_necessary == (Literal(0, 1),)
+        assert result.solution.necessary == (Literal(0, 1),)
         assert result.factor_set == (1,)  # only B remains for enumeration
         assert result.candidates == ()
         assert result.solution.rules == ()
@@ -30,7 +30,7 @@ class TestTwoStepPipeline:
     def test_remote_fixture_excludes_necessary_factors(self, remote_table):
         params = AnalysisParams(decision_label=1, cutoff=4)
         result = solve(remote_table, params)
-        necessary_factors = {l.factor_index for l in result.conjoined_necessary}
+        necessary_factors = {l.factor_index for l in result.solution.necessary}
         # MS=0, LE=1 and ED=1 hold in every positive case of the fixture
         names = {remote_table.schema.factors[i].name for i in necessary_factors}
         assert names == {"MS", "LE", "ED"}
@@ -62,7 +62,7 @@ class TestTwoStepPipeline:
         result = solve(remote_table, params)
         for config in result.solution.configurations():
             literal_factors = {lit.factor_index for lit in config.literals}
-            assert {l.factor_index for l in result.conjoined_necessary} <= literal_factors
+            assert {l.factor_index for l in result.solution.necessary} <= literal_factors
 
     def test_vacuous_solution_raises(self):
         schema = binary_schema(["A"])
@@ -92,7 +92,7 @@ class TestTwoStepPipeline:
         result = solve(t, params)
         assert any("multiple levels" in w for w in result.warnings)
         assert 0 in result.factor_set
-        assert all(l.factor_index != 0 for l in result.conjoined_necessary)
+        assert all(l.factor_index != 0 for l in result.solution.necessary)
 
     def test_assume_necessary_override(self):
         schema = binary_schema(["A", "B"])
@@ -109,7 +109,7 @@ class TestTwoStepPipeline:
             consistency_threshold="0.8", assume_necessary=(Literal(1, 1),),
         )
         result = solve(t, params)
-        assert result.conjoined_necessary == (Literal(1, 1),)
+        assert result.solution.necessary == (Literal(1, 1),)
         assert result.factor_set == (0,)
         assert not any("multiple levels" in w for w in result.warnings)
 
@@ -125,7 +125,7 @@ class TestTwoStepPipeline:
         result = solve(t, params)
         reported = {lit for lit, _ in result.necessity}
         assert Literal(0, 1) in reported and Literal(0, 0) in reported
-        assert Literal(1, 1) in {l for l in result.conjoined_necessary}
+        assert Literal(1, 1) in {l for l in result.solution.necessary}
 
 
 class TestAnalysisParams:

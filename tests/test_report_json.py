@@ -4,7 +4,7 @@ The writer is the package's own indent-2 encoder, so it is checked against
 the json module over payload-shaped values: nested dicts with str keys,
 lists and tuples of every leaf type, and lists of strings only. The writer
 joins such a list in one call when its text is ASCII with nothing to
-escape, and encodes its items one by one otherwise.
+escape, and writes it as any other container otherwise.
 """
 
 import json
@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scpqca.report import render_json
+from scpqca import AnalysisParams, solve
+from scpqca.pathways import ExperimentSpec, generate_experiment_table, parse_pathway, synth_schema
+from scpqca.report import render_json, solve_payload
 
 
 def dumps(value) -> str:
@@ -72,6 +74,7 @@ class TestAgainstJsonModule:
             ["mixed", 1, "list"],
             # At the edge of the one-join path: one item needs an escape, or is not ASCII.
             *(["c1", f"a{text}b", "c2"] for text in ['"', "\\", "\x00", "\x1f", "\x7f", " ", "é", "日本", "\ud800"]),
+            ["c1", 'q"q', "b\\s", "\x07", "é", "\ud800"],  # every kind of item that leaves the one-join path
             [""],
             ["", "c1", ""],
             ["c1"],
@@ -81,6 +84,14 @@ class TestAgainstJsonModule:
     )
     def test_named_values(self, value):
         assert render_json(value) == dumps(value)
+
+    def test_a_solve_payload_of_20000_cases(self):
+        # Its covered-case id lists run to thousands of ids each.
+        schema = synth_schema(6)
+        spec = ExperimentSpec(schema, parse_pathway("ab+CD", schema), sample_size=20_000, confound_count=1000, seed=0)
+        payload = solve_payload(solve(generate_experiment_table(spec), AnalysisParams(decision_label=1)))
+        assert max(len(c["covered_cases"]) for c in payload["configurations"]) > 1000
+        assert render_json(payload) == dumps(payload)
 
     def test_keys_that_json_converts(self):
         value = {1: "int", 2.5: "float", True: "true", None: "none", -0.0: [1, {False: 2}]}

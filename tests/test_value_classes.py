@@ -125,10 +125,10 @@ SAMPLES = [
     ),
     (
         SolveResult,
-        ("table", "params", "necessity", "conjoined_necessary", "factor_set", "candidates", "solution", "warnings"),
-        (None, None, (), (), (0,), (), None, ("w",)),
-        8,
-        "SolveResult(table=None, params=None, necessity=(), conjoined_necessary=(), factor_set=(0,), "
+        ("table", "params", "necessity", "factor_set", "candidates", "solution", "warnings"),
+        (None, None, (), (0,), (), None, ("w",)),
+        7,
+        "SolveResult(table=None, params=None, necessity=(), factor_set=(0,), "
         "candidates=(), solution=None, warnings=('w',))",
     ),
     (
